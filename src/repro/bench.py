@@ -54,7 +54,9 @@ by design); the one-off packing cost is reported separately as the
 sharded repositories).  ``summary.best_speedup`` for ``greedy_cover``
 and ``without_dominated_sets`` on the planted n=2000/m=4000 instance and
 for ``scan_parallel_gains`` on the ``large`` roster are the headline
-numbers the repo tracks (DESIGN.md §4.3, §6.3, §8.6).
+numbers the repo tracks (DESIGN.md §4.3, §6.3, §8.6).  ``greedy_cover``
+has ``frozenset`` and ``python`` rows only: greedy's one packed strategy
+is the big-int lazy heap, which the other backends run too (§4.1).
 
 Beyond the (overwritten) report, every run appends one line of schema
 ``repro.bench_history/v1`` to ``BENCH_history.jsonl`` in the report's
@@ -332,11 +334,12 @@ def _bench_instance(runner: _Runner, name: str, system: SetSystem) -> None:
             lambda f=family: f.non_dominated(),
             repeats=slow_repeats if backend == "frozenset" else None,
         )
-        runner.record(
-            "greedy_cover", name, backend,
-            lambda s=system, b=backend: greedy_cover(s, backend=b),
-            repeats=slow_repeats if backend == "frozenset" else None,
-        )
+        if backend != "numpy":  # greedy has one packed strategy: the lazy heap
+            runner.record(
+                "greedy_cover", name, backend,
+                lambda s=system, b=backend: greedy_cover(s, backend=b),
+                repeats=slow_repeats if backend == "frozenset" else None,
+            )
 
     # What the default knob delivers (resolves per instance size).  Same
     # operation as the per-backend rows (the pruning kernel alone, not the
@@ -344,10 +347,6 @@ def _bench_instance(runner: _Runner, name: str, system: SetSystem) -> None:
     runner.record(
         "without_dominated_sets", name, "auto",
         lambda s=system: s.packed("auto").non_dominated(),
-    )
-    runner.record(
-        "greedy_cover", name, "auto",
-        lambda s=system: greedy_cover(s, backend="auto"),
     )
 
 

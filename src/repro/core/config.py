@@ -45,8 +45,9 @@ class IterSetCoverConfig:
         (Figure 4.1).  Only triggers when the w.h.p. guarantee of Lemma 2.6
         did not materialize at the configured constants.
     backend:
-        Bitmap kernel used for the Size Test, the update/cleanup passes and
-        the default offline solver: ``"auto"`` (pick per call site),
+        Bitmap kernel used for the update/cleanup passes and the default
+        offline solver (the sample pass's Size-Test is one packed-chunk
+        kernel at every setting): ``"auto"`` (pick per call site),
         ``"python"`` (big-int bitmaps), ``"numpy"`` (packed uint64 words)
         or ``"frozenset"`` (the seed's representation, kept for
         benchmarking).  All backends return identical covers for a given

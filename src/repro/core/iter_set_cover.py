@@ -25,24 +25,27 @@ A final cleanup pass (mirroring Figure 4.1's last pass) handles runs where
 the with-high-probability event did not materialize at the configured
 sampling constants; it is reported separately (DESIGN.md §3.2).
 
-Implementation note (DESIGN.md §4): every per-set operation of the three
-passes — the Size Test intersection, the update subtraction, the cleanup
-hit test — runs on bitmap kernels from :mod:`repro.setsystem.packed`.
-Each streamed set is packed *once* per pass and the resulting bitmap is
-shared by all parallel guesses, instead of the seed's per-guess frozenset
-intersections.  The ``backend`` knob of :class:`IterSetCoverConfig`
-selects the kernel; all backends consume the sampling randomness
-identically, so results are bit-for-bit reproducible across backends.
+Implementation note (DESIGN.md §4): the sample pass of each iteration runs
+one per-chunk Size-Test shared by every backend and every parallel guess.
+Each captured chunk is packed once into a (rows x words) ``uint64`` block
+(:class:`_SampleChunk`); a guess gets the hits of all its rows from one
+popcount against its leftover sample at chunk start, and only rows whose
+count reaches the Size-Test threshold are re-tested one by one once a
+heavy pick has shrunk the leftover.  Light sets are stored by reference to
+the shared captured row and handed to ``algOfflineSC`` packed — big-int
+rows plus a target mask (:meth:`~repro.offline.base.OfflineSolver.solve_partial`),
+which the default greedy consumes without unpacking.  The update and
+cleanup passes hit-test each captured row on the bitmap kernel of
+:mod:`repro.setsystem.packed` selected by the ``backend`` knob of
+:class:`IterSetCoverConfig`.  All backends consume the sampling
+randomness identically, so results are bit-for-bit reproducible across
+backends.
 
 The passes themselves are executor-driven capture scans (DESIGN.md §6):
 the stream's ``jobs`` / ``planner`` knobs decide how the repository is
 scanned — serial with overlapped prefetch, or cost-balanced worker
 batches — while the replay over captured projections stays bit-identical
-at every setting.  The default offline black box runs with
-``jobs="auto"``, so ``algOfflineSC`` fans its argmax scans over the
-shared thread pool (DESIGN.md §8.5) whenever a sub-instance is large
-enough to amortize it, and stays serial on the tiny mid-stream
-projections.
+at every setting.
 """
 
 from __future__ import annotations
@@ -54,22 +57,95 @@ from repro.core.result import GuessStats, StreamingCoverResult
 from repro.offline.base import OfflineSolver
 from repro.offline.greedy import GreedySolver
 from repro.sampling.relative_approximation import draw_sample
-from repro.setsystem.packed import BitmapKernel, bitmap_kernel, chunk_gains
-from repro.engine import AcceptBatch, capture_words
+from repro.setsystem.packed import WORD_BITS, BitmapKernel, bitmap_kernel, chunk_gains
+from repro.engine import capture_words
 from repro.streaming.memory import MemoryMeter
 from repro.streaming.stream import SetStream, stream_resident_words
+from repro.utils.bitset import mask_of
 from repro.utils.mathutil import powers_of_two_up_to
 from repro.utils.rng import as_generator
 
 __all__ = ["IterSetCover", "iter_set_cover"]
 
 
+def _words_of(mask: int, words: int) -> "np.ndarray":
+    """``mask`` as ``words`` little-endian ``uint64`` words."""
+    return np.frombuffer(mask.to_bytes(words * 8, "little"), dtype="<u8")
+
+
+class _SampleChunk:
+    """One captured chunk of a sample pass, packed once for every guess.
+
+    ``rows`` are the captured projections ``r ∩ (union of leftovers)`` as
+    big ints, ``matrix`` the same rows as a ``(rows, words)`` ``uint64``
+    block.  Hit counts against a chunk-start leftover are memoized, so
+    guesses whose leftovers coincide (every guess whose sample is the whole
+    uncovered set, say) share one popcount.
+    """
+
+    def __init__(self, captured, words: int):
+        self.ids = [set_id for set_id, _ in captured]
+        self.rows = [row for _, row in captured]
+        self.words = words
+        packed = b"".join(row.to_bytes(words * 8, "little") for row in self.rows)
+        self.matrix = np.frombuffer(packed, dtype="<u8").reshape(len(self.rows), words)
+        self._gains: dict[int, np.ndarray] = {}
+
+    def gains(self, leftover: int) -> "np.ndarray":
+        """``|row ∩ leftover|`` for every row of the chunk."""
+        gains = self._gains.get(leftover)
+        if gains is None:
+            gains = chunk_gains(self.matrix, _words_of(leftover, self.words))
+            self._gains[leftover] = gains
+        return gains
+
+    def count(self, index: "np.ndarray", leftover: int) -> "np.ndarray":
+        """``|row ∩ leftover|`` for the rows at ``index`` only."""
+        return chunk_gains(self.matrix[index], _words_of(leftover, self.words))
+
+
+def _sample_pass(parts, guesses) -> int:
+    """Run every guess's Size-Test over a sample pass, chunk by chunk.
+
+    Returns the largest chunk's capture words (``scan_capture_peak_words``):
+    captures are consumed one chunk at a time, so at most one chunk's
+    projections are resident (DESIGN.md §6.1).
+    """
+    capture_peak = 0
+    words = (guesses[0].n + WORD_BITS - 1) // WORD_BITS
+    for _, _, captured in parts:
+        capture_peak = max(capture_peak, capture_words(captured))
+        if captured:
+            chunk = _SampleChunk(captured, words)
+            for guess in guesses:
+                guess.size_test(chunk)
+    return capture_peak
+
+
+def _replay(parts, guesses, observe) -> int:
+    """Feed every captured row of a pass to ``observe(guess, set_id, row)``.
+
+    Rows are kernel bitmaps of the guesses' shared kernel; returns the
+    largest chunk's capture words, as :func:`_sample_pass` does.
+    """
+    capture_peak = 0
+    kernel = guesses[0].kernel
+    for _, _, captured in parts:
+        capture_peak = max(capture_peak, capture_words(captured))
+        for set_id, projection in captured:
+            row = kernel.from_mask_int(projection)
+            for guess in guesses:
+                observe(guess, set_id, row)
+    return capture_peak
+
+
 class _GuessState:
     """Execution state of one parallel guess of the optimal cover size.
 
-    All element sets (uncovered, sample, leftover, stored projections) are
-    bitmap handles of the shared ``kernel``; streamed sets arrive already
-    packed by the driving pass loop.
+    The true uncovered set is a bitmap handle of the shared ``kernel``
+    (update and cleanup passes).  The per-iteration Size-Test state — the
+    leftover sample and the stored light rows — is kept as big ints, the
+    form in which the scan engine captures rows.
     """
 
     def __init__(
@@ -80,9 +156,8 @@ class _GuessState:
         kernel: "BitmapKernel | None" = None,
     ):
         self.k = k
+        self.n = n
         self.meter = meter
-        # The frozenset reference kernel keeps white-box callers (the
-        # Lemma 2.3 statistical tests) working with raw frozensets.
         self.kernel = kernel if kernel is not None else bitmap_kernel(n, "frozenset")
         self.uncovered = self.kernel.full()
         # Cached |uncovered|, maintained by the two mutating passes so the
@@ -100,10 +175,9 @@ class _GuessState:
             peak_memory_words=0,
         )
         # Per-iteration scratch:
-        self.sample = self.kernel.empty()
         self.sample_size = 0
-        self.leftover = self.kernel.empty()
-        self.projections: list = []  # kernel bitmaps (r ∩ sample)
+        self.leftover = 0  # still-uncovered sampled elements, as a mask
+        self.projections: list[int] = []  # light rows, shared captured ints
         self.projection_ids: list[int] = []
         self.new_picks: set[int] = set()
         self._scratch_words = 0
@@ -120,110 +194,96 @@ class _GuessState:
     def begin_iteration(
         self, config: IterSetCoverConfig, n: int, m: int, rho: float, rng
     ) -> None:
-        kernel = self.kernel
         if self.done:
-            self.sample = kernel.empty()
             self.sample_size = 0
-            self.leftover = kernel.empty()
+            self.leftover = 0
             return
         target = config.sample_size(n, m, self.k, rho)
         # ``to_indices`` is sorted, so the rng stream matches the seed's
         # frozenset implementation exactly (draw_sample sorts anyway).
-        sampled = draw_sample(kernel.to_indices(self.uncovered), target, seed=rng)
-        self.sample = kernel.from_indices(sampled)
+        sampled = draw_sample(self.kernel.to_indices(self.uncovered), target, seed=rng)
         self.sample_size = len(sampled)
         self.stats.sample_sizes.append(self.sample_size)
-        self.leftover = self.sample
+        self.leftover = mask_of(sampled)
         self.projections = []
         self.projection_ids = []
         self.new_picks = set()
         self._scratch_words = self.sample_size
         self.meter.charge(self._scratch_words)
 
-    def observe_sample_pass(self, set_id: int, row) -> None:
-        """First pass of the iteration: Size Test or projection storage."""
-        kernel = self.kernel
-        if kernel.is_empty(self.leftover):
+    def size_test(self, chunk: _SampleChunk) -> None:
+        """First pass of the iteration, one chunk: Size Test or storage.
+
+        Equivalent to testing the chunk's rows one at a time in stream
+        order — pinned against a row-by-row frozenset oracle in
+        ``tests/test_iter_set_cover.py``: a row hitting at least
+        ``ceil(|S| / k)`` leftover sampled elements is picked at once
+        (heavy) and its hit leaves the leftover; any other row with a hit
+        is stored (light) and charged ``hit + 1`` words.
+
+        The leftover only shrinks, and only at a heavy pick, so only rows
+        whose chunk-start count reaches the threshold can be heavy.  After
+        a pick those are re-tested one by one, and the light segment up to
+        the next pick is recounted in one popcount.  Light rows are kept by
+        reference to the shared captured row instead of a per-guess
+        ``row ∩ leftover`` copy: since the leftover only shrinks,
+        ``(row ∩ leftover_t) ∩ targets = row ∩ targets`` for
+        ``algOfflineSC``'s targets.
+        """
+        leftover = self.leftover
+        if not leftover:
             return
-        if set_id in self.solution_set:
-            return
-        hit = kernel.intersect(row, self.leftover)
-        hit_count = kernel.count(hit)
-        if hit_count == 0:
-            return
-        if hit_count * self.k >= self.sample_size:
-            # Heavy set: pick immediately, never stored.
+        hits = chunk.gains(leftover)
+        # Rows already in the solution are neither picked nor stored.
+        ids, solution = chunk.ids, self.solution_set
+        skip = [i for i in np.flatnonzero(hits).tolist() if ids[i] in solution]
+        if skip:
+            hits = hits.copy()
+            hits[skip] = 0
+        threshold = -(-self.sample_size // self.k)
+        rows = chunk.rows
+        start, fresh = 0, True
+        for stop in [*np.flatnonzero(hits >= threshold).tolist(), len(ids)]:
+            heavy = stop < len(ids)
+            if heavy and not fresh and (rows[stop] & leftover).bit_count() < threshold:
+                continue  # no longer heavy: a light row of the next segment
+            self._store_light(chunk, start, stop, hits, None if fresh else leftover)
+            if not heavy:
+                break
+            set_id = ids[stop]
             self._pick(set_id)
             self.new_picks.add(set_id)
-            self.leftover = kernel.subtract(self.leftover, hit)
             self.stats.heavy_picks += 1
-        else:
-            # Light set: store its projection onto the sample explicitly.
-            self.projections.append(hit)
-            self.projection_ids.append(set_id)
-            words = hit_count + 1  # elements + the set id
-            self._scratch_words += words
-            self.meter.charge(words)
+            leftover &= ~rows[stop]
+            start, fresh = stop + 1, False
+            if not leftover:
+                break
+        self.leftover = leftover
 
-    def observe_sample_chunk(self, ids, matrix) -> AcceptBatch:
-        """Fused Size-Test over one chunk's captured rows (numpy kernel).
+    def _store_light(self, chunk, start, stop, hits, leftover) -> None:
+        """Store the hit rows of ``chunk[start:stop]`` as light projections.
 
-        Bit-identical to calling :meth:`observe_sample_pass` once per
-        row in order — asserted by ``tests/test_iter_set_cover.py`` —
-        but the
-        per-row hit counting is one :func:`chunk_gains` call per accept
-        *segment* instead of one kernel intersection per row.  The
-        leftover sample only changes when a heavy set is accepted, so
-        between accepts the whole remaining chunk can be counted
-        against a fixed leftover at once; each accept ends a segment
-        exactly like the sequential replay (and exactly like
-        :func:`repro.engine.merge.simulate_accepts` with threshold
-        ``ceil(sample_size / k)``, whose :class:`AcceptBatch` this
-        returns for introspection).  Light sets still intersect one by
-        one — their projections must be materialized for
-        ``algOfflineSC`` either way — but only the rows the sequential
-        loop would have stored.
+        ``hits`` are the chunk-start counts; ``leftover`` is the current
+        leftover when a pick has shrunk it since (``None`` otherwise), and
+        the segment is then recounted against it.
         """
-        kernel = self.kernel
-        batch = AcceptBatch()
-        if kernel.is_empty(self.leftover):
-            return batch
-        rows = len(ids)
-        skip = np.fromiter(
-            (set_id in self.solution_set for set_id in ids),
-            dtype=bool, count=rows,
-        )
-        start_mask = self.leftover
-        position = 0
-        while position < rows:
-            if kernel.is_empty(self.leftover):
-                break
-            gains = chunk_gains(matrix[position:], self.leftover)
-            gains[skip[position:]] = 0
-            accepts = np.flatnonzero(gains * self.k >= self.sample_size)
-            stop = int(accepts[0]) if accepts.size else rows - position
-            for offset in np.flatnonzero(gains[:stop] > 0):
-                row = position + int(offset)
-                hit = kernel.intersect(matrix[row], self.leftover)
-                self.projections.append(hit)
-                self.projection_ids.append(ids[row])
-                words = int(gains[offset]) + 1  # elements + the set id
-                self._scratch_words += words
-                self.meter.charge(words)
-            if not accepts.size:
-                break
-            row = position + stop
-            hit = kernel.intersect(matrix[row], self.leftover)
-            self._pick(ids[row])
-            self.new_picks.add(ids[row])
-            batch.ids.append(ids[row])
-            self.leftover = kernel.subtract(self.leftover, hit)
-            self.stats.heavy_picks += 1
-            position = row + 1
-        batch.removed = kernel.to_mask_int(
-            kernel.subtract(start_mask, self.leftover)
-        )
-        return batch
+        if start == stop:
+            return
+        index = np.flatnonzero(hits[start:stop]) + start
+        if not index.size:
+            return
+        if leftover is None:
+            counts = hits[index]
+        else:
+            counts = chunk.count(index, leftover)
+            index = index[counts > 0]
+            counts = counts[counts > 0]
+        rows, ids, index = chunk.rows, chunk.ids, index.tolist()
+        self.projections.extend([rows[i] for i in index])
+        self.projection_ids.extend([ids[i] for i in index])
+        words = int(counts.sum()) + len(index)  # elements + one id per set
+        self._scratch_words += words
+        self.meter.charge(words)
 
     def solve_offline(self, solver: OfflineSolver, n: int) -> None:
         """Run ``algOfflineSC`` on (leftover sample, stored projections).
@@ -233,24 +293,22 @@ class _GuessState:
         streamed by); on infeasible ones the uncoverable residue is left to
         surface as ``feasible=False`` at the end of the run.
         """
-        kernel = self.kernel
-        if kernel.is_empty(self.leftover):
+        if not self.leftover:
             return
-        coverable = kernel.empty()
-        for projection in self.projections:
-            coverable = kernel.union(coverable, projection)
-        targets = kernel.intersect(self.leftover, coverable)
-        picked = solver.solve_partial(
-            n,
-            [frozenset(kernel.to_indices(p)) for p in self.projections],
-            frozenset(kernel.to_indices(targets)),
-        )
+        picked = solver.solve_partial(n, self.projections, self.offline_targets())
         for local_index in picked:
             set_id = self.projection_ids[local_index]
             self._pick(set_id)
             self.new_picks.add(set_id)
             self.stats.offline_picks += 1
-        self.leftover = kernel.empty()
+        self.leftover = 0
+
+    def offline_targets(self) -> int:
+        """The leftover sampled elements some stored light row covers."""
+        coverable = 0
+        for row in self.projections:
+            coverable |= row
+        return self.leftover & coverable
 
     def observe_update_pass(self, set_id: int, row) -> None:
         """Second pass: recompute the true uncovered set."""
@@ -265,7 +323,6 @@ class _GuessState:
         """Drop per-iteration scratch; prior iterations' memory is not kept."""
         self.projections = []
         self.projection_ids = []
-        self.sample = self.kernel.empty()
         self.sample_size = 0
         self.meter.release(self._scratch_words)
         self._scratch_words = 0
@@ -325,13 +382,6 @@ class IterSetCover:
 
     name = "iterSetCover"
 
-    #: Gate for the vectorized per-chunk Size-Test replay
-    #: (:meth:`_GuessState.observe_sample_chunk`).  On by default for
-    #: the numpy kernel; the bit-identity pin in
-    #: ``tests/test_iter_set_cover.py`` flips it off to compare against
-    #: the row-by-row replay.
-    fused_size_test = True
-
     def __init__(
         self,
         config: "IterSetCoverConfig | None" = None,
@@ -339,10 +389,7 @@ class IterSetCover:
         seed: "int | np.random.Generator | None" = None,
     ):
         self.config = config or IterSetCoverConfig()
-        # ``jobs="auto"`` keeps the offline black box serial on the tiny
-        # mid-stream projections and thread-parallel on instances big
-        # enough to amortize the fan-out (DESIGN.md §8.5).
-        self.solver = solver or GreedySolver(backend=self.config.backend, jobs="auto")
+        self.solver = solver or GreedySolver(backend=self.config.backend)
         self._rng = as_generator(seed)
 
     # ------------------------------------------------------------------
@@ -361,43 +408,8 @@ class IterSetCover:
             for k in powers_of_two_up_to(n)
         ]
         passes_before = stream.passes
-        # Chunk-streamed replay: captures are consumed one chunk at a
-        # time, so at most one chunk's projections are resident; the
-        # largest batch is reported as scan scratch (DESIGN.md §6.1).
+        # The largest chunk's captures, reported as scan scratch.
         capture_peak = 0
-
-        def replay(parts, observe):
-            nonlocal capture_peak
-            for _, _, captured in parts:
-                capture_peak = max(capture_peak, capture_words(captured))
-                for set_id, projection in captured:
-                    row = kernel.from_mask_int(projection)
-                    for guess in guesses:
-                        observe(guess, set_id, row)
-
-        fused = self.fused_size_test and kernel.backend == "numpy"
-
-        def replay_sample(parts):
-            """Sample-pass replay: fused per-chunk Size-Test vectors on
-            the numpy kernel, the row-by-row loop elsewhere — the same
-            picks, projections and meter charges either way."""
-            nonlocal capture_peak
-            if not fused:
-                replay(
-                    parts,
-                    lambda g, set_id, row: g.observe_sample_pass(set_id, row),
-                )
-                return
-            for _, _, captured in parts:
-                capture_peak = max(capture_peak, capture_words(captured))
-                if not captured:
-                    continue
-                ids = [set_id for set_id, _ in captured]
-                matrix = np.stack(
-                    [kernel.from_mask_int(proj) for _, proj in captured]
-                )
-                for guess in guesses:
-                    guess.observe_sample_chunk(ids, matrix)
 
         for _ in range(self.config.iterations):
             if all(g.done for g in guesses):
@@ -413,11 +425,11 @@ class IterSetCover:
             # captured projection per set, shared across all guesses.
             sample_mask = 0
             for guess in guesses:
-                sample_mask |= kernel.to_mask_int(guess.leftover)
+                sample_mask |= guess.leftover
             parts = stream.scan_gains_chunked(
                 sample_mask, min_capture_gain=1, include_gains=False
             )
-            replay_sample(parts)
+            capture_peak = max(capture_peak, _sample_pass(parts, guesses))
             for guess in guesses:
                 guess.solve_offline(self.solver, n)
             # Update pass: only this iteration's picks can change any
@@ -432,7 +444,9 @@ class IterSetCover:
                 update_mask, min_capture_gain=1, capture_ids=picked,
                 include_gains=False,
             )
-            replay(parts, lambda g, set_id, row: g.observe_update_pass(set_id, row))
+            capture_peak = max(
+                capture_peak, _replay(parts, guesses, _GuessState.observe_update_pass)
+            )
             for guess in guesses:
                 guess.end_iteration()
 
@@ -446,7 +460,9 @@ class IterSetCover:
             parts = stream.scan_gains_chunked(
                 cleanup_mask, min_capture_gain=1, include_gains=False
             )
-            replay(parts, lambda g, set_id, row: g.observe_cleanup_pass(set_id, row))
+            capture_peak = max(
+                capture_peak, _replay(parts, guesses, _GuessState.observe_cleanup_pass)
+            )
 
         stats = {g.k: g.finalize_stats() for g in guesses}
         complete = [g for g in guesses if g.done]

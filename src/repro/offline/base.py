@@ -12,6 +12,7 @@ import abc
 from collections.abc import Sequence
 
 from repro.setsystem.set_system import SetSystem
+from repro.utils.bitset import bits_of
 
 __all__ = ["OfflineSolver", "InfeasibleInstanceError"]
 
@@ -39,16 +40,28 @@ class OfflineSolver(abc.ABC):
         """The approximation factor guaranteed on instances with ``n`` elements."""
 
     # ------------------------------------------------------------------
-    def solve_partial(
-        self, n: int, sets: Sequence[frozenset[int]], targets: frozenset[int]
-    ) -> list[int]:
+    def solve_partial(self, n: int, sets: Sequence, targets) -> list[int]:
         """Cover only ``targets`` using the given (projected) family.
 
         This is the call shape of ``algOfflineSC(L, F_S, k)`` in Figure 1.3:
         the family is a list of projections and only the still-uncovered
         sampled elements ``L`` need covering.  Elements outside ``targets``
         are ignored.  Returns indices *into the given family*.
+
+        Two input forms are accepted: frozensets with a frozenset of
+        targets, or the *packed* form — big-int rows with an ``int``
+        target mask, which is how ``iterSetCover`` hands over its light
+        projections.  Solvers with a packed kernel define
+        ``solve_packed(rows, targets)`` and receive the packed form as is
+        (greedy, DESIGN.md §4.1); every other solver gets it unpacked to
+        frozensets, renumbered like the frozenset form.
         """
+        if isinstance(targets, int):
+            solve_packed = getattr(self, "solve_packed", None)
+            if solve_packed is not None:
+                return solve_packed(sets, targets)
+            sets = [frozenset(bits_of(row & targets)) for row in sets]
+            targets = frozenset(bits_of(targets))
         if not targets:
             return []
         ordered = sorted(targets)

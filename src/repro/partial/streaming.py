@@ -17,13 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import IterSetCoverConfig
-from repro.core.iter_set_cover import _GuessState
+from repro.core.iter_set_cover import _GuessState, _replay, _sample_pass
 from repro.core.result import StreamingCoverResult
 from repro.offline.base import OfflineSolver
 from repro.offline.greedy import GreedySolver
 from repro.partial.offline import coverage_requirement
 from repro.setsystem.packed import bitmap_kernel
-from repro.engine import capture_words
 from repro.streaming.memory import MemoryMeter
 from repro.streaming.stream import SetStream, stream_resident_words
 from repro.utils.mathutil import powers_of_two_up_to
@@ -98,15 +97,6 @@ class PartialIterSetCover:
         # (DESIGN.md §6.1): at most one chunk's captures are resident.
         capture_peak = 0
 
-        def replay(parts, observe):
-            nonlocal capture_peak
-            for _, _, captured in parts:
-                capture_peak = max(capture_peak, capture_words(captured))
-                for set_id, projection in captured:
-                    row = kernel.from_mask_int(projection)
-                    for g in guesses:
-                        observe(g, set_id, row)
-
         def satisfied(guess: _GuessState) -> bool:
             return guess.uncovered_count() <= allowance
 
@@ -115,9 +105,8 @@ class PartialIterSetCover:
                 break
             for g in guesses:
                 if satisfied(g):
-                    g.sample = kernel.empty()
                     g.sample_size = 0
-                    g.leftover = kernel.empty()
+                    g.leftover = 0
                     g.new_picks = set()
                 else:
                     g.begin_iteration(self.config, n, m, rho, self._rng)
@@ -126,11 +115,11 @@ class PartialIterSetCover:
             # guesses contribute empty masks and observe nothing.
             sample_mask = 0
             for g in guesses:
-                sample_mask |= kernel.to_mask_int(g.leftover)
+                sample_mask |= g.leftover
             parts = stream.scan_gains_chunked(
                 sample_mask, min_capture_gain=1, include_gains=False
             )
-            replay(parts, lambda g, set_id, row: g.observe_sample_pass(set_id, row))
+            capture_peak = max(capture_peak, _sample_pass(parts, guesses))
             for g in guesses:
                 if not satisfied(g):
                     self._solve_offline_partial(g, allowance)
@@ -144,7 +133,9 @@ class PartialIterSetCover:
                 update_mask, min_capture_gain=1, capture_ids=picked,
                 include_gains=False,
             )
-            replay(parts, lambda g, set_id, row: g.observe_update_pass(set_id, row))
+            capture_peak = max(
+                capture_peak, _replay(parts, guesses, _GuessState.observe_update_pass)
+            )
             for g in guesses:
                 g.end_iteration()
 
@@ -163,7 +154,7 @@ class PartialIterSetCover:
                 if not satisfied(g):
                     g.observe_cleanup_pass(set_id, row)
 
-            replay(parts, cleanup)
+            capture_peak = max(capture_peak, _replay(parts, guesses, cleanup))
 
         stats = {g.k: g.finalize_stats() for g in guesses}
         complete = [g for g in guesses if satisfied(g)]
@@ -204,14 +195,12 @@ class PartialIterSetCover:
         elements covered.  Uses greedy for the partial objective (the
         injected solver interface has no coverage-target notion).
         """
-        kernel = guess.kernel
-        if kernel.is_empty(guess.leftover):
+        if not guess.leftover:
             return
-        coverable = kernel.empty()
-        for projection in guess.projections:
-            coverable = kernel.union(coverable, projection)
-        targets = kernel.intersect(guess.leftover, coverable)
-        target_count = kernel.count(targets)
+        # The light rows are the shared captured rows (by reference), so
+        # gains are taken against the targets, never the rows alone.
+        targets = guess.offline_targets()
+        target_count = targets.bit_count()
         uncovered_size = max(guess.uncovered_count(), 1)
         sample_share = guess.sample_size / uncovered_size
         sample_allowance = int(allowance * min(1.0, sample_share))
@@ -222,7 +211,7 @@ class PartialIterSetCover:
         while covered < required:
             best_index, best_gain = -1, 0
             for index, projection in enumerate(guess.projections):
-                gain = kernel.count(kernel.intersect(projection, remaining))
+                gain = (projection & remaining).bit_count()
                 if gain > best_gain:
                     best_index, best_gain = index, gain
             if best_index < 0:
@@ -231,9 +220,9 @@ class PartialIterSetCover:
             guess._pick(set_id)
             guess.new_picks.add(set_id)
             guess.stats.offline_picks += 1
-            remaining = kernel.subtract(remaining, guess.projections[best_index])
-            covered = target_count - kernel.count(remaining)
-        guess.leftover = kernel.empty()
+            remaining &= ~guess.projections[best_index]
+            covered = target_count - remaining.bit_count()
+        guess.leftover = 0
 
 
 class PartialThreshold:

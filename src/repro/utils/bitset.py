@@ -7,12 +7,17 @@ union/intersection are single ``|``/``&`` operations, and cardinality is
 ``int.bit_count()``.
 
 These helpers convert between iterables of indices and masks.  They are pure
-functions with no state.
+functions with no state, and linear in the mask's byte length: the
+conversion goes through one ``int.to_bytes``/``int.from_bytes`` and a numpy
+bit (un)pack, never a per-bit big-int operation (each of which would copy
+the whole mask).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+
+import numpy as np
 
 __all__ = ["mask_of", "bits_of", "iter_bits", "count_bits", "universe_mask"]
 
@@ -23,12 +28,16 @@ def mask_of(indices: Iterable[int]) -> int:
     >>> bin(mask_of([0, 2, 3]))
     '0b1101'
     """
-    mask = 0
-    for index in indices:
-        if index < 0:
-            raise ValueError(f"bitset indices must be non-negative, got {index}")
-        mask |= 1 << index
-    return mask
+    idx = np.fromiter(indices, dtype=np.int64)
+    if not idx.size:
+        return 0
+    if idx.min() < 0:
+        raise ValueError(
+            f"bitset indices must be non-negative, got {int(idx[idx < 0][0])}"
+        )
+    bits = np.zeros(int(idx.max()) + 1, dtype=np.uint8)
+    bits[idx] = 1
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def bits_of(mask: int) -> list[int]:
@@ -37,21 +46,20 @@ def bits_of(mask: int) -> list[int]:
     >>> bits_of(0b1101)
     [0, 2, 3]
     """
-    return list(iter_bits(mask))
+    if mask < 0:
+        raise ValueError("bitset masks must be non-negative")
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return np.flatnonzero(bits).tolist()
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the indices set in ``mask`` in increasing order.
+    """Iterate over the indices set in ``mask`` in increasing order.
 
-    Uses the lowest-set-bit trick so the cost is proportional to the number
-    of set bits, not to the universe size.
+    >>> list(iter_bits(0b1010))
+    [1, 3]
     """
-    if mask < 0:
-        raise ValueError("bitset masks must be non-negative")
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return iter(bits_of(mask))
 
 
 def count_bits(mask: int) -> int:

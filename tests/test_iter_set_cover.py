@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core import IterSetCover, IterSetCoverConfig, iter_set_cover
-from repro.offline import ExactSolver
+from repro.core.iter_set_cover import _GuessState, _SampleChunk
+from repro.offline import ExactSolver, GreedySolver
+from repro.sampling import draw_sample
 from repro.setsystem import SetSystem
-from repro.streaming import SetStream
+from repro.setsystem.packed import bitmap_kernel
+from repro.streaming import MemoryMeter, SetStream
+from repro.utils.bitset import mask_of
+from repro.utils.mathutil import powers_of_two_up_to
+from repro.utils.rng import as_generator
 from repro.workloads import planted_instance, uniform_random_instance
 
 
@@ -153,76 +161,269 @@ class TestSizeTestSemantics:
         assert len(set(result.selection)) == len(result.selection)
 
 
+class _ReferenceGuess:
+    """One guess of the seed's row-by-row frozenset iterSetCover (the oracle)."""
+
+    def __init__(self, k: int, n: int):
+        self.k = k
+        self.uncovered = frozenset(range(n))
+        self.solution: list[int] = []
+        self.current = self.peak = n  # the uncovered bitmap: n words
+        self.sample_size = 0
+        self.leftover = frozenset()
+        self.light: list[tuple[int, frozenset]] = []
+        self.new_picks: set[int] = set()
+        self.scratch = 0
+        self.stats = {"heavy": 0, "offline": 0, "cleanup": 0, "samples": []}
+
+    def charge(self, words: int) -> None:
+        self.current += words
+        self.peak = max(self.peak, self.current)
+
+    def pick(self, set_id: int) -> None:
+        if set_id not in self.solution:
+            self.solution.append(set_id)
+            self.charge(1)
+
+    def begin(self, config, n, m, rho, rng) -> None:
+        if not self.uncovered:
+            self.sample_size, self.leftover = 0, frozenset()
+            return
+        sample = draw_sample(sorted(self.uncovered), config.sample_size(n, m, self.k, rho), seed=rng)
+        self.sample_size = len(sample)
+        self.stats["samples"].append(len(sample))
+        self.leftover, self.light, self.new_picks = sample, [], set()
+        self.scratch = len(sample)
+        self.charge(len(sample))
+
+    def size_test(self, set_id: int, r: frozenset) -> None:
+        """The Size Test of Figure 1.3 on one streamed set."""
+        hit = r & self.leftover
+        if not hit or set_id in self.solution:
+            return
+        if len(hit) * self.k >= self.sample_size:
+            self.pick(set_id)
+            self.new_picks.add(set_id)
+            self.leftover -= hit
+            self.stats["heavy"] += 1
+        else:
+            self.light.append((set_id, hit))
+            self.scratch += len(hit) + 1
+            self.charge(len(hit) + 1)
+
+    def solve_offline(self, solver, n: int) -> None:
+        if not self.leftover:
+            return
+        coverable = frozenset().union(*(hit for _, hit in self.light))
+        picked = solver.solve_partial(
+            n, [hit for _, hit in self.light], self.leftover & coverable
+        )
+        for index in picked:
+            self.pick(self.light[index][0])
+            self.new_picks.add(self.light[index][0])
+            self.stats["offline"] += 1
+        self.leftover = frozenset()
+
+
+def _reference_iter_set_cover(system, config, seed):
+    """iterSetCover exactly as the paper states it, one row at a time."""
+    rng = as_generator(seed)
+    n, m = system.n, system.m
+    solver = GreedySolver(backend="frozenset")
+    rho = solver.rho(n)
+    guesses = [_ReferenceGuess(k, n) for k in powers_of_two_up_to(n)]
+    passes = 0
+    for _ in range(config.iterations):
+        if all(not g.uncovered for g in guesses):
+            break
+        for g in guesses:
+            g.begin(config, n, m, rho, rng)
+        for set_id, r in enumerate(system.sets):
+            for g in guesses:
+                g.size_test(set_id, r)
+        for g in guesses:
+            g.solve_offline(solver, n)
+        for set_id, r in enumerate(system.sets):
+            for g in guesses:
+                if set_id in g.new_picks:
+                    g.uncovered -= r
+        for g in guesses:
+            g.current -= g.scratch
+            g.scratch = 0
+        passes += 2
+    if config.cleanup_pass and any(g.uncovered for g in guesses):
+        passes += 1
+        for set_id, r in enumerate(system.sets):
+            for g in guesses:
+                hit = r & g.uncovered
+                if hit and set_id not in g.solution:
+                    g.pick(set_id)
+                    g.uncovered -= hit
+                    g.stats["cleanup"] += 1
+    complete = [g for g in guesses if not g.uncovered]
+    best = (
+        min(complete, key=lambda g: len(g.solution))
+        if complete
+        else min(guesses, key=lambda g: len(g.uncovered))
+    )
+    return best.solution, passes, bool(complete), sum(g.peak for g in guesses), guesses
+
+
+def _oracle_instances():
+    rng = np.random.default_rng(2016)
+    for case in range(40):
+        n = int(rng.integers(8, 160))
+        m = int(rng.integers(6, 120))
+        seed = int(rng.integers(1 << 30))
+        if case % 2:
+            opt = int(rng.integers(1, max(2, min(n, m) // 3)))
+            yield case, planted_instance(n=n, m=max(m, opt), opt=opt, seed=seed).system
+        else:
+            density = float(rng.uniform(0.02, 0.3))
+            yield case, uniform_random_instance(n, m, density=density, seed=seed)
+
+
 class TestFusedSizeTest:
-    """The vectorized per-chunk Size-Test replay is pinned bit-identical
-    to the row-by-row ``observe_sample_pass`` loop it replaces."""
-
-    def _solve(self, system, fused: bool, seed: int = 7):
-        class Pinned(IterSetCover):
-            fused_size_test = fused
-
-        return Pinned(
-            config=IterSetCoverConfig(delta=0.5, backend="numpy"), seed=seed
-        ).solve(SetStream(system))
+    """Whole solves with the per-chunk Size-Test, at the default config, are
+    pinned bit-identical to the row-by-row replay of the oracle."""
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_whole_solve_matches_row_replay(self, seed):
         system = uniform_random_instance(n=120, m=90, density=0.08, seed=seed)
-        fused = self._solve(system, fused=True, seed=seed)
-        plain = self._solve(system, fused=False, seed=seed)
-        assert fused.selection == plain.selection
-        assert fused.passes == plain.passes
-        assert fused.peak_memory_words == plain.peak_memory_words
-        assert fused.best_k == plain.best_k
-        for k, stats in plain.guess_stats.items():
-            other = fused.guess_stats[k]
-            assert other.heavy_picks == stats.heavy_picks
-            assert other.offline_picks == stats.offline_picks
-            assert other.cleanup_picks == stats.cleanup_picks
-            assert other.sample_sizes == stats.sample_sizes
-            assert other.peak_memory_words == stats.peak_memory_words
+        config = IterSetCoverConfig(delta=0.5, backend="numpy")
+        result = IterSetCover(config=config, seed=seed).solve(SetStream(system))
+        selection, passes, feasible, peak, ref = _reference_iter_set_cover(
+            system, config, seed
+        )
+        assert result.selection == selection
+        assert result.passes == passes
+        assert result.feasible == feasible
+        assert result.peak_memory_words == peak
+        for g in ref:
+            stats = result.guess_stats[g.k]
+            assert stats.heavy_picks == g.stats["heavy"]
+            assert stats.offline_picks == g.stats["offline"]
+            assert stats.cleanup_picks == g.stats["cleanup"]
+            assert stats.sample_sizes == g.stats["samples"]
+            assert stats.peak_memory_words == g.peak
 
-    def test_chunk_observation_matches_row_observation(self):
-        import copy
 
-        import numpy as np
+class TestSizeTestOracle:
+    """The per-chunk Size-Test driver against the row-by-row frozenset oracle.
 
-        from repro.core.iter_set_cover import _GuessState
-        from repro.setsystem.packed import bitmap_kernel
-        from repro.streaming.memory import MemoryMeter
+    Every backend must make exactly the oracle's picks, passes and meter
+    charges, guess by guess, whatever the chunking of the sample pass.
+    """
 
-        n = 96
-        kernel = bitmap_kernel(n, "numpy")
-        rng = np.random.default_rng(5)
-        for trial in range(5):
-            guess = _GuessState(4, n, MemoryMeter(label="pin"), kernel)
-            sample = sorted(rng.choice(n, size=24, replace=False).tolist())
-            guess.sample = kernel.from_indices(sample)
-            guess.sample_size = len(sample)
-            guess.leftover = guess.sample
-            guess.solution_set = {3}
-            guess.solution = [3]
-            rows = []
-            for set_id in range(10):
-                members = rng.choice(n, size=rng.integers(1, 40), replace=False)
-                rows.append((set_id, kernel.from_indices(sorted(members.tolist()))))
-            twin = copy.deepcopy(guess)
-            for set_id, row in rows:
-                twin.observe_sample_pass(
-                    set_id, kernel.intersect(row, twin.sample)
+    @pytest.mark.parametrize("delta", [0.5, 1.0])
+    def test_matches_row_by_row_oracle(self, delta):
+        for case, system in _oracle_instances():
+            config = IterSetCoverConfig(
+                delta=delta, use_polylog_factors=False,
+                sample_constant=(0.3, 1.0, 3.0)[case % 3],
+            )
+            selection, passes, feasible, peak, ref = _reference_iter_set_cover(
+                system, config, case
+            )
+            for backend in ("python", "numpy", "frozenset"):
+                # Odd cases split the sample pass into several chunks.
+                stream = (
+                    SetStream(system, jobs=3, transport="thread")
+                    if case % 4 > 1
+                    else SetStream(system, jobs=1)
                 )
-            ids = [set_id for set_id, _ in rows]
-            matrix = np.stack(
-                [kernel.intersect(row, guess.sample) for _, row in rows]
-            )
-            batch = guess.observe_sample_chunk(ids, matrix)
-            assert guess.solution == twin.solution
-            assert sorted(batch.ids) == sorted(twin.new_picks)
-            assert guess.projection_ids == twin.projection_ids
-            assert kernel.to_mask_int(guess.leftover) == kernel.to_mask_int(
-                twin.leftover
-            )
-            for mine, theirs in zip(guess.projections, twin.projections):
-                assert kernel.to_mask_int(mine) == kernel.to_mask_int(theirs)
-            assert guess.stats.heavy_picks == twin.stats.heavy_picks
-            assert guess._scratch_words == twin._scratch_words
+                result = IterSetCover(
+                    config=replace(config, backend=backend), seed=case
+                ).solve(stream)
+                where = (case, backend, delta)
+                assert result.selection == selection, where
+                assert result.passes == passes, where
+                assert result.peak_memory_words == peak, where
+                assert result.feasible == feasible, where
+                for g in ref:
+                    stats = result.guess_stats[g.k]
+                    assert stats.heavy_picks == g.stats["heavy"], where
+                    assert stats.offline_picks == g.stats["offline"], where
+                    assert stats.cleanup_picks == g.stats["cleanup"], where
+                    assert stats.sample_sizes == g.stats["samples"], where
+                    assert stats.peak_memory_words == g.peak, where
+
+
+def _size_test_in_chunks(k, n, sample, solution, rows, split):
+    """Run the production Size-Test over ``rows`` cut into two chunks."""
+    guess = _GuessState(k, n, MemoryMeter(label="pin"), bitmap_kernel(n, "python"))
+    guess.sample_size = len(sample)
+    guess.leftover = mask_of(sample)
+    for set_id in solution:
+        guess._pick(set_id)
+    # The scan captures each row's projection onto the sampled elements.
+    captured = [
+        (set_id, mask_of(r) & guess.leftover)
+        for set_id, r in rows
+        if mask_of(r) & guess.leftover
+    ]
+    for part in (captured[:split], captured[split:]):
+        if part:
+            guess.size_test(_SampleChunk(part, (n + 63) // 64))
+    return guess
+
+
+def _size_test_rows(k, n, sample, solution, rows):
+    ref = _ReferenceGuess(k, n)
+    ref.sample_size, ref.leftover = len(sample), frozenset(sample)
+    for set_id in solution:
+        ref.pick(set_id)
+    for set_id, r in rows:
+        ref.size_test(set_id, frozenset(r))
+    return ref
+
+
+_EDGE_CASES = {
+    # k=4 over 32 sampled elements: the threshold is 8 hits.
+    "first_row_and_back_to_back_accepts": (4, 40, range(32), (), [
+        (0, range(10)),                    # heavy on the chunk's first row
+        (1, range(10, 18)),                # heavy right after it
+        (2, [*range(5, 13), 18]),          # 9 hits at chunk start, 1 by now
+        (3, [18, 19, 33]),
+        (4, range(20, 28)),                # heavy after a light segment
+        (5, [0, 1]),                       # hits only picked elements
+        (6, [*range(28, 32), 35]),
+    ]),
+    # k=1 over 16 sampled elements: one set must hit all of them.
+    "leftover_emptied_mid_chunk": (1, 20, range(16), (), [
+        (0, [1, 2]),
+        (1, range(16)),                    # empties the leftover
+        (2, [3, 4]),
+        (3, range(18)),                    # heavy at chunk start only
+    ]),
+    "row_already_in_solution": (2, 24, range(12), (7, 9), [
+        (7, range(12)),                    # would be heavy, already picked
+        (8, [0, 1]),
+        (9, [2, 3]),                       # would be light, already picked
+        (10, range(6)),
+        (11, range(6, 12)),
+    ]),
+    "empty_leftover": (2, 24, (), (), [(0, range(12)), (1, [3])]),
+}
+
+
+class TestSizeTestChunkEdges:
+    @pytest.mark.parametrize("name", sorted(_EDGE_CASES))
+    def test_chunk_matches_rows_at_every_split(self, name):
+        k, n, sample, solution, rows = _EDGE_CASES[name]
+        ref = _size_test_rows(k, n, sample, solution, rows)
+        final = mask_of(ref.leftover)
+        for split in range(len(rows) + 1):
+            guess = _size_test_in_chunks(k, n, sample, solution, rows, split)
+            assert guess.solution == ref.solution, split
+            assert guess.new_picks == ref.new_picks, split
+            assert guess.leftover == final, split
+            assert guess.stats.heavy_picks == ref.stats["heavy"], split
+            assert guess.projection_ids == [set_id for set_id, _ in ref.light], split
+            # Stored by reference, the rows agree with the oracle's
+            # projections on every element still to be covered.
+            for row, (_, hit) in zip(guess.projections, ref.light):
+                assert row & final == mask_of(hit) & final, split
+                assert row & mask_of(hit) == mask_of(hit), split
+            assert guess.meter.current == ref.current, split
+            assert guess.meter.peak == ref.peak, split

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.communication.disjointness import random_family
 from repro.core import IterSetCoverConfig
-from repro.core.iter_set_cover import _GuessState
+from repro.core.iter_set_cover import _GuessState, _SampleChunk
 from repro.sampling import draw_sample
 from repro.streaming import MemoryMeter
 from repro.workloads import uniform_random_instance
@@ -34,14 +34,14 @@ class TestLemma23SizeTest:
         for _ in range(20):
             guess = _GuessState(k, n, MemoryMeter())
             guess.begin_iteration(config, n, m, 1.0, rng)
-            heavy: list[int] = []
-            for set_id, r in enumerate(system.sets):
-                before = set(guess.leftover)
-                guess.observe_sample_pass(set_id, r)
-                if set_id in guess.solution_set and (r & before):
-                    if len(r & before) * guess.k >= len(guess.sample):
-                        heavy.append(set_id)
-            for set_id in heavy:
+            # One sample-pass chunk: every set's projection onto the sample.
+            captured = [
+                (set_id, mask & guess.leftover)
+                for set_id, mask in enumerate(system.masks())
+                if mask & guess.leftover
+            ]
+            guess.size_test(_SampleChunk(captured, (n + 63) // 64))
+            for set_id in guess.solution:  # only Size-Test (heavy) picks
                 trials += 1
                 # Lemma 2.3 with c = 4: true size >= |U| / (c k).
                 if len(system[set_id]) < n / (4 * k):

@@ -579,7 +579,8 @@ def test_set_stream_algorithms_with_process_jobs():
 # ----------------------------------------------------------------------
 # Offline hot paths through the thread executor (DESIGN.md §8.5)
 # ----------------------------------------------------------------------
-def test_greedy_cover_jobs_parity():
+def test_greedy_cover_backend_parity():
+    from repro.offline import GreedySolver
     from repro.offline.greedy import greedy_cover
 
     rng = np.random.default_rng(77)
@@ -592,11 +593,19 @@ def test_greedy_cover_jobs_parity():
         ]
         sets.append(list(range(n)))  # keep the instance feasible
         system = SetSystem(n, sets)
-        reference = greedy_cover(system, backend="numpy", jobs=1)
-        for jobs in (2, 3):
-            assert greedy_cover(system, backend="numpy", jobs=jobs) == reference, case
-        # The big-int strategy agrees too, as always.
-        assert greedy_cover(system, backend="python") == reference
+        reference = greedy_cover(system, backend="frozenset")
+        for backend in ("python", "numpy", "auto"):
+            assert greedy_cover(system, backend=backend) == reference, case
+        # The packed algOfflineSC entry picks what the frozenset path picks
+        # on the renumbered projection onto the targets.
+        targets = int(rng.integers(0, 1 << min(n, 62))) if n else 0
+        rows = system.masks()
+        solver = GreedySolver()
+        packed = solver.solve_partial(n, rows, targets)
+        unpacked = solver.solve_partial(
+            n, list(system.sets), frozenset(e for e in range(n) if targets >> e & 1)
+        )
+        assert packed == unpacked, case
 
 
 def test_without_dominated_sets_jobs_parity():
