@@ -30,7 +30,7 @@ driver applies it wholesale whenever no earlier accept touched the
 chunk's candidates, and replays the captured rows in repository order
 otherwise — exactly the rows the serial loop would have accepted, so
 picks, pass counts and meter charges are bit-identical at any ``jobs``
-or ``planner`` setting.  The fused pass moves projections, residual and
+or ``transport`` setting.  The fused pass moves projections, residual and
 accept tests onto integer bitmasks end to end, so ``ThresholdGreedy``'s
 ``backend`` knob is validated for API compatibility but no longer
 selects anything — every value runs (and always returned) the same

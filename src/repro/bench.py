@@ -459,22 +459,11 @@ def _bench_parallel_and_encodings(
 
         runner.record(_PARALLEL_BENCH, name, "rows", rows_scan, repeats=1)
 
-        # Planner on for the whole sweep, plus planner-off control rows at
-        # the sweep's endpoints (the PR 3 schedule: per-shard tasks in index
-        # order, no prefetch) — the parity assertion spans all of them.
-        planner_axis = [(jobs, True) for jobs in jobs_sweep]
-        planner_axis += [
-            (jobs, False) for jobs in sorted({min(jobs_sweep), max(jobs_sweep)})
-        ]
-        for jobs, planner in planner_axis:
+        for jobs in jobs_sweep:
             backend = "serial" if jobs == 1 else f"jobs={jobs}"
-            if not planner:
-                backend += " planner=off"
 
-            def scan(jobs=jobs, planner=planner, backend=backend):
-                stream = ShardedSetStream(
-                    repos["auto"], jobs=jobs, planner=planner
-                )
+            def scan(jobs=jobs, backend=backend):
+                stream = ShardedSetStream(repos["auto"], jobs=jobs)
                 result = stream.scan_gains(mask_int)
                 observed[backend] = [int(g) for g in result.gains]
 
@@ -854,8 +843,7 @@ def run_benchmarks(
 
     ``jobs`` shapes the parallel-scan sweep: ``"auto"`` records the full
     ``serial / jobs=2 / jobs=4`` sweep, an explicit ``k`` records
-    ``serial / jobs=k``; planner-off control rows (the PR 3 schedule)
-    are recorded at the sweep's endpoints, and a ``remote workers=2``
+    ``serial / jobs=k``, and a ``remote workers=2``
     transport row runs the same scan over two localhost
     ``repro worker serve`` subprocesses (DESIGN.md §9).  Every sweep
     row's gains are asserted identical to the serial per-row scan and

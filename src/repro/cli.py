@@ -189,17 +189,6 @@ def _apply_cache_option(args) -> None:
     configure_cache(value)
 
 
-def _add_planner_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--planner",
-        choices=["on", "off"],
-        default="on",
-        help="adaptive scan planning (cost-balanced schedules + "
-        "prefetch I/O); 'off' reproduces the pre-planner execution "
-        "order — results are identical either way",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -454,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--show-cover", action="store_true", help="print the chosen set ids"
     )
     _add_jobs_option(solve)
-    _add_planner_option(solve)
     _add_cache_option(solve)
     solve.add_argument(
         "--transport",
@@ -985,7 +973,6 @@ def _cmd_worker_ping(args) -> int:
 
 def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
     _apply_cache_option(args)
-    planner = args.planner != "off"
     if args.transport == "remote" and args.workers is None:
         parser.error("--transport remote requires --workers host:port[,...]")
     if args.transport != "remote" and args.workers is not None:
@@ -1005,12 +992,12 @@ def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
         from repro.streaming.sharded import ShardedSetStream
 
         stream = ShardedSetStream(
-            args.input, jobs=args.jobs, planner=planner,
+            args.input, jobs=args.jobs,
             transport=(args.transport if args.transport != "local" else None),
             workers=args.workers, retry=retry,
         )
     else:
-        stream = SetStream(load(args.input), jobs=args.jobs, planner=planner)
+        stream = SetStream(load(args.input), jobs=args.jobs)
     try:
         algorithm = _ALGORITHMS[args.algorithm](args)
         result = algorithm.solve(stream)

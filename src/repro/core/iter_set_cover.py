@@ -42,10 +42,10 @@ randomness identically, so results are bit-for-bit reproducible across
 backends.
 
 The passes themselves are executor-driven capture scans (DESIGN.md §6):
-the stream's ``jobs`` / ``planner`` knobs decide how the repository is
-scanned — serial with overlapped prefetch, or cost-balanced worker
-batches — while the replay over captured projections stays bit-identical
-at every setting.
+the stream's ``jobs`` / ``transport`` knobs decide how the repository is
+scanned — serial and in order, or one shard per process-pool task, or
+cost-balanced remote batches — while the replay over captured
+projections stays bit-identical at every setting.
 """
 
 from __future__ import annotations

@@ -4,27 +4,25 @@ A streaming pass is, per set, a pure map against a read-only residual —
 only the accept/pick step needs ordered reconciliation.  This package
 exploits that observation in three cleanly separated layers:
 
-* :mod:`repro.engine.plan` — *what to run where*: the batch planner
-  (contiguous cost-balanced shard segments from the manifest
+* :mod:`repro.engine.plan` — *what to run where*: the remote batch
+  plan (contiguous cost-balanced shard segments from the manifest
   statistics) and the ``jobs`` / ``workers`` knob resolution;
 * :mod:`repro.engine.transport` — *how to run it*: the
-  :class:`ScanExecutor` protocol with ``serial``, ``thread``,
-  ``process`` and ``remote`` backends, each a single module;
+  :class:`ScanExecutor` protocol with ``serial``, ``process`` and
+  ``remote`` backends, each a single module with one schedule;
 * :mod:`repro.engine.merge` — *how results become one scan*: the
   chunk-order reorder window, eager scan merging and the worker-side
   accept simulation, shared by every backend.
 
 Because scheduling and transport are quarantined away from
 reconciliation, covers, tie-breaks, pass counts and accounting are
-**bit-identical** at every ``jobs`` × ``transport`` × ``planner`` ×
-encoding setting — the property tests in ``tests/test_parallel.py`` and
+**bit-identical** at every ``jobs`` × ``transport`` × encoding
+setting — the property tests in ``tests/test_parallel.py`` and
 ``tests/test_remote.py`` assert exactly that, and a new backend (a job
 queue, an async I/O ring) is a one-file addition that inherits the
 guarantee from the merge layer.
 
-This is the import surface the rest of the repository uses; the old
-location, :mod:`repro.setsystem.parallel`, remains as a deprecated
-import shim.
+This is the import surface the rest of the repository uses.
 
 Examples
 --------
@@ -77,7 +75,6 @@ from repro.engine.transport import (
     StaleRepositoryError,
     ScanExecutor,
     SerialScanExecutor,
-    ThreadScanExecutor,
     WorkerFaultError,
     WorkerServer,
     executor_for,
@@ -106,7 +103,6 @@ __all__ = [
     "ScanExecutor",
     "ScanResult",
     "SerialScanExecutor",
-    "ThreadScanExecutor",
     "WorkerFaultError",
     "WorkerServer",
     "cached_scan_shard",

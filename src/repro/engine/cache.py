@@ -29,7 +29,7 @@ the superseded ``(path, token)`` (:meth:`ChunkCache.invalidate`).
 The cache is observability-rich but semantics-free: hits return the
 same payload ``decode_chunk`` would rebuild, so results are
 bit-identical cache-on vs. cache-off at every ``jobs`` × ``transport``
-× ``encoding`` × ``planner`` setting (property-tested in
+× ``encoding`` setting (property-tested in
 ``tests/test_parallel.py`` / ``tests/test_remote.py``).
 """
 

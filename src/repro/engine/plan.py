@@ -11,8 +11,9 @@ result.
 The cost model consumed by :func:`plan_batches` comes from the shard
 manifest statistics
 (:meth:`repro.setsystem.shards.ShardedRepository.shard_cost_estimates`);
-the transports (:mod:`repro.engine.transport`) are the only consumers of
-the plans.
+the remote transport (:mod:`repro.engine.transport.remote`) is the only
+consumer of the plans; serial and process-pool scans run one chunk per
+step or task and need none.
 """
 
 from __future__ import annotations

@@ -3,14 +3,19 @@
 One module per execution substrate, all implementing the
 :class:`~repro.engine.transport.base.ScanExecutor` protocol:
 
-========= ===================================================== ==========
-backend   substrate                                             module
-========= ===================================================== ==========
-serial    inline, with optional prefetch/decode-ahead pipeline  serial.py
-thread    shared thread pool (in-memory families, offline paths) thread.py
-process   shared local process pool, worker-owned ``mmap``       process.py
-remote    TCP worker fleet (``python -m repro worker serve``)    remote.py
-========= ===================================================== ==========
+======= =================================================== ==========
+backend substrate                                           module
+======= =================================================== ==========
+serial  inline, in order, no threads                        serial.py
+process shared local process pool, worker-owned ``mmap``    process.py
+remote  TCP worker fleet (``python -m repro worker serve``) remote.py
+======= =================================================== ==========
+
+Each backend runs one schedule: serial reads shards in order, the
+process pool submits one task per shard (or in-memory chunk), and the
+remote fleet runs cost-balanced batches from :mod:`repro.engine.plan`.
+:mod:`repro.engine.transport.thread` holds no scan backend, only the
+shared thread pool of the offline domination pruning.
 
 :func:`executor_for` picks the backend a ``jobs`` / ``transport`` /
 ``workers`` knob combination asks for; :func:`shutdown_pools` reaps
@@ -38,15 +43,8 @@ from repro.engine.transport.remote import (
     ping_worker,
     spawn_local_worker,
 )
-from repro.engine.transport.serial import (
-    SerialScanExecutor,
-    _shutdown_prefetch_pool,
-)
-from repro.engine.transport.thread import (
-    ThreadScanExecutor,
-    _shutdown_thread_pools,
-    thread_map,
-)
+from repro.engine.transport.serial import SerialScanExecutor
+from repro.engine.transport.thread import _shutdown_thread_pools, thread_map
 
 __all__ = [
     "ProcessScanExecutor",
@@ -54,7 +52,6 @@ __all__ = [
     "StaleRepositoryError",
     "ScanExecutor",
     "SerialScanExecutor",
-    "ThreadScanExecutor",
     "TRANSPORTS",
     "WorkerFaultError",
     "WorkerServer",
@@ -68,14 +65,13 @@ __all__ = [
 #: The transport families :func:`executor_for` accepts.  ``"local"``
 #: (and ``None``) picks serial-or-process from the resolved ``jobs``
 #: count — the pre-engine behaviour, and the CLI's default.
-TRANSPORTS = ("local", "serial", "thread", "process", "remote")
+TRANSPORTS = ("local", "serial", "process", "remote")
 
 
 def executor_for(
     jobs=JOBS_AUTO,
     *,
     repository_words: int = 0,
-    planner: bool = True,
     transport: "str | None" = None,
     workers=None,
     retry=None,
@@ -88,11 +84,9 @@ def executor_for(
     existed.  ``workers`` with ``transport`` omitted implies
     ``"remote"``; combined with any explicit non-remote family it is a
     ``ValueError`` (silently scanning locally while the caller believes
-    a fleet is working would be worse).  ``thread`` and ``process``
-    degrade to the serial executor when ``jobs`` resolves to 1 (a
-    one-lane pool is pure overhead).
-    ``planner`` toggles the adaptive schedule (cost-balanced batches,
-    prefetch pipeline) on every backend; ``retry`` (anything
+    a fleet is working would be worse).  ``process`` degrades to the
+    serial executor when ``jobs`` resolves to 1 (a one-lane pool is
+    pure overhead).  ``retry`` (anything
     :meth:`repro.engine.fault.RetryPolicy.resolve` accepts) sets the
     remote transport's failure handling and errors on every other
     backend — local faults are crashes, not retriable events.  Results
@@ -102,8 +96,8 @@ def executor_for(
     1
     >>> executor_for(3).jobs
     3
-    >>> executor_for(2, transport="thread").transport
-    'thread'
+    >>> executor_for(2, transport="process").transport
+    'process'
     >>> executor_for(workers="127.0.0.1:9041").transport
     'remote'
     """
@@ -123,7 +117,7 @@ def executor_for(
                 f"jobs={jobs!r}); parallelism is one lane per --workers "
                 "entry"
             )
-        return RemoteScanExecutor(workers, planner=planner, retry=retry)
+        return RemoteScanExecutor(workers, retry=retry)
     if retry is not None:
         # A retry policy that cannot take effect must error: only the
         # remote transport has recoverable faults to apply it to.
@@ -140,7 +134,7 @@ def executor_for(
             f"transport={transport!r} (the --transport/--workers flags "
             "pair the same way)"
         )
-    if transport not in (None, "local", "serial", "thread", "process"):
+    if transport not in (None, "local", "serial", "process"):
         raise ValueError(
             f"unknown transport {transport!r}; expected one of {TRANSPORTS} "
             "(the --transport flag takes the same values)"
@@ -150,22 +144,19 @@ def executor_for(
         if jobs not in (None, JOBS_AUTO) and count != 1:
             raise ValueError(
                 f"jobs does not apply to the serial transport (got "
-                f"jobs={jobs!r}); use transport='thread' or 'process' "
-                "for parallel lanes"
+                f"jobs={jobs!r}); use transport='process' for parallel "
+                "lanes"
             )
-        return SerialScanExecutor(prefetch=planner)
+        return SerialScanExecutor()
     if count == 1:
-        return SerialScanExecutor(prefetch=planner)
-    if transport == "thread":
-        return ThreadScanExecutor(count)
-    return ProcessScanExecutor(count, planner=planner)
+        return SerialScanExecutor()
+    return ProcessScanExecutor(count)
 
 
 def shutdown_pools() -> None:
     """Shut down every cached pool (tests and interpreter exit)."""
     _shutdown_process_pools()
     _shutdown_thread_pools()
-    _shutdown_prefetch_pool()
 
 
 atexit.register(shutdown_pools)

@@ -6,8 +6,8 @@ only the accept/pick step needs ordered reconciliation.  A
 (``|r_i ∩ residual|`` for every row, plus captured projections —
 :func:`repro.setsystem.packed.scan_chunk` and
 :meth:`repro.setsystem.shards.ShardedRepository.scan_shard`) on some
-substrate — inline, a thread pool, a process pool, a fleet of remote
-workers — and delivers the per-chunk results **in chunk order** through
+substrate — inline, a process pool, a fleet of remote workers — and
+delivers the per-chunk results **in chunk order** through
 the shared merge layer (:mod:`repro.engine.merge`).  Because every chunk
 is keyed by its position in the chunk sequence and workers never share
 state, covers, tie-breaks and pass counts are bit-identical on every
@@ -51,15 +51,15 @@ class ScanExecutor(abc.ABC):
     jobs: int = 1
 
     #: The transport family this executor belongs to (``"serial"``,
-    #: ``"thread"``, ``"process"``, ``"remote"``, ...).
+    #: ``"process"``, ``"remote"``, ...).
     transport: str = "serial"
 
     @property
     def cache_stats(self) -> "dict | None":
         """Hot-cache counters behind this executor's scans, or ``None``.
 
-        The default covers the driver-side consumers (serial, thread):
-        the process-wide :mod:`repro.engine.cache` counters.  The
+        The default covers the driver-side consumer (serial): the
+        process-wide :mod:`repro.engine.cache` counters.  The
         process and remote backends override this with counters
         aggregated from their workers.  Observability only — surfaced
         via ``ScanResult.extra["cache"]``, never consulted by results.

@@ -11,12 +11,11 @@ Mechanics (DESIGN.md §6, §8):
 * sharded repositories are **re-opened inside each worker** (keyed by
   path + manifest identity) so chunk reads are worker-local ``mmap``
   page faults — no chunk bytes ever cross the process boundary;
-* repository scans are **windowed**: one task per shard, completions
-  stream back through the shared
-  :class:`~repro.engine.merge.ReorderWindow` as each shard finishes, so
+* scans are **windowed**: one task per shard (or in-memory chunk),
+  completions stream back through the shared
+  :class:`~repro.engine.merge.ReorderWindow` as each one finishes, so
   the driver's replay overlaps in-flight scans instead of waiting for a
-  whole planned batch (in-memory chunk scans stay batched — there the
-  win is amortizing the shipped chunk bytes, not overlap);
+  whole batch;
 * workers consult the cross-pass hot cache
   (:mod:`repro.engine.cache`) before decoding, so pass two of a solve
   scans warm chunks; per-worker hit/miss counters ride every task
@@ -44,7 +43,6 @@ from pathlib import Path
 
 from repro.engine.cache import cached_scan_shard, get_cache
 from repro.engine.merge import ReorderWindow, simulate_accepts
-from repro.engine.plan import plan_batches
 from repro.engine.transport.base import ScanExecutor
 from repro.setsystem.packed import ScanMask, scan_chunk
 
@@ -77,13 +75,13 @@ def _get_process_pool(jobs: int):
         # default (fork after Objective-C/Accelerate initialize is unsafe,
         # which is why CPython switched the default there).  Every task
         # function and payload is module-level and picklable, so spawn
-        # works everywhere.  Fork + the engine's thread pools is safe in
-        # the supported usage: drivers are single-threaded, a process
-        # pool is never created *during* a serial pipelined scan, and
-        # idle pool threads wait in pthread_cond_wait holding no locks —
-        # but it is a constraint: callers forking while another thread
-        # of theirs actively scans should pass their own start method
-        # policy (spawn pays worker reimport, ~seconds with numpy).
+        # works everywhere.  Fork + the offline thread pool is safe in
+        # the supported usage: drivers are single-threaded, scans start
+        # no threads, and idle pool threads wait in pthread_cond_wait
+        # holding no locks — but it is a constraint: callers forking
+        # while another thread of theirs is busy should pass their own
+        # start method policy (spawn pays worker reimport, ~seconds
+        # with numpy).
         method = (
             "fork"
             if sys.platform.startswith("linux")
@@ -200,23 +198,34 @@ def _maybe_crash_for_tests() -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _task_item(start, gains, captured, mask, include_gains, accept_threshold):
+    """The per-chunk item a task sends back.
+
+    In accept mode it is ``(start, captured, AcceptBatch)`` with the
+    accept simulation already run worker-side; otherwise it is the scan
+    triple ``(start, gains, captured)``.
+    """
+    if accept_threshold is not None:
+        return (
+            start,
+            captured,
+            simulate_accepts(mask.mask_int, accept_threshold, captured),
+        )
+    return start, (gains if include_gains else None), captured
+
+
 def _scan_shard_task(args):
     """Scan ONE shard inside a worker process (the windowed unit).
 
-    Returns ``(pid, cache_stats, [(shard, item)])`` where ``item`` is
-    the per-chunk scan triple — or, in accept mode, ``(start, captured,
-    AcceptBatch)`` with the accept simulation already run worker-side.
-    One shard per task is what makes result streaming *windowed*: each
-    completion reaches the driver's reorder window immediately, instead
-    of buffering behind the rest of a planned batch.
+    Returns ``(pid, cache_stats, item)``; one shard per task is what
+    makes result streaming *windowed*: each completion reaches the
+    driver's reorder window immediately.
     """
-    (path, token, shard, next_shard, n, mask_payload, min_gain, capture_ids,
+    (path, token, shard, n, mask_payload, min_gain, capture_ids,
      best_only, include_gains, accept_threshold) = args
     _maybe_crash_for_tests()
     repository = _worker_repository(path, token)
     mask = _mask_from_payload(mask_payload, n)
-    if next_shard is not None:
-        repository.prefetch_shard(next_shard)
     start, gains, captured = cached_scan_shard(
         repository, shard, mask,
         min_capture_gain=(
@@ -225,56 +234,42 @@ def _scan_shard_task(args):
         capture_ids=capture_ids,
         best_only=best_only,
     )
-    if accept_threshold is not None:
-        item = (
-            start,
-            captured,
-            simulate_accepts(mask.mask_int, accept_threshold, captured),
-        )
-    else:
-        item = (start, (gains if include_gains else None), captured)
     cache = get_cache()
-    stats = cache.stats() if cache.enabled else None
-    return os.getpid(), stats, [(shard, item)]
+    return (
+        os.getpid(),
+        cache.stats() if cache.enabled else None,
+        _task_item(start, gains, captured, mask, include_gains, accept_threshold),
+    )
 
 
-def _scan_chunk_batch_task(args):
-    """Scan one batch of shipped in-memory chunks inside a worker."""
-    (batch, n, mask_payload, min_gain, capture_ids, best_only, include_gains,
-     accept_threshold) = args
+def _scan_chunk_task(args):
+    """Scan one shipped in-memory chunk inside a worker."""
+    (start, kind, payload, rows, words, n, mask_payload, min_gain,
+     capture_ids, best_only, include_gains, accept_threshold) = args
     _maybe_crash_for_tests()
     mask = _mask_from_payload(mask_payload, n)
-    out = []
-    for order, start, kind, payload, rows, words in batch:
-        if kind == "matrix":
-            chunk = np.frombuffer(payload, dtype="<u8").reshape(rows, words)
-        else:
-            chunk = payload
-        gains, captured = scan_chunk(
-            start, chunk, mask,
-            min_capture_gain=(
-                accept_threshold if accept_threshold is not None else min_gain
-            ),
-            capture_ids=capture_ids,
-            best_only=best_only,
-        )
-        if accept_threshold is not None:
-            item = (
-                start,
-                captured,
-                simulate_accepts(mask.mask_int, accept_threshold, captured),
-            )
-        else:
-            item = (start, (gains if include_gains else None), captured)
-        out.append((order, item))
-    return os.getpid(), None, out
+    if kind == "matrix":
+        chunk = np.frombuffer(payload, dtype="<u8").reshape(rows, words)
+    else:
+        chunk = payload
+    gains, captured = scan_chunk(
+        start, chunk, mask,
+        min_capture_gain=(
+            accept_threshold if accept_threshold is not None else min_gain
+        ),
+        capture_ids=capture_ids,
+        best_only=best_only,
+    )
+    return os.getpid(), None, _task_item(
+        start, gains, captured, mask, include_gains, accept_threshold
+    )
 
 
 class ProcessScanExecutor(ScanExecutor):
     """Chunk scans fanned out over a shared pool of worker processes.
 
-    Determinism: whatever order the planner submits batches in, every
-    per-chunk result is keyed by its position in the chunk sequence and
+    Determinism: whatever order tasks complete in, every per-chunk
+    result is keyed by its position in the chunk sequence and
     re-assembled in that order through the shared
     :class:`~repro.engine.merge.ReorderWindow` before it reaches the
     caller — consumers see exactly the serial executor's chunk sequence,
@@ -290,11 +285,10 @@ class ProcessScanExecutor(ScanExecutor):
 
     transport = "process"
 
-    def __init__(self, jobs: int, planner: bool = True):
+    def __init__(self, jobs: int):
         if jobs < 2:
             raise ValueError(f"ProcessScanExecutor needs jobs >= 2, got {jobs}")
         self.jobs = jobs
-        self.planner = planner
         #: Latest hot-cache counter snapshot per worker pid — refreshed
         #: by every task result, aggregated by :attr:`cache_stats`.
         self._worker_stats: dict = {}
@@ -326,18 +320,17 @@ class ProcessScanExecutor(ScanExecutor):
         return ("raw", mask_bytes), None
 
     def _drain(self, task_fn, make_tasks):
-        """Submit planned batches; yield per-chunk items in chunk order.
+        """Submit one task per chunk; yield per-chunk items in chunk order.
 
         ``make_tasks()`` builds the task tuples (and the mask's
         SharedMemory segment, when one is needed) — called here, inside
         the generator body, so nothing is allocated until the first
         ``next()`` and an iterator that is never started can never leak
-        a segment.  Task results are lists of ``(position, item)`` pairs
-        with positions partitioning ``0..count-1``; items buffer in the
-        shared reorder window until their position is next, so consumers
-        never observe the batching.
+        a segment.  Task ``i`` yields the item of chunk ``i``; items
+        buffer in the shared reorder window until their position is
+        next, so consumers never observe completion order.
         """
-        tasks, count, shm = make_tasks()
+        tasks, shm = make_tasks()
         futures: list = []
         try:
             # Submission sits inside the try: submitting to a pool whose
@@ -347,7 +340,8 @@ class ProcessScanExecutor(ScanExecutor):
             # like a mid-scan death.
             pool = _get_process_pool(self.jobs)
             futures = [pool.submit(task_fn, task) for task in tasks]
-            window = ReorderWindow(count)
+            position = {future: index for index, future in enumerate(futures)}
+            window = ReorderWindow(len(tasks))
             pending = set(futures)
             while not window.complete:
                 done, pending = concurrent.futures.wait(
@@ -355,11 +349,10 @@ class ProcessScanExecutor(ScanExecutor):
                     return_when=concurrent.futures.FIRST_COMPLETED,
                 )
                 for future in done:
-                    pid, stats, pairs = future.result()
+                    pid, stats, item = future.result()
                     if stats is not None:
                         self._worker_stats[pid] = stats
-                    for position, item in pairs:
-                        window.push(position, item)
+                    window.push(position[future], item)
                 yield from window.pop_ready()
         except concurrent.futures.BrokenExecutor as exc:
             _discard_process_pool(self.jobs)
@@ -386,24 +379,16 @@ class ProcessScanExecutor(ScanExecutor):
             stat = (Path(path) / "manifest.json").stat()
             token = (stat.st_ino, stat.st_mtime_ns, stat.st_size)
         capture_ids = frozenset(capture_ids) if capture_ids is not None else None
-        count = repository.shard_count
         payload, shm = self._mask_payload(mask_int, repository.words)
-        # Windowed streaming: one task per shard (in shard order — which
-        # is also the order every contiguous plan flattens to), each
-        # carrying the next shard as a readahead hint.  With the pool's
-        # FIFO dealing this self-balances at least as well as the old
-        # cost-planned batches, and every completed shard reaches the
-        # reorder window immediately instead of buffering behind its
-        # batch; ``planner`` keeps its contract (results never depend
-        # on it) with the prefetch hint as its only remaining lever.
+        # One task per shard, in shard order: with the pool's FIFO
+        # dealing this self-balances, and every completed shard reaches
+        # the reorder window immediately.
         tasks = [
-            (path, token, shard,
-             (shard + 1 if self.planner and shard + 1 < count else None),
-             repository.n, payload, min_capture_gain,
+            (path, token, shard, repository.n, payload, min_capture_gain,
              capture_ids, best_only, include_gains, accept_threshold)
-            for shard in range(count)
+            for shard in range(repository.shard_count)
         ]
-        return tasks, count, shm
+        return tasks, shm
 
     def iter_scan_repository(
         self, repository, mask_int, min_capture_gain=None, capture_ids=None,
@@ -431,35 +416,24 @@ class ProcessScanExecutor(ScanExecutor):
     ):
         capture_ids = frozenset(capture_ids) if capture_ids is not None else None
         payload, shm = self._mask_payload(mask.mask_int, mask.words)
-        entries = []
-        for order, (start, chunk) in enumerate(chunks):
+        tasks = []
+        for start, chunk in chunks:
             if np is not None and isinstance(chunk, np.ndarray):
-                entries.append(
-                    (order, start, "matrix", chunk.tobytes(),
-                     chunk.shape[0], chunk.shape[1])
-                )
+                shipped = ("matrix", chunk.tobytes(), *chunk.shape)
             else:
-                entries.append((order, start, "masks", list(chunk), len(chunk), 0))
-        if self.planner:
-            # Chunks of an in-memory family are near-equal row slices, so
-            # the plan degenerates to even contiguous batching — the win
-            # here is amortized IPC, not balance.
-            plan = plan_batches([max(1, entry[4]) for entry in entries], self.jobs)
-        else:
-            plan = [[order] for order in range(len(entries))]
-        tasks = [
-            ([entries[order] for order in batch], n, payload, min_capture_gain,
-             capture_ids, best_only, include_gains, accept_threshold)
-            for batch in plan
-        ]
-        return tasks, len(entries), shm
+                shipped = ("masks", list(chunk), len(chunk), 0)
+            tasks.append(
+                (start, *shipped, n, payload, min_capture_gain, capture_ids,
+                 best_only, include_gains, accept_threshold)
+            )
+        return tasks, shm
 
     def iter_scan_chunks(
         self, n, chunks, mask, min_capture_gain=None, capture_ids=None,
         best_only=False, include_gains=True,
     ):
         return self._drain(
-            _scan_chunk_batch_task,
+            _scan_chunk_task,
             lambda: self._chunk_tasks(
                 n, chunks, mask, min_capture_gain, capture_ids, best_only,
                 include_gains, None,
@@ -468,7 +442,7 @@ class ProcessScanExecutor(ScanExecutor):
 
     def iter_accept_chunks(self, n, chunks, mask, threshold):
         return self._drain(
-            _scan_chunk_batch_task,
+            _scan_chunk_task,
             lambda: self._chunk_tasks(
                 n, chunks, mask, None, None, False, False, threshold,
             ),

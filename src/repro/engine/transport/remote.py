@@ -666,9 +666,7 @@ class WorkerServer:
             include_gains = bool(request.get("include_gains", True))
             best_only = bool(request.get("best_only", False))
             crash_hook = os.environ.get(_CRASH_TEST_ENV)
-            for position, shard in enumerate(shards):
-                if position + 1 < len(shards):
-                    repo.prefetch_shard(shards[position + 1])
+            for shard in shards:
                 (start, gains, captured), hot = hot_scan_shard(
                     repo, shard, mask,
                     min_capture_gain=(
@@ -1347,10 +1345,9 @@ class RemoteScanExecutor(ScanExecutor):
     #: tie-breaker, not a pin.
     _AFFINITY_DISCOUNT = 0.5
 
-    def __init__(self, workers, planner: bool = True, retry=None):
+    def __init__(self, workers, retry=None):
         self.workers = resolve_workers(workers)
         self.jobs = len(self.workers)
-        self.planner = planner
         self.retry = RetryPolicy.resolve(retry)
         self.fault_log = FaultLog()
         self._rng = self.retry.jitter_rng()
@@ -1641,18 +1638,10 @@ class RemoteScanExecutor(ScanExecutor):
             "accept_threshold": accept_threshold,
         }
         mask_bytes = mask_int.to_bytes(max(1, repository.words * 8), "little")
-        if self.planner:
-            estimates = list(repository.shard_cost_estimates())
-            plan = plan_batches(estimates, self.jobs)
-        else:  # the pre-planner schedule: one batch per shard, index order
-            estimates = None
-            plan = [[shard] for shard in range(count)]
+        estimates = list(repository.shard_cost_estimates())
         batches = [
-            _Batch(
-                index, shards,
-                cost=sum(estimates[s] for s in shards) if estimates else 0,
-            )
-            for index, shards in enumerate(plan)
+            _Batch(index, shards, cost=sum(estimates[s] for s in shards))
+            for index, shards in enumerate(plan_batches(estimates, self.jobs))
             if shards
         ]
         roster = self._roster()

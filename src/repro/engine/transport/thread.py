@@ -1,27 +1,17 @@
-"""Thread-pool backend: shared-address-space fan-out for in-memory work.
+"""Shared thread pool for the offline hot path.
 
-Threads share the address space, so in-memory families need no
+Threads share the address space, so in-memory work needs no
 serialization at all — and the packed numpy kernels release the GIL, so
-chunk scans genuinely overlap.  This is also the backend the offline hot
-paths use (the ``algOfflineSC`` greedy argmax and domination pruning,
-DESIGN.md §8.5) via :func:`thread_map`; streams default to processes for
-sharded repositories, where workers want their own ``mmap``.
+the domination pruning of ``algOfflineSC`` (DESIGN.md §8.5) genuinely
+overlaps via :func:`thread_map`.  Scans never run here: a streaming pass
+is serial or runs on the process pool.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 
-from repro.engine.cache import cached_scan_shard
-from repro.engine.transport.base import ScanExecutor
-from repro.setsystem.packed import ScanMask, scan_chunk
-
-try:  # numpy builds the shared packed mask view once before fanning out
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
-
-__all__ = ["ThreadScanExecutor", "thread_map"]
+__all__ = ["thread_map"]
 
 _THREAD_POOLS: dict[int, "concurrent.futures.ThreadPoolExecutor"] = {}
 
@@ -30,7 +20,7 @@ def _get_thread_pool(jobs: int):
     pool = _THREAD_POOLS.get(jobs)
     if pool is None:
         pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=jobs, thread_name_prefix="repro-scan"
+            max_workers=jobs, thread_name_prefix="repro-offline"
         )
         _THREAD_POOLS[jobs] = pool
     return pool
@@ -43,7 +33,7 @@ def _shutdown_thread_pools() -> None:
 
 
 def thread_map(fn, items, jobs: int) -> list:
-    """Map ``fn`` over ``items`` on the shared scan thread pool.
+    """Map ``fn`` over ``items`` on the shared thread pool.
 
     Results come back in item order, so callers stay deterministic
     however the threads interleave.  Falls back to a plain loop for
@@ -53,73 +43,3 @@ def thread_map(fn, items, jobs: int) -> list:
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     return list(_get_thread_pool(jobs).map(fn, items))
-
-
-class ThreadScanExecutor(ScanExecutor):
-    """Chunk scans fanned out over a shared thread pool.
-
-    Futures are drained in submission order — which is chunk order — so
-    the merge discipline holds without an explicit reorder window.
-    """
-
-    transport = "thread"
-
-    def __init__(self, jobs: int):
-        if jobs < 2:
-            raise ValueError(f"ThreadScanExecutor needs jobs >= 2, got {jobs}")
-        self.jobs = jobs
-
-    def iter_scan_repository(
-        self, repository, mask_int, min_capture_gain=None, capture_ids=None,
-        best_only=False, include_gains=True,
-    ):
-        mask = ScanMask(repository.n, mask_int)
-        if np is not None and not mask.is_empty:
-            mask.arr  # build the shared packed view before fanning out
-        pool = _get_thread_pool(self.jobs)
-        futures = [
-            pool.submit(
-                cached_scan_shard, repository, shard, mask,
-                min_capture_gain=min_capture_gain,
-                capture_ids=capture_ids,
-                best_only=best_only,
-            )
-            for shard in range(repository.shard_count)
-        ]
-        try:
-            for future in futures:  # submission order == chunk order
-                start, gains, captured = future.result()
-                yield start, (gains if include_gains else None), captured
-        finally:
-            # An abandoned pass must not leave pool threads scanning a
-            # repository the caller is about to close (same contract as
-            # the serial pipeline and the process drain).
-            for future in futures:
-                future.cancel()
-            concurrent.futures.wait(futures)
-
-    def iter_scan_chunks(
-        self, n, chunks, mask, min_capture_gain=None, capture_ids=None,
-        best_only=False, include_gains=True,
-    ):
-        chunks = list(chunks)
-        if np is not None and not mask.is_empty:
-            mask.arr  # build the shared packed view before fanning out
-        pool = _get_thread_pool(self.jobs)
-        futures = [
-            pool.submit(
-                scan_chunk, start, chunk, mask,
-                min_capture_gain=min_capture_gain,
-                capture_ids=capture_ids,
-                best_only=best_only,
-            )
-            for start, chunk in chunks
-        ]
-        try:
-            for (start, _), future in zip(chunks, futures):
-                gains, captured = future.result()
-                yield start, (gains if include_gains else None), captured
-        finally:
-            for future in futures:
-                future.cancel()
-            concurrent.futures.wait(futures)

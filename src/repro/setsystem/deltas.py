@@ -498,12 +498,12 @@ class MergedShardView:
     Presents the live family as a dense ``0..m-1`` repository with the
     exact scan interface of
     :class:`~repro.setsystem.shards.ShardedRepository` — chunk iteration,
-    fused ``scan_shard``, planner cost estimates, random-access
+    fused ``scan_shard``, shard cost estimates, random-access
     ``row_mask`` — so :class:`~repro.streaming.sharded.ShardedSetStream`
     and every local :class:`~repro.engine.transport.base.ScanExecutor`
-    run on it unchanged, at any ``jobs`` × ``planner`` × encoding
-    setting.  (The *remote* transport is the one exclusion: its workers
-    hold no chain state, so streams refuse it until compaction.)
+    run on it unchanged, at any ``jobs`` × encoding setting.  (The
+    *remote* transport is the one exclusion: its workers hold no chain
+    state, so streams refuse it until compaction.)
 
     Merge semantics: a row is live iff no generation tombstoned its
     stable id; live rows appear in base order first, then each
@@ -781,19 +781,6 @@ class MergedShardView:
         )
 
     # -- scanning ------------------------------------------------------
-    def prefetch_shard(self, shard: int) -> None:
-        """Readahead hint for a merged chunk (advisory, never an error)."""
-        if self._closed or not 0 <= shard < self.shard_count:
-            return
-        start, end = self._bounds(shard)
-        hinted: "set[tuple[int, int]]" = set()
-        for repo, local in self._sources[start:end]:
-            # One hint per underlying shard file the chunk touches.
-            key = (id(repo), local // max(1, repo.chunk_rows))
-            if key not in hinted:
-                hinted.add(key)
-                repo.prefetch_shard(local // max(1, repo.chunk_rows))
-
     def scan_shard(
         self,
         shard: int,

@@ -50,8 +50,7 @@ materializing dense words.  Repositories with schema ``repro.shards/v1``
 Manifest statistics (schema ``repro.shards/v3``, DESIGN.md §8.1)
 ----------------------------------------------------------------
 New manifests additionally record, per shard, the statistics the
-adaptive scan planner (:mod:`repro.engine.plan`) feeds its cost
-model: a 16-bucket row-density histogram, the codec mix, the element
+remote batch plan (:mod:`repro.engine.plan`) feeds its cost model: a 16-bucket row-density histogram, the codec mix, the element
 and run totals per codec.  The stats block is covered by its own
 CRC-32 (``stats_crc32``) so a hand-edited manifest fails loudly.
 ``v1``/``v2`` repositories still open unchanged; their statistics are
@@ -1118,25 +1117,6 @@ class ShardedRepository:
         self._manifest = manifest
         self.schema = SHARD_SCHEMA
         return True
-
-    def prefetch_shard(self, shard: int) -> None:
-        """Hint the OS to page a shard in ahead of its scan.
-
-        ``madvise(MADV_WILLNEED)`` on the shard's map — the prefetch
-        half of the planner's overlapped-I/O pipeline (DESIGN.md §8.3).
-        Purely advisory: a platform without ``madvise`` (or a closed or
-        empty shard) makes this a no-op, never an error.
-        """
-        if self._closed or not 0 <= shard < len(self._maps):
-            return
-        mm = self._maps[shard]
-        advice = getattr(mmap, "MADV_WILLNEED", None)
-        if mm is None or advice is None:
-            return
-        try:
-            mm.madvise(advice)
-        except (AttributeError, OSError, ValueError):  # pragma: no cover
-            pass  # advisory only; never fail a scan over a hint
 
     def validate(self) -> None:
         """Verify every shard's CRC-32 against the manifest (full read)."""

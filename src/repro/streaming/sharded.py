@@ -61,16 +61,12 @@ class ShardedSetStream(SetStreamBase):
         re-open the repository and scan whole shards via their own
         ``mmap``; covers, pass counts and tie-breaks are identical at
         every setting (DESIGN.md §6).
-    planner:
-        Adaptive scan planning (DESIGN.md §8): manifest-statistics
-        cost-balanced shard schedules, overlapped prefetch I/O and
-        ``madvise`` readahead.  ``False`` reproduces the PR 3 execution
-        order (one task per shard, index order, no prefetch); results
-        are identical either way.
     transport:
         Scan-engine backend family (``"local"``, ``"serial"``,
-        ``"thread"``, ``"process"``, ``"remote"``; ``None`` = local
-        auto).  ``"remote"`` spreads scans over
+        ``"process"``, ``"remote"``; ``None`` = local auto).  Each
+        family has one schedule (DESIGN.md §8.3): serial reads shards
+        in order with no thread, the process pool runs one task per
+        shard, and ``"remote"`` spreads scans over
         ``python -m repro worker serve`` processes, which re-open this
         repository by path + manifest token (DESIGN.md §9); results are
         bit-identical to every local backend.
@@ -93,7 +89,6 @@ class ShardedSetStream(SetStreamBase):
         repository: "ShardedRepository | str | Path",
         verify: bool = False,
         jobs=JOBS_AUTO,
-        planner: bool = True,
         transport: "str | None" = None,
         workers=None,
         retry=None,
@@ -116,7 +111,6 @@ class ShardedSetStream(SetStreamBase):
             )
         self._repo = repository
         self._jobs = jobs
-        self._planner = bool(planner)
         self._transport = transport
         self._workers = workers
         self._retry = retry
@@ -196,7 +190,6 @@ class ShardedSetStream(SetStreamBase):
             self._executor = executor_for(
                 self._jobs,
                 repository_words=self._repo.repository_words,
-                planner=self._planner,
                 transport=self._transport,
                 workers=self._workers,
                 retry=self._retry,

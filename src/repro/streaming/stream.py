@@ -338,14 +338,11 @@ class SetStream(SetStreamBase):
         positive worker count).  ``auto`` stays serial for in-memory
         instances below the parallel threshold.  Results are identical
         at every setting (DESIGN.md §6).
-    planner:
-        Adaptive scan planning (DESIGN.md §8): cost-balanced chunk
-        schedules and overlapped prefetch.  ``False`` reproduces the
-        PR 3 execution order; results are identical either way.
     transport:
         Scan-engine backend family (``"local"``, ``"serial"``,
-        ``"thread"``, ``"process"``, ``"remote"``; ``None`` = local
-        auto).  In-memory streams cannot use ``"remote"`` — remote
+        ``"process"``, ``"remote"``; ``None`` = local auto).  Serial
+        scans run the whole family as one chunk; the process pool
+        scans ``2 * jobs`` row slices, one task each.  In-memory streams cannot use ``"remote"`` — remote
         workers open shard repositories by path (DESIGN.md §9).
     workers:
         Remote worker addresses (implies ``transport="remote"``); see
@@ -371,7 +368,6 @@ class SetStream(SetStreamBase):
         self,
         system: SetSystem,
         jobs=JOBS_AUTO,
-        planner: bool = True,
         transport: "str | None" = None,
         workers=None,
         retry=None,
@@ -379,7 +375,6 @@ class SetStream(SetStreamBase):
         super().__init__()
         self._system = system
         self._jobs = jobs
-        self._planner = bool(planner)
         self._transport = transport
         self._workers = workers
         self._retry = retry
@@ -428,7 +423,6 @@ class SetStream(SetStreamBase):
             self._executor = executor_for(
                 self._jobs,
                 repository_words=self.m * words,
-                planner=self._planner,
                 transport=self._transport,
                 workers=self._workers,
                 retry=self._retry,

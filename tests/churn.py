@@ -15,7 +15,7 @@ trivially-correct reference model, asserting after every step that
 and at scenario end that shard statistics, cost estimates, and a full
 ``iter_set_cover`` solve agree exactly between the merged chain and a
 from-scratch rebuild.  ``tests/test_dynamic.py`` runs hundreds of these
-scenarios across the backend x encoding x planner x jobs matrix; the
+scenarios across the backend x encoding x jobs matrix; the
 module lives outside that file so future suites (and the experiments
 orchestrator's tests) can reuse the generator and referee.
 """
@@ -217,7 +217,6 @@ def drive_scenario(
     encoding: str = "auto",
     backend: str = "python",
     jobs="auto",
-    planner: bool = True,
     solve: bool = True,
     theta: float = 2.0,
     restart_every: "int | None" = None,
@@ -309,7 +308,7 @@ def drive_scenario(
         )
         results = []
         for path in (root, rebuilt):
-            stream = ShardedSetStream(path, jobs=jobs, planner=planner)
+            stream = ShardedSetStream(path, jobs=jobs)
             try:
                 results.append(iter_set_cover(
                     stream, delta=0.5, seed=scenario.seed, backend=backend,

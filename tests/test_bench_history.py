@@ -1,4 +1,4 @@
-"""Bench trajectory: BENCH_history.jsonl appending, peak RSS, planner rows."""
+"""Bench trajectory: BENCH_history.jsonl appending, peak RSS."""
 
 from __future__ import annotations
 
@@ -46,17 +46,6 @@ def test_history_appends_one_line_per_run(smoke_payloads):
         assert entry["peak_rss_bytes"]  # per-benchmark high-water marks
         assert "scan_parallel_gains" in entry["best_speedups"]
         assert entry["scan_parallel"]  # the executor sweep, absolute seconds
-
-
-def test_sweep_records_planner_off_control_rows(smoke_payloads):
-    _, _, payloads = smoke_payloads
-    backends = {
-        row["backend"]
-        for row in payloads[-1]["results"]
-        if row["benchmark"] == "scan_parallel_gains"
-    }
-    assert {"rows", "serial", "jobs=2",
-            "serial planner=off", "jobs=2 planner=off"} <= backends
 
 
 def test_no_history_written_without_output(tmp_path, monkeypatch):

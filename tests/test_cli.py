@@ -265,16 +265,11 @@ class TestJobs:
         assert excinfo.value.code == 2
         assert "--root" in capsys.readouterr().err
 
-    def test_solve_accepts_planner_off(self, instance_path, capsys):
-        assert main(["solve", instance_path, "--algorithm", "threshold",
-                     "--planner", "off"]) == 0
-        off_out = capsys.readouterr().out
-        assert main(["solve", instance_path, "--algorithm", "threshold"]) == 0
-        on_out = capsys.readouterr().out
-        pick = lambda out, key: [l for l in out.splitlines() if l.startswith(key)]
-        assert pick(off_out, "result") == pick(on_out, "result")
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["solve", "x", "--planner", "maybe"])
+    def test_solve_rejects_planner_flag(self, instance_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", instance_path, "--planner", "off"])
+        assert excinfo.value.code == 2
+        assert "--planner" in capsys.readouterr().err
 
 
 class TestWorkerPing:

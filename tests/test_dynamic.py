@@ -6,8 +6,8 @@ interleavings, each asserting after every step that the merged read
 view equals a from-scratch reference (rows, stats, cost estimates),
 that compaction is byte-identical to a clean rewrite, and that the
 incremental :class:`repro.dynamic.DynamicCover` stays a valid cover
-within its documented factor — across the backend x encoding x
-planner x jobs matrix.  Satellite coverage: delta-chain corruption
+within its documented factor — across the backend x encoding x jobs
+matrix.  Satellite coverage: delta-chain corruption
 taxonomy (typed :class:`~repro.setsystem.shards.ShardFormatError`),
 v1/v2/v3 no-delta open regression, the ``backfill_stats`` refusal,
 the remote-transport refusal, and DynamicCover unit edges.
@@ -54,27 +54,26 @@ from churn import drive_scenario, random_scenario
 # endgame (stats, cost estimates, byte-identical compaction, identical
 # iter_set_cover solves between the chain and a from-scratch rebuild).
 _MATRIX = [
-    # (backend, encoding, jobs, planner)
-    ("python", "auto", 1, True),
-    ("python", "dense", 2, True),
-    ("python", "sparse", 1, False),
-    ("numpy", "auto", 2, False),
-    ("numpy", "rle", 1, True),
-    ("auto", "auto", 2, True),
+    # (backend, encoding, jobs)
+    ("python", "auto", 1),
+    ("python", "dense", 2),
+    ("python", "sparse", 1),
+    ("numpy", "auto", 2),
+    ("numpy", "rle", 1),
+    ("auto", "auto", 2),
 ]
 _SEEDS_PER_CELL = 17
 
 
 @pytest.mark.parametrize(
-    "backend,encoding,jobs,planner",
+    "backend,encoding,jobs",
     _MATRIX,
-    ids=[f"{b}-{e}-jobs{j}-{'planner' if p else 'noplan'}"
-         for b, e, j, p in _MATRIX],
+    ids=[f"{b}-{e}-jobs{j}" for b, e, j in _MATRIX],
 )
-def test_churn_parity_matrix(tmp_path, backend, encoding, jobs, planner):
+def test_churn_parity_matrix(tmp_path, backend, encoding, jobs):
     from repro.engine.cache import configure_cache, get_cache
 
-    cell = _MATRIX.index((backend, encoding, jobs, planner))
+    cell = _MATRIX.index((backend, encoding, jobs))
     incremental = []
     # The sweep doubles as the hot-cache leak check: a deliberately
     # tight byte budget forces constant eviction across ~100 scenarios
@@ -91,7 +90,6 @@ def test_churn_parity_matrix(tmp_path, backend, encoding, jobs, planner):
             encoding=encoding,
             backend=backend,
             jobs=jobs,
-            planner=planner,
             # Keep the per-cell runtime down: the full solve referee runs
             # on a third of the scenarios; rows/stats/compaction parity
             # runs on every step of every scenario.

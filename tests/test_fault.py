@@ -45,7 +45,6 @@ from repro.setsystem.shards import write_shards
 from repro.streaming import ShardedSetStream
 
 ENCODINGS_UNDER_TEST = ("dense", "auto")
-PLANNER_UNDER_TEST = (True, False)
 
 #: Fast, deterministic retry bundle for the chaos sweeps: short timeouts
 #: so blackhole faults surface in well under a second, seeded jitter.
@@ -279,7 +278,7 @@ def test_frame_checksum_detects_corruption():
 def test_chaos_modes_recover_bit_identical_with_retries(
     tmp_path, worker_fleet
 ):
-    """20 random instances × rotating encoding/planner/chaos mode.
+    """20 random instances × rotating encoding/chaos mode.
 
     One worker sits behind a chaos proxy that sabotages its first
     connection (``times=1``, ``after_frames=0`` so the fault always
@@ -295,7 +294,6 @@ def test_chaos_modes_recover_bit_identical_with_retries(
         system = _random_system(rng)
         mask_int = (1 << system.n) - 1
         encoding = ENCODINGS_UNDER_TEST[case % 2]
-        planner = PLANNER_UNDER_TEST[case % 2]
         path = write_shards(tmp_path / f"c{case}", system,
                             chunk_rows=int(rng.integers(1, 6)),
                             encoding=encoding)
@@ -307,12 +305,12 @@ def test_chaos_modes_recover_bit_identical_with_retries(
             stream = ShardedSetStream(
                 path, transport="remote",
                 workers=[proxy.address, worker_fleet[1]],
-                planner=planner, retry=FAST_RETRY,
+                retry=FAST_RETRY,
             )
             scan = stream.scan_gains(mask_int, min_capture_gain=1)
             assert [int(g) for g in scan.gains] == [
                 int(g) for g in reference.gains
-            ], (case, mode, encoding, planner)
+            ], (case, mode, encoding)
             assert scan.captured == reference.captured
             assert stream.passes == 1
             if mode != "delay":  # delay injects latency, not faults
@@ -360,7 +358,6 @@ def test_algorithm_parity_under_mid_stream_chaos(tmp_path, worker_fleet):
     for case, (mode, algo_index) in enumerate(cases):
         system = _random_system(rng)
         encoding = ENCODINGS_UNDER_TEST[case % 2]
-        planner = PLANNER_UNDER_TEST[case % 2]
         path = write_shards(tmp_path / f"alg{case}", system,
                             chunk_rows=int(rng.integers(1, 6)),
                             encoding=encoding)
@@ -373,7 +370,7 @@ def test_algorithm_parity_under_mid_stream_chaos(tmp_path, worker_fleet):
             stream = ShardedSetStream(
                 path, transport="remote",
                 workers=[proxy.address, worker_fleet[1]],
-                planner=planner, retry=FAST_RETRY,
+                retry=FAST_RETRY,
             )
             fingerprint = _fingerprint(run(stream), stream)
             assert fingerprint == reference, (case, mode, algo_name)

@@ -328,7 +328,7 @@ class TestSizeTestOracle:
             for backend in ("python", "numpy", "frozenset"):
                 # Odd cases split the sample pass into several chunks.
                 stream = (
-                    SetStream(system, jobs=3, transport="thread")
+                    SetStream(system, jobs=3, transport="process")
                     if case % 4 > 1
                     else SetStream(system, jobs=1)
                 )

@@ -1,21 +1,20 @@
-"""The local scan-engine backends: jobs x encoding x planner parity, SHM.
+"""The local scan-engine backends: jobs x encoding x transport parity, SHM.
 
 The contract under test (DESIGN.md §6, §8, §9.2): for every algorithm,
-every repository encoding, every ``jobs`` setting, every transport
-backend and planner on/off, covers, pass counts and the resident-buffer
-accounting are **bit-identical** — the engine (and its adaptive
-schedule) is an execution detail, never an observable one.  Crash
-hygiene is part of the contract: a worker dying mid-scan must fail
-loudly, leak no SharedMemory, and leave the pool machinery able to
-serve the next scan.  The remote backend's half of the contract lives
-in ``tests/test_remote.py``; the deprecated ``setsystem.parallel`` shim
-is pinned here too.
+every repository encoding, every ``jobs`` setting and every transport
+backend, covers, pass counts and the resident-buffer accounting are
+**bit-identical** — the engine is an execution detail, never an
+observable one.  Crash hygiene is part of the contract: a worker dying
+mid-scan must fail loudly, leak no SharedMemory, and leave the pool
+machinery able to serve the next scan.  The remote backend's half of
+the contract lives in ``tests/test_remote.py``.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from repro.core import IterSetCoverConfig, iter_set_cover
 from repro.engine import (
     ProcessScanExecutor,
     SerialScanExecutor,
-    ThreadScanExecutor,
     executor_for,
     plan_batches,
     resolve_jobs,
@@ -34,7 +32,6 @@ from repro.engine import (
     simulate_accepts,
 )
 from repro.engine.transport import process as process_mod
-from repro.engine.transport import serial as serial_mod
 from repro.partial.streaming import PartialIterSetCover
 from repro.setsystem import SetSystem
 from repro.setsystem.shards import write_shards
@@ -42,10 +39,9 @@ from repro.streaming import SetStream, ShardedSetStream
 
 ENCODINGS_UNDER_TEST = ("dense", "auto")
 JOBS_UNDER_TEST = (1, 2, 4)
-PLANNER_UNDER_TEST = (True, False)
 #: The local transport families swept by the parity property tests (the
 #: remote family is swept in tests/test_remote.py, which owns workers).
-LOCAL_TRANSPORTS = (None, "thread")
+LOCAL_TRANSPORTS = (None, "process")
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -94,19 +90,12 @@ def test_executor_for_picks_backend():
     executor = executor_for(3)
     assert isinstance(executor, ProcessScanExecutor)
     assert executor.jobs == 3
-    assert executor.planner
-    assert not executor_for(3, planner=False).planner
-    assert executor_for(1, planner=True).prefetch
-    assert not executor_for(1, planner=False).prefetch
     with pytest.raises(ValueError):
         ProcessScanExecutor(1)
-    with pytest.raises(ValueError):
-        ThreadScanExecutor(1)
 
 
 def test_executor_for_transport_dispatch():
     """The transport knob picks the backend family; jobs sizes it."""
-    assert executor_for(2, transport="thread").transport == "thread"
     assert executor_for(2, transport="process").transport == "process"
     assert executor_for(1, transport="serial").transport == "serial"
     assert executor_for("auto", transport="serial").transport == "serial"
@@ -116,45 +105,16 @@ def test_executor_for_transport_dispatch():
         executor_for(4, transport="serial")
     with pytest.raises(ValueError, match="--jobs"):
         executor_for(0, transport="serial")  # still validated
-    # One-lane pools are pure overhead: thread/process degrade to serial.
-    assert isinstance(executor_for(1, transport="thread"), SerialScanExecutor)
+    # A one-lane pool is pure overhead: process degrades to serial.
     assert isinstance(executor_for(1, transport="process"), SerialScanExecutor)
     # local (and None) keep the pre-engine serial-or-process behaviour.
     assert isinstance(executor_for(1, transport="local"), SerialScanExecutor)
     assert isinstance(executor_for(3, transport="local"), ProcessScanExecutor)
-    with pytest.raises(ValueError, match="--transport"):
-        executor_for(2, transport="carrier-pigeon")
+    for gone in ("carrier-pigeon", "thread"):
+        with pytest.raises(ValueError, match="--transport"):
+            executor_for(2, transport=gone)
     with pytest.raises(ValueError, match="workers"):
         executor_for(2, transport="remote")
-
-
-def test_setsystem_parallel_shim_is_deprecated_but_complete():
-    """The old import location warns and forwards every public name."""
-    import importlib
-    import sys
-
-    import repro.engine as engine
-
-    sys.modules.pop("repro.setsystem.parallel", None)
-    with pytest.warns(DeprecationWarning, match="repro.engine"):
-        shim = importlib.import_module("repro.setsystem.parallel")
-    for name in shim.__all__:
-        assert getattr(shim, name) is getattr(engine, name), name
-    # The pre-engine surface survived the move wholesale.
-    for name in ("JOBS_AUTO", "AcceptBatch", "ScanExecutor", "ScanResult",
-                 "SerialScanExecutor", "ProcessScanExecutor",
-                 "ThreadScanExecutor", "capture_words", "executor_for",
-                 "merge_scan_parts", "plan_batches", "resolve_jobs",
-                 "shutdown_pools", "simulate_accepts", "thread_map"):
-        assert name in shim.__all__, name
-    # Attribute access through the package keeps working too (the shim
-    # used to be imported eagerly, binding it as a package attribute).
-    import repro.setsystem
-
-    assert repro.setsystem.parallel.resolve_jobs is engine.resolve_jobs
-    assert repro.setsystem.executor_for is engine.executor_for  # PEP 562
-    with pytest.raises(AttributeError):
-        repro.setsystem.no_such_name
 
 
 def test_plan_batches_partitions_contiguously():
@@ -248,57 +208,55 @@ def test_best_only_capture_is_the_global_first_max(tmp_path):
         stream.close()
 
 
-def test_planner_off_matches_planner_on(tmp_path, monkeypatch):
-    """Scheduling is invisible: planner on/off x jobs gives equal scans."""
-    monkeypatch.setattr(serial_mod, "_PIPELINE_MIN_CPUS", 1)  # force pipeline
-    rng = np.random.default_rng(47)
-    for case in range(10):
-        system = _random_system(rng)
-        path = write_shards(tmp_path / f"p{case}", system,
-                            chunk_rows=int(rng.integers(1, 6)))
-        mask_int = (sum(1 << e for e in range(0, system.n, 2)) | 1)
-        reference = None
-        for jobs in JOBS_UNDER_TEST:
-            for planner in PLANNER_UNDER_TEST:
-                stream = ShardedSetStream(path, jobs=jobs, planner=planner)
-                scan = stream.scan_gains(mask_int, min_capture_gain=1)
-                got = ([int(g) for g in scan.gains], scan.captured)
-                if reference is None:
-                    reference = got
-                assert got == reference, (case, jobs, planner)
-                stream.close()
+def test_abandoned_process_scan_leaves_stream_usable(tmp_path):
+    """Early-exiting a process-pool pass settles its in-flight work.
 
-
-def test_abandoned_thread_scan_leaves_stream_usable(tmp_path):
-    """Early-exiting a thread-transport pass settles its in-flight work.
-
-    The finally block must cancel/await the remaining futures so no pool
-    thread is still scanning when the caller closes the repository."""
+    The finally block must cancel/await the remaining futures so no
+    worker task is still pending when the caller closes the stream."""
     system = SetSystem(16, [[i % 16] for i in range(20)])
-    path = write_shards(tmp_path / "tabandon", system, chunk_rows=2)
-    stream = ShardedSetStream(path, jobs=2, transport="thread")
+    path = write_shards(tmp_path / "pabandon", system, chunk_rows=2)
+    stream = ShardedSetStream(path, jobs=2, transport="process")
     parts = stream.scan_gains_chunked((1 << 16) - 1)
     next(parts)
     parts.close()  # abandon mid-pass
     assert stream.passes == 1
     full = stream.scan_gains((1 << 16) - 1)
     assert len(full.gains) == 20
-    stream.close()  # no background thread left to race this
+    stream.close()
 
 
-def test_abandoned_prefetch_scan_leaves_stream_usable(tmp_path, monkeypatch):
-    """Early-exiting a prefetched pass never wedges or orphans work."""
-    monkeypatch.setattr(serial_mod, "_PIPELINE_MIN_CPUS", 1)  # force pipeline
+def test_abandoned_serial_multi_shard_scan_leaves_stream_usable(tmp_path):
+    """Early-exiting a serial pass over many shards never wedges."""
     system = SetSystem(16, [[i % 16] for i in range(20)])
     path = write_shards(tmp_path / "abandon", system, chunk_rows=2)
-    stream = ShardedSetStream(path, jobs=1, planner=True)
+    stream = ShardedSetStream(path, jobs=1)
     parts = stream.scan_gains_chunked((1 << 16) - 1)
     next(parts)
-    parts.close()  # abandon mid-pass; the pending prefetch must settle
+    parts.close()  # abandon mid-pass
     assert stream.passes == 1
     full = stream.scan_gains((1 << 16) - 1)
     assert len(full.gains) == 20
     stream.close()
+
+
+def test_serial_multi_shard_scan_starts_no_thread(tmp_path, monkeypatch):
+    """A ``jobs=1`` pass is the plain in-order loop: no helper threads."""
+    shutdown_pools()  # no pool left over from earlier tests to reuse
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    system = SetSystem(16, [[i % 16] for i in range(20)])
+    path = write_shards(tmp_path / "nothread", system, chunk_rows=2)
+    stream = ShardedSetStream(path, jobs=1)
+    assert stream.repository.shard_count == 10
+    ThresholdGreedy().solve(stream)
+    stream.close()
+    assert started == []
 
 
 # ----------------------------------------------------------------------
@@ -428,7 +386,7 @@ def test_worker_crash_is_loud_leak_free_and_recoverable(tmp_path, monkeypatch):
 # Algorithm-level parity: the satellite property test
 # ----------------------------------------------------------------------
 def test_threshold_parity_on_100_random_instances(tmp_path):
-    """covers/passes/resident_words identical across jobs x encoding x planner."""
+    """covers/passes/resident_words identical across jobs x encoding x transport."""
     rng = np.random.default_rng(23)
     for case in range(105):
         system = _random_system(rng)
@@ -438,26 +396,23 @@ def test_threshold_parity_on_100_random_instances(tmp_path):
             path = write_shards(tmp_path / f"t{case}-{encoding}", system,
                                 chunk_rows=chunk_rows, encoding=encoding)
             jobs_axis = (1, 2) if case % 5 else JOBS_UNDER_TEST
-            planner_axis = PLANNER_UNDER_TEST if case % 7 == 0 else (True,)
             transport_axis = LOCAL_TRANSPORTS if case % 3 == 0 else (None,)
             for jobs in jobs_axis:
-                for planner in planner_axis:
-                    for transport in transport_axis:
-                        if transport == "thread" and jobs < 2:
-                            continue  # degenerates to serial, covered above
-                        stream = ShardedSetStream(
-                            path, jobs=jobs, planner=planner,
-                            transport=transport,
+                for transport in transport_axis:
+                    if transport == "process" and jobs < 2:
+                        continue  # degenerates to serial, covered above
+                    stream = ShardedSetStream(
+                        path, jobs=jobs, transport=transport,
+                    )
+                    result = ThresholdGreedy().solve(stream)
+                    fingerprint = _fingerprint(result, stream)
+                    if reference is None:
+                        reference = fingerprint
+                    else:
+                        assert fingerprint == reference, (
+                            case, encoding, jobs, transport,
                         )
-                        result = ThresholdGreedy().solve(stream)
-                        fingerprint = _fingerprint(result, stream)
-                        if reference is None:
-                            reference = fingerprint
-                        else:
-                            assert fingerprint == reference, (
-                                case, encoding, jobs, planner, transport,
-                            )
-                        stream.close()
+                    stream.close()
         # The in-memory stream agrees too (modulo its zero buffer).
         memory = ThresholdGreedy().solve(SetStream(system))
         assert memory.selection == reference[0]
@@ -577,7 +532,7 @@ def test_set_stream_algorithms_with_process_jobs():
 
 
 # ----------------------------------------------------------------------
-# Offline hot paths through the thread executor (DESIGN.md §8.5)
+# Offline hot paths (DESIGN.md §8.5)
 # ----------------------------------------------------------------------
 def test_greedy_cover_backend_parity():
     from repro.offline import GreedySolver

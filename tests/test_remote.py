@@ -2,7 +2,7 @@
 
 The contract under test (DESIGN.md §9): a two-worker localhost fleet
 produces **bit-identical** covers, pass counts, captures and accounting
-to the serial executor, at every encoding and planner setting — and a
+to the serial executor, at every encoding setting — and a
 worker that dies mid-batch surfaces as a loud ``RuntimeError`` with no
 SharedMemory leak and no partial state (the remote twin of the
 ``REPRO_TEST_CRASH_SCAN`` regression test).
@@ -45,7 +45,6 @@ from repro.setsystem.shards import write_shards
 from repro.streaming import SetStream, ShardedSetStream
 
 ENCODINGS_UNDER_TEST = ("dense", "auto")
-PLANNER_UNDER_TEST = (True, False)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -103,7 +102,6 @@ def test_executor_for_builds_remote():
     assert isinstance(executor, RemoteScanExecutor)
     assert executor.transport == "remote"
     assert executor.jobs == 2  # one lane per worker
-    assert executor_for(workers="h:1", planner=False).planner is False
     assert isinstance(
         executor_for(transport="remote", workers=[("h", 1)]),
         RemoteScanExecutor,
@@ -113,7 +111,7 @@ def test_executor_for_builds_remote():
     with pytest.raises(ValueError, match="--workers"):
         executor_for(workers="nonsense")
     # Workers must never be silently dropped for a local family.
-    for transport in ("local", "serial", "thread", "process"):
+    for transport in ("local", "serial", "process"):
         with pytest.raises(ValueError, match="transport='remote'"):
             executor_for(2, transport=transport, workers="h:1")
     # ... and an explicit jobs count must never be silently dropped for
@@ -145,18 +143,16 @@ def test_remote_scan_gains_match_serial(tmp_path, worker_fleet):
             serial = ShardedSetStream(path, jobs=1)
             reference = serial.scan_gains(mask_int, min_capture_gain=1)
             serial.close()
-            for planner in PLANNER_UNDER_TEST:
-                stream = ShardedSetStream(
-                    path, transport="remote", workers=worker_fleet,
-                    planner=planner,
-                )
-                scan = stream.scan_gains(mask_int, min_capture_gain=1)
-                assert [int(g) for g in scan.gains] == [
-                    int(g) for g in reference.gains
-                ], (case, encoding, planner)
-                assert scan.captured == reference.captured
-                assert stream.passes == 1
-                stream.close()
+            stream = ShardedSetStream(
+                path, transport="remote", workers=worker_fleet,
+            )
+            scan = stream.scan_gains(mask_int, min_capture_gain=1)
+            assert [int(g) for g in scan.gains] == [
+                int(g) for g in reference.gains
+            ], (case, encoding)
+            assert scan.captured == reference.captured
+            assert stream.passes == 1
+            stream.close()
 
 
 def test_remote_algorithm_parity_on_random_instances(tmp_path, worker_fleet):
@@ -183,11 +179,10 @@ def test_remote_algorithm_parity_on_random_instances(tmp_path, worker_fleet):
         serial_stream = ShardedSetStream(path, jobs=1)
         reference = _fingerprint(run(serial_stream), serial_stream)
         serial_stream.close()
-        planner = PLANNER_UNDER_TEST[case % 2]
         stream = ShardedSetStream(path, transport="remote",
-                                  workers=worker_fleet, planner=planner)
+                                  workers=worker_fleet)
         fingerprint = _fingerprint(run(stream), stream)
-        assert fingerprint == reference, (case, algo_name, encoding, planner)
+        assert fingerprint == reference, (case, algo_name, encoding)
         stream.close()
 
 

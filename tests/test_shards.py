@@ -584,12 +584,3 @@ def test_pre_v3_repositories_open_and_backfill_idempotently(tmp_path, schema):
         assert upgraded.has_stats
         assert upgraded.shard_stats() == expected_stats
         assert upgraded.to_system() == system
-
-
-def test_prefetch_shard_is_a_safe_noop_everywhere(tmp_path):
-    path = write_shards(tmp_path / "pf", SetSystem(4, [[0], [], [1, 2]]),
-                        chunk_rows=1)
-    with ShardedRepository(path) as repo:
-        for shard in range(-1, repo.shard_count + 2):
-            repo.prefetch_shard(shard)  # out-of-range included: no error
-    repo.prefetch_shard(0)  # closed repository: still a no-op
