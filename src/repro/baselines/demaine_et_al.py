@@ -42,9 +42,9 @@ from repro.core.result import StreamingCoverResult
 from repro.offline.base import OfflineSolver
 from repro.offline.greedy import GreedySolver
 from repro.sampling.relative_approximation import draw_sample
-from repro.setsystem.packed import bitmap_kernel, resolve_backend
 from repro.streaming.memory import MemoryMeter
 from repro.streaming.stream import SetStream, stream_resident_words
+from repro.utils.bitset import bits_of, mask_of, universe_mask
 from repro.utils.rng import as_generator
 
 __all__ = ["DemaineEtAl"]
@@ -53,10 +53,10 @@ __all__ = ["DemaineEtAl"]
 class DemaineEtAl:
     """Recursive element-sampling set cover in the style of [DIMV14].
 
-    The per-set work of both streaming passes (the ``r ∩ target``
-    projection of the base case, the coverage union of the update pass)
-    runs on the bitmap kernels of :mod:`repro.setsystem.packed`; the
-    ``backend`` knob mirrors :class:`~repro.core.IterSetCoverConfig`.
+    Both streaming passes (the ``r ∩ target`` projection of the base case,
+    the coverage union of the update pass) work on big-int rows, and the
+    base case hands its projections to the offline solver packed, as
+    ``iterSetCover`` does (:meth:`~repro.offline.base.OfflineSolver.solve_partial`).
     """
 
     name = "DIMV14"
@@ -68,15 +68,13 @@ class DemaineEtAl:
         solver: "OfflineSolver | None" = None,
         seed: "int | np.random.Generator | None" = None,
         sample_constant: float = 1.0,
-        backend: str = "auto",
     ):
         if not 0 < delta <= 1:
             raise ValueError(f"delta must be in (0, 1], got {delta}")
         self.delta = delta
         self.k = k
-        self.solver = solver or GreedySolver(backend=backend)
+        self.solver = solver or GreedySolver()
         self.sample_constant = sample_constant
-        self.backend = resolve_backend(backend, kind="stream")
         self._rng = as_generator(seed)
 
     # ------------------------------------------------------------------
@@ -94,12 +92,12 @@ class DemaineEtAl:
         depth = math.ceil(1.0 / self.delta)
         k = self.k if self.k is not None else 1
         selection: list[int] = []
-        uncovered = set(range(n))
+        uncovered = universe_mask(n)
 
         while uncovered:
-            picked = self._cover(stream, frozenset(uncovered), k, depth, meter)
+            picked = self._cover(stream, uncovered, k, depth, meter)
             selection.extend(picked)
-            uncovered -= self._union_pass(stream, picked)
+            uncovered &= ~self._union_pass(stream, picked)
             if uncovered:
                 if self.k is not None:
                     break  # caller-supplied guess was wrong; stop honestly
@@ -124,72 +122,56 @@ class DemaineEtAl:
         return max(1, math.ceil(size))
 
     def _cover(
-        self,
-        stream: SetStream,
-        target: frozenset[int],
-        k: int,
-        depth: int,
-        meter: MemoryMeter,
+        self, stream: SetStream, target: int, k: int, depth: int, meter: MemoryMeter
     ) -> list[int]:
-        """Return set ids covering (most of) ``target``."""
+        """Return set ids covering (most of) the elements of ``target``."""
         if not target:
             return []
         n, m = stream.n, stream.m
         base = self._base_threshold(n, m, k)
+        size = target.bit_count()
 
-        if len(target) <= base or depth <= 0:
+        if size <= base or depth <= 0:
             return self._direct_solve(stream, target, meter)
 
         shrink = max(2.0, float(n) ** self.delta)
-        sample_size = max(1, math.ceil(len(target) / shrink))
-        if sample_size >= len(target):
+        sample_size = max(1, math.ceil(size / shrink))
+        if sample_size >= size:
             return self._direct_solve(stream, target, meter)
 
-        sample = draw_sample(target, sample_size, seed=self._rng)
-        meter.charge(len(sample))
+        sample = mask_of(draw_sample(bits_of(target), sample_size, seed=self._rng))
+        meter.charge(sample_size)
         first = self._cover(stream, sample, k, depth - 1, meter)
-        covered = self._union_pass(stream, first)
-        residual = target - covered
-        meter.release(len(sample))
+        residual = target & ~self._union_pass(stream, first)
+        meter.release(sample_size)
         second = self._cover(stream, residual, k, depth - 1, meter)
         return first + second
 
-    def _direct_solve(
-        self, stream: SetStream, target: frozenset[int], meter: MemoryMeter
-    ) -> list[int]:
+    def _direct_solve(self, stream: SetStream, target: int, meter: MemoryMeter) -> list[int]:
         """One pass storing all projections onto ``target``; offline solve."""
-        kernel = bitmap_kernel(stream.n, self.backend)
-        target_bitmap = kernel.from_indices(target)
-        projections: list = []  # kernel bitmaps (r ∩ target)
+        projections: list[int] = []  # r ∩ target
         ids: list[int] = []
+        coverable = 0
         words = 0
-        for set_id, row in stream.iterate_packed(kernel.backend):
-            hit = kernel.intersect(row, target_bitmap)
-            hit_count = kernel.count(hit)
-            if hit_count:
+        for set_id, row in stream.iterate_packed():
+            hit = row & target
+            if hit:
                 projections.append(hit)
                 ids.append(set_id)
-                words += hit_count + 1
+                coverable |= hit
+                words += hit.bit_count() + 1
         meter.charge(words)
-        coverable = kernel.empty()
-        for projection in projections:
-            coverable = kernel.union(coverable, projection)
-        picked = self.solver.solve_partial(
-            stream.n,
-            [frozenset(kernel.to_indices(p)) for p in projections],
-            frozenset(kernel.to_indices(kernel.intersect(target_bitmap, coverable))),
-        )
+        picked = self.solver.solve_partial(stream.n, projections, coverable)
         meter.release(words)
         result = [ids[i] for i in picked]
         meter.charge(len(result))
         return result
 
-    def _union_pass(self, stream: SetStream, selection: list[int]) -> set[int]:
+    def _union_pass(self, stream: SetStream, selection: list[int]) -> int:
         """One pass computing the union of the selected sets."""
-        kernel = bitmap_kernel(stream.n, self.backend)
         wanted = set(selection)
-        covered = kernel.empty()
-        for set_id, row in stream.iterate_packed(kernel.backend):
+        covered = 0
+        for set_id, row in stream.iterate_packed():
             if set_id in wanted:
-                covered = kernel.union(covered, row)
-        return set(kernel.to_indices(covered))
+                covered |= row
+        return covered

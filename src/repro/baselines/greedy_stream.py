@@ -30,11 +30,8 @@ driver applies it wholesale whenever no earlier accept touched the
 chunk's candidates, and replays the captured rows in repository order
 otherwise — exactly the rows the serial loop would have accepted, so
 picks, pass counts and meter charges are bit-identical at any ``jobs``
-or ``transport`` setting.  The fused pass moves projections, residual and
-accept tests onto integer bitmasks end to end, so ``ThresholdGreedy``'s
-``backend`` knob is validated for API compatibility but no longer
-selects anything — every value runs (and always returned) the same
-solve.
+or ``transport`` setting.  Projections, residual and accept tests are
+integer bitmasks end to end.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ import math
 
 from repro.core.result import StreamingCoverResult
 from repro.offline.greedy import greedy_cover
-from repro.setsystem.packed import resolve_backend
 from repro.engine import capture_words
 from repro.setsystem.set_system import SetSystem
 from repro.streaming.memory import MemoryMeter
@@ -136,22 +132,14 @@ class ThresholdGreedy:
     ----------
     shrink:
         Factor the threshold divides by between passes (default 2).
-    backend:
-        Validated for API compatibility, but inert since the fused
-        accept pass (DESIGN.md §8.4): captured projections, the residual
-        and every accept test are integer bitmasks end to end — exactly
-        the ``python`` kernel's representation — so every backend value
-        executes (and always returned) the identical solve.
     """
 
     name = "greedy (threshold)"
 
-    def __init__(self, shrink: float = 2.0, backend: str = "auto"):
+    def __init__(self, shrink: float = 2.0):
         if shrink <= 1:
             raise ValueError(f"shrink factor must exceed 1, got {shrink}")
-        resolve_backend(backend)  # validate eagerly; see the class docstring
         self.shrink = shrink
-        self.backend = backend
 
     def solve(self, stream: SetStream) -> StreamingCoverResult:
         meter = MemoryMeter(label=self.name)

@@ -3,9 +3,11 @@
 Times the three packed-kernel primitives (coverage union, residual gains,
 residual projection), the two preprocessing/solver hot paths built on them
 (``without_dominated_sets``, ``greedy_cover``) and the end-to-end
-``iterSetCover`` run, for every backend, across instance scales — and
-emits a machine-readable JSON report (default ``BENCH_kernels.json`` at
-the repo root) that seeds the performance trajectory tracked across PRs.
+``iterSetCover`` run across instance scales — each kernel row as the
+big-int family (``python``) against the seed's frozenset reference
+(``frozenset``) — and emits a machine-readable JSON report (default
+``BENCH_kernels.json`` at the repo root) that seeds the performance
+trajectory tracked across PRs.
 
 Report schema (``repro.bench_kernels/v1``)::
 
@@ -33,30 +35,27 @@ Report schema (``repro.bench_kernels/v1``)::
         "<benchmark>": {
           "<instance>": {
             "frozenset_seconds": ...,
-            "python_seconds": ..., "python_speedup": ...,
-            "numpy_seconds": ...,  "numpy_speedup": ...,
+            "<label>_seconds": ..., "<label>_speedup": ...,
             "best_speedup": ...
           }
         }
       }
     }
 
-``*_speedup`` is relative to the seed's frozenset path on the same
-instance (>1 means the packed backend is faster), except for the
+``*_speedup`` is relative to the seed's frozenset reference on the same
+instance (>1 means the big-int family is faster), except for the
 ``scan_parallel_gains`` benchmark, whose baseline is the ``rows``
-backend — the per-row big-int scan of a dense repository, i.e. the
+row — the per-row big-int scan of a dense repository, i.e. the
 pre-executor pass cost (DESIGN.md §6.3) — and ``scan_cached_pass``,
 whose baseline is its own ``cold`` row so ``warm_speedup`` prices the
-cross-pass chunk cache (DESIGN.md §14).  Packed timings are
-taken with warm memoized views (``SetSystem.packed`` caches per backend,
-by design); the one-off packing cost is reported separately as the
-``pack_build`` benchmark (``encode_write`` plays the same role for the
-sharded repositories).  ``summary.best_speedup`` for ``greedy_cover``
-and ``without_dominated_sets`` on the planted n=2000/m=4000 instance and
+cross-pass chunk cache (DESIGN.md §14).  Big-int timings are taken on
+the warm memoized family (``SetSystem.packed``, by design); the one-off
+packing cost is reported separately as the cost-only ``pack_build``
+benchmark (``encode_write`` plays the same role for the sharded
+repositories).  ``summary.best_speedup`` for ``greedy_cover`` and
+``without_dominated_sets`` on the planted n=2000/m=4000 instance and
 for ``scan_parallel_gains`` on the ``large`` roster are the headline
-numbers the repo tracks (DESIGN.md §4.3, §6.3, §8.6).  ``greedy_cover``
-has ``frozenset`` and ``python`` rows only: greedy's one packed strategy
-is the big-int lazy heap, which the other backends run too (§4.1).
+numbers the repo tracks (DESIGN.md §4.3, §6.3, §8.6).
 
 Beyond the (overwritten) report, every run appends one line of schema
 ``repro.bench_history/v1`` to ``BENCH_history.jsonl`` in the report's
@@ -81,9 +80,9 @@ try:  # POSIX high-water RSS; Windows runs without the memory column
 except ImportError:  # pragma: no cover - non-POSIX platforms only
     resource = None
 
-from repro.core import IterSetCoverConfig, iter_set_cover
-from repro.offline.greedy import greedy_cover
-from repro.setsystem.packed import pack
+from repro.core import iter_set_cover
+from repro.offline.greedy import _greedy_cover_frozenset, greedy_cover
+from repro.setsystem.packed import non_dominated_reference, pack
 from repro.setsystem.set_system import SetSystem
 from repro.streaming.stream import SetStream
 from repro.workloads import (
@@ -115,18 +114,13 @@ HISTORY_SCHEMA = "repro.bench_history/v1"
 #: File name of the benchmark trajectory, in the report's directory.
 HISTORY_NAME = "BENCH_history.jsonl"
 
-PACKED_BACKENDS = ("python", "numpy")
-ALL_BACKENDS = ("frozenset",) + PACKED_BACKENDS
-#: Backends reported in the summary speedup columns.  ``auto`` rows show
-#: what the default knob actually delivers (it resolves per call site).
-SUMMARY_BACKENDS = PACKED_BACKENDS + ("auto",)
 #: Cost-only benchmarks: no frozenset-relative speedup is meaningful.
 _COST_ONLY = {
     "pack_build", "encode_write",
     "delta_apply", "delta_compact", "dynamic_maintain",
 }
-#: The parallel-executor benchmark: one full gains scan per backend row.
-#: Its summary baseline is the ``rows`` backend — the per-row big-int
+#: The parallel-executor benchmark: one full gains scan per executor row.
+#: Its summary baseline is the ``rows`` row — the per-row big-int
 #: scan over a dense repository, i.e. what every pass cost before the
 #: executor existed — so ``best_speedup`` captures the whole engine
 #: (chunk kernels + compressed encodings + workers).
@@ -138,6 +132,9 @@ _PARALLEL_BENCH = "scan_parallel_gains"
 #: is ``cold``, so ``best_speedup`` is the warm-pass amortization and
 #: ``payload["cache"]`` carries the hit/miss counters behind it.
 _CACHED_BENCH = "scan_cached_pass"
+#: Summary baseline row per benchmark; every other benchmark is timed
+#: against its ``frozenset`` reference row.
+_BASELINES = {_PARALLEL_BENCH: "rows", _CACHED_BENCH: "cold"}
 #: The jobs sweep recorded when ``jobs="auto"``.
 _DEFAULT_JOBS_SWEEP = (1, 2, 4)
 
@@ -170,7 +167,7 @@ SCALES = {
     # The out-of-core regime: instances at the n ~ 5*10^4, m ~ 2*10^5
     # scale of the streaming literature, exercised exclusively through the
     # sharded repository (DESIGN.md §5) — written to disk once, then
-    # scanned per backend and solved end-to-end via ShardedSetStream.
+    # scanned row by row and solved end-to-end via ShardedSetStream.
     # ``sharded=True`` routes the instance to the sharded benchmark set
     # (shard_write / shard_scan / threshold_sharded); the in-memory family
     # benchmarks (and the O(m^2) frozenset baselines) are skipped.
@@ -272,7 +269,7 @@ class _Runner:
         self,
         benchmark: str,
         instance: str,
-        backend: str,
+        label: str,
         fn,
         repeats: "int | None" = None,
     ) -> float:
@@ -282,7 +279,9 @@ class _Runner:
             {
                 "benchmark": benchmark,
                 "instance": instance,
-                "backend": backend,
+                # The row's variant: a kernel, executor, encoding or cache
+                # state, by benchmark (key name kept for schema v1).
+                "backend": label,
                 "seconds": seconds,
                 "repeats": repeats,
                 "peak_rss_bytes": _peak_rss_bytes(),
@@ -292,84 +291,67 @@ class _Runner:
 
 
 def _bench_instance(runner: _Runner, name: str, system: SetSystem) -> None:
+    """Kernel rows: the big-int family against the seed's frozenset reference."""
     n, m = system.n, system.m
     sets = system.sets
     selection = list(range(0, m, 7)) or [0]
     slow_repeats = 1 if m > _SLOW_BASELINE_M else None
 
-    # One-off packing cost (everything below runs on warm memoized views).
-    for backend in ALL_BACKENDS:
-        runner.record(
-            "pack_build", name, backend, lambda b=backend: pack(sets, n, b)
-        )
+    # One-off packing cost (every row below runs on the warm memoized view).
+    runner.record("pack_build", name, "python", lambda: pack(sets, n))
 
-    families = {backend: system.packed(backend) for backend in ALL_BACKENDS}
-    residuals = {
-        backend: family.kernel.full() for backend, family in families.items()
+    family = system.packed()
+    full, half = frozenset(range(n)), frozenset(range(n // 2))
+    full_mask, half_mask = (1 << n) - 1, (1 << (n // 2)) - 1
+    rows = {
+        "union": (
+            lambda: frozenset().union(*(sets[i] for i in selection)),
+            lambda: family.union(selection),
+        ),
+        "gains": (
+            lambda: [len(r & full) for r in sets],
+            lambda: family.gains(full_mask),
+        ),
+        "is_cover": (
+            lambda: frozenset().union(*sets) == full,
+            lambda: family.covers(range(m)),
+        ),
+        "project": (
+            lambda: [r & half for r in sets],
+            lambda: family.project(half_mask),
+        ),
+        # The pruning kernel alone, not the subfamily rebuild.
+        "without_dominated_sets": (
+            lambda: non_dominated_reference(sets),
+            family.non_dominated,
+        ),
+        "greedy_cover": (
+            lambda: _greedy_cover_frozenset(system),
+            lambda: greedy_cover(system),
+        ),
     }
-    half = range(n // 2)
-    half_bitmaps = {
-        backend: family.kernel.from_indices(half)
-        for backend, family in families.items()
-    }
-
-    for backend, family in families.items():
-        kernel = family.kernel
+    for benchmark, (reference, packed) in rows.items():
+        slow = benchmark in ("without_dominated_sets", "greedy_cover")
         runner.record(
-            "union", name, backend, lambda f=family: f.union(selection)
+            benchmark, name, "frozenset", reference,
+            repeats=slow_repeats if slow else None,
         )
-        runner.record(
-            "gains", name, backend,
-            lambda f=family, r=residuals[backend]: f.gains(r),
-        )
-        runner.record(
-            "is_cover", name, backend, lambda f=family: f.covers(range(m))
-        )
-        runner.record(
-            "project", name, backend,
-            lambda f=family, h=half_bitmaps[backend]: f.project(h),
-        )
-        runner.record(
-            "without_dominated_sets", name, backend,
-            lambda f=family: f.non_dominated(),
-            repeats=slow_repeats if backend == "frozenset" else None,
-        )
-        if backend != "numpy":  # greedy has one packed strategy: the lazy heap
-            runner.record(
-                "greedy_cover", name, backend,
-                lambda s=system, b=backend: greedy_cover(s, backend=b),
-                repeats=slow_repeats if backend == "frozenset" else None,
-            )
-
-    # What the default knob delivers (resolves per instance size).  Same
-    # operation as the per-backend rows (the pruning kernel alone, not the
-    # subfamily rebuild) so the speedup columns stay comparable.
-    runner.record(
-        "without_dominated_sets", name, "auto",
-        lambda s=system: s.packed("auto").non_dominated(),
-    )
+        runner.record(benchmark, name, "python", packed)
 
 
 def _bench_end_to_end(
     runner: _Runner, name: str, system: SetSystem, seed: int
 ) -> None:
-    def run(backend: str):
-        stream = SetStream(system)
+    def run():
         return iter_set_cover(
-            stream,
+            SetStream(system),
             delta=0.5,
             seed=seed,
-            backend=backend,
             use_polylog_factors=False,
             include_rho=False,
         )
 
-    slow_repeats = 1 if system.m > _SLOW_BASELINE_M else None
-    for backend in ALL_BACKENDS + ("auto",):
-        runner.record(
-            "iter_set_cover", name, backend, lambda b=backend: run(b),
-            repeats=slow_repeats if backend == "frozenset" else None,
-        )
+    runner.record("iter_set_cover", name, "python", run)
 
 
 def _bench_parallel_and_encodings(
@@ -387,7 +369,7 @@ def _bench_parallel_and_encodings(
     Writes the instance twice — ``encoding="dense"`` (the v1 raw block
     layout) and ``encoding="auto"`` (per-row codecs) — records the
     ``encode_write`` cost and on-disk sizes, then times one full gains
-    scan per backend row of :data:`_PARALLEL_BENCH`:
+    scan per row of :data:`_PARALLEL_BENCH`:
 
     * ``rows`` — the pre-executor baseline: per-row big-int scan of the
       dense repository (exactly a PR 2 streaming pass);
@@ -415,7 +397,7 @@ def _bench_parallel_and_encodings(
     run cache-off so they keep pricing the executors and codecs, not
     cache residency.
 
-    Every backend's gains vector is compared against the baseline's;
+    Every row's gains vector is compared against the baseline's;
     a mismatch raises (and is recorded in ``payload["parallel_parity"]``).
     Returns the encoding size summary for ``payload["encodings"]``.
     """
@@ -453,25 +435,25 @@ def _bench_parallel_and_encodings(
         def rows_scan():
             stream = ShardedSetStream(repos["dense"])
             gains = []
-            for _, mask in stream.iterate_packed("python"):
+            for _, mask in stream.iterate_packed():
                 gains.append((mask & mask_int).bit_count())
             observed["rows"] = gains
 
         runner.record(_PARALLEL_BENCH, name, "rows", rows_scan, repeats=1)
 
         for jobs in jobs_sweep:
-            backend = "serial" if jobs == 1 else f"jobs={jobs}"
+            label = "serial" if jobs == 1 else f"jobs={jobs}"
 
-            def scan(jobs=jobs, backend=backend):
+            def scan(jobs=jobs, label=label):
                 stream = ShardedSetStream(repos["auto"], jobs=jobs)
                 result = stream.scan_gains(mask_int)
-                observed[backend] = [int(g) for g in result.gains]
+                observed[label] = [int(g) for g in result.gains]
 
-            runner.record(_PARALLEL_BENCH, name, backend, scan, repeats=1)
+            runner.record(_PARALLEL_BENCH, name, label, scan, repeats=1)
 
         # The transport dimension: the run's localhost worker fleet (spawned
         # once in run_benchmarks, serving every instance's tmpdir) scans the
-        # same repository over the remote backend.  Timings include the wire
+        # same repository over the remote transport.  Timings include the wire
         # protocol but not worker startup.
         if remote_workers:
             label = f"remote workers={len(remote_workers)}"
@@ -542,11 +524,11 @@ def _bench_parallel_and_encodings(
             repo.close()
 
     expected = observed["rows"]
-    for backend, gains in observed.items():
+    for label, gains in observed.items():
         if gains != expected:
             parity["identical"] = False
             raise AssertionError(
-                f"parallel scan parity failure on {name}: backend {backend} "
+                f"parallel scan parity failure on {name}: row {label} "
                 "returned different gains than the serial row scan"
             )
     parity["instances"] += 1
@@ -593,31 +575,17 @@ def _bench_sharded_instance(
         # repository: they measure the raw mmap row path, not the codec.
         repo = ShardedRepository(tmpdir / f"{name}-dense")
         try:
-            # One full sequential pass per wire format.  Every row is
-            # folded into a cardinality total so lazy decodes cannot hide:
-            # the numpy path's zero-copy mmap views must actually fault
-            # their pages and popcount, like the other backends.
-            def scan(backend: str):
+            # One full sequential pass per row format, every row folded
+            # into a cardinality total so lazy decodes cannot hide.
+            def scan_frozensets():
+                return sum(len(row) for _, row in ShardedSetStream(repo).iterate())
+
+            def scan_ints():
                 stream = ShardedSetStream(repo)
-                total = 0
-                if backend == "frozenset":
-                    for _, row in stream.iterate_packed(backend):
-                        total += len(row)
-                elif backend == "python":
-                    for _, row in stream.iterate_packed(backend):
-                        total += row.bit_count()
-                else:  # numpy
-                    from repro.setsystem.packed import _popcount_total
+                return sum(row.bit_count() for _, row in stream.iterate_packed())
 
-                    for _, row in stream.iterate_packed(backend):
-                        total += _popcount_total(row)
-                return total
-
-            for backend in ALL_BACKENDS:
-                runner.record(
-                    "shard_scan", name, backend,
-                    lambda b=backend: scan(b), repeats=1,
-                )
+            runner.record("shard_scan", name, "frozenset", scan_frozensets, repeats=1)
+            runner.record("shard_scan", name, "python", scan_ints, repeats=1)
         finally:
             repo.close()
 
@@ -628,27 +596,23 @@ def _bench_sharded_instance(
         try:
             selections = {}
 
-            def solve(backend: str, jobs):
+            def solve(jobs):
                 stream = ShardedSetStream(repo, jobs=jobs)
-                result = ThresholdGreedy(backend=backend).solve(stream)
+                result = ThresholdGreedy().solve(stream)
                 assert result.feasible, f"threshold greedy failed on {name}"
-                selections[(backend, jobs)] = result.selection
+                selections[jobs] = result.selection
                 return result
 
-            max_jobs = max(jobs_sweep) if jobs_sweep else 1
-            for backend, jobs in (
-                ("python", 1), ("numpy", 1), ("python", max_jobs)
-            ):
-                label = backend if jobs == 1 else f"{backend} jobs={jobs}"
+            for jobs in sorted({1, max(jobs_sweep, default=1)}):
+                label = "serial" if jobs == 1 else f"jobs={jobs}"
                 runner.record(
                     "threshold_sharded", name, label,
-                    lambda b=backend, j=jobs: solve(b, j), repeats=1,
+                    lambda j=jobs: solve(j), repeats=1,
                 )
             if len(set(map(tuple, selections.values()))) != 1:
                 parity["identical"] = False
                 raise AssertionError(
-                    f"threshold_sharded covers diverged across backends/jobs "
-                    f"on {name}"
+                    f"threshold_sharded covers diverged across jobs on {name}"
                 )
             parity["instances"] += 1
         finally:
@@ -725,59 +689,23 @@ def _summarize(results: list[dict]) -> dict:
         ] = row["seconds"]
     summary: dict = {}
     for (benchmark, instance), timings in sorted(by_key.items()):
+        base_label = _BASELINES.get(benchmark, "frozenset")
+        baseline = timings.get(base_label)
         entry: dict = {}
-        if benchmark == _CACHED_BENCH:
-            # The cache benchmark measures warm-pass amortization against
-            # its own cold pass (first fill of a fresh cache).
-            baseline = timings.get("cold")
-            if baseline is not None:
-                entry["cold_seconds"] = baseline
-            best = 0.0
-            for backend, seconds in sorted(timings.items()):
-                if backend == "cold":
-                    continue
-                entry[f"{backend}_seconds"] = seconds
-                if baseline and seconds > 0:
-                    speedup = baseline / seconds
-                    entry[f"{backend}_speedup"] = round(speedup, 2)
-                    if backend == "warm":
-                        best = max(best, speedup)
-            if best:
-                entry["best_speedup"] = round(best, 2)
-            summary.setdefault(benchmark, {})[instance] = entry
-            continue
-        if benchmark == _PARALLEL_BENCH:
-            # The executor benchmark measures against the per-row scan
-            # ("rows"), not the frozenset kernels.
-            baseline = timings.get("rows")
-            if baseline is not None:
-                entry["rows_seconds"] = baseline
-            best = 0.0
-            for backend, seconds in sorted(timings.items()):
-                if backend == "rows":
-                    continue
-                entry[f"{backend}_seconds"] = seconds
-                if baseline and seconds > 0:
-                    speedup = baseline / seconds
-                    entry[f"{backend}_speedup"] = round(speedup, 2)
-                    best = max(best, speedup)
-            if best:
-                entry["best_speedup"] = round(best, 2)
-            summary.setdefault(benchmark, {})[instance] = entry
-            continue
-        baseline = timings.get("frozenset")
         if baseline is not None:
-            entry["frozenset_seconds"] = baseline
+            entry[f"{base_label}_seconds"] = baseline
         best = 0.0
-        for backend in SUMMARY_BACKENDS:
-            seconds = timings.get(backend)
-            if seconds is None:
+        for label, seconds in sorted(timings.items()):
+            if label == base_label:
                 continue
-            entry[f"{backend}_seconds"] = seconds
+            entry[f"{label}_seconds"] = seconds
             if benchmark not in _COST_ONLY and baseline and seconds > 0:
                 speedup = baseline / seconds
-                entry[f"{backend}_speedup"] = round(speedup, 2)
-                best = max(best, speedup)
+                entry[f"{label}_speedup"] = round(speedup, 2)
+                # The cache benchmark's headline is warm-pass amortization
+                # against its own cold pass (first fill of a fresh cache).
+                if benchmark != _CACHED_BENCH or label == "warm":
+                    best = max(best, speedup)
         if best:
             entry["best_speedup"] = round(best, 2)
         summary.setdefault(benchmark, {})[instance] = entry
@@ -888,7 +816,7 @@ def run_benchmarks(
     try:
         # Best-effort: a box that cannot spawn subprocesses or bind
         # loopback sockets still benches everything else — the remote
-        # row is one backend of many, and CI (which can) asserts its
+        # row is one transport of several, and CI (which can) asserts its
         # presence.  Append as each worker spawns, so a failed second
         # spawn still leaves the first in remote_procs for the reap.
         # The fleet serves with its chunk cache off: the remote and
@@ -995,7 +923,7 @@ def render_summary(payload: dict) -> str:
     ]
     header = (
         f"{'benchmark':<24}{'instance':<22}{'frozenset':>11}{'python':>11}"
-        f"{'numpy':>11}{'auto':>11}{'best x':>9}"
+        f"{'best x':>9}"
     )
     lines.append(header)
     lines.append("-" * len(header))
@@ -1008,7 +936,6 @@ def render_summary(payload: dict) -> str:
             lines.append(
                 f"{benchmark:<24}{instance:<22}"
                 f"{fmt('frozenset_seconds'):>11}{fmt('python_seconds'):>11}"
-                f"{fmt('numpy_seconds'):>11}{fmt('auto_seconds'):>11}"
                 f"{entry.get('best_speedup', '-'):>9}"
             )
     return "\n".join(lines)

@@ -83,7 +83,6 @@ _ALGORITHMS = {
             sample_constant=args.sample_constant,
             use_polylog_factors=not args.no_polylog,
             include_rho=not args.no_polylog,
-            backend=args.backend,
         ),
         seed=args.seed,
     ),
@@ -433,12 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="strip polylog/rho factors from the sample size (small inputs)",
     )
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument(
-        "--backend",
-        choices=["auto", "python", "numpy", "frozenset"],
-        default="auto",
-        help="bitmap kernel backend for the iter algorithm",
-    )
     solve.add_argument(
         "--show-cover", action="store_true", help="print the chosen set ids"
     )

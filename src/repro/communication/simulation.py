@@ -54,7 +54,7 @@ class HandoffStream(SetStream):
                 )
         self._on_handoff = on_handoff
 
-    def iterate_chunks(self, backend: str = "numpy"):
+    def iterate_chunks(self):
         raise NotImplementedError(
             "HandoffStream counts handoffs at set granularity; chunk-batch "
             "passes would skip boundaries inside a chunk. Use iterate() or "

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.setsystem.packed import resolve_backend
 from repro.utils.mathutil import ceil_div
 
 __all__ = ["IterSetCoverConfig"]
@@ -44,14 +43,6 @@ class IterSetCoverConfig:
         arbitrary containing set, mirroring the final pass of ``algGeomSC``
         (Figure 4.1).  Only triggers when the w.h.p. guarantee of Lemma 2.6
         did not materialize at the configured constants.
-    backend:
-        Bitmap kernel used for the update/cleanup passes and the default
-        offline solver (the sample pass's Size-Test is one packed-chunk
-        kernel at every setting): ``"auto"`` (pick per call site),
-        ``"python"`` (big-int bitmaps), ``"numpy"`` (packed uint64 words)
-        or ``"frozenset"`` (the seed's representation, kept for
-        benchmarking).  All backends return identical covers for a given
-        seed (DESIGN.md §4).
     """
 
     delta: float = 0.5
@@ -59,7 +50,6 @@ class IterSetCoverConfig:
     use_polylog_factors: bool = True
     include_rho: bool = True
     cleanup_pass: bool = True
-    backend: str = "auto"
 
     def __post_init__(self):
         if not 0 < self.delta <= 1:
@@ -68,7 +58,6 @@ class IterSetCoverConfig:
             raise ValueError(
                 f"sample_constant must be positive, got {self.sample_constant}"
             )
-        resolve_backend(self.backend)  # validate the name eagerly
 
     @property
     def iterations(self) -> int:

@@ -26,20 +26,18 @@ the with-high-probability event did not materialize at the configured
 sampling constants; it is reported separately (DESIGN.md §3.2).
 
 Implementation note (DESIGN.md §4): the sample pass of each iteration runs
-one per-chunk Size-Test shared by every backend and every parallel guess.
-Each captured chunk is packed once into a (rows x words) ``uint64`` block
+one per-chunk Size-Test shared by every parallel guess.  Each captured
+chunk is packed once into a (rows x words) ``uint64`` block
 (:class:`_SampleChunk`); a guess gets the hits of all its rows from one
 popcount against its leftover sample at chunk start, and only rows whose
 count reaches the Size-Test threshold are re-tested one by one once a
 heavy pick has shrunk the leftover.  Light sets are stored by reference to
 the shared captured row and handed to ``algOfflineSC`` packed — big-int
 rows plus a target mask (:meth:`~repro.offline.base.OfflineSolver.solve_partial`),
-which the default greedy consumes without unpacking.  The update and
-cleanup passes hit-test each captured row on the bitmap kernel of
-:mod:`repro.setsystem.packed` selected by the ``backend`` knob of
-:class:`IterSetCoverConfig`.  All backends consume the sampling
-randomness identically, so results are bit-for-bit reproducible across
-backends.
+which the default greedy consumes without unpacking.  Every other piece
+of a guess's state — the true uncovered set included — is a big int too,
+so the update and cleanup passes apply the captured ``int`` projections
+as they arrive, with no conversion per row.
 
 The passes themselves are executor-driven capture scans (DESIGN.md §6):
 the stream's ``jobs`` / ``transport`` knobs decide how the repository is
@@ -57,11 +55,11 @@ from repro.core.result import GuessStats, StreamingCoverResult
 from repro.offline.base import OfflineSolver
 from repro.offline.greedy import GreedySolver
 from repro.sampling.relative_approximation import draw_sample
-from repro.setsystem.packed import WORD_BITS, BitmapKernel, bitmap_kernel, chunk_gains
+from repro.setsystem.packed import WORD_BITS, chunk_gains, pack_rows
 from repro.engine import capture_words
 from repro.streaming.memory import MemoryMeter
 from repro.streaming.stream import SetStream, stream_resident_words
-from repro.utils.bitset import mask_of
+from repro.utils.bitset import bits_of, mask_of, universe_mask
 from repro.utils.mathutil import powers_of_two_up_to
 from repro.utils.rng import as_generator
 
@@ -87,8 +85,7 @@ class _SampleChunk:
         self.ids = [set_id for set_id, _ in captured]
         self.rows = [row for _, row in captured]
         self.words = words
-        packed = b"".join(row.to_bytes(words * 8, "little") for row in self.rows)
-        self.matrix = np.frombuffer(packed, dtype="<u8").reshape(len(self.rows), words)
+        self.matrix = pack_rows(self.rows, words)
         self._gains: dict[int, np.ndarray] = {}
 
     def gains(self, leftover: int) -> "np.ndarray":
@@ -125,15 +122,14 @@ def _sample_pass(parts, guesses) -> int:
 def _replay(parts, guesses, observe) -> int:
     """Feed every captured row of a pass to ``observe(guess, set_id, row)``.
 
-    Rows are kernel bitmaps of the guesses' shared kernel; returns the
-    largest chunk's capture words, as :func:`_sample_pass` does.
+    Rows are the captured ``int`` projections, passed straight through;
+    returns the largest chunk's capture words, as :func:`_sample_pass`
+    does.
     """
     capture_peak = 0
-    kernel = guesses[0].kernel
     for _, _, captured in parts:
         capture_peak = max(capture_peak, capture_words(captured))
-        for set_id, projection in captured:
-            row = kernel.from_mask_int(projection)
+        for set_id, row in captured:
             for guess in guesses:
                 observe(guess, set_id, row)
     return capture_peak
@@ -142,24 +138,15 @@ def _replay(parts, guesses, observe) -> int:
 class _GuessState:
     """Execution state of one parallel guess of the optimal cover size.
 
-    The true uncovered set is a bitmap handle of the shared ``kernel``
-    (update and cleanup passes).  The per-iteration Size-Test state — the
-    leftover sample and the stored light rows — is kept as big ints, the
-    form in which the scan engine captures rows.
+    The true uncovered set, the leftover sample and the stored light rows
+    are all big ints, the form in which the scan engine captures rows.
     """
 
-    def __init__(
-        self,
-        k: int,
-        n: int,
-        meter: MemoryMeter,
-        kernel: "BitmapKernel | None" = None,
-    ):
+    def __init__(self, k: int, n: int, meter: MemoryMeter):
         self.k = k
         self.n = n
         self.meter = meter
-        self.kernel = kernel if kernel is not None else bitmap_kernel(n, "frozenset")
-        self.uncovered = self.kernel.full()
+        self.uncovered = universe_mask(n)
         # Cached |uncovered|, maintained by the two mutating passes so the
         # per-set done/satisfied checks stay O(1) instead of a popcount.
         self._uncovered_count = n
@@ -199,9 +186,9 @@ class _GuessState:
             self.leftover = 0
             return
         target = config.sample_size(n, m, self.k, rho)
-        # ``to_indices`` is sorted, so the rng stream matches the seed's
+        # ``bits_of`` is sorted, so the rng stream matches the seed's
         # frozenset implementation exactly (draw_sample sorts anyway).
-        sampled = draw_sample(self.kernel.to_indices(self.uncovered), target, seed=rng)
+        sampled = draw_sample(bits_of(self.uncovered), target, seed=rng)
         self.sample_size = len(sampled)
         self.stats.sample_sizes.append(self.sample_size)
         self.leftover = mask_of(sampled)
@@ -310,13 +297,12 @@ class _GuessState:
             coverable |= row
         return self.leftover & coverable
 
-    def observe_update_pass(self, set_id: int, row) -> None:
+    def observe_update_pass(self, set_id: int, row: int) -> None:
         """Second pass: recompute the true uncovered set."""
         if set_id in self.new_picks:
-            kernel = self.kernel
-            newly = kernel.count(kernel.intersect(row, self.uncovered))
+            newly = (row & self.uncovered).bit_count()
             if newly:
-                self.uncovered = kernel.subtract(self.uncovered, row)
+                self.uncovered &= ~row
                 self._uncovered_count -= newly
 
     def end_iteration(self) -> None:
@@ -327,16 +313,15 @@ class _GuessState:
         self.meter.release(self._scratch_words)
         self._scratch_words = 0
 
-    def observe_cleanup_pass(self, set_id: int, row) -> None:
+    def observe_cleanup_pass(self, set_id: int, row: int) -> None:
         """Final pass: pick any set covering a leftover element."""
-        kernel = self.kernel
         if self.done:
             return
-        hit = kernel.intersect(row, self.uncovered)
-        hit_count = kernel.count(hit)
+        hit = row & self.uncovered
+        hit_count = hit.bit_count()
         if hit_count and set_id not in self.solution_set:
             self._pick(set_id)
-            self.uncovered = kernel.subtract(self.uncovered, hit)
+            self.uncovered &= ~hit
             self._uncovered_count -= hit_count
             self.stats.cleanup_picks += 1
 
@@ -360,11 +345,11 @@ class IterSetCover:
     Parameters
     ----------
     config:
-        Trade-off, sampling and kernel-backend parameters (see
+        Trade-off and sampling parameters (see
         :class:`~repro.core.config.IterSetCoverConfig`).
     solver:
         The offline black box ``algOfflineSC``; defaults to greedy
-        (rho = H_n) on the configured backend.  Pass
+        (rho = H_n).  Pass
         :class:`~repro.offline.exact.ExactSolver` for the rho = 1 regime of
         Theorem 2.8.
     seed:
@@ -389,7 +374,7 @@ class IterSetCover:
         seed: "int | np.random.Generator | None" = None,
     ):
         self.config = config or IterSetCoverConfig()
-        self.solver = solver or GreedySolver(backend=self.config.backend)
+        self.solver = solver or GreedySolver()
         self._rng = as_generator(seed)
 
     # ------------------------------------------------------------------
@@ -401,10 +386,9 @@ class IterSetCover:
                 selection=[], passes=0, peak_memory_words=0, algorithm=self.name
             )
 
-        kernel = bitmap_kernel(n, self.config.backend)
         rho = self.solver.rho(n)
         guesses = [
-            _GuessState(k, n, MemoryMeter(label=f"k={k}"), kernel)
+            _GuessState(k, n, MemoryMeter(label=f"k={k}"))
             for k in powers_of_two_up_to(n)
         ]
         passes_before = stream.passes
@@ -439,7 +423,7 @@ class IterSetCover:
             for guess in guesses:
                 if guess.new_picks:
                     picked |= guess.new_picks
-                    update_mask |= kernel.to_mask_int(guess.uncovered)
+                    update_mask |= guess.uncovered
             parts = stream.scan_gains_chunked(
                 update_mask, min_capture_gain=1, capture_ids=picked,
                 include_gains=False,
@@ -456,7 +440,7 @@ class IterSetCover:
             cleanup_mask = 0
             for guess in guesses:
                 if not guess.done:
-                    cleanup_mask |= kernel.to_mask_int(guess.uncovered)
+                    cleanup_mask |= guess.uncovered
             parts = stream.scan_gains_chunked(
                 cleanup_mask, min_capture_gain=1, include_gains=False
             )

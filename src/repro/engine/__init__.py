@@ -26,11 +26,11 @@ This is the import surface the rest of the repository uses.
 
 Examples
 --------
->>> from repro.setsystem.packed import ScanMask
+>>> from repro.setsystem.packed import ScanMask, pack_rows
 >>> executor = SerialScanExecutor()
->>> chunks = [(0, [0b011, 0b100]), (2, [0b111])]
+>>> chunks = [(0, pack_rows([0b011, 0b100], 1)), (2, pack_rows([0b111], 1))]
 >>> result = executor.scan_chunks(3, chunks, ScanMask(3, 0b110))
->>> list(result.gains), result.captured
+>>> result.gains.tolist(), result.captured
 ([1, 1, 2], [])
 >>> plan_batches([1, 1, 8, 1, 1], jobs=2, batches_per_worker=1)
 [[0, 1], [2, 3, 4]]
@@ -81,7 +81,6 @@ from repro.engine.transport import (
     ping_worker,
     shutdown_pools,
     spawn_local_worker,
-    thread_map,
 )
 
 __all__ = [
@@ -121,5 +120,4 @@ __all__ = [
     "shutdown_pools",
     "simulate_accepts",
     "spawn_local_worker",
-    "thread_map",
 ]

@@ -27,10 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-try:  # numpy speeds up gains concatenation; pure-python fallback below
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
+import numpy as np
 
 __all__ = [
     "AcceptBatch",
@@ -184,14 +181,7 @@ def merge_scan_parts(parts: list) -> ScanResult:
     gains_parts = [part[1] for part in parts]
     if any(g is None for g in gains_parts):
         return ScanResult(gains=None, captured=captured)
-    if np is not None and all(isinstance(g, np.ndarray) for g in gains_parts):
-        gains = (
-            np.concatenate(gains_parts)
-            if gains_parts
-            else np.zeros(0, dtype=np.int64)
-        )
-    else:
-        gains = []
-        for part in gains_parts:
-            gains.extend(int(g) for g in part)
+    gains = (
+        np.concatenate(gains_parts) if gains_parts else np.zeros(0, dtype=np.int64)
+    )
     return ScanResult(gains=gains, captured=captured)

@@ -14,8 +14,6 @@ remote  TCP worker fleet (``python -m repro worker serve``) remote.py
 Each backend runs one schedule: serial reads shards in order, the
 process pool submits one task per shard (or in-memory chunk), and the
 remote fleet runs cost-balanced batches from :mod:`repro.engine.plan`.
-:mod:`repro.engine.transport.thread` holds no scan backend, only the
-shared thread pool of the offline domination pruning.
 
 :func:`executor_for` picks the backend a ``jobs`` / ``transport`` /
 ``workers`` knob combination asks for; :func:`shutdown_pools` reaps
@@ -44,7 +42,6 @@ from repro.engine.transport.remote import (
     spawn_local_worker,
 )
 from repro.engine.transport.serial import SerialScanExecutor
-from repro.engine.transport.thread import _shutdown_thread_pools, thread_map
 
 __all__ = [
     "ProcessScanExecutor",
@@ -59,7 +56,6 @@ __all__ = [
     "ping_worker",
     "shutdown_pools",
     "spawn_local_worker",
-    "thread_map",
 ]
 
 #: The transport families :func:`executor_for` accepts.  ``"local"``
@@ -156,7 +152,6 @@ def executor_for(
 def shutdown_pools() -> None:
     """Shut down every cached pool (tests and interpreter exit)."""
     _shutdown_process_pools()
-    _shutdown_thread_pools()
 
 
 atexit.register(shutdown_pools)

@@ -41,15 +41,12 @@ import sys
 from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
 
+import numpy as np
+
 from repro.engine.cache import cached_scan_shard, get_cache
 from repro.engine.merge import ReorderWindow, simulate_accepts
 from repro.engine.transport.base import ScanExecutor
 from repro.setsystem.packed import ScanMask, scan_chunk
-
-try:  # numpy speeds up chunk kernels; every path has a pure-python fallback
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 
 __all__ = ["ProcessScanExecutor"]
 
@@ -75,13 +72,11 @@ def _get_process_pool(jobs: int):
         # default (fork after Objective-C/Accelerate initialize is unsafe,
         # which is why CPython switched the default there).  Every task
         # function and payload is module-level and picklable, so spawn
-        # works everywhere.  Fork + the offline thread pool is safe in
-        # the supported usage: drivers are single-threaded, scans start
-        # no threads, and idle pool threads wait in pthread_cond_wait
-        # holding no locks — but it is a constraint: callers forking
-        # while another thread of theirs is busy should pass their own
-        # start method policy (spawn pays worker reimport, ~seconds
-        # with numpy).
+        # works everywhere.  Fork is safe in the supported usage: drivers
+        # are single-threaded and scans start no threads — but it is a
+        # constraint: callers forking while another thread of theirs is
+        # busy should pass their own start method policy (spawn pays
+        # worker reimport, ~seconds with numpy).
         method = (
             "fork"
             if sys.platform.startswith("linux")
@@ -244,14 +239,11 @@ def _scan_shard_task(args):
 
 def _scan_chunk_task(args):
     """Scan one shipped in-memory chunk inside a worker."""
-    (start, kind, payload, rows, words, n, mask_payload, min_gain,
+    (start, payload, rows, words, n, mask_payload, min_gain,
      capture_ids, best_only, include_gains, accept_threshold) = args
     _maybe_crash_for_tests()
     mask = _mask_from_payload(mask_payload, n)
-    if kind == "matrix":
-        chunk = np.frombuffer(payload, dtype="<u8").reshape(rows, words)
-    else:
-        chunk = payload
+    chunk = np.frombuffer(payload, dtype="<u8").reshape(rows, words)
     gains, captured = scan_chunk(
         start, chunk, mask,
         min_capture_gain=(
@@ -418,13 +410,10 @@ class ProcessScanExecutor(ScanExecutor):
         payload, shm = self._mask_payload(mask.mask_int, mask.words)
         tasks = []
         for start, chunk in chunks:
-            if np is not None and isinstance(chunk, np.ndarray):
-                shipped = ("matrix", chunk.tobytes(), *chunk.shape)
-            else:
-                shipped = ("masks", list(chunk), len(chunk), 0)
             tasks.append(
-                (start, *shipped, n, payload, min_capture_gain, capture_ids,
-                 best_only, include_gains, accept_threshold)
+                (start, chunk.tobytes(), *chunk.shape, n, payload,
+                 min_capture_gain, capture_ids, best_only, include_gains,
+                 accept_threshold)
             )
         return tasks, shm
 

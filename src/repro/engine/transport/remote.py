@@ -75,6 +75,8 @@ import warnings
 import zlib
 from pathlib import Path
 
+import numpy as np
+
 from repro.engine.cache import (
     cache_key_for,
     cached_scan_shard,
@@ -85,11 +87,6 @@ from repro.engine.fault import ChaosProxy, FaultLog, RetryPolicy, chaos_spec_fro
 from repro.engine.merge import AcceptBatch, ReorderWindow, simulate_accepts
 from repro.engine.plan import plan_batches, resolve_workers
 from repro.engine.transport.base import ScanExecutor
-
-try:  # gains vectors decode into numpy when available
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 
 __all__ = [
     "MIN_PROTOCOL_VERSION",
@@ -270,18 +267,11 @@ def _decode_captured(encoded) -> list:
 
 
 def _encode_gains(gains) -> bytes:
-    if np is not None and isinstance(gains, np.ndarray):
-        return np.ascontiguousarray(gains, dtype="<i8").tobytes()
-    return b"".join(int(g).to_bytes(8, "little", signed=True) for g in gains)
+    return np.ascontiguousarray(gains, dtype="<i8").tobytes()
 
 
 def _decode_gains(payload: bytes):
-    if np is not None:
-        return np.frombuffer(payload, dtype="<i8").astype(np.int64, copy=False)
-    return [
-        int.from_bytes(payload[i : i + 8], "little", signed=True)
-        for i in range(0, len(payload), 8)
-    ]
+    return np.frombuffer(payload, dtype="<i8").astype(np.int64, copy=False)
 
 
 def _close_socket(sock) -> None:

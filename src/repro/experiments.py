@@ -155,13 +155,10 @@ def update_experiments_md(docs_path: "str | Path", payload: dict) -> None:
 # ----------------------------------------------------------------------
 # Shared execution helpers
 # ----------------------------------------------------------------------
-def _iter_config(delta: float = 0.5, backend: str = "auto") -> IterSetCoverConfig:
+def _iter_config(delta: float = 0.5) -> IterSetCoverConfig:
     """The experiment-scale iterSetCover configuration (DESIGN.md §3.2)."""
     return IterSetCoverConfig(
-        delta=delta,
-        use_polylog_factors=False,
-        include_rho=False,
-        backend=backend,
+        delta=delta, use_polylog_factors=False, include_rho=False
     )
 
 

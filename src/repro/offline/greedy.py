@@ -3,10 +3,10 @@
 One strategy serves every caller (DESIGN.md §4.1): lazy-heap greedy over
 big-int bitmaps.  Residual coverage of a set only shrinks over time, so a
 stale heap entry whose recomputed gain still tops the heap is genuinely the
-best set, and ties go to the lower set index.  The ``frozenset`` backend
-runs the same heap over the seed's frozensets and is kept as the
-executable reference; both return *identical* covers, which the
-backend-equivalence tests in ``tests/test_packed.py`` pin down.
+best set, and ties go to the lower set index.
+:func:`_greedy_cover_frozenset` runs the same heap over the seed's
+frozensets and is kept as the executable reference; both return
+*identical* covers, which ``tests/test_packed.py`` pins down.
 
 ``algOfflineSC`` inside ``iterSetCover`` reaches the heap through the
 packed :meth:`GreedySolver.solve_packed` entry: the light projections
@@ -20,7 +20,6 @@ import heapq
 from collections.abc import Sequence
 
 from repro.offline.base import InfeasibleInstanceError, OfflineSolver
-from repro.setsystem.packed import resolve_backend
 from repro.setsystem.set_system import SetSystem
 from repro.utils.bitset import bits_of, universe_mask
 from repro.utils.mathutil import harmonic
@@ -28,17 +27,14 @@ from repro.utils.mathutil import harmonic
 __all__ = ["GreedySolver", "greedy_cover"]
 
 
-def greedy_cover(system: SetSystem, backend: str = "auto") -> list[int]:
+def greedy_cover(system: SetSystem) -> list[int]:
     """Return the greedy cover of ``system`` (indices in pick order).
 
-    Ties are broken toward the lower set index so results are deterministic
-    and independent of ``backend``.  Raises
-    :class:`InfeasibleInstanceError` if the family is not a cover.
+    Ties are broken toward the lower set index so results are
+    deterministic.  Raises :class:`InfeasibleInstanceError` if the family
+    is not a cover.
     """
-    resolved = resolve_backend(backend, n=system.n, m=system.m, kind="family")
-    if resolved == "frozenset":
-        return _greedy_cover_frozenset(system)
-    return _lazy_greedy(system.packed("python").rows, universe_mask(system.n))
+    return _lazy_greedy(system.packed().rows, universe_mask(system.n))
 
 
 def _lazy_greedy(rows: Sequence[int], residual: int) -> list[int]:
@@ -113,19 +109,15 @@ class GreedySolver(OfflineSolver):
 
     name = "greedy"
 
-    def __init__(self, backend: str = "auto"):
-        resolve_backend(backend)  # validate eagerly
-        self.backend = backend
-
     def solve(self, system: SetSystem) -> list[int]:
-        return greedy_cover(system, backend=self.backend)
+        return greedy_cover(system)
 
     def solve_packed(self, rows: Sequence[int], targets: int) -> list[int]:
         """Packed ``algOfflineSC``: the lazy heap straight on big-int rows.
 
         Returns exactly the picks :meth:`solve` makes on the renumbered
         projection of ``rows`` onto ``targets`` (the frozenset path of
-        :meth:`OfflineSolver.solve_partial`), at every ``backend``.
+        :meth:`OfflineSolver.solve_partial`).
         """
         return _lazy_greedy(rows, targets)
 

@@ -22,7 +22,6 @@ from repro.core.result import StreamingCoverResult
 from repro.offline.base import OfflineSolver
 from repro.offline.greedy import GreedySolver
 from repro.partial.offline import coverage_requirement
-from repro.setsystem.packed import bitmap_kernel
 from repro.streaming.memory import MemoryMeter
 from repro.streaming.stream import SetStream, stream_resident_words
 from repro.utils.mathutil import powers_of_two_up_to
@@ -44,7 +43,7 @@ class PartialIterSetCover:
         Coverage slack: the run may leave up to ``eps * n`` elements
         uncovered (``eps = 0`` is full set cover).
     config:
-        Trade-off, sampling and kernel-backend parameters, as for
+        Trade-off and sampling parameters, as for
         :class:`~repro.core.IterSetCover`.
     solver:
         The offline black box used on the stored projections.
@@ -87,9 +86,8 @@ class PartialIterSetCover:
                 selection=[], passes=0, peak_memory_words=0, algorithm=self.name
             )
         rho = self.solver.rho(n)
-        kernel = bitmap_kernel(n, self.config.backend)
         guesses = [
-            _GuessState(k, n, MemoryMeter(label=f"k={k}"), kernel)
+            _GuessState(k, n, MemoryMeter(label=f"k={k}"))
             for k in powers_of_two_up_to(n)
         ]
         passes_before = stream.passes
@@ -128,7 +126,7 @@ class PartialIterSetCover:
             for g in guesses:
                 if g.new_picks:
                     picked |= g.new_picks
-                    update_mask |= kernel.to_mask_int(g.uncovered)
+                    update_mask |= g.uncovered
             parts = stream.scan_gains_chunked(
                 update_mask, min_capture_gain=1, capture_ids=picked,
                 include_gains=False,
@@ -145,7 +143,7 @@ class PartialIterSetCover:
             cleanup_mask = 0
             for g in guesses:
                 if not satisfied(g):
-                    cleanup_mask |= kernel.to_mask_int(g.uncovered)
+                    cleanup_mask |= g.uncovered
             parts = stream.scan_gains_chunked(
                 cleanup_mask, min_capture_gain=1, include_gains=False
             )

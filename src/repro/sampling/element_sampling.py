@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.sampling.relative_approximation import draw_sample
 from repro.setsystem.packed import pack
+from repro.utils.bitset import mask_of
 
 __all__ = ["element_sample_size", "element_sample", "project_onto_sample"]
 
@@ -57,16 +58,13 @@ def project_onto_sample(
     n: int,
     sets: Sequence[Iterable[int]],
     sample: Collection[int],
-    backend: str = "auto",
 ) -> list[frozenset[int]]:
     """Project a family onto a sample: the ``r ∩ S`` step of [DIMV14].
 
     The projection is the per-round workhorse of element sampling — a cover
-    of the projected family is what the offline solve operates on.  Runs as
-    one vectorized intersection kernel over the packed family
-    (:mod:`repro.setsystem.packed`) instead of m per-set frozenset
-    intersections; empty projections are kept so indices stay aligned with
-    the input family.
+    of the projected family is what the offline solve operates on.  Runs
+    over the big-int family (:mod:`repro.setsystem.packed`), one ``&`` per
+    set; empty projections are kept so indices stay aligned with the input
+    family.
     """
-    family = pack(sets, n, backend)
-    return family.project_to_frozensets(family.kernel.from_indices(sample))
+    return pack(sets, n).project(mask_of(sample)).to_frozensets()

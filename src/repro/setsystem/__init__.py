@@ -25,13 +25,11 @@ from repro.setsystem.operations import (
     verify_cover,
 )
 from repro.setsystem.packed import (
-    BACKENDS,
-    BitmapKernel,
     PackedFamily,
     ScanMask,
-    bitmap_kernel,
+    non_dominated_reference,
     pack,
-    resolve_backend,
+    pack_rows,
 )
 from repro.setsystem.set_system import SetSystem
 from repro.setsystem.shards import (
@@ -47,9 +45,7 @@ from repro.setsystem.shards import (
 )
 
 __all__ = [
-    "BACKENDS",
     "ENCODINGS",
-    "BitmapKernel",
     "PackedFamily",
     "ScanMask",
     "DeltaShardWriter",
@@ -72,9 +68,9 @@ __all__ = [
     "open_repository",
     "recover_compaction",
     "write_shards",
-    "bitmap_kernel",
+    "non_dominated_reference",
     "pack",
-    "resolve_backend",
+    "pack_rows",
     "cover_size",
     "coverage_histogram",
     "dumps_json",

@@ -79,6 +79,8 @@ from collections.abc import Iterable, Iterator
 from operator import index
 from pathlib import Path
 
+import numpy as np
+
 from repro.setsystem.durability import (
     COMPACT_INTENT_NAME,
     GenerationLease,
@@ -97,7 +99,7 @@ from repro.setsystem.durability import (
     staging_lock_for,
     write_compact_intent,
 )
-from repro.setsystem.packed import ScanMask, scan_chunk
+from repro.setsystem.packed import ScanMask, pack_rows, scan_chunk
 from repro.setsystem.set_system import SetSystem
 from repro.setsystem.shards import (
     DEFAULT_CHUNK_BYTES,
@@ -115,16 +117,10 @@ from repro.setsystem.shards import (
     _shard_stats,
     _LAYOUT_RAW,
     _TAG_DENSE,
-    _WORD_BYTES,
     pending_delta_generations,
     write_shards,
 )
 from repro.utils.bitset import bits_of
-
-try:  # numpy accelerates merged-chunk packing; the format never requires it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 
 __all__ = [
     "DELTA_SCHEMA",
@@ -551,7 +547,6 @@ class MergedShardView:
         self._stable = tuple(stable)
         self.m = len(sources)
         self.total_rows = offset
-        self._row_bytes = self.words * _WORD_BYTES
         self._stats_cache: "dict[int, dict]" = {}
         self._cost_cache: "dict[tuple[int, int], object]" = {}
         self._cost_estimates: "list[int] | None" = None
@@ -642,20 +637,7 @@ class MergedShardView:
 
     def chunk_matrix(self, shard: int) -> "np.ndarray":
         """One merged chunk as a ``(rows, words)`` ``uint64`` matrix."""
-        if np is None:  # pragma: no cover - guarded by callers
-            raise RuntimeError("numpy is required for matrix chunk access")
-        masks = self.chunk_masks(shard)
-        data = b"".join(
-            mask.to_bytes(self._row_bytes, "little") for mask in masks
-        )
-        return np.frombuffer(data, dtype="<u8").reshape(
-            len(masks), self.words
-        )
-
-    def iter_chunk_masks(self) -> "Iterator[tuple[int, list[int]]]":
-        """Yield ``(start_row, masks)`` per merged chunk."""
-        for shard in range(self.shard_count):
-            yield shard * self.chunk_rows, self.chunk_masks(shard)
+        return pack_rows(self.chunk_masks(shard), self.words)
 
     def iter_chunk_matrices(self) -> "Iterator[tuple[int, np.ndarray]]":
         """Yield ``(start_row, matrix)`` per merged chunk."""
@@ -664,8 +646,8 @@ class MergedShardView:
 
     def iter_row_masks(self) -> "Iterator[int]":
         """Yield every live row as an integer bitmask, in merged order."""
-        for _, masks in self.iter_chunk_masks():
-            yield from masks
+        for shard in range(self.shard_count):
+            yield from self.chunk_masks(shard)
 
     def iter_rows(self) -> "Iterator[frozenset[int]]":
         """Yield every live row as a frozenset of element ids."""
@@ -710,36 +692,15 @@ class MergedShardView:
         words = max(1, repo.words)
         rows = int(repo._shard_meta[shard]["rows"])
         if repo._layouts[shard] == _LAYOUT_RAW:
-            if np is not None:
-                table = np.full(rows, 2 + words, dtype=np.int64)
-            else:
-                table = [2 + words] * rows
+            table = np.full(rows, 2 + words, dtype=np.int64)
         else:
             tags, lengths, offsets = repo._encoded_header(shard)
-            mm = repo._maps[shard]
-            if np is not None:
-                payload = np.frombuffer(mm, dtype=np.uint8)
-                starts = np.asarray(offsets, dtype=np.int64)
-                lens = np.asarray(lengths, dtype=np.int64)
-                prefix = np.concatenate(
-                    ([0], np.cumsum(payload < 0x80, dtype=np.int64))
-                )
-                varints = prefix[starts + lens] - prefix[starts]
-                table = np.where(
-                    np.asarray(tags) == _TAG_DENSE, 2 + words, 2 + varints
-                )
-            else:
-                table = []
-                for local in range(rows):
-                    if tags[local] == _TAG_DENSE:
-                        table.append(2 + words)
-                    else:
-                        chunk = mm[
-                            offsets[local] : offsets[local] + lengths[local]
-                        ]
-                        table.append(
-                            2 + sum(1 for byte in chunk if byte < 0x80)
-                        )
+            payload = np.frombuffer(repo._maps[shard], dtype=np.uint8)
+            prefix = np.concatenate(
+                ([0], np.cumsum(payload < 0x80, dtype=np.int64))
+            )
+            varints = prefix[offsets + lengths] - prefix[offsets]
+            table = np.where(tags == _TAG_DENSE, 2 + words, 2 + varints)
         self._cost_cache[key] = table
         return table
 
@@ -802,16 +763,9 @@ class MergedShardView:
         start, end = self._bounds(shard)
         rows = end - start
         if mask.is_empty:
-            gains = (
-                np.zeros(rows, dtype=np.int64) if np is not None else [0] * rows
-            )
-            return start, gains, []
-        chunk = (
-            self.chunk_matrix(shard) if np is not None
-            else self.chunk_masks(shard)
-        )
+            return start, np.zeros(rows, dtype=np.int64), []
         gains, captured = scan_chunk(
-            start, chunk, mask,
+            start, self.chunk_matrix(shard), mask,
             min_capture_gain=min_capture_gain,
             capture_ids=capture_ids,
             best_only=best_only,
@@ -822,18 +776,14 @@ class MergedShardView:
     def decode_chunk(self, shard: int):
         """``(payload, resident_bytes)`` for the cross-pass hot cache.
 
-        The merged chunk is materialized once (matrix on the numpy
-        path, bitmask list otherwise) so repeat passes skip the
-        row-by-row source gather entirely.  Keyed by
+        The merged chunk is materialized once as a matrix so repeat
+        passes skip the row-by-row source gather entirely.  Keyed by
         :attr:`cache_token`, which covers every chain manifest — any
         ``apply-delta`` or compaction changes the token, so a cached
         merge can never be served stale.
         """
         if self._closed:
             raise ShardFormatError(f"merged view over {self.path} is closed")
-        if np is None:
-            masks = self.chunk_masks(shard)
-            return ("masks", masks), len(masks) * (self._row_bytes + 64)
         matrix = self.chunk_matrix(shard)
         return ("matrix", matrix), matrix.nbytes
 
@@ -852,10 +802,7 @@ class MergedShardView:
         start, end = self._bounds(shard)
         rows = end - start
         if mask.is_empty:
-            gains = (
-                np.zeros(rows, dtype=np.int64) if np is not None else [0] * rows
-            )
-            return start, gains, []
+            return start, np.zeros(rows, dtype=np.int64), []
         _, data = payload
         gains, captured = scan_chunk(
             start, data, mask,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.setsystem.set_system import SetSystem
+from repro.utils.bitset import bits_of, universe_mask
 
 __all__ = [
     "cover_size",
@@ -23,26 +24,10 @@ __all__ = [
 
 
 def project_family(
-    sets: Iterable[frozenset[int]],
-    onto: frozenset[int],
-    backend: "str | None" = None,
+    sets: Iterable[frozenset[int]], onto: frozenset[int]
 ) -> list[frozenset[int]]:
-    """Intersect every set with ``onto`` (the ``r ∩ L`` of Figure 1.3).
-
-    With ``backend`` set, the projection runs as one vectorized kernel over
-    the packed family (see
-    :func:`repro.sampling.element_sampling.project_onto_sample`); the
-    default keeps the plain frozenset path, which wins for the small
-    mid-stream projections this helper mostly serves.
-    """
-    if backend is None:
-        return [r & onto for r in sets]
-    from repro.sampling.element_sampling import project_onto_sample
-
-    sets = list(sets)
-    highest = max((max(r, default=-1) for r in sets), default=-1)
-    highest = max(highest, max(onto, default=-1))
-    return project_onto_sample(highest + 1, sets, onto, backend=backend)
+    """Intersect every set with ``onto`` (the ``r ∩ L`` of Figure 1.3)."""
+    return [r & onto for r in sets]
 
 
 def cover_size(selection: Iterable[int]) -> int:
@@ -85,17 +70,16 @@ def greedy_completion(
     """
     chosen = list(dict.fromkeys(selection))
     family = system.packed()
-    kernel = family.kernel
-    residual = kernel.subtract(kernel.full(), family.union(chosen))
-    while not kernel.is_empty(residual):
+    residual = universe_mask(system.n) & ~family.union(chosen)
+    while residual:
         gain, best_id = family.best_gain(residual)
         if gain == 0:
             raise ValueError(
                 f"family cannot cover remaining elements "
-                f"{kernel.to_indices(residual)[:10]}"
+                f"{bits_of(residual)[:10]}"
             )
         chosen.append(best_id)
-        residual = kernel.subtract(residual, family.row(best_id))
+        residual &= ~family.rows[best_id]
     return chosen
 
 

@@ -1,4 +1,4 @@
-"""Packed-bitmask kernels: the performance layer under every hot path.
+"""Packed bitmaps: the big-int family and the ``uint64`` scan kernels.
 
 Every algorithm in this repository bottoms out in the same three
 primitives over a family of subsets of ``{0, ..., n-1}``:
@@ -8,777 +8,217 @@ primitives over a family of subsets of ``{0, ..., n-1}``:
 * **residual projection** — ``r_i ∩ residual`` for every ``i`` (element
   sampling, multi-pass residual re-solves).
 
-The seed implemented all three with per-call ``frozenset`` operations,
-which caps experiments far below the n, m ~ 10^5..10^6 scales of the
-multi-pass streaming literature.  This module provides the same
-primitives over *packed bitmaps* in three interchangeable backends:
+Each layer holds its bitmaps in exactly one representation (DESIGN.md
+§4.1):
 
-``numpy``
-    An m x ceil(n/64) ``numpy.uint64`` block matrix.  Family-wide kernels
-    (all-rows gains, domination pruning, projection) are single vectorized
-    expressions; per-row popcounts use ``numpy.bitwise_count`` when
-    available and an 8-bit lookup table otherwise.
-``python``
-    Arbitrary-precision integer bitmaps built on :mod:`repro.utils.bitset`.
-    No dependencies, no per-call array overhead — the fastest choice for
-    per-set streaming operations and for small instances.
-``frozenset``
-    The seed's representation, kept as the executable reference semantics
-    and as the baseline that ``BENCH_kernels.json`` measures speedups
-    against.
-
-Two families of objects are exposed (DESIGN.md §4):
-
-* :class:`BitmapKernel` — stateless element-bitmap algebra over a fixed
-  ground-set size (used by streaming passes, where sets arrive one at a
-  time and no family matrix exists);
-* :class:`PackedFamily` — a whole family packed at once, with vectorized
-  family-level kernels (used by offline solvers and preprocessing).
-
-``backend="auto"`` resolves per call site: streaming kernels always pick
-``python`` (big-int ops beat numpy's per-call overhead on single rows),
-family kernels pick ``numpy`` once the block matrix is large enough to
-amortize it.
+* **Algorithm state and offline solvers** use arbitrary-precision
+  integers (:mod:`repro.utils.bitset`): bit ``e`` is element ``e``, and
+  union, intersection and popcount are single ``|``/``&``/``bit_count``
+  operations.  :class:`PackedFamily` holds a whole family this way.
+* **Scan kernels** use ``(rows, words)`` ``numpy.uint64`` blocks:
+  :class:`ScanMask`, :func:`chunk_gains`, :func:`membership_hits`,
+  :func:`range_gains`, :func:`scan_chunk` and the shard decoders of
+  :mod:`repro.setsystem.shards`.  :func:`pack_rows` turns big-int rows
+  into such a block; captured projections leave the kernels as big ints.
+* **Frozensets** survive only in the seed's reference implementations
+  that the tests compare against: :func:`non_dominated_reference` here
+  and the frozenset greedy heap of :mod:`repro.offline.greedy`.
 """
 
 from __future__ import annotations
 
-import abc
 from collections.abc import Iterable, Sequence
-from itertools import chain
 
-from repro.utils.bitset import bits_of, mask_of, universe_mask
+import numpy as np
 
-try:  # numpy is a declared dependency, but the big-int path never needs it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
+from repro.utils.bitset import bits_of, mask_of
 
 __all__ = [
-    "BACKENDS",
-    "BitmapKernel",
-    "FrozensetFamily",
-    "NumpyPackedFamily",
     "PackedFamily",
-    "PythonPackedFamily",
     "ScanMask",
-    "bitmap_kernel",
     "chunk_gains",
     "first_argmax",
     "membership_hits",
+    "non_dominated_reference",
     "pack",
+    "pack_rows",
     "range_gains",
-    "resolve_backend",
     "scan_chunk",
 ]
 
-#: Backend names accepted everywhere a ``backend=`` knob appears.
-BACKENDS = ("auto", "python", "numpy", "frozenset")
-
 WORD_BITS = 64
 
-#: Below this many matrix words the numpy backend's per-call overhead
-#: outweighs its throughput; ``auto`` stays on big-ints.
-_AUTO_NUMPY_MIN_WORDS = 4096
+# numpy < 2.0 has no ``bitwise_count``; popcount through an 8-bit table.
+_HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
+if not _HAVE_BITWISE_COUNT:  # pragma: no cover - numpy >= 2.0 in CI
+    _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint64)
 
 
-def resolve_backend(
-    backend: str = "auto",
-    *,
-    n: int = 0,
-    m: "int | None" = None,
-    kind: str = "family",
-) -> str:
-    """Resolve a ``backend=`` knob to a concrete backend name.
+def _popcount_rows(matrix: "np.ndarray") -> "np.ndarray":
+    """Per-row popcount of a (..., words) uint64 array."""
+    if _HAVE_BITWISE_COUNT:
+        return np.bitwise_count(matrix).sum(axis=-1, dtype=np.int64)
+    flat = np.ascontiguousarray(matrix).view(np.uint8)
+    return _POPCOUNT8[flat].sum(axis=-1, dtype=np.int64)
 
-    ``kind="family"`` sizes the decision on the m x ceil(n/64) block
-    matrix; ``kind="stream"`` is for per-set streaming operations, where
-    big-int bitmaps win at every scale.
+
+def pack_rows(rows: Sequence[int], words: int) -> "np.ndarray":
+    """Big-int rows as a read-only ``(len(rows), words)`` ``uint64`` block.
+
+    >>> pack_rows([0b101, 1 << 64], words=2).tolist()
+    [[5, 0], [0, 1]]
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if backend == "numpy" and np is None:
-        raise RuntimeError("backend='numpy' requested but numpy is not installed")
-    if backend != "auto":
-        return backend
-    if kind == "stream" or np is None:
-        return "python"
-    words = max(1, (n + WORD_BITS - 1) // WORD_BITS)
-    if m is not None and m * words >= _AUTO_NUMPY_MIN_WORDS:
-        return "numpy"
-    return "python"
+    data = b"".join(row.to_bytes(words * 8, "little") for row in rows)
+    return np.frombuffer(data, dtype="<u8").reshape(len(rows), words)
 
 
 # ----------------------------------------------------------------------
-# Popcount helpers (numpy)
+# The big-int family (offline solvers, preprocessing)
 # ----------------------------------------------------------------------
-if np is not None:
-    _HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
-    if not _HAVE_BITWISE_COUNT:  # pragma: no cover - numpy >= 2.0 in CI
-        _POPCOUNT8 = np.array(
-            [bin(i).count("1") for i in range(256)], dtype=np.uint64
-        )
+class PackedFamily:
+    """A whole family as one arbitrary-precision bitmap per row.
 
-    def _popcount_rows(matrix: "np.ndarray") -> "np.ndarray":
-        """Per-row popcount of a (..., words) uint64 array."""
-        if _HAVE_BITWISE_COUNT:
-            return np.bitwise_count(matrix).sum(axis=-1, dtype=np.int64)
-        flat = np.ascontiguousarray(matrix).view(np.uint8)
-        return _POPCOUNT8[flat].sum(axis=-1, dtype=np.int64)
+    Rows are indexed ``0..m-1`` in repository order; ``rows[i]`` has bit
+    ``e`` set exactly when element ``e`` is in the ``i``-th set.
 
-    def _popcount_total(bitmap: "np.ndarray") -> int:
-        """Total popcount of a 1-D uint64 bitmap."""
-        if bitmap.size == 0:
-            return 0
-        if _HAVE_BITWISE_COUNT:
-            return int(np.bitwise_count(bitmap).sum())
-        return int(_POPCOUNT8[np.ascontiguousarray(bitmap).view(np.uint8)].sum())
-
-
-# ----------------------------------------------------------------------
-# Element-bitmap kernels (streaming passes)
-# ----------------------------------------------------------------------
-class BitmapKernel(abc.ABC):
-    """Backend-neutral algebra over bitmaps of a fixed ground set.
-
-    Bitmap handles are backend-native (``frozenset``, ``int`` or a 1-D
-    ``numpy.uint64`` array) and must only be combined through the kernel
-    that produced them.  All operations are pure: no handle is mutated.
+    >>> family = pack([[0, 1], [2]], n=3)
+    >>> family.sizes()
+    [2, 1]
+    >>> bits_of(family.union([0, 1]))
+    [0, 1, 2]
     """
 
-    backend: str = "abstract"
-
-    def __init__(self, n: int):
-        if n < 0:
-            raise ValueError(f"ground set size must be non-negative, got {n}")
+    def __init__(self, n: int, rows: Sequence[int]):
         self.n = n
-
-    @abc.abstractmethod
-    def empty(self):
-        """The empty-set bitmap."""
-
-    @abc.abstractmethod
-    def full(self):
-        """The full ground-set bitmap ``{0, ..., n-1}``."""
-
-    @abc.abstractmethod
-    def from_indices(self, indices: Iterable[int]):
-        """Pack an iterable of element ids into a bitmap."""
-
-    @abc.abstractmethod
-    def to_indices(self, bitmap) -> list[int]:
-        """Unpack a bitmap into the sorted list of element ids."""
-
-    @abc.abstractmethod
-    def count(self, bitmap) -> int:
-        """Cardinality (popcount) of a bitmap."""
-
-    @abc.abstractmethod
-    def intersect(self, a, b):
-        """``a ∩ b``."""
-
-    @abc.abstractmethod
-    def union(self, a, b):
-        """``a ∪ b``."""
-
-    @abc.abstractmethod
-    def subtract(self, a, b):
-        """``a \\ b``."""
-
-    @abc.abstractmethod
-    def is_empty(self, bitmap) -> bool:
-        """Is the bitmap the empty set?"""
-
-
-    # -- executor bridging ---------------------------------------------
-    def to_mask_int(self, bitmap) -> int:
-        """The bitmap as a backend-neutral arbitrary-precision integer.
-
-        The scan executor (:mod:`repro.engine.transport`) moves masks
-        between processes and backends as plain integers; these two
-        methods are the bridge in and out of kernel handles.
-        """
-        return mask_of(self.to_indices(bitmap))
-
-    def from_mask_int(self, value: int):
-        """Rebuild a kernel bitmap from an integer mask."""
-        return self.from_indices(bits_of(value))
-
-
-class FrozensetKernel(BitmapKernel):
-    """Reference kernel: bitmaps are plain frozensets (the seed semantics)."""
-
-    backend = "frozenset"
-
-    def empty(self):
-        return frozenset()
-
-    def full(self):
-        return frozenset(range(self.n))
-
-    def from_indices(self, indices):
-        return frozenset(indices)
-
-    def to_indices(self, bitmap):
-        return sorted(bitmap)
-
-    def count(self, bitmap):
-        return len(bitmap)
-
-    def intersect(self, a, b):
-        return a & b
-
-    def union(self, a, b):
-        return a | b
-
-    def subtract(self, a, b):
-        return a - b
-
-    def is_empty(self, bitmap):
-        return not bitmap
-
-
-class PythonBitmapKernel(BitmapKernel):
-    """Big-int kernel: bitmaps are non-negative Python integers."""
-
-    backend = "python"
-
-    def empty(self):
-        return 0
-
-    def full(self):
-        return universe_mask(self.n)
-
-    def from_indices(self, indices):
-        return mask_of(indices)
-
-    def to_indices(self, bitmap):
-        return bits_of(bitmap)
-
-    def count(self, bitmap):
-        return bitmap.bit_count()
-
-    def intersect(self, a, b):
-        return a & b
-
-    def union(self, a, b):
-        return a | b
-
-    def subtract(self, a, b):
-        return a & ~b
-
-    def is_empty(self, bitmap):
-        return not bitmap
-
-    def to_mask_int(self, bitmap) -> int:
-        return bitmap
-
-    def from_mask_int(self, value: int):
-        return value
-
-
-class NumpyBitmapKernel(BitmapKernel):
-    """Packed kernel: bitmaps are 1-D ``uint64`` arrays of ceil(n/64) words."""
-
-    backend = "numpy"
-
-    def __init__(self, n: int):
-        if np is None:  # pragma: no cover - guarded by resolve_backend
-            raise RuntimeError("numpy backend requested but numpy is unavailable")
-        super().__init__(n)
-        self.words = (n + WORD_BITS - 1) // WORD_BITS
-
-    def empty(self):
-        return np.zeros(self.words, dtype=np.uint64)
-
-    def full(self):
-        bitmap = np.full(self.words, np.uint64(0xFFFFFFFFFFFFFFFF))
-        tail = self.n % WORD_BITS
-        if self.words and tail:
-            bitmap[-1] = np.uint64((1 << tail) - 1)
-        return bitmap
-
-    def from_indices(self, indices):
-        bitmap = np.zeros(self.words, dtype=np.uint64)
-        idx = np.fromiter(indices, dtype=np.int64)
-        if idx.size:
-            bits = np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64))
-            np.bitwise_or.at(bitmap, idx >> 6, bits)
-        return bitmap
-
-    def to_indices(self, bitmap):
-        if bitmap.size == 0:
-            return []
-        as_bytes = bitmap.astype("<u8", copy=False).view(np.uint8)
-        bits = np.unpackbits(as_bytes, bitorder="little")
-        return np.flatnonzero(bits).tolist()
-
-    def count(self, bitmap):
-        return _popcount_total(bitmap)
-
-    def intersect(self, a, b):
-        return np.bitwise_and(a, b)
-
-    def union(self, a, b):
-        return np.bitwise_or(a, b)
-
-    def subtract(self, a, b):
-        return np.bitwise_and(a, np.bitwise_not(b))
-
-    def is_empty(self, bitmap):
-        return not bitmap.any()
-
-    def to_mask_int(self, bitmap) -> int:
-        return int.from_bytes(bitmap.astype("<u8", copy=False).tobytes(), "little")
-
-    def from_mask_int(self, value: int):
-        raw = value.to_bytes(self.words * 8, "little")
-        return np.frombuffer(raw, dtype="<u8").copy()
-
-
-_KERNELS = {
-    "frozenset": FrozensetKernel,
-    "python": PythonBitmapKernel,
-    "numpy": NumpyBitmapKernel,
-}
-
-
-def bitmap_kernel(n: int, backend: str = "auto") -> BitmapKernel:
-    """Build the element-bitmap kernel for streaming passes.
-
-    ``auto`` resolves to ``python``: streamed sets are touched one at a
-    time, where big-int operations beat numpy's per-call overhead.
-    """
-    return _KERNELS[resolve_backend(backend, n=n, kind="stream")](n)
-
-
-# ----------------------------------------------------------------------
-# Packed families (offline solvers, preprocessing)
-# ----------------------------------------------------------------------
-class PackedFamily(abc.ABC):
-    """A whole family packed into one backend, with family-wide kernels.
-
-    Rows are indexed ``0..m-1`` in repository order; row bitmaps are
-    handles of the family's :attr:`kernel` and interoperate with it.
-    """
-
-    backend: str = "abstract"
-
-    def __init__(self, n: int, m: int, kernel: BitmapKernel):
-        self.n = n
-        self.m = m
-        self.kernel = kernel
+        self.rows = tuple(rows)
+        self.m = len(self.rows)
         self._sizes: "list[int] | None" = None
-
-    # -- row access ----------------------------------------------------
-    @abc.abstractmethod
-    def row(self, i: int):
-        """The i-th set as a kernel bitmap."""
 
     def sizes(self) -> list[int]:
         """Per-row cardinalities (memoized)."""
         if self._sizes is None:
-            self._sizes = self._compute_sizes()
+            self._sizes = [row.bit_count() for row in self.rows]
         return self._sizes
 
-    def _compute_sizes(self) -> list[int]:
-        count = self.kernel.count
-        return [count(self.row(i)) for i in range(self.m)]
-
     # -- coverage union ------------------------------------------------
-    def union(self, ids: Iterable[int]):
-        """Coverage union ``U_{i in ids} r_i`` as a kernel bitmap."""
-        kernel = self.kernel
-        covered = kernel.empty()
+    def union(self, ids: Iterable[int]) -> int:
+        """Coverage union ``U_{i in ids} r_i``."""
+        rows = self.rows
+        covered = 0
         for i in ids:
-            covered = kernel.union(covered, self.row(i))
+            covered |= rows[i]
         return covered
-
-    def union_count(self, ids: Iterable[int]) -> int:
-        """``|U_{i in ids} r_i|``."""
-        return self.kernel.count(self.union(ids))
 
     def covers(self, ids: Iterable[int]) -> bool:
         """Does the union of the rows equal the ground set? (short-circuits)"""
-        kernel = self.kernel
-        n = self.n
-        covered = kernel.empty()
+        rows, full = self.rows, (1 << self.n) - 1
+        covered = 0
         for i in ids:
-            covered = kernel.union(covered, self.row(i))
-            if kernel.count(covered) == n:
+            covered |= rows[i]
+            if covered == full:
                 return True
-        return kernel.count(covered) == n
+        return covered == full
 
     # -- residual gains ------------------------------------------------
-    def gain(self, i: int, residual) -> int:
-        """``|r_i ∩ residual|``."""
-        kernel = self.kernel
-        return kernel.count(kernel.intersect(self.row(i), residual))
-
-    def gains(self, residual) -> list[int]:
+    def gains(self, residual: int) -> list[int]:
         """``|r_i ∩ residual|`` for every row."""
-        return [self.gain(i, residual) for i in range(self.m)]
+        return [(row & residual).bit_count() for row in self.rows]
 
-    def best_gain(self, residual) -> tuple[int, int]:
+    def best_gain(self, residual: int) -> tuple[int, int]:
         """``(max gain, argmax row)``; ties break to the lowest row index.
 
         Returns ``(0, -1)`` for an empty family or an all-zero gain vector.
         """
         best_gain, best_id = 0, -1
-        for i in range(self.m):
-            g = self.gain(i, residual)
-            if g > best_gain:
-                best_gain, best_id = g, i
+        for i, row in enumerate(self.rows):
+            gain = (row & residual).bit_count()
+            if gain > best_gain:
+                best_gain, best_id = gain, i
         return best_gain, best_id
 
     # -- residual projection -------------------------------------------
-    def project(self, residual) -> "PackedFamily":
+    def project(self, residual: int) -> "PackedFamily":
         """The family with every row intersected with ``residual``.
 
         Elements are *not* renumbered — this is the raw projection kernel;
         renumbering (when needed) happens at the ``SetSystem`` layer.
         """
-        kernel = self.kernel
-        rows = [kernel.intersect(self.row(i), residual) for i in range(self.m)]
-        return type(self)._from_rows(self.n, rows, kernel)
-
-    def project_to_frozensets(self, residual) -> list[frozenset[int]]:
-        """``r_i ∩ residual`` for every row, as frozensets of element ids."""
-        kernel = self.kernel
-        return [
-            frozenset(kernel.to_indices(kernel.intersect(self.row(i), residual)))
-            for i in range(self.m)
-        ]
+        return PackedFamily(self.n, [row & residual for row in self.rows])
 
     def to_frozensets(self) -> list[frozenset[int]]:
         """Unpack every row back to a frozenset of element ids."""
-        kernel = self.kernel
-        return [frozenset(kernel.to_indices(self.row(i))) for i in range(self.m)]
+        return [frozenset(bits_of(row)) for row in self.rows]
 
     # -- domination ----------------------------------------------------
-    def non_dominated(self, jobs=1) -> list[int]:
+    def non_dominated(self) -> list[int]:
         """Indices of the sets not strictly contained in another set.
 
-        Matches the seed's ``without_dominated_sets`` semantics exactly:
-        a row is dropped when it is a strict subset of any other row, or
-        equal to a row with a smaller index (first duplicate survives).
+        Matches :func:`non_dominated_reference` (the seed's semantics)
+        exactly: a row is dropped when it is a strict subset of any other
+        row, or equal to a row with a smaller index (first duplicate
+        survives).
 
-        Instead of the seed's O(m^2) pairwise frozenset scan, each row is
-        tested only against the rows sharing its *least frequent* element
-        (no other row can contain it), with the containment test a
-        submask kernel.  A row ``j`` dominates row ``i`` exactly when
-        ``r_i ⊆ r_j`` and (``|r_j| > |r_i|`` — a strict superset — or
-        ``j < i`` — an earlier duplicate; submask plus equal size implies
-        equal content).
-
-        ``jobs`` fans the work out over the shared scan thread pool
-        where the backend can use it (the numpy kernel releases the
-        GIL; see DESIGN.md §8.5) — every row's verdict is independent,
-        so the surviving indices are identical at any setting.
+        Instead of the seed's O(m^2) pairwise scan, each row is tested
+        only against the rows sharing its *least frequent* element (no
+        other row can contain it).  A row ``j`` dominates row ``i``
+        exactly when ``r_i ⊆ r_j`` and (``|r_j| > |r_i|`` — a strict
+        superset — or ``j < i`` — an earlier duplicate; submask plus equal
+        size implies equal content).
         """
-        m = self.m
+        rows, m = self.rows, self.m
         if m == 0:
             return []
         sizes = self.sizes()
-        row_elems, element_sets, freq = self._occupancy()
+        row_elems = [bits_of(row) for row in rows]
+        freq = [0] * self.n
+        element_rows: list[list[int]] = [[] for _ in range(self.n)]
+        for i, elems in enumerate(row_elems):
+            for e in elems:
+                freq[e] += 1
+                element_rows[e].append(i)  # ascending row index
         nonempty_exists = any(sizes)
-        first_empty = next((i for i, s in enumerate(sizes) if s == 0), None)
+        first_empty = next((i for i, s in enumerate(sizes) if s == 0), m)
         keep: list[int] = []
-        for i in range(m):
-            if sizes[i] == 0:
+        for i, row in enumerate(rows):
+            size = sizes[i]
+            if size == 0:
                 # An empty set is a strict subset of any non-empty set and
                 # is otherwise dominated by an earlier empty duplicate.
-                dominated = nonempty_exists or (
-                    first_empty is not None and first_empty < i
-                )
-            else:
-                rarest = min(row_elems[i], key=freq.__getitem__)
-                dominated = self._dominated_within(i, element_sets[rarest], sizes)
-            if not dominated:
-                keep.append(i)
-        return keep
-
-    # Hooks for the domination kernel -----------------------------------
-    def _occupancy(self):
-        """Per-row element lists, per-element row lists and frequencies."""
-        kernel = self.kernel
-        row_elems = [kernel.to_indices(self.row(i)) for i in range(self.m)]
-        freq = [0] * self.n
-        element_sets: list[list[int]] = [[] for _ in range(self.n)]
-        for i, elems in enumerate(row_elems):
-            for e in elems:
-                freq[e] += 1
-                element_sets[e].append(i)  # ascending row index
-        return row_elems, element_sets, freq
-
-    def _dominated_within(self, i: int, candidates, sizes) -> bool:
-        """Is row ``i`` dominated by one of ``candidates`` (ascending ids)?"""
-        kernel = self.kernel
-        row = self.row(i)
-        size = sizes[i]
-        for j in candidates:
-            if j == i:
+                if not nonempty_exists and first_empty == i:
+                    keep.append(i)
                 continue
-            if kernel.is_empty(kernel.subtract(row, self.row(j))) and (
-                sizes[j] > size or j < i
-            ):
-                return True
-        return False
-
-    @classmethod
-    @abc.abstractmethod
-    def _from_rows(cls, n: int, rows, kernel: BitmapKernel) -> "PackedFamily":
-        """Internal constructor from pre-built kernel bitmaps."""
-
-
-class FrozensetFamily(PackedFamily):
-    """Reference family over frozensets — the seed's representation."""
-
-    backend = "frozenset"
-
-    def __init__(self, n: int, sets: Sequence[Iterable[int]]):
-        rows = tuple(
-            r if isinstance(r, frozenset) else frozenset(r) for r in sets
-        )
-        super().__init__(n, len(rows), FrozensetKernel(n))
-        self._rows = rows
-
-    def row(self, i: int):
-        return self._rows[i]
-
-    def _compute_sizes(self):
-        return [len(r) for r in self._rows]
-
-    def gain(self, i: int, residual) -> int:
-        return len(self._rows[i] & residual)
-
-    def non_dominated(self, jobs=1) -> list[int]:
-        # The seed's O(m^2) pairwise loop, kept verbatim as the executable
-        # reference that the packed backends are property-tested against.
-        keep: list[int] = []
-        for i, r in enumerate(self._rows):
-            dominated = False
-            for j, other in enumerate(self._rows):
-                if i == j:
-                    continue
-                if r < other or (r == other and j < i):
-                    dominated = True
+            rarest = min(row_elems[i], key=freq.__getitem__)
+            for j in element_rows[rarest]:
+                if j != i and row & rows[j] == row and (sizes[j] > size or j < i):
                     break
-            if not dominated:
+            else:
                 keep.append(i)
         return keep
 
-    @classmethod
-    def _from_rows(cls, n, rows, kernel):
-        return cls(n, rows)
+
+def pack(sets: Iterable[Iterable[int]], n: int) -> PackedFamily:
+    """Pack a family of element-id iterables into a :class:`PackedFamily`."""
+    return PackedFamily(n, [mask_of(s) for s in sets])
 
 
-class PythonPackedFamily(PackedFamily):
-    """Big-int family: one arbitrary-precision bitmap per row."""
+def non_dominated_reference(sets: Sequence[frozenset[int]]) -> list[int]:
+    """The seed's O(m^2) pairwise domination loop, over frozensets.
 
-    backend = "python"
-
-    def __init__(self, n: int, sets: Sequence[Iterable[int]]):
-        masks = [m if isinstance(m, int) else mask_of(m) for m in sets]
-        super().__init__(n, len(masks), PythonBitmapKernel(n))
-        self._rows = masks
-
-    @classmethod
-    def from_masks(cls, n: int, masks: Sequence[int]) -> "PythonPackedFamily":
-        """Build directly from pre-computed integer bitmasks (no re-pack)."""
-        return cls(n, list(masks))
-
-    @property
-    def rows(self) -> list[int]:
-        """The raw integer bitmasks, in repository order."""
-        return self._rows
-
-    def row(self, i: int):
-        return self._rows[i]
-
-    def _compute_sizes(self):
-        return [m.bit_count() for m in self._rows]
-
-    def gain(self, i: int, residual) -> int:
-        return (self._rows[i] & residual).bit_count()
-
-    def _occupancy(self):
-        rows = self._rows
-        row_elems = [bits_of(mask) for mask in rows]
-        freq = [0] * self.n
-        element_sets: list[list[int]] = [[] for _ in range(self.n)]
-        for i, elems in enumerate(row_elems):
-            for e in elems:
-                freq[e] += 1
-                element_sets[e].append(i)
-        return row_elems, element_sets, freq
-
-    def _dominated_within(self, i: int, candidates, sizes) -> bool:
-        rows = self._rows
-        row = rows[i]
-        size = sizes[i]
-        for j in candidates:
-            if j == i:
-                continue
-            if row & rows[j] == row and (sizes[j] > size or j < i):
-                return True
-        return False
-
-    @classmethod
-    def _from_rows(cls, n, rows, kernel):
-        return cls.from_masks(n, rows)
-
-
-class NumpyPackedFamily(PackedFamily):
-    """Block-matrix family: an m x ceil(n/64) ``uint64`` matrix."""
-
-    backend = "numpy"
-
-    def __init__(self, n: int, sets: Sequence[Iterable[int]]):
-        if np is None:  # pragma: no cover - guarded by resolve_backend
-            raise RuntimeError("numpy backend requested but numpy is unavailable")
-        kernel = NumpyBitmapKernel(n)
-        sets = [s if isinstance(s, (frozenset, set, list, tuple)) else list(s) for s in sets]
-        m = len(sets)
-        super().__init__(n, m, kernel)
-        words = kernel.words
-        matrix = np.zeros(m * words, dtype=np.uint64)
-        if m and words:
-            lengths = [len(s) for s in sets]
-            total = sum(lengths)
-            if total:
-                # One unbuffered scatter-or builds the whole matrix.
-                idx = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=total)
-                row_ids = np.repeat(np.arange(m, dtype=np.int64), lengths)
-                flat = row_ids * words + (idx >> 6)
-                bits = np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64))
-                np.bitwise_or.at(matrix, flat, bits)
-        self.matrix = matrix.reshape(m, words)
-
-    @classmethod
-    def _from_matrix(cls, n: int, matrix: "np.ndarray") -> "NumpyPackedFamily":
-        family = cls.__new__(cls)
-        kernel = NumpyBitmapKernel(n)
-        PackedFamily.__init__(family, n, matrix.shape[0], kernel)
-        family.matrix = matrix
-        return family
-
-    def row(self, i: int):
-        return self.matrix[i]
-
-    def _compute_sizes(self):
-        if self.m == 0:
-            return []
-        return _popcount_rows(self.matrix).tolist()
-
-    def union(self, ids: Iterable[int]):
-        ids = list(ids)
-        if not ids:
-            return self.kernel.empty()
-        return np.bitwise_or.reduce(self.matrix[ids], axis=0)
-
-    def gains(self, residual) -> list[int]:
-        if self.m == 0:
-            return []
-        return self._gains_array(residual).tolist()
-
-    def _gains_array(self, residual) -> "np.ndarray":
-        return _popcount_rows(np.bitwise_and(self.matrix, residual[None, :]))
-
-    def best_gain(self, residual) -> tuple[int, int]:
-        if self.m == 0:
-            return 0, -1
-        gains = self._gains_array(residual)
-        best = int(np.argmax(gains))  # first max == lowest row index
-        best_gain = int(gains[best])
-        return (best_gain, best) if best_gain > 0 else (0, -1)
-
-    def project(self, residual) -> "NumpyPackedFamily":
-        return type(self)._from_matrix(
-            self.n, np.bitwise_and(self.matrix, residual[None, :])
-        )
-
-    def non_dominated(self, jobs=1) -> list[int]:
-        m, n = self.m, self.n
-        if m == 0:
-            return []
-        if n == 0 or not any(self.sizes()):
-            return super().non_dominated()
-        sizes = np.asarray(self.sizes(), dtype=np.int64)
-        # Unpack the block matrix once into an (m, n) 0/1 incidence table:
-        # frequencies, rarest-element selection and the per-element row
-        # lists all fall out of it vectorized.
-        as_bytes = self.matrix.astype("<u8", copy=False).view(np.uint8)
-        bits = np.unpackbits(as_bytes.reshape(m, -1), axis=1, bitorder="little")
-        bits = bits[:, :n]
-        freq = bits.sum(axis=0, dtype=np.int64)
-        # argmin over non-member-masked frequencies = rarest member element.
-        masked = np.where(bits.astype(bool), freq[None, :], np.iinfo(np.int64).max)
-        rarest = np.argmin(masked, axis=1)
-        # Rows sharing a rarest element also share their candidate list, so
-        # they are tested as one (group x candidates) submask block.
-        nonempty = np.flatnonzero(sizes > 0)
-        order = nonempty[np.argsort(rarest[nonempty], kind="stable")]
-        boundaries = np.flatnonzero(np.diff(rarest[order])) + 1
-        keep_mask = np.zeros(m, dtype=bool)
-        words = max(1, self.kernel.words)
-        max_block = max(1, (1 << 22) // words)  # cap one block at ~32 MB
-
-        def handle(group) -> None:
-            candidates = np.flatnonzero(bits[:, rarest[group[0]]])
-            rows_c = self.matrix[candidates]
-            chunk = max(1, max_block // max(1, len(candidates)))
-            for start in range(0, len(group), chunk):
-                part = group[start : start + chunk]
-                rows_g = self.matrix[part]
-                submask = np.all(
-                    np.bitwise_and(rows_g[:, None, :], rows_c[None, :, :])
-                    == rows_g[:, None, :],
-                    axis=2,
-                )
-                dominating = submask & (
-                    (sizes[candidates][None, :] > sizes[part][:, None])
-                    | (candidates[None, :] < part[:, None])
-                )
-                keep_mask[part] = ~dominating.any(axis=1)
-
-        groups = np.split(order, boundaries)
-        from repro.engine import resolve_jobs, thread_map
-
-        # Groups are disjoint row index sets writing disjoint slices of
-        # ``keep_mask``, so thread order cannot change the result.
-        thread_map(handle, groups, resolve_jobs(jobs, repository_words=m * words))
-        return np.flatnonzero(keep_mask).tolist()
-
-    @classmethod
-    def _from_rows(cls, n, rows, kernel):
-        matrix = (
-            np.stack(rows) if rows else np.zeros((0, kernel.words), dtype=np.uint64)
-        )
-        return cls._from_matrix(n, matrix)
-
-
-_FAMILIES = {
-    "frozenset": FrozensetFamily,
-    "python": PythonPackedFamily,
-    "numpy": NumpyPackedFamily,
-}
-
-
-def pack(
-    sets: Sequence[Iterable[int]], n: int, backend: str = "auto"
-) -> PackedFamily:
-    """Pack a family of element-id iterables into a :class:`PackedFamily`.
-
-    >>> family = pack([[0, 1], [2]], n=3, backend="python")
-    >>> family.sizes()
-    [2, 1]
-    >>> family.kernel.to_indices(family.union([0, 1]))
-    [0, 1, 2]
+    Kept verbatim as the executable reference that
+    :meth:`PackedFamily.non_dominated` is tested against.
     """
-    sets = list(sets)
-    resolved = resolve_backend(backend, n=n, m=len(sets), kind="family")
-    return _FAMILIES[resolved](n, sets)
+    keep: list[int] = []
+    for i, r in enumerate(sets):
+        dominated = False
+        for j, other in enumerate(sets):
+            if i == j:
+                continue
+            if r < other or (r == other and j < i):
+                dominated = True
+                break
+        if not dominated:
+            keep.append(i)
+    return keep
 
 
 # ----------------------------------------------------------------------
@@ -788,7 +228,7 @@ class ScanMask:
     """One residual mask with every derived view a chunk scan needs.
 
     A gains scan touches the same mask in three shapes — arbitrary
-    precision integer (backend-neutral wire format), packed ``uint64``
+    precision integer (the wire format), packed ``uint64``
     words (dense-chunk kernels) and exclusive prefix popcount (the fused
     run-length kernel).  ``ScanMask`` computes each lazily and caches it,
     so per-shard scan calls — serial or in worker processes — never
@@ -822,7 +262,7 @@ class ScanMask:
 
     @property
     def arr(self) -> "np.ndarray":
-        """Packed ``uint64`` view (numpy required)."""
+        """Packed ``uint64`` view."""
         if self._arr is None:
             self._arr = np.frombuffer(self.to_bytes(), dtype="<u8")
         return self._arr
@@ -847,23 +287,17 @@ def first_argmax(gains) -> int:
     """Index of the first maximum of a gains vector, ``-1`` if all-zero.
 
     The lowest-index tie-break every greedy variant in this repository
-    uses (DESIGN.md §4); works on numpy arrays and plain lists.
+    uses (DESIGN.md §4).
 
     >>> first_argmax([0, 3, 1, 3])
     1
     >>> first_argmax([0, 0])
     -1
     """
-    if np is not None and isinstance(gains, np.ndarray):
-        if gains.size == 0:
-            return -1
-        best = int(np.argmax(gains))  # first max == lowest row index
-        return best if int(gains[best]) > 0 else -1
-    best, best_gain = -1, 0
-    for i, g in enumerate(gains):
-        if g > best_gain:
-            best, best_gain = i, g
-    return best
+    if len(gains) == 0:
+        return -1
+    best = int(np.argmax(gains))  # first max == lowest row index
+    return best if gains[best] > 0 else -1
 
 
 def chunk_gains(matrix: "np.ndarray", mask_arr: "np.ndarray") -> "np.ndarray":
@@ -911,7 +345,7 @@ def range_gains(
 
 def scan_chunk(
     start: int,
-    chunk,
+    chunk: "np.ndarray",
     mask: ScanMask,
     min_capture_gain: "int | None" = None,
     capture_ids=None,
@@ -929,8 +363,7 @@ def scan_chunk(
     start:
         Global row id of the chunk's first row.
     chunk:
-        A ``(rows, words)`` ``uint64`` matrix (numpy path) or a list of
-        integer bitmasks (pure-python fallback).
+        A ``(rows, words)`` ``uint64`` block (see :func:`pack_rows`).
     mask:
         The residual :class:`ScanMask` to intersect against.
     min_capture_gain:
@@ -944,46 +377,26 @@ def scan_chunk(
     Returns
     -------
     (gains, captured):
-        ``gains`` — per-row ``|row ∩ mask|`` (``int64`` array or list);
+        ``gains`` — per-row ``|row ∩ mask|`` as an ``int64`` array;
         ``captured`` — ``(row_id, projection_int)`` pairs, ascending ids.
     """
-    if np is not None and isinstance(chunk, np.ndarray):
-        inter = np.bitwise_and(chunk, mask.arr[None, :]) if chunk.size else chunk
-        gains = (
-            _popcount_rows(inter)
-            if chunk.size
-            else np.zeros(chunk.shape[0], dtype=np.int64)
-        )
-        captured: list = []
-        if best_only:
-            local = first_argmax(gains)
-            if local >= 0:
-                captured.append(
-                    (start + local, int.from_bytes(inter[local].tobytes(), "little"))
-                )
-        elif min_capture_gain is not None:
-            for local in np.flatnonzero(gains >= min_capture_gain):
-                row_id = start + int(local)
-                if capture_ids is not None and row_id not in capture_ids:
-                    continue
-                captured.append(
-                    (row_id, int.from_bytes(inter[int(local)].tobytes(), "little"))
-                )
-        return gains, captured
-
-    mask_int = mask.mask_int
-    gains = [(row & mask_int).bit_count() for row in chunk]
-    captured = []
+    inter = np.bitwise_and(chunk, mask.arr[None, :]) if chunk.size else chunk
+    gains = (
+        _popcount_rows(inter)
+        if chunk.size
+        else np.zeros(chunk.shape[0], dtype=np.int64)
+    )
     if best_only:
-        local = first_argmax(gains)
-        if local >= 0:
-            captured.append((start + local, chunk[local] & mask_int))
+        locals_ = [first_argmax(gains)]
     elif min_capture_gain is not None:
-        for local, gain in enumerate(gains):
-            row_id = start + local
-            if gain < min_capture_gain:
-                continue
-            if capture_ids is not None and row_id not in capture_ids:
-                continue
-            captured.append((row_id, chunk[local] & mask_int))
+        locals_ = np.flatnonzero(gains >= min_capture_gain).tolist()
+        if capture_ids is not None:
+            locals_ = [i for i in locals_ if start + i in capture_ids]
+    else:
+        locals_ = []
+    captured = [
+        (start + local, int.from_bytes(inter[local].tobytes(), "little"))
+        for local in locals_
+        if local >= 0
+    ]
     return gains, captured

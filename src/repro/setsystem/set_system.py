@@ -8,7 +8,7 @@ contain duplicate sets.
 
 The class is immutable: all transformation helpers return new instances.
 Immutability also makes the derived views (the universe, the integer
-bitmasks, the packed kernel families of :mod:`repro.setsystem.packed`) safe
+bitmasks, the packed family of :mod:`repro.setsystem.packed`) safe
 to memoize — they are built on first access and reused by every query.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-from repro.setsystem.packed import PackedFamily, PythonPackedFamily, pack, resolve_backend
+from repro.setsystem.packed import PackedFamily
 from repro.utils.bitset import iter_bits, mask_of, universe_mask
 
 __all__ = ["SetSystem"]
@@ -63,7 +63,7 @@ class SetSystem:
         # Lazily built, memoized views (safe: the instance is immutable).
         self._universe: "frozenset[int] | None" = None
         self._masks: "tuple[int, ...] | None" = None
-        self._packed: dict[str, PackedFamily] = {}
+        self._packed: "PackedFamily | None" = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -118,22 +118,15 @@ class SetSystem:
             self._masks = tuple(mask_of(r) for r in self._sets)
         return self._masks
 
-    def packed(self, backend: str = "auto") -> PackedFamily:
+    def packed(self) -> PackedFamily:
         """The family as a memoized :class:`~repro.setsystem.packed.PackedFamily`.
 
-        One packed view is built per concrete backend and cached; repeated
-        calls (and every query method below) reuse it.
+        Built once over the memoized integer masks and reused by every
+        caller.
         """
-        resolved = resolve_backend(backend, n=self._n, m=self.m, kind="family")
-        family = self._packed.get(resolved)
-        if family is None:
-            if resolved == "python":
-                # Shares the memoized integer masks instead of re-packing.
-                family = PythonPackedFamily.from_masks(self._n, self._mask_tuple())
-            else:
-                family = pack(self._sets, self._n, resolved)
-            self._packed[resolved] = family
-        return family
+        if self._packed is None:
+            self._packed = PackedFamily(self._n, self._mask_tuple())
+        return self._packed
 
     def masks(self) -> list[int]:
         """The family as integer bitmasks (element ``e`` -> bit ``e``)."""
@@ -230,21 +223,18 @@ class SetSystem:
         """
         return self.restrict_elements(self.uncovered_by(selection))
 
-    def without_dominated_sets(
-        self, backend: str = "auto", jobs=1
-    ) -> tuple["SetSystem", list[int]]:
+    def without_dominated_sets(self) -> tuple["SetSystem", list[int]]:
         """Drop sets contained in another set.
 
         Returns the pruned system together with the original indices of the
         surviving sets.  Classic preprocessing for exact solvers: a dominated
         set can always be replaced by its dominator in an optimal cover.
 
-        Delegates to the packed kernel layer (sort-by-size + vectorized
-        submask tests); ``backend="frozenset"`` runs the seed's O(m^2)
-        pairwise reference loop.  ``jobs`` fans the pruning kernel out
-        over the shared scan thread pool (DESIGN.md §8.5).  All backends
-        and worker counts produce the same indices, including the
-        duplicate tie-break (first occurrence survives).
+        Runs the big-int pruning kernel
+        (:meth:`~repro.setsystem.packed.PackedFamily.non_dominated`), which
+        reproduces the seed's O(m^2) pairwise loop
+        (:func:`~repro.setsystem.packed.non_dominated_reference`) exactly,
+        including the duplicate tie-break (first occurrence survives).
         """
-        keep = self.packed(backend).non_dominated(jobs=jobs)
+        keep = self.packed().non_dominated()
         return self.subfamily(keep), keep

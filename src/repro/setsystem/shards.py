@@ -11,8 +11,8 @@ repository a real on-disk shape:
 * a shard file is either a **raw** dense row-major matrix of packed
   bitmaps — one row per set, ``ceil(n / 64)`` little-endian ``uint64``
   words per row, the exact block layout of
-  :class:`~repro.setsystem.packed.NumpyPackedFamily`, so chunks
-  memory-map straight into the numpy kernels with zero decoding — or an
+  :func:`~repro.setsystem.packed.pack_rows`, so chunks memory-map
+  straight into the scan kernels with zero decoding — or an
   **encoded** block in which every row carries its own roaring-style
   codec, chosen by density at write time (see below);
 * the manifest records the schema version, ``n``, ``m``, the chunk
@@ -91,6 +91,8 @@ from collections.abc import Iterable, Iterator
 from operator import index
 from pathlib import Path
 
+import numpy as np
+
 from repro.setsystem.durability import (
     COMPACT_INTENT_NAME,
     crashpoint,
@@ -103,16 +105,12 @@ from repro.setsystem.packed import (
     chunk_gains,
     first_argmax,
     membership_hits,
+    pack_rows,
     range_gains,
     scan_chunk,
 )
 from repro.setsystem.set_system import SetSystem
 from repro.utils.bitset import bits_of, mask_of
-
-try:  # numpy accelerates packing/scanning but the format never requires it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 
 __all__ = [
     "SHARD_SCHEMA",
@@ -598,20 +596,15 @@ class ShardWriter:
     # ------------------------------------------------------------------
     def _pack_buffer(self) -> bytes:
         """Pack the buffered rows into the dense little-endian block format."""
-        rows, words = len(self._buffer), self.words
-        if np is not None and words:
-            matrix = np.zeros((rows, words), dtype="<u8")
+        matrix = np.zeros((len(self._buffer), self.words), dtype="<u8")
+        if self.words:
             for i, row in enumerate(self._buffer):
                 if not row:
                     continue
                 idx = np.asarray(row, dtype=np.int64)
                 bits = np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64))
                 np.bitwise_or.at(matrix[i], idx >> 6, bits)
-            return matrix.tobytes()
-        row_bytes = words * _WORD_BYTES
-        return b"".join(
-            mask_of(row).to_bytes(row_bytes, "little") for row in self._buffer
-        )
+        return matrix.tobytes()
 
     def _choose_tag(self, row: list[int]) -> int:
         """Cheapest codec for one sorted row (ties prefer faster decodes)."""
@@ -764,77 +757,75 @@ def write_shards(
 
 
 # ----------------------------------------------------------------------
-# Vectorized varint decoding (whole-shard bulk decode, numpy path)
+# Vectorized varint decoding (whole-shard bulk decode)
 # ----------------------------------------------------------------------
-if np is not None:
+def _ragged_gather(
+    payload: "np.ndarray", offsets: "np.ndarray", lengths: "np.ndarray"
+) -> "np.ndarray":
+    """Concatenate variable-length byte segments of ``payload``."""
+    total = int(lengths.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.uint8)
+    before = np.cumsum(lengths) - lengths
+    positions = (
+        np.repeat(offsets - before, lengths)
+        + np.arange(total, dtype=np.int64)
+    )
+    return payload[positions]
 
-    def _ragged_gather(
-        payload: "np.ndarray", offsets: "np.ndarray", lengths: "np.ndarray"
-    ) -> "np.ndarray":
-        """Concatenate variable-length byte segments of ``payload``."""
-        total = int(lengths.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.uint8)
-        before = np.cumsum(lengths) - lengths
-        positions = (
-            np.repeat(offsets - before, lengths)
-            + np.arange(total, dtype=np.int64)
+def _bulk_varints(
+    seg: "np.ndarray", max_bytes: int
+) -> tuple["np.ndarray", "np.ndarray"]:
+    """Decode every varint of a byte stream at once.
+
+    Returns ``(values, ends)`` where ``ends[i]`` is the byte index of
+    the ``i``-th varint's terminator.  Raises on unterminated or
+    overlong varints — the loud-failure contract for corrupt blocks.
+    """
+    if seg.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    data = seg.astype(np.int64)
+    term = data < 128
+    if not term[-1]:
+        raise ShardFormatError("corrupt shard: unterminated varint")
+    ends = np.flatnonzero(term)
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lens = ends - starts + 1
+    width = int(lens.max())
+    if width > max_bytes:
+        raise ShardFormatError("corrupt shard: varint overflow")
+    values = np.zeros(ends.size, dtype=np.int64)
+    for k in range(width):
+        sel = lens > k
+        values[sel] |= (data[starts[sel] + k] & 127) << (7 * k)
+    return values, ends
+
+def _varint_counts(
+    ends: "np.ndarray", lengths: "np.ndarray"
+) -> "np.ndarray":
+    """Varints per segment, validating segment/varint alignment."""
+    bounds = np.cumsum(lengths)
+    nonzero = lengths > 0
+    if not np.isin(bounds[nonzero] - 1, ends).all():
+        raise ShardFormatError(
+            "corrupt shard: row boundary splits a varint"
         )
-        return payload[positions]
+    marks = np.searchsorted(ends, bounds, side="left")
+    counts = np.empty_like(marks)
+    counts[0] = marks[0]
+    counts[1:] = marks[1:] - marks[:-1]
+    return counts
 
-    def _bulk_varints(
-        seg: "np.ndarray", max_bytes: int
-    ) -> tuple["np.ndarray", "np.ndarray"]:
-        """Decode every varint of a byte stream at once.
-
-        Returns ``(values, ends)`` where ``ends[i]`` is the byte index of
-        the ``i``-th varint's terminator.  Raises on unterminated or
-        overlong varints — the loud-failure contract for corrupt blocks.
-        """
-        if seg.size == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        data = seg.astype(np.int64)
-        term = data < 128
-        if not term[-1]:
-            raise ShardFormatError("corrupt shard: unterminated varint")
-        ends = np.flatnonzero(term)
-        starts = np.empty_like(ends)
-        starts[0] = 0
-        starts[1:] = ends[:-1] + 1
-        lens = ends - starts + 1
-        width = int(lens.max())
-        if width > max_bytes:
-            raise ShardFormatError("corrupt shard: varint overflow")
-        values = np.zeros(ends.size, dtype=np.int64)
-        for k in range(width):
-            sel = lens > k
-            values[sel] |= (data[starts[sel] + k] & 127) << (7 * k)
-        return values, ends
-
-    def _varint_counts(
-        ends: "np.ndarray", lengths: "np.ndarray"
-    ) -> "np.ndarray":
-        """Varints per segment, validating segment/varint alignment."""
-        bounds = np.cumsum(lengths)
-        nonzero = lengths > 0
-        if not np.isin(bounds[nonzero] - 1, ends).all():
-            raise ShardFormatError(
-                "corrupt shard: row boundary splits a varint"
-            )
-        marks = np.searchsorted(ends, bounds, side="left")
-        counts = np.empty_like(marks)
-        counts[0] = marks[0]
-        counts[1:] = marks[1:] - marks[:-1]
-        return counts
-
-    def _segmented_absolutes(
-        values: "np.ndarray", counts: "np.ndarray"
-    ) -> "np.ndarray":
-        """Per-segment cumulative sums (delta decode with per-row reset)."""
-        cum = np.cumsum(values)
-        first = np.cumsum(counts) - counts
-        base = np.where(first > 0, cum[np.maximum(first, 1) - 1], 0)
-        return cum - np.repeat(base, counts)
+def _segmented_absolutes(
+    values: "np.ndarray", counts: "np.ndarray"
+) -> "np.ndarray":
+    """Per-segment cumulative sums (delta decode with per-row reset)."""
+    cum = np.cumsum(values)
+    first = np.cumsum(counts) - counts
+    base = np.where(first > 0, cum[np.maximum(first, 1) - 1], 0)
+    return cum - np.repeat(base, counts)
 
 
 class ShardedRepository:
@@ -1194,25 +1185,11 @@ class ShardedRepository:
             )
         tag_bytes = bytes(raw[4 : 4 + rows])
         length_bytes = bytes(raw[4 + rows : head])
-        if np is not None:
-            tags = np.frombuffer(tag_bytes, dtype=np.uint8)
-            lengths = np.frombuffer(length_bytes, dtype="<u4").astype(np.int64)
-            offsets = head + np.cumsum(lengths) - lengths
-            total = int(lengths.sum())
-            bad_tag = tags.max(initial=0) > _TAG_RLE
-        else:
-            tags = list(tag_bytes)
-            lengths = [
-                int.from_bytes(length_bytes[4 * i : 4 * i + 4], "little")
-                for i in range(rows)
-            ]
-            offsets, cursor = [], head
-            for length in lengths:
-                offsets.append(cursor)
-                cursor += length
-            total = cursor - head
-            bad_tag = any(tag > _TAG_RLE for tag in tags)
-        if bad_tag:
+        tags = np.frombuffer(tag_bytes, dtype=np.uint8)
+        lengths = np.frombuffer(length_bytes, dtype="<u4").astype(np.int64)
+        offsets = head + np.cumsum(lengths) - lengths
+        total = int(lengths.sum())
+        if tags.max(initial=0) > _TAG_RLE:
             raise ShardFormatError(
                 f"corrupt encoded shard {meta['file']}: unknown row codec tag"
             )
@@ -1252,8 +1229,6 @@ class ShardedRepository:
         encoded shards decode into a freshly packed matrix (one chunk of
         resident memory, the same budget the scan accounting charges).
         """
-        if np is None:  # pragma: no cover - guarded by callers
-            raise RuntimeError("numpy is required for matrix chunk access")
         if self._closed:
             raise ShardFormatError(f"repository {self.path} is closed")
         rows = int(self._shard_meta[shard]["rows"])
@@ -1261,11 +1236,7 @@ class ShardedRepository:
             raw = self._maps[shard] if self._maps[shard] is not None else b""
             matrix = np.frombuffer(raw, dtype="<u8", count=rows * self.words)
             return matrix.reshape(rows, self.words)
-        row_bytes = self._row_bytes
-        data = b"".join(
-            mask.to_bytes(row_bytes, "little") for mask in self.chunk_masks(shard)
-        )
-        return np.frombuffer(data, dtype="<u8").reshape(rows, self.words)
+        return pack_rows(self.chunk_masks(shard), self.words)
 
     # ------------------------------------------------------------------
     # Sequential chunk access (the out-of-core scan primitives)
@@ -1273,12 +1244,10 @@ class ShardedRepository:
     def iter_chunk_matrices(self) -> Iterator[tuple[int, "np.ndarray"]]:
         """Yield ``(start_row, matrix)`` per shard as ``(rows, words)`` arrays.
 
-        Matrices are in the exact block layout of
-        :class:`~repro.setsystem.packed.NumpyPackedFamily` — zero-copy
-        views for raw shards, decoded buffers for encoded ones.
+        Matrices are in the block layout of
+        :func:`~repro.setsystem.packed.pack_rows` — zero-copy views for raw
+        shards, decoded buffers for encoded ones.
         """
-        if np is None:  # pragma: no cover - guarded by callers
-            raise RuntimeError("numpy is required for matrix chunk access")
         if self._closed:
             raise ShardFormatError(
                 f"repository {self.path} is closed; scanning it would "
@@ -1287,23 +1256,15 @@ class ShardedRepository:
         for shard, start in enumerate(self._starts):
             yield start, self.chunk_matrix(shard)
 
-    def iter_chunk_masks(self) -> Iterator[tuple[int, list[int]]]:
-        """Yield ``(start_row, masks)`` per shard as integer-bitmask lists.
-
-        Pure-Python decode path (no numpy required for any layout).
-        """
+    def iter_row_masks(self) -> Iterator[int]:
+        """Yield every row as an arbitrary-precision integer bitmask."""
         if self._closed:
             raise ShardFormatError(
                 f"repository {self.path} is closed; scanning it would "
                 "silently yield an empty family"
             )
-        for shard, start in enumerate(self._starts):
-            yield start, self.chunk_masks(shard)
-
-    def iter_row_masks(self) -> Iterator[int]:
-        """Yield every row as an arbitrary-precision integer bitmask."""
-        for _, masks in self.iter_chunk_masks():
-            yield from masks
+        for shard in range(self.shard_count):
+            yield from self.chunk_masks(shard)
 
     def iter_rows(self) -> Iterator[frozenset[int]]:
         """Yield every row as a frozenset of element ids."""
@@ -1337,22 +1298,10 @@ class ShardedRepository:
         start = self._starts[shard]
         rows = int(self._shard_meta[shard]["rows"])
         if mask.is_empty:
-            gains = np.zeros(rows, dtype=np.int64) if np is not None else [0] * rows
-            return start, gains, []
+            return start, np.zeros(rows, dtype=np.int64), []
         if self._layouts[shard] == _LAYOUT_RAW:
-            chunk = (
-                self.chunk_matrix(shard) if np is not None else self.chunk_masks(shard)
-            )
             gains, captured = scan_chunk(
-                start, chunk, mask,
-                min_capture_gain=min_capture_gain,
-                capture_ids=capture_ids,
-                best_only=best_only,
-            )
-            return start, gains, captured
-        if np is None:
-            gains, captured = scan_chunk(
-                start, self.chunk_masks(shard), mask,
+                start, self.chunk_matrix(shard), mask,
                 min_capture_gain=min_capture_gain,
                 capture_ids=capture_ids,
                 best_only=best_only,
@@ -1365,7 +1314,7 @@ class ShardedRepository:
         return start, gains, captured
 
     def _encoded_gains(self, shard: int, rows: int, mask: ScanMask) -> "np.ndarray":
-        """Whole-shard fused gains for an encoded shard (numpy path)."""
+        """Whole-shard fused gains for an encoded shard."""
         return _gains_from_decoded(self._decode_encoded_chunk(shard, rows), mask)
 
     def _decode_encoded_chunk(self, shard: int, rows: int) -> dict:
@@ -1471,15 +1420,11 @@ class ShardedRepository:
         ``mmap``) and mask-independent, so it can outlive this handle
         and serve any residual; :meth:`scan_decoded` turns it into the
         exact ``scan_shard`` result.  Raw shards cache their packed
-        matrix, encoded shards the parsed kernel arrays, and the pure-
-        Python path its integer-bitmask list.
+        matrix, encoded shards the parsed kernel arrays.
         """
         if self._closed:
             raise ShardFormatError(f"repository {self.path} is closed")
         rows = int(self._shard_meta[shard]["rows"])
-        if np is None:
-            masks = self.chunk_masks(shard)
-            return ("masks", masks), rows * (max(1, self._row_bytes) + 64)
         if self._layouts[shard] == _LAYOUT_RAW:
             matrix = np.array(self.chunk_matrix(shard))
             return ("matrix", matrix), matrix.nbytes
@@ -1507,8 +1452,7 @@ class ShardedRepository:
         start = self._starts[shard]
         rows = int(self._shard_meta[shard]["rows"])
         if mask.is_empty:
-            gains = np.zeros(rows, dtype=np.int64) if np is not None else [0] * rows
-            return start, gains, []
+            return start, np.zeros(rows, dtype=np.int64), []
         kind, data = payload
         if kind != "decoded":
             gains, captured = scan_chunk(

@@ -158,26 +158,12 @@ class ShardedSetStream(SetStreamBase):
     def _frozenset_rows(self):
         return enumerate(self._repo.iter_rows())
 
-    def _packed_rows(self, backend: str):
-        if backend == "python":
-            return enumerate(self._repo.iter_row_masks())
-        if backend == "frozenset":
-            return enumerate(self._repo.iter_rows())
-        if backend == "numpy":
-            def rows():
-                for start, matrix in self._repo.iter_chunk_matrices():
-                    for i in range(matrix.shape[0]):
-                        yield start + i, matrix[i]
-            return rows()
-        raise ValueError(f"unsupported packed backend {backend!r}")
+    def _packed_rows(self):
+        return enumerate(self._repo.iter_row_masks())
 
-    def _chunk_rows(self, backend: str):
+    def _chunk_rows(self):
         """One chunk per shard, in the shard geometry of the repository."""
-        if backend == "numpy":
-            return self._repo.iter_chunk_matrices()
-        if backend == "python":
-            return self._repo.iter_chunk_masks()
-        raise ValueError(f"unsupported chunk backend {backend!r}")
+        return self._repo.iter_chunk_matrices()
 
     # -- executor-driven gains scans -----------------------------------
     @property

@@ -39,13 +39,8 @@ from repro.engine import (
     executor_for,
     merge_scan_parts,
 )
-from repro.setsystem.packed import ScanMask
+from repro.setsystem.packed import ScanMask, pack_rows
 from repro.setsystem.set_system import SetSystem
-
-try:  # the scan fast path prefers packed matrices; big-ints otherwise
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 
 __all__ = [
     "SetStream",
@@ -162,10 +157,10 @@ class SetStreamBase:
     def _frozenset_rows(self) -> Iterator[tuple[int, frozenset[int]]]:
         raise NotImplementedError  # pragma: no cover - overridden
 
-    def _packed_rows(self, backend: str) -> Iterator[tuple[int, object]]:
+    def _packed_rows(self) -> Iterator[tuple[int, int]]:
         raise NotImplementedError  # pragma: no cover - overridden
 
-    def _chunk_rows(self, backend: str) -> Iterator[tuple[int, object]]:
+    def _chunk_rows(self) -> Iterator[tuple[int, object]]:
         raise NotImplementedError  # pragma: no cover - overridden
 
     # -- the pass flavours ---------------------------------------------
@@ -173,27 +168,25 @@ class SetStreamBase:
         """Open a pass and yield ``(set_id, set)`` in repository order."""
         return self._scan(self._frozenset_rows)
 
-    def iterate_packed(self, backend: str = "python") -> Iterator[tuple[int, object]]:
-        """Open a pass yielding ``(set_id, bitmap)`` rows of ``backend``.
+    def iterate_packed(self) -> Iterator[tuple[int, int]]:
+        """Open a pass yielding ``(set_id, bitmap)`` rows as big ints.
 
         The same access discipline and pass accounting as :meth:`iterate`;
-        only the wire format differs — sets arrive as bitmaps of the given
-        kernel backend (DESIGN.md §4) instead of frozensets.
+        only the wire format differs — bit ``e`` of a row is element ``e``
+        (DESIGN.md §4) instead of a frozenset.
         """
-        return self._scan(lambda: self._packed_rows(backend))
+        return self._scan(self._packed_rows)
 
-    def iterate_chunks(self, backend: str = "numpy") -> Iterator[tuple[int, object]]:
+    def iterate_chunks(self) -> Iterator[tuple[int, object]]:
         """Open a pass yielding ``(first_set_id, chunk)`` batches.
 
-        One pass, delivered as packed chunk batches instead of single
-        rows: ``backend="numpy"`` yields read-only ``(rows, words)``
-        ``uint64`` matrices (the :class:`~repro.setsystem.packed.NumpyPackedFamily`
-        block layout), ``backend="python"`` yields lists of integer
-        bitmasks.  Chunk geometry follows the repository (one chunk per
+        One pass, delivered as read-only ``(rows, words)`` ``uint64``
+        blocks (:func:`~repro.setsystem.packed.pack_rows`) instead of
+        single rows.  Chunk geometry follows the repository (one chunk per
         shard on disk; a single chunk for in-memory systems), so batch
         kernels can stream families that never fit in RAM.
         """
-        return self._scan(lambda: self._chunk_rows(backend))
+        return self._scan(self._chunk_rows)
 
     # -- executor-driven gains scans -----------------------------------
     def scan_gains_chunked(
@@ -209,7 +202,7 @@ class SetStreamBase:
         The fourth pass flavour (DESIGN.md §6): one sequential scan,
         executed chunk-by-chunk by the stream's
         :class:`~repro.engine.transport.base.ScanExecutor` (serial,
-        thread, multi-process or remote, per the stream's ``jobs`` /
+        multi-process or remote, per the stream's ``jobs`` /
         ``transport`` knobs) and delivered in chunk order — results are
         bit-identical at every setting.  Same access discipline and pass accounting as
         :meth:`iterate`: one read head, the scan counts one pass.
@@ -296,7 +289,7 @@ class SetStreamBase:
     def cache_stats(self):
         """Hot-cache counters behind this stream's scans, or ``None``.
 
-        Serial/thread streams report the driver process cache; process
+        Serial streams report the driver process cache; process
         and remote streams report counters aggregated from their
         workers.  Observability only — surfaced in
         ``ScanResult.extra["cache"]``, never consulted by results.
@@ -379,6 +372,7 @@ class SetStream(SetStreamBase):
         self._workers = workers
         self._retry = retry
         self._executor = None
+        self._block = None
 
     # ------------------------------------------------------------------
     @property
@@ -399,17 +393,19 @@ class SetStream(SetStreamBase):
     def _frozenset_rows(self):
         return enumerate(self._system.sets)
 
-    def _packed_rows(self, backend: str):
-        family = self._system.packed(backend)
-        return ((i, family.row(i)) for i in range(family.m))
+    def _packed_rows(self):
+        return enumerate(self._system.packed().rows)
 
-    def _chunk_rows(self, backend: str):
+    def _chunk_rows(self):
         """One whole-family chunk (the in-RAM system has no shard geometry)."""
-        if backend == "numpy":
-            return iter([(0, self._system.packed("numpy").matrix)])
-        if backend == "python":
-            return iter([(0, self._system.masks())])
-        raise ValueError(f"unsupported chunk backend {backend!r}")
+        return iter([(0, self._matrix())])
+
+    def _matrix(self):
+        """The family as one ``(m, words)`` ``uint64`` block, packed once."""
+        if self._block is None:
+            words = (self.n + 63) // 64
+            self._block = pack_rows(self._system.packed().rows, words)
+        return self._block
 
     # -- executor-driven gains scans -----------------------------------
     @property
@@ -462,15 +458,9 @@ class SetStream(SetStreamBase):
         if m == 0:
             return []
         chunk_rows = m if jobs <= 1 else max(1, -(-m // (2 * jobs)))
-        if np is not None:
-            matrix = self._system.packed("numpy").matrix
-            return [
-                (start, matrix[start : start + chunk_rows])
-                for start in range(0, m, chunk_rows)
-            ]
-        masks = self._system.masks()
+        matrix = self._matrix()
         return [
-            (start, masks[start : start + chunk_rows])
+            (start, matrix[start : start + chunk_rows])
             for start in range(0, m, chunk_rows)
         ]
 

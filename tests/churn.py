@@ -15,7 +15,7 @@ trivially-correct reference model, asserting after every step that
 and at scenario end that shard statistics, cost estimates, and a full
 ``iter_set_cover`` solve agree exactly between the merged chain and a
 from-scratch rebuild.  ``tests/test_dynamic.py`` runs hundreds of these
-scenarios across the backend x encoding x jobs matrix; the
+scenarios across the encoding x jobs matrix; the
 module lives outside that file so future suites (and the experiments
 orchestrator's tests) can reuse the generator and referee.
 """
@@ -215,7 +215,6 @@ def drive_scenario(
     tmp_path: Path,
     chunk_rows: int = 7,
     encoding: str = "auto",
-    backend: str = "python",
     jobs="auto",
     solve: bool = True,
     theta: float = 2.0,
@@ -311,7 +310,7 @@ def drive_scenario(
             stream = ShardedSetStream(path, jobs=jobs)
             try:
                 results.append(iter_set_cover(
-                    stream, delta=0.5, seed=scenario.seed, backend=backend,
+                    stream, delta=0.5, seed=scenario.seed,
                     use_polylog_factors=False, include_rho=False,
                 ))
             finally:

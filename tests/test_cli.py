@@ -271,6 +271,12 @@ class TestJobs:
         assert excinfo.value.code == 2
         assert "--planner" in capsys.readouterr().err
 
+    def test_solve_rejects_backend_flag(self, instance_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", instance_path, "--backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
 
 class TestWorkerPing:
     def test_ping_running_worker(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ interleavings, each asserting after every step that the merged read
 view equals a from-scratch reference (rows, stats, cost estimates),
 that compaction is byte-identical to a clean rewrite, and that the
 incremental :class:`repro.dynamic.DynamicCover` stays a valid cover
-within its documented factor — across the backend x encoding x jobs
+within its documented factor — across the encoding x jobs
 matrix.  Satellite coverage: delta-chain corruption
 taxonomy (typed :class:`~repro.setsystem.shards.ShardFormatError`),
 v1/v2/v3 no-delta open regression, the ``backfill_stats`` refusal,
@@ -54,26 +54,25 @@ from churn import drive_scenario, random_scenario
 # endgame (stats, cost estimates, byte-identical compaction, identical
 # iter_set_cover solves between the chain and a from-scratch rebuild).
 _MATRIX = [
-    # (backend, encoding, jobs)
-    ("python", "auto", 1),
-    ("python", "dense", 2),
-    ("python", "sparse", 1),
-    ("numpy", "auto", 2),
-    ("numpy", "rle", 1),
-    ("auto", "auto", 2),
+    # (encoding, jobs); a cell's seeds are 1000 * cell + i
+    ("auto", 1),
+    ("dense", 2),
+    ("sparse", 1),
+    ("auto", 2),
+    ("rle", 1),
+    ("auto", 2),
 ]
 _SEEDS_PER_CELL = 17
 
 
 @pytest.mark.parametrize(
-    "backend,encoding,jobs",
-    _MATRIX,
-    ids=[f"{b}-{e}-jobs{j}" for b, e, j in _MATRIX],
+    "cell,encoding,jobs",
+    [(cell, *spec) for cell, spec in enumerate(_MATRIX)],
+    ids=[f"cell{cell}-{e}-jobs{j}" for cell, (e, j) in enumerate(_MATRIX)],
 )
-def test_churn_parity_matrix(tmp_path, backend, encoding, jobs):
+def test_churn_parity_matrix(tmp_path, cell, encoding, jobs):
     from repro.engine.cache import configure_cache, get_cache
 
-    cell = _MATRIX.index((backend, encoding, jobs))
     incremental = []
     # The sweep doubles as the hot-cache leak check: a deliberately
     # tight byte budget forces constant eviction across ~100 scenarios
@@ -88,7 +87,6 @@ def test_churn_parity_matrix(tmp_path, backend, encoding, jobs):
             tmp_path / f"s{seed}",
             chunk_rows=5 + (seed % 4),
             encoding=encoding,
-            backend=backend,
             jobs=jobs,
             # Keep the per-cell runtime down: the full solve referee runs
             # on a third of the scenarios; rows/stats/compaction parity

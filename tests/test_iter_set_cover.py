@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +10,9 @@ import pytest
 from repro.core import IterSetCover, IterSetCoverConfig, iter_set_cover
 from repro.core.iter_set_cover import _GuessState, _SampleChunk
 from repro.offline import ExactSolver, GreedySolver
+from repro.offline.greedy import _greedy_cover_frozenset
 from repro.sampling import draw_sample
 from repro.setsystem import SetSystem
-from repro.setsystem.packed import bitmap_kernel
 from repro.streaming import MemoryMeter, SetStream
 from repro.utils.bitset import mask_of
 from repro.utils.mathutil import powers_of_two_up_to
@@ -225,11 +224,18 @@ class _ReferenceGuess:
         self.leftover = frozenset()
 
 
+class _FrozensetGreedy(GreedySolver):
+    """Greedy on the seed's frozenset heap: the oracle's ``algOfflineSC``."""
+
+    def solve(self, system):
+        return _greedy_cover_frozenset(system)
+
+
 def _reference_iter_set_cover(system, config, seed):
     """iterSetCover exactly as the paper states it, one row at a time."""
     rng = as_generator(seed)
     n, m = system.n, system.m
-    solver = GreedySolver(backend="frozenset")
+    solver = _FrozensetGreedy()
     rho = solver.rho(n)
     guesses = [_ReferenceGuess(k, n) for k in powers_of_two_up_to(n)]
     passes = 0
@@ -290,7 +296,7 @@ class TestFusedSizeTest:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_whole_solve_matches_row_replay(self, seed):
         system = uniform_random_instance(n=120, m=90, density=0.08, seed=seed)
-        config = IterSetCoverConfig(delta=0.5, backend="numpy")
+        config = IterSetCoverConfig(delta=0.5)
         result = IterSetCover(config=config, seed=seed).solve(SetStream(system))
         selection, passes, feasible, peak, ref = _reference_iter_set_cover(
             system, config, seed
@@ -311,7 +317,7 @@ class TestFusedSizeTest:
 class TestSizeTestOracle:
     """The per-chunk Size-Test driver against the row-by-row frozenset oracle.
 
-    Every backend must make exactly the oracle's picks, passes and meter
+    The driver must make exactly the oracle's picks, passes and meter
     charges, guess by guess, whatever the chunking of the sample pass.
     """
 
@@ -325,33 +331,30 @@ class TestSizeTestOracle:
             selection, passes, feasible, peak, ref = _reference_iter_set_cover(
                 system, config, case
             )
-            for backend in ("python", "numpy", "frozenset"):
-                # Odd cases split the sample pass into several chunks.
-                stream = (
-                    SetStream(system, jobs=3, transport="process")
-                    if case % 4 > 1
-                    else SetStream(system, jobs=1)
-                )
-                result = IterSetCover(
-                    config=replace(config, backend=backend), seed=case
-                ).solve(stream)
-                where = (case, backend, delta)
-                assert result.selection == selection, where
-                assert result.passes == passes, where
-                assert result.peak_memory_words == peak, where
-                assert result.feasible == feasible, where
-                for g in ref:
-                    stats = result.guess_stats[g.k]
-                    assert stats.heavy_picks == g.stats["heavy"], where
-                    assert stats.offline_picks == g.stats["offline"], where
-                    assert stats.cleanup_picks == g.stats["cleanup"], where
-                    assert stats.sample_sizes == g.stats["samples"], where
-                    assert stats.peak_memory_words == g.peak, where
+            # Cases 2 and 3 (mod 4) split the sample pass into chunks.
+            stream = (
+                SetStream(system, jobs=3, transport="process")
+                if case % 4 > 1
+                else SetStream(system, jobs=1)
+            )
+            result = IterSetCover(config=config, seed=case).solve(stream)
+            where = (case, delta)
+            assert result.selection == selection, where
+            assert result.passes == passes, where
+            assert result.peak_memory_words == peak, where
+            assert result.feasible == feasible, where
+            for g in ref:
+                stats = result.guess_stats[g.k]
+                assert stats.heavy_picks == g.stats["heavy"], where
+                assert stats.offline_picks == g.stats["offline"], where
+                assert stats.cleanup_picks == g.stats["cleanup"], where
+                assert stats.sample_sizes == g.stats["samples"], where
+                assert stats.peak_memory_words == g.peak, where
 
 
 def _size_test_in_chunks(k, n, sample, solution, rows, split):
     """Run the production Size-Test over ``rows`` cut into two chunks."""
-    guess = _GuessState(k, n, MemoryMeter(label="pin"), bitmap_kernel(n, "python"))
+    guess = _GuessState(k, n, MemoryMeter(label="pin"))
     guess.sample_size = len(sample)
     guess.leftover = mask_of(sample)
     for set_id in solution:

@@ -1,10 +1,12 @@
-"""Tests for the packed bitmask kernel layer (DESIGN.md §4).
+"""Tests for the packed bitmap layer (DESIGN.md §4).
 
-The load-bearing property: *backends never change results*.  The
-frozenset backend is the seed's executable reference; the python (big-int)
-and numpy (uint64 block matrix) backends must reproduce its covers, gains
-and domination pruning exactly — including tie-breaks — on randomized
-instances.
+Each layer holds a set in exactly one representation: big ints for
+algorithm state and offline solvers, ``(rows, words)`` ``uint64`` blocks
+inside the scan kernels, and frozensets only in the seed's reference
+implementations.  The load-bearing property: the big-int family, the
+greedy heap, domination pruning and the iterSetCover driver reproduce
+those frozenset references exactly — including tie-breaks — on
+randomized instances.
 """
 
 from __future__ import annotations
@@ -16,13 +18,19 @@ from hypothesis import strategies as st
 
 from repro.core import IterSetCoverConfig, iter_set_cover
 from repro.offline import InfeasibleInstanceError, greedy_cover
+from repro.offline.greedy import _greedy_cover_frozenset
 from repro.sampling import project_onto_sample
-from repro.setsystem import SetSystem, bitmap_kernel, pack, resolve_backend
-from repro.setsystem.packed import BACKENDS
+from repro.setsystem import SetSystem, non_dominated_reference, pack, pack_rows
+from repro.setsystem.packed import ScanMask, chunk_gains, scan_chunk
 from repro.streaming import SetStream
+from repro.utils.bitset import bits_of, mask_of
 
-PACKED = ("python", "numpy")
-ALL = ("frozenset",) + PACKED
+from test_iter_set_cover import _reference_iter_set_cover
+
+#: The seed's reference form, the big int, and a one-row ``uint64`` block.
+REPRESENTATIONS = ("frozenset", "python", "numpy")
+#: Domination pruning: the seed's pairwise loop and the big-int kernel.
+PRUNERS = ("frozenset", "python")
 
 
 def random_system(rng: np.random.Generator, max_n: int = 40, max_m: int = 30) -> SetSystem:
@@ -48,74 +56,87 @@ def feasible_random_system(rng: np.random.Generator, **kwargs) -> SetSystem:
     return SetSystem(system.n, sets)
 
 
+def _encode(representation: str, elements, n: int):
+    mask = mask_of(elements)
+    if representation == "numpy":
+        return pack_rows([mask], (n + 63) // 64)
+    return mask if representation == "python" else frozenset(elements)
+
+
+def _read(representation: str, bitmap, n: int) -> tuple[list[int], int]:
+    """``(sorted elements, popcount)`` of an encoded bitmap."""
+    if representation == "frozenset":
+        return sorted(bitmap), len(bitmap)
+    if representation == "python":
+        return bits_of(bitmap), bitmap.bit_count()
+    count = int(chunk_gains(bitmap, ScanMask(n, (1 << n) - 1).arr)[0])
+    return bits_of(int.from_bytes(bitmap.tobytes(), "little")), count
+
+
 # ----------------------------------------------------------------------
-# Kernel algebra
+# Representations: round trips, counts and intersections
 # ----------------------------------------------------------------------
 class TestBitmapKernels:
-    @pytest.mark.parametrize("backend", ALL)
+    @pytest.mark.parametrize("representation", REPRESENTATIONS)
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 128, 200])
-    def test_roundtrip_and_counts(self, backend, n):
-        kernel = bitmap_kernel(n, backend)
-        elements = list(range(0, n, 3))
-        bitmap = kernel.from_indices(elements)
-        assert kernel.to_indices(bitmap) == elements
-        assert kernel.count(bitmap) == len(elements)
-        assert kernel.count(kernel.full()) == n
-        assert kernel.is_empty(kernel.empty())
-        assert kernel.to_indices(kernel.full()) == list(range(n))
+    def test_roundtrip_and_counts(self, representation, n):
+        # n = 65, 127, 200 leave a partial tail word in the uint64 block.
+        for elements in (list(range(0, n, 3)), list(range(n)), []):
+            bitmap = _encode(representation, elements, n)
+            assert _read(representation, bitmap, n) == (elements, len(elements))
 
-    @pytest.mark.parametrize("backend", ALL)
-    def test_algebra_matches_sets(self, backend):
+    @pytest.mark.parametrize("representation", REPRESENTATIONS)
+    def test_algebra_matches_sets(self, representation):
         rng = np.random.default_rng(3)
-        kernel = bitmap_kernel(70, backend)
+        n = 70
         for _ in range(50):
-            a = set(rng.choice(70, size=int(rng.integers(0, 70)), replace=False).tolist())
-            b = set(rng.choice(70, size=int(rng.integers(0, 70)), replace=False).tolist())
-            ka, kb = kernel.from_indices(a), kernel.from_indices(b)
-            assert kernel.to_indices(kernel.intersect(ka, kb)) == sorted(a & b)
-            assert kernel.to_indices(kernel.union(ka, kb)) == sorted(a | b)
-            assert kernel.to_indices(kernel.subtract(ka, kb)) == sorted(a - b)
-
-    def test_auto_resolution(self):
-        assert resolve_backend("auto", n=10, m=4, kind="stream") == "python"
-        assert resolve_backend("auto", n=10, m=4, kind="family") == "python"
-        assert resolve_backend("auto", n=2000, m=4000, kind="family") == "numpy"
-        with pytest.raises(ValueError):
-            resolve_backend("cuda")
-
-    def test_backends_tuple_is_public(self):
-        assert set(BACKENDS) == {"auto", "python", "numpy", "frozenset"}
+            a = set(rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist())
+            b = set(rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist())
+            ka, kb = _encode(representation, a, n), _encode(representation, b, n)
+            if representation == "numpy":
+                # The scan kernel: one gain and one captured projection.
+                gains, captured = scan_chunk(
+                    5, ka, ScanMask(n, mask_of(b)), min_capture_gain=0
+                )
+                assert (gains.tolist(), captured) == ([len(a & b)], [(5, mask_of(a & b))])
+            elif representation == "python":
+                assert bits_of(ka & kb) == sorted(a & b)
+                assert bits_of(ka | kb) == sorted(a | b)
+                assert bits_of(ka & ~kb) == sorted(a - b)
+            else:
+                assert (ka & kb, ka | kb, ka - kb) == (a & b, a | b, a - b)
 
 
 # ----------------------------------------------------------------------
-# Family kernels: gains / union / projection / domination
+# The big-int family against plain set expressions
 # ----------------------------------------------------------------------
 class TestFamilyKernels:
     def test_family_kernels_agree_across_backends(self):
         rng = np.random.default_rng(17)
         for _ in range(60):
             system = random_system(rng)
-            n, m = system.n, system.m
-            families = {b: pack(system.sets, n, b) for b in ALL}
-            residual_elems = range(0, n, 2)
+            n, m, sets = system.n, system.m, system.sets
+            family = pack(sets, n)
+            residual = frozenset(range(0, n, 2))
+            residual_mask = mask_of(residual)
             selection = list(range(0, m, 3))
-            reference = None
-            for backend, family in families.items():
-                kernel = family.kernel
-                residual = kernel.from_indices(residual_elems)
-                snapshot = (
-                    family.sizes(),
-                    kernel.to_indices(family.union(selection)),
-                    family.gains(residual),
-                    family.best_gain(residual),
-                    family.covers(range(m)),
-                    family.project(residual).to_frozensets(),
-                    family.non_dominated(),
-                )
-                if reference is None:
-                    reference = snapshot
-                else:
-                    assert snapshot == reference, backend
+            gains = [len(r & residual) for r in sets]
+            best = max(gains, default=0)
+            assert family.sizes() == [len(r) for r in sets]
+            assert bits_of(family.union(selection)) == sorted(
+                frozenset().union(*(sets[i] for i in selection))
+            )
+            assert family.gains(residual_mask) == gains
+            assert family.best_gain(residual_mask) == (
+                (best, gains.index(best)) if best else (0, -1)
+            )
+            assert family.covers(range(m)) == (
+                frozenset().union(*sets) == frozenset(range(n))
+            )
+            assert family.project(residual_mask).to_frozensets() == [
+                r & residual for r in sets
+            ]
+            assert family.non_dominated() == non_dominated_reference(sets)
 
     @given(
         st.integers(min_value=1, max_value=12).flatmap(
@@ -130,9 +151,7 @@ class TestFamilyKernels:
     def test_domination_property(self, case):
         n, sets = case
         system = SetSystem(n, sets)
-        reference = system.packed("frozenset").non_dominated()
-        for backend in PACKED:
-            assert system.packed(backend).non_dominated() == reference
+        assert system.packed().non_dominated() == non_dominated_reference(system.sets)
 
     def test_project_onto_sample_matches_frozensets(self):
         rng = np.random.default_rng(23)
@@ -142,13 +161,11 @@ class TestFamilyKernels:
                 rng.choice(system.n, size=system.n // 2, replace=False).tolist()
             )
             expected = [r & sample for r in system.sets]
-            for backend in ALL:
-                got = project_onto_sample(system.n, system.sets, sample, backend)
-                assert got == expected
+            assert project_onto_sample(system.n, system.sets, sample) == expected
 
 
 # ----------------------------------------------------------------------
-# Solver-output equivalence (the PR 1 acceptance property)
+# Solver-output equivalence with the frozenset references
 # ----------------------------------------------------------------------
 class TestSolverEquivalence:
     def test_greedy_identical_on_200_random_instances(self):
@@ -156,14 +173,13 @@ class TestSolverEquivalence:
         compared = 0
         for _ in range(220):
             system = random_system(rng)
-            outcomes = {}
-            for backend in ALL:
+            outcomes = []
+            for solve in (greedy_cover, _greedy_cover_frozenset):
                 try:
-                    outcomes[backend] = ("cover", greedy_cover(system, backend))
+                    outcomes.append(("cover", solve(system)))
                 except InfeasibleInstanceError:
-                    outcomes[backend] = ("infeasible", None)
-            assert outcomes["python"] == outcomes["frozenset"]
-            assert outcomes["numpy"] == outcomes["frozenset"]
+                    outcomes.append(("infeasible", None))
+            assert outcomes[0] == outcomes[1]
             compared += 1
         assert compared >= 200
 
@@ -171,68 +187,71 @@ class TestSolverEquivalence:
         rng = np.random.default_rng(99)
         for _ in range(210):
             system = random_system(rng)
-            reference = system.without_dominated_sets(backend="frozenset")[1]
-            for backend in PACKED:
-                pruned, keep = system.without_dominated_sets(backend=backend)
-                assert keep == reference
-                assert [pruned[i] for i in range(pruned.m)] == [
-                    system[i] for i in keep
-                ]
+            reference = non_dominated_reference(system.sets)
+            pruned, keep = system.without_dominated_sets()
+            assert keep == reference
+            assert [pruned[i] for i in range(pruned.m)] == [system[i] for i in keep]
 
     def test_iter_set_cover_identical_across_backends(self):
+        """The driver against the row-by-row frozenset oracle."""
         rng = np.random.default_rng(5150)
+        config = IterSetCoverConfig(delta=0.5, use_polylog_factors=False)
         for _ in range(25):
             system = feasible_random_system(rng)
             stream_seed = int(rng.integers(0, 2**31))
-            selections = {}
-            for backend in ALL:
-                result = iter_set_cover(
-                    SetStream(system),
-                    delta=0.5,
-                    seed=stream_seed,
-                    backend=backend,
-                    use_polylog_factors=False,
-                )
-                selections[backend] = (result.selection, result.passes)
-            assert selections["python"] == selections["frozenset"]
-            assert selections["numpy"] == selections["frozenset"]
+            result = iter_set_cover(
+                SetStream(system),
+                delta=0.5,
+                seed=stream_seed,
+                use_polylog_factors=False,
+            )
+            selection, passes, *_ = _reference_iter_set_cover(
+                system, config, stream_seed
+            )
+            assert (result.selection, result.passes) == (selection, passes)
 
     def test_config_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            IterSetCoverConfig(backend="cuda")
+        with pytest.raises(TypeError):
+            IterSetCoverConfig(backend="python")
 
 
 # ----------------------------------------------------------------------
 # Tie-breaking regression: without_dominated_sets keeps seed semantics
 # ----------------------------------------------------------------------
+def _prune(pruner: str, system: SetSystem):
+    if pruner == "frozenset":
+        keep = non_dominated_reference(system.sets)
+        return system.subfamily(keep), keep
+    return system.without_dominated_sets()
+
+
 class TestDominationTieBreaks:
-    @pytest.mark.parametrize("backend", ALL)
-    def test_first_duplicate_survives(self, backend):
+    @pytest.mark.parametrize("pruner", PRUNERS)
+    def test_first_duplicate_survives(self, pruner):
         system = SetSystem(4, [[0, 1], [0], [2, 3], [2, 3], [1]])
-        pruned, keep = system.without_dominated_sets(backend=backend)
+        pruned, keep = _prune(pruner, system)
         assert keep == [0, 2]  # {0} ⊂ {0,1}; {1} ⊂ {0,1}; first {2,3} wins
         assert pruned.sets == (frozenset({0, 1}), frozenset({2, 3}))
 
-    @pytest.mark.parametrize("backend", ALL)
-    def test_duplicate_of_dominated_set_is_dropped(self, backend):
+    @pytest.mark.parametrize("pruner", PRUNERS)
+    def test_duplicate_of_dominated_set_is_dropped(self, pruner):
         # Both copies of {0} are strict subsets of {0,1}: neither survives.
-        system = SetSystem(2, [[0], [0, 1], [0]])
-        _, keep = system.without_dominated_sets(backend=backend)
+        _, keep = _prune(pruner, SetSystem(2, [[0], [0, 1], [0]]))
         assert keep == [1]
 
-    @pytest.mark.parametrize("backend", ALL)
-    def test_empty_sets(self, backend):
+    @pytest.mark.parametrize("pruner", PRUNERS)
+    def test_empty_sets(self, pruner):
         # An empty set is dominated by any non-empty set; among only empty
         # sets, the first survives.
-        _, keep = SetSystem(2, [[], [0, 1], []]).without_dominated_sets(backend=backend)
+        _, keep = _prune(pruner, SetSystem(2, [[], [0, 1], []]))
         assert keep == [1]
-        _, keep = SetSystem(2, [[], []]).without_dominated_sets(backend=backend)
+        _, keep = _prune(pruner, SetSystem(2, [[], []]))
         assert keep == [0]
 
-    @pytest.mark.parametrize("backend", ALL)
-    def test_incomparable_sets_all_survive(self, backend):
+    @pytest.mark.parametrize("pruner", PRUNERS)
+    def test_incomparable_sets_all_survive(self, pruner):
         system = SetSystem(4, [[0, 1], [1, 2], [2, 3], [3, 0]])
-        _, keep = system.without_dominated_sets(backend=backend)
+        _, keep = _prune(pruner, system)
         assert keep == [0, 1, 2, 3]
 
 
@@ -242,8 +261,7 @@ class TestDominationTieBreaks:
 class TestMemoization:
     def test_packed_views_are_cached(self):
         system = SetSystem(5, [[0, 1], [2, 3, 4]])
-        for backend in ALL:
-            assert system.packed(backend) is system.packed(backend)
+        assert system.packed() is system.packed()
 
     def test_universe_is_cached(self):
         system = SetSystem(5, [[0]])

@@ -298,28 +298,25 @@ def _threshold_replay_reference(stream, shrink=2.0):
     Kept verbatim as the executable reference the fused worker-side
     accept path must match pick for pick.
     """
-    from repro.setsystem.packed import bitmap_kernel
-
     n = stream.n
-    kernel = bitmap_kernel(n, "auto")
-    uncovered = kernel.full()
+    uncovered = (1 << n) - 1
     count = n
     selection = []
     threshold = float(n)
     while count and threshold >= 1.0:
         threshold = max(1.0, threshold / shrink)
         parts = stream.scan_gains_chunked(
-            kernel.to_mask_int(uncovered),
+            uncovered,
             min_capture_gain=math.ceil(threshold),
             include_gains=False,
         )
         for _, _, captured in parts:
             for set_id, projection in captured:
-                hit = kernel.intersect(kernel.from_mask_int(projection), uncovered)
-                hit_count = kernel.count(hit)
+                hit = projection & uncovered
+                hit_count = hit.bit_count()
                 if hit_count >= threshold:
                     selection.append(set_id)
-                    uncovered = kernel.subtract(uncovered, hit)
+                    uncovered &= ~hit
                     count -= hit_count
         if threshold <= 1.0:
             break
@@ -536,7 +533,7 @@ def test_set_stream_algorithms_with_process_jobs():
 # ----------------------------------------------------------------------
 def test_greedy_cover_backend_parity():
     from repro.offline import GreedySolver
-    from repro.offline.greedy import greedy_cover
+    from repro.offline.greedy import _greedy_cover_frozenset, greedy_cover
 
     rng = np.random.default_rng(77)
     for case in range(15):
@@ -548,9 +545,7 @@ def test_greedy_cover_backend_parity():
         ]
         sets.append(list(range(n)))  # keep the instance feasible
         system = SetSystem(n, sets)
-        reference = greedy_cover(system, backend="frozenset")
-        for backend in ("python", "numpy", "auto"):
-            assert greedy_cover(system, backend=backend) == reference, case
+        assert greedy_cover(system) == _greedy_cover_frozenset(system), case
         # The packed algOfflineSC entry picks what the frozenset path picks
         # on the renumbered projection onto the targets.
         targets = int(rng.integers(0, 1 << min(n, 62))) if n else 0
@@ -561,26 +556,6 @@ def test_greedy_cover_backend_parity():
             n, list(system.sets), frozenset(e for e in range(n) if targets >> e & 1)
         )
         assert packed == unpacked, case
-
-
-def test_without_dominated_sets_jobs_parity():
-    rng = np.random.default_rng(79)
-    for case in range(15):
-        n = int(rng.integers(1, 80))
-        m = int(rng.integers(1, 60))
-        sets = [
-            rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
-            for _ in range(m)
-        ]
-        sets.extend(sets[: m // 3])  # duplicates exercise the tie-break
-        system = SetSystem(n, sets)
-        reference = system.without_dominated_sets(backend="numpy", jobs=1)[1]
-        for jobs in (2, 4):
-            assert (
-                system.without_dominated_sets(backend="numpy", jobs=jobs)[1]
-                == reference
-            ), case
-        assert system.without_dominated_sets(backend="frozenset")[1] == reference
 
 
 def test_unstarted_scan_iterator_allocates_nothing(tmp_path, monkeypatch):
