@@ -151,8 +151,9 @@ def _add_jobs_option(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=_library_flag(_jobs_value),
         default="auto",
-        help="scan-executor parallelism: 'auto' (default) or a positive "
-        "worker count; results are identical at every setting",
+        help="scan-executor parallelism: 'auto' (default; scans run "
+        "serially, and bench sweeps serial, 2 and 4) or a positive "
+        "worker-process count; results are identical at every setting",
     )
 
 

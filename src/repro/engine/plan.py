@@ -19,7 +19,6 @@ step or task and need none.
 from __future__ import annotations
 
 import operator
-import os
 
 __all__ = [
     "JOBS_AUTO",
@@ -31,13 +30,6 @@ __all__ = [
 #: The default value of every ``jobs`` knob.
 JOBS_AUTO = "auto"
 
-#: ``auto`` never resolves above this many worker processes.
-_AUTO_MAX_JOBS = 8
-
-#: ``auto`` stays serial below this repository size (packed words):
-#: per-task IPC overhead swamps the win on small families.
-_AUTO_MIN_REPOSITORY_WORDS = 1 << 24  # 128 MiB of packed rows
-
 #: Planner batching: cost-balanced batches per worker.  More batches
 #: load-balance better, fewer batches amortize IPC better; 4 keeps the
 #: largest batch under ~25% of one worker's share.
@@ -47,19 +39,19 @@ _BATCHES_PER_WORKER = 4
 _PORT_RANGE = (1, 65535)
 
 
-def resolve_jobs(jobs=JOBS_AUTO, *, repository_words: int = 0) -> int:
+def resolve_jobs(jobs=JOBS_AUTO) -> int:
     """Resolve a ``jobs`` knob to a concrete worker count (>= 1).
 
-    ``"auto"`` (or ``None``) resolves to 1 on single-core machines and
-    for repositories below :data:`_AUTO_MIN_REPOSITORY_WORDS`, else to
-    ``min(cpu_count,`` :data:`_AUTO_MAX_JOBS` ``)``.  Integers (and
+    ``"auto"`` (or ``None``) resolves to 1, the serial executor: on the
+    measured roster a local process pool never beats an in-process scan
+    (DESIGN.md §6.1), so parallel lanes are opt-in.  Integers (and
     integer strings, for CLI plumbing) pass through after validation;
     zero and negative counts raise a ``ValueError`` naming the
     ``--jobs`` CLI flag that usually feeds this knob.
 
     >>> resolve_jobs(4)
     4
-    >>> resolve_jobs("auto", repository_words=0)
+    >>> resolve_jobs("auto")
     1
     >>> resolve_jobs(0)
     Traceback (most recent call last):
@@ -67,10 +59,7 @@ def resolve_jobs(jobs=JOBS_AUTO, *, repository_words: int = 0) -> int:
     ValueError: jobs must be 'auto' or a positive integer, got 0 (the --jobs flag takes the same values)
     """
     if jobs is None or jobs == JOBS_AUTO:
-        cpus = os.cpu_count() or 1
-        if cpus <= 1 or repository_words < _AUTO_MIN_REPOSITORY_WORDS:
-            return 1
-        return min(cpus, _AUTO_MAX_JOBS)
+        return 1
     try:
         # operator.index rejects floats; digit-strings come from the CLI.
         value = int(jobs, 10) if isinstance(jobs, str) else operator.index(jobs)

@@ -67,7 +67,6 @@ TRANSPORTS = ("local", "serial", "process", "remote")
 def executor_for(
     jobs=JOBS_AUTO,
     *,
-    repository_words: int = 0,
     transport: "str | None" = None,
     workers=None,
     retry=None,
@@ -135,7 +134,7 @@ def executor_for(
             f"unknown transport {transport!r}; expected one of {TRANSPORTS} "
             "(the --transport flag takes the same values)"
         )
-    count = resolve_jobs(jobs, repository_words=repository_words)
+    count = resolve_jobs(jobs)
     if transport == "serial":
         if jobs not in (None, JOBS_AUTO) and count != 1:
             raise ValueError(

@@ -36,6 +36,7 @@ from repro.utils.bitset import bits_of, mask_of
 __all__ = [
     "PackedFamily",
     "ScanMask",
+    "capture_locals",
     "chunk_gains",
     "first_argmax",
     "membership_hits",
@@ -343,6 +344,37 @@ def range_gains(
     return out
 
 
+def capture_locals(
+    start: int,
+    gains: "np.ndarray",
+    min_capture_gain: "int | None" = None,
+    capture_ids=None,
+    best_only: bool = False,
+) -> list[int]:
+    """Chunk-local ids of the rows a scan captures, ascending.
+
+    The capture rule shared by every chunk kernel (see
+    :func:`scan_chunk` for the parameters): the first-max positive-gain
+    row under ``best_only``, else every row whose gain reaches
+    ``min_capture_gain`` and whose global id is in ``capture_ids``.
+
+    >>> capture_locals(10, np.array([0, 3, 1, 3]), min_capture_gain=1,
+    ...                capture_ids={11, 12})
+    [1, 2]
+    >>> capture_locals(10, np.array([0, 3, 1, 3]), best_only=True)
+    [1]
+    """
+    if best_only:
+        best = first_argmax(gains)
+        return [best] if best >= 0 else []
+    if min_capture_gain is None:
+        return []
+    locals_ = np.flatnonzero(gains >= min_capture_gain).tolist()
+    if capture_ids is not None:
+        locals_ = [i for i in locals_ if start + i in capture_ids]
+    return locals_
+
+
 def scan_chunk(
     start: int,
     chunk: "np.ndarray",
@@ -386,17 +418,10 @@ def scan_chunk(
         if chunk.size
         else np.zeros(chunk.shape[0], dtype=np.int64)
     )
-    if best_only:
-        locals_ = [first_argmax(gains)]
-    elif min_capture_gain is not None:
-        locals_ = np.flatnonzero(gains >= min_capture_gain).tolist()
-        if capture_ids is not None:
-            locals_ = [i for i in locals_ if start + i in capture_ids]
-    else:
-        locals_ = []
     captured = [
         (start + local, int.from_bytes(inter[local].tobytes(), "little"))
-        for local in locals_
-        if local >= 0
+        for local in capture_locals(
+            start, gains, min_capture_gain, capture_ids, best_only
+        )
     ]
     return gains, captured

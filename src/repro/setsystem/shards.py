@@ -102,8 +102,8 @@ from repro.setsystem.durability import (
 )
 from repro.setsystem.packed import (
     ScanMask,
+    capture_locals,
     chunk_gains,
-    first_argmax,
     membership_hits,
     pack_rows,
     range_gains,
@@ -1288,7 +1288,9 @@ class ShardedRepository:
         the dense chunk kernel on their zero-copy matrix view; encoded
         shards run the **fused decode-and-gain kernels** — sparse rows
         gather mask bits per element id and run-length rows difference a
-        prefix popcount, neither ever materializing dense words.
+        prefix popcount, neither ever materializing dense words.  The
+        shard is decoded once; captured projections are built from the
+        same decoded arrays (:func:`_captures_from_decoded`).
 
         Returns ``(start_row, gains, captured)`` with the same semantics
         as :func:`repro.setsystem.packed.scan_chunk`.
@@ -1307,15 +1309,10 @@ class ShardedRepository:
                 best_only=best_only,
             )
             return start, gains, captured
-        gains = self._encoded_gains(shard, rows, mask)
-        captured = self._encoded_captures(
-            shard, start, gains, mask, min_capture_gain, capture_ids, best_only
+        return _scan_decoded_payload(
+            start, self._decode_encoded_chunk(shard, rows), mask, self.words,
+            min_capture_gain, capture_ids, best_only,
         )
-        return start, gains, captured
-
-    def _encoded_gains(self, shard: int, rows: int, mask: ScanMask) -> "np.ndarray":
-        """Whole-shard fused gains for an encoded shard."""
-        return _gains_from_decoded(self._decode_encoded_chunk(shard, rows), mask)
 
     def _decode_encoded_chunk(self, shard: int, rows: int) -> dict:
         """The mask-independent half of the fused encoded scan.
@@ -1399,6 +1396,12 @@ class ShardedRepository:
                 matrix = (
                     np.ascontiguousarray(payload[positions]).view("<u8")
                 )
+                tail = self.n % 64
+                if tail and (matrix[:, -1] >> np.uint64(tail)).any():
+                    raise ShardFormatError(
+                        f"corrupt encoded shard {meta_file}: "
+                        "dense row bits beyond the ground set"
+                    )
                 dense = (sel, matrix)
                 nbytes += sel.nbytes + matrix.nbytes
 
@@ -1462,28 +1465,10 @@ class ShardedRepository:
                 best_only=best_only,
             )
             return start, gains, captured
-        gains = _gains_from_decoded(data, mask)
-        captured = self._encoded_captures(
-            shard, start, gains, mask, min_capture_gain, capture_ids, best_only
+        return _scan_decoded_payload(
+            start, data, mask, self.words,
+            min_capture_gain, capture_ids, best_only,
         )
-        return start, gains, captured
-
-    def _encoded_captures(
-        self, shard, start, gains, mask, min_capture_gain, capture_ids, best_only
-    ) -> list:
-        candidates: list[int] = []
-        if best_only:
-            local = first_argmax(gains)
-            if local >= 0:
-                candidates = [local]
-        elif min_capture_gain is not None:
-            for local in np.flatnonzero(gains >= min_capture_gain):
-                if capture_ids is None or start + int(local) in capture_ids:
-                    candidates.append(int(local))
-        return [
-            (start + local, self._decode_row_local(shard, local) & mask.mask_int)
-            for local in candidates
-        ]
 
     # ------------------------------------------------------------------
     # Referee access (tests and verification, not the streaming model)
@@ -1543,3 +1528,83 @@ def _gains_from_decoded(decoded: dict, mask: ScanMask) -> "np.ndarray":
         sel, matrix = dense
         gains[sel] = chunk_gains(matrix, mask.arr)
     return gains
+
+
+def _captures_from_decoded(
+    decoded: dict, candidates: "list[int]", mask: ScanMask, words: int
+) -> "list[int]":
+    """``row ∩ mask`` for the candidate rows of a ``_decode_encoded_chunk`` payload.
+
+    Built from the kernel arrays the gains came from, so a capture never
+    re-reads or re-decodes the shard: sparse rows OR the mask bits their
+    elements hit into one ``(candidates, words)`` ``uint64`` block, dense
+    rows AND their packed words with the mask, and run-length rows join
+    their runs into one integer masked with ``mask.mask_int``.  Returns
+    one integer per candidate, in candidate order.
+    """
+    if not candidates:
+        return []
+    wanted = np.asarray(candidates, dtype=np.int64)
+    block = np.zeros((wanted.size, words), dtype="<u8")
+    sparse = decoded["sparse"]
+    if sparse is not None:
+        elements, row_ids = sparse
+        first, counts = _row_segments(row_ids, wanted)
+        elements = _ragged_gather(elements, first, counts)
+        slot = np.repeat(np.arange(wanted.size), counts)
+        hits = membership_hits(elements, mask.arr)
+        elements, slot = elements[hits], slot[hits]
+        if elements.size:
+            # A row's elements are strictly increasing, so the bits bound
+            # for one word are adjacent and distinct: one segmented OR.
+            flat = slot * words + (elements >> 6)
+            firsts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+            bits = np.left_shift(np.uint64(1), (elements & 63).astype(np.uint64))
+            block.reshape(-1)[flat[firsts]] = np.bitwise_or.reduceat(bits, firsts)
+    dense = decoded["dense"]
+    if dense is not None:
+        sel, matrix = dense
+        first, counts = _row_segments(sel, wanted)
+        found = counts > 0
+        block[found] = matrix[first[found]] & mask.arr
+    raw = memoryview(block).cast("B")
+    row_bytes = words * _WORD_BYTES
+    out = [
+        int.from_bytes(raw[i * row_bytes : (i + 1) * row_bytes], "little")
+        for i in range(wanted.size)
+    ]
+    rle = decoded["rle"]
+    if rle is not None:
+        run_starts, run_ends, row_ids = rle
+        first, counts = _row_segments(row_ids, wanted)
+        for i in np.flatnonzero(counts).tolist():
+            lo, hi = int(first[i]), int(first[i] + counts[i])
+            bits = 0
+            for begin, end in zip(run_starts[lo:hi].tolist(), run_ends[lo:hi].tolist()):
+                bits |= ((1 << (end - begin)) - 1) << begin
+            out[i] = bits & mask.mask_int
+    return out
+
+
+def _row_segments(row_ids: "np.ndarray", wanted: "np.ndarray"):
+    """``(first, counts)`` of each wanted row's entries in sorted ``row_ids``."""
+    first = np.searchsorted(row_ids, wanted, "left")
+    return first, np.searchsorted(row_ids, wanted, "right") - first
+
+
+def _scan_decoded_payload(
+    start, decoded, mask, words, min_capture_gain, capture_ids, best_only
+):
+    """``(start, gains, captured)`` of one decoded encoded chunk.
+
+    The whole encoded-shard scan after decoding: gains from
+    :func:`_gains_from_decoded`, then the captured rows' projections
+    from :func:`_captures_from_decoded` over the same arrays.
+    """
+    gains = _gains_from_decoded(decoded, mask)
+    locals_ = capture_locals(start, gains, min_capture_gain, capture_ids, best_only)
+    projections = _captures_from_decoded(decoded, locals_, mask, words)
+    return start, gains, [
+        (start + local, projection)
+        for local, projection in zip(locals_, projections)
+    ]

@@ -57,10 +57,10 @@ class ShardedSetStream(SetStreamBase):
         When opening from a path: verify shard checksums first.
     jobs:
         Scan-executor parallelism for :meth:`~repro.streaming.stream.SetStreamBase.scan_gains`
-        (``"auto"`` or a positive worker count).  Worker processes
-        re-open the repository and scan whole shards via their own
-        ``mmap``; covers, pass counts and tie-breaks are identical at
-        every setting (DESIGN.md §6).
+        (``"auto"`` or a positive worker count; ``auto`` is serial).
+        Worker processes re-open the repository and scan whole shards
+        via their own ``mmap``; covers, pass counts and tie-breaks are
+        identical at every setting (DESIGN.md §6).
     transport:
         Scan-engine backend family (``"local"``, ``"serial"``,
         ``"process"``, ``"remote"``; ``None`` = local auto).  Each
@@ -175,7 +175,6 @@ class ShardedSetStream(SetStreamBase):
         if self._executor is None:
             self._executor = executor_for(
                 self._jobs,
-                repository_words=self._repo.repository_words,
                 transport=self._transport,
                 workers=self._workers,
                 retry=self._retry,

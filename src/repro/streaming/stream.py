@@ -328,9 +328,8 @@ class SetStream(SetStreamBase):
         family may only be read through :meth:`iterate`.
     jobs:
         Scan-executor parallelism for :meth:`scan_gains` (``"auto"`` or a
-        positive worker count).  ``auto`` stays serial for in-memory
-        instances below the parallel threshold.  Results are identical
-        at every setting (DESIGN.md §6).
+        positive worker count; ``auto`` is serial).  Results are
+        identical at every setting (DESIGN.md §6).
     transport:
         Scan-engine backend family (``"local"``, ``"serial"``,
         ``"process"``, ``"remote"``; ``None`` = local auto).  Serial
@@ -415,10 +414,8 @@ class SetStream(SetStreamBase):
 
     def _scan_executor(self):
         if self._executor is None:
-            words = (self.n + 63) // 64
             self._executor = executor_for(
                 self._jobs,
-                repository_words=self.m * words,
                 transport=self._transport,
                 workers=self._workers,
                 retry=self._retry,

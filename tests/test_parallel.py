@@ -77,8 +77,7 @@ def test_resolve_jobs_validation():
     assert resolve_jobs(1) == 1
     assert resolve_jobs(4) == 4
     assert resolve_jobs("4") == 4  # CLI plumbing
-    assert resolve_jobs("auto", repository_words=0) == 1
-    assert resolve_jobs(None) == resolve_jobs("auto")
+    assert resolve_jobs("auto") == resolve_jobs(None) == 1
     for bad in (0, -1, "zero", 1.5, "many"):
         # The message names the CLI flag that feeds this knob.
         with pytest.raises(ValueError, match="--jobs"):
@@ -92,6 +91,22 @@ def test_executor_for_picks_backend():
     assert executor.jobs == 3
     with pytest.raises(ValueError):
         ProcessScanExecutor(1)
+
+
+def test_sharded_stream_auto_jobs_scans_serially(tmp_path):
+    """Default knobs scan a multi-shard repository in process; an
+    explicit ``jobs`` count still builds the pool."""
+    system = SetSystem(40, [[i, (i * 7) % 40] for i in range(30)])
+    path = write_shards(tmp_path / "repo", system, chunk_rows=4)
+    for jobs, executor_type in (("auto", SerialScanExecutor), (2, ProcessScanExecutor)):
+        kwargs = {} if jobs == "auto" else {"jobs": jobs}
+        stream = ShardedSetStream(path, **kwargs)
+        try:
+            assert stream.repository.shard_count > 1
+            assert stream.jobs == (1 if jobs == "auto" else jobs)
+            assert isinstance(stream._scan_executor(), executor_type)
+        finally:
+            stream.close()
 
 
 def test_executor_for_transport_dispatch():

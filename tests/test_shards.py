@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import MultiPassGreedy, StoreAllGreedy, ThresholdGreedy
 from repro.core import iter_set_cover
@@ -25,6 +29,7 @@ from repro.setsystem.shards import (
     write_shards,
 )
 from repro.streaming import SetStream, ShardedSetStream, StreamAccessError
+from repro.utils.bitset import mask_of
 from repro.workloads import planted_instance, sparse_uniform_instance
 
 
@@ -303,6 +308,106 @@ def test_corrupt_record_table_fails_loudly(tmp_path):
     with ShardedRepository(path) as repo:
         with pytest.raises(ShardFormatError, match="corrupt"):
             list(repo.iter_row_masks())
+
+
+def test_corrupt_dense_tail_bits_fail_every_scan(tmp_path):
+    """A dense row with bits at or above ``n`` fails every scan of its
+    shard, including scans that do not capture it."""
+    system = SetSystem(60, [list(range(0, 60, 2)), [1], [5]])
+    path = write_shards(tmp_path / "c4", system, chunk_rows=3)
+    head = 4 + 3 + 4 * 3  # row count, tags, lengths: row 0's payload follows
+
+    def set_bit_63(payload):
+        payload[head + 7] |= 0x80
+
+    _corrupt_payload_byte(path, "shard-00000.bin", set_bit_63)
+    with ShardedRepository(path) as repo:
+        tags, _, _ = repo._encoded_header(0)
+        assert tags.tolist() == [0, 1, 1]  # one dense row, two sparse rows
+        with pytest.raises(ShardFormatError, match="beyond the ground set"):
+            repo.row_mask(0)
+        # Row 0 has gain 0 under the first mask (uncaptured), 30 under
+        # the second (captured).
+        for mask_int in (1 << 1, (1 << 60) - 1):
+            mask = ScanMask(60, mask_int)
+            with pytest.raises(ShardFormatError, match="beyond the ground set"):
+                repo.scan_shard(0, mask, min_capture_gain=1)
+            with pytest.raises(ShardFormatError, match="beyond the ground set"):
+                repo.scan_decoded(0, repo.decode_chunk(0)[0], mask, min_capture_gain=1)
+
+
+# ----------------------------------------------------------------------
+# Captures built from decoded chunks match the referee decoder
+# ----------------------------------------------------------------------
+@st.composite
+def _capture_cases(draw):
+    n = draw(st.integers(1, 140))
+    elements = st.integers(0, n - 1)
+    runs = st.lists(st.tuples(elements, st.integers(1, n)), max_size=4).map(
+        lambda pairs: sorted({e for s, k in pairs for e in range(s, min(n, s + k))})
+    )
+    half_dense = st.integers(0, (1 << n) - 1).map(
+        lambda bits: [e for e in range(n) if bits >> e & 1]
+    )
+    row = st.one_of(st.lists(elements, max_size=n, unique=True), runs, half_dense)
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    mode = draw(st.sampled_from(("gain", "gain+ids", "best")))
+    if mode == "best":
+        kwargs = {"best_only": True}
+    else:
+        kwargs = {"min_capture_gain": draw(st.integers(0, 4))}
+        if mode == "gain+ids":
+            kwargs["capture_ids"] = draw(st.sets(st.integers(0, len(rows) - 1)))
+    return (
+        SetSystem(n, rows),
+        draw(st.sampled_from(ENCODINGS)),
+        draw(st.integers(1, 3)),
+        draw(st.integers(0, (1 << n) - 1)),
+        kwargs,
+    )
+
+
+def _expected_captures(start, gains, kwargs):
+    if kwargs.get("best_only"):
+        best = int(np.argmax(gains))
+        return [start + best] if gains[best] > 0 else []
+    ids = kwargs.get("capture_ids")
+    return [
+        start + local for local, gain in enumerate(gains)
+        if gain >= kwargs["min_capture_gain"] and (ids is None or start + local in ids)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_capture_cases())
+def test_scan_captures_match_referee_decoder(case):
+    """Cold and cached scans return the referee's gains and ``row ∩ mask``
+    captures, in ascending id order, for every codec and capture mode."""
+    system, encoding, shards, mask_int, kwargs = case
+    chunk_rows = -(-system.m // shards)
+    mask = ScanMask(system.n, mask_int)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_shards(
+            Path(tmp) / "repo", system, chunk_rows=chunk_rows, encoding=encoding
+        )
+        with ShardedRepository(path) as repo:
+            projections = [repo.row_mask(i) & mask_int for i in range(repo.m)]
+            assert projections == [mask_of(s) & mask_int for s in system.sets]
+            for shard in range(repo.shard_count):
+                for start, gains, captured in (
+                    repo.scan_shard(shard, mask, **kwargs),
+                    repo.scan_decoded(shard, repo.decode_chunk(shard)[0], mask, **kwargs),
+                ):
+                    expected_gains = [
+                        projections[i].bit_count()
+                        for i in range(start, start + len(gains))
+                    ]
+                    assert gains.tolist() == expected_gains
+                    ids = (
+                        _expected_captures(start, expected_gains, kwargs)
+                        if mask_int else []
+                    )
+                    assert captured == [(i, projections[i]) for i in ids]
 
 
 # ----------------------------------------------------------------------
