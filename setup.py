@@ -17,6 +17,9 @@ setup(
     python_requires=">=3.10",
     install_requires=[
         "numpy>=1.22",
+        # LP rounding, `repro info --bounds` and the weighted solvers;
+        # imported at their call sites, so `repro solve` never loads it.
+        "scipy",
     ],
     extras_require={
         "test": ["pytest", "hypothesis", "pytest-benchmark"],

@@ -30,7 +30,7 @@ from repro.offline import ExactSolver, GreedySolver, LPRoundingSolver, OfflineSo
 from repro.setsystem import SetSystem, ShardedRepository, write_shards
 from repro.streaming import MemoryMeter, ResourceReport, SetStream, ShardedSetStream
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "ExactSolver",

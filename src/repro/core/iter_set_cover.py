@@ -26,18 +26,22 @@ the with-high-probability event did not materialize at the configured
 sampling constants; it is reported separately (DESIGN.md §3.2).
 
 Implementation note (DESIGN.md §4): the sample pass of each iteration runs
-one per-chunk Size-Test shared by every parallel guess.  Each captured
-chunk is packed once into a (rows x words) ``uint64`` block
-(:class:`_SampleChunk`); a guess gets the hits of all its rows from one
-popcount against its leftover sample at chunk start, and only rows whose
-count reaches the Size-Test threshold are re-tested one by one once a
-heavy pick has shrunk the leftover.  Light sets are stored by reference to
-the shared captured row and handed to ``algOfflineSC`` packed — big-int
-rows plus a target mask (:meth:`~repro.offline.base.OfflineSolver.solve_partial`),
-which the default greedy consumes without unpacking.  Every other piece
-of a guess's state — the true uncovered set included — is a big int too,
-so the update and cleanup passes apply the captured ``int`` projections
-as they arrive, with no conversion per row.
+one per-chunk Size-Test shared by every parallel guess.  The scan hands
+each chunk's captures over as one
+:class:`~repro.setsystem.packed.Captures` record — ids plus the
+(rows x words) ``uint64`` intersection block — which
+:class:`_SampleChunk` takes as it is; a guess gets the hits of all its
+rows from one popcount against its leftover sample at chunk start, and
+only rows whose count reaches the Size-Test threshold are re-tested one
+by one once a heavy pick has shrunk the leftover.  A row becomes a big
+int only when some guess stores it light or picks it, and then once for
+all guesses.  Light sets are stored by reference to that shared int and
+handed to ``algOfflineSC`` packed — big-int rows plus a target mask
+(:meth:`~repro.offline.base.OfflineSolver.solve_partial`), which the
+default greedy consumes without unpacking.  Every other piece of a
+guess's state — the true uncovered set included — is a big int too, so
+the update and cleanup passes read each captured row's int from the
+record as it arrives.
 
 The passes themselves are executor-driven capture scans (DESIGN.md §6):
 the stream's ``jobs`` / ``transport`` knobs decide how the repository is
@@ -55,7 +59,7 @@ from repro.core.result import GuessStats, StreamingCoverResult
 from repro.offline.base import OfflineSolver
 from repro.offline.greedy import GreedySolver
 from repro.sampling.relative_approximation import draw_sample
-from repro.setsystem.packed import WORD_BITS, chunk_gains, pack_rows
+from repro.setsystem.packed import Captures, chunk_gains
 from repro.engine import capture_words
 from repro.streaming.memory import MemoryMeter
 from repro.streaming.stream import SetStream, stream_resident_words
@@ -72,20 +76,24 @@ def _words_of(mask: int, words: int) -> "np.ndarray":
 
 
 class _SampleChunk:
-    """One captured chunk of a sample pass, packed once for every guess.
+    """One captured chunk of a sample pass, shared by every guess.
 
-    ``rows`` are the captured projections ``r ∩ (union of leftovers)`` as
-    big ints, ``matrix`` the same rows as a ``(rows, words)`` ``uint64``
-    block.  Hit counts against a chunk-start leftover are memoized, so
-    guesses whose leftovers coincide (every guess whose sample is the whole
-    uncovered set, say) share one popcount.
+    ``captures`` is the scan's :class:`~repro.setsystem.packed.Captures`
+    record: the rows' ids and their projections ``r ∩ (union of
+    leftovers)`` as one ``(rows, words)`` ``uint64`` block, taken as the
+    scan built it.  Hit counts against a chunk-start leftover are
+    memoized, so guesses whose leftovers coincide (every guess whose
+    sample is the whole uncovered set, say) share one popcount; a row
+    becomes a big int only when some guess stores or picks it, and
+    then once for all guesses (:meth:`Captures.row`).
     """
 
-    def __init__(self, captured, words: int):
-        self.ids = [set_id for set_id, _ in captured]
-        self.rows = [row for _, row in captured]
-        self.words = words
-        self.matrix = pack_rows(self.rows, words)
+    def __init__(self, captures: Captures):
+        self.ids = captures.ids
+        self.row = captures.row
+        self.rows = captures.rows
+        self.matrix = captures.block
+        self.words = captures.block.shape[1]
         self._gains: dict[int, np.ndarray] = {}
 
     def gains(self, leftover: int) -> "np.ndarray":
@@ -109,11 +117,10 @@ def _sample_pass(parts, guesses) -> int:
     projections are resident (DESIGN.md §6.1).
     """
     capture_peak = 0
-    words = (guesses[0].n + WORD_BITS - 1) // WORD_BITS
     for _, _, captured in parts:
         capture_peak = max(capture_peak, capture_words(captured))
         if captured:
-            chunk = _SampleChunk(captured, words)
+            chunk = _SampleChunk(captured)
             for guess in guesses:
                 guess.size_test(chunk)
     return capture_peak
@@ -122,9 +129,9 @@ def _sample_pass(parts, guesses) -> int:
 def _replay(parts, guesses, observe) -> int:
     """Feed every captured row of a pass to ``observe(guess, set_id, row)``.
 
-    Rows are the captured ``int`` projections, passed straight through;
-    returns the largest chunk's capture words, as :func:`_sample_pass`
-    does.
+    Rows are the capture record's ``int`` projections, each converted
+    once and shared by every guess; returns the largest chunk's capture
+    words, as :func:`_sample_pass` does.
     """
     capture_peak = 0
     for _, _, captured in parts:
@@ -164,7 +171,7 @@ class _GuessState:
         # Per-iteration scratch:
         self.sample_size = 0
         self.leftover = 0  # still-uncovered sampled elements, as a mask
-        self.projections: list[int] = []  # light rows, shared captured ints
+        self.projections: list[int] = []  # light rows, ints shared per chunk
         self.projection_ids: list[int] = []
         self.new_picks: set[int] = set()
         self._scratch_words = 0
@@ -228,11 +235,11 @@ class _GuessState:
             hits = hits.copy()
             hits[skip] = 0
         threshold = -(-self.sample_size // self.k)
-        rows = chunk.rows
+        row = chunk.row
         start, fresh = 0, True
         for stop in [*np.flatnonzero(hits >= threshold).tolist(), len(ids)]:
             heavy = stop < len(ids)
-            if heavy and not fresh and (rows[stop] & leftover).bit_count() < threshold:
+            if heavy and not fresh and (row(stop) & leftover).bit_count() < threshold:
                 continue  # no longer heavy: a light row of the next segment
             self._store_light(chunk, start, stop, hits, None if fresh else leftover)
             if not heavy:
@@ -241,7 +248,7 @@ class _GuessState:
             self._pick(set_id)
             self.new_picks.add(set_id)
             self.stats.heavy_picks += 1
-            leftover &= ~rows[stop]
+            leftover &= ~row(stop)
             start, fresh = stop + 1, False
             if not leftover:
                 break
@@ -265,8 +272,8 @@ class _GuessState:
             counts = chunk.count(index, leftover)
             index = index[counts > 0]
             counts = counts[counts > 0]
-        rows, ids, index = chunk.rows, chunk.ids, index.tolist()
-        self.projections.extend([rows[i] for i in index])
+        ids, index = chunk.ids, index.tolist()
+        self.projections.extend(chunk.rows(index))
         self.projection_ids.extend([ids[i] for i in index])
         words = int(counts.sum()) + len(index)  # elements + one id per set
         self._scratch_words += words

@@ -29,9 +29,9 @@ Examples
 >>> from repro.setsystem.packed import ScanMask, pack_rows
 >>> executor = SerialScanExecutor()
 >>> chunks = [(0, pack_rows([0b011, 0b100], 1)), (2, pack_rows([0b111], 1))]
->>> result = executor.scan_chunks(3, chunks, ScanMask(3, 0b110))
->>> result.gains.tolist(), result.captured
-([1, 1, 2], [])
+>>> result = executor.scan_chunks(3, chunks, ScanMask(3, 0b110), min_capture_gain=2)
+>>> result.gains.tolist(), result.captured.ids, result.captured.block.tolist()
+([1, 1, 2], [2], [[6]])
 >>> plan_batches([1, 1, 8, 1, 1], jobs=2, batches_per_worker=1)
 [[0, 1], [2, 3, 4]]
 """

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.setsystem.packed import Captures
+
 __all__ = [
     "AcceptBatch",
     "ReorderWindow",
@@ -47,9 +49,10 @@ class ScanResult:
     (``numpy.int64`` array when numpy is available, else a list) — or
     ``None`` when the caller asked for captures only
     (``include_gains=False``), which keeps the scan's driver-resident
-    state at the captured projections alone; ``captured`` holds
-    ``(row_id, projection_int)`` pairs in ascending row order, as
-    selected by the scan's capture policy.
+    state at the captured projections alone; ``captured`` is one
+    :class:`~repro.setsystem.packed.Captures` record of every chunk's
+    captured rows in ascending row order, as selected by the scan's
+    capture policy.
 
     ``extra`` carries transport-side observability that rides along with
     a result without affecting it — today the remote executor's fault
@@ -61,7 +64,7 @@ class ScanResult:
     """
 
     gains: object
-    captured: list
+    captured: Captures
     extra: dict = field(default_factory=dict)
 
 
@@ -86,8 +89,10 @@ class AcceptBatch:
 def simulate_accepts(mask_int: int, threshold: int, captured) -> AcceptBatch:
     """Sequential in-chunk accept simulation against the pass-start mask.
 
-    ``captured`` are ``(row_id, projection_int)`` candidates in ascending
-    row order, projections taken against ``mask_int``.  Accepts every
+    ``captured`` are the chunk's candidates — a
+    :class:`~repro.setsystem.packed.Captures` record or any sequence of
+    ``(row_id, projection_int)`` pairs — in ascending row order,
+    projections taken against ``mask_int``.  Accepts every
     candidate whose *live* hit still reaches ``threshold``, shrinking the
     simulated residual as it goes — exactly the driver's replay loop,
     relocated into the worker.
@@ -108,14 +113,15 @@ def simulate_accepts(mask_int: int, threshold: int, captured) -> AcceptBatch:
     return AcceptBatch(ids=ids, removed=mask_int & ~residual, touched=touched)
 
 
-def capture_words(captured) -> int:
+def capture_words(captured: Captures) -> int:
     """Words of a captured batch (projection elements + one id per row).
 
     The number algorithms report as ``scan_capture_peak_words``: the
     per-chunk capture scratch of a chunk-streamed replay, bounded by
-    one chunk's content (DESIGN.md §6.1 accounting).
+    one chunk's content (DESIGN.md §6.1 accounting).  One vectorized
+    popcount over the record's block.
     """
-    return sum(proj.bit_count() + 1 for _, proj in captured)
+    return captured.words()
 
 
 class ReorderWindow:
@@ -175,9 +181,7 @@ class ReorderWindow:
 def merge_scan_parts(parts: list) -> ScanResult:
     """Concatenate per-chunk ``(start, gains, captured)`` in chunk order."""
     parts = sorted(parts, key=lambda part: part[0])
-    captured: list = []
-    for _, _, chunk_captured in parts:
-        captured.extend(chunk_captured)
+    captured = Captures.concat([part[2] for part in parts])
     gains_parts = [part[1] for part in parts]
     if any(g is None for g in gains_parts):
         return ScanResult(gains=None, captured=captured)

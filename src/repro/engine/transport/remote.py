@@ -87,6 +87,7 @@ from repro.engine.fault import ChaosProxy, FaultLog, RetryPolicy, chaos_spec_fro
 from repro.engine.merge import AcceptBatch, ReorderWindow, simulate_accepts
 from repro.engine.plan import plan_batches, resolve_workers
 from repro.engine.transport.base import ScanExecutor
+from repro.setsystem.packed import WORD_BITS, Captures
 
 __all__ = [
     "MIN_PROTOCOL_VERSION",
@@ -262,8 +263,15 @@ def _encode_captured(captured) -> list:
     return [[int(row_id), format(projection, "x")] for row_id, projection in captured]
 
 
-def _decode_captured(encoded) -> list:
-    return [(int(row_id), int(projection_hex, 16)) for row_id, projection_hex in encoded]
+def _decode_captured(encoded, n: int) -> Captures:
+    """The wire's ``[id, hex]`` pairs as the driver's capture record."""
+    try:
+        return Captures.from_pairs(
+            ((int(row_id), int(hex_, 16)) for row_id, hex_ in encoded),
+            (n + WORD_BITS - 1) // WORD_BITS,
+        )
+    except OverflowError as exc:
+        raise ProtocolError(f"captured projection wider than n={n}") from exc
 
 
 def _encode_gains(gains) -> bytes:
@@ -1182,7 +1190,7 @@ class _WorkerLane(threading.Thread):
                 if shard not in expected:
                     raise ProtocolError(f"unrequested shard {shard} delivered")
                 start = int(message["start"])
-                captured = _decode_captured(message["captured"])
+                captured = _decode_captured(message["captured"], self.request["n"])
                 if self.accept_threshold is not None:
                     accept = message["accept"]
                     item = (

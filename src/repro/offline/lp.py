@@ -13,7 +13,6 @@ than greedy, used in the offline-solver ablation (experiment E9).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.offline.base import InfeasibleInstanceError, OfflineSolver
 from repro.setsystem.set_system import SetSystem
@@ -41,6 +40,10 @@ def fractional_optimum(system: SetSystem) -> tuple[float, np.ndarray]:
         return 0.0, np.zeros(system.m)
     if not system.is_feasible():
         raise InfeasibleInstanceError("family does not cover the ground set")
+    # Imported here: scipy costs ~0.5 s to import and ``solve`` never
+    # calls the LP, so ``import repro`` stays scipy-free (DESIGN.md §4.1).
+    from scipy.optimize import linprog
+
     matrix = _constraint_matrix(system)
     result = linprog(
         c=np.ones(system.m),

@@ -25,6 +25,7 @@ from repro.setsystem.operations import (
     verify_cover,
 )
 from repro.setsystem.packed import (
+    Captures,
     PackedFamily,
     ScanMask,
     non_dominated_reference,
@@ -45,6 +46,7 @@ from repro.setsystem.shards import (
 )
 
 __all__ = [
+    "Captures",
     "ENCODINGS",
     "PackedFamily",
     "ScanMask",

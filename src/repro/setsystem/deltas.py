@@ -99,7 +99,7 @@ from repro.setsystem.durability import (
     staging_lock_for,
     write_compact_intent,
 )
-from repro.setsystem.packed import ScanMask, pack_rows, scan_chunk
+from repro.setsystem.packed import Captures, ScanMask, pack_rows, scan_chunk
 from repro.setsystem.set_system import SetSystem
 from repro.setsystem.shards import (
     DEFAULT_CHUNK_BYTES,
@@ -763,7 +763,7 @@ class MergedShardView:
         start, end = self._bounds(shard)
         rows = end - start
         if mask.is_empty:
-            return start, np.zeros(rows, dtype=np.int64), []
+            return start, np.zeros(rows, dtype=np.int64), Captures.empty(self.words)
         gains, captured = scan_chunk(
             start, self.chunk_matrix(shard), mask,
             min_capture_gain=min_capture_gain,
@@ -802,7 +802,7 @@ class MergedShardView:
         start, end = self._bounds(shard)
         rows = end - start
         if mask.is_empty:
-            return start, np.zeros(rows, dtype=np.int64), []
+            return start, np.zeros(rows, dtype=np.int64), Captures.empty(self.words)
         _, data = payload
         gains, captured = scan_chunk(
             start, data, mask,

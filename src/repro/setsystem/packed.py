@@ -19,7 +19,10 @@ Each layer holds its bitmaps in exactly one representation (DESIGN.md
   :class:`ScanMask`, :func:`chunk_gains`, :func:`membership_hits`,
   :func:`range_gains`, :func:`scan_chunk` and the shard decoders of
   :mod:`repro.setsystem.shards`.  :func:`pack_rows` turns big-int rows
-  into such a block; captured projections leave the kernels as big ints.
+  into such a block.  Captured projections leave the kernels as one
+  :class:`Captures` record per chunk — ascending row ids plus the
+  intersection block itself — and become big ints only row by row, when
+  an algorithm asks for one (:meth:`Captures.row`).
 * **Frozensets** survive only in the seed's reference implementations
   that the tests compare against: :func:`non_dominated_reference` here
   and the frozenset greedy heap of :mod:`repro.offline.greedy`.
@@ -34,6 +37,7 @@ import numpy as np
 from repro.utils.bitset import bits_of, mask_of
 
 __all__ = [
+    "Captures",
     "PackedFamily",
     "ScanMask",
     "capture_locals",
@@ -56,9 +60,13 @@ if not _HAVE_BITWISE_COUNT:  # pragma: no cover - numpy >= 2.0 in CI
 
 
 def _popcount_rows(matrix: "np.ndarray") -> "np.ndarray":
-    """Per-row popcount of a (..., words) uint64 array."""
+    """Per-row popcount of a (..., words) uint64 array, as ``int64``."""
     if _HAVE_BITWISE_COUNT:
-        return np.bitwise_count(matrix).sum(axis=-1, dtype=np.int64)
+        # Below 1024 words a row's count fits 16 bits, and the narrow
+        # accumulator sums the per-word counts about 30% faster.
+        acc = np.uint16 if matrix.shape[-1] < 1024 else np.int64
+        counts = np.bitwise_count(matrix).sum(axis=-1, dtype=acc)
+        return counts.astype(np.int64, copy=False)
     flat = np.ascontiguousarray(matrix).view(np.uint8)
     return _POPCOUNT8[flat].sum(axis=-1, dtype=np.int64)
 
@@ -71,6 +79,111 @@ def pack_rows(rows: Sequence[int], words: int) -> "np.ndarray":
     """
     data = b"".join(row.to_bytes(words * 8, "little") for row in rows)
     return np.frombuffer(data, dtype="<u8").reshape(len(rows), words)
+
+
+class Captures:
+    """One chunk's captured projections: ascending row ids plus one block.
+
+    ``block[j]`` is the projection ``row ∩ mask`` of row ``ids[j]`` as
+    ``words`` little-endian ``uint64`` words — the intersection block
+    the scan kernel already computed, kept as it is.  Vectorized
+    consumers (the Size-Test popcounts, :meth:`words`) read the block;
+    int consumers call :meth:`row`, which converts a row once and
+    memoizes it, so every guess of a pass shares one int.  Iterating
+    yields ``(row_id, projection_int)`` pairs in id order, and a record
+    equals another record or pair sequence holding the same pairs.
+    Pickling ships the block as raw array bytes.
+
+    >>> captured = Captures([3, 7], pack_rows([0b101, 1 << 64], words=2))
+    >>> len(captured), captured.words(), captured.row(1) == 1 << 64
+    (2, 5, True)
+    >>> captured == [(3, 0b101), (7, 1 << 64)]
+    True
+    """
+
+    __slots__ = ("ids", "block", "_ints", "_raw")
+
+    def __init__(self, ids: "list[int]", block: "np.ndarray"):
+        self.ids = ids
+        self.block = block
+        self._ints: "list[int | None]" = [None] * len(ids)
+        self._raw = None
+
+    @classmethod
+    def empty(cls, words: int) -> "Captures":
+        """A record holding no rows."""
+        return cls([], np.zeros((0, words), dtype="<u8"))
+
+    @classmethod
+    def from_pairs(cls, pairs, words: int) -> "Captures":
+        """A record from ``(row_id, projection_int)`` pairs (wire decode, tests)."""
+        pairs = list(pairs)
+        return cls(
+            [row_id for row_id, _ in pairs],
+            pack_rows([row for _, row in pairs], words),
+        )
+
+    @classmethod
+    def concat(cls, records: "Sequence[Captures]") -> "Captures":
+        """The records' rows in order, as one record (eager scan merges)."""
+        full = [record for record in records if len(record)]
+        if not full:
+            return records[0] if records else cls.empty(0)
+        if len(full) == 1:
+            return full[0]
+        return cls(
+            [row_id for record in full for row_id in record.ids],
+            np.concatenate([record.block for record in full]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def row(self, j: int) -> int:
+        """The ``j``-th projection as a big int (converted once)."""
+        value = self._ints[j]
+        if value is None:
+            value = self._convert(j)
+        return value
+
+    def rows(self, index: "Sequence[int]") -> "list[int]":
+        """The projections at ``index`` as big ints (each converted once)."""
+        ints = self._ints
+        values = [ints[j] for j in index]
+        if None in values:
+            values = [
+                self._convert(j) if value is None else value
+                for j, value in zip(index, values)
+            ]
+        return values
+
+    def _convert(self, j: int) -> int:
+        if self._raw is None:
+            self._raw = memoryview(np.ascontiguousarray(self.block)).cast("B")
+        width = self.block.shape[1] * 8
+        value = int.from_bytes(self._raw[j * width : (j + 1) * width], "little")
+        self._ints[j] = value
+        return value
+
+    def __iter__(self):
+        return zip(self.ids, self.rows(range(len(self.ids))))
+
+    def words(self) -> int:
+        """Projection elements plus one id per row (capture accounting)."""
+        return int(_popcount_rows(self.block).sum()) + len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Captures, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Captures({list(self)!r})"
+
+    def __reduce__(self):
+        return Captures, (self.ids, np.ascontiguousarray(self.block))
 
 
 # ----------------------------------------------------------------------
@@ -399,8 +512,8 @@ def scan_chunk(
     mask:
         The residual :class:`ScanMask` to intersect against.
     min_capture_gain:
-        When given, capture ``(row_id, projection)`` for every row whose
-        gain reaches it (projection = ``row ∩ mask`` as an int bitmask).
+        When given, capture the projection ``row ∩ mask`` of every row
+        whose gain reaches it.
     capture_ids:
         Optional set of row ids further restricting captures.
     best_only:
@@ -410,7 +523,8 @@ def scan_chunk(
     -------
     (gains, captured):
         ``gains`` — per-row ``|row ∩ mask|`` as an ``int64`` array;
-        ``captured`` — ``(row_id, projection_int)`` pairs, ascending ids.
+        ``captured`` — the captured rows' :class:`Captures` record,
+        ascending ids, sliced from the same intersection block.
     """
     inter = np.bitwise_and(chunk, mask.arr[None, :]) if chunk.size else chunk
     gains = (
@@ -418,10 +532,7 @@ def scan_chunk(
         if chunk.size
         else np.zeros(chunk.shape[0], dtype=np.int64)
     )
-    captured = [
-        (start + local, int.from_bytes(inter[local].tobytes(), "little"))
-        for local in capture_locals(
-            start, gains, min_capture_gain, capture_ids, best_only
-        )
-    ]
-    return gains, captured
+    locals_ = capture_locals(start, gains, min_capture_gain, capture_ids, best_only)
+    if not locals_:
+        return gains, Captures.empty(mask.words)
+    return gains, Captures([start + local for local in locals_], inter[locals_])

@@ -101,6 +101,7 @@ from repro.setsystem.durability import (
     fsync_file,
 )
 from repro.setsystem.packed import (
+    Captures,
     ScanMask,
     capture_locals,
     chunk_gains,
@@ -1300,7 +1301,7 @@ class ShardedRepository:
         start = self._starts[shard]
         rows = int(self._shard_meta[shard]["rows"])
         if mask.is_empty:
-            return start, np.zeros(rows, dtype=np.int64), []
+            return start, np.zeros(rows, dtype=np.int64), Captures.empty(self.words)
         if self._layouts[shard] == _LAYOUT_RAW:
             gains, captured = scan_chunk(
                 start, self.chunk_matrix(shard), mask,
@@ -1455,7 +1456,7 @@ class ShardedRepository:
         start = self._starts[shard]
         rows = int(self._shard_meta[shard]["rows"])
         if mask.is_empty:
-            return start, np.zeros(rows, dtype=np.int64), []
+            return start, np.zeros(rows, dtype=np.int64), Captures.empty(self.words)
         kind, data = payload
         if kind != "decoded":
             gains, captured = scan_chunk(
@@ -1532,58 +1533,78 @@ def _gains_from_decoded(decoded: dict, mask: ScanMask) -> "np.ndarray":
 
 def _captures_from_decoded(
     decoded: dict, candidates: "list[int]", mask: ScanMask, words: int
-) -> "list[int]":
+) -> "np.ndarray":
     """``row ∩ mask`` for the candidate rows of a ``_decode_encoded_chunk`` payload.
 
     Built from the kernel arrays the gains came from, so a capture never
-    re-reads or re-decodes the shard: sparse rows OR the mask bits their
-    elements hit into one ``(candidates, words)`` ``uint64`` block, dense
-    rows AND their packed words with the mask, and run-length rows join
-    their runs into one integer masked with ``mask.mask_int``.  Returns
-    one integer per candidate, in candidate order.
+    re-reads or re-decodes the shard: sparse rows OR in one bit per
+    element, run-length rows their runs word by word, dense rows copy
+    their packed words, and the block is then masked once.  Returns the ``(candidates, words)`` ``uint64`` block,
+    one row per candidate, in candidate order.
     """
-    if not candidates:
-        return []
     wanted = np.asarray(candidates, dtype=np.int64)
     block = np.zeros((wanted.size, words), dtype="<u8")
+    if not wanted.size:
+        return block
+    flat_block = block.reshape(-1)
     sparse = decoded["sparse"]
     if sparse is not None:
         elements, row_ids = sparse
         first, counts = _row_segments(row_ids, wanted)
         elements = _ragged_gather(elements, first, counts)
         slot = np.repeat(np.arange(wanted.size), counts)
-        hits = membership_hits(elements, mask.arr)
-        elements, slot = elements[hits], slot[hits]
-        if elements.size:
-            # A row's elements are strictly increasing, so the bits bound
-            # for one word are adjacent and distinct: one segmented OR.
-            flat = slot * words + (elements >> 6)
-            firsts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
-            bits = np.left_shift(np.uint64(1), (elements & 63).astype(np.uint64))
-            block.reshape(-1)[flat[firsts]] = np.bitwise_or.reduceat(bits, firsts)
+        bits = np.left_shift(np.uint64(1), (elements & 63).astype(np.uint64))
+        _or_sorted_words(flat_block, slot * words + (elements >> 6), bits)
+    rle = decoded["rle"]
+    if rle is not None:
+        run_starts, run_ends, row_ids = rle
+        first, counts = _row_segments(row_ids, wanted)
+        slot = np.repeat(np.arange(wanted.size), counts)
+        spans, index, bits = _run_words(
+            _ragged_gather(run_starts, first, counts),
+            _ragged_gather(run_ends, first, counts),
+        )
+        _or_sorted_words(flat_block, np.repeat(slot, spans) * words + index, bits)
     dense = decoded["dense"]
     if dense is not None:
         sel, matrix = dense
         first, counts = _row_segments(sel, wanted)
         found = counts > 0
-        block[found] = matrix[first[found]] & mask.arr
-    raw = memoryview(block).cast("B")
-    row_bytes = words * _WORD_BYTES
-    out = [
-        int.from_bytes(raw[i * row_bytes : (i + 1) * row_bytes], "little")
-        for i in range(wanted.size)
-    ]
-    rle = decoded["rle"]
-    if rle is not None:
-        run_starts, run_ends, row_ids = rle
-        first, counts = _row_segments(row_ids, wanted)
-        for i in np.flatnonzero(counts).tolist():
-            lo, hi = int(first[i]), int(first[i] + counts[i])
-            bits = 0
-            for begin, end in zip(run_starts[lo:hi].tolist(), run_ends[lo:hi].tolist()):
-                bits |= ((1 << (end - begin)) - 1) << begin
-            out[i] = bits & mask.mask_int
-    return out
+        block[found] = matrix[first[found]]
+    np.bitwise_and(block, mask.arr, out=block)
+    return block
+
+
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+
+def _run_words(starts: "np.ndarray", ends: "np.ndarray"):
+    """The ``uint64`` words covering each non-empty run ``[start, end)``.
+
+    Run ``r`` spans words ``starts[r] >> 6`` through ``(ends[r] - 1) >> 6``:
+    all-ones words in between, partial words at either end.  Returns
+    ``(spans, index, bits)``: the word count of each run, then every
+    run's word indices and bits, run by run.
+    """
+    first = starts >> 6
+    spans = ((ends - 1) >> 6) - first + 1
+    offsets = np.cumsum(spans) - spans
+    index = np.arange(int(spans.sum())) + np.repeat(first - offsets, spans)
+    bits = np.full(index.size, _ALL_ONES)
+    bits[offsets] &= _ALL_ONES << (starts & 63).astype(np.uint64)
+    last = offsets + spans - 1
+    bits[last] &= _ALL_ONES >> (63 - ((ends - 1) & 63)).astype(np.uint64)
+    return spans, index, bits
+
+
+def _or_sorted_words(flat_block: "np.ndarray", flat: "np.ndarray", bits) -> None:
+    """OR ``bits`` into ``flat_block[flat]``, ``flat`` non-decreasing.
+
+    Equal indices are adjacent, so one segmented OR per word suffices.
+    """
+    if flat.size:
+        firsts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+        flat_block[flat[firsts]] |= np.bitwise_or.reduceat(bits, firsts)
 
 
 def _row_segments(row_ids: "np.ndarray", wanted: "np.ndarray"):
@@ -1603,8 +1624,7 @@ def _scan_decoded_payload(
     """
     gains = _gains_from_decoded(decoded, mask)
     locals_ = capture_locals(start, gains, min_capture_gain, capture_ids, best_only)
-    projections = _captures_from_decoded(decoded, locals_, mask, words)
-    return start, gains, [
-        (start + local, projection)
-        for local, projection in zip(locals_, projections)
-    ]
+    return start, gains, Captures(
+        [start + local for local in locals_],
+        _captures_from_decoded(decoded, locals_, mask, words),
+    )

@@ -39,7 +39,7 @@ from repro.engine import (
     executor_for,
     merge_scan_parts,
 )
-from repro.setsystem.packed import ScanMask, pack_rows
+from repro.setsystem.packed import Captures, ScanMask, pack_rows
 from repro.setsystem.set_system import SetSystem
 
 __all__ = [
@@ -196,7 +196,7 @@ class SetStreamBase:
         capture_ids=None,
         best_only: bool = False,
         include_gains: bool = True,
-    ) -> Iterator[tuple[int, object, list]]:
+    ) -> Iterator[tuple[int, object, Captures]]:
         """Open a pass yielding ``(start, gains, captured)`` per chunk.
 
         The fourth pass flavour (DESIGN.md §6): one sequential scan,
@@ -207,8 +207,10 @@ class SetStreamBase:
         bit-identical at every setting.  Same access discipline and pass accounting as
         :meth:`iterate`: one read head, the scan counts one pass.
 
-        Each chunk's ``captured`` holds ``(row_id, row ∩ mask)``
-        projections for rows reaching ``min_capture_gain`` (optionally
+        Each chunk's ``captured`` is one
+        :class:`~repro.setsystem.packed.Captures` record — ids plus a
+        ``uint64`` block of ``row ∩ mask`` — for rows reaching
+        ``min_capture_gain`` (optionally
         restricted to ``capture_ids``), or only the chunk's first-max
         row with ``best_only``.  Consuming chunk-by-chunk is the
         bounded-capture discipline: a replay holds at most one chunk's
@@ -225,7 +227,7 @@ class SetStreamBase:
 
     def scan_accepts_chunked(
         self, mask_int: int, threshold: int
-    ) -> Iterator[tuple[int, list, object]]:
+    ) -> Iterator[tuple[int, Captures, object]]:
         """Open a threshold-accept pass: one scan, accepts fused worker-side.
 
         The fifth pass flavour (DESIGN.md §8.4), for passes whose accept

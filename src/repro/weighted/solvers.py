@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.offline.base import InfeasibleInstanceError
 from repro.setsystem.set_system import SetSystem
@@ -160,6 +159,8 @@ def weighted_fractional_optimum(
         return 0.0, np.zeros(system.m)
     if not system.is_feasible():
         raise InfeasibleInstanceError("family does not cover the ground set")
+    from scipy.optimize import linprog  # lazy, as in repro.offline.lp
+
     matrix = np.zeros((system.n, system.m))
     for set_id, r in enumerate(system.sets):
         for element in r:

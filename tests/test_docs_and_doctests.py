@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import doctest
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +35,7 @@ DOCTEST_MODULES = [
     "repro.engine.transport",
     "repro.setsystem.set_system",
     "repro.setsystem.io",
+    "repro.setsystem.packed",
     "repro.setsystem.shards",
     "repro.streaming.stream",
     "repro.streaming.sharded",
@@ -73,6 +78,56 @@ def test_public_api_surface():
 
     for name in repro.__all__:
         assert getattr(repro, name, None) is not None, name
+
+
+def test_version_matches_setup_py():
+    """``repro.__version__`` is the version ``setup.py`` packages."""
+    import repro
+
+    tree = ast.parse((_REPO_ROOT / "setup.py").read_text(encoding="utf-8"))
+    versions = [
+        keyword.value.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+        if keyword.arg == "version"
+    ]
+    assert versions == [repro.__version__]
+
+
+_IMPORT_SURFACE = """
+import sys
+
+import repro.cli
+assert "scipy" not in sys.modules, "import repro.cli loaded scipy"
+del sys.modules["repro"]
+for name in [m for m in sys.modules if m.startswith("repro.")]:
+    del sys.modules[name]
+import repro
+assert "scipy" not in sys.modules, "import repro loaded scipy"
+
+from repro.offline import fractional_optimum
+from repro.setsystem import SetSystem
+
+assert repro.IterSetCover.__name__ == "IterSetCover"
+assert repro.LPRoundingSolver.__name__ == "LPRoundingSolver"
+assert repro.offline.fractional_optimum is fractional_optimum
+value, x = fractional_optimum(SetSystem(4, [[0, 1], [2, 3], [0, 2], [1, 3]]))
+assert abs(value - 2.0) < 1e-9 and len(x) == 4, (value, x)
+print("import surface OK")
+"""
+
+
+def test_import_surface_loads_no_scipy():
+    """``solve`` never calls the LP, so importing the CLI or the package
+    loads no scipy; the LP names still resolve and still solve."""
+    env = dict(os.environ, PYTHONPATH=str(_REPO_ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SURFACE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "import surface OK"
 
 
 def test_design_doc_experiment_index_matches_bench_files():

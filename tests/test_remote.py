@@ -35,6 +35,8 @@ from repro.engine.transport import remote as remote_mod
 from repro.engine.transport.remote import (
     MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
+    ProtocolError,
+    _decode_captured,
     manifest_token,
     recv_json,
     send_json,
@@ -437,6 +439,15 @@ def test_repo_cache_eviction_defers_while_busy(tmp_path):
             repo.row_mask(0)
     finally:
         server.stop()
+
+
+def test_decoded_captures_wider_than_n_are_a_protocol_error():
+    """A worker reply whose projection does not fit ``n`` bits' words is
+    refused as a protocol fault, not turned into a capture record."""
+    record = _decode_captured([[3, "5"], [9, format(1 << 63, "x")]], n=64)
+    assert record.ids == [3, 9] and record.block.tolist() == [[5], [1 << 63]]
+    with pytest.raises(ProtocolError, match="wider than n=64"):
+        _decode_captured([[3, format(1 << 64, "x")]], n=64)
 
 
 def test_manifest_token_is_content_keyed(tmp_path):
