@@ -19,19 +19,18 @@ chunk buffer in their peak (DESIGN.md §3.6).  ``MultiPassGreedy`` and
 ``ThresholdGreedy`` drive their passes through the stream's scan
 executor (DESIGN.md §6, §8): per-pass residual gains are computed
 chunk-parallel against the pass-start residual, and the pick/accept
-step is resolved with as little driver work as the algorithm's
-semantics allow.  ``MultiPassGreedy``'s accept (a single global
+step runs in the driver.  ``MultiPassGreedy``'s accept (a single global
 first-max) is a commutative reduction, so each worker ships one
 candidate per chunk and the driver merely max-merges.
-``ThresholdGreedy``'s accept loop is fused into the workers
-(``scan_accepts_chunked``, DESIGN.md §8.4): each chunk arrives with its
-accept simulation already run against the pass-start residual, the
-driver applies it wholesale whenever no earlier accept touched the
-chunk's candidates, and replays the captured rows in repository order
-otherwise — exactly the rows the serial loop would have accepted, so
-picks, pass counts and meter charges are bit-identical at any ``jobs``
-or ``transport`` setting.  Projections, residual and accept tests are
-integer bitmasks end to end.
+``ThresholdGreedy``'s accept is sequential: a row is picked when its
+hit on the *live* residual reaches the threshold.  Its pass
+(``scan_accepts_chunked``, DESIGN.md §8.4) captures every row reaching
+the threshold against the pass-start residual — a superset of the
+picks, since the residual only shrinks — and accepts each chunk's
+capture block in row order against the live residual, kept as
+``uint64`` words (:func:`~repro.setsystem.packed.accept_rows`).  Picks,
+pass counts and meter charges are those of the serial row loop at any
+``jobs`` or ``transport`` setting.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ import math
 from repro.core.result import StreamingCoverResult
 from repro.offline.greedy import greedy_cover
 from repro.engine import capture_words
+from repro.setsystem.packed import ScanMask
 from repro.setsystem.set_system import SetSystem
 from repro.streaming.memory import MemoryMeter
 from repro.streaming.stream import SetStream, stream_resident_words
@@ -146,52 +146,26 @@ class ThresholdGreedy:
         meter.charge(stream_resident_words(stream))
         passes_before = stream.passes
         n = stream.n
-        uncovered_int = universe_mask(n)
-        uncovered_count = n
+        residual = ScanMask(n, universe_mask(n)).arr.copy()
         meter.charge(n)
         selection: list[int] = []
 
         threshold = float(n)
         capture_peak = 0
-        while uncovered_count and threshold >= 1.0:
+        while residual.any() and threshold >= 1.0:
             threshold = max(1.0, threshold / self.shrink)
-            # Worker-fused accept pass (DESIGN.md §8.4): gains against
-            # the pass-start residual over-estimate live gains (the
-            # residual only shrinks), so every row the serial loop would
-            # accept arrives as a captured candidate — and each chunk
-            # additionally carries its accept simulation, run inside the
-            # scan worker against the pass-start residual.  The chunk's
-            # simulated accepts equal the serial replay's exactly when
-            # nothing removed by earlier chunks intersects any of the
-            # chunk's candidate projections (`changed & touched == 0`);
-            # only chunks where that check fails re-test their
-            # candidates in repository order against the live residual.
-            # Either way the picks, charges and pass counts match the
-            # serial loop bit for bit.  Chunk-streamed consumption
-            # bounds the resident captures to one chunk's worth; the
-            # largest batch is reported (DESIGN.md §6.1).
-            pass_mask = uncovered_int
-            parts = stream.scan_accepts_chunked(
-                pass_mask, math.ceil(threshold)
-            )
-            for _, captured, batch in parts:
+            # One accept pass (DESIGN.md §8.4): each chunk's picks are
+            # accepted against the live residual, which shrinks in place.
+            # Chunk-streamed consumption bounds the resident captures to
+            # one chunk's worth; the largest batch is reported
+            # (DESIGN.md §6.1).
+            for _, captured, picked in stream.scan_accepts_chunked(
+                residual, math.ceil(threshold)
+            ):
                 capture_peak = max(capture_peak, capture_words(captured))
-                changed = pass_mask & ~uncovered_int
-                if not changed & batch.touched:
-                    for set_id in batch.ids:
-                        selection.append(set_id)
-                        meter.charge(1)
-                    uncovered_int &= ~batch.removed
-                    uncovered_count -= batch.removed.bit_count()
-                    continue
-                for set_id, projection in captured:
-                    hit_int = projection & uncovered_int
-                    hit_count = hit_int.bit_count()
-                    if hit_count >= threshold:
-                        selection.append(set_id)
-                        meter.charge(1)
-                        uncovered_int &= ~hit_int
-                        uncovered_count -= hit_count
+                for set_id in picked:
+                    selection.append(set_id)
+                    meter.charge(1)
             if threshold <= 1.0:
                 break
 
@@ -200,6 +174,6 @@ class ThresholdGreedy:
             passes=stream.passes - passes_before,
             peak_memory_words=meter.peak,
             algorithm=self.name,
-            feasible=not uncovered_count,
+            feasible=not residual.any(),
             extra={"scan_capture_peak_words": capture_peak},
         )

@@ -1007,7 +1007,7 @@ def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
             print(f"best guess: k={result.best_k}")
         if args.show_cover:
             print(f"sets      : {sorted(set(result.selection))}")
-        return 0 if result.feasible else 1
+        return 0 if status == "cover" else 1
     finally:
         close = getattr(stream, "close", None)
         if close is not None:

@@ -77,20 +77,12 @@ class HandoffStream(SetStream):
         inner = super()._scan_gains_chunked(
             mask_int, min_capture_gain, capture_ids, best_only, include_gains
         )
-        return self._with_scan_handoffs(inner)
 
-    def _scan_accepts_chunked(self, mask_int, threshold):
-        # The fused accept flavour (DESIGN.md §8.4) is still one full
-        # sequential pass, so it hands off at every boundary too.
-        return self._with_scan_handoffs(
-            super()._scan_accepts_chunked(mask_int, threshold)
-        )
-
-    def _with_scan_handoffs(self, inner):
         def with_handoffs():
             yield from inner
-            # A gains/accept scan is one full sequential pass: one
-            # handoff per player boundary, same accounting as a row pass.
+            # A gains scan (the accept pass runs one too) is one full
+            # sequential pass: one handoff per player boundary, same
+            # accounting as a row pass.
             pass_index = self.passes - 1
             for boundary in self._boundaries:
                 self._on_handoff(pass_index, boundary)

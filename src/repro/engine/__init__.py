@@ -11,8 +11,8 @@ exploits that observation in three cleanly separated layers:
   :class:`ScanExecutor` protocol with ``serial``, ``process`` and
   ``remote`` backends, each a single module with one schedule;
 * :mod:`repro.engine.merge` — *how results become one scan*: the
-  chunk-order reorder window, eager scan merging and the worker-side
-  accept simulation, shared by every backend.
+  chunk-order reorder window and eager scan merging, shared by every
+  backend.
 
 Because scheduling and transport are quarantined away from
 reconciliation, covers, tie-breaks, pass counts and accounting are
@@ -55,12 +55,10 @@ from repro.engine.fault import (
     parse_chaos_spec,
 )
 from repro.engine.merge import (
-    AcceptBatch,
     ReorderWindow,
     ScanResult,
     capture_words,
     merge_scan_parts,
-    simulate_accepts,
 )
 from repro.engine.plan import (
     JOBS_AUTO,
@@ -89,7 +87,6 @@ __all__ = [
     "CHAOS_MODES",
     "JOBS_AUTO",
     "TRANSPORTS",
-    "AcceptBatch",
     "ChaosProxy",
     "ChunkCache",
     "FaultEvent",
@@ -118,6 +115,5 @@ __all__ = [
     "resolve_jobs",
     "resolve_workers",
     "shutdown_pools",
-    "simulate_accepts",
     "spawn_local_worker",
 ]

@@ -2,7 +2,7 @@
 
 Every transport backend (:mod:`repro.engine.transport`) computes the
 same per-chunk values; what makes covers, tie-breaks, pass counts and
-accounting **bit-identical** across serial / thread / process / remote
+accounting **bit-identical** across serial / process / remote
 execution is that all of them funnel their results through this module
 (DESIGN.md §6.1, §9.2):
 
@@ -11,12 +11,7 @@ execution is that all of them funnel their results through this module
   the serial executor's chunk sequence no matter how batches were
   scheduled or which worker finished first;
 * :func:`merge_scan_parts` assembles a full :class:`ScanResult` from
-  per-chunk triples for eager callers;
-* :func:`simulate_accepts` / :class:`AcceptBatch` relocate the
-  threshold-accept replay loop into scan workers, with the driver-side
-  application rule (apply wholesale iff nothing earlier chunks removed
-  touches the batch's candidates) keeping picks identical to the
-  sequential replay.
+  per-chunk triples for eager callers.
 
 Because the merge layer is shared, a new transport backend inherits the
 determinism contract for free — it only has to deliver correct per-chunk
@@ -32,12 +27,10 @@ import numpy as np
 from repro.setsystem.packed import Captures
 
 __all__ = [
-    "AcceptBatch",
     "ReorderWindow",
     "ScanResult",
     "capture_words",
     "merge_scan_parts",
-    "simulate_accepts",
 ]
 
 
@@ -66,51 +59,6 @@ class ScanResult:
     gains: object
     captured: Captures
     extra: dict = field(default_factory=dict)
-
-
-@dataclass
-class AcceptBatch:
-    """One chunk's worker-side accept simulation (DESIGN.md §8.4).
-
-    ``ids`` are the rows a sequential threshold-accept loop over the
-    chunk's candidates would pick when the chunk's incoming residual is
-    the pass-start mask; ``removed`` is the union of their (disjoint)
-    hits; ``touched`` is the union of *every* candidate's projection.
-    The driver may apply the batch wholesale exactly when nothing
-    removed by earlier chunks intersects ``touched`` — otherwise it
-    replays the captured candidates in order, as PR 3 did.
-    """
-
-    ids: list = field(default_factory=list)
-    removed: int = 0
-    touched: int = 0
-
-
-def simulate_accepts(mask_int: int, threshold: int, captured) -> AcceptBatch:
-    """Sequential in-chunk accept simulation against the pass-start mask.
-
-    ``captured`` are the chunk's candidates — a
-    :class:`~repro.setsystem.packed.Captures` record or any sequence of
-    ``(row_id, projection_int)`` pairs — in ascending row order,
-    projections taken against ``mask_int``.  Accepts every
-    candidate whose *live* hit still reaches ``threshold``, shrinking the
-    simulated residual as it goes — exactly the driver's replay loop,
-    relocated into the worker.
-
-    >>> batch = simulate_accepts(0b1111, 2, [(0, 0b0011), (1, 0b0110), (2, 0b1100)])
-    >>> batch.ids, bin(batch.removed), bin(batch.touched)
-    ([0, 2], '0b1111', '0b1111')
-    """
-    residual = mask_int
-    ids: list = []
-    touched = 0
-    for row_id, projection in captured:
-        touched |= projection
-        hit = projection & residual
-        if hit.bit_count() >= threshold:
-            ids.append(row_id)
-            residual &= ~hit
-    return AcceptBatch(ids=ids, removed=mask_int & ~residual, touched=touched)
 
 
 def capture_words(captured: Captures) -> int:

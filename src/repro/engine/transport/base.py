@@ -15,16 +15,15 @@ backend — the property tests in ``tests/test_parallel.py`` and
 ``tests/test_remote.py`` assert exactly that.
 
 Adding a backend means implementing the two ``iter_scan_*`` primitives
-(and, optionally, the ``iter_accept_*`` fused-accept flavour) in a new
-module under :mod:`repro.engine.transport` — the protocol, the merge
-discipline and every algorithm above it stay untouched.
+in a new module under :mod:`repro.engine.transport` — the protocol, the
+merge discipline and every algorithm above it stay untouched.
 """
 
 from __future__ import annotations
 
 import abc
 
-from repro.engine.merge import merge_scan_parts, simulate_accepts
+from repro.engine.merge import merge_scan_parts
 from repro.setsystem.packed import ScanMask
 
 __all__ = ["ScanExecutor"]
@@ -39,13 +38,6 @@ class ScanExecutor(abc.ABC):
     chunk's worth at a time (the bounded-capture discipline of
     DESIGN.md §6.1).  The eager ``scan_*`` wrappers merge the full scan
     for callers that want the whole gains vector (benchmarks, tests).
-
-    The accept flavour (``iter_accept_*``) additionally runs the
-    in-chunk threshold-accept simulation
-    (:func:`repro.engine.merge.simulate_accepts`) and yields
-    ``(start, captured, AcceptBatch)`` per chunk; the process and remote
-    backends run the simulation inside their workers (worker-side
-    residual fusion, DESIGN.md §8.4).
     """
 
     jobs: int = 1
@@ -93,24 +85,6 @@ class ScanExecutor(abc.ABC):
         include_gains: bool = True,
     ):
         """Yield ``(start, gains, captured)`` per in-memory chunk."""
-
-    def iter_accept_repository(self, repository, mask_int: int, threshold: int):
-        """Yield ``(start, captured, AcceptBatch)`` per shard, in order."""
-        for start, _, captured in self.iter_scan_repository(
-            repository, mask_int,
-            min_capture_gain=threshold, include_gains=False,
-        ):
-            yield start, captured, simulate_accepts(mask_int, threshold, captured)
-
-    def iter_accept_chunks(self, n: int, chunks, mask: ScanMask, threshold: int):
-        """Yield ``(start, captured, AcceptBatch)`` per in-memory chunk."""
-        for start, _, captured in self.iter_scan_chunks(
-            n, chunks, mask,
-            min_capture_gain=threshold, include_gains=False,
-        ):
-            yield start, captured, simulate_accepts(
-                mask.mask_int, threshold, captured
-            )
 
     def scan_repository(self, repository, mask_int, **kwargs):
         """Eager merge of :meth:`iter_scan_repository`."""

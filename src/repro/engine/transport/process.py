@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine.cache import cached_scan_shard, get_cache
-from repro.engine.merge import ReorderWindow, simulate_accepts
+from repro.engine.merge import ReorderWindow
 from repro.engine.transport.base import ScanExecutor
 from repro.setsystem.packed import ScanMask, scan_chunk
 
@@ -193,22 +193,6 @@ def _maybe_crash_for_tests() -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _task_item(start, gains, captured, mask, include_gains, accept_threshold):
-    """The per-chunk item a task sends back.
-
-    In accept mode it is ``(start, captured, AcceptBatch)`` with the
-    accept simulation already run worker-side; otherwise it is the scan
-    triple ``(start, gains, captured)``.
-    """
-    if accept_threshold is not None:
-        return (
-            start,
-            captured,
-            simulate_accepts(mask.mask_int, accept_threshold, captured),
-        )
-    return start, (gains if include_gains else None), captured
-
-
 def _scan_shard_task(args):
     """Scan ONE shard inside a worker process (the windowed unit).
 
@@ -217,15 +201,13 @@ def _scan_shard_task(args):
     driver's reorder window immediately.
     """
     (path, token, shard, n, mask_payload, min_gain, capture_ids,
-     best_only, include_gains, accept_threshold) = args
+     best_only, include_gains) = args
     _maybe_crash_for_tests()
     repository = _worker_repository(path, token)
     mask = _mask_from_payload(mask_payload, n)
     start, gains, captured = cached_scan_shard(
         repository, shard, mask,
-        min_capture_gain=(
-            accept_threshold if accept_threshold is not None else min_gain
-        ),
+        min_capture_gain=min_gain,
         capture_ids=capture_ids,
         best_only=best_only,
     )
@@ -233,27 +215,25 @@ def _scan_shard_task(args):
     return (
         os.getpid(),
         cache.stats() if cache.enabled else None,
-        _task_item(start, gains, captured, mask, include_gains, accept_threshold),
+        (start, (gains if include_gains else None), captured),
     )
 
 
 def _scan_chunk_task(args):
     """Scan one shipped in-memory chunk inside a worker."""
     (start, payload, rows, words, n, mask_payload, min_gain,
-     capture_ids, best_only, include_gains, accept_threshold) = args
+     capture_ids, best_only, include_gains) = args
     _maybe_crash_for_tests()
     mask = _mask_from_payload(mask_payload, n)
     chunk = np.frombuffer(payload, dtype="<u8").reshape(rows, words)
     gains, captured = scan_chunk(
         start, chunk, mask,
-        min_capture_gain=(
-            accept_threshold if accept_threshold is not None else min_gain
-        ),
+        min_capture_gain=min_gain,
         capture_ids=capture_ids,
         best_only=best_only,
     )
-    return os.getpid(), None, _task_item(
-        start, gains, captured, mask, include_gains, accept_threshold
+    return (
+        os.getpid(), None, (start, (gains if include_gains else None), captured)
     )
 
 
@@ -363,7 +343,7 @@ class ProcessScanExecutor(ScanExecutor):
     # -- sources --------------------------------------------------------
     def _repository_tasks(
         self, repository, mask_int, min_capture_gain, capture_ids, best_only,
-        include_gains, accept_threshold,
+        include_gains,
     ):
         path = str(repository.path)
         token = getattr(repository, "cache_token", None)
@@ -377,7 +357,7 @@ class ProcessScanExecutor(ScanExecutor):
         # the reorder window immediately.
         tasks = [
             (path, token, shard, repository.n, payload, min_capture_gain,
-             capture_ids, best_only, include_gains, accept_threshold)
+             capture_ids, best_only, include_gains)
             for shard in range(repository.shard_count)
         ]
         return tasks, shm
@@ -390,21 +370,13 @@ class ProcessScanExecutor(ScanExecutor):
             _scan_shard_task,
             lambda: self._repository_tasks(
                 repository, mask_int, min_capture_gain, capture_ids,
-                best_only, include_gains, None,
-            ),
-        )
-
-    def iter_accept_repository(self, repository, mask_int, threshold):
-        return self._drain(
-            _scan_shard_task,
-            lambda: self._repository_tasks(
-                repository, mask_int, None, None, False, False, threshold,
+                best_only, include_gains,
             ),
         )
 
     def _chunk_tasks(
         self, n, chunks, mask, min_capture_gain, capture_ids, best_only,
-        include_gains, accept_threshold,
+        include_gains,
     ):
         capture_ids = frozenset(capture_ids) if capture_ids is not None else None
         payload, shm = self._mask_payload(mask.mask_int, mask.words)
@@ -412,8 +384,7 @@ class ProcessScanExecutor(ScanExecutor):
         for start, chunk in chunks:
             tasks.append(
                 (start, chunk.tobytes(), *chunk.shape, n, payload,
-                 min_capture_gain, capture_ids, best_only, include_gains,
-                 accept_threshold)
+                 min_capture_gain, capture_ids, best_only, include_gains)
             )
         return tasks, shm
 
@@ -425,14 +396,6 @@ class ProcessScanExecutor(ScanExecutor):
             _scan_chunk_task,
             lambda: self._chunk_tasks(
                 n, chunks, mask, min_capture_gain, capture_ids, best_only,
-                include_gains, None,
-            ),
-        )
-
-    def iter_accept_chunks(self, n, chunks, mask, threshold):
-        return self._drain(
-            _scan_chunk_task,
-            lambda: self._chunk_tasks(
-                n, chunks, mask, None, None, False, False, threshold,
+                include_gains,
             ),
         )

@@ -84,7 +84,7 @@ from repro.engine.cache import (
     hot_scan_shard,
 )
 from repro.engine.fault import ChaosProxy, FaultLog, RetryPolicy, chaos_spec_from_env
-from repro.engine.merge import AcceptBatch, ReorderWindow, simulate_accepts
+from repro.engine.merge import ReorderWindow
 from repro.engine.plan import plan_batches, resolve_workers
 from repro.engine.transport.base import ScanExecutor
 from repro.setsystem.packed import WORD_BITS, Captures
@@ -655,7 +655,6 @@ class WorkerServer:
             from repro.setsystem.packed import ScanMask
 
             mask = ScanMask(n, int.from_bytes(mask_bytes, "little"))
-            accept_threshold = request.get("accept_threshold")
             min_gain = request.get("min_capture_gain")
             capture_ids = request.get("capture_ids")
             capture_ids = (
@@ -667,11 +666,7 @@ class WorkerServer:
             for shard in shards:
                 (start, gains, captured), hot = hot_scan_shard(
                     repo, shard, mask,
-                    min_capture_gain=(
-                        accept_threshold
-                        if accept_threshold is not None
-                        else min_gain
-                    ),
+                    min_capture_gain=min_gain,
                     capture_ids=capture_ids,
                     best_only=best_only,
                 )
@@ -683,19 +678,9 @@ class WorkerServer:
                 }
                 if negotiated >= 3:
                     reply["hot"] = bool(hot)
-                send_gains = accept_threshold is None and include_gains
-                reply["gains"] = send_gains
-                if accept_threshold is not None:
-                    batch = simulate_accepts(
-                        mask.mask_int, accept_threshold, captured
-                    )
-                    reply["accept"] = {
-                        "ids": batch.ids,
-                        "removed": format(batch.removed, "x"),
-                        "touched": format(batch.touched, "x"),
-                    }
+                reply["gains"] = include_gains
                 send_json(conn, reply)
-                if send_gains:
+                if include_gains:
                     send_bytes(conn, _encode_gains(gains))
                 if crash_hook:  # pragma: no cover - dies by design
                     os.kill(os.getpid(), signal.SIGKILL)
@@ -1024,8 +1009,8 @@ class _WorkerLane(threading.Thread):
     results, and converts faults into retry/re-dispatch decisions."""
 
     def __init__(
-        self, executor, worker, state, request, mask_bytes, accept_threshold,
-        include_gains, sock=None,
+        self, executor, worker, state, request, mask_bytes, include_gains,
+        sock=None,
     ):
         host, port = worker
         super().__init__(name=f"repro-remote-{host}:{port}", daemon=True)
@@ -1034,7 +1019,6 @@ class _WorkerLane(threading.Thread):
         self.state = state
         self.request = request
         self.mask_bytes = mask_bytes
-        self.accept_threshold = accept_threshold
         self.include_gains = include_gains
         self.sock = sock
 
@@ -1191,26 +1175,14 @@ class _WorkerLane(threading.Thread):
                     raise ProtocolError(f"unrequested shard {shard} delivered")
                 start = int(message["start"])
                 captured = _decode_captured(message["captured"], self.request["n"])
-                if self.accept_threshold is not None:
-                    accept = message["accept"]
-                    item = (
-                        start,
-                        captured,
-                        AcceptBatch(
-                            ids=[int(i) for i in accept["ids"]],
-                            removed=int(accept["removed"], 16),
-                            touched=int(accept["touched"], 16),
-                        ),
-                    )
+                if message.get("gains"):
+                    self._arm_timeout(sock, deadline)
+                    gains = _decode_gains(recv_bytes(sock))
                 else:
-                    if message.get("gains"):
-                        self._arm_timeout(sock, deadline)
-                        gains = _decode_gains(recv_bytes(sock))
-                    else:
-                        gains = None
-                    item = (
-                        start, (gains if self.include_gains else None), captured
-                    )
+                    gains = None
+                item = (
+                    start, (gains if self.include_gains else None), captured
+                )
                 expected.discard(shard)
                 self.state.deliver(
                     shard, item, worker=self.worker,
@@ -1381,9 +1353,6 @@ class RemoteScanExecutor(ScanExecutor):
             "`repro shard create` (or write_shards) and a ShardedSetStream"
         )
 
-    def iter_accept_chunks(self, n, chunks, mask, threshold):
-        return self.iter_scan_chunks(n, chunks, mask)
-
     # -- repository scans ------------------------------------------------
     def iter_scan_repository(
         self, repository, mask_int, min_capture_gain=None, capture_ids=None,
@@ -1391,12 +1360,7 @@ class RemoteScanExecutor(ScanExecutor):
     ):
         return self._iter_remote(
             repository, mask_int, min_capture_gain, capture_ids, best_only,
-            include_gains, None,
-        )
-
-    def iter_accept_repository(self, repository, mask_int, threshold):
-        return self._iter_remote(
-            repository, mask_int, None, None, False, False, threshold,
+            include_gains,
         )
 
     # -- observability -----------------------------------------------------
@@ -1570,7 +1534,7 @@ class RemoteScanExecutor(ScanExecutor):
 
     def _scan_locally(
         self, repository, shards, mask_int, min_capture_gain, capture_ids,
-        best_only, include_gains, accept_threshold,
+        best_only, include_gains,
     ):
         """Quorum-loss degradation: serial in-process scan of ``shards``.
 
@@ -1584,28 +1548,15 @@ class RemoteScanExecutor(ScanExecutor):
         for shard in shards:
             start, gains, captured = cached_scan_shard(
                 repository, shard, mask,
-                min_capture_gain=(
-                    accept_threshold
-                    if accept_threshold is not None
-                    else min_capture_gain
-                ),
+                min_capture_gain=min_capture_gain,
                 capture_ids=ids,
                 best_only=best_only,
             )
-            if accept_threshold is not None:
-                yield shard, (
-                    start,
-                    captured,
-                    simulate_accepts(mask_int, accept_threshold, captured),
-                )
-            else:
-                yield shard, (
-                    start, (gains if include_gains else None), captured
-                )
+            yield shard, (start, (gains if include_gains else None), captured)
 
     def _iter_remote(
         self, repository, mask_int, min_capture_gain, capture_ids, best_only,
-        include_gains, accept_threshold,
+        include_gains,
     ):
         count = repository.shard_count
         if count == 0:
@@ -1633,7 +1584,6 @@ class RemoteScanExecutor(ScanExecutor):
             ),
             "best_only": best_only,
             "include_gains": include_gains,
-            "accept_threshold": accept_threshold,
         }
         mask_bytes = mask_int.to_bytes(max(1, repository.words * 8), "little")
         estimates = list(repository.shard_cost_estimates())
@@ -1663,8 +1613,7 @@ class RemoteScanExecutor(ScanExecutor):
         try:
             for worker in roster:
                 lane = _WorkerLane(
-                    self, worker, state, request, mask_bytes,
-                    accept_threshold, include_gains,
+                    self, worker, state, request, mask_bytes, include_gains,
                     sock=preconnected.pop(worker, None),
                 )
                 lane.start()
@@ -1699,7 +1648,6 @@ class RemoteScanExecutor(ScanExecutor):
                     for shard, item in self._scan_locally(
                         repository, todo, mask_int, min_capture_gain,
                         capture_ids, best_only, include_gains,
-                        accept_threshold,
                     ):
                         state.deliver(shard, item, worker="driver")
                     state.batch_done(batch)
@@ -1747,7 +1695,6 @@ class RemoteScanExecutor(ScanExecutor):
                     for shard, item in self._scan_locally(
                         repository, missing, mask_int, min_capture_gain,
                         capture_ids, best_only, include_gains,
-                        accept_threshold,
                     ):
                         # Every lane already exited: the results queue
                         # has no consumer but this loop, so bypass

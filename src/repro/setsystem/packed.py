@@ -17,9 +17,9 @@ Each layer holds its bitmaps in exactly one representation (DESIGN.md
   operations.  :class:`PackedFamily` holds a whole family this way.
 * **Scan kernels** use ``(rows, words)`` ``numpy.uint64`` blocks:
   :class:`ScanMask`, :func:`chunk_gains`, :func:`membership_hits`,
-  :func:`range_gains`, :func:`scan_chunk` and the shard decoders of
-  :mod:`repro.setsystem.shards`.  :func:`pack_rows` turns big-int rows
-  into such a block.  Captured projections leave the kernels as one
+  :func:`range_gains`, :func:`scan_chunk`, :func:`accept_rows` and the
+  shard decoders of :mod:`repro.setsystem.shards`.  :func:`pack_rows`
+  turns big-int rows into such a block.  Captured projections leave the kernels as one
   :class:`Captures` record per chunk — ascending row ids plus the
   intersection block itself — and become big ints only row by row, when
   an algorithm asks for one (:meth:`Captures.row`).
@@ -40,6 +40,7 @@ __all__ = [
     "Captures",
     "PackedFamily",
     "ScanMask",
+    "accept_rows",
     "capture_locals",
     "chunk_gains",
     "first_argmax",
@@ -421,6 +422,42 @@ def chunk_gains(matrix: "np.ndarray", mask_arr: "np.ndarray") -> "np.ndarray":
     if matrix.shape[1] == 0:
         return np.zeros(matrix.shape[0], dtype=np.int64)
     return _popcount_rows(np.bitwise_and(matrix, mask_arr[None, :]))
+
+
+def accept_rows(
+    captures: Captures, residual: "np.ndarray", threshold: int
+) -> "list[int]":
+    """Threshold-accept a chunk's captures against the live residual.
+
+    Walks ``captures`` in row order and accepts every row whose live hit
+    ``row ∩ residual`` still has at least ``threshold`` elements,
+    removing each accepted hit from ``residual`` — a writable ``uint64``
+    word array, shrunk in place.  Returns the accepted row ids.
+
+    One :func:`chunk_gains` popcount against the chunk-start residual
+    keeps only the rows that reach ``threshold``: the residual only
+    shrinks, so a row it drops can never be accepted later in the
+    chunk.  The first survivor is accepted outright; after that, each
+    survivor is re-tested on its own.  No row becomes a big int.
+
+    >>> residual = np.array([0b1111], dtype=np.uint64)
+    >>> captured = Captures([3, 5, 9], pack_rows([0b0011, 0b0110, 0b1100], 1))
+    >>> accept_rows(captured, residual, 2), int(residual[0])
+    ([3, 9], 0)
+    """
+    if not len(captures):
+        return []
+    block = captures.block
+    candidates = np.flatnonzero(chunk_gains(block, residual) >= threshold)
+    picked: "list[int]" = []
+    hit = np.empty_like(residual)
+    for j in candidates.tolist():
+        np.bitwise_and(block[j], residual, out=hit)
+        if picked and _popcount_rows(hit) < threshold:
+            continue
+        picked.append(captures.ids[j])
+        np.bitwise_xor(residual, hit, out=residual)
+    return picked
 
 
 def membership_hits(flat_idx: "np.ndarray", mask_arr: "np.ndarray") -> "np.ndarray":

@@ -193,11 +193,6 @@ class ShardedSetStream(SetStreamBase):
             include_gains=include_gains,
         )
 
-    def _scan_accepts_chunked(self, mask_int, threshold):
-        return self._scan_executor().iter_accept_repository(
-            self._repo, mask_int, threshold
-        )
-
     # ------------------------------------------------------------------
     def verify_solution(self, selection) -> bool:
         """Out-of-band feasibility check (referee functionality, no pass).

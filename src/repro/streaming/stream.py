@@ -39,7 +39,7 @@ from repro.engine import (
     executor_for,
     merge_scan_parts,
 )
-from repro.setsystem.packed import Captures, ScanMask, pack_rows
+from repro.setsystem.packed import Captures, ScanMask, accept_rows, pack_rows
 from repro.setsystem.set_system import SetSystem
 
 __all__ = [
@@ -226,29 +226,35 @@ class SetStreamBase:
         )
 
     def scan_accepts_chunked(
-        self, mask_int: int, threshold: int
-    ) -> Iterator[tuple[int, Captures, object]]:
-        """Open a threshold-accept pass: one scan, accepts fused worker-side.
+        self, residual: "np.ndarray", threshold: int
+    ) -> Iterator[tuple[int, Captures, "list[int]"]]:
+        """Open a threshold-accept pass against the live ``residual``.
 
-        The fifth pass flavour (DESIGN.md §8.4), for passes whose accept
-        step is a sequential threshold loop over the captured candidates
-        (``ThresholdGreedy``-style).  One sequential scan — same access
-        discipline and pass accounting as :meth:`iterate` — yielding
-        ``(start, captured, batch)`` per chunk in chunk order, where
-        ``captured`` holds the candidates reaching ``threshold`` against
-        the pass-start mask and ``batch`` is the chunk's
-        :class:`~repro.engine.merge.AcceptBatch`: the accepts a
-        sequential replay would produce *if the pass-start mask were
-        still live*, simulated inside the scan workers.  The driver
-        applies a batch wholesale when nothing earlier chunks removed
-        touches the chunk's candidates and replays ``captured`` in order
-        otherwise — bit-identical picks either way.
+        The accept flavour (DESIGN.md §8.4), for passes whose accept step
+        is a sequential threshold loop over the rows in repository order
+        (``ThresholdGreedy``).  ``residual`` is a writable ``uint64``
+        word array.  One gains scan against its pass-start value — same
+        access discipline and pass accounting as :meth:`iterate` —
+        captures the rows reaching ``threshold``, and this yields
+        ``(start, captured, picked_ids)`` per chunk in chunk order.
+        ``picked_ids`` are the rows :func:`~repro.setsystem.packed.accept_rows`
+        accepts against the *live* residual, which it shrinks in place
+        before the item is yielded.  The residual only shrinks, so every
+        row the sequential loop would accept is among the captures.
         """
         if threshold < 1:
             raise ValueError(f"accept threshold must be >= 1, got {threshold}")
-        return self._scan(
-            lambda: self._scan_accepts_chunked(mask_int, int(threshold))
-        )
+        threshold = int(threshold)
+        mask_int = int.from_bytes(residual.tobytes(), "little")
+
+        def accepts():
+            for start, _, captured in self._scan_gains_chunked(
+                mask_int, min_capture_gain=threshold, capture_ids=None,
+                best_only=False, include_gains=False,
+            ):
+                yield start, captured, accept_rows(captured, residual, threshold)
+
+        return self._scan(accepts)
 
     def scan_gains(
         self,
@@ -313,9 +319,6 @@ class SetStreamBase:
     def _scan_gains_chunked(
         self, mask_int, min_capture_gain, capture_ids, best_only, include_gains
     ):
-        raise NotImplementedError  # pragma: no cover - overridden
-
-    def _scan_accepts_chunked(self, mask_int, threshold):
         raise NotImplementedError  # pragma: no cover - overridden
 
 
@@ -437,13 +440,6 @@ class SetStream(SetStreamBase):
             capture_ids=capture_ids,
             best_only=best_only,
             include_gains=include_gains,
-        )
-
-    def _scan_accepts_chunked(self, mask_int, threshold):
-        executor = self._scan_executor()
-        mask = ScanMask(self.n, mask_int)
-        return executor.iter_accept_chunks(
-            self.n, self._scan_chunk_source(executor.jobs), mask, threshold
         )
 
     def _scan_chunk_source(self, jobs: int):

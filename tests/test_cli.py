@@ -265,6 +265,26 @@ class TestJobs:
         assert excinfo.value.code == 2
         assert "--root" in capsys.readouterr().err
 
+    def test_solve_exits_1_when_the_referee_rejects_the_cover(
+        self, instance_path, capsys, monkeypatch
+    ):
+        from repro import cli
+        from repro.core.result import StreamingCoverResult
+
+        class ClaimsFeasible:
+            def solve(self, stream):
+                return StreamingCoverResult(
+                    selection=[0], passes=0, peak_memory_words=0,
+                    algorithm="claims-feasible", feasible=True,
+                )
+
+        monkeypatch.setitem(
+            cli._ALGORITHMS, "threshold", lambda args: ClaimsFeasible()
+        )
+        code = main(["solve", instance_path, "--algorithm", "threshold"])
+        assert code == 1
+        assert "result    : PARTIAL with 1 sets" in capsys.readouterr().out
+
     def test_solve_rejects_planner_flag(self, instance_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["solve", instance_path, "--planner", "off"])

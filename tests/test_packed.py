@@ -21,7 +21,13 @@ from repro.offline import InfeasibleInstanceError, greedy_cover
 from repro.offline.greedy import _greedy_cover_frozenset
 from repro.sampling import project_onto_sample
 from repro.setsystem import SetSystem, non_dominated_reference, pack, pack_rows
-from repro.setsystem.packed import ScanMask, chunk_gains, scan_chunk
+from repro.setsystem.packed import (
+    Captures,
+    ScanMask,
+    accept_rows,
+    chunk_gains,
+    scan_chunk,
+)
 from repro.streaming import SetStream
 from repro.utils.bitset import bits_of, mask_of
 
@@ -253,6 +259,96 @@ class TestDominationTieBreaks:
         system = SetSystem(4, [[0, 1], [1, 2], [2, 3], [3, 0]])
         _, keep = _prune(pruner, system)
         assert keep == [0, 1, 2, 3]
+
+
+# ----------------------------------------------------------------------
+# Threshold accept over a capture block (DESIGN.md §8.4)
+# ----------------------------------------------------------------------
+def _accept_reference(rows, residual, threshold):
+    """The big-int accept loop ``accept_rows`` must reproduce."""
+    picked = []
+    for row_id, row in rows:
+        hit = row & residual
+        if hit.bit_count() >= threshold:
+            picked.append(row_id)
+            residual &= ~hit
+    return picked, residual
+
+
+def _words_of(value: int, words: int) -> "np.ndarray":
+    return np.frombuffer(value.to_bytes(words * 8, "little"), dtype="<u8").copy()
+
+
+def _check_accept(rows, residual, threshold, words):
+    captured = Captures([row_id for row_id, _ in rows],
+                        pack_rows([row for _, row in rows], words))
+    live = _words_of(residual, words)
+    picked = accept_rows(captured, live, threshold)
+    expected_ids, expected_residual = _accept_reference(rows, residual, threshold)
+    assert picked == expected_ids
+    assert live.tolist() == _words_of(expected_residual, words).tolist()
+
+
+#: One ``uint64`` word, biased towards the top bit and all-ones patterns.
+_WORD = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.sampled_from([0, 1 << 63, (1 << 63) | 1, 2**64 - 1, 0xFF00FF00FF00FF00]),
+)
+
+
+@st.composite
+def _accept_cases(draw):
+    words = draw(st.integers(min_value=1, max_value=3))
+
+    def as_int(parts):
+        return sum(word << (64 * i) for i, word in enumerate(parts))
+
+    def draw_int():
+        return as_int(draw(st.lists(_WORD, min_size=words, max_size=words)))
+
+    residual = draw_int()
+    # Rows share bits with a few "hot" masks so accepts collide mid-chunk.
+    hot = [draw_int() for _ in range(draw(st.integers(1, 3)))]
+    rows = []
+    row_id = draw(st.integers(min_value=0, max_value=1000))
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        row = draw_int()
+        if hot and draw(st.booleans()):
+            row = hot[draw(st.integers(0, len(hot) - 1))] & (row | draw_int())
+        rows.append((row_id, row))
+        row_id += draw(st.integers(min_value=1, max_value=5))
+    threshold = draw(st.integers(min_value=1, max_value=64 * words))
+    return rows, residual, threshold, words
+
+
+class TestAcceptRows:
+    @given(_accept_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_big_int_accept_loop(self, case):
+        _check_accept(*case)
+
+    def test_empty_record(self):
+        live = _words_of(0b1011, 1)
+        assert accept_rows(Captures.empty(1), live, 1) == []
+        assert live.tolist() == [0b1011]
+
+    def test_threshold_one_takes_every_row_with_a_live_bit(self):
+        rows = [(0, 0b0011), (1, 0b0001), (2, 0b0110), (3, 1 << 63)]
+        _check_accept(rows, (1 << 63) | 0b0111, 1, 1)
+        live = _words_of((1 << 63) | 0b0111, 1)
+        captured = Captures([0, 1, 2, 3], pack_rows([r for _, r in rows], 1))
+        assert accept_rows(captured, live, 1) == [0, 2, 3]
+        assert live.tolist() == [0]
+
+    def test_live_hit_equal_to_the_threshold_is_accepted(self):
+        # Row 1 reaches 3 against the chunk-start residual and exactly 2
+        # once row 0's accept removed element 0; row 2 has nothing left.
+        rows = [(0, 0b0000011), (1, 0b0001101), (2, 0b0000110)]
+        _check_accept(rows, 0b1111111, 2, 1)
+        live = _words_of(0b1111111, 1)
+        captured = Captures([0, 1, 2], pack_rows([r for _, r in rows], 1))
+        assert accept_rows(captured, live, 2) == [0, 1]
+        assert live.tolist() == [0b1110000]
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,6 @@ from repro.engine import (
     plan_batches,
     resolve_jobs,
     shutdown_pools,
-    simulate_accepts,
 )
 from repro.engine.transport import process as process_mod
 from repro.partial.streaming import PartialIterSetCover
@@ -275,43 +274,62 @@ def test_serial_multi_shard_scan_starts_no_thread(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Worker-side residual fusion (scan_accepts_chunked, DESIGN.md §8.4)
+# Driver-side block accept (scan_accepts_chunked, DESIGN.md §8.4)
 # ----------------------------------------------------------------------
-def test_simulate_accepts_walks_candidates_sequentially():
-    batch = simulate_accepts(0b1111, 2, [(3, 0b0011), (5, 0b0110), (9, 0b1100)])
-    assert batch.ids == [3, 9]  # 5's live hit shrank below the threshold
-    assert batch.removed == 0b1111
-    assert batch.touched == 0b1111
-    empty = simulate_accepts(0b1111, 2, [])
-    assert (empty.ids, empty.removed, empty.touched) == ([], 0, 0)
+def test_threshold_greedy_accepts_candidates_sequentially():
+    # Rows 0 and 1 both reach threshold 2 against the pass-start
+    # residual, but row 0's accept leaves row 1 a live hit of one.
+    system = SetSystem(4, [[0, 1], [1, 2], [2, 3]])
+    for jobs in (1, 2):
+        result = ThresholdGreedy().solve(SetStream(system, jobs=jobs))
+        assert result.selection == [0, 2]  # 1's live hit shrank below 2
+        assert result.passes == 1 and result.feasible
+    residual = np.array([0b1111], dtype=np.uint64)
+    stream = SetStream(system)
+    parts = [(start, picked) for start, _, picked in
+             stream.scan_accepts_chunked(residual, 2)]
+    assert parts == [(0, [0, 2])]
+    assert residual.tolist() == [0]
+    empty = SetStream(SetSystem(4, []))
+    residual = np.array([0b1111], dtype=np.uint64)
+    assert list(empty.scan_accepts_chunked(residual, 2)) == []
+    assert residual.tolist() == [0b1111] and empty.passes == 1
 
 
-def test_scan_accepts_chunked_fuses_worker_side(tmp_path):
+def test_scan_accepts_chunked_accepts_against_the_live_residual(tmp_path):
     system = SetSystem(8, [[0, 1, 2], [2, 3], [4, 5, 6, 7], [0]])
     path = write_shards(tmp_path / "acc", system, chunk_rows=2)
     for jobs in (1, 2):
         stream = ShardedSetStream(path, jobs=jobs)
-        parts = list(stream.scan_accepts_chunked((1 << 8) - 1, 2))
-        assert stream.passes == 1
-        (s0, cap0, b0), (s1, cap1, b1) = parts
-        assert (s0, s1) == (0, 2)
+        residual = np.array([(1 << 8) - 1], dtype=np.uint64)
+        parts = stream.scan_accepts_chunked(residual, 2)
+        s0, cap0, picked0 = next(parts)
         # Both chunk-0 rows clear the pass-start threshold and are
-        # captured, but the in-chunk simulation rejects row 1: row 0's
-        # accept leaves it only element 3.
+        # captured, but row 0's accept leaves row 1 only element 3.
+        assert s0 == 0
         assert [i for i, _ in cap0] == [0, 1]
-        assert b0.ids == [0] and b0.removed == 0b111 and b0.touched == 0b1111
-        assert [i for i, _ in cap1] == [2]
-        assert b1.ids == [2] and b1.removed == 0b11110000
+        assert picked0 == [0]
+        assert residual.tolist() == [0b11111000]  # shrunk before chunk 1
+        s1, cap1, picked1 = next(parts)
+        assert s1 == 2
+        assert [i for i, _ in cap1] == [2]  # row 3's pass-start gain is 1
+        assert picked1 == [2]
+        assert residual.tolist() == [0b1000]
+        assert list(parts) == []
+        assert stream.passes == 1
         stream.close()
+    stream = ShardedSetStream(path)
     with pytest.raises(ValueError, match="threshold"):
-        ShardedSetStream(path).scan_accepts_chunked(1, 0)
+        stream.scan_accepts_chunked(np.ones(1, dtype=np.uint64), 0)
+    assert stream.passes == 0
+    stream.close()
 
 
 def _threshold_replay_reference(stream, shrink=2.0):
     """The PR 3 ThresholdGreedy loop: driver-side replay of captures.
 
-    Kept verbatim as the executable reference the fused worker-side
-    accept path must match pick for pick.
+    Kept verbatim as the executable reference the block accept path
+    must match pick for pick.
     """
     n = stream.n
     uncovered = (1 << n) - 1
@@ -349,11 +367,14 @@ def test_fused_accepts_match_the_replay_reference(tmp_path):
         reference_passes = reference_stream.passes
         reference_stream.close()
         for jobs in (1, 2):
-            stream = ShardedSetStream(path, jobs=jobs)
-            result = ThresholdGreedy().solve(stream)
-            assert result.selection == reference, (case, jobs)
-            assert result.passes == reference_passes, (case, jobs)
-            stream.close()
+            for stream in (ShardedSetStream(path, jobs=jobs),
+                           SetStream(system, jobs=jobs)):
+                result = ThresholdGreedy().solve(stream)
+                label = (case, jobs, type(stream).__name__)
+                assert result.selection == reference, label
+                assert result.passes == reference_passes, label
+                if isinstance(stream, ShardedSetStream):
+                    stream.close()
 
 
 # ----------------------------------------------------------------------

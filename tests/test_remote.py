@@ -45,6 +45,7 @@ from repro.engine.transport.remote import (
 from repro.setsystem import SetSystem
 from repro.setsystem.shards import write_shards
 from repro.streaming import SetStream, ShardedSetStream
+from test_parallel import _threshold_replay_reference
 
 ENCODINGS_UNDER_TEST = ("dense", "auto")
 
@@ -188,25 +189,26 @@ def test_remote_algorithm_parity_on_random_instances(tmp_path, worker_fleet):
         stream.close()
 
 
-def test_remote_accepts_fuse_worker_side(tmp_path, worker_fleet):
-    """scan_accepts_chunked ships the simulation to remote workers."""
-    system = SetSystem(8, [[0, 1, 2], [2, 3], [4, 5, 6, 7], [0]])
-    path = write_shards(tmp_path / "acc", system, chunk_rows=2)
-    serial = list(ShardedSetStream(path, jobs=1).scan_accepts_chunked(
-        (1 << 8) - 1, 2
-    ))
-    remote = list(
-        ShardedSetStream(path, transport="remote", workers=worker_fleet)
-        .scan_accepts_chunked((1 << 8) - 1, 2)
-    )
-    assert len(remote) == len(serial) == 2
-    for (s_start, s_cap, s_batch), (r_start, r_cap, r_batch) in zip(
-        serial, remote
-    ):
-        assert (r_start, r_cap) == (s_start, s_cap)
-        assert (r_batch.ids, r_batch.removed, r_batch.touched) == (
-            s_batch.ids, s_batch.removed, s_batch.touched,
-        )
+def test_remote_threshold_greedy_matches_the_replay_reference(
+    tmp_path, worker_fleet
+):
+    """Remote ThresholdGreedy picks exactly the driver-side replay's rows."""
+    rng = np.random.default_rng(59)
+    systems = [SetSystem(8, [[0, 1, 2], [2, 3], [4, 5, 6, 7], [0]])]
+    systems += [_random_system(rng) for _ in range(6)]
+    for case, system in enumerate(systems):
+        path = write_shards(tmp_path / f"acc{case}", system,
+                            chunk_rows=int(rng.integers(1, 5)))
+        reference_stream = ShardedSetStream(path)
+        reference = _threshold_replay_reference(reference_stream)
+        reference_passes = reference_stream.passes
+        reference_stream.close()
+        stream = ShardedSetStream(path, transport="remote",
+                                  workers=worker_fleet)
+        result = ThresholdGreedy().solve(stream)
+        assert result.selection == reference, case
+        assert result.passes == reference_passes, case
+        stream.close()
 
 
 def test_remote_single_worker_and_abandoned_scan(tmp_path, worker_fleet):
@@ -242,7 +244,6 @@ def test_manifest_token_mismatch_is_refused(tmp_path, worker_fleet):
             "op": "scan", "path": str(path), "token": stale, "n": 8,
             "shards": [0], "min_capture_gain": None, "capture_ids": None,
             "best_only": False, "include_gains": True,
-            "accept_threshold": None,
         })
         from repro.engine.transport.remote import send_bytes
 
@@ -491,7 +492,6 @@ def test_stale_repository_error_is_typed_and_keeps_connection(
             "op": "scan", "path": str(path), "token": list(old), "n": 8,
             "shards": [0], "min_capture_gain": None, "capture_ids": None,
             "best_only": False, "include_gains": True,
-            "accept_threshold": None,
         })
         send_bytes(sock, (255).to_bytes(1, "little"))  # the mask frame
         reply = recv_json(sock)

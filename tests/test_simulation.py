@@ -46,6 +46,16 @@ class TestProtocolSimulation:
         assert report["handoffs"] == 3 * report["rounds"]
         assert report["result"].feasible
 
+    @pytest.mark.parametrize("players", [2, 3, 5])
+    def test_threshold_accept_pass_hands_off_once_per_boundary(self, players):
+        # The accept pass is one gains scan: a missed or doubled handoff
+        # would break handoffs == (players - 1) * rounds.
+        planted = planted_instance(n=80, m=60, opt=4, seed=6)
+        report = simulate_players(planted.system, players, ThresholdGreedy())
+        assert report["rounds"] == report["result"].passes > 1
+        assert report["handoffs"] == (players - 1) * report["rounds"]
+        assert report["result"].feasible
+
     def test_bits_formula(self):
         planted = planted_instance(n=40, m=30, opt=3, seed=2)
         report = simulate_players(planted.system, players=2, algorithm=StoreAllGreedy())
