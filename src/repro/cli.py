@@ -580,7 +580,11 @@ def _cmd_generate(args) -> int:
 def _cmd_shard_create(args) -> int:
     from repro.setsystem.shards import ShardedRepository, write_shards
 
-    system = load(args.input)
+    try:
+        system = load(args.input)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     path = write_shards(args.output, system, chunk_rows=args.chunk_rows)
     with ShardedRepository(path) as repo:
         print(
@@ -991,7 +995,12 @@ def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
             workers=args.workers, retry=retry,
         )
     else:
-        stream = SetStream(load(args.input), jobs=args.jobs)
+        try:
+            system = load(args.input)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        stream = SetStream(system, jobs=args.jobs)
     try:
         algorithm = _ALGORITHMS[args.algorithm](args)
         result = algorithm.solve(stream)

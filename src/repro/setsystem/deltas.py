@@ -113,8 +113,7 @@ from repro.setsystem.shards import (
     ShardFormatError,
     ShardWriter,
     StaleStagingError,
-    _choose_row_tag,
-    _shard_stats,
+    _ChunkCodec,
     _LAYOUT_RAW,
     _TAG_DENSE,
     pending_delta_generations,
@@ -664,9 +663,8 @@ class MergedShardView:
         cached = self._stats_cache.get(shard)
         if cached is not None:
             return cached
-        rows = [bits_of(mask) for mask in self.chunk_masks(shard)]
-        tags = [_choose_row_tag(row, self.words, self.encoding) for row in rows]
-        stats = _shard_stats(rows, tags, self.n)
+        matrix = self.chunk_matrix(shard)
+        stats = _ChunkCodec.of_matrix(matrix, self.n, self.encoding).stats()
         self._stats_cache[shard] = stats
         return stats
 

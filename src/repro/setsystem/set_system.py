@@ -15,6 +15,7 @@ to memoize — they are built on first access and reused by every query.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from operator import index
 
 from repro.setsystem.packed import PackedFamily
 from repro.utils.bitset import iter_bits, mask_of, universe_mask
@@ -49,12 +50,20 @@ class SetSystem:
         if n < 0:
             raise ValueError(f"ground set size must be non-negative, got {n}")
         frozen: list[frozenset[int]] = []
-        for index, raw in enumerate(sets):
-            fs = frozenset(raw)
+        for i, raw in enumerate(sets):
+            elements = map(index, raw)
+            try:
+                # operator.index rejects floats and strings, so masks()
+                # can never truncate 1.5 into a member of element 1.
+                fs = frozenset(elements)
+            except TypeError as exc:
+                raise ValueError(
+                    f"set {i} contains a non-integer element: {exc}"
+                ) from exc
             for element in fs:
                 if not 0 <= element < n:
                     raise ValueError(
-                        f"set {index} contains element {element} outside the "
+                        f"set {i} contains element {element} outside the "
                         f"ground set [0, {n})"
                     )
             frozen.append(fs)

@@ -25,7 +25,9 @@ Row codecs (schema ``repro.shards/v2``, DESIGN.md §6.2)
 Dense packed rows cost ``ceil(n/64)`` words of disk and scan work per
 set *regardless of density*, which is exactly wrong for the sparse
 regimes the paper targets (rows with ``|S| ≪ n``).  ``ShardWriter``
-therefore picks, per row, the cheapest of three encodings:
+therefore gives each row the cheapest of three encodings (ties prefer
+the faster decode), choosing and encoding a whole chunk at once in
+numpy (:class:`_ChunkCodec`):
 
 ``dense`` (tag 0)
     The raw packed words.  A shard whose rows are all dense is written
@@ -88,6 +90,7 @@ import mmap
 import zlib
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from operator import index
 from pathlib import Path
 
@@ -111,7 +114,7 @@ from repro.setsystem.packed import (
     scan_chunk,
 )
 from repro.setsystem.set_system import SetSystem
-from repro.utils.bitset import bits_of, mask_of
+from repro.utils.bitset import bits_of
 
 __all__ = [
     "SHARD_SCHEMA",
@@ -267,25 +270,8 @@ def _chunk_rows_for(n: int, chunk_bytes: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Varint + per-row codec primitives
+# The referee varint reader and the chunk encoder (codecs, bytes, stats)
 # ----------------------------------------------------------------------
-def _varint(value: int) -> bytes:
-    """LEB128: 7 value bits per byte, high bit = continuation."""
-    out = bytearray()
-    while True:
-        low = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(low | 0x80)
-        else:
-            out.append(low)
-            return bytes(out)
-
-
-def _varint_len(value: int) -> int:
-    return max(1, (value.bit_length() + 6) // 7)
-
-
 def _read_varint(data, pos: int) -> tuple[int, int]:
     value, shift = 0, 0
     while True:
@@ -301,129 +287,179 @@ def _read_varint(data, pos: int) -> tuple[int, int]:
             raise ShardFormatError("corrupt row payload: varint overflow")
 
 
-def _iter_runs(row: list[int]) -> Iterator[tuple[int, int]]:
-    """Maximal runs ``[start, end)`` of a sorted, duplicate-free row."""
-    start = prev = None
-    for element in row:
-        if prev is not None and element == prev + 1:
-            prev = element
-            continue
-        if start is not None:
-            yield start, prev + 1
-        start = prev = element
-    if start is not None:
-        yield start, prev + 1
+def _varint_widths(values: "np.ndarray") -> "np.ndarray":
+    """LEB128 byte count of every non-negative value (7 value bits a byte)."""
+    widths = np.ones(values.size, dtype=np.int64)
+    top = int(values.max(initial=0))
+    shift = 7
+    while top >> shift:
+        widths += (values >> shift) != 0
+        shift += 7
+    return widths
 
 
-def _encode_sparse(row: list[int]) -> bytes:
-    out = bytearray()
-    prev = None
-    for element in row:
-        out += _varint(element if prev is None else element - prev)
-        prev = element
-    return bytes(out)
+def _row_sums(values: "np.ndarray", counts: "np.ndarray") -> "np.ndarray":
+    """Sums of ``values`` over consecutive segments of ``counts`` items."""
+    cum = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=cum[1:])
+    ends = np.cumsum(counts)
+    return cum[ends] - cum[ends - counts]
 
 
-def _encode_rle(row: list[int]) -> bytes:
-    out = bytearray()
-    pos = 0
-    for start, end in _iter_runs(row):
-        out += _varint(start - pos)
-        out += _varint(end - start - 1)
-        pos = end
-    return bytes(out)
+def _put_varints(out, values, widths, rows, row_offsets) -> None:
+    """Write a row-grouped stream of varints into ``out``: each at its
+    row's offset plus the widths of the earlier varints of that row."""
+    before = np.cumsum(widths) - widths
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    at = row_offsets[rows] + before - np.maximum.accumulate(np.where(first, before, 0))
+    while values.size:
+        more = widths > 1
+        out[at] = (values & 0x7F) | (more << 7)
+        values, widths, at = values[more] >> 7, widths[more] - 1, at[more] + 1
 
 
-def _sparse_cost(row: list[int]) -> int:
-    total, prev = 0, None
-    for element in row:
-        total += _varint_len(element if prev is None else element - prev)
-        prev = element
-    return total
+class _ChunkCodec:
+    """One chunk of sorted rows, encoded in bulk (DESIGN.md §6.2).
 
-
-def _rle_cost(row: list[int]) -> int:
-    total, pos = 0, 0
-    for start, end in _iter_runs(row):
-        total += _varint_len(start - pos) + _varint_len(end - start - 1)
-        pos = end
-    return total
-
-
-# ----------------------------------------------------------------------
-# Per-shard statistics (manifest schema v3, the planner's cost inputs)
-# ----------------------------------------------------------------------
-def _choose_row_tag(row: list[int], words: int, encoding: str) -> int:
-    """Cheapest codec tag for one sorted row under a writer policy.
-
-    The single source of truth for codec choice: :class:`ShardWriter`
-    encodes with it, and the merged delta view
+    The single implementation of codec choice, the row payload bytes
+    and the v3 stats fold.  :class:`ShardWriter` encodes every chunk
+    with it; the merged delta view
     (:class:`repro.setsystem.deltas.MergedShardView`) re-runs it to
-    predict — exactly — the stats a compacted rewrite will carry.
+    predict — exactly — the stats a compacted rewrite will carry; and
+    :meth:`ShardedRepository.backfill_stats` folds stats with the tags
+    stored in a shard's record table (``tags=``).
+
+    The chunk is CSR: ``flat`` holds every row's elements (sorted,
+    duplicate-free within a row), ``sizes`` the row lengths.  All of it
+    is numpy over the whole chunk:
+
+    * **gaps** — a row's first element, then each difference to the
+      previous element; sparse costs are the row sums of their varint
+      widths;
+    * **runs** — one starts at each row start or where a gap is not 1,
+      and stores ``(skip, length-1)`` with ``skip`` measured from the
+      previous run's end (``0`` at a row start);
+    * **tags** — ``auto`` keeps dense unless sparse is strictly cheaper
+      (a varint is at least a byte, so such a row has fewer elements
+      than dense bytes), then run-length only if strictly cheaper
+      still, so ties prefer the faster decode; the other encodings
+      force one codec.
     """
-    if encoding == "dense":
-        return _TAG_DENSE
-    if encoding == "sparse":
-        return _TAG_SPARSE
-    if encoding == "rle":
-        return _TAG_RLE
-    dense_cost = words * _WORD_BYTES
-    # Each element costs at least one varint byte, so a row with more
-    # elements than dense bytes cannot win — skip the exact cost scan.
-    best_tag, best_cost = _TAG_DENSE, dense_cost
-    if len(row) < dense_cost:
-        cost = _sparse_cost(row)
-        if cost < best_cost:
-            best_tag, best_cost = _TAG_SPARSE, cost
-    cost = _rle_cost(row)
-    if cost < best_cost:
-        best_tag, best_cost = _TAG_RLE, cost
-    return best_tag
 
+    def __init__(self, flat, sizes, n: int, encoding: str = "auto", tags=None):
+        self.flat, self.sizes, self.n = flat, sizes, n
+        self.dense_bytes = _words_for(n) * _WORD_BYTES
+        self.row_of = np.repeat(np.arange(sizes.size), sizes)
+        first = np.zeros(flat.size, dtype=bool)
+        first[(np.cumsum(sizes) - sizes)[sizes > 0]] = True
+        self.gaps = np.where(first, flat, np.diff(flat, prepend=0))
+        run_start = first | (self.gaps != 1)
+        self.run_at = np.flatnonzero(run_start)
+        run_last = np.append(self.run_at, flat.size)[1:] - 1
+        # Skips restart at every row; the chunk's first run starts a row,
+        # so the roll's wrap-around is always reset to 0 too.
+        prev_end = np.where(first[self.run_at], 0, np.roll(flat[run_last] + 1, 1))
+        self.pairs = np.stack((flat[self.run_at] - prev_end, run_last - self.run_at), 1)
+        self.row_runs = _row_sums(run_start, sizes)
+        self.gap_widths = _varint_widths(self.gaps)
+        self.pair_widths = _varint_widths(self.pairs.ravel()).reshape(-1, 2)
+        self.sparse_cost = _row_sums(self.gap_widths, sizes)
+        self.rle_cost = _row_sums(self.pair_widths.sum(axis=1), self.row_runs)
+        self.tags = self._pick_tags(encoding) if tags is None else tags
 
-def _density_bucket(size: int, n: int) -> int:
-    """Histogram bucket of a row with ``size`` elements (see above)."""
-    if n <= 0:
-        return 0
-    return min(STATS_HIST_BUCKETS - 1, size * STATS_HIST_BUCKETS // n)
+    @classmethod
+    def of_rows(cls, rows: "list[list[int]]", n: int, encoding: str = "auto"):
+        """Encode a chunk given as sorted, duplicate-free element lists."""
+        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        flat = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=int(sizes.sum())
+        )
+        return cls(flat, sizes, n, encoding)
 
+    @classmethod
+    def of_matrix(cls, matrix, n: int, encoding: str = "auto", tags=None):
+        """Encode a chunk given as a packed ``(rows, words)`` block."""
+        rows, words = np.nonzero(matrix)  # row-major, so rows stay sorted
+        values = np.ascontiguousarray(matrix[rows, words], dtype="<u8")
+        bits = np.unpackbits(values.view(np.uint8).reshape(-1, 8), axis=1,
+                             bitorder="little")
+        hit, bit = np.nonzero(bits)
+        flat = (words[hit] * _WORD_BITS + bit).astype(np.int64)
+        sizes = np.bincount(rows[hit], minlength=matrix.shape[0]).astype(np.int64)
+        return cls(flat, sizes, n, encoding, tags)
 
-def _run_count(row: list[int]) -> int:
-    """Number of maximal runs of a sorted, duplicate-free row."""
-    return sum(1 for _ in _iter_runs(row))
+    def _pick_tags(self, encoding: str) -> "np.ndarray":
+        if encoding != "auto":
+            tag = {"dense": _TAG_DENSE, "sparse": _TAG_SPARSE, "rle": _TAG_RLE}
+            return np.full(self.sizes.size, tag[encoding], dtype=np.uint8)
+        sparse = self.sparse_cost < self.dense_bytes
+        best = np.where(sparse, self.sparse_cost, self.dense_bytes)
+        tags = np.where(sparse, _TAG_SPARSE, _TAG_DENSE).astype(np.uint8)
+        tags[self.rle_cost < best] = _TAG_RLE
+        return tags
 
+    def stats(self) -> dict:
+        """The v3 per-shard statistics block (DESIGN.md §8.1).
 
-def _shard_stats(rows: list[list[int]], tags: list[int], n: int) -> dict:
-    """The v3 per-shard statistics block for one chunk of sorted rows.
+        Everything the planner's cost model consumes: the row-density
+        histogram, the codec mix, and the element / run totals split by
+        codec so dense, sparse and run-length scan work can be priced
+        separately.
+        """
+        buckets = np.minimum(
+            STATS_HIST_BUCKETS - 1, self.sizes * STATS_HIST_BUCKETS // max(self.n, 1)
+        )
+        mix = np.bincount(self.tags, minlength=_TAG_RLE + 1).tolist()
+        return {
+            "density_hist": np.bincount(buckets, minlength=STATS_HIST_BUCKETS).tolist(),
+            "codec_mix": dict(zip(("dense", "sparse", "rle"), mix)),
+            "set_bits": int(self.flat.size),
+            "runs": int(self.run_at.size),
+            "sparse_elems": int(self.sizes[self.tags == _TAG_SPARSE].sum()),
+            "rle_runs": int(self.row_runs[self.tags == _TAG_RLE].sum()),
+        }
 
-    Everything the planner's cost model consumes (DESIGN.md §8.1):
-    the row-density histogram, the codec mix, and the element / run
-    totals split by codec so dense, sparse and run-length scan work can
-    be priced separately.
-    """
-    hist = [0] * STATS_HIST_BUCKETS
-    mix = {"dense": 0, "sparse": 0, "rle": 0}
-    set_bits = runs = sparse_elems = rle_runs = 0
-    names = {_TAG_DENSE: "dense", _TAG_SPARSE: "sparse", _TAG_RLE: "rle"}
-    for row, tag in zip(rows, tags):
-        size = len(row)
-        hist[_density_bucket(size, n)] += 1
-        mix[names[tag]] += 1
-        set_bits += size
-        row_runs = _run_count(row)
-        runs += row_runs
-        if tag == _TAG_SPARSE:
-            sparse_elems += size
-        elif tag == _TAG_RLE:
-            rle_runs += row_runs
-    return {
-        "density_hist": hist,
-        "codec_mix": mix,
-        "set_bits": set_bits,
-        "runs": runs,
-        "sparse_elems": sparse_elems,
-        "rle_runs": rle_runs,
-    }
+    def payload(self) -> "tuple[bytes, str]":
+        """The shard file bytes and their layout.
+
+        An all-dense chunk is the raw packed block; any other chunk is
+        ``u32 rows | u8 tags[rows] | u32 lengths[rows] | payloads``.
+        """
+        rows, tags, row_of = self.sizes.size, self.tags, self.row_of
+        dense = tags == _TAG_DENSE
+        lengths = np.where(
+            dense, self.dense_bytes,
+            np.where(tags == _TAG_SPARSE, self.sparse_cost, self.rle_cost),
+        )
+        raw = bool(dense.all())
+        head = 0 if raw else 4 + 5 * rows
+        offsets = head + np.cumsum(lengths) - lengths
+        out = np.zeros(head + int(lengths.sum()), dtype=np.uint8)
+        if not raw:
+            out[:4] = np.frombuffer(rows.to_bytes(4, "little"), dtype=np.uint8)
+            out[4 : 4 + rows] = tags
+            out[4 + rows : head] = lengths.astype("<u4").view(np.uint8)
+        # Dense rows: one scatter of every element's bit into its byte.
+        member = dense[row_of]
+        element = self.flat[member]
+        np.bitwise_or.at(
+            out, offsets[row_of[member]] + (element >> 3),
+            np.left_shift(1, element & 7).astype(np.uint8),
+        )
+        # Sparse gaps and run-length pairs: one varint stream, still
+        # grouped by row since each row has one codec.
+        sparse = tags[row_of] == _TAG_SPARSE
+        run_rows = row_of[self.run_at]
+        rle = tags[run_rows] == _TAG_RLE
+        _put_varints(
+            out,
+            np.concatenate((self.gaps[sparse], self.pairs[rle].ravel())),
+            np.concatenate((self.gap_widths[sparse], self.pair_widths[rle].ravel())),
+            np.concatenate((row_of[sparse], np.repeat(run_rows[rle], 2))),
+            offsets,
+        )
+        return out.tobytes(), _LAYOUT_RAW if raw else _LAYOUT_ENCODED
 
 
 def _stats_checksum(shard_meta: list[dict]) -> int:
@@ -488,12 +524,14 @@ class ShardWriter:
 
     Memory stays bounded by one chunk: rows accumulate in a buffer of at
     most ``chunk_rows`` sets and are flushed to a shard file (with its
-    CRC-32 recorded) whenever the buffer fills.  ``close`` flushes the
-    tail chunk and writes the manifest.  As a context manager the writer
-    closes itself on success and **aborts** on error: partial shard
-    files (and the directory, if the writer created it) are removed, so
-    a generator raising mid-write never leaves a corrupt repository on
-    disk.
+    CRC-32 recorded) whenever the buffer fills.  A flush encodes the
+    whole chunk with one kernel (:class:`_ChunkCodec`): codec tags,
+    payload bytes and the v3 stats block, all vectorized.  ``close``
+    flushes the tail chunk and writes the manifest.  As a context
+    manager the writer closes itself on success and **aborts** on error:
+    partial shard files (and the directory, if the writer created it)
+    are removed, so a generator raising mid-write never leaves a corrupt
+    repository on disk.
 
     Parameters
     ----------
@@ -595,47 +633,11 @@ class ShardWriter:
             self.append(row)
 
     # ------------------------------------------------------------------
-    def _pack_buffer(self) -> bytes:
-        """Pack the buffered rows into the dense little-endian block format."""
-        matrix = np.zeros((len(self._buffer), self.words), dtype="<u8")
-        if self.words:
-            for i, row in enumerate(self._buffer):
-                if not row:
-                    continue
-                idx = np.asarray(row, dtype=np.int64)
-                bits = np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64))
-                np.bitwise_or.at(matrix[i], idx >> 6, bits)
-        return matrix.tobytes()
-
-    def _choose_tag(self, row: list[int]) -> int:
-        """Cheapest codec for one sorted row (ties prefer faster decodes)."""
-        return _choose_row_tag(row, self.words, self.encoding)
-
-    def _encode_payload(self, tag: int, row: list[int]) -> bytes:
-        if tag == _TAG_DENSE:
-            return mask_of(row).to_bytes(self.words * _WORD_BYTES, "little")
-        if tag == _TAG_SPARSE:
-            return _encode_sparse(row)
-        return _encode_rle(row)
-
     def _flush(self) -> None:
         if not self._buffer:
             return
-        rows = len(self._buffer)
-        tags = [self._choose_tag(row) for row in self._buffer]
-        if all(tag == _TAG_DENSE for tag in tags):
-            payload = self._pack_buffer()
-            layout = _LAYOUT_RAW
-        else:
-            payloads = [
-                self._encode_payload(tag, row)
-                for tag, row in zip(tags, self._buffer)
-            ]
-            parts = [rows.to_bytes(4, "little"), bytes(tags)]
-            parts += [len(p).to_bytes(4, "little") for p in payloads]
-            parts += payloads
-            payload = b"".join(parts)
-            layout = _LAYOUT_ENCODED
+        chunk = _ChunkCodec.of_rows(self._buffer, self.n, self.encoding)
+        payload, layout = chunk.payload()
         name = f"shard-{len(self._shards):05d}.bin"
         crashpoint("writer.shard-flush")
         (self.path / name).write_bytes(payload)
@@ -643,11 +645,11 @@ class ShardWriter:
         self._shards.append(
             {
                 "file": name,
-                "rows": rows,
+                "rows": len(self._buffer),
                 "bytes": len(payload),
                 "crc32": zlib.crc32(payload),
                 "layout": layout,
-                "stats": _shard_stats(self._buffer, tags, self.n),
+                "stats": chunk.stats(),
             }
         )
         self._buffer = []
@@ -1062,11 +1064,10 @@ class ShardedRepository:
             raise ShardFormatError(f"repository {self.path} is closed")
         if self._layouts[shard] == _LAYOUT_ENCODED:
             tags, _, _ = self._encoded_header(shard)
-            tag_list = [int(tag) for tag in tags]
         else:
-            tag_list = [_TAG_DENSE] * int(self._shard_meta[shard]["rows"])
-        rows = [bits_of(mask) for mask in self.chunk_masks(shard)]
-        return _shard_stats(rows, tag_list, self.n)
+            tags = np.zeros(int(self._shard_meta[shard]["rows"]), dtype=np.uint8)
+        matrix = self.chunk_matrix(shard)
+        return _ChunkCodec.of_matrix(matrix, self.n, tags=tags).stats()
 
     def backfill_stats(self) -> bool:
         """Persist per-shard statistics, upgrading the manifest to v3.

@@ -285,6 +285,19 @@ class TestJobs:
         assert code == 1
         assert "result    : PARTIAL with 1 sets" in capsys.readouterr().out
 
+    def test_solve_rejects_a_non_integer_element(self, tmp_path, capsys):
+        path = tmp_path / "float.json"
+        path.write_text('{"n": 3, "sets": [[0, 1.5], [2]]}')
+        code = main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code != 0
+        assert "result" not in captured.out
+        assert "set 0 contains a non-integer element" in captured.err
+        # `shard create` refuses the same file with the same message.
+        assert main(["shard", "create", str(path), str(tmp_path / "repo")]) != 0
+        assert "set 0 contains a non-integer element" in capsys.readouterr().err
+        assert not (tmp_path / "repo").exists()
+
     def test_solve_rejects_planner_flag(self, instance_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["solve", instance_path, "--planner", "off"])

@@ -33,6 +33,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SetSystem(3, [[-1]])
 
+    @pytest.mark.parametrize("element", [1.5, "1", 1.0])
+    def test_non_integer_element_rejected(self, element):
+        # masks() would otherwise truncate 1.5 into element 1 and certify
+        # a cover of an element no set contains.
+        with pytest.raises(ValueError, match="set 0 contains a non-integer element"):
+            SetSystem(3, [[0, element], [2]])
+
+    def test_integer_like_elements_become_ints(self):
+        import numpy as np
+
+        system = SetSystem(3, [np.array([0, 2]), [True]])
+        assert system.sets == (frozenset({0, 2}), frozenset({1}))
+        assert all(type(e) is int for row in system.sets for e in row)
+
     def test_empty_instance(self):
         system = SetSystem(0, [])
         assert system.n == 0 and system.m == 0
