@@ -27,7 +27,7 @@ hit on the *live* residual reaches the threshold.  Its pass
 (``scan_accepts_chunked``, DESIGN.md §8.4) captures every row reaching
 the threshold against the pass-start residual — a superset of the
 picks, since the residual only shrinks — and accepts each chunk's
-capture block in row order against the live residual, kept as
+capture record in row order against the live residual, kept as
 ``uint64`` words (:func:`~repro.setsystem.packed.accept_rows`).  Picks,
 pass counts and meter charges are those of the serial row loop at any
 ``jobs`` or ``transport`` setting.

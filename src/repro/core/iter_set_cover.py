@@ -28,8 +28,8 @@ sampling constants; it is reported separately (DESIGN.md §3.2).
 Implementation note (DESIGN.md §4): the sample pass of each iteration runs
 one per-chunk Size-Test shared by every parallel guess.  The scan hands
 each chunk's captures over as one
-:class:`~repro.setsystem.packed.Captures` record — ids plus the
-(rows x words) ``uint64`` intersection block — which
+:class:`~repro.setsystem.packed.Captures` record — ids plus the rows'
+``uint64`` intersection words, word-sparse when that is smaller — which
 :class:`_SampleChunk` takes as it is; a guess gets the hits of all its
 rows from one popcount against its leftover sample at chunk start, and
 only rows whose count reaches the Size-Test threshold are re-tested one
@@ -59,7 +59,7 @@ from repro.core.result import GuessStats, StreamingCoverResult
 from repro.offline.base import OfflineSolver
 from repro.offline.greedy import GreedySolver
 from repro.sampling.relative_approximation import draw_sample
-from repro.setsystem.packed import Captures, chunk_gains
+from repro.setsystem.packed import Captures
 from repro.engine import capture_words
 from repro.streaming.memory import MemoryMeter
 from repro.streaming.stream import SetStream, stream_resident_words
@@ -70,43 +70,43 @@ from repro.utils.rng import as_generator
 __all__ = ["IterSetCover", "iter_set_cover"]
 
 
-def _words_of(mask: int, words: int) -> "np.ndarray":
-    """``mask`` as ``words`` little-endian ``uint64`` words."""
-    return np.frombuffer(mask.to_bytes(words * 8, "little"), dtype="<u8")
-
-
 class _SampleChunk:
     """One captured chunk of a sample pass, shared by every guess.
 
     ``captures`` is the scan's :class:`~repro.setsystem.packed.Captures`
     record: the rows' ids and their projections ``r ∩ (union of
-    leftovers)`` as one ``(rows, words)`` ``uint64`` block, taken as the
-    scan built it.  Hit counts against a chunk-start leftover are
-    memoized, so guesses whose leftovers coincide (every guess whose
-    sample is the whole uncovered set, say) share one popcount; a row
-    becomes a big int only when some guess stores or picks it, and
-    then once for all guesses (:meth:`Captures.row`).
+    leftovers)`` as ``uint64`` words — only the nonzero ones when the
+    record is word-sparse — taken as the scan built it.  Hit counts
+    against a chunk-start leftover are memoized, so guesses whose
+    leftovers coincide (every guess whose sample is the whole uncovered
+    set, say) share one popcount; a row becomes a big int only when
+    some guess stores or picks it, and then once for all guesses
+    (:meth:`Captures.row`).
     """
 
     def __init__(self, captures: Captures):
         self.ids = captures.ids
         self.row = captures.row
         self.rows = captures.rows
-        self.matrix = captures.block
-        self.words = captures.block.shape[1]
+        self._captures = captures
         self._gains: dict[int, np.ndarray] = {}
 
     def gains(self, leftover: int) -> "np.ndarray":
         """``|row ∩ leftover|`` for every row of the chunk."""
         gains = self._gains.get(leftover)
         if gains is None:
-            gains = chunk_gains(self.matrix, _words_of(leftover, self.words))
+            gains = self._captures.gains(self._words_of(leftover))
             self._gains[leftover] = gains
         return gains
 
     def count(self, index: "np.ndarray", leftover: int) -> "np.ndarray":
         """``|row ∩ leftover|`` for the rows at ``index`` only."""
-        return chunk_gains(self.matrix[index], _words_of(leftover, self.words))
+        return self._captures.gains_at(index, self._words_of(leftover))
+
+    def _words_of(self, mask: int) -> "np.ndarray":
+        """``mask`` as the record's ``width`` little-endian ``uint64`` words."""
+        width = self._captures.width
+        return np.frombuffer(mask.to_bytes(width * 8, "little"), dtype="<u8")
 
 
 def _sample_pass(parts, guesses) -> int:

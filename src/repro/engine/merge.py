@@ -67,7 +67,8 @@ def capture_words(captured: Captures) -> int:
     The number algorithms report as ``scan_capture_peak_words``: the
     per-chunk capture scratch of a chunk-streamed replay, bounded by
     one chunk's content (DESIGN.md §6.1 accounting).  One vectorized
-    popcount over the record's block.
+    popcount over the record's stored words, so it charges set bits
+    whichever layout the record is in.
     """
     return captured.words()
 

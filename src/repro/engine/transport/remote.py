@@ -274,6 +274,31 @@ def _decode_captured(encoded, n: int) -> Captures:
         raise ProtocolError(f"captured projection wider than n={n}") from exc
 
 
+def _check_reply(shard: int, span, start: int, ids, gains, want_gains: bool) -> None:
+    """Refuse a worker's shard result that does not answer the request.
+
+    ``span`` is the driver's own ``(start, rows)`` for ``shard``: the
+    reply must start there, capture strictly ascending ids inside
+    ``[start, start + rows)``, and carry exactly ``rows`` gains when the
+    request asked for gains.  A mismatch raises :class:`ProtocolError`,
+    the lane-fault path.
+    """
+    first, rows = span
+    if start != first:
+        raise ProtocolError(f"shard {shard} reply starts at row {start}, not {first}")
+    if ids and not (
+        first <= ids[0] and ids[-1] < first + rows
+        and all(a < b for a, b in zip(ids, ids[1:]))
+    ):
+        raise ProtocolError(
+            f"shard {shard} reply captures ids outside [{first}, {first + rows}) "
+            "or out of order"
+        )
+    if want_gains and (gains is None or gains.size != rows):
+        size = 0 if gains is None else gains.size
+        raise ProtocolError(f"shard {shard} reply carries {size} gains for {rows} rows")
+
+
 def _encode_gains(gains) -> bytes:
     return np.ascontiguousarray(gains, dtype="<i8").tobytes()
 
@@ -889,8 +914,10 @@ class _ScanState:
     under every assignment.
     """
 
-    def __init__(self, shard_count: int, batches, assignment=None):
-        self.shard_count = shard_count
+    def __init__(self, spans, batches, assignment=None):
+        #: ``(start, rows)`` of every shard, what each reply is checked against.
+        self.spans = spans
+        self.shard_count = len(spans)
         self.stop = threading.Event()
         self.results: "queue.Queue[tuple]" = queue.Queue()
         self.work: "queue.Queue[_Batch]" = queue.Queue()
@@ -1180,6 +1207,10 @@ class _WorkerLane(threading.Thread):
                     gains = _decode_gains(recv_bytes(sock))
                 else:
                     gains = None
+                _check_reply(
+                    shard, self.state.spans[shard], start, captured.ids, gains,
+                    self.include_gains,
+                )
                 item = (
                     start, (gains if self.include_gains else None), captured
                 )
@@ -1595,7 +1626,7 @@ class RemoteScanExecutor(ScanExecutor):
         roster = self._roster()
         affinity_key = (request["path"], tuple(request["token"]))
         assignment = self._place_batches(batches, roster, affinity_key)
-        state = _ScanState(count, batches, assignment)
+        state = _ScanState(repository.shard_spans(), batches, assignment)
         state.shard_costs = estimates
         state.roster = set(roster)
         preconnected: dict = {}

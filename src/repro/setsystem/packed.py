@@ -19,10 +19,12 @@ Each layer holds its bitmaps in exactly one representation (DESIGN.md
   :class:`ScanMask`, :func:`chunk_gains`, :func:`membership_hits`,
   :func:`range_gains`, :func:`scan_chunk`, :func:`accept_rows` and the
   shard decoders of :mod:`repro.setsystem.shards`.  :func:`pack_rows`
-  turns big-int rows into such a block.  Captured projections leave the kernels as one
-  :class:`Captures` record per chunk — ascending row ids plus the
-  intersection block itself — and become big ints only row by row, when
-  an algorithm asks for one (:meth:`Captures.row`).
+  turns big-int rows into such a block.  Captured projections leave the
+  kernels as one :class:`Captures` record per chunk — ascending row ids
+  plus each row's ``uint64`` words, word-sparse (only the nonzero words)
+  or full width, whichever the byte rule finds smaller — and become big
+  ints only row by row, when an algorithm asks for one
+  (:meth:`Captures.row`).
 * **Frozensets** survive only in the seed's reference implementations
   that the tests compare against: :func:`non_dominated_reference` here
   and the frozenset greedy heap of :mod:`repro.offline.greedy`.
@@ -72,6 +74,13 @@ def _popcount_rows(matrix: "np.ndarray") -> "np.ndarray":
     return _POPCOUNT8[flat].sum(axis=-1, dtype=np.int64)
 
 
+def _popcount_words(words: "np.ndarray") -> "np.ndarray":
+    """Per-word popcount of a 1-D ``uint64`` array."""
+    if _HAVE_BITWISE_COUNT:
+        return np.bitwise_count(words)
+    return _POPCOUNT8[words.view(np.uint8)].reshape(-1, 8).sum(axis=1)
+
+
 def pack_rows(rows: Sequence[int], words: int) -> "np.ndarray":
     """Big-int rows as a read-only ``(len(rows), words)`` ``uint64`` block.
 
@@ -82,33 +91,117 @@ def pack_rows(rows: Sequence[int], words: int) -> "np.ndarray":
     return np.frombuffer(data, dtype="<u8").reshape(len(rows), words)
 
 
+def _sparse_pays(bits: int, rows: int, width: int) -> bool:
+    """The capture byte rule: store word-sparse when it is the smaller layout.
+
+    A row's nonzero words number at most its set bits, and a word-sparse
+    word costs two stored words (its index and its bits), so ``2 · bits``
+    bounds the word-sparse size against the full width's ``rows · width``.
+    """
+    return 2 * bits < rows * width
+
+
+def _segment_sums(values: "np.ndarray", starts, ends) -> "np.ndarray":
+    """``values[starts[i]:ends[i]].sum()`` for every segment, as ``int64``."""
+    total = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, dtype=np.int64, out=total[1:])
+    return total[ends] - total[starts]
+
+
+def _ragged_positions(first: "np.ndarray", counts: "np.ndarray") -> "np.ndarray":
+    """``first[i], ..., first[i] + counts[i] - 1`` for every ``i``, concatenated."""
+    before = np.cumsum(counts) - counts
+    return np.repeat(first - before, counts) + np.arange(int(counts.sum()))
+
+
+def _nonzero_words(block: "np.ndarray") -> "tuple[np.ndarray, np.ndarray]":
+    """``(flat, bits)`` of a ``(rows, width)`` block's nonzero words, ascending."""
+    flat_block = block.reshape(-1)
+    flat = np.flatnonzero(flat_block)
+    return flat, flat_block[flat]
+
+
+def _csr(flat: "np.ndarray", rows: int, width: int):
+    """``(indptr, index)`` of ascending ``flat = row · width + word`` entries."""
+    slots = flat // width
+    return np.searchsorted(slots, np.arange(rows + 1)), flat - slots * width
+
+
 class Captures:
-    """One chunk's captured projections: ascending row ids plus one block.
+    """One chunk's captured projections: ascending row ids plus their words.
 
-    ``block[j]`` is the projection ``row ∩ mask`` of row ``ids[j]`` as
-    ``words`` little-endian ``uint64`` words — the intersection block
-    the scan kernel already computed, kept as it is.  Vectorized
-    consumers (the Size-Test popcounts, :meth:`words`) read the block;
-    int consumers call :meth:`row`, which converts a row once and
-    memoizes it, so every guess of a pass shares one int.  Iterating
-    yields ``(row_id, projection_int)`` pairs in id order, and a record
-    equals another record or pair sequence holding the same pairs.
-    Pickling ships the block as raw array bytes.
+    Row ``j`` is the projection ``row ∩ mask`` of row ``ids[j]`` over
+    ``width`` little-endian ``uint64`` words.  A record stores its rows
+    in one of two layouts, picked by the byte rule alone
+    (:func:`_sparse_pays`, DESIGN.md §4.1): **word-sparse** — CSR over
+    words: ``indptr``, the nonzero words' ``index`` and their ``bits`` —
+    when ``2 · Σ|row ∩ mask| < rows · width``, and otherwise one
+    **full-width** ``(rows, width)`` block.  The methods are the only way
+    in, and read either layout: :meth:`gains` and :meth:`gains_at`
+    popcount the rows against a word mask (the Size-Test), :meth:`row_words`
+    hands one row's words to the threshold accept, :meth:`words` is the
+    capture accounting, and :meth:`row`/:meth:`rows` convert a row to a
+    big int once and memoize it, so every guess of a pass shares one int.
+    Iterating yields ``(row_id, projection_int)`` pairs in id order, and
+    a record equals another record or pair sequence holding the same
+    pairs.  Pickling ships the layout's arrays as they are.
 
-    >>> captured = Captures([3, 7], pack_rows([0b101, 1 << 64], words=2))
-    >>> len(captured), captured.words(), captured.row(1) == 1 << 64
-    (2, 5, True)
+    >>> captured = Captures([3, 7], pack_rows([0b101, 1 << 64], words=4))
+    >>> len(captured), captured.sparse, captured.words(), captured.row(1) == 1 << 64
+    (2, True, 5, True)
+    >>> captured.gains(np.array([0b100, 1, 0, 0], dtype=np.uint64)).tolist()
+    [1, 1]
     >>> captured == [(3, 0b101), (7, 1 << 64)]
     True
     """
 
-    __slots__ = ("ids", "block", "_ints", "_raw")
+    __slots__ = ("ids", "width", "_block", "_indptr", "_index", "_bits", "_ints")
 
-    def __init__(self, ids: "list[int]", block: "np.ndarray"):
+    def __init__(self, ids: "list[int]", block: "np.ndarray", gains=None):
+        """Rows given full width, as ``block``; ``gains`` are their popcounts."""
+        rows, width = block.shape
+        if gains is None:
+            gains = _popcount_rows(block)
+        if _sparse_pays(int(gains.sum()), rows, width):
+            flat, bits = _nonzero_words(block)
+            self._init(ids, width, None, *_csr(flat, rows, width), bits)
+        else:
+            self._init(ids, width, block)
+
+    def _init(self, ids, width, block, indptr=None, index=None, bits=None) -> None:
         self.ids = ids
-        self.block = block
+        self.width = width
+        self._block = block
+        self._indptr, self._index, self._bits = indptr, index, bits
         self._ints: "list[int | None]" = [None] * len(ids)
-        self._raw = None
+
+    @classmethod
+    def from_words(
+        cls, ids: "list[int]", width: int, parts: "Sequence[tuple]"
+    ) -> "Captures":
+        """A record from its rows' words, laid out by the byte rule.
+
+        ``parts`` are ``(flat, bits)`` array pairs: ``bits[i]`` is word
+        ``flat[i] % width`` of row ``flat[i] // width``.  Each part's
+        ``flat`` is strictly ascending, parts hold disjoint rows, and
+        zero words may appear (they are not stored word-sparse).
+        """
+        record = cls.__new__(cls)
+        total = sum(int(_popcount_words(bits).sum()) for _, bits in parts)
+        if _sparse_pays(total, len(ids), width):
+            flat = np.concatenate([flat for flat, _ in parts] or [np.zeros(0, np.int64)])
+            bits = np.concatenate([bits for _, bits in parts] or [np.zeros(0, "<u8")])
+            keep = np.flatnonzero(bits)
+            if len(parts) > 1:
+                keep = keep[np.argsort(flat[keep], kind="stable")]
+            flat, bits = flat[keep], bits[keep]
+            record._init(ids, width, None, *_csr(flat, len(ids), width), bits)
+        else:
+            block = np.zeros((len(ids), width), dtype="<u8")
+            for flat, bits in parts:
+                block.reshape(-1)[flat] = bits
+            record._init(ids, width, block)
+        return record
 
     @classmethod
     def empty(cls, words: int) -> "Captures":
@@ -132,19 +225,69 @@ class Captures:
             return records[0] if records else cls.empty(0)
         if len(full) == 1:
             return full[0]
-        return cls(
-            [row_id for record in full for row_id in record.ids],
-            np.concatenate([record.block for record in full]),
+        width, offset, parts = full[0].width, 0, []
+        for record in full:
+            flat, bits = record._entries()
+            parts.append((flat + offset * width, bits))
+            offset += len(record)
+        return cls.from_words(
+            [row_id for record in full for row_id in record.ids], width, parts
         )
+
+    @property
+    def sparse(self) -> bool:
+        """Is the record stored word-sparse (else full width)?"""
+        return self._block is None
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def _entries(self) -> "tuple[np.ndarray, np.ndarray]":
+        """``(flat, bits)``: every nonzero word, one :meth:`from_words` part."""
+        if self._block is not None:
+            return _nonzero_words(self._block)
+        slots = np.repeat(np.arange(len(self.ids)), np.diff(self._indptr))
+        return slots * self.width + self._index, self._bits
+
+    def gains(self, mask: "np.ndarray") -> "np.ndarray":
+        """``|row ∩ mask|`` for every row; ``mask`` is ``width`` ``uint64`` words."""
+        if self._block is not None:
+            return chunk_gains(self._block, mask)
+        counts = _popcount_words(self._bits & mask[self._index])
+        return _segment_sums(counts, self._indptr[:-1], self._indptr[1:])
+
+    def gains_at(self, index: "np.ndarray", mask: "np.ndarray") -> "np.ndarray":
+        """``|row ∩ mask|`` for the rows at ``index`` only (a segmented popcount)."""
+        if self._block is not None:
+            return chunk_gains(self._block[index], mask)
+        counts, at = self._stored_at(index)
+        hits = _popcount_words(self._bits[at] & mask[self._index[at]])
+        ends = np.cumsum(counts)
+        return _segment_sums(hits, ends - counts, ends)
+
+    def _stored_at(self, index) -> "tuple[np.ndarray, np.ndarray]":
+        """``(counts, at)``: stored words per row at ``index``, and their positions."""
+        index = np.asarray(index, dtype=np.int64)
+        first = self._indptr[index]
+        counts = self._indptr[index + 1] - first
+        return counts, _ragged_positions(first, counts)
+
+    def row_words(self, j: int) -> "tuple[object, np.ndarray]":
+        """``(where, bits)``: row ``j``'s stored words and where they sit.
+
+        ``where`` indexes a ``width``-word array — the row's nonzero word
+        positions when word-sparse, every word otherwise.
+        """
+        if self._block is not None:
+            return slice(None), self._block[j]
+        lo, hi = self._indptr[j], self._indptr[j + 1]
+        return self._index[lo:hi], self._bits[lo:hi]
 
     def row(self, j: int) -> int:
         """The ``j``-th projection as a big int (converted once)."""
         value = self._ints[j]
         if value is None:
-            value = self._convert(j)
+            value = self.rows([j])[0]
         return value
 
     def rows(self, index: "Sequence[int]") -> "list[int]":
@@ -152,26 +295,35 @@ class Captures:
         ints = self._ints
         values = [ints[j] for j in index]
         if None in values:
-            values = [
-                self._convert(j) if value is None else value
-                for j, value in zip(index, values)
-            ]
+            missing = [j for j, value in zip(index, values) if value is None]
+            for j, value in zip(missing, self._to_ints(missing)):
+                ints[j] = value
+            values = [ints[j] for j in index]
         return values
 
-    def _convert(self, j: int) -> int:
-        if self._raw is None:
-            self._raw = memoryview(np.ascontiguousarray(self.block)).cast("B")
-        width = self.block.shape[1] * 8
-        value = int.from_bytes(self._raw[j * width : (j + 1) * width], "little")
-        self._ints[j] = value
-        return value
+    def _to_ints(self, index: "list[int]") -> "list[int]":
+        """The rows at ``index`` as fresh big ints, through one full-width block."""
+        if self._block is not None:
+            block = self._block[index]
+        else:
+            counts, at = self._stored_at(index)
+            block = np.zeros((len(index), self.width), dtype="<u8")
+            slots = np.repeat(np.arange(len(index)) * self.width, counts)
+            block.reshape(-1)[slots + self._index[at]] = self._bits[at]
+        raw = memoryview(np.ascontiguousarray(block)).cast("B")
+        size = self.width * 8
+        return [
+            int.from_bytes(raw[p : p + size], "little")
+            for p in range(0, len(index) * size, size)
+        ]
 
     def __iter__(self):
         return zip(self.ids, self.rows(range(len(self.ids))))
 
     def words(self) -> int:
         """Projection elements plus one id per row (capture accounting)."""
-        return int(_popcount_rows(self.block).sum()) + len(self.ids)
+        stored = self._bits if self._block is None else self._block.reshape(-1)
+        return int(_popcount_words(stored).sum()) + len(self.ids)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Captures, list, tuple)):
@@ -184,7 +336,19 @@ class Captures:
         return f"Captures({list(self)!r})"
 
     def __reduce__(self):
-        return Captures, (self.ids, np.ascontiguousarray(self.block))
+        block = self._block
+        return _restore_captures, (
+            self.ids, self.width,
+            None if block is None else np.ascontiguousarray(block),
+            self._indptr, self._index, self._bits,
+        )
+
+
+def _restore_captures(ids, width, block, indptr, index, bits) -> Captures:
+    """Unpickle a :class:`Captures` record in the layout it was sent in."""
+    record = Captures.__new__(Captures)
+    record._init(ids, width, block, indptr, index, bits)
+    return record
 
 
 # ----------------------------------------------------------------------
@@ -434,11 +598,13 @@ def accept_rows(
     removing each accepted hit from ``residual`` — a writable ``uint64``
     word array, shrunk in place.  Returns the accepted row ids.
 
-    One :func:`chunk_gains` popcount against the chunk-start residual
+    One :meth:`Captures.gains` popcount against the chunk-start residual
     keeps only the rows that reach ``threshold``: the residual only
     shrinks, so a row it drops can never be accepted later in the
     chunk.  The first survivor is accepted outright; after that, each
-    survivor is re-tested on its own.  No row becomes a big int.
+    survivor is re-tested on its own words (:meth:`Captures.row_words`),
+    and its hit leaves the residual word by word.  No row becomes a big
+    int.
 
     >>> residual = np.array([0b1111], dtype=np.uint64)
     >>> captured = Captures([3, 5, 9], pack_rows([0b0011, 0b0110, 0b1100], 1))
@@ -447,16 +613,16 @@ def accept_rows(
     """
     if not len(captures):
         return []
-    block = captures.block
-    candidates = np.flatnonzero(chunk_gains(block, residual) >= threshold)
+    candidates = np.flatnonzero(captures.gains(residual) >= threshold)
     picked: "list[int]" = []
-    hit = np.empty_like(residual)
     for j in candidates.tolist():
-        np.bitwise_and(block[j], residual, out=hit)
-        if picked and _popcount_rows(hit) < threshold:
+        where, bits = captures.row_words(j)
+        live = residual[where]
+        hit = bits & live
+        if picked and _popcount_words(hit).sum() < threshold:
             continue
         picked.append(captures.ids[j])
-        np.bitwise_xor(residual, hit, out=residual)
+        residual[where] = live ^ hit
     return picked
 
 
@@ -561,7 +727,8 @@ def scan_chunk(
     (gains, captured):
         ``gains`` — per-row ``|row ∩ mask|`` as an ``int64`` array;
         ``captured`` — the captured rows' :class:`Captures` record,
-        ascending ids, sliced from the same intersection block.
+        ascending ids, taken from the same intersection block and
+        compacted to its nonzero words when the byte rule says so.
     """
     inter = np.bitwise_and(chunk, mask.arr[None, :]) if chunk.size else chunk
     gains = (
@@ -572,4 +739,6 @@ def scan_chunk(
     locals_ = capture_locals(start, gains, min_capture_gain, capture_ids, best_only)
     if not locals_:
         return gains, Captures.empty(mask.words)
-    return gains, Captures([start + local for local in locals_], inter[locals_])
+    return gains, Captures(
+        [start + local for local in locals_], inter[locals_], gains[locals_]
+    )

@@ -106,6 +106,7 @@ from repro.setsystem.durability import (
 from repro.setsystem.packed import (
     Captures,
     ScanMask,
+    _ragged_positions,
     capture_locals,
     chunk_gains,
     membership_hits,
@@ -765,16 +766,8 @@ def write_shards(
 def _ragged_gather(
     payload: "np.ndarray", offsets: "np.ndarray", lengths: "np.ndarray"
 ) -> "np.ndarray":
-    """Concatenate variable-length byte segments of ``payload``."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.uint8)
-    before = np.cumsum(lengths) - lengths
-    positions = (
-        np.repeat(offsets - before, lengths)
-        + np.arange(total, dtype=np.int64)
-    )
-    return payload[positions]
+    """Concatenate variable-length segments of ``payload``."""
+    return payload[_ragged_positions(offsets, lengths)]
 
 def _bulk_varints(
     seg: "np.ndarray", max_bytes: int
@@ -992,6 +985,13 @@ class ShardedRepository:
     def shard_count(self) -> int:
         """Number of shard files."""
         return len(self._shard_meta)
+
+    def shard_spans(self) -> "list[tuple[int, int]]":
+        """``(first_row, rows)`` of every shard, in shard order."""
+        return [
+            (start, int(meta["rows"]))
+            for start, meta in zip(self._starts, self._shard_meta)
+        ]
 
     @property
     def chunk_words(self) -> int:
@@ -1512,11 +1512,14 @@ def _gains_from_decoded(decoded: dict, mask: ScanMask) -> "np.ndarray":
     kernels (``membership_hits`` + bincount, ``range_gains``,
     ``chunk_gains``) in the same accumulation order as the one-shot
     path, so gains are bit-identical whether the arrays were decoded
-    this call or served from the hot cache.
+    this call or served from the hot cache.  Returns ``(gains, hits)``:
+    ``hits`` flags the sparse elements inside the mask (``None`` without
+    sparse rows), which the captures reuse.
     """
     rows = decoded["rows"]
     gains = np.zeros(rows, dtype=np.int64)
     sparse = decoded["sparse"]
+    hits = None
     if sparse is not None:
         elements, row_ids = sparse
         hits = membership_hits(elements, mask.arr)
@@ -1529,33 +1532,38 @@ def _gains_from_decoded(decoded: dict, mask: ScanMask) -> "np.ndarray":
     if dense is not None:
         sel, matrix = dense
         gains[sel] = chunk_gains(matrix, mask.arr)
-    return gains
+    return gains, hits
 
 
 def _captures_from_decoded(
-    decoded: dict, candidates: "list[int]", mask: ScanMask, words: int
-) -> "np.ndarray":
-    """``row ∩ mask`` for the candidate rows of a ``_decode_encoded_chunk`` payload.
+    decoded: dict, gains, hits, start: int, locals_: "list[int]",
+    mask: ScanMask, words: int,
+) -> Captures:
+    """The record of ``row ∩ mask`` for the ``locals_`` rows of a decoded chunk.
 
     Built from the kernel arrays the gains came from, so a capture never
-    re-reads or re-decodes the shard: sparse rows OR in one bit per
-    element, run-length rows their runs word by word, dense rows copy
-    their packed words, and the block is then masked once.  Returns the ``(candidates, words)`` ``uint64`` block,
-    one row per candidate, in candidate order.
+    re-reads or re-decodes the shard.  Each codec yields its rows' masked
+    words as one ``(flat, bits)`` part, ``flat = slot · words + word``:
+    sparse rows one bit per element the gains found in the mask
+    (``hits``; a sparse row's gain counts them), OR-ed per word;
+    run-length rows their runs word by word; dense rows their packed
+    words.  :meth:`Captures.from_words` lays the parts out by the byte
+    rule, so a word-sparse record never touches a zeroed
+    ``(rows, words)`` block.
     """
-    wanted = np.asarray(candidates, dtype=np.int64)
-    block = np.zeros((wanted.size, words), dtype="<u8")
-    if not wanted.size:
-        return block
-    flat_block = block.reshape(-1)
+    if not locals_:
+        return Captures.empty(words)
+    wanted = np.asarray(locals_, dtype=np.int64)
+    parts = []
     sparse = decoded["sparse"]
     if sparse is not None:
         elements, row_ids = sparse
         first, counts = _row_segments(row_ids, wanted)
-        elements = _ragged_gather(elements, first, counts)
-        slot = np.repeat(np.arange(wanted.size), counts)
+        at = _ragged_positions(first, counts)
+        elements = elements[at[hits[at]]]
+        slot = np.repeat(np.arange(wanted.size), np.where(counts, gains[wanted], 0))
         bits = np.left_shift(np.uint64(1), (elements & 63).astype(np.uint64))
-        _or_sorted_words(flat_block, slot * words + (elements >> 6), bits)
+        parts.append(_or_words(slot * words + (elements >> 6), bits))
     rle = decoded["rle"]
     if rle is not None:
         run_starts, run_ends, row_ids = rle
@@ -1565,15 +1573,16 @@ def _captures_from_decoded(
             _ragged_gather(run_starts, first, counts),
             _ragged_gather(run_ends, first, counts),
         )
-        _or_sorted_words(flat_block, np.repeat(slot, spans) * words + index, bits)
+        flat, bits = _or_words(np.repeat(slot, spans) * words + index, bits)
+        parts.append((flat, bits & mask.arr[flat % words]))
     dense = decoded["dense"]
     if dense is not None:
         sel, matrix = dense
         first, counts = _row_segments(sel, wanted)
-        found = counts > 0
-        block[found] = matrix[first[found]]
-    np.bitwise_and(block, mask.arr, out=block)
-    return block
+        found = np.flatnonzero(counts)
+        flat = (found[:, None] * words + np.arange(words)).reshape(-1)
+        parts.append((flat, (matrix[first[found]] & mask.arr).reshape(-1)))
+    return Captures.from_words([start + local for local in locals_], words, parts)
 
 
 _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
@@ -1598,14 +1607,15 @@ def _run_words(starts: "np.ndarray", ends: "np.ndarray"):
     return spans, index, bits
 
 
-def _or_sorted_words(flat_block: "np.ndarray", flat: "np.ndarray", bits) -> None:
-    """OR ``bits`` into ``flat_block[flat]``, ``flat`` non-decreasing.
+def _or_words(flat: "np.ndarray", bits: "np.ndarray"):
+    """``(flat, bits)`` with the bits of equal adjacent ``flat`` OR-ed into one.
 
-    Equal indices are adjacent, so one segmented OR per word suffices.
+    ``flat`` is non-decreasing, so one segmented OR per word suffices.
     """
-    if flat.size:
-        firsts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
-        flat_block[flat[firsts]] |= np.bitwise_or.reduceat(bits, firsts)
+    if not flat.size:
+        return flat, bits
+    firsts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+    return flat[firsts], np.bitwise_or.reduceat(bits, firsts)
 
 
 def _row_segments(row_ids: "np.ndarray", wanted: "np.ndarray"):
@@ -1623,9 +1633,8 @@ def _scan_decoded_payload(
     :func:`_gains_from_decoded`, then the captured rows' projections
     from :func:`_captures_from_decoded` over the same arrays.
     """
-    gains = _gains_from_decoded(decoded, mask)
+    gains, hits = _gains_from_decoded(decoded, mask)
     locals_ = capture_locals(start, gains, min_capture_gain, capture_ids, best_only)
-    return start, gains, Captures(
-        [start + local for local in locals_],
-        _captures_from_decoded(decoded, locals_, mask, words),
+    return start, gains, _captures_from_decoded(
+        decoded, gains, hits, start, locals_, mask, words
     )

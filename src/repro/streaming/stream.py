@@ -208,8 +208,9 @@ class SetStreamBase:
         :meth:`iterate`: one read head, the scan counts one pass.
 
         Each chunk's ``captured`` is one
-        :class:`~repro.setsystem.packed.Captures` record — ids plus a
-        ``uint64`` block of ``row ∩ mask`` — for rows reaching
+        :class:`~repro.setsystem.packed.Captures` record — ids plus the
+        ``uint64`` words of ``row ∩ mask``, word-sparse or full width by
+        the record's byte rule — for rows reaching
         ``min_capture_gain`` (optionally
         restricted to ``capture_ids``), or only the chunk's first-max
         row with ``best_only``.  Consuming chunk-by-chunk is the

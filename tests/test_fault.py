@@ -611,7 +611,7 @@ def test_idle_lane_ping_notices_a_dead_peer(worker_fleet):
                          connect_timeout=1.0, eject_after=1, seed=0)
     executor = RemoteScanExecutor([worker_fleet[0]], retry=policy)
     # A healthy peer pongs.
-    state = remote_mod._ScanState(1, [remote_mod._Batch(0, [0])])
+    state = remote_mod._ScanState([(0, 0)], [remote_mod._Batch(0, [0])])
     state.work.get()  # park the batch so the lane idles forever
     lane = remote_mod._WorkerLane(
         executor, worker_fleet[0], state, {}, b"\x00", True,

@@ -433,15 +433,18 @@ class TestSizeTestChunkEdges:
 
 
 def test_size_test_reads_the_capture_block_and_converts_only_used_rows():
-    """One captured block, one heavy pick partway through the chunk.
+    """One captured record, one heavy pick partway through the chunk.
 
     k=4 over 24 sampled elements (threshold 6).  Row 1 is heavy and
     removes elements 0..7 from the leftover; row 3 counted 7 hits at
     chunk start but only 5 afterwards, so it is stored light; row 4
     stays heavy.  Rows 2 and 6 miss this guess's leftover (another
     guess's sample put them in the capture), so they never become ints.
+    At n=90 the record is full width, at n=4096 word-sparse (byte rule:
+    35 bits against 7 rows of 2 or 64 words); the Size-Test reads both
+    through the record's methods alike.
     """
-    k, n, sample = 4, 90, range(24)
+    k, sample = 4, range(24)
     rows = [
         (10, [0, 1, 30]),                  # light before the pick
         (11, range(8)),                    # heavy: 8 hits
@@ -451,28 +454,30 @@ def test_size_test_reads_the_capture_block_and_converts_only_used_rows():
         (15, [0, 12, 13]),                 # light after both picks
         (16, [50, 60, 70]),                # no hit in this sample
     ]
-    ref = _size_test_rows(k, n, sample, (), rows)
-    guess = _GuessState(k, n, MemoryMeter(label="pin"))
-    guess.sample_size = len(sample)
-    guess.leftover = mask_of(sample)
-    union = guess.leftover | mask_of(range(40, 90))  # another guess's sample
-    captures = Captures.from_pairs(
-        [(set_id, mask_of(r) & union) for set_id, r in rows], (n + 63) // 64
-    )
-    guess.size_test(_SampleChunk(captures))
+    for n, sparse in ((90, False), (4096, True)):
+        ref = _size_test_rows(k, n, sample, (), rows)
+        guess = _GuessState(k, n, MemoryMeter(label="pin"))
+        guess.sample_size = len(sample)
+        guess.leftover = mask_of(sample)
+        union = guess.leftover | mask_of(range(40, 90))  # another guess's sample
+        captures = Captures.from_pairs(
+            [(set_id, mask_of(r) & union) for set_id, r in rows], (n + 63) // 64
+        )
+        assert captures.sparse == sparse
+        guess.size_test(_SampleChunk(captures))
 
-    assert ref.solution == [11, 14] and [i for i, _ in ref.light] == [10, 13, 15]
-    assert guess.solution == ref.solution
-    assert guess.new_picks == ref.new_picks
-    assert guess.leftover == mask_of(ref.leftover)
-    assert guess.stats.heavy_picks == ref.stats["heavy"]
-    assert guess.projection_ids == [set_id for set_id, _ in ref.light]
-    for row, (_, hit) in zip(guess.projections, ref.light):
-        assert row & guess.leftover == mask_of(hit) & guess.leftover
-        assert row & mask_of(hit) == mask_of(hit)
-    assert guess.meter.current == ref.current
-    assert guess.meter.peak == ref.peak
-    # Ints exist for the stored and picked rows only.
-    converted = [set_id for set_id, value in zip(captures.ids, captures._ints)
-                 if value is not None]
-    assert converted == [10, 11, 13, 14, 15]
+        assert ref.solution == [11, 14] and [i for i, _ in ref.light] == [10, 13, 15]
+        assert guess.solution == ref.solution
+        assert guess.new_picks == ref.new_picks
+        assert guess.leftover == mask_of(ref.leftover)
+        assert guess.stats.heavy_picks == ref.stats["heavy"]
+        assert guess.projection_ids == [set_id for set_id, _ in ref.light]
+        for row, (_, hit) in zip(guess.projections, ref.light):
+            assert row & guess.leftover == mask_of(hit) & guess.leftover
+            assert row & mask_of(hit) == mask_of(hit)
+        assert guess.meter.current == ref.current
+        assert guess.meter.peak == ref.peak
+        # Ints exist for the stored and picked rows only.
+        converted = [set_id for set_id, value in zip(captures.ids, captures._ints)
+                     if value is not None]
+        assert converted == [10, 11, 13, 14, 15]

@@ -11,6 +11,8 @@ randomized instances.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -349,6 +351,77 @@ class TestAcceptRows:
         captured = Captures([0, 1, 2], pack_rows([r for _, r in rows], 1))
         assert accept_rows(captured, live, 2) == [0, 1]
         assert live.tolist() == [0b1110000]
+
+
+@st.composite
+def _capture_records(draw):
+    """Rows over ``width`` words, from a few scattered bits to all-ones
+    words, so the byte rule picks either layout."""
+    width = draw(st.integers(min_value=1, max_value=12))
+    n = 64 * width
+    scattered = st.lists(st.integers(0, n - 1), max_size=6).map(mask_of)
+    words = st.lists(_WORD, min_size=width, max_size=width).map(
+        lambda parts: sum(word << (64 * i) for i, word in enumerate(parts))
+    )
+    rows = draw(st.lists(st.one_of(scattered, st.just(0), words), max_size=10))
+    ids = sorted(draw(st.sets(st.integers(0, 500), min_size=len(rows),
+                              max_size=len(rows))))
+    return ids, rows, width
+
+
+def _check_record(record, ids, rows, width, data):
+    assert record.ids == ids and record.width == width
+    assert record.sparse == (2 * sum(r.bit_count() for r in rows) < len(rows) * width)
+    assert list(record) == list(zip(ids, rows))
+    assert record.words() == sum(r.bit_count() + 1 for r in rows)
+    for j, row in enumerate(rows):
+        where, bits = record.row_words(j)
+        full = _words_of(0, width)
+        full[where] = bits
+        assert full.tolist() == _words_of(row, width).tolist()
+    mask = data.draw(st.integers(0, (1 << (64 * width)) - 1), label="mask")
+    mask_words = _words_of(mask, width)
+    assert record.gains(mask_words).tolist() == [(r & mask).bit_count() for r in rows]
+    index = data.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)),
+                               max_size=len(rows)), label="index") if rows else []
+    assert record.gains_at(np.array(index, dtype=np.int64), mask_words).tolist() == [
+        (rows[j] & mask).bit_count() for j in index
+    ]
+    threshold = data.draw(st.integers(1, 8), label="threshold")
+    expected_ids, expected_residual = _accept_reference(
+        list(zip(ids, rows)), mask, threshold
+    )
+    assert accept_rows(record, mask_words, threshold) == expected_ids
+    assert mask_words.tolist() == _words_of(expected_residual, width).tolist()
+
+
+class TestCaptures:
+    @given(_capture_records(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_methods_match_the_big_int_rows(self, case, data):
+        """Every way to build a record — from a full-width block, from
+        split word parts, by concatenation, through a pickle — gives the
+        layout the byte rule predicts and methods that agree with the
+        rows as big ints."""
+        ids, rows, width = case
+        block = pack_rows(rows, width)
+        cut = data.draw(st.integers(0, len(rows)), label="cut")
+        # Two word parts with interleaved rows, as a mixed-codec chunk has.
+        side = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                           max_size=len(rows)), label="side"))
+        flat = np.flatnonzero(block.reshape(-1))
+        bits = block.reshape(-1)[flat]
+        first = side[flat // width] if rows else np.zeros(0, dtype=bool)
+        parts = [(flat[first], bits[first]), (flat[~first], bits[~first])]
+        records = [
+            Captures(ids, block),
+            Captures.from_words(ids, width, parts),
+            Captures.concat([Captures(ids[:cut], block[:cut]),
+                             Captures(ids[cut:], block[cut:])]),
+        ]
+        records.append(pickle.loads(pickle.dumps(records[0])))
+        for record in records:
+            _check_record(record, ids, rows, width, data)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.baselines import MultiPassGreedy, ThresholdGreedy
 from repro.core import iter_set_cover
 from repro.engine import (
     RemoteScanExecutor,
+    SerialScanExecutor,
     WorkerServer,
     executor_for,
     resolve_workers,
@@ -36,14 +38,20 @@ from repro.engine.transport.remote import (
     MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     ProtocolError,
+    WorkerFaultError,
     _decode_captured,
+    _encode_captured,
+    _encode_gains,
     manifest_token,
+    recv_bytes,
     recv_json,
+    send_bytes,
     send_json,
     spawn_local_worker,
 )
 from repro.setsystem import SetSystem
-from repro.setsystem.shards import write_shards
+from repro.setsystem.packed import ScanMask
+from repro.setsystem.shards import ShardedRepository, write_shards
 from repro.streaming import SetStream, ShardedSetStream
 from test_parallel import _threshold_replay_reference
 
@@ -446,9 +454,110 @@ def test_decoded_captures_wider_than_n_are_a_protocol_error():
     """A worker reply whose projection does not fit ``n`` bits' words is
     refused as a protocol fault, not turned into a capture record."""
     record = _decode_captured([[3, "5"], [9, format(1 << 63, "x")]], n=64)
-    assert record.ids == [3, 9] and record.block.tolist() == [[5], [1 << 63]]
+    assert record == [(3, 5), (9, 1 << 63)] and record.width == 1
     with pytest.raises(ProtocolError, match="wider than n=64"):
         _decode_captured([[3, format(1 << 64, "x")]], n=64)
+
+
+def _forged_worker(path, forge):
+    """A one-connection worker whose honest shard replies pass through
+    ``forge(reply, gains) -> (reply, gains)`` before they are sent."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, ShardedRepository(path) as repo:
+            try:
+                recv_json(conn)  # hello
+                send_json(conn, {"op": "hello", "protocol": PROTOCOL_VERSION})
+                while True:  # one scan request per batch, until the driver hangs up
+                    request = recv_json(conn)
+                    mask = ScanMask(
+                        request["n"], int.from_bytes(recv_bytes(conn), "little")
+                    )
+                    for shard in request["shards"]:
+                        start, gains, captured = repo.scan_shard(
+                            shard, mask, min_capture_gain=request["min_capture_gain"]
+                        )
+                        reply, gains = forge({
+                            "op": "result", "shard": shard, "start": start,
+                            "captured": _encode_captured(captured), "gains": True,
+                        }, gains)
+                        send_json(conn, reply)
+                        if reply["gains"]:
+                            send_bytes(conn, _encode_gains(gains))
+                    send_json(conn, {"op": "done", "shards": len(request["shards"])})
+            except (ConnectionError, OSError, ProtocolError):
+                pass  # the driver hung up, or dropped a connection it refused
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener, thread
+
+
+def _shift_start(reply, gains):
+    return dict(reply, start=reply["start"] + 1), gains
+
+
+def _id_past_the_shard(reply, gains):
+    past = reply["start"] + gains.size
+    return dict(reply, captured=[*reply["captured"], [past, "1"]]), gains
+
+
+def _ids_descending(reply, gains):
+    return dict(reply, captured=reply["captured"][::-1]), gains
+
+
+def _gains_short(reply, gains):
+    return reply, gains[:-1]
+
+
+def _gains_missing(reply, gains):
+    return dict(reply, gains=False), gains
+
+
+@pytest.mark.parametrize("forge, match", [
+    (_shift_start, "reply starts at row 4, not 3"),
+    (_id_past_the_shard, r"ids outside \[3, 6\) or out of order"),
+    (_ids_descending, r"ids outside \[3, 6\) or out of order"),
+    (_gains_short, "carries 2 gains for 3 rows"),
+    (_gains_missing, "carries 0 gains for 3 rows"),
+])
+def test_forged_worker_replies_are_protocol_faults(tmp_path, forge, match):
+    """The driver checks every shard result against its own request: the
+    shard's start row, strictly ascending captured ids inside the shard,
+    and one gain per row when gains were asked for.  A forged reply is a
+    ``ProtocolError`` on the lane-fault path (here fail-loud), never a
+    wrong scan result; the same worker replying honestly scans
+    bit-identically to serial."""
+    system = SetSystem(8, [[0, 1], [2, 3], [1, 2], [0, 4], [5, 6], [1, 7]])
+    path = write_shards(tmp_path / "forged", system, chunk_rows=3)
+    with ShardedRepository(path) as repo:
+        serial = list(SerialScanExecutor().iter_scan_repository(
+            repo, 0xFF, min_capture_gain=1
+        ))
+
+        def forge_second(reply, gains):  # shard 0 stays honest
+            return forge(reply, gains) if reply["shard"] == 1 else (reply, gains)
+
+        for case, expect in ((lambda r, g: (r, g), None), (forge_second, match)):
+            listener, thread = _forged_worker(path, case)
+            executor = RemoteScanExecutor([listener.getsockname()[:2]])
+            try:
+                scan = executor.iter_scan_repository(repo, 0xFF, min_capture_gain=1)
+                if expect is None:
+                    remote = list(scan)
+                    assert [(s, g.tolist(), c) for s, g, c in remote] == [
+                        (s, g.tolist(), c) for s, g, c in serial
+                    ]
+                else:
+                    with pytest.raises(WorkerFaultError, match=expect):
+                        list(scan)
+            finally:
+                executor.close()
+                listener.close()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
 
 
 def test_manifest_token_is_content_keyed(tmp_path):

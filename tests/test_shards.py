@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import MultiPassGreedy, StoreAllGreedy, ThresholdGreedy
@@ -20,7 +20,13 @@ from repro.partial.streaming import PartialIterSetCover, PartialThreshold
 from repro.engine import capture_words
 from repro.engine.transport.remote import _decode_captured, _encode_captured
 from repro.setsystem import MergedShardView, SetSystem, apply_delta
-from repro.setsystem.packed import Captures, ScanMask, pack_rows, scan_chunk
+from repro.setsystem.packed import (
+    Captures,
+    ScanMask,
+    accept_rows,
+    pack_rows,
+    scan_chunk,
+)
 from repro.setsystem.shards import (
     ENCODINGS,
     MANIFEST_NAME,
@@ -37,6 +43,7 @@ from repro.setsystem.shards import (
 from repro.streaming import SetStream, ShardedSetStream, StreamAccessError
 from repro.utils.bitset import mask_of
 from repro.workloads import planted_instance, sparse_uniform_instance
+from test_packed import _accept_reference, _words_of
 
 
 def _random_system(rng: np.random.Generator) -> SetSystem:
@@ -588,7 +595,12 @@ def _capture_cases(draw):
     half_dense = st.integers(0, (1 << n) - 1).map(
         lambda bits: [e for e in range(n) if bits >> e & 1]
     )
-    row = st.one_of(st.lists(elements, max_size=n, unique=True), runs, half_dense)
+    row = st.one_of(
+        st.lists(elements, max_size=2, unique=True),
+        st.lists(elements, max_size=n, unique=True),
+        runs,
+        half_dense,
+    )
     rows = draw(st.lists(row, min_size=1, max_size=12))
     mode = draw(st.sampled_from(("gain", "gain+ids", "best")))
     if mode == "best":
@@ -617,11 +629,14 @@ def _expected_captures(start, gains, kwargs):
     ]
 
 
-def _assert_capture_record(captured, start, gains, projections, kwargs, skipped):
-    """``captured`` is one block holding ``row ∩ mask`` of the expected ids.
+def _assert_capture_record(captured, start, gains, projections, kwargs, skipped,
+                           probe):
+    """``captured`` holds ``row ∩ mask`` of the expected ids, laid out by
+    the byte rule, and every record method agrees with the referee.
 
     ``skipped``: the producer short-circuits an empty mask (repositories
-    and views do, the raw kernel does not) and captures nothing."""
+    and views do, the raw kernel does not) and captures nothing.
+    ``probe``: ``(second_mask, index, threshold)`` for the method checks."""
     expected_gains = [
         projections[i].bit_count() for i in range(start, start + len(gains))
     ]
@@ -629,29 +644,55 @@ def _assert_capture_record(captured, start, gains, projections, kwargs, skipped)
     ids = [] if skipped else _expected_captures(start, expected_gains, kwargs)
     assert isinstance(captured, Captures)
     assert captured.ids == ids  # ascending, as _expected_captures lists them
-    assert captured.block.dtype == np.dtype("<u8")
-    assert captured.block.shape[0] == len(ids)
-    words = captured.block.shape[1]
-    assert captured.block.tolist() == (
-        pack_rows([projections[i] for i in ids], words).tolist()
-    )
-    assert capture_words(captured) == sum(projections[i].bit_count() + 1 for i in ids)
+    assert len(captured) == len(ids)
+    words = captured.width
+    rows = [projections[i] for i in ids]
+    bits = sum(row.bit_count() for row in rows)
+    assert captured.sparse == (2 * bits < len(ids) * words)
+    event(f"layout={'sparse' if captured.sparse else 'full'}")
+    for j, row in enumerate(rows):
+        where, row_bits = captured.row_words(j)
+        assert row_bits.dtype == np.dtype("<u8")
+        full = _words_of(0, words)
+        full[where] = row_bits
+        assert full.tolist() == _words_of(row, words).tolist()
+    assert captured.rows(range(len(ids))) == rows
+    assert capture_words(captured) == bits + len(ids)
     assert captured == [(i, projections[i]) for i in ids]
+    second, index, threshold = probe
+    second_words = _words_of(second, words)
+    assert captured.gains(second_words).tolist() == [
+        (row & second).bit_count() for row in rows
+    ]
+    index = [j for j in index if j < len(ids)]
+    assert captured.gains_at(np.array(index, dtype=np.int64), second_words).tolist() == [
+        (rows[j] & second).bit_count() for j in index
+    ]
+    picked, residual = _accept_reference(list(zip(ids, rows)), second, threshold)
+    assert accept_rows(captured, second_words, threshold) == picked
+    assert second_words.tolist() == _words_of(residual, words).tolist()
 
 
 @settings(max_examples=150, deadline=None)
 @given(_capture_cases(), st.data())
 def test_scan_captures_match_referee_decoder(case, data):
-    """Every capture producer returns one ``uint64`` block whose rows are
-    the referee's ``row ∩ mask``, ids ascending, for every codec and
-    capture mode: encoded cold and cached scans, the raw ``scan_chunk``
-    kernel, a delta-merged view, and the record after a process-pool
-    pickle or a remote wire round trip."""
+    """Every capture producer returns a record whose rows are the
+    referee's ``row ∩ mask``, ids ascending, in the layout the byte rule
+    predicts, for every codec and capture mode: encoded cold and cached
+    scans, the raw ``scan_chunk`` kernel, a delta-merged view, and the
+    record after a process-pool pickle or a remote wire round trip.
+    Against a second drawn mask, ``gains``/``gains_at`` match the
+    referee's popcounts and ``accept_rows`` the row-by-row int loop."""
     system, encoding, shards, mask_int, kwargs = case
     n, words = system.n, -(-system.n // 64)
     chunk_rows = -(-system.m // shards)
     mask = ScanMask(n, mask_int)
     projections = [mask_of(s) & mask_int for s in system.sets]
+    probe = (
+        data.draw(st.integers(0, (1 << n) - 1), label="second mask"),
+        data.draw(st.lists(st.integers(0, system.m - 1), unique=True), label="index"),
+        data.draw(st.integers(1, 4), label="threshold"),
+    )
     with tempfile.TemporaryDirectory() as tmp:
         path = write_shards(
             Path(tmp) / "repo", system, chunk_rows=chunk_rows, encoding=encoding
@@ -691,12 +732,15 @@ def test_scan_captures_match_referee_decoder(case, data):
                 )
     for position, (start, gains, captured) in enumerate(scans):
         skipped = not mask_int and not raw_from <= position < raw_to
+        assert captured.width == words
         for record in (
             captured,
             pickle.loads(pickle.dumps(captured)),
             _decode_captured(_encode_captured(captured), n),
         ):
-            _assert_capture_record(record, start, gains, projections, kwargs, skipped)
+            _assert_capture_record(
+                record, start, gains, projections, kwargs, skipped, probe
+            )
 
 
 # ----------------------------------------------------------------------
