@@ -7,9 +7,8 @@ Python:
 * ``shard``    — shard-repository tooling: ``shard create`` converts an
   instance file into a chunked on-disk repository
   (:mod:`repro.setsystem.shards`) for out-of-core runs, ``shard
-  backfill-stats`` upgrades a v1/v2 repository to the v3 statistics
-  schema in place, ``shard apply-delta`` appends insert/tombstone
-  delta generations from a churn script or op list
+  apply-delta`` appends insert/tombstone delta generations from a
+  churn script or op list
   (:mod:`repro.setsystem.deltas`) — with ``--checkpoint`` it also
   maintains a durable :class:`~repro.dynamic.cover.DynamicCover`
   across batches, so incremental maintenance survives process
@@ -19,9 +18,7 @@ Python:
   into a typed findings report (``--repair`` resolves interrupted
   compactions and invisible partial state), and ``shard
   churn-script`` emits a reproducible mutation script
-  (:mod:`repro.workloads.churn`) for the others to consume
-  (``repro shard <input> <output>`` still works as an alias for
-  ``create``);
+  (:mod:`repro.workloads.churn`) for the others to consume;
 * ``solve``    — run a streaming algorithm over an instance file *or a
   shard directory* and print the cover plus the pass/space accounting;
   ``--transport remote --workers host:port,...`` spreads the scans over
@@ -218,16 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_create.add_argument(
         "--chunk-rows", type=int, default=None,
         help="sets per shard (default: sized for ~4 MiB shards)",
-    )
-    shard_backfill = shard_sub.add_parser(
-        "backfill-stats",
-        help="upgrade a v1/v2 repository to the v3 statistics schema in "
-        "place (idempotent; shard files untouched)",
-    )
-    shard_backfill.add_argument("root", help="shard directory to upgrade")
-    shard_backfill.add_argument(
-        "--dry-run", action="store_true",
-        help="report what would change without rewriting the manifest",
     )
     shard_delta = shard_sub.add_parser(
         "apply-delta",
@@ -594,40 +581,6 @@ def _cmd_shard_create(args) -> int:
     return 0
 
 
-def _cmd_shard_backfill(args) -> int:
-    from repro.setsystem.shards import (
-        SHARD_SCHEMA,
-        PendingDeltaError,
-        ShardedRepository,
-    )
-
-    try:
-        repo = ShardedRepository(args.root)
-    except PendingDeltaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    with repo:
-        stats = "yes" if repo.has_stats else "no"
-        print(f"before : schema={repo.schema} stats={stats} "
-              f"shards={repo.shard_count}")
-        if args.dry_run:
-            if repo.has_stats:
-                print("dry-run: nothing to do — statistics already present")
-            else:
-                print(
-                    f"dry-run: would compute statistics for "
-                    f"{repo.shard_count} shard(s) and rewrite manifest.json "
-                    f"as {SHARD_SCHEMA} (shard files untouched)"
-                )
-            return 0
-        changed = repo.backfill_stats()
-        print(f"after  : schema={repo.schema} stats=yes "
-              f"shards={repo.shard_count}")
-        print("upgraded manifest in place" if changed
-              else "already up to date — nothing rewritten")
-    return 0
-
-
 def _load_delta_batches(path: str) -> "list[list[dict]]":
     """Read ``apply-delta`` input: churn script, {"ops": [...]}, or op list."""
     import json
@@ -987,13 +940,18 @@ def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
         )
     retry = _resolve_retry_flags(args, parser)
     if Path(args.input).is_dir():
+        from repro.setsystem.shards import ShardFormatError
         from repro.streaming.sharded import ShardedSetStream
 
-        stream = ShardedSetStream(
-            args.input, jobs=args.jobs,
-            transport=(args.transport if args.transport != "local" else None),
-            workers=args.workers, retry=retry,
-        )
+        try:
+            stream = ShardedSetStream(
+                args.input, jobs=args.jobs,
+                transport=(args.transport if args.transport != "local" else None),
+                workers=args.workers, retry=retry,
+            )
+        except ShardFormatError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         try:
             system = load(args.input)
@@ -1157,25 +1115,11 @@ def _cmd_experiments(args) -> int:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Pre-subcommand compatibility: `repro shard <input> <output>` keeps
-    # working as an alias for `repro shard create <input> <output>`.
-    if (
-        argv[:1] == ["shard"]
-        and len(argv) > 1
-        and argv[1] not in {
-            "create", "backfill-stats", "apply-delta", "compact",
-            "churn-script", "fsck", "maintain", "-h", "--help",
-        }
-    ):
-        argv.insert(1, "create")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "generate":
         return _cmd_generate(args)
     if args.command == "shard":
-        if args.shard_command == "backfill-stats":
-            return _cmd_shard_backfill(args)
         if args.shard_command == "apply-delta":
             return _cmd_shard_apply_delta(args)
         if args.shard_command == "compact":

@@ -21,10 +21,12 @@ one logical scan over a fleet of worker processes reachable by TCP:
 
 Wire protocol (version :data:`PROTOCOL_VERSION`)
 ------------------------------------------------
-Every frame is ``tag(1 byte) + length(u32 big-endian) + crc32(u32
-big-endian) + payload``; tag ``J`` marks a UTF-8 JSON payload, tag ``B``
-raw bytes.  The checksum covers the payload and is verified on every
-receive, so a byte corrupted in transit surfaces as a loud
+Driver and worker speak exactly one version: the hello exchange refuses
+any other with a ``protocol mismatch`` error.  Every frame is ``tag(1
+byte) + length(u32 big-endian) + crc32(u32 big-endian) + payload``; tag
+``J`` marks a UTF-8 JSON payload, tag ``B`` raw bytes.  The checksum
+covers the payload and is verified on every receive, so a byte
+corrupted in transit surfaces as a loud
 :class:`ProtocolError` instead of a silently-wrong gains vector.
 Bitmask-valued fields travel as lowercase hex strings inside JSON; the
 residual mask and the per-shard gains vectors — the two bulk payloads —
@@ -90,7 +92,6 @@ from repro.engine.transport.base import ScanExecutor
 from repro.setsystem.packed import WORD_BITS, Captures
 
 __all__ = [
-    "MIN_PROTOCOL_VERSION",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "RemoteScanExecutor",
@@ -103,20 +104,11 @@ __all__ = [
 ]
 
 #: Bumped whenever a frame or message field changes shape.  Driver and
-#: worker exchange versions in the hello handshake; since version 3 the
-#: worker echoes ``min(driver, worker)`` and both sides speak that
-#: negotiated version, so mixed fleets keep working across one protocol
-#: bump instead of refusing loudly.  Version 2 added the per-frame
-#: crc32; version 3 added the hot-cache observability fields (``hot``
-#: on result replies, ``cache`` on ``done``/``pong``) — pure additions,
-#: so a v3 pair is wire-compatible with v2 minus the counters.
+#: worker exchange versions in the hello handshake and both must speak
+#: exactly this one: a worker refuses any other version with a
+#: ``protocol mismatch`` error, and a driver refuses a worker whose
+#: hello reply names another.  Fleets are upgraded together.
 PROTOCOL_VERSION = 3
-
-#: Oldest protocol this build still speaks.  A v2 worker refuses a v3
-#: hello outright (strict equality back then), so the driver redials
-#: such a worker offering v2; a v3 worker accepts anything in
-#: ``[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]`` and echoes the min.
-MIN_PROTOCOL_VERSION = 2
 
 _FRAME_JSON = b"J"
 _FRAME_BYTES = b"B"
@@ -594,23 +586,18 @@ class WorkerServer:
                 if hello.get("op") != "hello":
                     raise ProtocolError(f"expected hello, got {hello.get('op')!r}")
                 peer = hello.get("protocol")
-                if not isinstance(peer, int) or peer < MIN_PROTOCOL_VERSION:
+                if type(peer) is not int or peer != PROTOCOL_VERSION:
                     send_json(conn, {
                         "op": "error",
                         "message": (
                             f"protocol mismatch: driver speaks {peer!r}, "
-                            f"worker speaks {MIN_PROTOCOL_VERSION}.."
-                            f"{PROTOCOL_VERSION}"
+                            f"worker speaks {PROTOCOL_VERSION}"
                         ),
                     })
                     return
-                # Negotiate down to the newest version both sides speak:
-                # a v2 driver gets v2 replies (no hot/cache fields), a
-                # v3+ driver gets everything this build knows.
-                negotiated = min(peer, PROTOCOL_VERSION)
                 send_json(conn, {
                     "op": "hello",
-                    "protocol": negotiated,
+                    "protocol": PROTOCOL_VERSION,
                     "pid": os.getpid(),
                     "root": str(self.root),
                 })
@@ -623,16 +610,14 @@ class WorkerServer:
                     if op == "ping":
                         with self._repo_lock:
                             evictions = dict(self._evictions)
-                        reply = {"op": "pong", "evictions": evictions}
-                        if negotiated >= 3:
-                            cache = get_cache()
-                            reply["cache"] = (
-                                cache.stats() if cache.enabled else None
-                            )
-                        send_json(conn, reply)
+                        cache = get_cache()
+                        send_json(conn, {
+                            "op": "pong", "evictions": evictions,
+                            "cache": cache.stats() if cache.enabled else None,
+                        })
                     elif op == "scan":
                         try:
-                            self._handle_scan(conn, request, negotiated)
+                            self._handle_scan(conn, request)
                         except StaleRepositoryError as exc:
                             # Retriable, and raised before any result
                             # frame (the request is fully consumed), so
@@ -654,9 +639,7 @@ class WorkerServer:
                 except OSError:
                     pass
 
-    def _handle_scan(
-        self, conn: socket.socket, request: dict, negotiated: int,
-    ) -> None:
+    def _handle_scan(self, conn: socket.socket, request: dict) -> None:
         mask_bytes = recv_bytes(conn)
         try:
             key, repo = self._open_repository(request["path"], request["token"])
@@ -695,29 +678,25 @@ class WorkerServer:
                     capture_ids=capture_ids,
                     best_only=best_only,
                 )
-                reply = {
+                send_json(conn, {
                     "op": "result",
                     "shard": shard,
                     "start": start,
                     "captured": _encode_captured(captured),
-                }
-                if negotiated >= 3:
-                    reply["hot"] = bool(hot)
-                reply["gains"] = include_gains
-                send_json(conn, reply)
+                    "hot": bool(hot),
+                    "gains": include_gains,
+                })
                 if include_gains:
                     send_bytes(conn, _encode_gains(gains))
                 if crash_hook:  # pragma: no cover - dies by design
                     os.kill(os.getpid(), signal.SIGKILL)
             with self._repo_lock:
                 evictions = dict(self._evictions)
-            done = {
+            cache = get_cache()
+            send_json(conn, {
                 "op": "done", "shards": len(shards), "evictions": evictions,
-            }
-            if negotiated >= 3:
-                cache = get_cache()
-                done["cache"] = cache.stats() if cache.enabled else None
-            send_json(conn, done)
+                "cache": cache.stats() if cache.enabled else None,
+            })
         finally:
             self._release_repository(key)
 
@@ -725,15 +704,25 @@ class WorkerServer:
 # ----------------------------------------------------------------------
 # Driver connections
 # ----------------------------------------------------------------------
-def _dial_once(worker, policy, shown: str, offer: int):
-    """One connect + hello exchange offering protocol ``offer``.
+def _connect(worker, policy=None, display=None):
+    """Dial a worker and run the hello handshake.
 
-    Returns ``(socket, hello_reply)`` on success; raises
-    :class:`ProtocolError` when the worker refuses or replies with an
-    unusable version (the socket is closed first), ``RuntimeError`` when
-    the host is unreachable.
+    Returns ``(socket, hello_reply)``.  Both sides speak exactly
+    :data:`PROTOCOL_VERSION`: a worker's refusal, or a reply naming any
+    other version, is a ``RuntimeError`` naming the worker after this
+    one dial.  ``display`` names the worker in error messages when the
+    dialed address is an interposed proxy (the chaos harness) rather
+    than the worker itself.  The connect timeout stays in force through
+    the handshake: a host that accepts the connection but never replies
+    (wedged worker, wrong service) must error, not hang the driver.
+    Post-handshake reads carry the policy idle timeout — the old
+    ``settimeout(None)`` meant a peer that wedged *after* the handshake
+    could hang a scan forever.
     """
+    policy = RetryPolicy.resolve(policy)
     host, port = worker
+    shown = display if display is not None else (host, port)
+    shown = f"{shown[0]}:{shown[1]}"
     try:
         sock = socket.create_connection(
             (host, port), timeout=policy.connect_timeout
@@ -744,54 +733,14 @@ def _dial_once(worker, policy, shown: str, offer: int):
             "(is `python -m repro worker serve` running there?)"
         ) from exc
     try:
-        send_json(sock, {"op": "hello", "protocol": offer})
+        send_json(sock, {"op": "hello", "protocol": PROTOCOL_VERSION})
         reply = recv_json(sock)
         if reply.get("op") == "error":
             raise ProtocolError(reply.get("message", "worker refused the hello"))
-        negotiated = reply.get("protocol")
-        if (
-            reply.get("op") != "hello"
-            or not isinstance(negotiated, int)
-            or not MIN_PROTOCOL_VERSION <= negotiated <= offer
-        ):
+        if reply.get("op") != "hello" or reply.get("protocol") != PROTOCOL_VERSION:
             raise ProtocolError(f"unexpected hello reply {reply!r}")
-    except (ProtocolError, ConnectionError, OSError):
-        sock.close()
-        raise
-    return sock, reply
-
-
-def _connect(worker, policy=None, display=None):
-    """Dial a worker and run the negotiated hello handshake.
-
-    Returns ``(socket, hello_reply)``; the reply's ``protocol`` field is
-    the version both sides will speak.  The driver offers its newest
-    version first; a pre-negotiation (v2) worker answers that with a
-    strict-equality refusal, so a hello *refusal* mentioning a protocol
-    mismatch triggers one redial offering :data:`MIN_PROTOCOL_VERSION` —
-    mixed fleets keep working across one protocol bump.  ``display``
-    names the worker in error messages when the dialed address is an
-    interposed proxy (the chaos harness) rather than the worker itself.
-    The connect timeout stays in force through the handshake: a host
-    that accepts the connection but never replies (wedged worker, wrong
-    service) must error, not hang the driver.  Post-handshake reads
-    carry the policy idle timeout — the old ``settimeout(None)`` meant a
-    peer that wedged *after* the handshake could hang a scan forever.
-    """
-    policy = RetryPolicy.resolve(policy)
-    host, port = worker
-    shown = display if display is not None else (host, port)
-    shown = f"{shown[0]}:{shown[1]}"
-    try:
-        try:
-            sock, reply = _dial_once(worker, policy, shown, PROTOCOL_VERSION)
-        except ProtocolError as exc:
-            if "protocol mismatch" not in str(exc):
-                raise
-            sock, reply = _dial_once(
-                worker, policy, shown, MIN_PROTOCOL_VERSION
-            )
     except (ProtocolError, ConnectionError, OSError) as exc:
+        sock.close()
         raise RuntimeError(
             f"handshake with remote worker {shown} failed: {exc}"
         ) from exc
@@ -1400,9 +1349,8 @@ class RemoteScanExecutor(ScanExecutor):
         """Fleet-aggregated hot-cache counters from worker replies.
 
         Workers report their process-wide :class:`ChunkCache` counters
-        on every ``done`` and ``pong`` (protocol ≥ 3); this sums the
-        latest snapshot per worker.  ``None`` until at least one worker
-        has reported (old-protocol fleets never do).
+        on every ``done`` and ``pong``; this sums the latest snapshot
+        per worker.  ``None`` until at least one worker has reported.
         """
         with self._health_lock:
             snapshots = [dict(s) for s in self._worker_cache.values() if s]

@@ -33,10 +33,7 @@ wrong family):
   means a lost directory;
 * each ``delta.json`` records the CRC-32 of its *parent manifest bytes*
   (``manifest.json`` for generation 1, the previous ``delta.json``
-  otherwise), so editing any earlier link severs the chain loudly —
-  this is also why :meth:`ShardedRepository.backfill_stats
-  <repro.setsystem.shards.ShardedRepository.backfill_stats>` refuses
-  while deltas are pending;
+  otherwise), so editing any earlier link severs the chain loudly;
 * each ``delta.json`` carries its own canonical-JSON CRC-32, so a
   hand-edited tombstone list fails before it can hide the wrong row;
 * tombstones must name rows that exist in the parent view and are still
@@ -590,11 +587,6 @@ class MergedShardView:
         )
 
     @property
-    def has_stats(self) -> bool:
-        """Merged chunk statistics are always computable (lazily)."""
-        return True
-
-    @property
     def cache_token(self):
         """Identity token for worker-side re-open caches.
 
@@ -724,20 +716,11 @@ class MergedShardView:
             start, end = self._bounds(shard)
             total = 0
             for repo, local in self._sources[start:end]:
-                chunk_rows = max(1, repo.chunk_rows)
-                src_shard = local // chunk_rows
-                table = self._row_cost_table(repo, src_shard)
-                total += int(table[local - src_shard * chunk_rows])
+                src_shard, row = divmod(local, repo.chunk_rows)
+                total += int(self._row_cost_table(repo, src_shard)[row])
             costs.append(max(1, total))
         self._cost_estimates = costs
         return list(costs)
-
-    def backfill_stats(self) -> bool:
-        """Refuse: merged views have no manifest of their own to upgrade."""
-        raise PendingDeltaError(
-            f"cannot backfill stats through a merged view of {self.path}: "
-            "compact first, then backfill the clean repository"
-        )
 
     # -- scanning ------------------------------------------------------
     def scan_shard(

@@ -12,8 +12,7 @@ faults, seeded/named injection, loud-or-correct:
   the old bytes or the new bytes after any crash, never a torn write.
   Every manifest the shard store writes (:class:`ShardWriter
   <repro.setsystem.shards.ShardWriter>` base manifests,
-  ``delta.json`` chain manifests, ``backfill_stats`` upgrades,
-  compaction, :meth:`DynamicCover.checkpoint
+  ``delta.json`` chain manifests, compaction, :meth:`DynamicCover.checkpoint
   <repro.dynamic.cover.DynamicCover.checkpoint>`) goes through these
   helpers.  The ``REPRO_DURABILITY=off`` environment knob skips the
   ``fsync`` calls (for fsync-hostile filesystems or throwaway test
@@ -53,8 +52,9 @@ faults, seeded/named injection, loud-or-correct:
   new base — never unopenable, never a half-merged hybrid.
 
 * **fsck** (:func:`fsck_repository`) — sweeps every structural
-  invariant the formats define (manifest schema/geometry, ``stats_crc32``,
-  shard sizes and CRC-32s, full row-codec decode, delta-chain
+  invariant the formats define (the manifest through the open's own
+  reader, :func:`~repro.setsystem.shards.read_manifest`; shard sizes
+  and CRC-32s, full row-codec decode, delta-chain
   numbering/checksums/anchors/tombstones, orphan staging directories
   and manifest-less generations, interrupted compactions) into a typed
   findings report; with ``repair=True`` it completes or rolls back
@@ -137,8 +137,6 @@ CRASHPOINTS = (
     "writer.manifest",
     # DeltaShardWriter: insert shards durable, delta.json not yet written
     "delta.staged",
-    # backfill_stats: staged v3 manifest not yet swapped in
-    "backfill.manifest",
     # compact(): before staging, after staging, after the intent journal
     # (the commit point), mid-replace, and after the manifest swap
     "compact.begin",
@@ -989,18 +987,26 @@ class FsckReport:
 
 def _fsck_flat_repository(
     directory: Path, findings: "list[Finding]", deep: bool, chain: bool
-) -> None:
+) -> "dict | None":
     """Sweep one flat repository directory (a base or one generation).
 
-    Appends findings instead of raising; mirrors every check
-    :class:`~repro.setsystem.shards.ShardedRepository` enforces at open
-    plus (``deep``) the full-read ones — per-shard CRC-32 and a decode
+    Appends findings instead of raising, and returns the manifest when
+    it is sound.  The manifest goes through the open's own reader
+    (:func:`~repro.setsystem.shards.read_manifest`), so its first
+    defect is the one finding and ends the sweep; then every shard file
+    goes through :func:`~repro.setsystem.shards.check_shard_file`, and
+    (``deep``) the full-read checks run — per-shard CRC-32 and a decode
     of every row through its codec.
     """
     from repro.setsystem import shards as sh
 
     manifest_path = directory / sh.MANIFEST_NAME
-    if not manifest_path.is_file():
+    try:
+        manifest, _ = sh.read_manifest(directory)
+    except sh.ShardFormatError as exc:
+        if exc.code != "missing-manifest":
+            findings.append(Finding(exc.code, str(manifest_path), str(exc)))
+            return None
         shard_files = sorted(p.name for p in directory.glob("shard-*.bin"))
         detail = (
             f"no {sh.MANIFEST_NAME}; {len(shard_files)} orphaned shard "
@@ -1014,102 +1020,22 @@ def _fsck_flat_repository(
                 repairable=bool(shard_files),
             )
         )
-        return
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        findings.append(
-            Finding("manifest-unreadable", str(manifest_path), str(exc))
-        )
-        return
-    if not isinstance(manifest, dict) or manifest.get("schema") not in sh._SUPPORTED_SCHEMAS:
-        schema = manifest.get("schema") if isinstance(manifest, dict) else None
-        findings.append(
-            Finding(
-                "manifest-schema", str(manifest_path),
-                f"schema {schema!r} is not one of {sh._SUPPORTED_SCHEMAS}",
-            )
-        )
-        return
-    try:
-        n = int(manifest["n"])
-        m = int(manifest["m"])
-        words = int(manifest["words"])
-        int(manifest["chunk_rows"])
-        shard_meta = list(manifest["shards"])
-    except (KeyError, TypeError, ValueError) as exc:
-        findings.append(
-            Finding("manifest-malformed", str(manifest_path), str(exc))
-        )
-        return
+        return None
     before = len(findings)
-    if n < 0 or m < 0 or words != sh._words_for(n):
-        findings.append(
-            Finding(
-                "manifest-geometry", str(manifest_path),
-                f"inconsistent geometry: n={n}, words={words}",
-            )
-        )
-    if sum(int(meta.get("rows", -1)) for meta in shard_meta) != m:
-        findings.append(
-            Finding(
-                "manifest-rows", str(manifest_path),
-                f"per-shard rows do not sum to m={m}",
-            )
-        )
-    if manifest.get("schema") == sh.SHARD_SCHEMA:
-        if any(not isinstance(meta.get("stats"), dict) for meta in shard_meta):
-            findings.append(
-                Finding(
-                    "stats-missing", str(manifest_path),
-                    "v3 manifest lacks per-shard stats blocks",
-                )
-            )
-        elif manifest.get("stats_crc32") != sh._stats_checksum(shard_meta):
-            findings.append(
-                Finding(
-                    "stats-checksum", str(manifest_path),
-                    f"stats_crc32={manifest.get('stats_crc32')} does not "
-                    "match the stats blocks",
-                )
-            )
-    row_bytes = words * sh._WORD_BYTES
-    for meta in shard_meta:
+    for meta in manifest["shards"]:
+        shard_path = directory / meta["file"]
         try:
-            shard_path = directory / str(meta["file"])
-            rows = int(meta["rows"])
-        except (KeyError, TypeError, ValueError) as exc:
-            findings.append(
-                Finding("manifest-malformed", str(manifest_path), str(exc))
-            )
-            return
-        layout = str(meta.get("layout", "raw"))
-        expected = (
-            rows * row_bytes if layout == "raw" else int(meta.get("bytes", -1))
-        )
-        if not shard_path.is_file():
-            findings.append(
-                Finding("shard-missing", str(shard_path), "shard file absent")
-            )
-            continue
-        actual = shard_path.stat().st_size
-        if actual != expected:
-            findings.append(
-                Finding(
-                    "shard-size", str(shard_path),
-                    f"{actual} bytes on disk, manifest expects {expected} "
-                    f"({layout} layout, {rows} rows)",
-                )
-            )
+            sh.check_shard_file(directory, meta)
+        except sh.ShardFormatError as exc:
+            findings.append(Finding(exc.code, str(shard_path), str(exc)))
             continue
         if deep:
-            payload = shard_path.read_bytes()
-            if zlib.crc32(payload) != int(meta.get("crc32", -1)):
+            crc = zlib.crc32(shard_path.read_bytes())
+            if crc != meta["crc32"]:
                 findings.append(
                     Finding(
                         "shard-checksum", str(shard_path),
-                        f"CRC-32 {zlib.crc32(payload)} != manifest "
-                        f"{meta.get('crc32')}",
+                        f"CRC-32 {crc} != manifest {meta['crc32']}",
                     )
                 )
     if deep and len(findings) == before:
@@ -1130,10 +1056,13 @@ def _fsck_flat_repository(
             if repo is not None:
                 repo.close()
     if chain:
-        _fsck_chain(directory, findings, deep)
+        _fsck_chain(directory, manifest, findings, deep)
+    return manifest
 
 
-def _fsck_chain(root: Path, findings: "list[Finding]", deep: bool) -> None:
+def _fsck_chain(
+    root: Path, base_manifest: dict, findings: "list[Finding]", deep: bool
+) -> None:
     """Sweep the delta chain: numbering, checksums, anchors, tombstones."""
     from repro.setsystem import deltas as dl
     from repro.setsystem import shards as sh
@@ -1161,14 +1090,8 @@ def _fsck_chain(root: Path, findings: "list[Finding]", deep: bool) -> None:
                 )
             )
     parent_manifest = root / sh.MANIFEST_NAME
-    parent_rows: "int | None" = None
-    base_n: "int | None" = None
-    try:
-        base_manifest = json.loads(parent_manifest.read_text())
-        parent_rows = int(base_manifest["m"])
-        base_n = int(base_manifest["n"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-        pass  # already reported by the flat sweep
+    parent_rows = base_manifest["m"]
+    base_n = base_manifest["n"]
     dead: "set[int]" = set()
     for position, gen_dir in enumerate(generations, 1):
         expected_name = dl._generation_name(position)
@@ -1226,14 +1149,14 @@ def _fsck_chain(root: Path, findings: "list[Finding]", deep: bool) -> None:
                 )
             )
             return
-        if base_n is not None and n != base_n:
+        if n != base_n:
             findings.append(
                 Finding(
                     "chain-geometry", str(manifest_path),
                     f"generation n={n}, base n={base_n}",
                 )
             )
-        if parent_rows is not None and recorded_parent_rows != parent_rows:
+        if recorded_parent_rows != parent_rows:
             findings.append(
                 Finding(
                     "chain-geometry", str(manifest_path),
@@ -1252,14 +1175,13 @@ def _fsck_chain(root: Path, findings: "list[Finding]", deep: bool) -> None:
                         "manifest was rewritten after this delta",
                     )
                 )
-        bound = parent_rows if parent_rows is not None else None
         for tomb in tombstones:
-            if bound is not None and not 0 <= tomb < bound:
+            if not 0 <= tomb < parent_rows:
                 findings.append(
                     Finding(
                         "chain-tombstone", str(manifest_path),
                         f"tombstones row {tomb}, which was never written "
-                        f"(parent rows are [0, {bound}))",
+                        f"(parent rows are [0, {parent_rows}))",
                     )
                 )
             elif tomb in dead:
@@ -1270,27 +1192,17 @@ def _fsck_chain(root: Path, findings: "list[Finding]", deep: bool) -> None:
                         "earlier generation",
                     )
                 )
-        before = len(findings)
-        _fsck_flat_repository(gen_dir, findings, deep, chain=False)
-        if len(findings) == before:
-            try:
-                gen_manifest = json.loads(
-                    (gen_dir / sh.MANIFEST_NAME).read_text()
+        gen_manifest = _fsck_flat_repository(gen_dir, findings, deep, chain=False)
+        if gen_manifest is not None and gen_manifest["m"] != inserts:
+            findings.append(
+                Finding(
+                    "chain-geometry", str(gen_dir),
+                    f"insert shards hold {gen_manifest['m']} rows; "
+                    f"{sh.DELTA_MANIFEST_NAME} promises {inserts}",
                 )
-                if int(gen_manifest["m"]) != inserts:
-                    findings.append(
-                        Finding(
-                            "chain-geometry", str(gen_dir),
-                            f"insert shards hold {gen_manifest['m']} rows; "
-                            f"{sh.DELTA_MANIFEST_NAME} promises {inserts}",
-                        )
-                    )
-            except (OSError, json.JSONDecodeError, KeyError, TypeError,
-                    ValueError):
-                pass  # flat sweep already reported the manifest problem
+            )
         dead.update(tombstones)
-        if parent_rows is not None:
-            parent_rows += inserts
+        parent_rows += inserts
         parent_manifest = manifest_path
 
 

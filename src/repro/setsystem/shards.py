@@ -15,13 +15,14 @@ repository a real on-disk shape:
   straight into the scan kernels with zero decoding — or an
   **encoded** block in which every row carries its own roaring-style
   codec, chosen by density at write time (see below);
-* the manifest records the schema version, ``n``, ``m``, the chunk
-  geometry, each shard's layout and a CRC-32 per shard, so truncated or
-  corrupted repositories fail loudly (:class:`ShardFormatError`) instead
-  of silently yielding garbage sets.
+* the manifest (schema ``repro.shards/v3``, the only one this build
+  reads) records ``n``, ``m``, the chunk geometry, each shard's layout,
+  a CRC-32 per shard and checksummed per-shard statistics, so truncated
+  or corrupted repositories fail loudly (:class:`ShardFormatError`)
+  instead of silently yielding garbage sets.
 
-Row codecs (schema ``repro.shards/v2``, DESIGN.md §6.2)
--------------------------------------------------------
+Row codecs (DESIGN.md §6.2)
+---------------------------
 Dense packed rows cost ``ceil(n/64)`` words of disk and scan work per
 set *regardless of density*, which is exactly wrong for the sparse
 regimes the paper targets (rows with ``|S| ≪ n``).  ``ShardWriter``
@@ -31,7 +32,7 @@ numpy (:class:`_ChunkCodec`):
 
 ``dense`` (tag 0)
     The raw packed words.  A shard whose rows are all dense is written
-    in the **raw** layout (byte-identical to schema v1) and keeps the
+    in the **raw** layout (the packed block itself) and keeps the
     zero-copy mmap scan path.
 ``sparse-varint`` (tag 1)
     Delta-encoded sorted element ids as LEB128 varints: the first value
@@ -46,20 +47,24 @@ u32 lengths[rows] | payloads`` (all little-endian), so scans parse the
 record table with three vectorized reads and decode whole shards at
 once; the fused kernels in :mod:`repro.setsystem.packed` compute
 residual gains for sparse and run-length rows without ever
-materializing dense words.  Repositories with schema ``repro.shards/v1``
-(all raw) still open and scan unchanged.
+materializing dense words.
 
-Manifest statistics (schema ``repro.shards/v3``, DESIGN.md §8.1)
-----------------------------------------------------------------
-New manifests additionally record, per shard, the statistics the
-remote batch plan (:mod:`repro.engine.plan`) feeds its cost model: a 16-bucket row-density histogram, the codec mix, the element
-and run totals per codec.  The stats block is covered by its own
-CRC-32 (``stats_crc32``) so a hand-edited manifest fails loudly.
-``v1``/``v2`` repositories still open unchanged; their statistics are
-estimated lazily from shard geometry and record tables
-(:meth:`ShardedRepository.shard_cost_estimates`) and can be persisted
-— idempotently, upgrading the manifest in place to ``v3`` — with
-:meth:`ShardedRepository.backfill_stats`.
+Manifest statistics (DESIGN.md §8.1)
+------------------------------------
+Every manifest records, per shard, the statistics the remote batch plan
+(:mod:`repro.engine.plan`) feeds its cost model: a 16-bucket
+row-density histogram, the codec mix, the element and run totals per
+codec.  The stats blocks are covered by their own CRC-32
+(``stats_crc32``) so a hand-edited manifest fails loudly.
+
+One manifest reader
+-------------------
+:func:`read_manifest` is the only parser of ``manifest.json``: the
+open (:class:`ShardedRepository`) and ``fsck``
+(:func:`~repro.setsystem.durability.fsck_repository`) both call it, and
+:func:`check_shard_file` is the one per-shard file check.  Each refusal
+is a :class:`ShardFormatError` whose ``code`` is the fsck finding code.
+Any schema tag other than ``repro.shards/v3`` is refused.
 
 :class:`ShardWriter` builds a repository incrementally (one set at a
 time, bounded memory) and removes partial output if the writer body
@@ -119,8 +124,6 @@ from repro.utils.bitset import bits_of
 
 __all__ = [
     "SHARD_SCHEMA",
-    "SHARD_SCHEMA_V1",
-    "SHARD_SCHEMA_V2",
     "MANIFEST_NAME",
     "DELTAS_DIRNAME",
     "DELTA_MANIFEST_NAME",
@@ -134,20 +137,14 @@ __all__ = [
     "StaleStagingError",
     "ShardWriter",
     "ShardedRepository",
+    "check_shard_file",
     "pending_delta_generations",
+    "read_manifest",
     "write_shards",
 ]
 
-#: Schema tag stamped into every new ``manifest.json``.
+#: Schema tag of every ``manifest.json``; no other tag is read.
 SHARD_SCHEMA = "repro.shards/v3"
-
-#: The PR 3 schema: per-row codecs, no manifest statistics.
-SHARD_SCHEMA_V2 = "repro.shards/v2"
-
-#: The PR 2 schema: raw dense shards only.  Still opened and scanned.
-SHARD_SCHEMA_V1 = "repro.shards/v1"
-
-_SUPPORTED_SCHEMAS = (SHARD_SCHEMA_V1, SHARD_SCHEMA_V2, SHARD_SCHEMA)
 
 #: Buckets of the per-shard row-density histogram: bucket ``b`` counts
 #: rows with ``|S| / n`` in ``[b/16, (b+1)/16)`` (the last bucket is
@@ -173,8 +170,8 @@ DELTA_MANIFEST_NAME = "delta.json"
 DEFAULT_CHUNK_BYTES = 1 << 22
 
 #: Writer encoding knob: ``auto`` picks the cheapest codec per row;
-#: the other values force one codec for every row (``dense`` reproduces
-#: the v1 raw layout byte-for-byte).
+#: the other values force one codec for every row (``dense`` writes
+#: every shard in the raw layout).
 ENCODINGS = ("auto", "dense", "sparse", "rle")
 
 _WORD_BITS = 64
@@ -185,7 +182,19 @@ _LAYOUT_RAW, _LAYOUT_ENCODED = "raw", "encoded"
 
 
 class ShardFormatError(ValueError):
-    """Raised when a shard directory is missing, truncated or corrupt."""
+    """Raised when a shard directory is missing, truncated or corrupt.
+
+    ``code`` is the :func:`~repro.setsystem.durability.fsck_repository`
+    finding code of the defect, so fsck reports exactly what the open
+    refuses.
+    """
+
+    code = "shard-decode"
+
+    def __init__(self, message: str = "", code: "str | None" = None):
+        super().__init__(message)
+        if code is not None:
+            self.code = code
 
 
 class PendingDeltaError(ShardFormatError):
@@ -325,11 +334,9 @@ class _ChunkCodec:
 
     The single implementation of codec choice, the row payload bytes
     and the v3 stats fold.  :class:`ShardWriter` encodes every chunk
-    with it; the merged delta view
+    with it, and the merged delta view
     (:class:`repro.setsystem.deltas.MergedShardView`) re-runs it to
-    predict — exactly — the stats a compacted rewrite will carry; and
-    :meth:`ShardedRepository.backfill_stats` folds stats with the tags
-    stored in a shard's record table (``tags=``).
+    predict — exactly — the stats a compacted rewrite will carry.
 
     The chunk is CSR: ``flat`` holds every row's elements (sorted,
     duplicate-free within a row), ``sizes`` the row lengths.  All of it
@@ -348,7 +355,7 @@ class _ChunkCodec:
       force one codec.
     """
 
-    def __init__(self, flat, sizes, n: int, encoding: str = "auto", tags=None):
+    def __init__(self, flat, sizes, n: int, encoding: str = "auto"):
         self.flat, self.sizes, self.n = flat, sizes, n
         self.dense_bytes = _words_for(n) * _WORD_BYTES
         self.row_of = np.repeat(np.arange(sizes.size), sizes)
@@ -367,7 +374,7 @@ class _ChunkCodec:
         self.pair_widths = _varint_widths(self.pairs.ravel()).reshape(-1, 2)
         self.sparse_cost = _row_sums(self.gap_widths, sizes)
         self.rle_cost = _row_sums(self.pair_widths.sum(axis=1), self.row_runs)
-        self.tags = self._pick_tags(encoding) if tags is None else tags
+        self.tags = self._pick_tags(encoding)
 
     @classmethod
     def of_rows(cls, rows: "list[list[int]]", n: int, encoding: str = "auto"):
@@ -379,7 +386,7 @@ class _ChunkCodec:
         return cls(flat, sizes, n, encoding)
 
     @classmethod
-    def of_matrix(cls, matrix, n: int, encoding: str = "auto", tags=None):
+    def of_matrix(cls, matrix, n: int, encoding: str = "auto"):
         """Encode a chunk given as a packed ``(rows, words)`` block."""
         rows, words = np.nonzero(matrix)  # row-major, so rows stay sorted
         values = np.ascontiguousarray(matrix[rows, words], dtype="<u8")
@@ -388,7 +395,7 @@ class _ChunkCodec:
         hit, bit = np.nonzero(bits)
         flat = (words[hit] * _WORD_BITS + bit).astype(np.int64)
         sizes = np.bincount(rows[hit], minlength=matrix.shape[0]).astype(np.int64)
-        return cls(flat, sizes, n, encoding, tags)
+        return cls(flat, sizes, n, encoding)
 
     def _pick_tags(self, encoding: str) -> "np.ndarray":
         if encoding != "auto":
@@ -473,6 +480,163 @@ def _stats_checksum(shard_meta: list[dict]) -> int:
     return zlib.crc32(blob.encode("ascii"))
 
 
+def _shard_name(shard: int) -> str:
+    """The file name :class:`ShardWriter` gives shard ``shard``."""
+    return f"shard-{shard:05d}.bin"
+
+
+def _is_int(value) -> bool:
+    """A JSON integer (``bool`` is an ``int`` subclass, and not one)."""
+    return type(value) is int
+
+
+def read_manifest(directory: "str | Path") -> "tuple[dict, bytes]":
+    """Parse and validate ``directory/manifest.json``; return it and its bytes.
+
+    The one manifest reader: :class:`ShardedRepository` opens through it
+    and :func:`~repro.setsystem.durability.fsck_repository` reports what
+    it refuses.  It checks the schema tag, the required keys and their
+    types, the geometry (``words`` matches ``n``, ``chunk_rows >= 1``,
+    every shard but the last holds exactly ``chunk_rows`` rows and the
+    last holds ``1..chunk_rows``), that the rows sum to ``m``, that
+    shard ``i`` is the file ``shard-{i:05d}.bin`` — so no entry names a
+    file outside the repository — the stats blocks and ``stats_crc32``,
+    and that each shard's layout and row count agree with its stats.
+    The first defect raises :class:`ShardFormatError` carrying its fsck
+    code; shard files themselves are :func:`check_shard_file`'s job.
+    """
+    directory = Path(directory)
+    path = directory / MANIFEST_NAME
+    if not path.is_file():
+        raise ShardFormatError(
+            f"no {MANIFEST_NAME} in {directory}", "missing-manifest"
+        )
+    try:
+        raw = path.read_bytes()
+        manifest = json.loads(raw)
+    except (OSError, ValueError) as exc:
+        raise ShardFormatError(
+            f"unparseable manifest in {directory}: {exc}", "manifest-unreadable"
+        ) from exc
+    schema = manifest.get("schema") if isinstance(manifest, dict) else None
+    if schema != SHARD_SCHEMA:
+        raise ShardFormatError(
+            f"manifest schema is {schema!r}; this build reads only "
+            f"{SHARD_SCHEMA!r}", "manifest-schema",
+        )
+
+    def malformed(detail: str):
+        return ShardFormatError(f"malformed manifest in {directory}: {detail}",
+                                "manifest-malformed")
+
+    def geometry(detail: str):
+        return ShardFormatError(f"inconsistent manifest geometry in {directory}: "
+                                f"{detail}", "manifest-geometry")
+
+    for key in ("n", "m", "words", "chunk_rows"):
+        if not _is_int(manifest.get(key)):
+            raise malformed(f"{key!r} is not an integer")
+    if manifest.get("encoding") not in ENCODINGS:
+        raise malformed(
+            f"encoding {manifest.get('encoding')!r} is not one of {ENCODINGS}"
+        )
+    shards = manifest.get("shards")
+    if not isinstance(shards, list):
+        raise malformed("'shards' is not a list")
+    n, m, chunk_rows = manifest["n"], manifest["m"], manifest["chunk_rows"]
+    if n < 0 or m < 0 or manifest["words"] != _words_for(n) or chunk_rows < 1:
+        raise geometry(
+            f"n={n}, m={m}, words={manifest['words']}, chunk_rows={chunk_rows}"
+        )
+    row_bytes = manifest["words"] * _WORD_BYTES
+    for shard, meta in enumerate(shards):
+        if not isinstance(meta, dict):
+            raise malformed(f"shard entry {shard} is not an object")
+        if meta.get("file") != _shard_name(shard):
+            raise malformed(
+                f"shard entry {shard} names file {meta.get('file')!r}, "
+                f"expected {_shard_name(shard)!r}"
+            )
+        for key in ("rows", "bytes", "crc32"):
+            if not _is_int(meta.get(key)):
+                raise malformed(f"shard {shard}: {key!r} is not an integer")
+        if meta.get("layout") not in (_LAYOUT_RAW, _LAYOUT_ENCODED):
+            raise malformed(
+                f"shard {shard} has unknown layout {meta.get('layout')!r}"
+            )
+        rows = meta["rows"]
+        last = shard == len(shards) - 1
+        if not (rows == chunk_rows or last and 1 <= rows < chunk_rows):
+            raise geometry(
+                f"shard {shard} holds {rows} rows; chunk_rows={chunk_rows}"
+                + (" (the last shard holds 1..chunk_rows)" if last else "")
+            )
+        if meta["layout"] == _LAYOUT_RAW and meta["bytes"] != rows * row_bytes:
+            raise geometry(
+                f"raw shard {shard} records {meta['bytes']} bytes for {rows} "
+                f"rows of {row_bytes} bytes"
+            )
+    if sum(meta["rows"] for meta in shards) != m:
+        raise ShardFormatError(
+            f"manifest rows do not sum to m={m} in {directory}", "manifest-rows"
+        )
+    for shard, meta in enumerate(shards):
+        stats = meta.get("stats")
+        mix = stats.get("codec_mix") if isinstance(stats, dict) else None
+        if not isinstance(mix, dict) or not all(
+            _is_int(value) for value in (
+                mix.get("dense"), mix.get("sparse"), mix.get("rle"),
+                stats.get("sparse_elems"), stats.get("rle_runs"),
+            )
+        ):
+            raise ShardFormatError(
+                f"manifest in {directory} lacks a well-formed stats block "
+                f"for shard {shard}",
+                "stats-missing",
+            )
+    computed = _stats_checksum(shards)
+    if manifest.get("stats_crc32") != computed:
+        raise ShardFormatError(
+            f"stats checksum mismatch in {directory}: "
+            f"stats_crc32={manifest.get('stats_crc32')!r}, computed {computed}",
+            "stats-checksum",
+        )
+    for shard, meta in enumerate(shards):
+        # The checksummed stats pin each shard's codec mix, so a layout
+        # or row count edited after the write cannot slip through.
+        mix = meta["stats"]["codec_mix"]
+        layout = (
+            _LAYOUT_RAW if mix["sparse"] == mix["rle"] == 0 else _LAYOUT_ENCODED
+        )
+        rows = mix["dense"] + mix["sparse"] + mix["rle"]
+        if meta["layout"] != layout or meta["rows"] != rows:
+            raise malformed(
+                f"shard {shard} is recorded as {meta['rows']} {meta['layout']} "
+                f"rows; its stats describe {rows} {layout} rows"
+            )
+    return manifest, raw
+
+
+def check_shard_file(directory: "str | Path", meta: dict) -> Path:
+    """The per-shard file check: present and exactly ``meta["bytes"]`` long.
+
+    ``meta`` is an entry :func:`read_manifest` validated.  Returns the
+    shard path; raises :class:`ShardFormatError` with fsck code
+    ``shard-missing`` or ``shard-size`` (the classic truncated copy).
+    """
+    path = Path(directory) / meta["file"]
+    if not path.is_file():
+        raise ShardFormatError(f"missing shard file {path}", "shard-missing")
+    actual = path.stat().st_size
+    if actual != meta["bytes"]:
+        raise ShardFormatError(
+            f"shard {path.name} is {actual} bytes, expected {meta['bytes']} "
+            f"({meta['layout']} layout, {meta['rows']} rows) — truncated or "
+            "corrupt repository", "shard-size",
+        )
+    return path
+
+
 def _decode_payload_mask(tag: int, data, n: int, row_bytes: int) -> int:
     """Decode one row payload into an arbitrary-precision integer bitmask."""
     if tag == _TAG_DENSE:
@@ -547,7 +711,7 @@ class ShardWriter:
     encoding:
         Row codec policy (:data:`ENCODINGS`).  ``auto`` (default) picks
         the smallest of dense / sparse-varint / run-length per row;
-        ``dense`` reproduces the v1 raw block layout.
+        ``dense`` writes raw packed blocks only.
 
     Examples
     --------
@@ -639,7 +803,7 @@ class ShardWriter:
             return
         chunk = _ChunkCodec.of_rows(self._buffer, self.n, self.encoding)
         payload, layout = chunk.payload()
-        name = f"shard-{len(self._shards):05d}.bin"
+        name = _shard_name(len(self._shards))
         crashpoint("writer.shard-flush")
         (self.path / name).write_bytes(payload)
         fsync_file(self.path / name)
@@ -827,9 +991,10 @@ def _segmented_absolutes(
 class ShardedRepository:
     """Memory-mapped read access to a shard directory.
 
-    Opening validates the manifest (schema tag, field sanity, per-shard
-    file sizes); a size mismatch — the classic truncated-copy failure —
-    raises :class:`ShardFormatError` immediately.  CRC-32 verification is
+    Opening validates the manifest (:func:`read_manifest`) and every
+    shard file's size (:func:`check_shard_file`); a size mismatch — the
+    classic truncated-copy failure — raises :class:`ShardFormatError`
+    immediately.  CRC-32 verification is
     a full read of every shard, so it is opt-in: pass ``verify=True`` or
     call :meth:`validate`.  Encoded shards additionally validate their
     record tables on first touch and their payloads while decoding, so a
@@ -842,8 +1007,7 @@ class ShardedRepository:
     Parameters
     ----------
     path:
-        A directory produced by :class:`ShardWriter` / :func:`write_shards`
-        (schema v1 or v2).
+        A directory produced by :class:`ShardWriter` / :func:`write_shards`.
     verify:
         Verify every shard's CRC-32 on open (reads the whole repository).
     base_only:
@@ -879,14 +1043,7 @@ class ShardedRepository:
                 "system. Open it with repro.setsystem.deltas.open_repository "
                 "(merged view) or compact it first (`repro shard compact`)."
             )
-        manifest_path = self.path / MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise ShardFormatError(f"no {MANIFEST_NAME} in {self.path}")
-        try:
-            manifest_raw = manifest_path.read_bytes()
-            manifest = json.loads(manifest_raw)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ShardFormatError(f"unparseable manifest in {self.path}: {exc}") from exc
+        manifest, manifest_raw = read_manifest(self.path)
         #: Content token ``[size, crc32]`` of the exact manifest bytes
         #: this handle was opened from.  Describes the *open* family
         #: even after the on-disk repository is compacted underneath it
@@ -894,46 +1051,13 @@ class ShardedRepository:
         #: driver must send so warm worker caches keep serving the same
         #: generation mid-solve.
         self.token = [len(manifest_raw), zlib.crc32(manifest_raw)]
-        if not isinstance(manifest, dict) or manifest.get("schema") not in _SUPPORTED_SCHEMAS:
-            raise ShardFormatError(
-                f"manifest schema is {manifest.get('schema')!r}, "
-                f"expected one of {_SUPPORTED_SCHEMAS!r}" if isinstance(manifest, dict)
-                else "manifest is not a JSON object"
-            )
-        self._manifest = manifest
-        self.schema = str(manifest["schema"])
-        self.encoding = str(manifest.get("encoding", "dense"))
-        try:
-            self.n = int(manifest["n"])
-            self.m = int(manifest["m"])
-            self.words = int(manifest["words"])
-            self.chunk_rows = int(manifest["chunk_rows"])
-            self._shard_meta = list(manifest["shards"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ShardFormatError(f"malformed manifest in {self.path}: {exc}") from exc
-        if self.n < 0 or self.m < 0 or self.words != _words_for(self.n):
-            raise ShardFormatError(
-                f"inconsistent manifest geometry: n={self.n}, words={self.words}"
-            )
-        if sum(int(meta.get("rows", -1)) for meta in self._shard_meta) != self.m:
-            raise ShardFormatError(
-                f"manifest rows do not sum to m={self.m} in {self.path}"
-            )
-        if self.schema == SHARD_SCHEMA:
-            # v3 manifests carry planner statistics guarded by their own
-            # checksum — a stats block that was hand-edited (or silently
-            # corrupted) must fail here, not skew schedules quietly.
-            if any(not isinstance(meta.get("stats"), dict) for meta in self._shard_meta):
-                raise ShardFormatError(
-                    f"v3 manifest in {self.path} is missing per-shard stats"
-                )
-            recorded = manifest.get("stats_crc32")
-            computed = _stats_checksum(self._shard_meta)
-            if recorded != computed:
-                raise ShardFormatError(
-                    f"stats checksum mismatch in {self.path}: "
-                    f"stats_crc32={recorded}, computed {computed}"
-                )
+        self.schema = manifest["schema"]
+        self.encoding = manifest["encoding"]
+        self.n = manifest["n"]
+        self.m = manifest["m"]
+        self.words = manifest["words"]
+        self.chunk_rows = manifest["chunk_rows"]
+        self._shard_meta = manifest["shards"]
 
         self._row_bytes = self.words * _WORD_BYTES
         self._files = []
@@ -943,39 +1067,20 @@ class ShardedRepository:
         self._header_cache: dict[int, tuple] = {}
         start = 0
         for meta in self._shard_meta:
-            shard_path = self.path / str(meta["file"])
-            rows = int(meta["rows"])
-            layout = str(meta.get("layout", _LAYOUT_RAW))
-            if layout not in (_LAYOUT_RAW, _LAYOUT_ENCODED):
+            try:
+                shard_path = check_shard_file(self.path, meta)
+            except ShardFormatError:
                 self.close()
-                raise ShardFormatError(
-                    f"shard {shard_path.name} has unknown layout {layout!r}"
-                )
-            expected = (
-                rows * self._row_bytes
-                if layout == _LAYOUT_RAW
-                else int(meta.get("bytes", -1))
-            )
-            if not shard_path.is_file():
-                self.close()
-                raise ShardFormatError(f"missing shard file {shard_path}")
-            actual = shard_path.stat().st_size
-            if actual != expected:
-                self.close()
-                raise ShardFormatError(
-                    f"shard {shard_path.name} is {actual} bytes, expected "
-                    f"{expected} ({layout} layout, {rows} rows) — "
-                    "truncated or corrupt repository"
-                )
+                raise
             handle = open(shard_path, "rb")
             self._files.append(handle)
-            if expected:
+            if meta["bytes"]:
                 self._maps.append(mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ))
             else:  # mmap cannot map empty files
                 self._maps.append(None)  # type: ignore[arg-type]
             self._starts.append(start)
-            self._layouts.append(layout)
-            start += rows
+            self._layouts.append(meta["layout"])
+            start += meta["rows"]
         self._closed = False
         if verify:
             self.validate()
@@ -989,7 +1094,7 @@ class ShardedRepository:
     def shard_spans(self) -> "list[tuple[int, int]]":
         """``(first_row, rows)`` of every shard, in shard order."""
         return [
-            (start, int(meta["rows"]))
+            (start, meta["rows"])
             for start, meta in zip(self._starts, self._shard_meta)
         ]
 
@@ -1012,104 +1117,30 @@ class ShardedRepository:
     @property
     def disk_bytes(self) -> int:
         """Actual bytes the shard files occupy (compression included)."""
-        return sum(int(meta.get("bytes", 0)) for meta in self._shard_meta)
+        return sum(meta["bytes"] for meta in self._shard_meta)
 
     # ------------------------------------------------------------------
     # Planner statistics (manifest schema v3, DESIGN.md §8.1)
     # ------------------------------------------------------------------
-    @property
-    def has_stats(self) -> bool:
-        """Does the manifest carry (checksummed) per-shard statistics?"""
-        return self.schema == SHARD_SCHEMA
-
-    def shard_stats(self) -> "list[dict | None]":
-        """Per-shard stats blocks; ``None`` entries for pre-v3 manifests."""
-        return [meta.get("stats") for meta in self._shard_meta]
+    def shard_stats(self) -> "list[dict]":
+        """Per-shard stats blocks, as the manifest records them."""
+        return [meta["stats"] for meta in self._shard_meta]
 
     def shard_cost_estimates(self) -> list[int]:
         """Estimated scan cost per shard, in fused-kernel work units.
 
-        The planner's cost model (DESIGN.md §8.2): a dense row costs its
-        ``ceil(n/64)`` packed words, a sparse row one unit per element
-        (the bit-gather), a run-length row two units per run (the prefix
-        difference), plus a fixed two-unit per-row overhead.  Exact for
-        v3 manifests; pre-v3 repositories are estimated from what costs
-        nothing to read — shard geometry for raw shards, the payload
-        byte count for encoded ones (one varint byte ≈ one decode unit)
-        — so the planner never forces a data scan just to schedule one.
+        The planner's cost model (DESIGN.md §8.2), read off each shard's
+        stats block: a dense row costs its ``ceil(n/64)`` packed words, a
+        sparse row one unit per element (the bit-gather), a run-length
+        row two units per run (the prefix difference), plus a fixed
+        two-unit per-row overhead.
         """
         words = max(1, self.words)
-        costs: list[int] = []
-        for meta, layout in zip(self._shard_meta, self._layouts):
-            rows = int(meta["rows"])
-            stats = meta.get("stats")
-            if isinstance(stats, dict):
-                mix = stats.get("codec_mix", {})
-                cost = (
-                    2 * rows
-                    + int(mix.get("dense", 0)) * words
-                    + int(stats.get("sparse_elems", 0))
-                    + 2 * int(stats.get("rle_runs", 0))
-                )
-            elif layout == _LAYOUT_RAW:
-                cost = rows * words
-            else:
-                cost = 2 * rows + int(meta.get("bytes", 0))
-            costs.append(max(1, cost))
-        return costs
-
-    def compute_shard_stats(self, shard: int) -> dict:
-        """Recompute one shard's stats block by decoding its rows."""
-        if self._closed:
-            raise ShardFormatError(f"repository {self.path} is closed")
-        if self._layouts[shard] == _LAYOUT_ENCODED:
-            tags, _, _ = self._encoded_header(shard)
-        else:
-            tags = np.zeros(int(self._shard_meta[shard]["rows"]), dtype=np.uint8)
-        matrix = self.chunk_matrix(shard)
-        return _ChunkCodec.of_matrix(matrix, self.n, tags=tags).stats()
-
-    def backfill_stats(self) -> bool:
-        """Persist per-shard statistics, upgrading the manifest to v3.
-
-        Computes the stats block of every shard that lacks one (a full
-        read of those shards), rewrites ``manifest.json`` atomically with
-        ``schema = repro.shards/v3`` and a fresh ``stats_crc32``, and
-        returns whether anything changed.  Idempotent: a repository that
-        already carries checksummed stats is left byte-identical and the
-        call returns ``False``.  Shard files are never touched.
-
-        Refuses (:class:`PendingDeltaError`) while delta generations are
-        pending: the first generation's chain manifest records the CRC-32
-        of the *bytes* of ``manifest.json``, so rewriting it here would
-        sever the chain and every subsequent merged open would fail.
-        Compact first, then backfill the clean repository.
-        """
-        if self._closed:
-            raise ShardFormatError(f"repository {self.path} is closed")
-        if self.pending_deltas:
-            raise PendingDeltaError(
-                f"cannot backfill stats in {self.path}: "
-                f"{self.pending_deltas} pending delta generation(s) anchor "
-                f"their chain to the CRC-32 of {MANIFEST_NAME}; rewriting "
-                "it would sever the chain. Run `repro shard compact` first."
-            )
-        if self.has_stats:
-            return False
-        for shard, meta in enumerate(self._shard_meta):
-            if not isinstance(meta.get("stats"), dict):
-                meta["stats"] = self.compute_shard_stats(shard)
-        manifest = dict(self._manifest)
-        manifest["schema"] = SHARD_SCHEMA
-        manifest["shards"] = self._shard_meta
-        manifest["stats_crc32"] = _stats_checksum(self._shard_meta)
-        crashpoint("backfill.manifest")
-        durable_write_text(
-            self.path / MANIFEST_NAME, json.dumps(manifest, indent=2) + "\n"
-        )
-        self._manifest = manifest
-        self.schema = SHARD_SCHEMA
-        return True
+        return [
+            max(1, 2 * meta["rows"] + stats["codec_mix"]["dense"] * words
+                + stats["sparse_elems"] + 2 * stats["rle_runs"])
+            for meta, stats in zip(self._shard_meta, self.shard_stats())
+        ]
 
     def validate(self) -> None:
         """Verify every shard's CRC-32 against the manifest (full read)."""
@@ -1118,10 +1149,11 @@ class ShardedRepository:
         for meta, mm in zip(self._shard_meta, self._maps):
             payload = mm[:] if mm is not None else b""
             crc = zlib.crc32(payload)
-            if crc != int(meta.get("crc32", -1)):
+            if crc != meta["crc32"]:
                 raise ShardFormatError(
                     f"checksum mismatch in {meta['file']}: "
-                    f"crc32={crc}, manifest says {meta.get('crc32')}"
+                    f"crc32={crc}, manifest says {meta['crc32']}",
+                    "shard-checksum",
                 )
 
     def close(self) -> None:
@@ -1174,8 +1206,7 @@ class ShardedRepository:
             return cached
         raw = self._maps[shard]
         meta = self._shard_meta[shard]
-        rows = int(meta["rows"])
-        size = int(meta["bytes"])
+        rows, size = meta["rows"], meta["bytes"]
         head = 4 + rows + 4 * rows
         if raw is None or size < head:
             raise ShardFormatError(
@@ -1203,6 +1234,13 @@ class ShardedRepository:
         self._header_cache[shard] = header
         return header
 
+    def _raw_row(self, shard: int, local: int) -> int:
+        """Read one raw-layout row, refusing bits beyond the ground set."""
+        raw = self._maps[shard] if self._maps[shard] is not None else b""
+        row_bytes = self._row_bytes
+        data = raw[local * row_bytes : (local + 1) * row_bytes]
+        return _decode_payload_mask(_TAG_DENSE, data, self.n, row_bytes)
+
     def _decode_row_local(self, shard: int, local: int) -> int:
         """Decode one encoded row into an integer bitmask."""
         tags, lengths, offsets = self._encoded_header(shard)
@@ -1214,15 +1252,12 @@ class ShardedRepository:
         """One shard's rows as integer bitmasks (decoding if needed)."""
         if self._closed:
             raise ShardFormatError(f"repository {self.path} is closed")
-        rows = int(self._shard_meta[shard]["rows"])
-        if self._layouts[shard] == _LAYOUT_RAW:
-            raw = self._maps[shard] if self._maps[shard] is not None else b""
-            row_bytes = self._row_bytes
-            return [
-                int.from_bytes(raw[i * row_bytes : (i + 1) * row_bytes], "little")
-                for i in range(rows)
-            ]
-        return [self._decode_row_local(shard, i) for i in range(rows)]
+        rows = self._shard_meta[shard]["rows"]
+        decode = (
+            self._raw_row if self._layouts[shard] == _LAYOUT_RAW
+            else self._decode_row_local
+        )
+        return [decode(shard, i) for i in range(rows)]
 
     def chunk_matrix(self, shard: int) -> "np.ndarray":
         """One shard as a ``(rows, words)`` ``uint64`` matrix.
@@ -1233,7 +1268,7 @@ class ShardedRepository:
         """
         if self._closed:
             raise ShardFormatError(f"repository {self.path} is closed")
-        rows = int(self._shard_meta[shard]["rows"])
+        rows = self._shard_meta[shard]["rows"]
         if self._layouts[shard] == _LAYOUT_RAW:
             raw = self._maps[shard] if self._maps[shard] is not None else b""
             matrix = np.frombuffer(raw, dtype="<u8", count=rows * self.words)
@@ -1300,7 +1335,7 @@ class ShardedRepository:
         if self._closed:
             raise ShardFormatError(f"repository {self.path} is closed")
         start = self._starts[shard]
-        rows = int(self._shard_meta[shard]["rows"])
+        rows = self._shard_meta[shard]["rows"]
         if mask.is_empty:
             return start, np.zeros(rows, dtype=np.int64), Captures.empty(self.words)
         if self._layouts[shard] == _LAYOUT_RAW:
@@ -1429,7 +1464,7 @@ class ShardedRepository:
         """
         if self._closed:
             raise ShardFormatError(f"repository {self.path} is closed")
-        rows = int(self._shard_meta[shard]["rows"])
+        rows = self._shard_meta[shard]["rows"]
         if self._layouts[shard] == _LAYOUT_RAW:
             matrix = np.array(self.chunk_matrix(shard))
             return ("matrix", matrix), matrix.nbytes
@@ -1455,7 +1490,7 @@ class ShardedRepository:
         if self._closed:
             raise ShardFormatError(f"repository {self.path} is closed")
         start = self._starts[shard]
-        rows = int(self._shard_meta[shard]["rows"])
+        rows = self._shard_meta[shard]["rows"]
         if mask.is_empty:
             return start, np.zeros(rows, dtype=np.int64), Captures.empty(self.words)
         kind, data = payload
@@ -1485,9 +1520,7 @@ class ShardedRepository:
         local = i - self._starts[shard]
         if self._layouts[shard] == _LAYOUT_ENCODED:
             return self._decode_row_local(shard, local)
-        raw = self._maps[shard] if self._maps[shard] is not None else b""
-        row_bytes = self._row_bytes
-        return int.from_bytes(raw[local * row_bytes : (local + 1) * row_bytes], "little")
+        return self._raw_row(shard, local)
 
     def to_system(self) -> SetSystem:
         """Materialize the whole repository as an in-memory :class:`SetSystem`.

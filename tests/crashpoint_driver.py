@@ -14,8 +14,6 @@ Operations (first argv token):
     ``write_shards`` of a saved :class:`~repro.setsystem.SetSystem`.
 ``delta ROOT OPS.json``
     ``apply_delta`` of one churn batch.
-``backfill ROOT``
-    ``ShardedRepository.backfill_stats`` (manifest upgrade in place).
 ``compact ROOT``
     In-place intent-journaled ``compact``.
 ``compact-online ROOT``
@@ -54,13 +52,6 @@ def main(argv: "list[str]") -> int:
 
         root, ops_path = rest
         apply_delta(root, json.loads(Path(ops_path).read_text()))
-        return 0
-    if operation == "backfill":
-        from repro.setsystem.shards import ShardedRepository
-
-        (root,) = rest
-        with ShardedRepository(root, base_only=True) as repo:
-            repo.backfill_stats()
         return 0
     if operation == "compact":
         from repro.setsystem.deltas import compact

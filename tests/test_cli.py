@@ -81,8 +81,8 @@ class TestShard:
         main(["generate", "planted", str(instance), "--n", "60", "--m", "40",
               "--opt", "4", "--seed", "3"])
         shards = tmp_path / "inst.shards"
-        # The pre-subcommand spelling still works as an alias for `create`.
-        assert main(["shard", str(instance), str(shards), "--chunk-rows", "7"]) == 0
+        assert main(["shard", "create", str(instance), str(shards),
+                     "--chunk-rows", "7"]) == 0
         out = capsys.readouterr().out
         assert "shard(s)" in out and "m=40" in out
 
@@ -104,58 +104,37 @@ class TestShard:
                      "--m", "30", "--expected-size", "4"]) == 0
         assert load(path).m == 30
 
+    @pytest.mark.parametrize("argv", [
+        ["shard", "inst.json", "out"],            # the pre-subcommand alias
+        ["shard", "backfill-stats", "repo"],      # v1/v2 -> v3 upgrade
+    ])
+    def test_removed_shard_spellings_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_solve_refuses_an_older_manifest_schema(self, tmp_path, capsys):
+        import json
+
+        instance = tmp_path / "inst.json"
+        main(["generate", "uniform", str(instance), "--n", "20", "--m", "15"])
+        repo = tmp_path / "repo"
+        main(["shard", "create", str(instance), str(repo)])
+        manifest = json.loads((repo / "manifest.json").read_text())
+        manifest["schema"] = "repro.shards/v2"
+        (repo / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["solve", str(repo)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "repro.shards/v2" in err
+
     def test_shard_create_subcommand(self, tmp_path, capsys):
         instance = tmp_path / "inst.json"
         main(["generate", "uniform", str(instance), "--n", "20", "--m", "15"])
         assert main(["shard", "create", str(instance),
                      str(tmp_path / "repo")]) == 0
         assert "shard(s)" in capsys.readouterr().out
-
-    def test_shard_backfill_stats_upgrades_v2_in_place(self, tmp_path, capsys):
-        """`repro shard backfill-stats` takes a v1/v2 repo to v3, no Python."""
-        import json
-
-        from repro.setsystem.shards import (
-            SHARD_SCHEMA,
-            SHARD_SCHEMA_V2,
-            ShardedRepository,
-        )
-
-        instance = tmp_path / "inst.json"
-        main(["generate", "planted", str(instance), "--n", "40", "--m", "30",
-              "--opt", "4", "--seed", "5"])
-        repo = tmp_path / "repo"
-        main(["shard", "create", str(instance), str(repo),
-              "--chunk-rows", "6"])
-        capsys.readouterr()
-        # Downgrade the fresh repository into a v2 fixture.
-        manifest_path = repo / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["schema"] = SHARD_SCHEMA_V2
-        manifest.pop("stats_crc32")
-        for meta in manifest["shards"]:
-            meta.pop("stats")
-        manifest_path.write_text(json.dumps(manifest))
-
-        # Dry run: reports the plan, rewrites nothing.
-        assert main(["shard", "backfill-stats", str(repo), "--dry-run"]) == 0
-        out = capsys.readouterr().out
-        assert f"before : schema={SHARD_SCHEMA_V2}" in out
-        assert "dry-run: would compute statistics" in out
-        with ShardedRepository(repo) as opened:
-            assert opened.schema == SHARD_SCHEMA_V2
-
-        # Real run: before/after schemas printed, manifest upgraded.
-        assert main(["shard", "backfill-stats", str(repo)]) == 0
-        out = capsys.readouterr().out
-        assert f"before : schema={SHARD_SCHEMA_V2}" in out
-        assert f"after  : schema={SHARD_SCHEMA}" in out
-        with ShardedRepository(repo, verify=True) as opened:
-            assert opened.schema == SHARD_SCHEMA and opened.has_stats
-
-        # Idempotent: the second run says so and changes nothing.
-        assert main(["shard", "backfill-stats", str(repo)]) == 0
-        assert "already up to date" in capsys.readouterr().out
 
 
 class TestExperiments:
@@ -187,7 +166,7 @@ class TestJobs:
 
     def test_solve_accepts_jobs(self, instance_path, tmp_path, capsys):
         shards = tmp_path / "inst.shards"
-        main(["shard", instance_path, str(shards), "--chunk-rows", "7"])
+        main(["shard", "create", instance_path, str(shards), "--chunk-rows", "7"])
         capsys.readouterr()
         assert main(["solve", instance_path, "--algorithm", "threshold",
                      "--jobs", "2"]) == 0

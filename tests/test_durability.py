@@ -390,32 +390,8 @@ def test_lease_drain_crash_leaves_retired_debris_finding(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Crash matrix: stats backfill and DynamicCover checkpoints
+# Crash matrix: DynamicCover checkpoints
 # ----------------------------------------------------------------------
-def _downgrade_manifest(path):
-    manifest = json.loads((path / MANIFEST_NAME).read_text())
-    manifest["schema"] = "repro.shards/v2"
-    manifest.pop("stats_crc32", None)
-    for meta in manifest["shards"]:
-        meta.pop("stats", None)
-    (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def test_backfill_crash_preserves_old_manifest(tmp_path):
-    root = write_shards(tmp_path / "root", _system(), chunk_rows=2)
-    _downgrade_manifest(root)
-    before = (root / MANIFEST_NAME).read_bytes()
-    proc = _run_driver(["backfill", root], crash="backfill.manifest")
-    assert proc.returncode == CRASHPOINT_EXIT_CODE, proc.stderr
-    assert (root / MANIFEST_NAME).read_bytes() == before
-    _assert_clean(root)
-    proc = _run_driver(["backfill", root])
-    assert proc.returncode == 0, proc.stderr
-    with ShardedRepository(root, base_only=True, verify=True) as repo:
-        assert repo.has_stats
-    _assert_clean(root)
-
-
 def test_checkpoint_crash_preserves_previous_checkpoint(tmp_path):
     root = _build_chain(tmp_path, batches=())
     ckpt = tmp_path / "cover.ckpt"

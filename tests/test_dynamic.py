@@ -9,7 +9,7 @@ incremental :class:`repro.dynamic.DynamicCover` stays a valid cover
 within its documented factor — across the encoding x jobs
 matrix.  Satellite coverage: delta-chain corruption
 taxonomy (typed :class:`~repro.setsystem.shards.ShardFormatError`),
-v1/v2/v3 no-delta open regression, the ``backfill_stats`` refusal,
+the no-delta open regression (v3 opens, v1/v2 are refused untouched),
 the remote-transport refusal, and DynamicCover unit edges.
 """
 
@@ -34,8 +34,6 @@ from repro.setsystem.deltas import (
 from repro.setsystem.shards import (
     MANIFEST_NAME,
     SHARD_SCHEMA,
-    SHARD_SCHEMA_V1,
-    SHARD_SCHEMA_V2,
     PendingDeltaError,
     ShardedRepository,
     ShardFormatError,
@@ -245,19 +243,6 @@ def test_plain_open_refuses_pending_deltas(chained):
         assert repo.m == 6 and repo.pending_deltas == 2
 
 
-def test_backfill_stats_refuses_pending_deltas(chained):
-    # Satellite (c): rewriting manifest.json would sever the gen-1
-    # parent anchor, so backfill on a delta'd repo must be refused with
-    # a named error — not silently corrupt the chain.
-    with ShardedRepository(chained, base_only=True) as repo:
-        with pytest.raises(PendingDeltaError, match="backfill"):
-            repo.backfill_stats()
-    # The merged view refuses likewise (nothing to rewrite there).
-    with MergedShardView(chained) as view:
-        with pytest.raises(PendingDeltaError):
-            view.backfill_stats()
-
-
 def test_remote_transport_refuses_merged_views(chained):
     with pytest.raises(ValueError, match="remote transport"):
         ShardedSetStream(
@@ -278,39 +263,38 @@ def test_delta_writer_abort_leaves_no_trace(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# No-delta regression: v1/v2/v3 repositories open exactly as before
+# No-delta regression: v3 opens untouched, older schemas are refused
 # ----------------------------------------------------------------------
+def _snapshot(root):
+    return {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()}
+
+
 def test_no_delta_repositories_open_byte_identically(tmp_path):
     system = SetSystem(10, [[i, (i + 1) % 10] for i in range(10)])
-    for schema in (SHARD_SCHEMA_V1, SHARD_SCHEMA_V2, SHARD_SCHEMA):
-        # dense encoding writes the raw layout, shared by all three
-        # schema generations, so the v1 downgrade below stays readable.
-        root = write_shards(tmp_path / schema.replace("/", "_"), system,
-                            chunk_rows=3, encoding="dense")
-        if schema != SHARD_SCHEMA:
-            manifest = json.loads((root / MANIFEST_NAME).read_text())
-            manifest["schema"] = schema
-            manifest.pop("stats_crc32")
-            for meta in manifest["shards"]:
-                meta.pop("stats")
-                if schema == SHARD_SCHEMA_V1:
-                    meta.pop("layout")
-                    meta.pop("bytes")
-                    meta.pop("encoding", None)
-            (root / MANIFEST_NAME).write_text(json.dumps(manifest))
-        snapshot = {
-            p.name: p.read_bytes() for p in root.iterdir() if p.is_file()
-        }
-        # open_repository must hand back a plain repository (not a merged
-        # view), read the same rows, and leave every byte untouched.
-        with open_repository(root, verify=True) as repo:
-            assert isinstance(repo, ShardedRepository)
-            assert not isinstance(repo, MergedShardView)
-            assert repo.schema == schema
-            assert repo.to_system() == system
-        assert {
-            p.name: p.read_bytes() for p in root.iterdir() if p.is_file()
-        } == snapshot, f"{schema}: opening mutated the repository"
+    root = write_shards(tmp_path / "v3", system, chunk_rows=3)
+    snapshot = _snapshot(root)
+    # open_repository hands back a plain repository (not a merged view),
+    # reads the same rows, and leaves every byte untouched.
+    with open_repository(root, verify=True) as repo:
+        assert isinstance(repo, ShardedRepository)
+        assert not isinstance(repo, MergedShardView)
+        assert repo.schema == SHARD_SCHEMA
+        assert repo.to_system() == system
+    assert _snapshot(root) == snapshot, "opening mutated the repository"
+
+    # A v1/v2 manifest is refused by name, and nothing is rewritten.
+    for schema in ("repro.shards/v1", "repro.shards/v2"):
+        old = write_shards(tmp_path / schema.replace("/", "_"), system,
+                           chunk_rows=3)
+        manifest = json.loads((old / MANIFEST_NAME).read_text())
+        manifest["schema"] = schema
+        (old / MANIFEST_NAME).write_text(json.dumps(manifest))
+        snapshot = _snapshot(old)
+        for opener in (ShardedRepository, open_repository):
+            with pytest.raises(ShardFormatError, match=schema) as excinfo:
+                opener(old)
+            assert excinfo.value.code == "manifest-schema"
+        assert _snapshot(old) == snapshot, f"{schema}: the refusal wrote"
 
 
 def test_compact_is_noop_on_clean_repository(tmp_path):

@@ -35,7 +35,6 @@ from repro.engine import (
 )
 from repro.engine.transport import remote as remote_mod
 from repro.engine.transport.remote import (
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     ProtocolError,
     WorkerFaultError,
@@ -282,34 +281,48 @@ def test_paths_outside_worker_root_are_rejected(tmp_path):
 
 def test_protocol_version_mismatch_is_loud(worker_fleet):
     host, port = worker_fleet[0]
-    # A driver older than the worker's floor is refused loudly.
-    with socket.create_connection((host, port), timeout=10.0) as sock:
-        send_json(sock, {"op": "hello", "protocol": MIN_PROTOCOL_VERSION - 1})
-        reply = recv_json(sock)
-        assert reply["op"] == "error"
-        assert "protocol mismatch" in reply["message"]
+    # The worker speaks exactly PROTOCOL_VERSION: any other hello value,
+    # older, newer or mistyped, is refused loudly.
+    for offer in (2, 4, "3"):
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            send_json(sock, {"op": "hello", "protocol": offer})
+            reply = recv_json(sock)
+            assert reply["op"] == "error", offer
+            assert "protocol mismatch" in reply["message"], offer
 
 
-def test_protocol_version_negotiates_down(worker_fleet):
-    host, port = worker_fleet[0]
-    # A *newer* driver is not refused: the worker echoes the newest
-    # version it speaks and both sides proceed at that version.
-    with socket.create_connection((host, port), timeout=10.0) as sock:
-        send_json(sock, {"op": "hello", "protocol": PROTOCOL_VERSION + 1})
-        reply = recv_json(sock)
-        assert reply["op"] == "hello"
-        assert reply["protocol"] == PROTOCOL_VERSION
-    # An old-protocol driver gets old-protocol replies: no hot/cache
-    # fields ride the wire at the negotiated floor version.
-    with socket.create_connection((host, port), timeout=10.0) as sock:
-        send_json(sock, {"op": "hello", "protocol": MIN_PROTOCOL_VERSION})
-        reply = recv_json(sock)
-        assert reply["op"] == "hello"
-        assert reply["protocol"] == MIN_PROTOCOL_VERSION
-        send_json(sock, {"op": "ping"})
-        pong = recv_json(sock)
-        assert pong["op"] == "pong"
-        assert "cache" not in pong
+def test_driver_refuses_a_worker_speaking_another_protocol(tmp_path):
+    """A worker whose hello reply names protocol 2 is refused after one
+    dial: the driver neither redials nor offers an older version."""
+    path = write_shards(tmp_path / "repo", SetSystem(8, [[0, 1], [2, 3]]))
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.2)
+    hellos, stop = [], threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                hellos.append(recv_json(conn))
+                send_json(conn, {"op": "hello", "protocol": 2})
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    host, port = listener.getsockname()
+    stream = ShardedSetStream(path, transport="remote", workers=[(host, port)])
+    try:
+        with pytest.raises(RuntimeError, match=f"{host}:{port}"):
+            stream.scan_gains((1 << 8) - 1)
+    finally:
+        stream.close()
+        stop.set()
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+    assert hellos == [{"op": "hello", "protocol": PROTOCOL_VERSION}]
 
 
 def test_ping_pong(worker_fleet):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import pickle
 import tempfile
@@ -31,8 +33,6 @@ from repro.setsystem.shards import (
     ENCODINGS,
     MANIFEST_NAME,
     SHARD_SCHEMA,
-    SHARD_SCHEMA_V1,
-    SHARD_SCHEMA_V2,
     ShardedRepository,
     ShardFormatError,
     ShardWriter,
@@ -164,27 +164,6 @@ def test_auto_encoding_mixes_layouts_and_shrinks_sparse(tmp_path):
     big = write_shards(tmp_path / "s-dense", sparse, encoding="dense")
     with ShardedRepository(small) as a, ShardedRepository(big) as d:
         assert a.disk_bytes * 2 <= d.disk_bytes  # the >=2x reduction regime
-
-
-def test_v1_repository_still_opens_and_scans(tmp_path):
-    """A v1 manifest (raw shards, no layout/encoding keys) reads unchanged."""
-    system = _mixed_system()
-    path = write_shards(tmp_path / "v1", system, chunk_rows=2,
-                        encoding="dense")
-    manifest = json.loads((path / MANIFEST_NAME).read_text())
-    manifest["schema"] = SHARD_SCHEMA_V1
-    del manifest["encoding"]
-    for meta in manifest["shards"]:
-        del meta["layout"]
-    (path / MANIFEST_NAME).write_text(json.dumps(manifest))
-    with ShardedRepository(path, verify=True) as repo:
-        assert repo.schema == SHARD_SCHEMA_V1
-        assert repo.encoding == "dense"
-        assert repo.to_system() == system
-        mask = ScanMask(repo.n, (1 << repo.n) - 1)
-        start, gains, captured = repo.scan_shard(0, mask, min_capture_gain=1)
-        assert start == 0
-        assert [int(g) for g in gains] == [len(s) for s in system.sets[:2]]
 
 
 def test_scan_shard_matches_bruteforce_per_encoding(tmp_path):
@@ -412,7 +391,7 @@ def test_chunk_encoder_matches_scalar_oracle(case):
     """The chunk kernel emits the oracle's tags, payload bytes and stats
     under every encoding, from rows (the writer) and from a packed block
     (the merged-view prediction); the written chunk round-trips through
-    a verified open, the stats backfill and the referee row decoder."""
+    a verified open and the referee row decoder."""
     n, rows = case
     words = -(-n // 64)
     matrix = pack_rows([mask_of(row) for row in rows], words)
@@ -423,9 +402,6 @@ def test_chunk_encoder_matches_scalar_oracle(case):
         assert chunk.payload() == (payload, layout), encoding
         assert chunk.stats() == stats, encoding
         assert _ChunkCodec.of_matrix(matrix, n, encoding).stats() == stats
-        assert _ChunkCodec.of_matrix(
-            matrix, n, tags=np.asarray(tags, dtype=np.uint8)
-        ).stats() == stats
         if layout == "encoded":
             lengths = np.frombuffer(payload[4 + len(rows) : 4 + 5 * len(rows)],
                                     dtype="<u4")
@@ -440,7 +416,6 @@ def test_chunk_encoder_matches_scalar_oracle(case):
             assert (path / "shard-00000.bin").read_bytes() == payload
             with ShardedRepository(path, verify=True) as repo:
                 assert repo.shard_stats() == [stats]
-                assert repo.compute_shard_stats(0) == stats
                 assert repo.to_system() == SetSystem(n, rows)
 
 
@@ -952,18 +927,8 @@ def test_algorithm_parity_across_solvers(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# v3 manifest statistics: write-time stats, checksums, lazy backfill
+# v3 manifest statistics: write-time stats, checksums
 # ----------------------------------------------------------------------
-def _downgrade_manifest(path, schema):
-    """Rewrite a repository's manifest as an older schema (test fixture)."""
-    manifest = json.loads((path / MANIFEST_NAME).read_text())
-    manifest["schema"] = schema
-    manifest.pop("stats_crc32", None)
-    for meta in manifest["shards"]:
-        meta.pop("stats", None)
-    (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
-
 
 def test_v3_manifest_records_checksummed_stats(tmp_path):
     system = _mixed_system()
@@ -972,7 +937,6 @@ def test_v3_manifest_records_checksummed_stats(tmp_path):
     assert manifest["schema"] == SHARD_SCHEMA == "repro.shards/v3"
     assert isinstance(manifest["stats_crc32"], int)
     with ShardedRepository(path, verify=True) as repo:
-        assert repo.has_stats
         stats = repo.shard_stats()
         assert len(stats) == repo.shard_count
         # Totals reconcile with the instance across all shards.
@@ -998,40 +962,224 @@ def test_tampered_stats_fail_loudly(tmp_path):
         ShardedRepository(path)
 
 
-@pytest.mark.parametrize("schema", [SHARD_SCHEMA_V1, SHARD_SCHEMA_V2])
-def test_pre_v3_repositories_open_and_backfill_idempotently(tmp_path, schema):
-    system = _mixed_system()
-    encoding = "dense" if schema == SHARD_SCHEMA_V1 else "auto"
-    path = write_shards(tmp_path / schema.replace("/", "-"), system,
-                        chunk_rows=2, encoding=encoding)
-    with ShardedRepository(path) as fresh:
-        expected_stats = fresh.shard_stats()
-    _downgrade_manifest(path, schema)
-    if schema == SHARD_SCHEMA_V1:  # v1 predates layout/encoding keys too
-        manifest = json.loads((path / MANIFEST_NAME).read_text())
-        manifest.pop("encoding")
-        for meta in manifest["shards"]:
-            meta.pop("layout")
-        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+# ----------------------------------------------------------------------
+# The one manifest reader: malformed entries, forged names, fuzzing
+# ----------------------------------------------------------------------
+def _edit_manifest(path, mutate):
+    manifest = json.loads((path / MANIFEST_NAME).read_text())
+    mutate(manifest)
+    (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
 
-    # Opens unchanged, scans unchanged, costs estimated without stats.
-    with ShardedRepository(path, verify=True) as repo:
-        assert repo.schema == schema
-        assert not repo.has_stats
-        assert repo.shard_stats() == [None] * repo.shard_count
-        assert all(cost >= 1 for cost in repo.shard_cost_estimates())
-        assert repo.to_system() == system
 
-        # Backfill recomputes exactly the write-time stats and upgrades.
-        assert repo.backfill_stats() is True
-        assert repo.schema == SHARD_SCHEMA and repo.has_stats
-        assert repo.shard_stats() == expected_stats
-        first = (path / MANIFEST_NAME).read_bytes()
-        assert repo.backfill_stats() is False  # idempotent
-        assert (path / MANIFEST_NAME).read_bytes() == first
+def _set_rows(shard, rows):
+    return lambda m: m["shards"][shard].update(rows=rows)
 
-    # The upgraded repository round-trips through a fresh open + verify.
-    with ShardedRepository(path, verify=True) as upgraded:
-        assert upgraded.has_stats
-        assert upgraded.shard_stats() == expected_stats
-        assert upgraded.to_system() == system
+
+_MALFORMED_ENTRIES = {
+    "shards-not-objects": (
+        lambda m: m.update(shards=[1, 2]),
+        "manifest-malformed", "entry 0 is not an object"),
+    "shards-a-dict": (
+        lambda m: m.update(shards=dict(enumerate(m["shards"]))),
+        "manifest-malformed", "'shards' is not a list"),
+    "rows-a-string": (
+        _set_rows(0, "x"), "manifest-malformed", "'rows' is not an integer"),
+    "bytes-a-float": (
+        lambda m: m["shards"][1].update(bytes=float(m["shards"][1]["bytes"])),
+        "manifest-malformed", "'bytes' is not an integer"),
+    "crc32-a-string": (
+        lambda m: m["shards"][0].update(crc32=str(m["shards"][0]["crc32"])),
+        "manifest-malformed", "'crc32' is not an integer"),
+    "chunk-rows-zero": (
+        lambda m: m.update(chunk_rows=0), "manifest-geometry", "chunk_rows=0"),
+    "short-inner-shard": (
+        _set_rows(1, 5), "manifest-geometry", "shard 1 holds 5 rows"),
+    "empty-last-shard": (
+        _set_rows(3, 0), "manifest-geometry", "shard 3 holds 0 rows"),
+    "overfull-last-shard": (
+        _set_rows(3, 7), "manifest-geometry", "shard 3 holds 7 rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_ENTRIES))
+def test_malformed_shard_entries_are_typed_refusals(tmp_path, case):
+    """Each malformed entry is a ShardFormatError on open and an fsck
+    finding with the same code — never an AttributeError, a bare
+    ValueError, or a zero-row chunk geometry."""
+    from repro.setsystem.durability import fsck_repository
+
+    mutate, code, match = _MALFORMED_ENTRIES[case]
+    path, _ = _write_sample(tmp_path)  # 20 rows at chunk_rows=6: 6, 6, 6, 2
+    _edit_manifest(path, mutate)
+    with pytest.raises(ShardFormatError, match=match) as excinfo:
+        ShardedRepository(path)
+    assert excinfo.value.code == code
+    assert fsck_repository(path).codes() == [code]
+
+
+def _victim(path):
+    """``../victim.bin``: a byte-identical copy of shard 0 that sits
+    outside the repository."""
+    victim = path.parent / "victim.bin"
+    victim.write_bytes((path / "shard-00000.bin").read_bytes())
+    return victim
+
+
+def _forge_outside_name(path):
+    """Point shard 0's entry at :func:`_victim`'s file."""
+    victim = _victim(path)
+    _edit_manifest(path, lambda m: m["shards"][0].update(file="../victim.bin"))
+    return victim
+
+
+def test_manifest_cannot_name_a_file_outside_the_repository(tmp_path):
+    from repro.setsystem.durability import fsck_repository
+
+    path, _ = _write_sample(tmp_path)
+    victim = _forge_outside_name(path)
+    with pytest.raises(ShardFormatError, match="victim.bin") as excinfo:
+        ShardedRepository(path, verify=True)
+    assert excinfo.value.code == "manifest-malformed"
+    assert fsck_repository(path).codes() == ["manifest-malformed"]
+    assert victim.is_file()
+
+
+def test_compact_never_deletes_a_file_the_manifest_names_outside(tmp_path):
+    """A forged base entry under a well-anchored delta chain: the chain
+    checksums hold, but compaction refuses before it can take
+    ``../victim.bin`` as a superseded file and unlink it."""
+    from repro.setsystem.deltas import DELTA_MANIFEST_NAME, _chain_checksum, compact
+
+    path, _ = _write_sample(tmp_path)
+    apply_delta(path, [{"op": "insert", "elements": [1, 2]},
+                       {"op": "delete", "id": 3}])
+    victim = _forge_outside_name(path)
+    before = victim.read_bytes()
+    chain = path / "deltas" / "00001" / DELTA_MANIFEST_NAME
+    record = json.loads(chain.read_text())
+    record["parent_crc32"] = zlib.crc32((path / MANIFEST_NAME).read_bytes())
+    record["crc32"] = _chain_checksum(record)
+    chain.write_text(json.dumps(record, indent=2) + "\n")
+    with pytest.raises(ShardFormatError, match="victim.bin"):
+        compact(path)
+    with pytest.raises(ShardFormatError, match="victim.bin"):
+        apply_delta(path, [{"op": "insert", "elements": [0]}])
+    assert victim.read_bytes() == before
+
+
+def _fuzz_system() -> SetSystem:
+    """Every codec and both layouts, in three shards at ``chunk_rows=3``
+    (3, 3, 2 rows): a raw all-dense chunk, then encoded mixed chunks."""
+    n = 250
+    rng = np.random.default_rng(11)
+    return SetSystem(n, [
+        sorted(rng.choice(n, size=200, replace=False).tolist()),  # dense
+        list(range(0, n, 2)),                                    # alternating
+        sorted(rng.choice(n, size=180, replace=False).tolist()),  # dense
+        list(range(40, 200)),                                    # run-length
+        [0, n - 1],                                              # sparse
+        [],                                                      # empty
+        [7],                                                     # singleton
+        list(range(100, n)),                                     # run to the end
+    ])
+
+
+def _json_nodes(node, path=()):
+    """Every ``(path, value)`` below the root of a JSON tree."""
+    children = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, value in children:
+        yield path + (key,), value
+        yield from _json_nodes(value, path + (key,))
+
+
+def _parent(tree, path):
+    for key in path[:-1]:
+        tree = tree[key]
+    return tree
+
+
+@st.composite
+def _manifest_mutations(draw):
+    """One mutation of a manifest: ``(label, mutate)``."""
+    kind = draw(st.sampled_from(
+        ["drop", "retype", "bump", "rename", "reorder", "schema"]
+    ))
+    if kind == "schema":
+        tag = draw(st.sampled_from(
+            ["repro.shards/v1", "repro.shards/v2", "repro.shards/v4", "", None]
+        ))
+        return f"schema {tag!r}", lambda m: m.update(schema=tag)
+    if kind == "rename":
+        shard = draw(st.integers(0, 2))
+        name = draw(st.sampled_from(
+            ["../victim.bin", "shard-00003.bin", f"shard-{shard:05d}.bin.bak",
+             f"./shard-{shard:05d}.bin"]
+        ))
+        return (f"rename {shard}->{name}",
+                lambda m: m["shards"][shard].update(file=name))
+    if kind == "reorder":
+        order = draw(st.sampled_from(
+            [p for p in itertools.permutations(range(3)) if p != (0, 1, 2)]))
+        return (f"reorder {order}",
+                lambda m: m.update(shards=[m["shards"][i] for i in order]))
+    # drop / retype / bump pick a node of the (fixed) fixture manifest.
+    nodes = list(_json_nodes(_fuzz_manifest()))
+    if kind == "bump":
+        nodes = [(p, v) for p, v in nodes if type(v) is int]
+    path, value = draw(st.sampled_from(nodes))
+    if kind == "drop":
+        return f"drop {path}", lambda m: _parent(m, path).pop(path[-1])
+    if kind == "bump":
+        delta = draw(st.sampled_from([-1, 1]))
+        return (f"bump {path} by {delta}",
+                lambda m: _parent(m, path).__setitem__(path[-1], value + delta))
+    other = draw(st.sampled_from(
+        [v for v in (None, True, 1.5, 7, "x", [], {}) if type(v) is not type(value)]
+    ))
+    return (f"retype {path} to {other!r}",
+            lambda m: _parent(m, path).__setitem__(path[-1], other))
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_manifest() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_shards(Path(tmp) / "repo", _fuzz_system(), chunk_rows=3)
+        return json.loads((path / MANIFEST_NAME).read_text())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_manifest_mutations())
+def test_manifest_fuzz_exact_decode_or_typed_refusal(mutation):
+    """Direction-3 fuzzing of the manifest reader.  After one mutation,
+    a verified open plus a decode of every row either reproduces the
+    written system or raises ShardFormatError — never another exception
+    — and a deep fsck never raises and is ok exactly when that open
+    succeeded.  Nothing outside the repository is touched."""
+    from repro.setsystem.durability import fsck_repository
+
+    label, mutate = mutation
+    event(label.split()[0])
+    system = _fuzz_system()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_shards(Path(tmp) / "repo", system, chunk_rows=3)
+        victim = _victim(path)
+        _edit_manifest(path, mutate)
+        try:
+            with ShardedRepository(path, verify=True) as repo:
+                decoded = repo.to_system()
+        except ShardFormatError:
+            opened = False
+        else:
+            opened = True
+            if decoded != system:
+                # The header is not checksummed: an ``n`` that keeps the
+                # word count and every element in range is a valid
+                # manifest of the same rows over another ground set.
+                assert label.startswith("bump ('n',)"), label
+                assert decoded.sets == system.sets, label
+        report = fsck_repository(path)
+        assert report.ok == opened, (label, report.codes())
+        assert victim.read_bytes() == (path / "shard-00000.bin").read_bytes()
