@@ -11,7 +11,8 @@ The paper's summary table opens with the two trivial ways to stream greedy:
 * ``ThresholdGreedy`` — the classic thresholding trick: O(log n) passes,
   O~(n) space, O(log n) approximation.  Pass ``t`` picks, on the fly, every
   set whose residual coverage is at least the current threshold; the
-  threshold halves between passes.
+  threshold halves between passes, and the thresholds above the largest
+  set ``Δ`` (stream metadata, no pass) are skipped — no set reaches them.
 
 All three run over any :class:`~repro.streaming.stream.SetStreamBase`
 repository — in-memory or sharded — and report the stream's resident
@@ -126,7 +127,9 @@ class ThresholdGreedy:
     Pass ``t`` has threshold ``n / 2^t``; any streamed set covering at least
     that many still-uncovered elements is picked immediately.  After the
     threshold drops below one, every element is covered (any set containing
-    a leftover element covers >= 1 of them).
+    a leftover element covers >= 1 of them).  Thresholds above the
+    largest set ``Δ`` (stream metadata, no pass) get no pass: no row can
+    reach them, so the picks are those of the full schedule.
 
     Parameters
     ----------
@@ -151,6 +154,7 @@ class ThresholdGreedy:
         selection: list[int] = []
 
         threshold = float(n)
+        widest = stream.max_set_size
         capture_peak = 0
         while residual.any() and threshold >= 1.0:
             threshold = max(1.0, threshold / self.shrink)
@@ -159,13 +163,14 @@ class ThresholdGreedy:
             # Chunk-streamed consumption bounds the resident captures to
             # one chunk's worth; the largest batch is reported
             # (DESIGN.md §6.1).
-            for _, captured, picked in stream.scan_accepts_chunked(
-                residual, math.ceil(threshold)
-            ):
-                capture_peak = max(capture_peak, capture_words(captured))
-                for set_id in picked:
-                    selection.append(set_id)
-                    meter.charge(1)
+            if math.ceil(threshold) <= widest:
+                for _, captured, picked in stream.scan_accepts_chunked(
+                    residual, math.ceil(threshold)
+                ):
+                    capture_peak = max(capture_peak, capture_words(captured))
+                    for set_id in picked:
+                        selection.append(set_id)
+                        meter.charge(1)
             if threshold <= 1.0:
                 break
 

@@ -962,6 +962,7 @@ def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
     try:
         algorithm = _ALGORITHMS[args.algorithm](args)
         result = algorithm.solve(stream)
+        result.lower_bound = stream.lower_bound
         status = (
             "cover" if stream.verify_solution(result.selection) else "PARTIAL"
         )
@@ -972,6 +973,9 @@ def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
         print(f"space     : {result.peak_memory_words} words")
         if result.best_k is not None:
             print(f"best guess: k={result.best_k}")
+        lb = result.lower_bound
+        ratio = result.solution_size / lb if lb else 1.0
+        print(f"lower bnd : {lb} = ceil(n/max|S|), cover/LB = {ratio:.3f}")
         if args.show_cover:
             print(f"sets      : {sorted(set(result.selection))}")
         return 0 if status == "cover" else 1

@@ -5,7 +5,11 @@ O(rho/delta) approximation factor:
 
 * the optimal cover size ``k`` is guessed (powers of two) and all guesses
   run *in parallel*: this implementation executes them in lockstep over
-  shared passes, so the pass count is that of a single guess;
+  shared passes, so the pass count is that of a single guess.  The
+  passes stop once the guesses ``k >= 2^ceil(log2 ceil(n/Δ))`` are done
+  (:func:`guess_window`; the largest set ``Δ`` is metadata, as ``m`` is,
+  and costs no pass): the smaller guesses, which the theorem never
+  needs, share those passes and count only if they finish in them;
 * each of the ceil(1/delta) iterations makes two passes:
 
   1. **sample pass** — draw a relative-approximation sample ``S`` of the
@@ -33,12 +37,13 @@ each chunk's captures over as one
 :class:`_SampleChunk` takes as it is; a guess gets the hits of all its
 rows from one popcount against its leftover sample at chunk start, and
 only rows whose count reaches the Size-Test threshold are re-tested one
-by one once a heavy pick has shrunk the leftover.  A row becomes a big
-int only when some guess stores it light or picks it, and then once for
-all guesses.  Light sets are stored by reference to that shared int and
-handed to ``algOfflineSC`` packed — big-int rows plus a target mask
-(:meth:`~repro.offline.base.OfflineSolver.solve_partial`), which the
-default greedy consumes without unpacking.  Every other piece of a
+by one once a heavy pick has shrunk the leftover.  Light sets are
+stored by reference into the record, with their hit counts, and handed
+to ``algOfflineSC`` packed — big-int rows plus a target mask
+(:meth:`~repro.offline.base.OfflineSolver.solve_partial`); the default
+greedy starts its heap from the counts, so a row becomes a big int
+only when some guess reads it — a pick, a heavy re-test, a pop of its
+greedy — and then once for all guesses.  Every other piece of a
 guess's state — the true uncovered set included — is a big int too, so
 the update and cleanup passes read each captured row's int from the
 record as it arrives.
@@ -52,6 +57,8 @@ projections stays bit-identical at every setting.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.core.config import IterSetCoverConfig
@@ -64,10 +71,25 @@ from repro.engine import capture_words
 from repro.streaming.memory import MemoryMeter
 from repro.streaming.stream import SetStream, stream_resident_words
 from repro.utils.bitset import bits_of, mask_of, universe_mask
-from repro.utils.mathutil import powers_of_two_up_to
+from repro.utils.mathutil import ceil_log2, powers_of_two_up_to
 from repro.utils.rng import as_generator
 
-__all__ = ["IterSetCover", "iter_set_cover"]
+__all__ = ["IterSetCover", "guess_window", "iter_set_cover"]
+
+
+def guess_window(n: int, lower_bound: int) -> list[int]:
+    """The guesses ``k`` of ``powers_of_two_up_to(n)`` with ``k >= 2^ceil(log2 LB)``.
+
+    The guesses whose completion sets the pass count.  A guess below the
+    window is below ``OPT >= LB``, so the one Theorem 2.8 needs,
+    ``OPT <= k < 2 OPT``, is in it; with none left, the top guess is kept.
+
+    >>> guess_window(100, 7), guess_window(100, 1000)
+    ([8, 16, 32, 64], [64])
+    """
+    ladder = powers_of_two_up_to(n)
+    floor = 1 << ceil_log2(max(lower_bound, 1))
+    return [k for k in ladder if k >= floor] or ladder[-1:]
 
 
 class _SampleChunk:
@@ -80,50 +102,73 @@ class _SampleChunk:
     against a chunk-start leftover are memoized, so guesses whose
     leftovers coincide (every guess whose sample is the whole uncovered
     set, say) share one popcount; a row becomes a big int only when
-    some guess stores or picks it, and then once for all guesses
+    some guess reads it, and then once for all guesses
     (:meth:`Captures.row`).
     """
 
     def __init__(self, captures: Captures):
         self.ids = captures.ids
         self.row = captures.row
-        self.rows = captures.rows
-        self._captures = captures
+        self.captures = captures
         self._gains: dict[int, np.ndarray] = {}
 
     def gains(self, leftover: int) -> "np.ndarray":
         """``|row ∩ leftover|`` for every row of the chunk."""
         gains = self._gains.get(leftover)
         if gains is None:
-            gains = self._captures.gains(self._words_of(leftover))
+            gains = self.captures.gains(self._words_of(leftover))
             self._gains[leftover] = gains
         return gains
 
     def count(self, index: "np.ndarray", leftover: int) -> "np.ndarray":
         """``|row ∩ leftover|`` for the rows at ``index`` only."""
-        return self._captures.gains_at(index, self._words_of(leftover))
+        return self.captures.gains_at(index, self._words_of(leftover))
 
     def _words_of(self, mask: int) -> "np.ndarray":
         """``mask`` as the record's ``width`` little-endian ``uint64`` words."""
-        width = self._captures.width
+        width = self.captures.width
         return np.frombuffer(mask.to_bytes(width * 8, "little"), dtype="<u8")
 
 
-def _sample_pass(parts, guesses) -> int:
+def _sample_pass(parts, guesses) -> "tuple[int, int]":
     """Run every guess's Size-Test over a sample pass, chunk by chunk.
 
-    Returns the largest chunk's capture words (``scan_capture_peak_words``):
-    captures are consumed one chunk at a time, so at most one chunk's
-    projections are resident (DESIGN.md §6.1).
+    Returns the largest chunk's capture words (``scan_capture_peak_words``,
+    DESIGN.md §6.1) and the union of the captured rows: a guess's final
+    leftover element lies in one of its stored light rows exactly when
+    it lies in some captured row (every row holding it streamed by while
+    it was in the leftover, and none was picked).
     """
-    capture_peak = 0
+    capture_peak = coverable = 0
     for _, _, captured in parts:
         capture_peak = max(capture_peak, capture_words(captured))
         if captured:
+            coverable |= captured.union()
             chunk = _SampleChunk(captured)
             for guess in guesses:
                 guess.size_test(chunk)
-    return capture_peak
+    return capture_peak, coverable
+
+
+class _LightRows(Sequence):
+    """A guess's stored light rows, by reference into the capture records.
+
+    Row ``i`` is row ``at[i]`` of ``records[i]`` and becomes a big int when
+    read (:meth:`Captures.row`).  ``gains`` are the rows' hit counts when
+    stored; the leftover only shrinks, so they bound the rows' gains on
+    the offline targets, and greedy starts its heap from them
+    (:meth:`~repro.offline.greedy.GreedySolver.solve_packed`), converting
+    only the rows it pops.
+    """
+
+    def __init__(self, records: "list[Captures]", at: "list[int]", gains: "list[int]"):
+        self._records, self._at, self.gains = records, at, gains
+
+    def __len__(self) -> int:
+        return len(self._at)
+
+    def __getitem__(self, i: int) -> int:
+        return self._records[i].row(self._at[i])
 
 
 def _replay(parts, guesses, observe) -> int:
@@ -171,8 +216,13 @@ class _GuessState:
         # Per-iteration scratch:
         self.sample_size = 0
         self.leftover = 0  # still-uncovered sampled elements, as a mask
-        self.projections: list[int] = []  # light rows, ints shared per chunk
+        # Light rows by reference: row light_at[i] of light_records[i].
+        self.light_records: "list[Captures]" = []
+        self.light_at: list[int] = []
         self.projection_ids: list[int] = []
+        # Each stored row's hit count: its projection's length, so charged
+        # with it (``_LightRows.gains``).
+        self.projection_hits: list[int] = []
         self.new_picks: set[int] = set()
         self._scratch_words = 0
 
@@ -199,8 +249,9 @@ class _GuessState:
         self.sample_size = len(sampled)
         self.stats.sample_sizes.append(self.sample_size)
         self.leftover = mask_of(sampled)
-        self.projections = []
+        self.light_records, self.light_at = [], []
         self.projection_ids = []
+        self.projection_hits = []
         self.new_picks = set()
         self._scratch_words = self.sample_size
         self.meter.charge(self._scratch_words)
@@ -273,36 +324,37 @@ class _GuessState:
             index = index[counts > 0]
             counts = counts[counts > 0]
         ids, index = chunk.ids, index.tolist()
-        self.projections.extend(chunk.rows(index))
+        self.light_records.extend([chunk.captures] * len(index))
+        self.light_at.extend(index)
         self.projection_ids.extend([ids[i] for i in index])
+        self.projection_hits.extend(counts.tolist())
         words = int(counts.sum()) + len(index)  # elements + one id per set
         self._scratch_words += words
         self.meter.charge(words)
 
-    def solve_offline(self, solver: OfflineSolver, n: int) -> None:
+    @property
+    def projections(self) -> _LightRows:
+        """The stored light rows, in storage order."""
+        return _LightRows(self.light_records, self.light_at, self.projection_hits)
+
+    def solve_offline(self, solver: OfflineSolver, n: int, coverable: int) -> None:
         """Run ``algOfflineSC`` on (leftover sample, stored projections).
 
-        On feasible instances every leftover sampled element lies in some
-        stored projection (it was uncovered whenever its light sets
-        streamed by); on infeasible ones the uncoverable residue is left to
-        surface as ``feasible=False`` at the end of the run.
+        ``coverable`` is the union of the pass's captured rows
+        (:func:`_sample_pass`): the leftover elements in it are those some
+        stored projection covers.  On feasible instances that is every
+        one; on infeasible ones the uncoverable residue is left to surface
+        as ``feasible=False`` at the end of the run.
         """
         if not self.leftover:
             return
-        picked = solver.solve_partial(n, self.projections, self.offline_targets())
+        picked = solver.solve_partial(n, self.projections, self.leftover & coverable)
         for local_index in picked:
             set_id = self.projection_ids[local_index]
             self._pick(set_id)
             self.new_picks.add(set_id)
             self.stats.offline_picks += 1
         self.leftover = 0
-
-    def offline_targets(self) -> int:
-        """The leftover sampled elements some stored light row covers."""
-        coverable = 0
-        for row in self.projections:
-            coverable |= row
-        return self.leftover & coverable
 
     def observe_update_pass(self, set_id: int, row: int) -> None:
         """Second pass: recompute the true uncovered set."""
@@ -314,8 +366,9 @@ class _GuessState:
 
     def end_iteration(self) -> None:
         """Drop per-iteration scratch; prior iterations' memory is not kept."""
-        self.projections = []
+        self.light_records, self.light_at = [], []
         self.projection_ids = []
+        self.projection_hits = []
         self.sample_size = 0
         self.meter.release(self._scratch_words)
         self._scratch_words = 0
@@ -398,12 +451,14 @@ class IterSetCover:
             _GuessState(k, n, MemoryMeter(label=f"k={k}"))
             for k in powers_of_two_up_to(n)
         ]
+        # Only the window's guesses buy passes; the rest ride along.
+        window = guesses[-len(guess_window(n, stream.lower_bound)):]
         passes_before = stream.passes
         # The largest chunk's captures, reported as scan scratch.
         capture_peak = 0
 
         for _ in range(self.config.iterations):
-            if all(g.done for g in guesses):
+            if all(g.done for g in window):
                 break
             for guess in guesses:
                 guess.begin_iteration(self.config, n, m, rho, self._rng)
@@ -420,9 +475,10 @@ class IterSetCover:
             parts = stream.scan_gains_chunked(
                 sample_mask, min_capture_gain=1, include_gains=False
             )
-            capture_peak = max(capture_peak, _sample_pass(parts, guesses))
+            sample_peak, coverable = _sample_pass(parts, guesses)
+            capture_peak = max(capture_peak, sample_peak)
             for guess in guesses:
-                guess.solve_offline(self.solver, n)
+                guess.solve_offline(self.solver, n, coverable)
             # Update pass: only this iteration's picks can change any
             # uncovered set, so the scan captures exactly those rows.
             picked: set[int] = set()
@@ -442,7 +498,7 @@ class IterSetCover:
                 guess.end_iteration()
 
         cleanup_passes = 0
-        if self.config.cleanup_pass and any(not g.done for g in guesses):
+        if self.config.cleanup_pass and any(not g.done for g in window):
             cleanup_passes = 1
             cleanup_mask = 0
             for guess in guesses:

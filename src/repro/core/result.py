@@ -43,6 +43,10 @@ class StreamingCoverResult:
         guessing).
     cleanup_passes:
         How many of ``passes`` were cleanup passes (DESIGN.md §3.2).
+    lower_bound:
+        The pass-free certified bound ``OPT >= ceil(n/Δ)``
+        (:attr:`~repro.streaming.stream.SetStreamBase.lower_bound`), which
+        ``repro solve`` fills from the stream; None otherwise.
     """
 
     selection: list[int]
@@ -52,6 +56,7 @@ class StreamingCoverResult:
     feasible: bool = True
     best_k: "int | None" = None
     cleanup_passes: int = 0
+    lower_bound: "int | None" = None
     guess_stats: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 

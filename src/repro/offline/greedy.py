@@ -10,8 +10,10 @@ frozensets and is kept as the executable reference; both return
 
 ``algOfflineSC`` inside ``iterSetCover`` reaches the heap through the
 packed :meth:`GreedySolver.solve_packed` entry: the light projections
-arrive as the shared big-int rows of the sample pass plus a target mask,
-and are never unpacked into index lists, frozensets or a ``SetSystem``.
+arrive as the sample pass's captured rows, read as big ints on access,
+plus a target mask, and are never unpacked into index lists, frozensets
+or a ``SetSystem``; their Size-Test hit counts, upper bounds on their
+gains, seed the heap, so only popped rows are ever read.
 """
 
 from __future__ import annotations
@@ -37,19 +39,22 @@ def greedy_cover(system: SetSystem) -> list[int]:
     return _lazy_greedy(system.packed().rows, universe_mask(system.n))
 
 
-def _lazy_greedy(rows: Sequence[int], residual: int) -> list[int]:
+def _lazy_greedy(
+    rows: Sequence[int], residual: int, gains: "Sequence[int] | None" = None
+) -> list[int]:
     """Lazy-heap greedy cover of the bits of ``residual`` by big-int ``rows``.
 
     Rows may carry bits outside ``residual``; they never count.  The gain
     test is a two-opcode ``&``/``bit_count`` on arbitrary-precision ints,
-    inlined because it runs once per heap pop.
+    inlined because it runs once per heap pop.  ``gains``, if given, are
+    upper bounds on each row's gain and seed the heap in place of a first
+    count: a popped bound is refreshed like any stale entry, so the picks
+    are the same.
     """
+    if gains is None:
+        gains = [(row & residual).bit_count() for row in rows]
     # Max-heap of (-gain, row index); gains are lazily refreshed.
-    heap: list[tuple[int, int]] = []
-    for index, row in enumerate(rows):
-        gain = (row & residual).bit_count()
-        if gain:
-            heap.append((-gain, index))
+    heap = [(-gain, index) for index, gain in enumerate(gains) if gain]
     heapq.heapify(heap)
     chosen: list[int] = []
 
@@ -117,9 +122,11 @@ class GreedySolver(OfflineSolver):
 
         Returns exactly the picks :meth:`solve` makes on the renumbered
         projection of ``rows`` onto ``targets`` (the frozenset path of
-        :meth:`OfflineSolver.solve_partial`).
+        :meth:`OfflineSolver.solve_partial`).  Rows that carry ``gains``,
+        upper bounds on each row's coverage of ``targets`` (iterSetCover's
+        light rows do), seed the heap with them.
         """
-        return _lazy_greedy(rows, targets)
+        return _lazy_greedy(rows, targets, getattr(rows, "gains", None))
 
     def rho(self, n: int) -> float:
         return harmonic(max(n, 1))

@@ -117,10 +117,11 @@ class PartialIterSetCover:
             parts = stream.scan_gains_chunked(
                 sample_mask, min_capture_gain=1, include_gains=False
             )
-            capture_peak = max(capture_peak, _sample_pass(parts, guesses))
+            sample_peak, coverable = _sample_pass(parts, guesses)
+            capture_peak = max(capture_peak, sample_peak)
             for g in guesses:
                 if not satisfied(g):
-                    self._solve_offline_partial(g, allowance)
+                    self._solve_offline_partial(g, allowance, coverable)
             picked: set[int] = set()
             update_mask = 0
             for g in guesses:
@@ -184,7 +185,9 @@ class PartialIterSetCover:
         )
 
 
-    def _solve_offline_partial(self, guess: _GuessState, allowance: int) -> None:
+    def _solve_offline_partial(
+        self, guess: _GuessState, allowance: int, coverable: int
+    ) -> None:
         """Cover the sampled leftovers only up to the scaled allowance.
 
         The coverage slack ``allowance`` applies to the whole uncovered set;
@@ -192,12 +195,15 @@ class PartialIterSetCover:
         needs ``|targets| - allowance * |sample| / |uncovered|`` sampled
         elements covered.  Uses greedy for the partial objective (the
         injected solver interface has no coverage-target notion).
+        ``coverable`` is the union of the pass's captured rows
+        (:func:`~repro.core.iter_set_cover._sample_pass`).
         """
         if not guess.leftover:
             return
         # The light rows are the shared captured rows (by reference), so
         # gains are taken against the targets, never the rows alone.
-        targets = guess.offline_targets()
+        targets = guess.leftover & coverable
+        projections = list(guess.projections)
         target_count = targets.bit_count()
         uncovered_size = max(guess.uncovered_count(), 1)
         sample_share = guess.sample_size / uncovered_size
@@ -208,7 +214,7 @@ class PartialIterSetCover:
         remaining = targets
         while covered < required:
             best_index, best_gain = -1, 0
-            for index, projection in enumerate(guess.projections):
+            for index, projection in enumerate(projections):
                 gain = (projection & remaining).bit_count()
                 if gain > best_gain:
                     best_index, best_gain = index, gain
@@ -218,7 +224,7 @@ class PartialIterSetCover:
             guess._pick(set_id)
             guess.new_picks.add(set_id)
             guess.stats.offline_picks += 1
-            remaining &= ~guess.projections[best_index]
+            remaining &= ~projections[best_index]
             covered = target_count - remaining.bit_count()
         guess.leftover = 0
 

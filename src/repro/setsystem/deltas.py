@@ -72,6 +72,7 @@ import json
 import shutil
 import time
 import zlib
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from operator import index
 from pathlib import Path
@@ -311,6 +312,7 @@ class DeltaShardWriter:
                 "inserts": self._writer.m,
                 "tombstones": sorted(self._tombstones),
                 "parent_crc32": self._parent_crc32,
+                "max_set_bits": self._max_set_bits(),
             }
             record["crc32"] = _chain_checksum(record)
             durable_write_text(
@@ -325,6 +327,33 @@ class DeltaShardWriter:
         self._closed = True
         self._lock.release()
         return self.path
+
+    def _max_set_bits(self) -> int:
+        """Δ of the view this generation publishes, kept in ``delta.json``.
+
+        The parent view's Δ stands unless a tombstone takes a row that
+        wide; only then are the parent's live rows decoded.
+        """
+        base, generations = _load_chain(self.root)
+        try:
+            sources = [(0, base)] + [(g.parent_rows, g.repo) for g in generations]
+            starts = [start for start, _ in sources]
+
+            def size(stable_id: int) -> int:
+                start, repo = sources[bisect_right(starts, stable_id) - 1]
+                return repo.row_mask(stable_id - start).bit_count()
+
+            widest = generations[-1].max_set_bits if generations else base.max_set_bits
+            if any(size(t) >= widest for t in self._tombstones):
+                dead = self._dead | self._tombstones
+                widest = max((size(t) for t in range(self._parent_rows)
+                              if t not in dead), default=0)
+        finally:
+            base.close()
+            for gen in generations:
+                gen.repo.close()
+        with ShardedRepository(self.path) as inserts:
+            return max(widest, inserts.max_set_bits)
 
     def abort(self) -> None:
         """Remove the partial generation directory (idempotent)."""
@@ -358,16 +387,17 @@ class _Generation:
     """One validated delta generation: its mini-repository + tombstones."""
 
     __slots__ = ("generation", "path", "repo", "tombstones", "parent_rows",
-                 "inserts")
+                 "inserts", "max_set_bits")
 
     def __init__(self, generation, path, repo, tombstones, parent_rows,
-                 inserts):
+                 inserts, max_set_bits):
         self.generation = generation
         self.path = path
         self.repo = repo
         self.tombstones = tombstones
         self.parent_rows = parent_rows
         self.inserts = inserts
+        self.max_set_bits = max_set_bits
 
 
 def _load_chain(
@@ -420,6 +450,7 @@ def _load_chain(
                 inserts = int(record["inserts"])
                 tombstones = [index(t) for t in record["tombstones"]]
                 parent_crc32 = int(record["parent_crc32"])
+                max_set_bits = index(record["max_set_bits"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ShardFormatError(
                     f"malformed {DELTA_MANIFEST_NAME} in {gen_dir}: {exc}"
@@ -432,6 +463,11 @@ def _load_chain(
             if n != base.n:
                 raise ShardFormatError(
                     f"generation {generation} has n={n}, base has n={base.n}"
+                )
+            if not 0 <= max_set_bits <= n:
+                raise ShardFormatError(
+                    f"generation {generation} records max_set_bits="
+                    f"{max_set_bits}, outside [0, n={n}]", "stats-max-set",
                 )
             if recorded_parent_rows != parent_rows:
                 raise ShardFormatError(
@@ -470,7 +506,7 @@ def _load_chain(
             generations.append(
                 _Generation(
                     generation, gen_dir, repo, frozenset(tombstones),
-                    parent_rows, inserts,
+                    parent_rows, inserts, max_set_bits,
                 )
             )
             dead.update(tombstones)
@@ -550,6 +586,8 @@ class MergedShardView:
         #: Content token of the base manifest bytes this view was built
         #: from — the swing detector :func:`open_repository` rechecks.
         self.token = base.token
+        if verify:
+            self.check_rows()
 
     # -- geometry ------------------------------------------------------
     @property
@@ -663,6 +701,24 @@ class MergedShardView:
     def shard_stats(self) -> "list[dict]":
         """Per-merged-chunk stats blocks (computed lazily, cached)."""
         return [self.compute_shard_stats(s) for s in range(self.shard_count)]
+
+    @property
+    def max_set_bits(self) -> int:
+        """The largest live set ``Δ``: the last ``delta.json`` records it (no pass)."""
+        if self.generations:
+            return self.generations[-1].max_set_bits
+        return self.base.max_set_bits
+
+    def check_rows(self) -> None:
+        """Decode every live row (``verify=True``, deep fsck); a recorded
+        ``max_set_bits`` the rows contradict raises ``stats-max-set``."""
+        widest = max((row.bit_count() for row in self.iter_row_masks()), default=0)
+        if widest != self.max_set_bits:
+            raise ShardFormatError(
+                f"the delta chain of {self.path} records max_set_bits="
+                f"{self.max_set_bits}, but its widest live row has {widest} "
+                "elements", "stats-max-set",
+            )
 
     def _row_cost_table(self, repo: ShardedRepository, shard: int):
         """Exact §8.2 per-row scan costs of one *source* shard, no decode.

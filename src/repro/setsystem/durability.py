@@ -996,7 +996,7 @@ def _fsck_flat_repository(
     defect is the one finding and ends the sweep; then every shard file
     goes through :func:`~repro.setsystem.shards.check_shard_file`, and
     (``deep``) the full-read checks run — per-shard CRC-32 and a decode
-    of every row through its codec.
+    of every row through its codec, held to the recorded largest set.
     """
     from repro.setsystem import shards as sh
 
@@ -1042,16 +1042,14 @@ def _fsck_flat_repository(
         # Structure is sound and checksums hold; decode every row
         # through its codec so a corrupt payload that happens to keep
         # its CRC-equal bytes (hand-edited then re-checksummed) still
-        # surfaces as a typed finding.
+        # surfaces as a typed finding — and so does a recorded largest
+        # set the rows contradict (``stats-max-set``).
         repo = None
         try:
             repo = sh.ShardedRepository(directory, base_only=True)
-            for shard in range(repo.shard_count):
-                repo.chunk_masks(shard)
+            repo.check_rows()
         except sh.ShardFormatError as exc:
-            findings.append(
-                Finding("shard-decode", str(directory), str(exc))
-            )
+            findings.append(Finding(exc.code, str(directory), str(exc)))
         finally:
             if repo is not None:
                 repo.close()
@@ -1135,6 +1133,7 @@ def _fsck_chain(
             inserts = int(record["inserts"])
             tombstones = [int(t) for t in record["tombstones"]]
             parent_crc32 = int(record["parent_crc32"])
+            widest = int(record["max_set_bits"])
         except (KeyError, TypeError, ValueError) as exc:
             findings.append(
                 Finding("chain-malformed", str(manifest_path), str(exc))
@@ -1154,6 +1153,13 @@ def _fsck_chain(
                 Finding(
                     "chain-geometry", str(manifest_path),
                     f"generation n={n}, base n={base_n}",
+                )
+            )
+        if not 0 <= widest <= base_n:
+            findings.append(
+                Finding(
+                    "stats-max-set", str(manifest_path),
+                    f"max_set_bits={widest} outside [0, n={base_n}]",
                 )
             )
         if recorded_parent_rows != parent_rows:
@@ -1204,6 +1210,13 @@ def _fsck_chain(
         dead.update(tombstones)
         parent_rows += inserts
         parent_manifest = manifest_path
+    if deep and generations and not findings:
+        # The last delta.json's largest set is what opens read.
+        try:
+            with dl.MergedShardView(root) as view:
+                view.check_rows()
+        except sh.ShardFormatError as exc:
+            findings.append(Finding(exc.code, str(root), str(exc)))
 
 
 def _fsck_live_state(root: Path, report: FsckReport, repair: bool) -> None:

@@ -272,6 +272,15 @@ class Captures:
         counts = self._indptr[index + 1] - first
         return counts, _ragged_positions(first, counts)
 
+    def union(self) -> int:
+        """Every row ORed together, as a big int."""
+        words = np.zeros(self.width, dtype="<u8")
+        if self._block is not None:
+            np.bitwise_or.reduce(self._block, axis=0, out=words)
+        else:
+            np.bitwise_or.at(words, self._index, self._bits)
+        return int.from_bytes(words.tobytes(), "little")
+
     def row_words(self, j: int) -> "tuple[object, np.ndarray]":
         """``(where, bits)``: row ``j``'s stored words and where they sit.
 
@@ -287,7 +296,12 @@ class Captures:
         """The ``j``-th projection as a big int (converted once)."""
         value = self._ints[j]
         if value is None:
-            value = self.rows([j])[0]
+            where, bits = self.row_words(j)
+            if self._block is None:
+                words = np.zeros(self.width, dtype="<u8")
+                words[where] = bits
+                bits = words
+            value = self._ints[j] = int.from_bytes(bits.tobytes(), "little")
         return value
 
     def rows(self, index: "Sequence[int]") -> "list[int]":

@@ -44,7 +44,7 @@ class SetSystem:
     False
     """
 
-    __slots__ = ("_n", "_sets", "_universe", "_masks", "_packed")
+    __slots__ = ("_n", "_sets", "_universe", "_masks", "_packed", "_max_set_size")
 
     def __init__(self, n: int, sets: Iterable[Iterable[int]]):
         if n < 0:
@@ -73,6 +73,7 @@ class SetSystem:
         self._universe: "frozenset[int] | None" = None
         self._masks: "tuple[int, ...] | None" = None
         self._packed: "PackedFamily | None" = None
+        self._max_set_size: "int | None" = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -187,8 +188,10 @@ class SetSystem:
         return sum(1 for mask in self._mask_tuple() if mask & bit)
 
     def max_set_size(self) -> int:
-        """Cardinality of the largest set (0 for an empty family)."""
-        return max((len(r) for r in self._sets), default=0)
+        """Cardinality of the largest set (0 for an empty family; cached)."""
+        if self._max_set_size is None:
+            self._max_set_size = max((len(r) for r in self._sets), default=0)
+        return self._max_set_size
 
     def sparsity(self) -> int:
         """Alias of :meth:`max_set_size`; the ``s`` of s-Sparse Set Cover."""

@@ -54,8 +54,10 @@ Manifest statistics (DESIGN.md §8.1)
 Every manifest records, per shard, the statistics the remote batch plan
 (:mod:`repro.engine.plan`) feeds its cost model: a 16-bucket
 row-density histogram, the codec mix, the element and run totals per
-codec.  The stats blocks are covered by their own CRC-32
-(``stats_crc32``) so a hand-edited manifest fails loudly.
+codec, and the largest set ``Δ`` (``max_set_bits``: the solvers' lower
+bound ``OPT >= ceil(n/Δ)``, read without a pass, as ``m`` is).  The
+stats blocks are covered by their own CRC-32 (``stats_crc32``) so a
+hand-edited manifest fails loudly.
 
 One manifest reader
 -------------------
@@ -413,16 +415,16 @@ class _ChunkCodec:
         Everything the planner's cost model consumes: the row-density
         histogram, the codec mix, and the element / run totals split by
         codec so dense, sparse and run-length scan work can be priced
-        separately.
+        separately.  ``max_set_bits`` is the chunk's largest row ``Δ``,
+        the lower bound ``OPT >= ceil(n/Δ)`` the solvers read.
         """
-        buckets = np.minimum(
-            STATS_HIST_BUCKETS - 1, self.sizes * STATS_HIST_BUCKETS // max(self.n, 1)
-        )
+        buckets = _density_bucket(self.sizes, self.n)
         mix = np.bincount(self.tags, minlength=_TAG_RLE + 1).tolist()
         return {
             "density_hist": np.bincount(buckets, minlength=STATS_HIST_BUCKETS).tolist(),
             "codec_mix": dict(zip(("dense", "sparse", "rle"), mix)),
             "set_bits": int(self.flat.size),
+            "max_set_bits": int(self.sizes.max(initial=0)),
             "runs": int(self.run_at.size),
             "sparse_elems": int(self.sizes[self.tags == _TAG_SPARSE].sum()),
             "rle_runs": int(self.row_runs[self.tags == _TAG_RLE].sum()),
@@ -470,6 +472,11 @@ class _ChunkCodec:
         return out.tobytes(), _LAYOUT_RAW if raw else _LAYOUT_ENCODED
 
 
+def _density_bucket(sizes, n: int):
+    """The ``density_hist`` bucket of rows with ``sizes`` elements."""
+    return np.minimum(STATS_HIST_BUCKETS - 1, sizes * STATS_HIST_BUCKETS // max(n, 1))
+
+
 def _stats_checksum(shard_meta: list[dict]) -> int:
     """CRC-32 of the canonical JSON of every shard's stats block."""
     blob = json.dumps(
@@ -501,7 +508,9 @@ def read_manifest(directory: "str | Path") -> "tuple[dict, bytes]":
     last holds ``1..chunk_rows``), that the rows sum to ``m``, that
     shard ``i`` is the file ``shard-{i:05d}.bin`` — so no entry names a
     file outside the repository — the stats blocks and ``stats_crc32``,
-    and that each shard's layout and row count agree with its stats.
+    that each shard's layout and row count agree with its stats, and
+    that its largest set ``max_set_bits`` lies in ``[0, n]`` and in the
+    top nonzero bucket of its density histogram.
     The first defect raises :class:`ShardFormatError` carrying its fsck
     code; shard files themselves are :func:`check_shard_file`'s job.
     """
@@ -583,12 +592,14 @@ def read_manifest(directory: "str | Path") -> "tuple[dict, bytes]":
     for shard, meta in enumerate(shards):
         stats = meta.get("stats")
         mix = stats.get("codec_mix") if isinstance(stats, dict) else None
-        if not isinstance(mix, dict) or not all(
+        hist = stats.get("density_hist") if isinstance(stats, dict) else None
+        if not isinstance(mix, dict) or not isinstance(hist, list) or not all(
             _is_int(value) for value in (
                 mix.get("dense"), mix.get("sparse"), mix.get("rle"),
                 stats.get("sparse_elems"), stats.get("rle_runs"),
+                stats.get("max_set_bits"), *hist,
             )
-        ):
+        ) or len(hist) != STATS_HIST_BUCKETS:
             raise ShardFormatError(
                 f"manifest in {directory} lacks a well-formed stats block "
                 f"for shard {shard}",
@@ -613,6 +624,16 @@ def read_manifest(directory: "str | Path") -> "tuple[dict, bytes]":
             raise malformed(
                 f"shard {shard} is recorded as {meta['rows']} {meta['layout']} "
                 f"rows; its stats describe {rows} {layout} rows"
+            )
+        # Δ prints a lower bound and sets the solvers' passes, so it
+        # must at least sit in the histogram's highest nonzero bucket.
+        widest, hist = meta["stats"]["max_set_bits"], meta["stats"]["density_hist"]
+        top = max((b for b, count in enumerate(hist) if count), default=None)
+        if not 0 <= widest <= n or top != _density_bucket(widest, n):
+            raise ShardFormatError(
+                f"shard {shard} in {directory} records max_set_bits={widest}, "
+                f"outside [0, n={n}] or its density histogram's top bucket",
+                "stats-max-set",
             )
     return manifest, raw
 
@@ -1009,7 +1030,9 @@ class ShardedRepository:
     path:
         A directory produced by :class:`ShardWriter` / :func:`write_shards`.
     verify:
-        Verify every shard's CRC-32 on open (reads the whole repository).
+        Verify every shard's CRC-32 on open (reads the whole repository)
+        and decode every row against the recorded largest set
+        (:meth:`check_rows`).
     base_only:
         Open only the base generation of a repository that has pending
         delta shards.  By default a repository with a non-empty
@@ -1084,6 +1107,7 @@ class ShardedRepository:
         self._closed = False
         if verify:
             self.validate()
+            self.check_rows()
 
     # ------------------------------------------------------------------
     @property
@@ -1126,6 +1150,11 @@ class ShardedRepository:
         """Per-shard stats blocks, as the manifest records them."""
         return [meta["stats"] for meta in self._shard_meta]
 
+    @property
+    def max_set_bits(self) -> int:
+        """The largest set ``Δ`` — manifest metadata, as ``m`` is (no pass)."""
+        return max((stats["max_set_bits"] for stats in self.shard_stats()), default=0)
+
     def shard_cost_estimates(self) -> list[int]:
         """Estimated scan cost per shard, in fused-kernel work units.
 
@@ -1154,6 +1183,19 @@ class ShardedRepository:
                     f"checksum mismatch in {meta['file']}: "
                     f"crc32={crc}, manifest says {meta['crc32']}",
                     "shard-checksum",
+                )
+
+    def check_rows(self) -> None:
+        """Decode every row (``verify=True``, deep fsck); a shard whose
+        widest row is not its ``max_set_bits`` — an understated one prints
+        a false lower bound — raises with code ``stats-max-set``."""
+        for shard, stats in enumerate(self.shard_stats()):
+            widest = max((row.bit_count() for row in self.chunk_masks(shard)), default=0)
+            if widest != stats["max_set_bits"]:
+                raise ShardFormatError(
+                    f"shard {shard} of {self.path} records max_set_bits="
+                    f"{stats['max_set_bits']}, but its widest row has {widest} "
+                    "elements", "stats-max-set",
                 )
 
     def close(self) -> None:

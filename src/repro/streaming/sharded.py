@@ -129,6 +129,11 @@ class ShardedSetStream(SetStreamBase):
         return self._repo.m
 
     @property
+    def max_set_size(self) -> int:
+        """The largest set ``Δ`` (manifest ``max_set_bits``, no pass)."""
+        return self._repo.max_set_bits
+
+    @property
     def repository(self) -> ShardedRepository:
         """The underlying on-disk repository."""
         return self._repo

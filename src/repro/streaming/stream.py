@@ -16,8 +16,9 @@ repositories implement the protocol:
   chunk by chunk, so instances never need to fit in memory.
 
 Algorithms are written against the protocol only (``n``, ``m``,
-``passes``, ``iterate``, ``iterate_packed``, ``iterate_chunks``), so the
-same pass-for-pass code runs over both repositories.
+``max_set_size``, ``passes``, ``iterate``, ``iterate_packed``,
+``iterate_chunks``), so the same pass-for-pass code runs over both
+repositories.
 
 Space accounting rule (DESIGN.md §3.6): the repository itself is *never*
 charged to an algorithm — it is the read-only input, whether it resides in
@@ -112,6 +113,16 @@ class SetStreamBase:
     def m(self) -> int:  # pragma: no cover - overridden
         """Number of sets in the repository (metadata, costs no pass)."""
         raise NotImplementedError
+
+    @property
+    def max_set_size(self) -> int:  # pragma: no cover - overridden
+        """The largest set ``Δ`` (metadata, costs no pass)."""
+        raise NotImplementedError
+
+    @property
+    def lower_bound(self) -> int:
+        """``ceil(n/Δ)`` (``n`` if ``Δ = 0``): no cover is smaller; no pass."""
+        return -(-self.n // max(self.max_set_size, 1))
 
     @property
     def passes(self) -> int:
@@ -393,6 +404,11 @@ class SetStream(SetStreamBase):
         the stream exposes it as metadata without costing a pass.
         """
         return self._system.m
+
+    @property
+    def max_set_size(self) -> int:
+        """The largest set ``Δ``, known up front as ``m`` is (no pass)."""
+        return self._system.max_set_size()
 
     # -- repository hooks ----------------------------------------------
     def _frozenset_rows(self):

@@ -53,6 +53,31 @@ class TestSolve:
         main(["solve", instance_path, "--algorithm", "store-all", "--show-cover"])
         assert "sets      :" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "algorithm", ["iter", "store-all", "multi-pass", "threshold", "er14",
+                      "cw16", "sg09"]
+    )
+    def test_every_algorithm_prints_the_certified_lower_bound(
+        self, instance_path, tmp_path, algorithm, capsys
+    ):
+        """``lower bnd`` is ceil(n/Δ) from metadata, the same in memory and
+        out of core, and sits at or below the cover it is printed with."""
+        system = load(instance_path)
+        lb = -(-system.n // system.max_set_size())
+        shards = tmp_path / "inst.shards"
+        assert main(["shard", "create", instance_path, str(shards),
+                     "--chunk-rows", "7"]) == 0
+        for source in (instance_path, str(shards)):
+            capsys.readouterr()
+            assert main(["solve", source, "--algorithm", algorithm,
+                         "--no-polylog"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            size = int(next(l for l in lines if l.startswith("result")).split()[4])
+            (bound,) = [l for l in lines if l.startswith("lower bnd :")]
+            assert bound == (f"lower bnd : {lb} = ceil(n/max|S|), "
+                             f"cover/LB = {size / lb:.3f}"), source
+            assert lb <= size
+
     def test_delta_flag(self, instance_path, capsys):
         code = main(["solve", instance_path, "--delta", "1.0", "--no-polylog"])
         assert code == 0

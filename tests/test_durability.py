@@ -66,6 +66,7 @@ from repro.setsystem.shards import (
     ShardedRepository,
     ShardFormatError,
     StaleStagingError,
+    _stats_checksum,
     write_shards,
 )
 
@@ -646,6 +647,12 @@ def _edit_chain(root, mutate, *, rechecksum=True, generation=1):
     path.write_text(json.dumps(record, indent=2) + "\n")
 
 
+def _understate_max_set(manifest):
+    """Record a largest set one below the truth, re-sealing the stats."""
+    manifest["shards"][0]["stats"]["max_set_bits"] -= 1
+    manifest["stats_crc32"] = _stats_checksum(manifest["shards"])
+
+
 def _corrupt_shard_byte(root):
     shard = sorted(root.glob("shard-*.bin"))[0]
     payload = bytearray(shard.read_bytes())
@@ -673,6 +680,7 @@ TAXONOMY = {
     "stats-missing": lambda root: _edit_manifest(
         root, lambda m: m["shards"][0].pop("stats")
     ),
+    "stats-max-set": lambda root: _edit_manifest(root, _understate_max_set),
     "stats-checksum": lambda root: _edit_manifest(
         root, lambda m: m.update(stats_crc32=m["stats_crc32"] ^ 1)
     ),

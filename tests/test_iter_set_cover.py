@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines import ThresholdGreedy
 from repro.core import IterSetCover, IterSetCoverConfig, iter_set_cover
-from repro.core.iter_set_cover import _GuessState, _SampleChunk
+from repro.core.iter_set_cover import _GuessState, _SampleChunk, guess_window
 from repro.offline import ExactSolver, GreedySolver
 from repro.offline.greedy import _greedy_cover_frozenset
 from repro.sampling import draw_sample
@@ -115,6 +118,18 @@ class TestResourceShape:
         n = planted_small.system.n
         expected_guesses = math.floor(math.log2(n)) + 1
         assert len(result.guess_stats) == expected_guesses
+
+    def test_guess_window_guesses_all_finish(self, planted_small):
+        """Every guess from 2^ceil(log2 ceil(n/Δ)) up to n completes."""
+        system = planted_small.system
+        result = iter_set_cover(SetStream(system), delta=0.5, seed=2)
+        n = system.n
+        lower_bound = math.ceil(n / system.max_set_size())
+        floor = 2 ** math.ceil(math.log2(lower_bound))
+        window = [k for k in result.guess_stats if k >= floor]
+        assert window == guess_window(n, lower_bound)
+        assert all(result.guess_stats[k].covered_after_iterations for k in window)
+        assert SetStream(system).lower_bound == lower_bound
 
 
 class TestApproximation:
@@ -238,9 +253,13 @@ def _reference_iter_set_cover(system, config, seed):
     solver = _FrozensetGreedy()
     rho = solver.rho(n)
     guesses = [_ReferenceGuess(k, n) for k in powers_of_two_up_to(n)]
+    # The passes stop once the guesses k >= 2^ceil(log2 ceil(n/Δ)) are
+    # done (the top guess at least); the smaller ones ride along.
+    floor = 1 << (-(-n // max(system.max_set_size(), 1)) - 1).bit_length()
+    window = [g for g in guesses if g.k >= floor] or guesses[-1:]
     passes = 0
     for _ in range(config.iterations):
-        if all(not g.uncovered for g in guesses):
+        if all(not g.uncovered for g in window):
             break
         for g in guesses:
             g.begin(config, n, m, rho, rng)
@@ -257,7 +276,7 @@ def _reference_iter_set_cover(system, config, seed):
             g.current -= g.scratch
             g.scratch = 0
         passes += 2
-    if config.cleanup_pass and any(g.uncovered for g in guesses):
+    if config.cleanup_pass and any(g.uncovered for g in window):
         passes += 1
         for set_id, r in enumerate(system.sets):
             for g in guesses:
@@ -352,6 +371,49 @@ class TestSizeTestOracle:
                 assert stats.peak_memory_words == g.peak, where
 
 
+class _FullLadderStream(SetStream):
+    """A stream that withholds its largest set: Δ reads as n, so nothing is cut."""
+
+    @property
+    def max_set_size(self) -> int:
+        return self.n
+
+
+@st.composite
+def _tiny_feasible_systems(draw):
+    n = draw(st.integers(1, 9))
+    sets = draw(st.lists(
+        st.lists(st.integers(0, n - 1), max_size=n, unique=True),
+        min_size=1, max_size=8,
+    ))
+    covered = set().union(*sets)
+    sets += [[e] for e in range(n) if e not in covered]  # keep it feasible
+    return SetSystem(n, sets)
+
+
+class TestGuessWindowSoundness:
+    """The Δ cut removes only guesses and passes that cannot matter."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tiny_feasible_systems())
+    def test_window_keeps_the_optimum_power(self, system):
+        n, opt = system.n, len(ExactSolver().solve(system))
+        window = guess_window(n, -(-n // system.max_set_size()))
+        ladder = powers_of_two_up_to(n)
+        assert min(1 << (opt - 1).bit_length(), ladder[-1]) in window
+        assert window == [k for k in ladder if k >= window[0]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tiny_feasible_systems())
+    def test_threshold_picks_equal_every_threshold_run(self, system):
+        cut = ThresholdGreedy().solve(SetStream(system))
+        full = ThresholdGreedy().solve(_FullLadderStream(system))
+        assert cut.selection == full.selection
+        assert cut.feasible == full.feasible
+        assert cut.passes <= full.passes
+        assert SetStream(system).lower_bound == -(-system.n // system.max_set_size())
+
+
 def _size_test_in_chunks(k, n, sample, solution, rows, split):
     """Run the production Size-Test over ``rows`` cut into two chunks."""
     guess = _GuessState(k, n, MemoryMeter(label="pin"))
@@ -439,7 +501,8 @@ def test_size_test_reads_the_capture_block_and_converts_only_used_rows():
     removes elements 0..7 from the leftover; row 3 counted 7 hits at
     chunk start but only 5 afterwards, so it is stored light; row 4
     stays heavy.  Rows 2 and 6 miss this guess's leftover (another
-    guess's sample put them in the capture), so they never become ints.
+    guess's sample put them in the capture), so they never become ints;
+    the light rows become ints only when read.
     At n=90 the record is full width, at n=4096 word-sparse (byte rule:
     35 bits against 7 rows of 2 or 64 words); the Size-Test reads both
     through the record's methods alike.
@@ -465,6 +528,11 @@ def test_size_test_reads_the_capture_block_and_converts_only_used_rows():
         )
         assert captures.sparse == sparse
         guess.size_test(_SampleChunk(captures))
+        # Ints exist for the rows the Size-Test read: the picks and the
+        # re-tested candidate 13.  Light rows stay words until read.
+        converted = [set_id for set_id, value in zip(captures.ids, captures._ints)
+                     if value is not None]
+        assert converted == [11, 13, 14]
 
         assert ref.solution == [11, 14] and [i for i, _ in ref.light] == [10, 13, 15]
         assert guess.solution == ref.solution
@@ -477,7 +545,7 @@ def test_size_test_reads_the_capture_block_and_converts_only_used_rows():
             assert row & mask_of(hit) == mask_of(hit)
         assert guess.meter.current == ref.current
         assert guess.meter.peak == ref.peak
-        # Ints exist for the stored and picked rows only.
+        # Reading the light rows converts exactly those.
         converted = [set_id for set_id, value in zip(captures.ids, captures._ints)
                      if value is not None]
         assert converted == [10, 11, 13, 14, 15]

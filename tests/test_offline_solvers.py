@@ -19,7 +19,9 @@ from repro.offline import (
     fractional_optimum,
     greedy_cover,
 )
+from repro.offline.greedy import _lazy_greedy
 from repro.setsystem import SetSystem
+from repro.utils.bitset import bits_of, mask_of
 from repro.utils.mathutil import harmonic
 from repro.workloads import nested_chain_instance, planted_instance
 
@@ -83,6 +85,25 @@ class TestGreedy:
         solver = GreedySolver()
         assert tiny_system.is_cover(solver.solve(tiny_system))
         assert solver.rho(100) == pytest.approx(harmonic(100))
+
+    @settings(max_examples=80, deadline=None)
+    @given(feasible_systems(max_n=10, max_m=10), st.data())
+    def test_packed_heap_seeded_with_upper_bounds_picks_the_same(self, system, data):
+        """Seeding the heap with any upper bounds on the rows' gains (as
+        iterSetCover's Size-Test hit counts are) changes no pick: the
+        picks are the frozenset reference's."""
+        rows = list(system.packed().rows)
+        targets = data.draw(st.integers(0, (1 << system.n) - 1)) & mask_of(
+            [e for row in system.sets for e in row])
+        slack = data.draw(st.lists(st.integers(0, 3), min_size=len(rows),
+                                   max_size=len(rows)))
+        bounds = [(row & targets).bit_count() + extra
+                  for row, extra in zip(rows, slack)]
+        unpacked = GreedySolver().solve_partial(
+            system.n, [frozenset(row) for row in system.sets],
+            frozenset(bits_of(targets)))
+        assert _lazy_greedy(rows, targets, bounds) == unpacked
+        assert _lazy_greedy(rows, targets) == unpacked
 
 
 class TestExact:

@@ -329,7 +329,8 @@ def _threshold_replay_reference(stream, shrink=2.0):
     """The PR 3 ThresholdGreedy loop: driver-side replay of captures.
 
     Kept verbatim as the executable reference the block accept path
-    must match pick for pick.
+    must match pick for pick — plus the one schedule change since: a
+    threshold above the largest set ``Δ`` gets no pass.
     """
     n = stream.n
     uncovered = (1 << n) - 1
@@ -342,7 +343,7 @@ def _threshold_replay_reference(stream, shrink=2.0):
             uncovered,
             min_capture_gain=math.ceil(threshold),
             include_gains=False,
-        )
+        ) if math.ceil(threshold) <= stream.max_set_size else ()
         for _, _, captured in parts:
             for set_id, projection in captured:
                 hit = projection & uncovered

@@ -38,6 +38,7 @@ from repro.setsystem.shards import (
     ShardWriter,
     _ChunkCodec,
     _decode_payload_mask,
+    _stats_checksum,
     write_shards,
 )
 from repro.streaming import SetStream, ShardedSetStream, StreamAccessError
@@ -192,25 +193,25 @@ def test_scan_shard_matches_bruteforce_per_encoding(tmp_path):
 
 _PINNED_SHA256 = {
     "auto": {
-        "manifest.json": "cf140cf331a377c8e87a71420d5567b9e2b474adb1c8f04ff6b32f54e3eb2e91",
+        "manifest.json": "52e4cb7d515cbe64420505636c23e71fef69877e117e05e8b58565ad7ca955d7",
         "shard-00000.bin": "082d2c0e25f3ec5fa8e9fb5caf785e9b46afec697bb8dcee206686e2f62b85d8",
         "shard-00001.bin": "d2ce75e544ea6d76bbcda2915a2d79a950273520f6a4b56f248e9861583a6344",
         "shard-00002.bin": "eaaff6c107bb50a2a274ea522aaa247a703f7500b87fda5abeb5c77efd05d3fc",
     },
     "dense": {
-        "manifest.json": "c92533bc83870547d8c300acf02c09a959db7ac332e18a6f2db263e8c8e10136",
+        "manifest.json": "2933b9f0ab2d346d163ebf328b393f697f124d13a4b415c3d8e69610d63e4bb1",
         "shard-00000.bin": "082d2c0e25f3ec5fa8e9fb5caf785e9b46afec697bb8dcee206686e2f62b85d8",
         "shard-00001.bin": "000861db85c7697532732b0b297f4eaa134998835b17be4a093e287cd1f1364c",
         "shard-00002.bin": "8f6dab338de16ab12e496bf52b51d00ee1358741033fa19a8b6e3736a9e55357",
     },
     "sparse": {
-        "manifest.json": "dd3f6a392f9c7d10844018e2fd03162747f91813eaf3a09c38a1587a1f35d488",
+        "manifest.json": "120457c170fd7041f30c12e7f5020c2eee23daa2d4033fd4711551e6641e7483",
         "shard-00000.bin": "6cda9a36eed4626ab20c72085382ee99fc6a41634c4f3bd34e0482cd2ce9f856",
         "shard-00001.bin": "1cfccc89db986ea6b3c9cc02b1482cbdbeb0849aa6d7882e69c5be0804c73ecd",
         "shard-00002.bin": "eaaff6c107bb50a2a274ea522aaa247a703f7500b87fda5abeb5c77efd05d3fc",
     },
     "rle": {
-        "manifest.json": "46798df83f51514ec0baf8a579f13fd731c63ffb5d03205c3bcce8ddcb386763",
+        "manifest.json": "b25c6e8d72e3eb4f28049ff065987188b7328b34c73a72416a7e7fed6f394337",
         "shard-00000.bin": "908228898b7ded1fc1a22609ab6e233cca4045d1423e808ff29ae7cda6a3effe",
         "shard-00001.bin": "06293989fea5c652b0a81f1b41b764c72ef90b118292eccd2b5c7f4e7b9ec5f2",
         "shard-00002.bin": "6fd13f9526f12e6c88393b2ab0ca8dc2481cf0de0d7020b833e1968deb9719d8",
@@ -218,13 +219,71 @@ _PINNED_SHA256 = {
 }
 
 
+def test_max_set_bits_is_the_largest_set_and_costs_no_pass(tmp_path):
+    """Δ is manifest metadata: the same as the in-memory family's, read
+    without a pass, and a merged delta view reports its live rows' Δ."""
+    systems = [SetSystem(5, []), SetSystem(5, [[], []]), _mixed_system(),
+               SetSystem(65, [[64], list(range(65)), [0]])]
+    for case, system in enumerate(systems):
+        stream = ShardedSetStream(write_shards(tmp_path / str(case), system,
+                                               chunk_rows=2))
+        assert stream.max_set_size == system.max_set_size()
+        assert stream.lower_bound == SetStream(system).lower_bound
+        assert stream.passes == 0
+        stream.close()
+
+
+
+def test_delta_chain_records_its_largest_live_set(tmp_path):
+    """Each delta.json records the merged view's Δ, equal to what the
+    compacted rewrite records; a forged one passes a plain open but not
+    a verified open nor a deep fsck."""
+    from repro.setsystem import compact
+    from repro.setsystem.deltas import _chain_checksum
+    from repro.setsystem.durability import fsck_repository
+
+    path = write_shards(tmp_path / "chain", SetSystem(6, [[0, 1, 2, 3], [4], [5]]),
+                        chunk_rows=2)
+    widest = []
+    for ops in ([{"op": "delete", "id": 1}],  # a narrow row: Δ stands
+                [{"op": "delete", "id": 0},   # the widest row: rows decoded
+                 {"op": "insert", "elements": [4, 5]}],
+                [{"op": "insert", "elements": [0, 1, 2]}]):
+        apply_delta(path, ops)
+        with MergedShardView(path) as view:
+            widest.append(view.max_set_bits)
+            assert widest[-1] == view.to_system().max_set_size()
+    assert widest == [4, 2, 3]
+
+    record_path = path / "deltas" / "00003" / "delta.json"
+    record = json.loads(record_path.read_text())
+    record["max_set_bits"] = 2
+    record["crc32"] = _chain_checksum(record)
+    record_path.write_text(json.dumps(record))
+    with MergedShardView(path) as view:
+        assert view.max_set_bits == 2
+    with pytest.raises(ShardFormatError) as refused:
+        MergedShardView(path, verify=True)
+    assert refused.value.code == "stats-max-set"
+    assert fsck_repository(path).codes() == ["stats-max-set"]
+
+    record["max_set_bits"] = 3
+    record["crc32"] = _chain_checksum(record)
+    record_path.write_text(json.dumps(record))
+    compact(path)
+    with ShardedRepository(path) as repo:
+        assert repo.max_set_bits == 3
+
+
 @pytest.mark.parametrize("encoding", ENCODINGS)
 def test_format_pin_mixed_system_bytes(tmp_path, encoding):
     """The on-disk bytes of a small mixed repository never move.
 
     The hashes were taken from the per-row scalar writer this format was
-    defined by; any encoder change that shifts a byte of a shard file or
-    of the manifest (stats included) fails here."""
+    defined by (the manifests re-pinned when the stats block gained
+    ``max_set_bits``; the shard files did not move); any encoder change
+    that shifts a byte of a shard file or of the manifest (stats
+    included) fails here."""
     path = write_shards(tmp_path / encoding, _mixed_system(), chunk_rows=2,
                         encoding=encoding)
     digests = {
@@ -295,8 +354,9 @@ def _oracle_choose_row_tag(row, words: int, encoding: str) -> int:
 def _oracle_shard_stats(rows, tags, n: int) -> dict:
     hist = [0] * 16
     mix = {"dense": 0, "sparse": 0, "rle": 0}
-    set_bits = runs = sparse_elems = rle_runs = 0
+    set_bits = runs = sparse_elems = rle_runs = widest = 0
     for row, tag in zip(rows, tags):
+        widest = max(widest, len(row))
         hist[min(15, len(row) * 16 // n) if n > 0 else 0] += 1
         mix[("dense", "sparse", "rle")[tag]] += 1
         set_bits += len(row)
@@ -310,6 +370,7 @@ def _oracle_shard_stats(rows, tags, n: int) -> dict:
         "density_hist": hist,
         "codec_mix": mix,
         "set_bits": set_bits,
+        "max_set_bits": widest,
         "runs": runs,
         "sparse_elems": sparse_elems,
         "rle_runs": rle_runs,
@@ -494,9 +555,12 @@ def test_corrupt_sparse_block_fails_loudly(tmp_path):
         payload[-2] = 0x80
 
     _corrupt_payload_byte(path, "shard-00000.bin", unterminate)
-    with ShardedRepository(path, verify=True) as repo:  # CRC matches...
+    # The CRC matches, but a verified open decodes every row...
+    with pytest.raises(ShardFormatError, match="corrupt|varint"):
+        ShardedRepository(path, verify=True)
+    with ShardedRepository(path) as repo:  # ...and so does any later read
         with pytest.raises(ShardFormatError, match="corrupt|varint"):
-            list(repo.iter_row_masks())  # ...decode still fails loudly
+            list(repo.iter_row_masks())
         with pytest.raises(ShardFormatError, match="corrupt|varint"):
             repo.scan_shard(0, ScanMask(10, (1 << 10) - 1), min_capture_gain=1)
 
@@ -1105,8 +1169,25 @@ def _parent(tree, path):
 def _manifest_mutations(draw):
     """One mutation of a manifest: ``(label, mutate)``."""
     kind = draw(st.sampled_from(
-        ["drop", "retype", "bump", "rename", "reorder", "schema"]
+        ["drop", "retype", "bump", "rename", "reorder", "schema", "max_set_bits"]
     ))
+    if kind == "max_set_bits":
+        # Δ edited and the stats re-sealed, so the reader's own checks
+        # (type, range, histogram) and the decoded rows must catch it.
+        shard = draw(st.integers(0, 2))
+        op = draw(st.sampled_from(["drop", None, True, 1.5, "x", -1, 1, "zero", "n+1"]))
+
+        def mutate(m):
+            stats = m["shards"][shard]["stats"]
+            if op == "drop":
+                stats.pop("max_set_bits")
+            elif type(op) is int:  # ±1, not True
+                stats["max_set_bits"] += op
+            else:
+                stats["max_set_bits"] = {"zero": 0, "n+1": m["n"] + 1}.get(op, op)
+            m["stats_crc32"] = _stats_checksum(m["shards"])
+
+        return f"max_set_bits {shard} {op!r}", mutate
     if kind == "schema":
         tag = draw(st.sampled_from(
             ["repro.shards/v1", "repro.shards/v2", "repro.shards/v4", "", None]
@@ -1174,6 +1255,7 @@ def test_manifest_fuzz_exact_decode_or_typed_refusal(mutation):
             opened = False
         else:
             opened = True
+            assert not label.startswith("max_set_bits"), label
             if decoded != system:
                 # The header is not checksummed: an ``n`` that keeps the
                 # word count and every element in range is a valid
