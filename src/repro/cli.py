@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Seven commands, all file-based so the library is usable without writing
+Six commands, all file-based so the library is usable without writing
 Python:
 
 * ``generate`` — emit a workload instance to a file (text or .json);
@@ -21,9 +21,9 @@ Python:
   (:mod:`repro.workloads.churn`) for the others to consume;
 * ``solve``    — run a streaming algorithm over an instance file *or a
   shard directory* and print the cover plus the pass/space accounting;
-  ``--transport remote --workers host:port,...`` spreads the scans over
-  ``repro worker serve`` processes (results are bit-identical to local
-  runs, DESIGN.md §9);
+  ``--workers host:port,...`` spreads the scans over ``repro worker
+  serve`` processes (results are bit-identical to the serial scan,
+  DESIGN.md §9);
 * ``worker``   — ``worker serve --root <dir>``: serve shard scans to
   remote drivers over TCP (:mod:`repro.engine.transport.remote`);
   ``worker ping HOST:PORT``: round-trip a protocol ping to a running
@@ -31,17 +31,15 @@ Python:
   the operator's fleet-health probe;
 * ``info``     — instance statistics (n, m, sparsity, density, optimum
   bounds);
-* ``bench``    — run the packed-kernel benchmark suite and write a
-  machine-readable ``BENCH_kernels.json`` (see :mod:`repro.bench`);
 * ``experiments`` — run a named scenario suite, write
   ``EXPERIMENTS_<suite>.json`` and regenerate the EXPERIMENTS.md tables
   (see :mod:`repro.experiments`).
 
 Knob validation is shared with the library: every flag that feeds an
-engine knob (``--jobs``, ``--workers``) converts through the library's
-resolver inside :func:`_library_flag`, so invalid values surface as
-argparse usage errors naming the flag — never tracebacks — with one
-error path for all of them.
+engine knob (``--workers``, ``--cache-bytes``) converts through the
+library's resolver inside :func:`_library_flag`, so invalid values
+surface as argparse usage errors naming the flag — never tracebacks —
+with one error path for all of them.
 """
 
 from __future__ import annotations
@@ -111,8 +109,8 @@ _GENERATORS = {
 def _library_flag(convert):
     """Shared argparse error path for library-validated knob flags.
 
-    Wraps a library resolver (:func:`repro.engine.resolve_jobs`,
-    :func:`repro.engine.resolve_workers`, ...) as an argparse ``type``:
+    Wraps a library resolver (:func:`repro.engine.resolve_workers`,
+    :func:`repro.engine.resolve_cache_bytes`) as an argparse ``type``:
     the library's ``ValueError`` — whose message names the flag — becomes
     an :class:`argparse.ArgumentTypeError`, so every invalid knob value
     surfaces as the same kind of usage error, never a traceback.
@@ -127,31 +125,11 @@ def _library_flag(convert):
     return parse
 
 
-def _jobs_value(value: str):
-    """``--jobs`` resolver: ``auto`` or a positive integer."""
-    from repro.engine import resolve_jobs
-
-    if value == "auto":
-        return "auto"
-    return resolve_jobs(value)
-
-
 def _workers_value(value: str):
     """``--workers`` resolver: comma-joined host:port pairs."""
     from repro.engine import resolve_workers
 
     return resolve_workers(value)
-
-
-def _add_jobs_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=_library_flag(_jobs_value),
-        default="auto",
-        help="scan-executor parallelism: 'auto' (default; scans run "
-        "serially, and bench sweeps serial, 2 and 4) or a positive "
-        "worker-process count; results are identical at every setting",
-    )
 
 
 def _cache_value(value: str) -> str:
@@ -170,7 +148,7 @@ def _add_cache_option(parser: argparse.ArgumentParser) -> None:
         metavar="BYTES",
         help="decoded-chunk hot-cache budget: a byte count (k/m/g "
         "suffixes ok), 'auto' (a fraction of available RAM; the "
-        "default) or 'off'; exported to scan workers via "
+        "default) or 'off'; exported to worker processes via "
         "REPRO_CACHE_BYTES — results are identical at every setting",
     )
 
@@ -182,7 +160,7 @@ def _apply_cache_option(args) -> None:
         return
     from repro.engine import CACHE_ENV, configure_cache
 
-    os.environ[CACHE_ENV] = value  # inherited by process/remote workers
+    os.environ[CACHE_ENV] = value  # inherited by spawned workers
     configure_cache(value)
 
 
@@ -371,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker_sub = worker.add_subparsers(dest="worker_command", required=True)
     worker_serve = worker_sub.add_parser(
         "serve",
-        help="serve shard scans over TCP to `repro solve --transport remote` "
+        help="serve shard scans over TCP to `repro solve --workers` "
         "drivers (trusted networks only; see docs/DISTRIBUTED.md)",
     )
     worker_serve.add_argument(
@@ -423,27 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--show-cover", action="store_true", help="print the chosen set ids"
     )
-    _add_jobs_option(solve)
     _add_cache_option(solve)
-    solve.add_argument(
-        "--transport",
-        choices=["local", "remote"],
-        default="local",
-        help="scan-engine backend: 'local' (default; serial or process "
-        "pool per --jobs) or 'remote' (spread scans over --workers; "
-        "requires a shard-directory input; results are identical)",
-    )
     solve.add_argument(
         "--workers",
         type=_library_flag(_workers_value),
         default=None,
         metavar="HOST:PORT[,HOST:PORT...]",
-        help="remote worker addresses for --transport remote "
-        "(start them with `repro worker serve`)",
+        help="spread scans over these remote workers (start them with "
+        "`repro worker serve`; requires a shard-directory input; results "
+        "are identical to the default serial scan)",
     )
     retry = solve.add_argument_group(
         "remote fault tolerance",
-        "failure handling for --transport remote (see docs/DISTRIBUTED.md); "
+        "failure handling for --workers (see docs/DISTRIBUTED.md); "
         "defaults are fail-loud: the first worker fault aborts the solve. "
         "Results are bit-identical whether or not retries fire.",
     )
@@ -506,28 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also compute greedy upper / LP lower bounds on the optimum",
     )
 
-    bench = sub.add_parser(
-        "bench", help="run the packed-kernel benchmark suite"
-    )
-    bench.add_argument(
-        "--scale",
-        default="paper",
-        help="instance roster: smoke (CI), paper (default), full, large "
-        "(out-of-core, sharded); comma-join to record several "
-        "(e.g. paper,large)",
-    )
-    bench.add_argument(
-        "--output",
-        default="BENCH_kernels.json",
-        help="where to write the JSON report",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats (best-of)"
-    )
-    bench.add_argument("--seed", type=int, default=0)
-    _add_jobs_option(bench)
-    _add_cache_option(bench)
-
     experiments = sub.add_parser(
         "experiments",
         help="run a named scenario suite and regenerate EXPERIMENTS.md tables",
@@ -552,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-update-docs", action="store_true",
         help="skip the EXPERIMENTS.md refresh (CI smoke)",
     )
-    _add_jobs_option(experiments)
     return parser
 
 
@@ -924,19 +871,10 @@ def _cmd_worker_ping(args) -> int:
 
 def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
     _apply_cache_option(args)
-    if args.transport == "remote" and args.workers is None:
-        parser.error("--transport remote requires --workers host:port[,...]")
-    if args.transport != "remote" and args.workers is not None:
-        parser.error("--workers only applies with --transport remote")
-    if args.transport == "remote" and args.jobs != "auto":
+    if args.workers is not None and not Path(args.input).is_dir():
         parser.error(
-            "--jobs does not apply with --transport remote "
-            "(parallelism is one scan lane per --workers entry)"
-        )
-    if args.transport == "remote" and not Path(args.input).is_dir():
-        parser.error(
-            "--transport remote needs a shard-directory input (remote "
-            "workers open repositories by path; see `repro shard create`)"
+            "--workers needs a shard-directory input (remote workers "
+            "open repositories by path; see `repro shard create`)"
         )
     retry = _resolve_retry_flags(args, parser)
     if Path(args.input).is_dir():
@@ -945,9 +883,7 @@ def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
 
         try:
             stream = ShardedSetStream(
-                args.input, jobs=args.jobs,
-                transport=(args.transport if args.transport != "local" else None),
-                workers=args.workers, retry=retry,
+                args.input, workers=args.workers, retry=retry
             )
         except ShardFormatError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -958,7 +894,7 @@ def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        stream = SetStream(system, jobs=args.jobs)
+        stream = SetStream(system)
     try:
         algorithm = _ALGORITHMS[args.algorithm](args)
         result = algorithm.solve(stream)
@@ -1010,11 +946,11 @@ def _resolve_retry_flags(args, parser) -> "dict | None":
         flags["local_fallback"] = False
     if not flags:
         return None
-    if args.transport != "remote":
+    if args.workers is None:
         parser.error(
             "the --retry-*/--deadline/--idle-timeout/--connect-timeout/"
             "--ping-interval/--no-local-fallback flags only apply with "
-            "--transport remote"
+            "--workers"
         )
     flags.setdefault("seed", args.seed)  # deterministic backoff jitter
     from repro.engine import RetryPolicy
@@ -1068,26 +1004,6 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench import render_summary, run_benchmarks
-
-    _apply_cache_option(args)
-    try:
-        payload = run_benchmarks(
-            scale=args.scale,
-            repeats=args.repeats,
-            seed=args.seed,
-            output=args.output,
-            jobs=args.jobs,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_summary(payload))
-    print(f"\n[report saved to {args.output}]")
-    return 0
-
-
 def _cmd_experiments(args) -> int:
     from repro.experiments import available_suites, run_suite
 
@@ -1104,7 +1020,6 @@ def _cmd_experiments(args) -> int:
             seed=args.seed,
             output_dir=args.output_dir,
             docs_path=None if args.no_update_docs else args.docs,
-            jobs=args.jobs,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1143,8 +1058,6 @@ def main(argv: "list[str] | None" = None) -> int:
         return _cmd_solve(args, parser)
     if args.command == "info":
         return _cmd_info(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "experiments":
         return _cmd_experiments(args)
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover

@@ -49,10 +49,9 @@ the update and cleanup passes read each captured row's int from the
 record as it arrives.
 
 The passes themselves are executor-driven capture scans (DESIGN.md §6):
-the stream's ``jobs`` / ``transport`` knobs decide how the repository is
-scanned — serial and in order, or one shard per process-pool task, or
-cost-balanced remote batches — while the replay over captured
-projections stays bit-identical at every setting.
+the stream decides how the repository is scanned — serial and in order,
+or cost-balanced batches over remote workers — while the replay over
+captured projections stays bit-identical on both.
 """
 
 from __future__ import annotations

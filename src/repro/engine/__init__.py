@@ -6,21 +6,19 @@ exploits that observation in three cleanly separated layers:
 
 * :mod:`repro.engine.plan` — *what to run where*: the remote batch
   plan (contiguous cost-balanced shard segments from the manifest
-  statistics) and the ``jobs`` / ``workers`` knob resolution;
+  statistics) and the ``workers`` knob resolution;
 * :mod:`repro.engine.transport` — *how to run it*: the
-  :class:`ScanExecutor` protocol with ``serial``, ``process`` and
-  ``remote`` backends, each a single module with one schedule;
+  :class:`ScanExecutor` protocol with a ``serial`` and a ``remote``
+  backend, each a single module with one schedule;
 * :mod:`repro.engine.merge` — *how results become one scan*: the
-  chunk-order reorder window and eager scan merging, shared by every
-  backend.
+  chunk-order reorder window and eager scan merging, shared by both
+  backends.
 
 Because scheduling and transport are quarantined away from
 reconciliation, covers, tie-breaks, pass counts and accounting are
-**bit-identical** at every ``jobs`` × ``transport`` × encoding
-setting — the property tests in ``tests/test_parallel.py`` and
-``tests/test_remote.py`` assert exactly that, and a new backend (a job
-queue, an async I/O ring) is a one-file addition that inherits the
-guarantee from the merge layer.
+**bit-identical** on both transports and every encoding — the property
+tests in ``tests/test_parallel.py`` and ``tests/test_remote.py`` assert
+exactly that.
 
 This is the import surface the rest of the repository uses.
 
@@ -60,15 +58,8 @@ from repro.engine.merge import (
     capture_words,
     merge_scan_parts,
 )
-from repro.engine.plan import (
-    JOBS_AUTO,
-    plan_batches,
-    resolve_jobs,
-    resolve_workers,
-)
+from repro.engine.plan import plan_batches, resolve_workers
 from repro.engine.transport import (
-    TRANSPORTS,
-    ProcessScanExecutor,
     RemoteScanExecutor,
     StaleRepositoryError,
     ScanExecutor,
@@ -77,7 +68,6 @@ from repro.engine.transport import (
     WorkerServer,
     executor_for,
     ping_worker,
-    shutdown_pools,
     spawn_local_worker,
 )
 
@@ -85,13 +75,10 @@ __all__ = [
     "CACHE_ENV",
     "CHAOS_ENV",
     "CHAOS_MODES",
-    "JOBS_AUTO",
-    "TRANSPORTS",
     "ChaosProxy",
     "ChunkCache",
     "FaultEvent",
     "FaultLog",
-    "ProcessScanExecutor",
     "RemoteScanExecutor",
     "StaleRepositoryError",
     "ReorderWindow",
@@ -112,8 +99,6 @@ __all__ = [
     "ping_worker",
     "plan_batches",
     "resolve_cache_bytes",
-    "resolve_jobs",
     "resolve_workers",
-    "shutdown_pools",
     "spawn_local_worker",
 ]

@@ -9,8 +9,7 @@ ragged gathers and the matrix packing and goes straight to the gain
 kernels.
 
 One process-wide cache instance is shared by every consumer in that
-process: the serial and thread executors consult it on the driver side,
-each process-pool worker grows its own copy-on-write fork of it, and a
+process: the serial executor consults it on the driver side, and a
 ``repro worker serve`` process shares one across **every** connection —
 different drivers (tenants) scanning the same repository hit each
 other's warm chunks.
@@ -28,9 +27,9 @@ the superseded ``(path, token)`` (:meth:`ChunkCache.invalidate`).
 
 The cache is observability-rich but semantics-free: hits return the
 same payload ``decode_chunk`` would rebuild, so results are
-bit-identical cache-on vs. cache-off at every ``jobs`` × ``transport``
-× ``encoding`` setting (property-tested in
-``tests/test_parallel.py`` / ``tests/test_remote.py``).
+bit-identical cache-on vs. cache-off on both transports and every
+encoding (property-tested in ``tests/test_parallel.py`` /
+``tests/test_remote.py``).
 """
 
 from __future__ import annotations
@@ -50,9 +49,9 @@ __all__ = [
     "resolve_cache_bytes",
 ]
 
-#: Environment knob mirroring ``--cache-bytes``; inherited by process
-#: pool workers and spawned local worker servers, so one setting governs
-#: every cache a solve touches.
+#: Environment knob mirroring ``--cache-bytes``; inherited by spawned
+#: local worker servers, so one setting governs every cache a solve
+#: touches.
 CACHE_ENV = "REPRO_CACHE_BYTES"
 
 #: ``auto`` budget: this fraction of ``MemAvailable`` ...

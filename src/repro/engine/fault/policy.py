@@ -6,7 +6,7 @@ bundle travels as a single value through
 the ``repro solve --retry-*`` CLI flags.  Validation lives here — in the
 library, not argparse — so invalid values raise a ``ValueError`` naming
 the CLI flag that usually feeds the knob, exactly like
-:func:`repro.engine.plan.resolve_jobs`.
+:func:`repro.engine.plan.resolve_workers`.
 
 The **default policy is fail-loud**: ``attempts=1`` reproduces PR 5's
 contract verbatim (the first worker fault aborts the scan with a

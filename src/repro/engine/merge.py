@@ -2,8 +2,8 @@
 
 Every transport backend (:mod:`repro.engine.transport`) computes the
 same per-chunk values; what makes covers, tie-breaks, pass counts and
-accounting **bit-identical** across serial / process / remote
-execution is that all of them funnel their results through this module
+accounting **bit-identical** across serial and remote execution is
+that both funnel their results through this module
 (DESIGN.md §6.1, §9.2):
 
 * :class:`ReorderWindow` buffers out-of-order per-chunk results and
@@ -80,7 +80,7 @@ class ReorderWindow:
     ``(position, item)`` pairs in whatever order their transport
     completes them; the consumer drains :meth:`pop_ready`, which yields
     every buffered item whose position is next in sequence.  The window
-    is what makes batched, pooled and remote execution observably
+    is what makes batched remote execution observably
     identical to a serial scan — the shared half of the determinism
     argument in DESIGN.md §6.1/§9.2.
 

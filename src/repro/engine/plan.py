@@ -1,9 +1,9 @@
 """Batch planning and knob resolution for the scan engine.
 
 This module is the *scheduling* layer of :mod:`repro.engine` (DESIGN.md
-§8, §9.1): it decides how a scan's chunks are grouped into work units
-and how the ``jobs`` / ``--workers`` knobs resolve into concrete
-parallelism — and nothing else.  Plans are pure schedules: whatever this
+§8, §9.1): it decides how a scan's chunks are grouped into remote work
+units and how the ``--workers`` knob resolves into worker addresses —
+and nothing else.  Plans are pure schedules: whatever this
 module produces, the merge layer (:mod:`repro.engine.merge`) re-assembles
 results in chunk order, so a plan can change wall-clock time but never a
 result.
@@ -12,8 +12,8 @@ The cost model consumed by :func:`plan_batches` comes from the shard
 manifest statistics
 (:meth:`repro.setsystem.shards.ShardedRepository.shard_cost_estimates`);
 the remote transport (:mod:`repro.engine.transport.remote`) is the only
-consumer of the plans; serial and process-pool scans run one chunk per
-step or task and need none.
+consumer of the plans; a serial scan runs one shard per step and needs
+none.
 """
 
 from __future__ import annotations
@@ -21,14 +21,9 @@ from __future__ import annotations
 import operator
 
 __all__ = [
-    "JOBS_AUTO",
     "plan_batches",
-    "resolve_jobs",
     "resolve_workers",
 ]
-
-#: The default value of every ``jobs`` knob.
-JOBS_AUTO = "auto"
 
 #: Planner batching: cost-balanced batches per worker.  More batches
 #: load-balance better, fewer batches amortize IPC better; 4 keeps the
@@ -37,43 +32,6 @@ _BATCHES_PER_WORKER = 4
 
 #: TCP ports a ``--workers`` entry may name.
 _PORT_RANGE = (1, 65535)
-
-
-def resolve_jobs(jobs=JOBS_AUTO) -> int:
-    """Resolve a ``jobs`` knob to a concrete worker count (>= 1).
-
-    ``"auto"`` (or ``None``) resolves to 1, the serial executor: on the
-    measured roster a local process pool never beats an in-process scan
-    (DESIGN.md §6.1), so parallel lanes are opt-in.  Integers (and
-    integer strings, for CLI plumbing) pass through after validation;
-    zero and negative counts raise a ``ValueError`` naming the
-    ``--jobs`` CLI flag that usually feeds this knob.
-
-    >>> resolve_jobs(4)
-    4
-    >>> resolve_jobs("auto")
-    1
-    >>> resolve_jobs(0)
-    Traceback (most recent call last):
-        ...
-    ValueError: jobs must be 'auto' or a positive integer, got 0 (the --jobs flag takes the same values)
-    """
-    if jobs is None or jobs == JOBS_AUTO:
-        return 1
-    try:
-        # operator.index rejects floats; digit-strings come from the CLI.
-        value = int(jobs, 10) if isinstance(jobs, str) else operator.index(jobs)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"jobs must be 'auto' or a positive integer, got {jobs!r} "
-            "(the --jobs flag takes the same values)"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"jobs must be 'auto' or a positive integer, got {jobs!r} "
-            "(the --jobs flag takes the same values)"
-        )
-    return value
 
 
 def _workers_error(spec, detail: str) -> ValueError:
@@ -90,8 +48,8 @@ def resolve_workers(workers) -> "list[tuple[str, int]]":
     an iterable of ``"host:port"`` strings, or an iterable of
     ``(host, port)`` pairs.  Empty hosts, missing colons and ports
     outside ``1..65535`` raise a ``ValueError`` naming the ``--workers``
-    CLI flag that usually feeds this knob — the same error path as
-    :func:`resolve_jobs`, so argparse surfaces both as usage errors.
+    CLI flag that usually feeds this knob, so argparse surfaces it as a
+    usage error.
 
     >>> resolve_workers("127.0.0.1:9041, 127.0.0.1:9042")
     [('127.0.0.1', 9041), ('127.0.0.1', 9042)]
@@ -154,8 +112,7 @@ def plan_batches(
     readahead rewards), and the cost-equalized split — not submission
     order — is what keeps one dense straggler from serializing a scan.
     Batches stay in chunk order because consumers drain results in
-    chunk order: pool workers pull tasks FIFO, so completion tracks
-    submission and the driver's reorder window stays a few batches deep
+    chunk order, so the driver's reorder window stays a few batches deep
     instead of buffering most of the scan behind a late first chunk.
     Purely a schedule: results are re-assembled in chunk order
     regardless, so the plan can never change what a scan returns.

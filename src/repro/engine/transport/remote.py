@@ -7,10 +7,9 @@ one logical scan over a fleet of worker processes reachable by TCP:
 
 * a **worker** (``python -m repro worker serve --root <dir>``) owns a
   directory tree of shard repositories.  Per scan request it opens the
-  named repository *by path* (cached, keyed by path + manifest token,
-  exactly like the process backend's fork workers), scans the requested
-  shards via its own ``mmap``, and streams per-shard results back as
-  they complete;
+  named repository *by path* (cached, keyed by path + manifest token),
+  scans the requested shards via its own ``mmap``, and streams
+  per-shard results back as they complete;
 * the **driver** (:class:`RemoteScanExecutor`) plans contiguous
   cost-balanced shard batches (:func:`repro.engine.plan.plan_batches`),
   feeds them through a shared work queue to one lane thread per worker,
@@ -49,7 +48,7 @@ for ``rejoin_backoff`` seconds; if every worker is lost mid-scan the
 driver degrades to a local serial scan of the undelivered shards (with
 a warning) unless ``local_fallback`` is off.  Everything observed along
 the way lands in the executor's :class:`~repro.engine.fault.FaultLog`.
-The driver holds no SharedMemory and no pools, so there is nothing to
+The driver holds no shared state with its workers, so there is nothing to
 leak or recover; workers are stateless between requests.
 
 The protocol carries set-system scan requests only — no code, no
@@ -119,15 +118,13 @@ _FRAME_HEADER = struct.Struct(">cII")
 #: Frames larger than this indicate a desynchronized (or hostile) peer.
 _MAX_FRAME_BYTES = 1 << 30
 
-#: Worker-side cap on cached opened repositories (mirrors the process
-#: backend's worker cache).
+#: Worker-side cap on cached opened repositories.
 _SERVER_REPO_CACHE = 8
 
 #: Test hook (``tests/test_remote.py``): when set in a worker's
 #: environment, the worker SIGKILLs itself after streaming its first
-#: shard result — the remote twin of ``REPRO_TEST_CRASH_SCAN`` — so the
-#: disconnect contract (loud error, no SHM, no partial state) stays
-#: regression-tested.
+#: shard result, so the disconnect contract (loud error, no partial
+#: state) stays regression-tested.
 _CRASH_TEST_ENV = "REPRO_TEST_CRASH_REMOTE"
 
 #: Test hooks (``tests/test_fault.py``) for the spawn_local_worker edge
@@ -240,10 +237,10 @@ def recv_bytes(sock: socket.socket) -> bytes:
 def manifest_token(path: "str | Path") -> list[int]:
     """Content identity of a repository's manifest: ``[size, crc32]``.
 
-    Unlike the process backend's ``(inode, mtime, size)`` key — which is
-    only meaningful on one filesystem — this token is pure content, so a
-    driver and a worker that see the repository through different mounts
-    still agree on what they are scanning.  A worker whose manifest
+    Unlike an ``(inode, mtime, size)`` key — which is only meaningful on
+    one filesystem — this token is pure content, so a driver and a worker
+    that see the repository through different mounts still agree on what
+    they are scanning.  A worker whose manifest
     bytes hash differently refuses the scan instead of silently scanning
     a different family.
     """
@@ -1275,9 +1272,8 @@ class RemoteScanExecutor(ScanExecutor):
 
     Only repository scans are remote: the whole point of the backend is
     that workers re-open the shard repository themselves and page it
-    through their own ``mmap``.  In-memory chunk scans
-    (:meth:`iter_scan_chunks`) raise — shipping a resident family over
-    TCP would be strictly worse than the process backend.
+    through their own ``mmap``.  In-memory families have no path a
+    worker could open, so they always scan serially.
     """
 
     transport = "remote"
@@ -1321,17 +1317,6 @@ class RemoteScanExecutor(ScanExecutor):
             proxy.stop()
         self._chaos = []
         self._dial = {}
-
-    # -- unsupported in-memory flavours ---------------------------------
-    def iter_scan_chunks(
-        self, n, chunks, mask, min_capture_gain=None, capture_ids=None,
-        best_only=False, include_gains=True,
-    ):
-        raise RuntimeError(
-            "the remote transport scans on-disk shard repositories only; "
-            "in-memory families have no path a worker could open — use "
-            "`repro shard create` (or write_shards) and a ShardedSetStream"
-        )
 
     # -- repository scans ------------------------------------------------
     def iter_scan_repository(

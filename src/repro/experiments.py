@@ -1,12 +1,12 @@
 """Scenario-suite orchestrator: ``python -m repro experiments``.
 
-Where ``repro bench`` times kernels, this module runs *named scenario
-suites* — reproducible experiment campaigns over the workload generators
-— and records every run in machine-readable JSON plus regenerated
-markdown tables in EXPERIMENTS.md.  Each suite:
+This module runs *named scenario suites* — reproducible experiment
+campaigns over the workload generators — and records every run in
+machine-readable JSON plus regenerated markdown tables in
+EXPERIMENTS.md.  Each suite:
 
 * builds its instances deterministically from ``(workload, params, seed)``
-  via :func:`repro.bench.build_instance`, so a recorded seed pins the
+  via :func:`repro.workloads.build_instance`, so a recorded seed pins the
   exact inputs;
 * runs its algorithms through the pass-counted stream protocol — most
   suites through :class:`~repro.streaming.sharded.ShardedSetStream`, i.e.
@@ -25,7 +25,7 @@ Suites
 ``smoke``
     Seconds-fast parity + accounting check (CI guard).
 ``parity``
-    Sharded vs in-memory equality on the ``paper`` bench roster: same
+    Sharded vs in-memory equality on the ``paper`` roster: same
     covers, same pass counts, for iterSetCover, threshold greedy and the
     partial variants.  Mismatches raise — the suite *proves* parity.
 ``tradeoff``
@@ -65,13 +65,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.baselines import EmekRosen, SahaGetoor, StoreAllGreedy, ThresholdGreedy
-from repro.bench import SCALES, build_instance
 from repro.core import IterSetCoverConfig, iter_set_cover
 from repro.partial.streaming import PartialIterSetCover, PartialThreshold
-from repro.engine import resolve_jobs
 from repro.setsystem.shards import ShardedRepository, write_shards
 from repro.streaming.sharded import ShardedSetStream
 from repro.streaming.stream import SetStream
+from repro.workloads import SCALES, build_instance
 
 __all__ = [
     "SCHEMA",
@@ -111,21 +110,20 @@ def _markdown_table(headers: list[str], rows: list[list]) -> str:
     return "\n".join(lines)
 
 
-def _command_line(suite: str, seed: int, jobs="auto") -> str:
-    base = f"python -m repro experiments --suite {suite} --seed {seed}"
-    return base if jobs == "auto" else f"{base} --jobs {jobs}"
+def _command_line(suite: str, seed: int) -> str:
+    return f"python -m repro experiments --suite {suite} --seed {seed}"
 
 
-def _provenance(suite: str, seed: int, jobs="auto") -> str:
+def _provenance(suite: str, seed: int) -> str:
     return (
-        f"_Regenerated by `{_command_line(suite, seed, jobs)}` "
+        f"_Regenerated by `{_command_line(suite, seed)}` "
         f"(schema `{SCHEMA}`, raw rows in `EXPERIMENTS_{suite}.json`)._"
     )
 
 
 def render_tables(payload: dict) -> str:
     """The markdown block injected into EXPERIMENTS.md for one suite."""
-    parts = [_provenance(payload["suite"], payload["seed"], payload.get("jobs", "auto"))]
+    parts = [_provenance(payload["suite"], payload["seed"])]
     for title, table in payload["tables"].items():
         parts.append(f"**{title}**\n\n{table}")
     for note in payload.get("notes", []):
@@ -193,7 +191,6 @@ def _parity_rows(
     roster: list[tuple[str, str, dict]],
     seed: int,
     chunk_rows: "int | None" = None,
-    jobs="auto",
 ) -> list[dict]:
     """Run every (instance, algorithm) pair on both streams; assert parity."""
     rows: list[dict] = []
@@ -204,7 +201,7 @@ def _parity_rows(
             with ShardedRepository(path) as repo:
                 for algo_name, run in _algorithms(seed):
                     in_memory = run(SetStream(system))
-                    sharded_stream = ShardedSetStream(repo, jobs=jobs)
+                    sharded_stream = ShardedSetStream(repo)
                     sharded = run(sharded_stream)
                     if in_memory.selection != sharded.selection:
                         raise AssertionError(
@@ -302,18 +299,18 @@ def _assert_bounded(result, stream: ShardedSetStream, name: str) -> dict:
 # ----------------------------------------------------------------------
 # Suites
 # ----------------------------------------------------------------------
-def _suite_smoke(seed: int, jobs="auto") -> tuple[list[dict], dict, list[str]]:
+def _suite_smoke(seed: int) -> tuple[list[dict], dict, list[str]]:
     roster = [
         ("planted_n64_m48", "planted", dict(n=64, m=48, opt=4)),
         ("sparse_n50_m80", "sparse_uniform", dict(n=50, m=80, expected_size=4)),
     ]
     # Tiny chunks force several shards per instance, so the smoke suite
     # still exercises chunk-boundary logic.
-    rows = _parity_rows(roster, seed, chunk_rows=7, jobs=jobs)
+    rows = _parity_rows(roster, seed, chunk_rows=7)
     system, _ = build_instance(*roster[1][1:], seed)
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as tmp:
         path = write_shards(Path(tmp) / "bounded", system, chunk_rows=7)
-        stream = ShardedSetStream(path, jobs=jobs)
+        stream = ShardedSetStream(path)
         result = ThresholdGreedy().solve(stream)
         accounting = _assert_bounded(result, stream, "smoke/bounded")
         stream.close()
@@ -330,8 +327,8 @@ def _suite_smoke(seed: int, jobs="auto") -> tuple[list[dict], dict, list[str]]:
     return rows, tables, []
 
 
-def _suite_parity(seed: int, jobs="auto") -> tuple[list[dict], dict, list[str]]:
-    rows = _parity_rows(SCALES["paper"], seed, jobs=jobs)
+def _suite_parity(seed: int) -> tuple[list[dict], dict, list[str]]:
+    rows = _parity_rows(SCALES["paper"], seed)
     notes = [
         "Every row asserts identical covers and identical pass counts "
         "between SetStream and ShardedSetStream; a mismatch fails the "
@@ -341,7 +338,7 @@ def _suite_parity(seed: int, jobs="auto") -> tuple[list[dict], dict, list[str]]:
     return rows, {"Sharded vs in-memory parity (paper roster)": _parity_table(rows)}, notes
 
 
-def _suite_tradeoff(seed: int, jobs="auto") -> tuple[list[dict], dict, list[str]]:
+def _suite_tradeoff(seed: int) -> tuple[list[dict], dict, list[str]]:
     name, workload, params = SCALES["paper"][-1]  # the acceptance instance
     system, opt = build_instance(workload, params, seed)
     rows: list[dict] = []
@@ -349,7 +346,7 @@ def _suite_tradeoff(seed: int, jobs="auto") -> tuple[list[dict], dict, list[str]
         path = write_shards(Path(tmp) / name, system)
         with ShardedRepository(path) as repo:
             for delta in (1.0, 0.5, 1 / 3, 0.25):
-                stream = ShardedSetStream(repo, jobs=jobs)
+                stream = ShardedSetStream(repo)
                 result = iter_set_cover(
                     stream, delta=delta, seed=seed,
                     use_polylog_factors=False, include_rho=False,
@@ -381,7 +378,7 @@ def _suite_tradeoff(seed: int, jobs="auto") -> tuple[list[dict], dict, list[str]
     return rows, {"Pass/space trade-off (delta sweep, sharded)": table}, notes
 
 
-def _suite_single_pass(seed: int, jobs="auto") -> tuple[list[dict], dict, list[str]]:
+def _suite_single_pass(seed: int) -> tuple[list[dict], dict, list[str]]:
     roster = [
         ("planted_n500_m1000", "planted", dict(n=500, m=1000, opt=8)),
         ("zipf_n500_m800", "zipf", dict(n=500, m=800)),
@@ -399,7 +396,7 @@ def _suite_single_pass(seed: int, jobs="auto") -> tuple[list[dict], dict, list[s
             path = write_shards(Path(tmp) / name, system)
             with ShardedRepository(path) as repo:
                 for algo_name, make in algorithms:
-                    stream = ShardedSetStream(repo, jobs=jobs)
+                    stream = ShardedSetStream(repo)
                     result = make().solve(stream)
                     rows.append(
                         {
@@ -426,7 +423,7 @@ def _suite_single_pass(seed: int, jobs="auto") -> tuple[list[dict], dict, list[s
     return rows, {"Single-pass baselines (sharded)": table}, notes
 
 
-def _suite_partial(seed: int, jobs="auto") -> tuple[list[dict], dict, list[str]]:
+def _suite_partial(seed: int) -> tuple[list[dict], dict, list[str]]:
     name, workload, params = (
         "planted_n1000_m2000", "planted", dict(n=1000, m=2000, opt=8),
     )
@@ -445,7 +442,7 @@ def _suite_partial(seed: int, jobs="auto") -> tuple[list[dict], dict, list[str]]
                     ),
                     ("partial threshold", lambda eps=eps: PartialThreshold(eps=eps)),
                 ):
-                    stream = ShardedSetStream(repo, jobs=jobs)
+                    stream = ShardedSetStream(repo)
                     result = make().solve(stream)
                     rows.append(
                         {
@@ -475,7 +472,7 @@ def _suite_partial(seed: int, jobs="auto") -> tuple[list[dict], dict, list[str]]
     return rows, {"eps-Partial Set Cover (sharded)": table}, notes
 
 
-def _suite_large(seed: int, jobs="auto") -> tuple[list[dict], dict, list[str]]:
+def _suite_large(seed: int) -> tuple[list[dict], dict, list[str]]:
     rows: list[dict] = []
     for name, workload, params in SCALES["large"]:
         system, opt = build_instance(workload, params, seed)
@@ -488,7 +485,7 @@ def _suite_large(seed: int, jobs="auto") -> tuple[list[dict], dict, list[str]]:
                     ("greedy (threshold)", lambda: ThresholdGreedy()),
                     ("partial threshold (eps=0.1)", lambda: PartialThreshold(eps=0.1)),
                 ):
-                    stream = ShardedSetStream(repo, jobs=jobs)
+                    stream = ShardedSetStream(repo)
                     result = make().solve(stream)
                     if not result.feasible:
                         raise AssertionError(f"{name}/{algo_name} did not finish")
@@ -523,7 +520,7 @@ def _suite_large(seed: int, jobs="auto") -> tuple[list[dict], dict, list[str]]:
     return rows, {"Out-of-core scale (m = 2*10^5, sharded only)": table}, notes
 
 
-def _suite_dynamic(seed: int, jobs="auto") -> tuple[list[dict], dict, list[str]]:
+def _suite_dynamic(seed: int) -> tuple[list[dict], dict, list[str]]:
     from repro.dynamic import DynamicCover
     from repro.offline import greedy_cover
     from repro.setsystem import SetSystem
@@ -586,7 +583,7 @@ def _suite_dynamic(seed: int, jobs="auto") -> tuple[list[dict], dict, list[str]]
             rebuilt = write_shards(tmp / f"{name}-rebuilt", final, chunk_rows=32)
             results = []
             for path in (root, rebuilt):
-                stream = ShardedSetStream(path, jobs=jobs)
+                stream = ShardedSetStream(path)
                 results.append(
                     iter_set_cover(
                         stream, delta=0.5, seed=seed,
@@ -691,7 +688,6 @@ def run_suite(
     seed: int = 0,
     output_dir: "str | Path" = ".",
     docs_path: "str | Path | None" = "EXPERIMENTS.md",
-    jobs="auto",
 ) -> dict:
     """Run one named suite; write its JSON report and refresh EXPERIMENTS.md.
 
@@ -706,11 +702,6 @@ def run_suite(
     docs_path:
         EXPERIMENTS.md to update in place, or ``None`` to skip the
         markdown refresh (CI uses this).
-    jobs:
-        Scan-executor parallelism for the sharded runs (``"auto"`` or a
-        positive worker count).  Results are identical at every setting
-        (DESIGN.md §6); the knob is recorded in the report's command
-        line when it differs from ``auto``.
 
     Returns
     -------
@@ -719,16 +710,14 @@ def run_suite(
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
-    resolve_jobs(jobs)  # validate before spending minutes on a suite
     runner, description = SUITES[suite]
-    rows, tables, notes = runner(seed, jobs)
+    rows, tables, notes = runner(seed)
     payload = {
         "schema": SCHEMA,
         "suite": suite,
         "description": description,
         "seed": seed,
-        "jobs": jobs,
-        "command": _command_line(suite, seed, jobs),
+        "command": _command_line(suite, seed),
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,

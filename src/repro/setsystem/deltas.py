@@ -528,10 +528,10 @@ class MergedShardView:
     :class:`~repro.setsystem.shards.ShardedRepository` — chunk iteration,
     fused ``scan_shard``, shard cost estimates, random-access
     ``row_mask`` — so :class:`~repro.streaming.sharded.ShardedSetStream`
-    and every local :class:`~repro.engine.transport.base.ScanExecutor`
-    run on it unchanged, at any ``jobs`` × encoding setting.  (The
-    *remote* transport is the one exclusion: its workers hold no chain
-    state, so streams refuse it until compaction.)
+    and the serial :class:`~repro.engine.transport.base.ScanExecutor`
+    run on it unchanged, at any encoding.  (The *remote* transport is
+    the one exclusion: its workers hold no chain state, so streams
+    refuse it until compaction.)
 
     Merge semantics: a row is live iff no generation tombstoned its
     stable id; live rows appear in base order first, then each
@@ -902,8 +902,8 @@ def open_repository(
 ) -> "ShardedRepository | MergedShardView":
     """Open a shard directory, merged when delta generations are pending.
 
-    The one choke point every reader goes through — streams, the CLI,
-    and process-pool workers re-opening by path — so a repository with
+    The one choke point every reader goes through — streams and the
+    CLI — so a repository with
     pending deltas is *always* the merged family and a clean repository
     opens exactly as before (same :class:`ShardedRepository`, same
     bytes untouched).

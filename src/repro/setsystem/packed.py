@@ -349,20 +349,6 @@ class Captures:
     def __repr__(self) -> str:
         return f"Captures({list(self)!r})"
 
-    def __reduce__(self):
-        block = self._block
-        return _restore_captures, (
-            self.ids, self.width,
-            None if block is None else np.ascontiguousarray(block),
-            self._indptr, self._index, self._bits,
-        )
-
-
-def _restore_captures(ids, width, block, indptr, index, bits) -> Captures:
-    """Unpickle a :class:`Captures` record in the layout it was sent in."""
-    record = Captures.__new__(Captures)
-    record._init(ids, width, block, indptr, index, bits)
-    return record
 
 
 # ----------------------------------------------------------------------
@@ -524,7 +510,7 @@ class ScanMask:
     precision integer (the wire format), packed ``uint64``
     words (dense-chunk kernels) and exclusive prefix popcount (the fused
     run-length kernel).  ``ScanMask`` computes each lazily and caches it,
-    so per-shard scan calls — serial or in worker processes — never
+    so per-shard scan calls — serial or in remote workers — never
     re-derive them.
 
     Examples
@@ -716,9 +702,9 @@ def scan_chunk(
     """Gains + captured projections for one chunk of packed rows.
 
     The single compute kernel behind every executor backend: serial
-    scans, worker processes and in-memory chunk splits all call it per
-    chunk, and results merge deterministically because each chunk is
-    keyed by its ``start`` row id.
+    scans, remote workers and in-memory streams all call it per chunk,
+    and results merge deterministically because each chunk is keyed by
+    its ``start`` row id.
 
     Parameters
     ----------

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.engine import JOBS_AUTO, executor_for
+from repro.engine import executor_for
 from repro.setsystem.deltas import MergedShardView, open_repository
 from repro.setsystem.set_system import SetSystem
 from repro.setsystem.shards import ShardedRepository
@@ -55,31 +55,20 @@ class ShardedSetStream(SetStreamBase):
         a shard directory (opened, and then owned, by the stream).
     verify:
         When opening from a path: verify shard checksums first.
-    jobs:
-        Scan-executor parallelism for :meth:`~repro.streaming.stream.SetStreamBase.scan_gains`
-        (``"auto"`` or a positive worker count; ``auto`` is serial).
-        Worker processes re-open the repository and scan whole shards
-        via their own ``mmap``; covers, pass counts and tie-breaks are
-        identical at every setting (DESIGN.md §6).
-    transport:
-        Scan-engine backend family (``"local"``, ``"serial"``,
-        ``"process"``, ``"remote"``; ``None`` = local auto).  Each
-        family has one schedule (DESIGN.md §8.3): serial reads shards
-        in order with no thread, the process pool runs one task per
-        shard, and ``"remote"`` spreads scans over
-        ``python -m repro worker serve`` processes, which re-open this
-        repository by path + manifest token (DESIGN.md §9); results are
-        bit-identical to every local backend.
     workers:
-        Remote worker addresses (implies ``transport="remote"``); the
-        CLI's ``host:port,host:port`` string or ``(host, port)`` pairs
-        (:func:`repro.engine.plan.resolve_workers`).
+        Remote worker addresses: the CLI's ``host:port,host:port`` string
+        or ``(host, port)`` pairs
+        (:func:`repro.engine.plan.resolve_workers`).  Without them gains
+        scans run serially, shards in order with no thread; with them
+        they spread over ``python -m repro worker serve`` processes,
+        which re-open this repository by path + manifest token
+        (DESIGN.md §9).  Results are bit-identical either way.
     retry:
         Remote failure handling: anything
         :meth:`repro.engine.fault.RetryPolicy.resolve` accepts (``None``
         = fail-loud, a :class:`~repro.engine.fault.RetryPolicy`, or a
         dict of its knobs — the CLI's ``--retry-*`` flag bundle).  Only
-        meaningful with the remote transport; recoverable faults land in
+        meaningful with ``workers``; recoverable faults land in
         :attr:`~repro.streaming.stream.SetStreamBase.fault_log` and
         results stay bit-identical whether or not retries fire.
     """
@@ -88,30 +77,28 @@ class ShardedSetStream(SetStreamBase):
         self,
         repository: "ShardedRepository | str | Path",
         verify: bool = False,
-        jobs=JOBS_AUTO,
-        transport: "str | None" = None,
         workers=None,
         retry=None,
     ):
         super().__init__()
-        if isinstance(repository, (str, Path)):
+        opened = isinstance(repository, (str, Path))
+        if opened:
             # Delta-aware: a repository with pending delta generations
             # opens as its merged view (tombstones win, newest
             # generation wins) — same scan interface, same parity
-            # guarantees across local backends (DESIGN.md §11).
+            # guarantees (DESIGN.md §11).
             repository = open_repository(repository, verify=verify)
-        if isinstance(repository, MergedShardView) and (
-            transport == "remote" or workers
-        ):
+        if isinstance(repository, MergedShardView) and workers:
+            pending = repository.pending_deltas
+            if opened:
+                repository.close()  # release the view's generation lease
             raise ValueError(
                 "the remote transport cannot scan a repository with "
-                f"{repository.pending_deltas} pending delta generation(s): "
-                "remote workers re-open the base by path and hold no chain "
-                "state. Run `repro shard compact` first."
+                f"{pending} pending delta generation(s): remote workers "
+                "re-open the base by path and hold no chain state. Run "
+                "`repro shard compact` first."
             )
         self._repo = repository
-        self._jobs = jobs
-        self._transport = transport
         self._workers = workers
         self._retry = retry
         self._executor = None
@@ -173,17 +160,12 @@ class ShardedSetStream(SetStreamBase):
     # -- executor-driven gains scans -----------------------------------
     @property
     def jobs(self) -> int:
-        """The resolved scan-executor worker count."""
+        """Scan lanes: 1 serial, one per worker on the remote transport."""
         return self._scan_executor().jobs
 
     def _scan_executor(self):
         if self._executor is None:
-            self._executor = executor_for(
-                self._jobs,
-                transport=self._transport,
-                workers=self._workers,
-                retry=self._retry,
-            )
+            self._executor = executor_for(self._workers, retry=self._retry)
         return self._executor
 
     def _scan_gains_chunked(

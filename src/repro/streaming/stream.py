@@ -34,12 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from repro.engine import (
-    JOBS_AUTO,
-    ScanResult,
-    executor_for,
-    merge_scan_parts,
-)
+from repro.engine import ScanResult, SerialScanExecutor, merge_scan_parts
 from repro.setsystem.packed import Captures, ScanMask, accept_rows, pack_rows
 from repro.setsystem.set_system import SetSystem
 
@@ -212,11 +207,11 @@ class SetStreamBase:
 
         The fourth pass flavour (DESIGN.md §6): one sequential scan,
         executed chunk-by-chunk by the stream's
-        :class:`~repro.engine.transport.base.ScanExecutor` (serial,
-        multi-process or remote, per the stream's ``jobs`` /
-        ``transport`` knobs) and delivered in chunk order — results are
-        bit-identical at every setting.  Same access discipline and pass accounting as
-        :meth:`iterate`: one read head, the scan counts one pass.
+        :class:`~repro.engine.transport.base.ScanExecutor` (serial, or
+        remote when a sharded stream is given ``workers``) and delivered
+        in chunk order — results are bit-identical on both.  Same access
+        discipline and pass accounting as :meth:`iterate`: one read head,
+        the scan counts one pass.
 
         Each chunk's ``captured`` is one
         :class:`~repro.setsystem.packed.Captures` record — ids plus the
@@ -309,10 +304,10 @@ class SetStreamBase:
     def cache_stats(self):
         """Hot-cache counters behind this stream's scans, or ``None``.
 
-        Serial streams report the driver process cache; process
-        and remote streams report counters aggregated from their
-        workers.  Observability only — surfaced in
-        ``ScanResult.extra["cache"]``, never consulted by results.
+        Serial streams report the driver process cache; remote streams
+        report counters aggregated from their workers.  Observability
+        only — surfaced in ``ScanResult.extra["cache"]``, never consulted
+        by results.
         """
         executor = getattr(self, "_executor", None)
         if executor is None:
@@ -342,26 +337,9 @@ class SetStream(SetStreamBase):
     system:
         The underlying instance.  The ground set (``system.n``) is public —
         the paper stores the element universe in memory in advance — but the
-        family may only be read through :meth:`iterate`.
-    jobs:
-        Scan-executor parallelism for :meth:`scan_gains` (``"auto"`` or a
-        positive worker count; ``auto`` is serial).  Results are
-        identical at every setting (DESIGN.md §6).
-    transport:
-        Scan-engine backend family (``"local"``, ``"serial"``,
-        ``"process"``, ``"remote"``; ``None`` = local auto).  Serial
-        scans run the whole family as one chunk; the process pool
-        scans ``2 * jobs`` row slices, one task each.  In-memory streams cannot use ``"remote"`` — remote
+        family may only be read through :meth:`iterate`.  Gains scans run
+        on the serial executor, the whole family as one chunk: remote
         workers open shard repositories by path (DESIGN.md §9).
-    workers:
-        Remote worker addresses (implies ``transport="remote"``); see
-        :func:`repro.engine.plan.resolve_workers`.
-    retry:
-        Remote failure handling
-        (:meth:`repro.engine.fault.RetryPolicy.resolve` input).  Only
-        meaningful with the remote transport — an in-memory stream with
-        a retry policy is a ``ValueError``, same as the other
-        cannot-take-effect knob combinations.
 
     Examples
     --------
@@ -373,21 +351,10 @@ class SetStream(SetStreamBase):
     1
     """
 
-    def __init__(
-        self,
-        system: SetSystem,
-        jobs=JOBS_AUTO,
-        transport: "str | None" = None,
-        workers=None,
-        retry=None,
-    ):
+    def __init__(self, system: SetSystem):
         super().__init__()
         self._system = system
-        self._jobs = jobs
-        self._transport = transport
-        self._workers = workers
-        self._retry = retry
-        self._executor = None
+        self._executor = SerialScanExecutor()
         self._block = None
 
     # ------------------------------------------------------------------
@@ -431,50 +398,22 @@ class SetStream(SetStreamBase):
     # -- executor-driven gains scans -----------------------------------
     @property
     def jobs(self) -> int:
-        """The resolved scan-executor worker count."""
-        return self._scan_executor().jobs
-
-    def _scan_executor(self):
-        if self._executor is None:
-            self._executor = executor_for(
-                self._jobs,
-                transport=self._transport,
-                workers=self._workers,
-                retry=self._retry,
-            )
-        return self._executor
+        """Scan lanes: always 1, an in-memory family scans serially."""
+        return self._executor.jobs
 
     def _scan_gains_chunked(
         self, mask_int, min_capture_gain, capture_ids, best_only, include_gains
     ):
-        executor = self._scan_executor()
-        mask = ScanMask(self.n, mask_int)
-        return executor.iter_scan_chunks(
+        chunks = [(0, self._matrix())] if self._system.m else []
+        return self._executor.iter_scan_chunks(
             self.n,
-            self._scan_chunk_source(executor.jobs),
-            mask,
+            chunks,
+            ScanMask(self.n, mask_int),
             min_capture_gain=min_capture_gain,
             capture_ids=capture_ids,
             best_only=best_only,
             include_gains=include_gains,
         )
-
-    def _scan_chunk_source(self, jobs: int):
-        """Virtual chunks of the in-RAM family for the scan executor.
-
-        Serial scans take the whole family as one chunk; parallel scans
-        split it into ``2 * jobs`` row slices so workers load-balance.
-        The split never changes results — chunks merge by start row.
-        """
-        m = self._system.m
-        if m == 0:
-            return []
-        chunk_rows = m if jobs <= 1 else max(1, -(-m // (2 * jobs)))
-        matrix = self._matrix()
-        return [
-            (start, matrix[start : start + chunk_rows])
-            for start in range(0, m, chunk_rows)
-        ]
 
     # ------------------------------------------------------------------
     def verify_solution(self, selection) -> bool:

@@ -8,6 +8,7 @@ from repro.workloads.random_instances import (
     sparse_uniform_instance,
     uniform_random_instance,
 )
+from repro.workloads.roster import SCALES, build_instance
 from repro.workloads.skewed import (
     nested_chain_instance,
     threshold_trap_instance,
@@ -15,9 +16,11 @@ from repro.workloads.skewed import (
 )
 
 __all__ = [
+    "SCALES",
     "ChurnScript",
     "PlantedInstance",
     "blog_watch_instance",
+    "build_instance",
     "delete_storm",
     "nested_chain_instance",
     "planted_instance",

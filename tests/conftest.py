@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import WorkerServer
 from repro.setsystem import SetSystem
 from repro.workloads import planted_instance, uniform_random_instance
 
@@ -35,3 +36,13 @@ def planted_small():
 @pytest.fixture
 def uniform_small() -> SetSystem:
     return uniform_random_instance(40, 30, density=0.15, seed=7)
+
+
+@pytest.fixture(scope="module")
+def worker_fleet(tmp_path_factory):
+    """Two in-process workers serving the whole pytest tmp tree."""
+    root = tmp_path_factory.getbasetemp()
+    servers = [WorkerServer(root).start(), WorkerServer(root).start()]
+    yield [server.address for server in servers]
+    for server in servers:
+        server.stop()

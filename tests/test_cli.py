@@ -182,6 +182,8 @@ class TestExperiments:
 
 
 class TestJobs:
+    """Solve's engine flags (``--workers``), its refusals, and ``worker``."""
+
     @pytest.fixture
     def instance_path(self, tmp_path):
         path = tmp_path / "inst.json"
@@ -189,49 +191,15 @@ class TestJobs:
               "--opt", "4", "--seed", "3"])
         return str(path)
 
-    def test_solve_accepts_jobs(self, instance_path, tmp_path, capsys):
-        shards = tmp_path / "inst.shards"
-        main(["shard", "create", instance_path, str(shards), "--chunk-rows", "7"])
-        capsys.readouterr()
-        assert main(["solve", instance_path, "--algorithm", "threshold",
-                     "--jobs", "2"]) == 0
-        memory_out = capsys.readouterr().out
-        assert main(["solve", str(shards), "--algorithm", "threshold",
-                     "--jobs", "auto"]) == 0
-        sharded_out = capsys.readouterr().out
-        pick = lambda out, key: [l for l in out.splitlines() if l.startswith(key)]
-        assert pick(sharded_out, "result") == pick(memory_out, "result")
-
-    @pytest.mark.parametrize("command", [
-        ["solve", "x", "--jobs", "0"],
-        ["solve", "x", "--jobs", "-2"],
-        ["solve", "x", "--jobs", "lots"],
-        ["bench", "--jobs", "1.5"],
-        ["experiments", "--jobs", "none"],
-    ])
-    def test_invalid_jobs_rejected(self, command, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(command)
-        # An argparse usage error naming the flag — never a traceback.
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "--jobs" in err and "positive integer" in err
-
-    def test_jobs_defaults_to_auto(self):
-        for command in (["solve", "x"], ["bench"], ["experiments"]):
-            assert build_parser().parse_args(command).jobs == "auto"
-
     @pytest.mark.parametrize("workers", [
         "", ":80", "host:", "host", "host:0", "host:-4", "host:65536",
         "host:http", "a:1,,b:2",
     ])
     def test_invalid_workers_rejected(self, workers, capsys):
-        """--workers shares the --jobs error path: usage errors naming the
-        flag (bad port, empty host, missing colon), never tracebacks."""
+        """Usage errors naming the flag (bad port, empty host, missing
+        colon), never tracebacks."""
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(
-                ["solve", "x", "--transport", "remote", "--workers", workers]
-            )
+            build_parser().parse_args(["solve", "x", "--workers", workers])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "--workers" in err and "host:port" in err
@@ -242,26 +210,18 @@ class TestJobs:
         main(["generate", "uniform", str(instance), "--n", "12", "--m", "8"])
         main(["shard", "create", str(instance), str(shards)])
         capsys.readouterr()
-        # remote without workers / workers without remote / remote on a
-        # non-directory input: all argparse usage errors, exit code 2.
+        # Workers on a non-directory input, or retry flags without
+        # workers: argparse usage errors naming --workers, exit code 2.
         cases = [
-            ["solve", str(shards), "--transport", "remote"],
-            ["solve", str(shards), "--workers", "h:1"],
-            ["solve", str(instance), "--transport", "remote",
-             "--workers", "h:1"],
-            ["solve", str(shards), "--transport", "remote",
-             "--workers", "h:1", "--jobs", "8"],
+            ["solve", str(instance), "--workers", "h:1"],
+            ["solve", str(shards), "--retry-attempts", "3"],
         ]
         for argv in cases:
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2, argv
-            err = capsys.readouterr().err
-            assert "--transport" in err or "--workers" in err, argv
-
-    def test_transport_defaults_to_local(self):
-        args = build_parser().parse_args(["solve", "x"])
-        assert args.transport == "local" and args.workers is None
+            assert "--workers" in capsys.readouterr().err, argv
+        assert build_parser().parse_args(["solve", "x"]).workers is None
 
     def test_worker_serve_requires_root(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -374,7 +334,7 @@ class TestRetryFlags:
             main(["solve", shards] + flags)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "--transport remote" in err
+        assert "only apply with --workers" in err
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--retry-attempts", "0", "--retry-attempts"),
@@ -389,8 +349,7 @@ class TestRetryFlags:
         """Validation lives in RetryPolicy; the CLI surfaces it as a
         usage error naming the flag — never a traceback."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["solve", shards, "--transport", "remote",
-                  "--workers", "h:1", flag, value])
+            main(["solve", shards, "--workers", "h:1", flag, value])
         assert excinfo.value.code == 2
         assert named in capsys.readouterr().err
 
@@ -406,7 +365,7 @@ class TestRetryFlags:
             host, port = server.address
             code = main([
                 "solve", shards, "--algorithm", "threshold",
-                "--transport", "remote", "--workers", f"{host}:{port}",
+                "--workers", f"{host}:{port}",
                 "--retry-attempts", "3", "--retry-backoff", "0.05",
                 "--deadline", "60", "--seed", "0",
             ])
@@ -425,11 +384,6 @@ class TestParser:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", "x", "--algorithm", "bogus"])
-
-    def test_bench_scale_typo_is_a_clean_error(self, tmp_path, capsys):
-        assert main(["bench", "--scale", "bogus",
-                     "--output", str(tmp_path / "b.json")]) == 2
-        assert "unknown scale" in capsys.readouterr().err
 
     def test_experiments_suite_typo_is_a_clean_error(self, capsys):
         assert main(["experiments", "--suite", "parityy",

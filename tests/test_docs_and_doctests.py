@@ -43,6 +43,7 @@ DOCTEST_MODULES = [
     "repro.partial.streaming",
     "repro.workloads.coverage",
     "repro.workloads.random_instances",
+    "repro.workloads.roster",
     "repro.workloads.skewed",
 ]
 

@@ -6,8 +6,7 @@ interleavings, each asserting after every step that the merged read
 view equals a from-scratch reference (rows, stats, cost estimates),
 that compaction is byte-identical to a clean rewrite, and that the
 incremental :class:`repro.dynamic.DynamicCover` stays a valid cover
-within its documented factor — across the encoding x jobs
-matrix.  Satellite coverage: delta-chain corruption
+within its documented factor — across every encoding.  Satellite coverage: delta-chain corruption
 taxonomy (typed :class:`~repro.setsystem.shards.ShardFormatError`),
 the no-delta open regression (v3 opens, v1/v2 are refused untouched),
 the remote-transport refusal, and DynamicCover unit edges.
@@ -31,6 +30,7 @@ from repro.setsystem.deltas import (
     compact,
     open_repository,
 )
+from repro.setsystem.durability import leases_dir_for
 from repro.setsystem.shards import (
     MANIFEST_NAME,
     SHARD_SCHEMA,
@@ -52,23 +52,18 @@ from churn import drive_scenario, random_scenario
 # endgame (stats, cost estimates, byte-identical compaction, identical
 # iter_set_cover solves between the chain and a from-scratch rebuild).
 _MATRIX = [
-    # (encoding, jobs); a cell's seeds are 1000 * cell + i
-    ("auto", 1),
-    ("dense", 2),
-    ("sparse", 1),
-    ("auto", 2),
-    ("rle", 1),
-    ("auto", 2),
+    # encoding per cell; a cell's seeds are 1000 * cell + i
+    "auto", "dense", "sparse", "auto", "rle", "auto",
 ]
 _SEEDS_PER_CELL = 17
 
 
 @pytest.mark.parametrize(
-    "cell,encoding,jobs",
-    [(cell, *spec) for cell, spec in enumerate(_MATRIX)],
-    ids=[f"cell{cell}-{e}-jobs{j}" for cell, (e, j) in enumerate(_MATRIX)],
+    "cell,encoding",
+    list(enumerate(_MATRIX)),
+    ids=[f"cell{cell}-{e}" for cell, e in enumerate(_MATRIX)],
 )
-def test_churn_parity_matrix(tmp_path, cell, encoding, jobs):
+def test_churn_parity_matrix(tmp_path, cell, encoding):
     from repro.engine.cache import configure_cache, get_cache
 
     incremental = []
@@ -85,7 +80,6 @@ def test_churn_parity_matrix(tmp_path, cell, encoding, jobs):
             tmp_path / f"s{seed}",
             chunk_rows=5 + (seed % 4),
             encoding=encoding,
-            jobs=jobs,
             # Keep the per-cell runtime down: the full solve referee runs
             # on a third of the scenarios; rows/stats/compaction parity
             # runs on every step of every scenario.
@@ -245,9 +239,15 @@ def test_plain_open_refuses_pending_deltas(chained):
 
 def test_remote_transport_refuses_merged_views(chained):
     with pytest.raises(ValueError, match="remote transport"):
-        ShardedSetStream(
-            chained, transport="remote", workers=[("localhost", 9)]
-        )
+        ShardedSetStream(chained, workers=[("localhost", 9)])
+
+
+def test_refused_remote_open_releases_its_generation_lease(chained):
+    """The refusal closes the merged view it opened, lease included."""
+    with pytest.raises(ValueError, match="remote transport"):
+        ShardedSetStream(chained, workers=[("localhost", 9)])
+    leases = leases_dir_for(chained)
+    assert not leases.exists() or list(leases.iterdir()) == []
 
 
 def test_delta_writer_abort_leaves_no_trace(tmp_path):

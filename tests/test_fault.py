@@ -35,7 +35,6 @@ from repro.engine import (
     chaos_spec_from_env,
     executor_for,
     parse_chaos_spec,
-    shutdown_pools,
 )
 from repro.engine.fault import chaos as chaos_mod
 from repro.engine.transport import remote as remote_mod
@@ -58,20 +57,6 @@ FAST_RETRY = {
 }
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _reap_pools():
-    yield
-    shutdown_pools()
-
-
-@pytest.fixture(scope="module")
-def worker_fleet(tmp_path_factory):
-    """Two in-process workers serving the whole pytest tmp tree."""
-    root = tmp_path_factory.getbasetemp()
-    servers = [WorkerServer(root).start(), WorkerServer(root).start()]
-    yield [server.address for server in servers]
-    for server in servers:
-        server.stop()
 
 
 def _random_system(rng: np.random.Generator) -> SetSystem:
@@ -181,8 +166,8 @@ class TestRetryPolicy:
             RetryPolicy.resolve("3 attempts please")
 
     def test_retry_knob_requires_remote_transport(self):
-        with pytest.raises(ValueError, match="transport='remote'"):
-            executor_for(2, retry={"attempts": 2})
+        with pytest.raises(ValueError, match="workers"):
+            executor_for(retry={"attempts": 2})
 
 
 # ----------------------------------------------------------------------
@@ -297,14 +282,13 @@ def test_chaos_modes_recover_bit_identical_with_retries(
         path = write_shards(tmp_path / f"c{case}", system,
                             chunk_rows=int(rng.integers(1, 6)),
                             encoding=encoding)
-        serial = ShardedSetStream(path, jobs=1)
+        serial = ShardedSetStream(path)
         reference = serial.scan_gains(mask_int, min_capture_gain=1)
         serial.close()
         with ChaosProxy(worker_fleet[0], mode=mode, after_frames=0,
                         times=1, seed=case) as proxy:
             stream = ShardedSetStream(
-                path, transport="remote",
-                workers=[proxy.address, worker_fleet[1]],
+                path, workers=[proxy.address, worker_fleet[1]],
                 retry=FAST_RETRY,
             )
             scan = stream.scan_gains(mask_int, min_capture_gain=1)
@@ -362,14 +346,13 @@ def test_algorithm_parity_under_mid_stream_chaos(tmp_path, worker_fleet):
                             chunk_rows=int(rng.integers(1, 6)),
                             encoding=encoding)
         algo_name, run = algorithms[algo_index]
-        serial_stream = ShardedSetStream(path, jobs=1)
+        serial_stream = ShardedSetStream(path)
         reference = _fingerprint(run(serial_stream), serial_stream)
         serial_stream.close()
         with ChaosProxy(worker_fleet[0], mode=mode, after_frames=2,
                         times=1, seed=case) as proxy:
             stream = ShardedSetStream(
-                path, transport="remote",
-                workers=[proxy.address, worker_fleet[1]],
+                path, workers=[proxy.address, worker_fleet[1]],
                 retry=FAST_RETRY,
             )
             fingerprint = _fingerprint(run(stream), stream)
@@ -381,18 +364,17 @@ def test_algorithm_parity_under_mid_stream_chaos(tmp_path, worker_fleet):
 def test_threshold_solve_recovers_through_a_dropping_proxy(
     tmp_path, worker_fleet
 ):
-    """A threshold solve behind a dropping worker equals ``--jobs 1``."""
+    """A threshold solve behind a dropping worker equals the serial one."""
     system = SetSystem(8, [[0, 1, 2], [2, 3], [4, 5, 6, 7], [0]])
     path = write_shards(tmp_path / "acc", system, chunk_rows=2)
-    serial_stream = ShardedSetStream(path, jobs=1)
+    serial_stream = ShardedSetStream(path)
     reference = _fingerprint(ThresholdGreedy().solve(serial_stream),
                              serial_stream)
     serial_stream.close()
     with ChaosProxy(worker_fleet[0], mode="drop", after_frames=0,
                     times=1, seed=0) as proxy:
         stream = ShardedSetStream(
-            path, transport="remote",
-            workers=[proxy.address, worker_fleet[1]], retry=FAST_RETRY,
+            path, workers=[proxy.address, worker_fleet[1]], retry=FAST_RETRY,
         )
         fingerprint = _fingerprint(ThresholdGreedy().solve(stream), stream)
         assert stream.fault_log
@@ -410,8 +392,7 @@ def test_fail_loud_contract_without_retries(tmp_path, worker_fleet):
     mask_int = (1 << 32) - 1
     with ChaosProxy(worker_fleet[0], mode="drop", after_frames=2,
                     times=None, seed=0) as proxy:
-        stream = ShardedSetStream(path, transport="remote",
-                                  workers=[proxy.address])
+        stream = ShardedSetStream(path, workers=[proxy.address])
         with pytest.raises(WorkerFaultError,
                            match="remote worker .* failed mid-scan") as info:
             stream.scan_gains(mask_int)
@@ -430,8 +411,7 @@ def test_corrupt_frame_without_retries_is_loud_not_wrong(
     path = write_shards(tmp_path / "flip", system, chunk_rows=2)
     with ChaosProxy(worker_fleet[0], mode="corrupt", after_frames=2,
                     times=None, seed=3) as proxy:
-        stream = ShardedSetStream(path, transport="remote",
-                                  workers=[proxy.address])
+        stream = ShardedSetStream(path, workers=[proxy.address])
         with pytest.raises(WorkerFaultError, match="checksum mismatch"):
             stream.scan_gains((1 << 24) - 1)
         stream.close()
@@ -451,7 +431,7 @@ def test_blackhole_without_retries_times_out_instead_of_hanging(
     with ChaosProxy(worker_fleet[0], mode="blackhole", after_frames=1,
                     times=None, seed=0) as proxy:
         stream = ShardedSetStream(
-            path, transport="remote", workers=[proxy.address],
+            path, workers=[proxy.address],
             retry={"idle_timeout": 0.4},  # attempts=1: still fail-loud
         )
         begin = time.monotonic()
@@ -467,7 +447,7 @@ def test_batch_deadline_is_enforced(tmp_path, worker_fleet):
     with ChaosProxy(worker_fleet[0], mode="blackhole", after_frames=1,
                     times=None, seed=0) as proxy:
         stream = ShardedSetStream(
-            path, transport="remote", workers=[proxy.address],
+            path, workers=[proxy.address],
             retry={"deadline": 0.4, "idle_timeout": 5.0},
         )
         with pytest.raises(WorkerFaultError,
@@ -486,7 +466,7 @@ def test_quorum_loss_degrades_to_local_scan(tmp_path, worker_fleet):
     system = _random_system(rng)
     mask_int = (1 << system.n) - 1
     path = write_shards(tmp_path / "quorum", system, chunk_rows=2)
-    serial = ShardedSetStream(path, jobs=1)
+    serial = ShardedSetStream(path)
     reference = serial.scan_gains(mask_int, min_capture_gain=1)
     serial.close()
     # Every connection through the proxy dies at the hello; with
@@ -495,7 +475,7 @@ def test_quorum_loss_degrades_to_local_scan(tmp_path, worker_fleet):
     with ChaosProxy(worker_fleet[0], mode="drop", after_frames=0,
                     times=None, seed=0) as proxy:
         stream = ShardedSetStream(
-            path, transport="remote", workers=[proxy.address],
+            path, workers=[proxy.address],
             retry=dict(FAST_RETRY, attempts=2, eject_after=1),
         )
         with pytest.warns(RuntimeWarning, match="degraded to local"):
@@ -519,7 +499,7 @@ def test_quorum_loss_with_fallback_disabled_is_loud(tmp_path, worker_fleet):
     with ChaosProxy(worker_fleet[0], mode="drop", after_frames=0,
                     times=None, seed=0) as proxy:
         stream = ShardedSetStream(
-            path, transport="remote", workers=[proxy.address],
+            path, workers=[proxy.address],
             retry=dict(FAST_RETRY, attempts=2, eject_after=1,
                        local_fallback=False),
         )
@@ -568,13 +548,13 @@ def test_ejected_worker_sits_out_then_rejoins_across_scans(
     system = SetSystem(12, [[i % 12, (i + 3) % 12] for i in range(10)])
     mask_int = (1 << 12) - 1
     path = write_shards(tmp_path / "rejoin", system, chunk_rows=2)
-    serial = ShardedSetStream(path, jobs=1)
+    serial = ShardedSetStream(path)
     reference = serial.scan_gains(mask_int, min_capture_gain=1)
     serial.close()
     with ChaosProxy(worker_fleet[0], mode="drop", after_frames=0,
                     times=1, seed=0) as proxy:
         stream = ShardedSetStream(
-            path, transport="remote", workers=[proxy.address],
+            path, workers=[proxy.address],
             retry=dict(FAST_RETRY, attempts=2, eject_after=1,
                        rejoin_backoff=30.0),
         )
@@ -655,7 +635,7 @@ def test_sigkill_mid_batch_redispatches_to_survivor(tmp_path):
     mask_int = (1 << 64) - 1
     shm_dir = "/dev/shm"
     before = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else set()
-    serial = ShardedSetStream(path, jobs=1)
+    serial = ShardedSetStream(path)
     reference = serial.scan_gains(mask_int, min_capture_gain=1)
     serial.close()
 
@@ -665,7 +645,7 @@ def test_sigkill_mid_batch_redispatches_to_survivor(tmp_path):
     survivor, live_addr = spawn_local_worker(tmp_path)
     try:
         stream = ShardedSetStream(
-            path, transport="remote", workers=[crash_addr, live_addr],
+            path, workers=[crash_addr, live_addr],
             # A large attempt budget plus fast ejection: the crasher's
             # lane dies after two consecutive faults (the SIGKILL, then
             # the refused reconnect) and the survivor absorbs its work.
@@ -731,12 +711,12 @@ def test_chaos_env_knob_interposes_proxies(tmp_path, worker_fleet,
     system = SetSystem(16, [[i % 16, (i + 5) % 16] for i in range(14)])
     mask_int = (1 << 16) - 1
     path = write_shards(tmp_path / "env", system, chunk_rows=2)
-    serial = ShardedSetStream(path, jobs=1)
+    serial = ShardedSetStream(path)
     reference = serial.scan_gains(mask_int, min_capture_gain=1)
     serial.close()
     monkeypatch.setenv(CHAOS_ENV, "drop,after=0,times=1,seed=5")
     stream = ShardedSetStream(
-        path, transport="remote", workers=worker_fleet, retry=FAST_RETRY,
+        path, workers=worker_fleet, retry=FAST_RETRY,
     )
     assert len(stream._scan_executor()._chaos) == len(worker_fleet)
     scan = stream.scan_gains(mask_int, min_capture_gain=1)

@@ -16,6 +16,7 @@ from repro.offline import ExactSolver, GreedySolver
 from repro.offline.greedy import _greedy_cover_frozenset
 from repro.sampling import draw_sample
 from repro.setsystem import Captures, SetSystem
+from repro.setsystem.packed import ScanMask
 from repro.streaming import MemoryMeter, SetStream
 from repro.utils.bitset import mask_of
 from repro.utils.mathutil import powers_of_two_up_to
@@ -294,6 +295,24 @@ def _reference_iter_set_cover(system, config, seed):
     return best.solution, passes, bool(complete), sum(g.peak for g in guesses), guesses
 
 
+class _SlicedSetStream(SetStream):
+    """An in-memory stream whose gains scans arrive as six row slices."""
+
+    def _scan_gains_chunked(
+        self, mask_int, min_capture_gain, capture_ids, best_only, include_gains
+    ):
+        matrix, rows = self._matrix(), max(1, -(-self.m // 6))
+        return self._executor.iter_scan_chunks(
+            self.n,
+            [(start, matrix[start:start + rows]) for start in range(0, self.m, rows)],
+            ScanMask(self.n, mask_int),
+            min_capture_gain=min_capture_gain,
+            capture_ids=capture_ids,
+            best_only=best_only,
+            include_gains=include_gains,
+        )
+
+
 def _oracle_instances():
     rng = np.random.default_rng(2016)
     for case in range(40):
@@ -352,9 +371,7 @@ class TestSizeTestOracle:
             )
             # Cases 2 and 3 (mod 4) split the sample pass into chunks.
             stream = (
-                SetStream(system, jobs=3, transport="process")
-                if case % 4 > 1
-                else SetStream(system, jobs=1)
+                _SlicedSetStream(system) if case % 4 > 1 else SetStream(system)
             )
             result = IterSetCover(config=config, seed=case).solve(stream)
             where = (case, delta)

@@ -4,11 +4,11 @@ The contract under test (DESIGN.md §9): a two-worker localhost fleet
 produces **bit-identical** covers, pass counts, captures and accounting
 to the serial executor, at every encoding setting — and a
 worker that dies mid-batch surfaces as a loud ``RuntimeError`` with no
-SharedMemory leak and no partial state (the remote twin of the
-``REPRO_TEST_CRASH_SCAN`` regression test).
+partial state.
 
 In-process :class:`~repro.engine.transport.remote.WorkerServer` threads
-back the parity sweeps (cheap, no subprocess spawn); the crash tests use
+(the ``worker_fleet`` fixture in ``conftest.py``) back the parity sweeps
+(cheap, no subprocess spawn); the crash tests use
 real ``python -m repro worker serve`` subprocesses via
 :func:`~repro.engine.transport.remote.spawn_local_worker`, because the
 worker SIGKILLs itself mid-scan.
@@ -31,7 +31,6 @@ from repro.engine import (
     WorkerServer,
     executor_for,
     resolve_workers,
-    shutdown_pools,
 )
 from repro.engine.transport import remote as remote_mod
 from repro.engine.transport.remote import (
@@ -57,20 +56,6 @@ from test_parallel import _threshold_replay_reference
 ENCODINGS_UNDER_TEST = ("dense", "auto")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _reap_pools():
-    yield
-    shutdown_pools()
-
-
-@pytest.fixture(scope="module")
-def worker_fleet(tmp_path_factory):
-    """Two in-process workers serving the whole pytest tmp tree."""
-    root = tmp_path_factory.getbasetemp()
-    servers = [WorkerServer(root).start(), WorkerServer(root).start()]
-    yield [server.address for server in servers]
-    for server in servers:
-        server.stop()
 
 
 def _random_system(rng: np.random.Generator) -> SetSystem:
@@ -112,30 +97,19 @@ def test_executor_for_builds_remote():
     assert isinstance(executor, RemoteScanExecutor)
     assert executor.transport == "remote"
     assert executor.jobs == 2  # one lane per worker
-    assert isinstance(
-        executor_for(transport="remote", workers=[("h", 1)]),
-        RemoteScanExecutor,
-    )
-    with pytest.raises(ValueError, match="workers"):
-        executor_for(transport="remote")
+    assert executor_for(workers=[("h", 1)]).jobs == 1
     with pytest.raises(ValueError, match="--workers"):
         executor_for(workers="nonsense")
-    # Workers must never be silently dropped for a local family.
-    for transport in ("local", "serial", "process"):
-        with pytest.raises(ValueError, match="transport='remote'"):
-            executor_for(2, transport=transport, workers="h:1")
-    # ... and an explicit jobs count must never be silently dropped for
-    # the remote family (parallelism there is one lane per worker).
-    with pytest.raises(ValueError, match="one lane per"):
-        executor_for(8, workers="h:1,h:2")
-    assert executor_for("auto", workers="h:1,h:2").jobs == 2
 
 
 def test_remote_refuses_in_memory_chunk_scans(worker_fleet):
+    """An in-memory family has no path a worker could open, so
+    ``SetStream`` takes no workers and always scans serially."""
     system = SetSystem(8, [[0, 1], [2]])
-    stream = SetStream(system, transport="remote", workers=worker_fleet)
-    with pytest.raises(RuntimeError, match="shard repositories only"):
-        list(stream.scan_gains_chunked((1 << 8) - 1))
+    with pytest.raises(TypeError, match="workers"):
+        SetStream(system, workers=worker_fleet)
+    stream = SetStream(system)
+    assert stream.jobs == 1 and stream.fault_log is None
 
 
 # ----------------------------------------------------------------------
@@ -150,11 +124,11 @@ def test_remote_scan_gains_match_serial(tmp_path, worker_fleet):
             path = write_shards(tmp_path / f"g{case}-{encoding}", system,
                                 chunk_rows=int(rng.integers(1, 6)),
                                 encoding=encoding)
-            serial = ShardedSetStream(path, jobs=1)
+            serial = ShardedSetStream(path)
             reference = serial.scan_gains(mask_int, min_capture_gain=1)
             serial.close()
             stream = ShardedSetStream(
-                path, transport="remote", workers=worker_fleet,
+                path, workers=worker_fleet,
             )
             scan = stream.scan_gains(mask_int, min_capture_gain=1)
             assert [int(g) for g in scan.gains] == [
@@ -186,11 +160,10 @@ def test_remote_algorithm_parity_on_random_instances(tmp_path, worker_fleet):
         path = write_shards(tmp_path / f"a{case}", system,
                             chunk_rows=chunk_rows, encoding=encoding)
         algo_name, run = algorithms[case % len(algorithms)]
-        serial_stream = ShardedSetStream(path, jobs=1)
+        serial_stream = ShardedSetStream(path)
         reference = _fingerprint(run(serial_stream), serial_stream)
         serial_stream.close()
-        stream = ShardedSetStream(path, transport="remote",
-                                  workers=worker_fleet)
+        stream = ShardedSetStream(path, workers=worker_fleet)
         fingerprint = _fingerprint(run(stream), stream)
         assert fingerprint == reference, (case, algo_name, encoding)
         stream.close()
@@ -210,8 +183,7 @@ def test_remote_threshold_greedy_matches_the_replay_reference(
         reference = _threshold_replay_reference(reference_stream)
         reference_passes = reference_stream.passes
         reference_stream.close()
-        stream = ShardedSetStream(path, transport="remote",
-                                  workers=worker_fleet)
+        stream = ShardedSetStream(path, workers=worker_fleet)
         result = ThresholdGreedy().solve(stream)
         assert result.selection == reference, case
         assert result.passes == reference_passes, case
@@ -222,8 +194,7 @@ def test_remote_single_worker_and_abandoned_scan(tmp_path, worker_fleet):
     """One worker serves everything; an abandoned pass leaves no wreckage."""
     system = SetSystem(16, [[i % 16] for i in range(20)])
     path = write_shards(tmp_path / "one", system, chunk_rows=2)
-    stream = ShardedSetStream(path, transport="remote",
-                              workers=worker_fleet[:1])
+    stream = ShardedSetStream(path, workers=worker_fleet[:1])
     parts = stream.scan_gains_chunked((1 << 16) - 1)
     next(parts)
     parts.close()  # abandon mid-pass
@@ -259,7 +230,7 @@ def test_manifest_token_mismatch_is_refused(tmp_path, worker_fleet):
         assert reply["op"] == "error"
         assert "token mismatch" in reply["message"]
     # The full driver path reports the same failure loudly.
-    stream = ShardedSetStream(path, transport="remote", workers=worker_fleet)
+    stream = ShardedSetStream(path, workers=worker_fleet)
     real = stream.scan_gains((1 << 8) - 1)  # sanity: matching token works
     assert len(real.gains) == 2
     stream.close()
@@ -272,8 +243,7 @@ def test_paths_outside_worker_root_are_rejected(tmp_path):
     outside = write_shards(tmp_path / "outside", system)
     with WorkerServer(inside) as server:
         server.start()
-        stream = ShardedSetStream(outside, transport="remote",
-                                  workers=[server.address])
+        stream = ShardedSetStream(outside, workers=[server.address])
         with pytest.raises(RuntimeError, match="outside the serving root"):
             stream.scan_gains((1 << 8) - 1)
         stream.close()
@@ -312,7 +282,7 @@ def test_driver_refuses_a_worker_speaking_another_protocol(tmp_path):
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     host, port = listener.getsockname()
-    stream = ShardedSetStream(path, transport="remote", workers=[(host, port)])
+    stream = ShardedSetStream(path, workers=[(host, port)])
     try:
         with pytest.raises(RuntimeError, match=f"{host}:{port}"):
             stream.scan_gains((1 << 8) - 1)
@@ -343,7 +313,7 @@ def test_unreachable_worker_fails_before_any_request(tmp_path):
     dead_port = probe.getsockname()[1]
     probe.close()
     stream = ShardedSetStream(
-        path, transport="remote", workers=[("127.0.0.1", dead_port)]
+        path, workers=[("127.0.0.1", dead_port)]
     )
     with pytest.raises(RuntimeError, match="cannot reach remote worker"):
         stream.scan_gains((1 << 8) - 1)
@@ -354,9 +324,7 @@ def test_unreachable_worker_fails_before_any_request(tmp_path):
 # Crash hygiene: a worker killed mid-batch is loud, leak-free, recoverable
 # ----------------------------------------------------------------------
 def test_worker_crash_mid_batch_is_loud_and_leak_free(tmp_path):
-    """The remote twin of the REPRO_TEST_CRASH_SCAN regression test.
-
-    A real subprocess worker SIGKILLs itself after its first shard
+    """A real subprocess worker SIGKILLs itself after its first shard
     result; the driver must raise a RuntimeError naming the worker (not
     hang, not return a short scan), leave /dev/shm clean, and a fresh
     worker must serve the same repository immediately afterwards.
@@ -371,7 +339,7 @@ def test_worker_crash_mid_batch_is_loud_and_leak_free(tmp_path):
         tmp_path, extra_env={remote_mod._CRASH_TEST_ENV: "1"}
     )
     try:
-        stream = ShardedSetStream(path, transport="remote", workers=[address])
+        stream = ShardedSetStream(path, workers=[address])
         with pytest.raises(RuntimeError, match="remote worker .* failed"):
             stream.scan_gains(mask_int)
         stream.close()
@@ -389,9 +357,8 @@ def test_worker_crash_mid_batch_is_loud_and_leak_free(tmp_path):
     # No partial state anywhere: a fresh worker reproduces the serial scan.
     process, address = spawn_local_worker(tmp_path)
     try:
-        recovered = ShardedSetStream(path, transport="remote",
-                                     workers=[address])
-        serial = ShardedSetStream(path, jobs=1)
+        recovered = ShardedSetStream(path, workers=[address])
+        serial = ShardedSetStream(path)
         assert (
             [int(g) for g in recovered.scan_gains(mask_int).gains]
             == [int(g) for g in serial.scan_gains(mask_int).gains]
@@ -407,10 +374,10 @@ def test_spawned_worker_round_trip(tmp_path):
     """The subprocess worker (the CLI path) serves a real solve."""
     system = SetSystem(24, [[i % 24, (i * 5) % 24] for i in range(18)])
     path = write_shards(tmp_path / "spawn", system, chunk_rows=3)
-    reference = ThresholdGreedy().solve(ShardedSetStream(path, jobs=1))
+    reference = ThresholdGreedy().solve(ShardedSetStream(path))
     process, address = spawn_local_worker(tmp_path)
     try:
-        stream = ShardedSetStream(path, transport="remote", workers=[address])
+        stream = ShardedSetStream(path, workers=[address])
         result = ThresholdGreedy().solve(stream)
         assert result.selection == reference.selection
         assert result.passes == reference.passes
@@ -691,11 +658,10 @@ def test_driver_salvages_when_every_worker_reports_stale(tmp_path):
     servers = [WorkerServer(tmp_path).start(), WorkerServer(tmp_path).start()]
     try:
         stream = ShardedSetStream(
-            path, transport="remote",
-            workers=[server.address for server in servers],
+            path, workers=[server.address for server in servers],
         )
         baseline = [int(g) for g in stream.scan_gains(mask_int).gains]
-        serial = ShardedSetStream(path, jobs=1)
+        serial = ShardedSetStream(path)
         assert baseline == [
             int(g) for g in serial.scan_gains(mask_int).gains
         ]

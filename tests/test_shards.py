@@ -719,7 +719,7 @@ def test_scan_captures_match_referee_decoder(case, data):
     referee's ``row ∩ mask``, ids ascending, in the layout the byte rule
     predicts, for every codec and capture mode: encoded cold and cached
     scans, the raw ``scan_chunk`` kernel, a delta-merged view, and the
-    record after a process-pool pickle or a remote wire round trip.
+    record after a pickle or a remote wire round trip.
     Against a second drawn mask, ``gains``/``gains_at`` match the
     referee's popcounts and ``accept_rows`` the row-by-row int loop."""
     system, encoding, shards, mask_int, kwargs = case
