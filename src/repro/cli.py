@@ -59,7 +59,7 @@ from repro.baselines import (
 )
 from repro.core import IterSetCover, IterSetCoverConfig
 from repro.offline import fractional_optimum, greedy_cover
-from repro.setsystem import load, save
+from repro.setsystem import load, load_rows, save
 from repro.streaming import SetStream
 from repro.workloads import (
     blog_watch_instance,
@@ -514,12 +514,14 @@ def _cmd_generate(args) -> int:
 def _cmd_shard_create(args) -> int:
     from repro.setsystem.shards import ShardedRepository, write_shards
 
+    # The rows go straight from the parser into the writer's chunk
+    # kernel, which validates them; no SetSystem is built.
     try:
-        system = load(args.input)
+        n, rows = load_rows(args.input)
+        path = write_shards(args.output, rows, n=n, chunk_rows=args.chunk_rows)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    path = write_shards(args.output, system, chunk_rows=args.chunk_rows)
     with ShardedRepository(path) as repo:
         print(
             f"wrote {repo.shard_count} shard(s) (n={repo.n}, m={repo.m}, "

@@ -11,6 +11,12 @@ Empty sets are encoded as blank lines.  The JSON format is the obvious
 ``{"n": ..., "sets": [[...], ...]}`` document.  For families too large to
 (de)serialize element-by-element, use the packed shard repository format
 instead (:mod:`repro.setsystem.shards`).
+
+Both formats have one parser, :func:`load_rows`, which returns the
+instance as ``(n, rows)`` with the rows as plain lists and validates
+only the document's shape; the elements are checked by whoever consumes
+the rows (:class:`SetSystem` for :func:`load`, the shard writer's chunk
+kernel for ``repro shard create``).
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from pathlib import Path
 
 from repro.setsystem.set_system import SetSystem
 
-__all__ = ["dumps_text", "loads_text", "dumps_json", "loads_json", "save", "load"]
+__all__ = [
+    "dumps_text", "loads_text", "dumps_json", "loads_json", "save", "load", "load_rows",
+]
 
 
 def dumps_text(system: SetSystem) -> str:
@@ -80,6 +88,10 @@ def loads_text(text: str) -> SetSystem:
         ...
     ValueError: expected 9 set lines, found 1
     """
+    return SetSystem(*_text_rows(text))
+
+
+def _text_rows(text: str) -> "tuple[int, list[list[int]]]":
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty set-system document")
@@ -90,8 +102,7 @@ def loads_text(text: str) -> SetSystem:
     body = lines[1 : 1 + m]
     if len(body) != m:
         raise ValueError(f"expected {m} set lines, found {len(body)}")
-    sets = [[int(token) for token in line.split()] for line in body]
-    return SetSystem(n, sets)
+    return n, [list(map(int, line.split())) for line in body]
 
 
 def dumps_json(system: SetSystem) -> str:
@@ -113,17 +124,34 @@ def loads_json(text: str) -> SetSystem:
     Raises
     ------
     ValueError
-        When the document is not an object with ``n`` and ``sets`` keys.
+        When the document is not an object with an integer ``n`` and a
+        ``sets`` array, or when a set is malformed.
 
     Examples
     --------
     >>> loads_json('{"n": 3, "sets": [[0, 2]]}').sets
     (frozenset({0, 2}),)
+    >>> loads_json('{"n": 2.7, "sets": [[0]]}')
+    Traceback (most recent call last):
+        ...
+    ValueError: JSON set system 'n' must be an integer, got 2.7
     """
+    return SetSystem(*_json_rows(text))
+
+
+def _json_rows(text: str) -> "tuple[int, list]":
     doc = json.loads(text)
     if not isinstance(doc, dict) or "n" not in doc or "sets" not in doc:
         raise ValueError("JSON set system must have 'n' and 'sets' keys")
-    return SetSystem(int(doc["n"]), doc["sets"])
+    n, sets = doc["n"], doc["sets"]
+    if type(n) is not int:  # no bool, float or string
+        raise ValueError(f"JSON set system 'n' must be an integer, got {n!r}")
+    if not isinstance(sets, list):
+        raise ValueError(
+            f"JSON set system 'sets' must be an array of sets, "
+            f"got {type(sets).__name__}"
+        )
+    return n, sets
 
 
 def save(system: SetSystem, path: "str | Path") -> None:
@@ -135,10 +163,26 @@ def save(system: SetSystem, path: "str | Path") -> None:
         path.write_text(dumps_text(system))
 
 
-def load(path: "str | Path") -> SetSystem:
-    """Read a system from ``path``; format chosen by suffix (.json or text)."""
+def load_rows(path: "str | Path") -> "tuple[int, list]":
+    """Read an instance file as ``(n, rows)``; format chosen by suffix.
+
+    The one parser of both formats.  Rows come back as plain lists,
+    exactly as the document holds them — unsorted, possibly with
+    duplicates, and with their elements not yet checked.
+
+    Raises
+    ------
+    ValueError
+        When the document's shape is malformed (see :func:`loads_json`
+        and :func:`loads_text`).
+    """
     path = Path(path)
     text = path.read_text()
     if path.suffix == ".json":
-        return loads_json(text)
-    return loads_text(text)
+        return _json_rows(text)
+    return _text_rows(text)
+
+
+def load(path: "str | Path") -> SetSystem:
+    """Read a system from ``path``; format chosen by suffix (.json or text)."""
+    return SetSystem(*load_rows(path))

@@ -20,7 +20,43 @@ from operator import index
 from repro.setsystem.packed import PackedFamily
 from repro.utils.bitset import iter_bits, mask_of, universe_mask
 
-__all__ = ["SetSystem"]
+__all__ = ["SetSystem", "frozen_row"]
+
+
+def frozen_row(i: int, raw: Iterable[int], n: int) -> frozenset[int]:
+    """Set ``i`` of a family over ``[0, n)``, validated, as a frozenset.
+
+    The one place the family's validation messages are written:
+    :class:`SetSystem` builds every set with it, and
+    :class:`~repro.setsystem.shards.ShardWriter` calls it to name the
+    first bad set of a chunk its numpy check rejected, so both refuse a
+    malformed family with the same ``ValueError``.
+
+    Examples
+    --------
+    >>> sorted(frozen_row(0, [2, True, 2], 3))
+    [1, 2]
+    >>> frozen_row(4, [0, 3], 3)
+    Traceback (most recent call last):
+        ...
+    ValueError: set 4 contains element 3 outside the ground set [0, 3)
+    """
+    try:
+        elements = map(index, raw)
+    except TypeError as exc:
+        raise ValueError(f"set {i} is not a collection of elements: {exc}") from exc
+    try:
+        # operator.index rejects floats and strings, so masks() can
+        # never truncate 1.5 into a member of element 1.
+        frozen = frozenset(elements)
+    except TypeError as exc:
+        raise ValueError(f"set {i} contains a non-integer element: {exc}") from exc
+    for element in frozen:
+        if not 0 <= element < n:
+            raise ValueError(
+                f"set {i} contains element {element} outside the ground set [0, {n})"
+            )
+    return frozen
 
 
 class SetSystem:
@@ -49,24 +85,7 @@ class SetSystem:
     def __init__(self, n: int, sets: Iterable[Iterable[int]]):
         if n < 0:
             raise ValueError(f"ground set size must be non-negative, got {n}")
-        frozen: list[frozenset[int]] = []
-        for i, raw in enumerate(sets):
-            elements = map(index, raw)
-            try:
-                # operator.index rejects floats and strings, so masks()
-                # can never truncate 1.5 into a member of element 1.
-                fs = frozenset(elements)
-            except TypeError as exc:
-                raise ValueError(
-                    f"set {i} contains a non-integer element: {exc}"
-                ) from exc
-            for element in fs:
-                if not 0 <= element < n:
-                    raise ValueError(
-                        f"set {i} contains element {element} outside the "
-                        f"ground set [0, {n})"
-                    )
-            frozen.append(fs)
+        frozen = [frozen_row(i, raw, n) for i, raw in enumerate(sets)]
         self._n = n
         self._sets = tuple(frozen)
         # Lazily built, memoized views (safe: the instance is immutable).

@@ -68,7 +68,7 @@ open (:class:`ShardedRepository`) and ``fsck``
 is a :class:`ShardFormatError` whose ``code`` is the fsck finding code.
 Any schema tag other than ``repro.shards/v3`` is refused.
 
-:class:`ShardWriter` builds a repository incrementally (one set at a
+:class:`ShardWriter` builds a repository incrementally (a chunk at a
 time, bounded memory) and removes partial output if the writer body
 raises; :class:`ShardedRepository` reads a repository back via ``mmap``
 — the OS pages shards in and out on demand, so scans never need the
@@ -97,8 +97,7 @@ import mmap
 import zlib
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from itertools import chain
-from operator import index
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +120,7 @@ from repro.setsystem.packed import (
     range_gains,
     scan_chunk,
 )
-from repro.setsystem.set_system import SetSystem
+from repro.setsystem.set_system import SetSystem, frozen_row
 from repro.utils.bitset import bits_of
 
 __all__ = [
@@ -472,6 +471,29 @@ class _ChunkCodec:
         return out.tobytes(), _LAYOUT_RAW if raw else _LAYOUT_ENCODED
 
 
+def _listed(row):
+    """A row as a list, or the row itself when it is not iterable."""
+    try:
+        return list(row)
+    except TypeError:
+        return row
+
+
+def _flat_integers(rows: list) -> "np.ndarray | None":
+    """Every element of ``rows`` in one int64 array, or ``None`` when
+    numpy cannot vouch that they are all plain integers (floats,
+    strings, huge ints, nested or non-iterable rows)."""
+    try:
+        flat = np.array(list(chain.from_iterable(rows)))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if flat.ndim != 1 or (flat.size and flat.dtype.kind not in "biu"):
+        return None
+    # bool counts as 0/1, as operator.index has it; a uint64 past the
+    # int64 range turns negative here and fails the range check.
+    return flat.astype(np.int64, copy=False)
+
+
 def _density_bucket(sizes, n: int):
     """The ``density_hist`` bucket of rows with ``sizes`` elements."""
     return np.minimum(STATS_HIST_BUCKETS - 1, sizes * STATS_HIST_BUCKETS // max(n, 1))
@@ -706,13 +728,15 @@ def _decode_payload_mask(tag: int, data, n: int, row_bytes: int) -> int:
 
 
 class ShardWriter:
-    """Incrementally write a sharded repository, one set at a time.
+    """Incrementally write a sharded repository, a chunk of sets at a time.
 
-    Memory stays bounded by one chunk: rows accumulate in a buffer of at
-    most ``chunk_rows`` sets and are flushed to a shard file (with its
-    CRC-32 recorded) whenever the buffer fills.  A flush encodes the
-    whole chunk with one kernel (:class:`_ChunkCodec`): codec tags,
-    payload bytes and the v3 stats block, all vectorized.  ``close``
+    Memory stays bounded by one chunk: :meth:`extend` takes at most
+    ``chunk_rows`` sets at a time and normalises them in one numpy pass
+    (validate, sort, de-duplicate, into CSR); :meth:`append` is
+    ``extend`` of one set.  The buffer is flushed to a shard file (with
+    its CRC-32 recorded) whenever it fills.  A flush encodes the whole
+    chunk with one kernel (:class:`_ChunkCodec`): codec tags, payload
+    bytes and the v3 stats block, all vectorized.  ``close``
     flushes the tail chunk and writes the manifest.  As a context
     manager the writer closes itself on success and **aborts** on error:
     partial shard files (and the directory, if the writer created it)
@@ -778,7 +802,10 @@ class ShardWriter:
         self.chunk_rows = (
             chunk_rows if chunk_rows is not None else _chunk_rows_for(n, chunk_bytes)
         )
-        self._buffer: list[list[int]] = []
+        # The chunk being filled, as CSR pieces of normalised rows.
+        self._flat: list[np.ndarray] = []
+        self._sizes: list[np.ndarray] = []
+        self._buffered = 0
         self._shards: list[dict] = []
         self._m = 0
         self._closed = False
@@ -792,37 +819,72 @@ class ShardWriter:
 
     def append(self, elements: Iterable[int]) -> None:
         """Append one set (an iterable of element ids) to the repository."""
-        if self._closed or self._aborted:
-            raise ShardFormatError("writer is closed")
-        try:
-            # operator.index rejects floats and such up front, so the
-            # numpy pack path can never silently truncate a non-integer.
-            row = [index(element) for element in elements]
-        except TypeError as exc:
-            raise ValueError(
-                f"set {self._m} contains a non-integer element: {exc}"
-            ) from exc
-        for element in row:
-            if not 0 <= element < self.n:
-                raise ValueError(
-                    f"set {self._m} contains element {element} outside the "
-                    f"ground set [0, {self.n})"
-                )
-        self._buffer.append(sorted(set(row)))
-        self._m += 1
-        if len(self._buffer) >= self.chunk_rows:
-            self._flush()
+        self.extend([elements])
 
     def extend(self, sets: Iterable[Iterable[int]]) -> None:
-        """Append every set of an iterable (sets are consumed lazily)."""
-        for row in sets:
-            self.append(row)
+        """Append every set of an iterable (consumed lazily, a chunk at a time).
+
+        A bad set raises ``ValueError`` from this call, after the sets
+        before it have been appended; it never reaches a shard file.
+        """
+        if self._closed or self._aborted:
+            raise ShardFormatError("writer is closed")
+        sets = iter(sets)
+        # A batch never crosses a shard boundary, and its sort key
+        # ``row·n + element`` must fit an int64.
+        key_rows = max(1, (1 << 62) // max(self.n, 1))
+        while batch := list(
+            islice(sets, min(self.chunk_rows - self._buffered, key_rows))
+        ):
+            self._add(batch)
 
     # ------------------------------------------------------------------
+    def _add(self, rows: list) -> None:
+        """Validate, sort and de-duplicate a batch of rows into the chunk
+        buffer as CSR ``(flat, sizes)``: the writer's one row kernel, in
+        numpy over the whole batch."""
+        rows = [row if type(row) is list else _listed(row) for row in rows]
+        flat = _flat_integers(rows)
+        if flat is None or (flat.size and (flat.min() < 0 or flat.max() >= self.n)):
+            rows = self._checked(rows)
+            flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
+        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        row_of = np.repeat(np.arange(len(rows)), sizes)
+        key = np.sort(row_of * self.n + flat)
+        keep = np.ones(key.size, dtype=bool)
+        keep[1:] = key[1:] != key[:-1]
+        row_of = row_of[keep]
+        self._flat.append(key[keep] - row_of * self.n)
+        self._sizes.append(np.bincount(row_of, minlength=len(rows)))
+        self._m += len(rows)
+        self._buffered += len(rows)
+        if self._buffered >= self.chunk_rows:
+            self._flush()
+
+    def _checked(self, rows: list) -> "list[list[int]]":
+        """The rows numpy could not vouch for, checked one at a time.
+
+        Runs only when a batch holds a bad set (or elements of an
+        unusual integer type): :func:`frozen_row` raises the first bad
+        set's ``ValueError``, after the rows before it are appended as
+        their own ``append`` calls would have been.
+        """
+        clean = []
+        for i, row in enumerate(rows):
+            try:
+                clean.append(sorted(frozen_row(self._m + i, row, self.n)))
+            except ValueError:
+                self._add(clean)
+                raise
+        return clean
+
     def _flush(self) -> None:
-        if not self._buffer:
+        if not self._buffered:
             return
-        chunk = _ChunkCodec.of_rows(self._buffer, self.n, self.encoding)
+        chunk = _ChunkCodec(
+            np.concatenate(self._flat), np.concatenate(self._sizes),
+            self.n, self.encoding,
+        )
         payload, layout = chunk.payload()
         name = _shard_name(len(self._shards))
         crashpoint("writer.shard-flush")
@@ -831,14 +893,14 @@ class ShardWriter:
         self._shards.append(
             {
                 "file": name,
-                "rows": len(self._buffer),
+                "rows": self._buffered,
                 "bytes": len(payload),
                 "crc32": zlib.crc32(payload),
                 "layout": layout,
                 "stats": chunk.stats(),
             }
         )
-        self._buffer = []
+        self._flat, self._sizes, self._buffered = [], [], 0
 
     def close(self) -> Path:
         """Flush the tail chunk, write ``manifest.json``, return the path."""
@@ -888,7 +950,7 @@ class ShardWriter:
                 self.path.rmdir()
             except OSError:  # foreign files arrived meanwhile; leave them
                 pass
-        self._buffer = []
+        self._flat, self._sizes, self._buffered = [], [], 0
         self._shards = []
         self._aborted = True
 

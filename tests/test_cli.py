@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,58 @@ class TestShard:
         assert main(["shard", "create", str(instance),
                      str(tmp_path / "repo")]) == 0
         assert "shard(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suffix, document", [
+        # Unsorted rows, duplicates, an empty set and a full one.
+        (".json", '{"n": 9, "sets": [[8, 0, 3, 3], [4, 4], [], '
+                  '[8, 7, 6, 5, 4, 3, 2, 1, 0], [7, 1, 7]]}'),
+        (".txt", "9 5\n8 0 3 3\n4 4\n\n8 7 6 5 4 3 2 1 0\n7 1 7\n"),
+    ], ids=["json", "text"])
+    def test_shard_create_builds_no_set_system(self, tmp_path, monkeypatch,
+                                               capsys, suffix, document):
+        """`shard create` feeds the parsed rows straight to the writer's
+        chunk kernel: with SetSystem unusable it still writes the very
+        repository `write_shards(load(instance))` writes."""
+        from repro.setsystem import SetSystem, write_shards
+
+        instance = tmp_path / f"inst{suffix}"
+        instance.write_text(document)
+        expected = write_shards(tmp_path / "expected", load(instance), chunk_rows=2)
+
+        def no_set_system(*args, **kwargs):
+            raise AssertionError("shard create built a SetSystem")
+
+        monkeypatch.setattr(SetSystem, "__init__", no_set_system)
+        out = tmp_path / "out"
+        assert main(["shard", "create", str(instance), str(out),
+                     "--chunk-rows", "2"]) == 0
+        assert "wrote 3 shard(s)" in capsys.readouterr().out
+        monkeypatch.undo()
+        files = lambda path: {p.name: p.read_bytes() for p in path.iterdir()}
+        assert files(out) == files(expected)
+
+    @pytest.mark.parametrize("document, message", [
+        ('{"n": 2.7, "sets": [[0]]}', "'n' must be an integer, got 2.7"),
+        ('{"n": "3", "sets": [[0]]}', "'n' must be an integer, got '3'"),
+        ('{"n": true, "sets": [[0]]}', "'n' must be an integer, got True"),
+        ('{"n": 3, "sets": 5}', "'sets' must be an array of sets, got int"),
+        ('{"n": 3, "sets": [5]}', "set 0 is not a collection of elements"),
+        ('{"n": 3, "sets": [[0], null]}', "set 1 is not a collection of elements"),
+        ('{"n": 3, "sets": [[0], [2, 3]]}', "set 1 contains element 3 outside"),
+    ], ids=["n-float", "n-string", "n-bool", "sets-int", "set-int", "set-null",
+            "set-out-of-range"])
+    def test_shard_create_refuses_a_malformed_document(self, tmp_path, capsys,
+                                                       document, message):
+        """A bad `n` is never coerced and a bad `sets` never escapes as a
+        traceback: `error: ...`, exit 1, and no repository is left."""
+        instance = tmp_path / "bad.json"
+        instance.write_text(document)
+        assert main(["shard", "create", str(instance), str(tmp_path / "repo")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "repo").exists()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load(instance)
 
 
 class TestExperiments:

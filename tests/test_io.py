@@ -11,6 +11,7 @@ from repro.setsystem import (
     dumps_json,
     dumps_text,
     load,
+    load_rows,
     loads_json,
     loads_text,
     save,
@@ -67,6 +68,38 @@ class TestFiles:
         path = tmp_path / "instance.json"
         save(tiny_system, path)
         assert load(path) == tiny_system
+
+
+class TestRows:
+    """`load_rows` is the one parser: rows come back as the document
+    holds them, and `load` is `SetSystem(*load_rows(path))`."""
+
+    @pytest.mark.parametrize("name, document", [
+        ("inst.json", '{"n": 4, "sets": [[3, 0, 3], [], [2, true]]}'),
+        ("inst.txt", "4 3\n3 0 3\n\n2 1\n"),
+    ])
+    def test_rows_as_written(self, tmp_path, name, document):
+        path = tmp_path / name
+        path.write_text(document)
+        n, rows = load_rows(path)
+        assert n == 4 and rows[:2] == [[3, 0, 3], []]
+        assert load(path) == SetSystem(n, rows) == SetSystem(4, [[0, 3], [], [1, 2]])
+
+    @pytest.mark.parametrize("n", ["2.7", '"3"', "true", "null", "[3]"])
+    def test_json_n_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="'n' must be an integer"):
+            loads_json(f'{{"n": {n}, "sets": [[0]]}}')
+
+    @pytest.mark.parametrize("sets, message", [
+        ("5", "'sets' must be an array of sets, got int"),
+        ('{"0": [1]}', "'sets' must be an array of sets, got dict"),
+        ("[5]", "set 0 is not a collection of elements"),
+        ("[[0], 1.5]", "set 1 is not a collection of elements"),
+        ('[[0], ["1"]]', "set 1 contains a non-integer element"),
+    ])
+    def test_json_sets_malformed(self, sets, message):
+        with pytest.raises(ValueError, match=message):
+            loads_json(f'{{"n": 3, "sets": {sets}}}')
 
 
 @given(small_systems())

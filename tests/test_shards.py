@@ -525,6 +525,97 @@ def test_writer_close_after_abort_raises(tmp_path):
         writer.append([1])
 
 
+def test_writer_extend_keeps_the_rows_before_a_bad_one(tmp_path):
+    """A bad set raises from the `extend` that was passed it, with the
+    sets before it appended (as one `append` each would have) and none
+    after it; the bad set itself never reaches a shard file."""
+    writer = ShardWriter(tmp_path / "w", n=3, chunk_rows=2)
+    with pytest.raises(ValueError, match="set 3 contains element 9 outside"):
+        writer.extend([[0], [2, 1], [1], [9], [2]])
+    assert writer.m == 3
+    writer.extend([[0, 0]])
+    with ShardedRepository(writer.close()) as repo:
+        assert repo.to_system() == SetSystem(3, [[0], [1, 2], [1], [0]])
+
+
+#: Elements that make SetSystem refuse their set: floats (even integral
+#: ones), strings, None, a nested list, and ints past any int64 range.
+_BAD_ELEMENTS = (1.5, 1.0, "1", None, [0], 2**64, 2**70, -(2**63) - 1)
+
+
+@st.composite
+def _writer_inputs(draw):
+    """A small family as a writer gets it: unsorted rows, duplicates,
+    empty sets, bools as elements, tuples as rows, and in about half the
+    cases one malformed set."""
+    n = draw(st.integers(0, 12))
+    valid = st.integers(0, max(n - 1, 0))
+    element = st.one_of(valid, st.booleans()) if n >= 2 else valid
+    size = 8 if n else 0  # over an empty ground set every set is empty
+    rows = draw(st.lists(st.lists(element, max_size=size), max_size=9))
+    rows = [tuple(row) if draw(st.booleans()) else row for row in rows]
+    label = "well-formed"
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(rows)))
+        kind = draw(st.sampled_from(["element", "range", "row"]))
+        if kind == "row":
+            bad = draw(st.sampled_from([5, None, 2.5]))
+            rows.insert(at, bad)
+        else:
+            bad = draw(st.sampled_from(
+                _BAD_ELEMENTS if kind == "element" else (n, n + 3, -1)))
+            row = draw(st.lists(element, max_size=min(size, 4)))
+            row.insert(draw(st.integers(0, len(row))), bad)
+            rows.insert(at, row)
+        label = f"{kind} {bad!r}"
+    return n, rows, draw(st.sampled_from([1, 2, 7, None])), label
+
+
+@settings(max_examples=150, deadline=None)
+@given(_writer_inputs())
+def test_writer_fuzz_matches_set_system(case):
+    """Differential fuzzing of the writer's chunk kernel against
+    SetSystem.  A well-formed family writes byte-identical repositories
+    whether its rows arrive as a list, a generator or one `append` each,
+    and reads back as `SetSystem(n, rows)`; a malformed one raises the
+    very ValueError SetSystem raises and leaves no directory behind."""
+    n, rows, chunk_rows, label = case
+    event(label.split()[0])
+    try:
+        expected = SetSystem(n, rows)
+    except ValueError as exc:
+        expected = exc
+
+    def by_append(path):
+        with ShardWriter(path, n, chunk_rows=chunk_rows) as writer:
+            for row in rows:
+                writer.append(row)
+        return path
+
+    writers = {
+        "list": lambda path: write_shards(path, rows, n=n, chunk_rows=chunk_rows),
+        "generator": lambda path: write_shards(
+            path, (row for row in rows), n=n, chunk_rows=chunk_rows),
+        "append": by_append,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        written = {}
+        for how, write in writers.items():
+            path = Path(tmp) / how
+            if isinstance(expected, ValueError):
+                with pytest.raises(ValueError) as info:
+                    write(path)
+                assert str(info.value) == str(expected), (how, label)
+                assert not path.exists(), (how, label)
+            else:
+                write(path)
+                written[how] = {p.name: p.read_bytes() for p in path.iterdir()}
+        if written:
+            assert written["list"] == written["generator"] == written["append"]
+            with ShardedRepository(Path(tmp) / "list", verify=True) as repo:
+                assert repo.to_system() == expected
+
+
 # ----------------------------------------------------------------------
 # Corrupt compressed blocks fail loudly
 # ----------------------------------------------------------------------
