@@ -60,7 +60,6 @@ root is rejected).
 
 from __future__ import annotations
 
-import collections
 import json
 import os
 import queue
@@ -655,18 +654,44 @@ class WorkerServer:
                         raise ProtocolError(
                             f"shard {shard} outside 0..{repo.shard_count - 1}"
                         )
+                # JSON integers and booleans arrive as exactly ``int`` and
+                # ``bool`` (``type(True) is not int``).
+                min_gain = request["min_capture_gain"]
+                if min_gain is not None and not (
+                    type(min_gain) is int and min_gain >= 1
+                ):
+                    raise ValueError(
+                        "min_capture_gain must be null or an integer >= 1, "
+                        f"got {min_gain!r}"
+                    )
+                capture_ids = request["capture_ids"]
+                if capture_ids is not None and not (
+                    type(capture_ids) is list
+                    and all(type(i) is int for i in capture_ids)
+                ):
+                    raise ValueError(
+                        "capture_ids must be null or a list of integers"
+                    )
+                best_only = request["best_only"]
+                include_gains = request["include_gains"]
+                if type(best_only) is not bool or type(include_gains) is not bool:
+                    raise ValueError("best_only and include_gains must be booleans")
+                mask_int = int.from_bytes(mask_bytes, "little")
+                if (
+                    len(mask_bytes) != max(1, 8 * repo.words)
+                    or mask_int.bit_length() > WORD_BITS * repo.words
+                ):
+                    raise ValueError(
+                        f"mask frame of {len(mask_bytes)} bytes does not hold "
+                        f"{repo.words} word(s)"
+                    )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ProtocolError(f"malformed scan request: {exc}") from exc
             from repro.setsystem.packed import ScanMask
 
-            mask = ScanMask(n, int.from_bytes(mask_bytes, "little"))
-            min_gain = request.get("min_capture_gain")
-            capture_ids = request.get("capture_ids")
-            capture_ids = (
-                frozenset(capture_ids) if capture_ids is not None else None
-            )
-            include_gains = bool(request.get("include_gains", True))
-            best_only = bool(request.get("best_only", False))
+            mask = ScanMask(n, mask_int)
+            if capture_ids is not None:
+                capture_ids = frozenset(capture_ids)
             crash_hook = os.environ.get(_CRASH_TEST_ENV)
             for shard in shards:
                 (start, gains, captured), hot = hot_scan_shard(
@@ -812,14 +837,11 @@ class _Batch:
     through its own open handle.
     """
 
-    __slots__ = ("index", "shards", "cost", "attempts", "stale_workers")
+    __slots__ = ("index", "shards", "attempts", "stale_workers")
 
-    def __init__(self, index: int, shards, cost: int = 0):
+    def __init__(self, index: int, shards):
         self.index = index
         self.shards = list(shards)
-        #: Planner cost estimate (§8.2 scan words) of the whole batch —
-        #: the work unit the throughput EWMA is denominated in.
-        self.cost = int(cost) if cost else len(self.shards)
         self.attempts = 0
         self.stale_workers: set = set()
 
@@ -827,69 +849,50 @@ class _Batch:
 class _WorkerHealth:
     """Executor-scoped per-worker state (guarded by the executor lock)."""
 
-    __slots__ = ("consecutive", "ejected_until", "rate")
+    __slots__ = ("consecutive", "ejected_until")
 
     def __init__(self):
         self.consecutive = 0
         self.ejected_until = 0.0
-        #: EWMA throughput in planner cost units (§8.2 scan words) per
-        #: second, observed from delivered batches.  ``0.0`` = unseeded;
-        #: placement then treats the worker as fleet-average.
-        self.rate = 0.0
 
 
 class _ScanState:
-    """Shared state of one in-flight scan: work queues, delivery ledger.
+    """Shared state of one in-flight scan: the work queue, delivery ledger.
 
     ``deliver`` marks a shard delivered *and* queues it for the reorder
     window in one step, so a batch that faults mid-stream re-dispatches
     only its undelivered remainder — the window never sees a shard
     twice, which is what keeps retried scans bit-identical.
 
-    Work is dealt in two tiers.  ``assignment`` (from the executor's
-    throughput-weighted placement) seeds a per-worker deque each lane
-    drains first — that is what steers shards toward the workers whose
-    hot caches hold them.  The shared overflow queue takes everything
-    else: unassigned batches, every requeue from the fault paths (a
-    re-dispatched batch must be grabbable by *any* surviving lane), and
-    the drained deque of an exiting lane.  An idle lane steals from the
-    *tail* of the longest peer deque before blocking, so a skewed
-    assignment degrades to work-sharing instead of idling the fleet.
-    Placement decides only *where* a shard is scanned; the reorder
-    window alone decides observation order, so results are bit-identical
-    under every assignment.
+    Every batch goes on the one shared ``work`` queue in plan order, and
+    every lane pulls the next batch whenever it is free, so a slow lane
+    simply pulls fewer.  Requeues from the fault paths go back on the
+    same queue, where any surviving lane picks them up.  The queue
+    decides only *where* a shard is scanned; the reorder window alone
+    decides observation order, so results are bit-identical whichever
+    lane scans what.
     """
 
-    def __init__(self, spans, batches, assignment=None):
+    def __init__(self, spans, batches):
         #: ``(start, rows)`` of every shard, what each reply is checked against.
         self.spans = spans
         self.shard_count = len(spans)
         self.stop = threading.Event()
         self.results: "queue.Queue[tuple]" = queue.Queue()
-        self.work: "queue.Queue[_Batch]" = queue.Queue()
+        self.work: "queue.Queue[_Batch | None]" = queue.Queue()
         #: Workers participating in this scan — the denominator for the
         #: "every worker reports this batch's generation stale" check.
         self.roster: set = set()
         self._lock = threading.Lock()
-        self._local: dict = {}  # worker -> deque of assigned batches
         self._delivered: set = set()
         #: worker -> {"delivered": n, "hot": n}; "driver" for salvage.
         self.delivered_by: dict = {}
-        #: shard -> worker that delivered it (feeds the executor's
-        #: cache-affinity map for the next pass).
-        self.homes: dict = {}
         self._batches = len(batches)
         self._done_batches = 0
         self._exited: set = set()
         self._stale_queued: set = set()
         for batch in batches:
-            worker = assignment.get(batch.index) if assignment else None
-            if worker is None:
-                self.work.put(batch)
-            else:
-                self._local.setdefault(
-                    worker, collections.deque()
-                ).append(batch)
+            self.work.put(batch)
 
     def mark_stale(self, batch: _Batch, worker) -> bool:
         """Record one stale-repository report against ``batch``.
@@ -912,33 +915,12 @@ class _ScanState:
             return False
 
     def note_exit(self, worker) -> None:
-        """A lane is gone: stop counting it toward the stale quorum, and
-        spill its still-assigned batches to the shared queue so no
-        placement decision can strand work on a dead lane."""
+        """A lane is gone: stop counting it toward the stale quorum."""
         with self._lock:
             self._exited.add(worker)
-            spill = self._local.pop(worker, None)
-        if spill:
-            for batch in spill:
-                self.work.put(batch)
 
-    def take(self, worker, timeout: float):
-        """Next batch for ``worker``: own deque, overflow queue, steal."""
-        with self._lock:
-            own = self._local.get(worker)
-            if own:
-                return own.popleft()
-        try:
-            return self.work.get_nowait()
-        except queue.Empty:
-            pass
-        with self._lock:
-            victim = max(
-                (dq for w, dq in self._local.items() if dq and w != worker),
-                key=len, default=None,
-            )
-            if victim:
-                return victim.pop()
+    def take(self, timeout: float):
+        """Next batch off the shared queue; ``None`` on timeout or wake-up."""
         try:
             return self.work.get(timeout=timeout)
         except queue.Empty:
@@ -961,7 +943,6 @@ class _ScanState:
                 ledger["delivered"] += 1
                 if hot:
                     ledger["hot"] += 1
-                self.homes[shard] = worker
         self.results.put(("item", (shard, item)))
 
     def batch_done(self, batch: _Batch) -> None:
@@ -1012,7 +993,9 @@ class _WorkerLane(threading.Thread):
                         return
             last_beat = time.monotonic()
             while not state.stop.is_set():
-                batch = state.take(self.worker, timeout=0.25)
+                batch = state.take(timeout=0.25)
+                if state.stop.is_set():
+                    return  # the scan ended (or was abandoned) while idle
                 if batch is None:
                     if state.finished():
                         return
@@ -1038,7 +1021,6 @@ class _WorkerLane(threading.Thread):
                         state.requeue(batch)
                         state.stop.wait(0.05)
                     continue
-                begin = time.monotonic()
                 try:
                     self._run_batch(todo)
                 except _LaneFault as fault:
@@ -1090,22 +1072,11 @@ class _WorkerLane(threading.Thread):
                 else:
                     state.batch_done(batch)
                     executor._note_success(self.worker)
-                    executor._note_throughput(
-                        self.worker, self._units(todo),
-                        time.monotonic() - begin,
-                    )
                     last_beat = time.monotonic()
         finally:
             self._close()
             state.note_exit(self.worker)
             state.results.put(("lane_exit", self.worker))
-
-    def _units(self, shards) -> int:
-        """Planner cost units in ``shards`` (the EWMA work numerator)."""
-        costs = getattr(self.state, "shard_costs", None)
-        if costs is None:
-            return len(shards)
-        return sum(int(costs[shard]) for shard in shards)
 
     # -- one batch ------------------------------------------------------
     def _run_batch(self, todo) -> None:
@@ -1256,7 +1227,10 @@ class RemoteScanExecutor(ScanExecutor):
     accepts (the CLI's ``host:port,host:port`` string or a list of
     pairs).  ``retry`` takes anything
     :meth:`repro.engine.fault.RetryPolicy.resolve` accepts; the default
-    is the fail-loud policy.  Connections are opened per scan and closed
+    is the fail-loud policy.  Each scan's cost-balanced batches (§8.2)
+    go on one shared queue in plan order, and one lane per worker pulls
+    the next batch whenever it is free, so a slow worker just pulls
+    fewer.  Connections are opened per scan and closed
     when the scan's iterator is exhausted or abandoned — workers keep no
     per-driver state, so a failed scan needs no cleanup beyond
     reconnecting.  Worker health (consecutive faults, ejection cooldown)
@@ -1278,19 +1252,6 @@ class RemoteScanExecutor(ScanExecutor):
 
     transport = "remote"
 
-    #: EWMA smoothing for observed per-worker throughput: ~70% weight on
-    #: history, so one slow batch (GC pause, cold cache) does not flip
-    #: the placement, but a persistently slow worker converges in a few
-    #: batches.
-    _EWMA_ALPHA = 0.3
-
-    #: Placement discount for a shard whose last delivery came from this
-    #: worker: its decoded chunks are likely still in the worker's hot
-    #: cache, making the §8.2 cost estimate roughly the decode share too
-    #: pessimistic.  0.5 is deliberately conservative — affinity is a
-    #: tie-breaker, not a pin.
-    _AFFINITY_DISCOUNT = 0.5
-
     def __init__(self, workers, retry=None):
         self.workers = resolve_workers(workers)
         self.jobs = len(self.workers)
@@ -1300,7 +1261,6 @@ class RemoteScanExecutor(ScanExecutor):
         self._health = {worker: _WorkerHealth() for worker in self.workers}
         self._health_lock = threading.Lock()
         self._worker_cache: dict = {}
-        self._affinity: "tuple | None" = None  # (token key, {shard: worker})
         self._last_ledger: dict = {}
         self._dial: dict = {}
         self._chaos: list = []
@@ -1370,18 +1330,6 @@ class RemoteScanExecutor(ScanExecutor):
         with self._health_lock:
             self._health[worker].consecutive = 0
 
-    def _note_throughput(self, worker, units: int, elapsed: float) -> None:
-        """Fold one delivered batch into the worker's throughput EWMA."""
-        if units <= 0:
-            return
-        observed = units / max(elapsed, 1e-6)
-        with self._health_lock:
-            health = self._health[worker]
-            if health.rate <= 0.0:
-                health.rate = observed
-            else:
-                health.rate += self._EWMA_ALPHA * (observed - health.rate)
-
     def _note_failure(self, worker) -> bool:
         """Count one fault; True when the worker just got ejected."""
         with self._health_lock:
@@ -1433,56 +1381,6 @@ class RemoteScanExecutor(ScanExecutor):
         )
         return sock
 
-    # -- placement ---------------------------------------------------------
-    def _place_batches(self, batches, roster, affinity_key):
-        """Deal batches to workers by throughput, not round-robin.
-
-        Greedy longest-processing-time assignment: batches in
-        descending §8.2 cost order, each to the worker whose projected
-        finish time ``(load + effective cost) / rate`` is smallest.
-        ``rate`` is the worker's throughput EWMA (unseeded workers get
-        the fleet average, so a cold fleet degenerates to plain
-        cost-balancing — the §8.2 estimates seed the placement until
-        observations arrive).  ``effective cost`` discounts shards whose
-        previous delivery came from this same worker
-        (:data:`_AFFINITY_DISCOUNT`): their decoded chunks are likely
-        still hot in that worker's cache.  Returns ``{batch index:
-        worker}``; purely a scheduling hint — lanes steal across the
-        assignment when it turns out wrong, and the reorder window makes
-        results independent of it either way.
-        """
-        if not roster or not batches:
-            return None
-        with self._health_lock:
-            rates = {worker: self._health[worker].rate for worker in roster}
-            homes: dict = {}
-            if self._affinity is not None and self._affinity[0] == affinity_key:
-                homes = self._affinity[1]
-        seeded = [rate for rate in rates.values() if rate > 0.0]
-        default = (sum(seeded) / len(seeded)) if seeded else 1.0
-        rates = {
-            worker: (rate if rate > 0.0 else default)
-            for worker, rate in rates.items()
-        }
-        load = {worker: 0.0 for worker in roster}
-        assignment: dict = {}
-        for batch in sorted(batches, key=lambda b: b.cost, reverse=True):
-            best = best_eta = best_cost = None
-            for worker in roster:
-                hot = (
-                    sum(1 for s in batch.shards if homes.get(s) == worker)
-                    / len(batch.shards)
-                ) if homes else 0.0
-                effective = batch.cost * (
-                    1.0 - self._AFFINITY_DISCOUNT * hot
-                )
-                eta = (load[worker] + effective) / rates[worker]
-                if best_eta is None or eta < best_eta:
-                    best, best_eta, best_cost = worker, eta, effective
-            assignment[batch.index] = best
-            load[best] += best_cost
-        return assignment
-
     # -- the scan ---------------------------------------------------------
     def _raise_fatal(self, payload) -> None:
         worker, batch, message = payload
@@ -1530,37 +1428,29 @@ class RemoteScanExecutor(ScanExecutor):
         # ShardedRepository captures it from the manifest bytes at open —
         # so a compaction that rewrites the disk mid-fleet surfaces as a
         # typed stale-repository condition, never as silently-different
-        # scan results.  (Fallback to the on-disk token for repository
-        # objects predating the attribute.)
-        open_token = getattr(repository, "token", None)
+        # scan results.
         request = {
             "op": "scan",
             "path": str(Path(repository.path).resolve()),
-            "token": (
-                list(open_token)
-                if open_token is not None
-                else manifest_token(repository.path)
-            ),
+            "token": list(repository.token),
             "n": repository.n,
             "min_capture_gain": min_capture_gain,
             "capture_ids": (
                 sorted(capture_ids) if capture_ids is not None else None
             ),
-            "best_only": best_only,
-            "include_gains": include_gains,
+            "best_only": bool(best_only),
+            "include_gains": bool(include_gains),
         }
         mask_bytes = mask_int.to_bytes(max(1, repository.words * 8), "little")
-        estimates = list(repository.shard_cost_estimates())
         batches = [
-            _Batch(index, shards, cost=sum(estimates[s] for s in shards))
-            for index, shards in enumerate(plan_batches(estimates, self.jobs))
+            _Batch(index, shards)
+            for index, shards in enumerate(
+                plan_batches(list(repository.shard_cost_estimates()), self.jobs)
+            )
             if shards
         ]
         roster = self._roster()
-        affinity_key = (request["path"], tuple(request["token"]))
-        assignment = self._place_batches(batches, roster, affinity_key)
-        state = _ScanState(repository.shard_spans(), batches, assignment)
-        state.shard_costs = estimates
+        state = _ScanState(repository.shard_spans(), batches)
         state.roster = set(roster)
         preconnected: dict = {}
         if not policy.enabled:
@@ -1672,16 +1562,15 @@ class RemoteScanExecutor(ScanExecutor):
                         yield from window.pop_ready()
         finally:
             state.stop.set()
+            for _ in lanes:
+                state.work.put(None)  # wakes an idle lane now, not at its poll
             for lane in lanes:
                 lane.close_socket()
             for lane in lanes:
                 host, port = lane.worker
                 _join_reaped(lane, f"remote lane for worker {host}:{port}")
-            # Persist this scan's observability artefacts on the
-            # executor: the delivered-shard ledger (chaos-smoke asserts
-            # load skew on it) and the shard->worker affinity map the
-            # next pass's placement consults.  "driver" rows never enter
-            # the affinity map — the driver is not a placement target.
+            # Persist the delivered-shard ledger on the executor (the
+            # chaos-smoke job asserts load skew on it).
             self._last_ledger = {
                 (
                     worker if isinstance(worker, str)
@@ -1689,15 +1578,6 @@ class RemoteScanExecutor(ScanExecutor):
                 ): dict(row)
                 for worker, row in state.delivered_by.items()
             }
-            homes = {
-                shard: worker for shard, worker in state.homes.items()
-                if not isinstance(worker, str)
-            }
-            if self._affinity is not None and self._affinity[0] == affinity_key:
-                merged = dict(self._affinity[1])
-                merged.update(homes)
-                homes = merged
-            self._affinity = (affinity_key, homes)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import os
 import socket
+import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +206,58 @@ def test_remote_single_worker_and_abandoned_scan(tmp_path, worker_fleet):
     stream.close()
 
 
+def test_lanes_wake_when_the_scan_ends(tmp_path, worker_fleet, monkeypatch):
+    """Idle lanes exit as soon as a scan ends instead of sleeping out
+    their queue poll: joined with a 0.1 s timeout, none is abandoned."""
+    system = SetSystem(64, [[i % 64, (3 * i) % 64] for i in range(96)])
+    path = write_shards(tmp_path / "wake", system, chunk_rows=4)
+    join = remote_mod._join_reaped
+    monkeypatch.setattr(
+        remote_mod, "_join_reaped",
+        lambda thread, what, timeout=5.0: join(thread, what, timeout=0.1),
+    )
+    stream = ShardedSetStream(path, workers=worker_fleet)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(5):
+            assert len(stream.scan_gains((1 << 64) - 1).gains) == 96
+    stream.close()
+    abandoned = [w for w in caught if "abandoned as a daemon thread" in str(w.message)]
+    assert not abandoned, [str(w.message) for w in abandoned]
+
+
+def test_shared_queue_under_thread_churn(tmp_path):
+    """More lanes than cores pulling off the one shared queue, with a
+    shortened switch interval: every scan still delivers each shard
+    exactly once, matching the serial scan."""
+    system = SetSystem(96, [[i % 96, (5 * i) % 96, (7 * i) % 96]
+                            for i in range(240)])
+    path = write_shards(tmp_path / "churn", system, chunk_rows=3)
+    reference = ShardedSetStream(path)
+    expected = reference.scan_gains((1 << 96) - 1, min_capture_gain=2)
+    reference.close()
+    servers = [WorkerServer(tmp_path).start() for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        stream = ShardedSetStream(
+            path, workers=[server.address for server in servers]
+        )
+        for _ in range(5):
+            scan = stream.scan_gains((1 << 96) - 1, min_capture_gain=2)
+            assert [int(g) for g in scan.gains] == [
+                int(g) for g in expected.gains
+            ]
+            assert scan.captured == expected.captured
+        ledger = stream._executor.placement_ledger()
+        stream.close()
+    finally:
+        sys.setswitchinterval(interval)
+        for server in servers:
+            server.stop()
+    assert sum(row["delivered"] for row in ledger.values()) == 80
+
+
 # ----------------------------------------------------------------------
 # Wire-protocol failure modes
 # ----------------------------------------------------------------------
@@ -234,6 +288,56 @@ def test_manifest_token_mismatch_is_refused(tmp_path, worker_fleet):
     real = stream.scan_gains((1 << 8) - 1)  # sanity: matching token works
     assert len(real.gains) == 2
     stream.close()
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("min_capture_gain", "x"),
+    ("min_capture_gain", [1]),
+    ("min_capture_gain", 0),
+    ("min_capture_gain", True),
+    ("capture_ids", 5),
+    ("capture_ids", [[1]]),
+    ("capture_ids", [1.5]),
+    ("best_only", "yes"),
+    ("include_gains", 1),
+    ("include_gains", _MISSING),
+    ("mask", b"\xff" * 9),
+    ("mask", b"\xff"),
+], ids=[
+    "gain-str", "gain-list", "gain-zero", "gain-bool", "ids-int",
+    "ids-nested", "ids-float", "best-str", "gains-int", "gains-missing",
+    "mask-wide", "mask-short",
+])
+def test_malformed_scan_request_gets_a_typed_error(
+    tmp_path, worker_fleet, field, value
+):
+    """A scan request with a mistyped field, or a mask frame that is not
+    exactly the repository's word count, gets an ``error`` reply; the
+    connection thread never dies with a raw exception."""
+    path = write_shards(tmp_path / "bad", SetSystem(8, [[0, 1], [2, 3]]))
+    request = {
+        "op": "scan", "path": str(path), "token": manifest_token(path),
+        "n": 8, "shards": [0], "min_capture_gain": None,
+        "capture_ids": None, "best_only": False, "include_gains": True,
+    }
+    mask = (255).to_bytes(8, "little")
+    if field == "mask":
+        mask = value
+    elif value is _MISSING:
+        del request[field]
+    else:
+        request[field] = value
+    with socket.create_connection(worker_fleet[0], timeout=10.0) as sock:
+        send_json(sock, {"op": "hello", "protocol": PROTOCOL_VERSION})
+        assert recv_json(sock)["op"] == "hello"
+        send_json(sock, request)
+        send_bytes(sock, mask)
+        reply = recv_json(sock)
+    assert reply["op"] == "error", reply
+    assert "malformed scan request" in reply["message"]
 
 
 def test_paths_outside_worker_root_are_rejected(tmp_path):
@@ -687,85 +791,3 @@ def test_driver_salvages_when_every_worker_reports_stale(tmp_path):
     finally:
         for server in servers:
             server.stop()
-
-
-class TestThroughputPlacement:
-    """The EWMA placement model (DESIGN.md §14.2), without sockets.
-
-    ``_place_batches`` is pure given the health table, so the model is
-    pinned directly: cold fleets place deterministically and balanced,
-    observed throughput shifts load to fast lanes, and cache affinity
-    discounts a batch's cost at its home worker.  The end-to-end skew
-    (a delay-proxied worker delivering fewer shards) is asserted by the
-    chaos-smoke CI job on the placement ledger.
-    """
-
-    def _executor(self):
-        return RemoteScanExecutor(["a:1", "b:2"])
-
-    def _batches(self, costs):
-        from repro.engine.transport.remote import _Batch
-
-        shards = 0
-        batches = []
-        for index, cost in enumerate(costs):
-            batches.append(_Batch(index, [shards], cost=cost))
-            shards += 1
-        return batches
-
-    def _load(self, assignment, batches):
-        load: dict = {}
-        for batch in batches:
-            worker = assignment[batch.index]
-            load[worker] = load.get(worker, 0) + batch.cost
-        return load
-
-    def test_cold_fleet_is_deterministic_and_balanced(self):
-        executor = self._executor()
-        batches = self._batches([8, 7, 5, 4, 2, 1])
-        first = executor._place_batches(batches, executor.workers, None)
-        assert first == executor._place_batches(
-            batches, executor.workers, None
-        )
-        load = self._load(first, batches)
-        # LPT over equal (fleet-average) rates: 8+4+1 vs 7+5+2.
-        assert sorted(load.values()) == [13, 14]
-
-    def test_observed_throughput_shifts_load(self):
-        executor = self._executor()
-        fast, slow = executor.workers
-        # Same elapsed wall-clock, 4x the delivered units.
-        executor._note_throughput(fast, 400, 1.0)
-        executor._note_throughput(slow, 100, 1.0)
-        batches = self._batches([8, 7, 5, 4, 2, 1])
-        assignment = executor._place_batches(
-            batches, executor.workers, None
-        )
-        load = self._load(assignment, batches)
-        assert load[fast] > load[slow]
-        # The 4x lane should carry roughly 4/5 of the total cost.
-        assert load[fast] >= 20
-
-    def test_cache_affinity_discounts_the_home_worker(self):
-        executor = self._executor()
-        home, other = executor.workers
-        key = ("/repo", (1, 2))
-        # Every shard's last delivery came hot from ``home``.
-        executor._affinity = (key, {shard: home for shard in range(4)})
-        batches = self._batches([4, 4, 4, 4])
-        with_affinity = self._load(
-            executor._place_batches(batches, executor.workers, key), batches
-        )
-        stale_key = ("/repo", (9, 9))
-        without = self._load(
-            executor._place_batches(
-                batches, executor.workers, stale_key
-            ),
-            batches,
-        )
-        # A different scan's affinity map must not leak in: the stale
-        # key splits the equal-cost batches evenly...
-        assert sorted(without.values()) == [8, 8]
-        # ...while the matching key leans on the warm lane (discounted
-        # cost makes home's projected finish earlier at equal load).
-        assert with_affinity.get(home, 0) > with_affinity.get(other, 0)
