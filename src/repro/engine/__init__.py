@@ -2,7 +2,10 @@
 
 A streaming pass is, per set, a pure map against a read-only residual —
 only the accept/pick step needs ordered reconciliation.  This package
-exploits that observation in three cleanly separated layers:
+exploits that observation in three cleanly separated layers, over one
+shard-scan path (:func:`repro.engine.cache.scan_through_cache`: the
+payload from the chunk cache or ``decode_chunk``, then
+``scan_decoded``) that every transport takes:
 
 * :mod:`repro.engine.plan` — *what to run where*: the remote batch
   plan (contiguous cost-balanced shard segments from the manifest
@@ -24,12 +27,16 @@ This is the import surface the rest of the repository uses.
 
 Examples
 --------
->>> from repro.setsystem.packed import ScanMask, pack_rows
->>> executor = SerialScanExecutor()
->>> chunks = [(0, pack_rows([0b011, 0b100], 1)), (2, pack_rows([0b111], 1))]
->>> result = executor.scan_chunks(3, chunks, ScanMask(3, 0b110), min_capture_gain=2)
+>>> import tempfile
+>>> from repro.setsystem import SetSystem
+>>> from repro.setsystem.shards import ShardedRepository, write_shards
+>>> tmp = tempfile.TemporaryDirectory()
+>>> path = write_shards(tmp.name + "/repo", SetSystem(3, [[0, 1], [2], [0, 1, 2]]), chunk_rows=2)
+>>> with ShardedRepository(path) as repo:
+...     result = SerialScanExecutor().scan_repository(repo, 0b110, min_capture_gain=2)
 >>> result.gains.tolist(), result.captured == [(2, 0b110)]
 ([1, 1, 2], True)
+>>> tmp.cleanup()
 >>> plan_batches([1, 1, 8, 1, 1], jobs=2, batches_per_worker=1)
 [[0, 1], [2, 3, 4]]
 """
@@ -37,7 +44,6 @@ Examples
 from repro.engine.cache import (
     CACHE_ENV,
     ChunkCache,
-    cached_scan_shard,
     configure_cache,
     get_cache,
     resolve_cache_bytes,
@@ -88,7 +94,6 @@ __all__ = [
     "SerialScanExecutor",
     "WorkerFaultError",
     "WorkerServer",
-    "cached_scan_shard",
     "capture_words",
     "chaos_spec_from_env",
     "configure_cache",

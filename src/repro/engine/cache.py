@@ -8,11 +8,14 @@ memory-budgeted LRU, so pass two onward skips the varint parse, the
 ragged gathers and the matrix packing and goes straight to the gain
 kernels.
 
-One process-wide cache instance is shared by every consumer in that
-process: the serial executor consults it on the driver side, and a
-``repro worker serve`` process shares one across **every** connection —
-different drivers (tenants) scanning the same repository hit each
-other's warm chunks.
+Every shard scan, cached or not, is :func:`scan_through_cache`: the
+payload from the cache or from ``repository.decode_chunk``, then
+``repository.scan_decoded``.  With the cache off nothing is looked up
+and the code is the same, so a cold pass costs what an uncached pass
+costs.  One process-wide cache instance is shared by every consumer in
+that process: the serial executor's loop on the driver side, and in a
+``repro worker serve`` process **every** connection — different drivers
+(tenants) scanning the same repository hit each other's warm chunks.
 
 Correctness is carried entirely by the key: ``(repository path,
 identity token, shard index)``.  The token is the repository's
@@ -26,10 +29,10 @@ servers, evicted precisely when the PR 9 stale-repository sweep retires
 the superseded ``(path, token)`` (:meth:`ChunkCache.invalidate`).
 
 The cache is observability-rich but semantics-free: hits return the
-same payload ``decode_chunk`` would rebuild, so results are
-bit-identical cache-on vs. cache-off on both transports and every
-encoding (property-tested in ``tests/test_parallel.py`` /
-``tests/test_remote.py``).
+same payload ``decode_chunk`` would rebuild and go through the same
+``scan_decoded``, so results are bit-identical cache-on vs. cache-off
+on both transports and every encoding (property-tested in
+``tests/test_parallel.py`` / ``tests/test_remote.py``).
 """
 
 from __future__ import annotations
@@ -42,11 +45,10 @@ __all__ = [
     "CACHE_ENV",
     "ChunkCache",
     "cache_key_for",
-    "cached_scan_shard",
     "configure_cache",
     "get_cache",
-    "hot_scan_shard",
     "resolve_cache_bytes",
+    "scan_through_cache",
 ]
 
 #: Environment knob mirroring ``--cache-bytes``; inherited by spawned
@@ -285,7 +287,7 @@ def cache_key_for(repository):
     return (str(path), _freeze(token))
 
 
-def hot_scan_shard(
+def scan_through_cache(
     repository,
     shard: int,
     mask,
@@ -293,63 +295,33 @@ def hot_scan_shard(
     capture_ids=None,
     best_only: bool = False,
 ):
-    """One cached shard scan; returns ``(scan result, served-hot flag)``.
+    """One shard scan; returns ``((start, gains, captured), served_hot)``.
 
-    The single choke point every transport funnels shard scans through:
-    on a hit the repository's :meth:`scan_decoded` runs the gain kernels
-    over the cached payload; on a miss (or with the cache disabled, or
-    a repository without decode hooks) this is exactly
-    ``repository.scan_shard(...)`` — same tuple, bit for bit.
+    The one shard-scan path every transport takes (serial loop, worker,
+    driver salvage): the payload comes from the cache on a hit, else
+    from ``repository.decode_chunk(shard)``, and
+    ``repository.scan_decoded`` turns it into the result.  The cache is
+    read and filled only when it is enabled and the repository has a
+    key (:func:`cache_key_for`); otherwise nothing is looked up and the
+    code is the same.  An empty mask skips lookup and decode:
+    ``scan_decoded`` answers it without reading a payload.
     """
-    cache = get_cache()
-    decode = getattr(repository, "decode_chunk", None)
-    scan = getattr(repository, "scan_decoded", None)
-    key_base = cache_key_for(repository) if decode and scan else None
-    if not cache.enabled or key_base is None or mask.is_empty:
-        return (
-            repository.scan_shard(
-                shard,
-                mask,
-                min_capture_gain=min_capture_gain,
-                capture_ids=capture_ids,
-                best_only=best_only,
-            ),
-            False,
-        )
-    key = (key_base[0], key_base[1], shard)
-    payload = cache.get(key)
-    hot = payload is not None
-    if payload is None:
-        payload, nbytes = decode(shard)
-        cache.put(key, payload, nbytes)
-    return (
-        scan(
-            shard,
-            payload,
-            mask,
-            min_capture_gain=min_capture_gain,
-            capture_ids=capture_ids,
-            best_only=best_only,
-        ),
-        hot,
-    )
-
-
-def cached_scan_shard(
-    repository,
-    shard: int,
-    mask,
-    min_capture_gain=None,
-    capture_ids=None,
-    best_only: bool = False,
-):
-    """:func:`hot_scan_shard` without the flag (most call sites)."""
-    result, _ = hot_scan_shard(
-        repository,
-        shard,
-        mask,
+    payload, hot = None, False
+    if not mask.is_empty:
+        cache = get_cache()
+        key = cache_key_for(repository) if cache.enabled else None
+        if key is not None:
+            key = (*key, shard)
+            payload = cache.get(key)
+            hot = payload is not None
+        if payload is None:
+            payload, nbytes = repository.decode_chunk(shard)
+            if key is not None:
+                cache.put(key, payload, nbytes)
+    result = repository.scan_decoded(
+        shard, payload, mask,
         min_capture_gain=min_capture_gain,
         capture_ids=capture_ids,
         best_only=best_only,
     )
-    return result
+    return result, hot

@@ -252,6 +252,10 @@ class ChaosProxy:
         except OSError:
             _close_quietly(client)
             return
+        # Both legs without Nagle, like the driver and worker ends, so
+        # chaos runs see the same frame timing.
+        for leg in (client, upstream):
+            leg.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         with self._lock:
             self._live.update((client, upstream))
         # Driver→worker relays verbatim; chaos rides the result stream.

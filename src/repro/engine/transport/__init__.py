@@ -12,8 +12,9 @@ remote  TCP worker fleet (``python -m repro worker serve``) remote.py
 
 Serial reads shards in order; the remote fleet runs cost-balanced
 batches from :mod:`repro.engine.plan`.  :func:`executor_for` derives the
-backend from whether ``workers`` are given.  Both backends share the
-merge layer (:mod:`repro.engine.merge`), which is why results are
+backend from whether ``workers`` are given.  Both backends scan every
+shard through :func:`repro.engine.cache.scan_through_cache` and share
+the merge layer (:mod:`repro.engine.merge`), which is why results are
 bit-identical across them.
 """
 

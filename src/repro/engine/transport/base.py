@@ -3,8 +3,9 @@
 A streaming pass is, per set, a pure map against a read-only residual —
 only the accept/pick step needs ordered reconciliation.  A
 :class:`ScanExecutor` runs the per-shard work of a gains scan
-(``|r_i ∩ residual|`` for every row, plus captured projections —
-:meth:`repro.setsystem.shards.ShardedRepository.scan_shard`) on some
+(``|r_i ∩ residual|`` for every row, plus captured projections — one
+:func:`repro.engine.cache.scan_through_cache` per shard, on every
+backend) on some
 substrate — inline, or a fleet of remote workers — and delivers the
 per-shard results **in chunk order** through the shared merge layer
 (:mod:`repro.engine.merge`).  Because every chunk is keyed by its

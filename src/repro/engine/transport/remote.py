@@ -77,17 +77,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine.cache import (
-    cache_key_for,
-    cached_scan_shard,
-    get_cache,
-    hot_scan_shard,
-)
+from repro.engine.cache import cache_key_for, get_cache, scan_through_cache
 from repro.engine.fault import ChaosProxy, FaultLog, RetryPolicy, chaos_spec_from_env
 from repro.engine.merge import ReorderWindow
 from repro.engine.plan import plan_batches, resolve_workers
 from repro.engine.transport.base import ScanExecutor
-from repro.setsystem.packed import WORD_BITS, Captures
+from repro.engine.transport.serial import iter_shard_scans
+from repro.setsystem.packed import WORD_BITS, Captures, ScanMask
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -252,10 +248,20 @@ def _encode_captured(captured) -> list:
 
 
 def _decode_captured(encoded, n: int) -> Captures:
-    """The wire's ``[id, hex]`` pairs as the driver's capture record."""
+    """The wire's ``[id, hex]`` pairs as the driver's capture record.
+
+    Ids must be JSON integers and projections hex strings: a worker's
+    ``3.0`` or ``"3"`` is a :class:`ProtocolError`, never coerced.
+    """
+    if type(encoded) is not list or not all(
+        type(pair) is list and len(pair) == 2
+        and type(pair[0]) is int and type(pair[1]) is str
+        for pair in encoded
+    ):
+        raise ProtocolError("captured rows must be [integer id, hex] pairs")
     try:
         return Captures.from_pairs(
-            ((int(row_id), int(hex_, 16)) for row_id, hex_ in encoded),
+            ((row_id, int(hex_, 16)) for row_id, hex_ in encoded),
             (n + WORD_BITS - 1) // WORD_BITS,
         )
     except OverflowError as exc:
@@ -578,6 +584,9 @@ class WorkerServer:
     def _serve_connection(self, conn: socket.socket) -> None:
         with conn:
             try:
+                # A request is two small frames (header, then mask); with
+                # Nagle on, delayed ACKs stall every round trip.
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 hello = recv_json(conn)
                 if hello.get("op") != "hello":
                     raise ProtocolError(f"expected hello, got {hello.get('op')!r}")
@@ -643,19 +652,27 @@ class WorkerServer:
             raise ProtocolError(f"malformed scan request: {exc}") from exc
         try:
             try:
-                n = int(request["n"])
+                # JSON integers and booleans arrive as exactly ``int`` and
+                # ``bool`` (``type(True) is not int``).
+                n = request["n"]
+                if type(n) is not int:
+                    raise ValueError(f"n must be an integer, got {n!r}")
                 if n != repo.n:
                     raise ProtocolError(
                         f"driver expects n={n}, repository has n={repo.n}"
                     )
-                shards = [int(s) for s in request["shards"]]
+                shards = request["shards"]
+                if type(shards) is not list or not all(
+                    type(shard) is int for shard in shards
+                ):
+                    raise ValueError("shards must be a list of integers")
+                if len(set(shards)) != len(shards):
+                    raise ValueError(f"shards {shards} repeat a shard")
                 for shard in shards:
                     if not 0 <= shard < repo.shard_count:
                         raise ProtocolError(
                             f"shard {shard} outside 0..{repo.shard_count - 1}"
                         )
-                # JSON integers and booleans arrive as exactly ``int`` and
-                # ``bool`` (``type(True) is not int``).
                 min_gain = request["min_capture_gain"]
                 if min_gain is not None and not (
                     type(min_gain) is int and min_gain >= 1
@@ -687,14 +704,12 @@ class WorkerServer:
                     )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ProtocolError(f"malformed scan request: {exc}") from exc
-            from repro.setsystem.packed import ScanMask
-
             mask = ScanMask(n, mask_int)
             if capture_ids is not None:
                 capture_ids = frozenset(capture_ids)
             crash_hook = os.environ.get(_CRASH_TEST_ENV)
             for shard in shards:
-                (start, gains, captured), hot = hot_scan_shard(
+                (start, gains, captured), hot = scan_through_cache(
                     repo, shard, mask,
                     min_capture_gain=min_gain,
                     capture_ids=capture_ids,
@@ -755,6 +770,7 @@ def _connect(worker, policy=None, display=None):
             "(is `python -m repro worker serve` running there?)"
         ) from exc
     try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         send_json(sock, {"op": "hello", "protocol": PROTOCOL_VERSION})
         reply = recv_json(sock)
         if reply.get("op") == "error":
@@ -1114,10 +1130,14 @@ class _WorkerLane(threading.Thread):
                     )
                 if op != "result":
                     raise ProtocolError(f"unexpected op {op!r} mid-scan")
-                shard = int(message["shard"])
+                shard, start = message["shard"], message["start"]
+                if type(shard) is not int or type(start) is not int:
+                    raise ProtocolError(
+                        f"result names shard {shard!r} at row {start!r}: "
+                        "not JSON integers"
+                    )
                 if shard not in expected:
                     raise ProtocolError(f"unrequested shard {shard} delivered")
-                start = int(message["start"])
                 captured = _decode_captured(message["captured"], self.request["n"])
                 if message.get("gains"):
                     self._arm_timeout(sock, deadline)
@@ -1394,28 +1414,6 @@ class RemoteScanExecutor(ScanExecutor):
             "yielded before the failure may already have been consumed)"
         )
 
-    def _scan_locally(
-        self, repository, shards, mask_int, min_capture_gain, capture_ids,
-        best_only, include_gains,
-    ):
-        """Quorum-loss degradation: serial in-process scan of ``shards``.
-
-        Mirrors the worker-side parameter handling exactly, so a shard
-        scanned here is bit-identical to the same shard scanned remotely.
-        """
-        from repro.setsystem.packed import ScanMask
-
-        mask = ScanMask(repository.n, mask_int)
-        ids = frozenset(capture_ids) if capture_ids is not None else None
-        for shard in shards:
-            start, gains, captured = cached_scan_shard(
-                repository, shard, mask,
-                min_capture_gain=min_capture_gain,
-                capture_ids=ids,
-                best_only=best_only,
-            )
-            yield shard, (start, (gains if include_gains else None), captured)
-
     def _iter_remote(
         self, repository, mask_int, min_capture_gain, capture_ids, best_only,
         include_gains,
@@ -1499,10 +1497,11 @@ class RemoteScanExecutor(ScanExecutor):
                         "handle",
                         batch=tuple(todo),
                     )
-                    for shard, item in self._scan_locally(
-                        repository, todo, mask_int, min_capture_gain,
-                        capture_ids, best_only, include_gains,
-                    ):
+                    for shard, item in zip(todo, iter_shard_scans(
+                        repository, todo, ScanMask(repository.n, mask_int),
+                        min_capture_gain, capture_ids, best_only,
+                        include_gains,
+                    )):
                         state.deliver(shard, item, worker="driver")
                     state.batch_done(batch)
                 else:  # lane_exit
@@ -1546,10 +1545,11 @@ class RemoteScanExecutor(ScanExecutor):
                         RuntimeWarning,
                         stacklevel=2,
                     )
-                    for shard, item in self._scan_locally(
-                        repository, missing, mask_int, min_capture_gain,
-                        capture_ids, best_only, include_gains,
-                    ):
+                    for shard, item in zip(missing, iter_shard_scans(
+                        repository, missing, ScanMask(repository.n, mask_int),
+                        min_capture_gain, capture_ids, best_only,
+                        include_gains,
+                    )):
                         # Every lane already exited: the results queue
                         # has no consumer but this loop, so bypass
                         # deliver() and feed the window directly (still

@@ -525,8 +525,8 @@ class MergedShardView:
 
     Presents the live family as a dense ``0..m-1`` repository with the
     exact scan interface of
-    :class:`~repro.setsystem.shards.ShardedRepository` — chunk iteration,
-    fused ``scan_shard``, shard cost estimates, random-access
+    :class:`~repro.setsystem.shards.ShardedRepository` — row iteration,
+    ``decode_chunk``/``scan_decoded``, shard cost estimates, random-access
     ``row_mask`` — so :class:`~repro.streaming.sharded.ShardedSetStream`
     and the serial :class:`~repro.engine.transport.base.ScanExecutor`
     run on it unchanged, at any encoding.  (The *remote* transport is
@@ -668,11 +668,6 @@ class MergedShardView:
         """One merged chunk as a ``(rows, words)`` ``uint64`` matrix."""
         return pack_rows(self.chunk_masks(shard), self.words)
 
-    def iter_chunk_matrices(self) -> "Iterator[tuple[int, np.ndarray]]":
-        """Yield ``(start_row, matrix)`` per merged chunk."""
-        for shard in range(self.shard_count):
-            yield shard * self.chunk_rows, self.chunk_matrix(shard)
-
     def iter_row_masks(self) -> "Iterator[int]":
         """Yield every live row as an integer bitmask, in merged order."""
         for shard in range(self.shard_count):
@@ -778,43 +773,12 @@ class MergedShardView:
         self._cost_estimates = costs
         return list(costs)
 
-    # -- scanning ------------------------------------------------------
-    def scan_shard(
-        self,
-        shard: int,
-        mask: ScanMask,
-        min_capture_gain: "int | None" = None,
-        capture_ids=None,
-        best_only: bool = False,
-    ):
-        """Gains + captures for one merged chunk against a residual.
-
-        Same contract as :meth:`ShardedRepository.scan_shard
-        <repro.setsystem.shards.ShardedRepository.scan_shard>`; chunk
-        boundaries match the compacted rewrite, so gains vectors,
-        captures and capture accounting are bit-identical to scanning
-        the compacted repository.
-        """
-        if self._closed:
-            raise ShardFormatError(f"merged view over {self.path} is closed")
-        start, end = self._bounds(shard)
-        rows = end - start
-        if mask.is_empty:
-            return start, np.zeros(rows, dtype=np.int64), Captures.empty(self.words)
-        gains, captured = scan_chunk(
-            start, self.chunk_matrix(shard), mask,
-            min_capture_gain=min_capture_gain,
-            capture_ids=capture_ids,
-            best_only=best_only,
-        )
-        return start, gains, captured
-
-    # -- hot-cache hooks (repro.engine.cache) --------------------------
+    # -- scanning: decode half + scan half (repro.engine.cache) --------
     def decode_chunk(self, shard: int):
-        """``(payload, resident_bytes)`` for the cross-pass hot cache.
+        """``(payload, resident_bytes)``: the merged chunk as one matrix.
 
-        The merged chunk is materialized once as a matrix so repeat
-        passes skip the row-by-row source gather entirely.  Keyed by
+        Gathered row by row from the sources once, so cached repeat
+        passes skip the gather entirely.  The cache keys it by
         :attr:`cache_token`, which covers every chain manifest — any
         ``apply-delta`` or compaction changes the token, so a cached
         merge can never be served stale.
@@ -833,7 +797,14 @@ class MergedShardView:
         capture_ids=None,
         best_only: bool = False,
     ):
-        """:meth:`scan_shard` over a :meth:`decode_chunk` payload."""
+        """Gains + captures for one merged chunk against a residual.
+
+        Same contract as :meth:`ShardedRepository.scan_decoded
+        <repro.setsystem.shards.ShardedRepository.scan_decoded>`; chunk
+        boundaries match the compacted rewrite, so gains vectors,
+        captures and capture accounting are bit-identical to scanning
+        the compacted repository.
+        """
         if self._closed:
             raise ShardFormatError(f"merged view over {self.path} is closed")
         start, end = self._bounds(shard)

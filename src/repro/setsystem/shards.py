@@ -1263,7 +1263,7 @@ class ShardedRepository:
     def close(self) -> None:
         """Release all memory maps and file handles (idempotent).
 
-        Zero-copy chunk views (:meth:`iter_chunk_matrices`) export the
+        Zero-copy chunk views (:meth:`chunk_matrix`) export the
         underlying ``mmap`` buffer; a map still referenced by live views
         cannot be closed eagerly, so it is dropped instead and freed by
         the garbage collector once the last view dies.
@@ -1380,23 +1380,8 @@ class ShardedRepository:
         return pack_rows(self.chunk_masks(shard), self.words)
 
     # ------------------------------------------------------------------
-    # Sequential chunk access (the out-of-core scan primitives)
+    # Sequential row access (the row pass flavours)
     # ------------------------------------------------------------------
-    def iter_chunk_matrices(self) -> Iterator[tuple[int, "np.ndarray"]]:
-        """Yield ``(start_row, matrix)`` per shard as ``(rows, words)`` arrays.
-
-        Matrices are in the block layout of
-        :func:`~repro.setsystem.packed.pack_rows` — zero-copy views for raw
-        shards, decoded buffers for encoded ones.
-        """
-        if self._closed:
-            raise ShardFormatError(
-                f"repository {self.path} is closed; scanning it would "
-                "silently yield an empty family"
-            )
-        for shard, start in enumerate(self._starts):
-            yield start, self.chunk_matrix(shard)
-
     def iter_row_masks(self) -> Iterator[int]:
         """Yield every row as an arbitrary-precision integer bitmask."""
         if self._closed:
@@ -1411,49 +1396,6 @@ class ShardedRepository:
         """Yield every row as a frozenset of element ids."""
         for mask in self.iter_row_masks():
             yield frozenset(bits_of(mask))
-
-    # ------------------------------------------------------------------
-    # Fused shard scans (the executor's per-chunk unit of work)
-    # ------------------------------------------------------------------
-    def scan_shard(
-        self,
-        shard: int,
-        mask: ScanMask,
-        min_capture_gain: "int | None" = None,
-        capture_ids=None,
-        best_only: bool = False,
-    ):
-        """Gains + captured projections for one shard against a residual.
-
-        The per-chunk unit of a gains scan (DESIGN.md §6): raw shards run
-        the dense chunk kernel on their zero-copy matrix view; encoded
-        shards run the **fused decode-and-gain kernels** — sparse rows
-        gather mask bits per element id and run-length rows difference a
-        prefix popcount, neither ever materializing dense words.  The
-        shard is decoded once; captured projections are built from the
-        same decoded arrays (:func:`_captures_from_decoded`).
-
-        Returns ``(start_row, gains, captured)`` with the same semantics
-        as :func:`repro.setsystem.packed.scan_chunk`.
-        """
-        if self._closed:
-            raise ShardFormatError(f"repository {self.path} is closed")
-        start = self._starts[shard]
-        rows = self._shard_meta[shard]["rows"]
-        if mask.is_empty:
-            return start, np.zeros(rows, dtype=np.int64), Captures.empty(self.words)
-        if self._layouts[shard] == _LAYOUT_RAW:
-            gains, captured = scan_chunk(
-                start, self.chunk_matrix(shard), mask,
-                min_capture_gain=min_capture_gain,
-                capture_ids=capture_ids,
-                best_only=best_only,
-            )
-            return start, gains, captured
-        return _scan_decoded_payload(
-            start, self._decode_encoded_chunk(shard, rows), mask, self.words,
-            min_capture_gain, capture_ids, best_only,
-        )
 
     def _decode_encoded_chunk(self, shard: int, rows: int) -> dict:
         """The mask-independent half of the fused encoded scan.
@@ -1555,16 +1497,17 @@ class ShardedRepository:
         }
 
     # ------------------------------------------------------------------
-    # Hot-cache hooks (repro.engine.cache)
+    # Shard scans: decode half + scan half (repro.engine.cache)
     # ------------------------------------------------------------------
     def decode_chunk(self, shard: int):
-        """``(payload, resident_bytes)`` for the cross-pass hot cache.
+        """``(payload, resident_bytes)``: the mask-independent half of a scan.
 
         The payload is self-contained (owns its memory, references no
-        ``mmap``) and mask-independent, so it can outlive this handle
-        and serve any residual; :meth:`scan_decoded` turns it into the
-        exact ``scan_shard`` result.  Raw shards cache their packed
-        matrix, encoded shards the parsed kernel arrays.
+        ``mmap``) and mask-independent, so the hot cache can keep it
+        past this handle and serve any residual from it;
+        :meth:`scan_decoded` turns it into a scan result.  Raw shards
+        decode to a copy of their packed matrix, encoded shards to the
+        parsed kernel arrays.
         """
         if self._closed:
             raise ShardFormatError(f"repository {self.path} is closed")
@@ -1584,12 +1527,19 @@ class ShardedRepository:
         capture_ids=None,
         best_only: bool = False,
     ):
-        """:meth:`scan_shard` over a :meth:`decode_chunk` payload.
+        """Gains + captured projections for one shard against a residual.
 
-        Runs the same gain kernels in the same order over the cached
-        arrays, so the ``(start, gains, captured)`` tuple is bit-
-        identical to a cold scan of the shard — the property the cache
-        parity suite pins at every knob setting.
+        The per-chunk unit of a gains scan (DESIGN.md §6), over a
+        :meth:`decode_chunk` payload: raw shards run the dense chunk
+        kernel on their matrix; encoded shards run the **fused
+        decode-and-gain kernels** — sparse rows gather mask bits per
+        element id and run-length rows difference a prefix popcount,
+        neither ever materializing dense words — and build captured
+        projections from the same arrays (:func:`_captures_from_decoded`).
+        An empty mask reads no payload (it may be ``None``).
+
+        Returns ``(start_row, gains, captured)`` with the same semantics
+        as :func:`repro.setsystem.packed.scan_chunk`.
         """
         if self._closed:
             raise ShardFormatError(f"repository {self.path} is closed")
@@ -1606,9 +1556,26 @@ class ShardedRepository:
                 best_only=best_only,
             )
             return start, gains, captured
-        return _scan_decoded_payload(
-            start, data, mask, self.words,
-            min_capture_gain, capture_ids, best_only,
+        gains, hits = _gains_from_decoded(data, mask)
+        locals_ = capture_locals(start, gains, min_capture_gain, capture_ids, best_only)
+        return start, gains, _captures_from_decoded(
+            data, gains, hits, start, locals_, mask, self.words
+        )
+
+    def scan_shard(
+        self,
+        shard: int,
+        mask: ScanMask,
+        min_capture_gain: "int | None" = None,
+        capture_ids=None,
+        best_only: bool = False,
+    ):
+        """:meth:`scan_decoded` of a fresh :meth:`decode_chunk`: one uncached scan."""
+        return self.scan_decoded(
+            shard, self.decode_chunk(shard)[0], mask,
+            min_capture_gain=min_capture_gain,
+            capture_ids=capture_ids,
+            best_only=best_only,
         )
 
     # ------------------------------------------------------------------
@@ -1759,19 +1726,3 @@ def _row_segments(row_ids: "np.ndarray", wanted: "np.ndarray"):
     """``(first, counts)`` of each wanted row's entries in sorted ``row_ids``."""
     first = np.searchsorted(row_ids, wanted, "left")
     return first, np.searchsorted(row_ids, wanted, "right") - first
-
-
-def _scan_decoded_payload(
-    start, decoded, mask, words, min_capture_gain, capture_ids, best_only
-):
-    """``(start, gains, captured)`` of one decoded encoded chunk.
-
-    The whole encoded-shard scan after decoding: gains from
-    :func:`_gains_from_decoded`, then the captured rows' projections
-    from :func:`_captures_from_decoded` over the same arrays.
-    """
-    gains, hits = _gains_from_decoded(decoded, mask)
-    locals_ = capture_locals(start, gains, min_capture_gain, capture_ids, best_only)
-    return start, gains, _captures_from_decoded(
-        decoded, gains, hits, start, locals_, mask, words
-    )

@@ -153,10 +153,6 @@ class ShardedSetStream(SetStreamBase):
     def _packed_rows(self):
         return enumerate(self._repo.iter_row_masks())
 
-    def _chunk_rows(self):
-        """One chunk per shard, in the shard geometry of the repository."""
-        return self._repo.iter_chunk_matrices()
-
     # -- executor-driven gains scans -----------------------------------
     @property
     def jobs(self) -> int:

@@ -17,8 +17,8 @@ repositories implement the protocol:
 
 Algorithms are written against the protocol only (``n``, ``m``,
 ``max_set_size``, ``passes``, ``iterate``, ``iterate_packed``,
-``iterate_chunks``), so the same pass-for-pass code runs over both
-repositories.
+``scan_gains_chunked``, ``scan_accepts_chunked``), so the same
+pass-for-pass code runs over both repositories.
 
 Space accounting rule (DESIGN.md §3.6): the repository itself is *never*
 charged to an algorithm — it is the read-only input, whether it resides in
@@ -34,8 +34,14 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from repro.engine import ScanResult, SerialScanExecutor, merge_scan_parts
-from repro.setsystem.packed import Captures, ScanMask, accept_rows, pack_rows
+from repro.engine import ScanResult, merge_scan_parts
+from repro.setsystem.packed import (
+    Captures,
+    ScanMask,
+    accept_rows,
+    pack_rows,
+    scan_chunk,
+)
 from repro.setsystem.set_system import SetSystem
 
 __all__ = [
@@ -90,7 +96,7 @@ class SetStreamBase:
     """Pass-counted sequential access: the protocol algorithms consume.
 
     Subclasses provide the repository (:meth:`_frozenset_rows`,
-    :meth:`_packed_rows`, :meth:`_chunk_rows`) plus ``n``/``m``; this base
+    :meth:`_packed_rows`, :meth:`_scan_gains_chunked`) plus ``n``/``m``; this base
     enforces the single-read-head discipline and counts passes.
     """
 
@@ -166,9 +172,6 @@ class SetStreamBase:
     def _packed_rows(self) -> Iterator[tuple[int, int]]:
         raise NotImplementedError  # pragma: no cover - overridden
 
-    def _chunk_rows(self) -> Iterator[tuple[int, object]]:
-        raise NotImplementedError  # pragma: no cover - overridden
-
     # -- the pass flavours ---------------------------------------------
     def iterate(self) -> Iterator[tuple[int, frozenset[int]]]:
         """Open a pass and yield ``(set_id, set)`` in repository order."""
@@ -183,17 +186,6 @@ class SetStreamBase:
         """
         return self._scan(self._packed_rows)
 
-    def iterate_chunks(self) -> Iterator[tuple[int, object]]:
-        """Open a pass yielding ``(first_set_id, chunk)`` batches.
-
-        One pass, delivered as read-only ``(rows, words)`` ``uint64``
-        blocks (:func:`~repro.setsystem.packed.pack_rows`) instead of
-        single rows.  Chunk geometry follows the repository (one chunk per
-        shard on disk; a single chunk for in-memory systems), so batch
-        kernels can stream families that never fit in RAM.
-        """
-        return self._scan(self._chunk_rows)
-
     # -- executor-driven gains scans -----------------------------------
     def scan_gains_chunked(
         self,
@@ -205,11 +197,11 @@ class SetStreamBase:
     ) -> Iterator[tuple[int, object, Captures]]:
         """Open a pass yielding ``(start, gains, captured)`` per chunk.
 
-        The fourth pass flavour (DESIGN.md §6): one sequential scan,
-        executed chunk-by-chunk by the stream's
-        :class:`~repro.engine.transport.base.ScanExecutor` (serial, or
-        remote when a sharded stream is given ``workers``) and delivered
-        in chunk order — results are bit-identical on both.  Same access
+        The third pass flavour (DESIGN.md §6): one sequential scan,
+        chunk by chunk, delivered in chunk order.  A sharded stream runs
+        it on its :class:`~repro.engine.transport.base.ScanExecutor`
+        (serial, or remote when given ``workers``) — results are
+        bit-identical on both; an in-memory stream scans its one block.  Same access
         discipline and pass accounting as :meth:`iterate`: one read head,
         the scan counts one pass.
 
@@ -338,8 +330,8 @@ class SetStream(SetStreamBase):
         The underlying instance.  The ground set (``system.n``) is public —
         the paper stores the element universe in memory in advance — but the
         family may only be read through :meth:`iterate`.  Gains scans run
-        on the serial executor, the whole family as one chunk: remote
-        workers open shard repositories by path (DESIGN.md §9).
+        inline over the whole family as one chunk: remote workers open
+        shard repositories by path (DESIGN.md §9).
 
     Examples
     --------
@@ -354,7 +346,6 @@ class SetStream(SetStreamBase):
     def __init__(self, system: SetSystem):
         super().__init__()
         self._system = system
-        self._executor = SerialScanExecutor()
         self._block = None
 
     # ------------------------------------------------------------------
@@ -384,10 +375,6 @@ class SetStream(SetStreamBase):
     def _packed_rows(self):
         return enumerate(self._system.packed().rows)
 
-    def _chunk_rows(self):
-        """One whole-family chunk (the in-RAM system has no shard geometry)."""
-        return iter([(0, self._matrix())])
-
     def _matrix(self):
         """The family as one ``(m, words)`` ``uint64`` block, packed once."""
         if self._block is None:
@@ -395,25 +382,22 @@ class SetStream(SetStreamBase):
             self._block = pack_rows(self._system.packed().rows, words)
         return self._block
 
-    # -- executor-driven gains scans -----------------------------------
-    @property
-    def jobs(self) -> int:
-        """Scan lanes: always 1, an in-memory family scans serially."""
-        return self._executor.jobs
+    # -- gains scans ---------------------------------------------------
+    #: Scan lanes: always 1, an in-memory family scans inline.
+    jobs = 1
 
     def _scan_gains_chunked(
         self, mask_int, min_capture_gain, capture_ids, best_only, include_gains
     ):
-        chunks = [(0, self._matrix())] if self._system.m else []
-        return self._executor.iter_scan_chunks(
-            self.n,
-            chunks,
-            ScanMask(self.n, mask_int),
-            min_capture_gain=min_capture_gain,
-            capture_ids=capture_ids,
-            best_only=best_only,
-            include_gains=include_gains,
-        )
+        """The whole family as one chunk: one ``scan_chunk`` over the block."""
+        if self._system.m:
+            gains, captured = scan_chunk(
+                0, self._matrix(), ScanMask(self.n, mask_int),
+                min_capture_gain=min_capture_gain,
+                capture_ids=capture_ids,
+                best_only=best_only,
+            )
+            yield 0, (gains if include_gains else None), captured
 
     # ------------------------------------------------------------------
     def verify_solution(self, selection) -> bool:

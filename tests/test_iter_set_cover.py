@@ -16,7 +16,7 @@ from repro.offline import ExactSolver, GreedySolver
 from repro.offline.greedy import _greedy_cover_frozenset
 from repro.sampling import draw_sample
 from repro.setsystem import Captures, SetSystem
-from repro.setsystem.packed import ScanMask
+from repro.setsystem.packed import ScanMask, scan_chunk
 from repro.streaming import MemoryMeter, SetStream
 from repro.utils.bitset import mask_of
 from repro.utils.mathutil import powers_of_two_up_to
@@ -302,15 +302,15 @@ class _SlicedSetStream(SetStream):
         self, mask_int, min_capture_gain, capture_ids, best_only, include_gains
     ):
         matrix, rows = self._matrix(), max(1, -(-self.m // 6))
-        return self._executor.iter_scan_chunks(
-            self.n,
-            [(start, matrix[start:start + rows]) for start in range(0, self.m, rows)],
-            ScanMask(self.n, mask_int),
-            min_capture_gain=min_capture_gain,
-            capture_ids=capture_ids,
-            best_only=best_only,
-            include_gains=include_gains,
-        )
+        mask = ScanMask(self.n, mask_int)
+        for start in range(0, self.m, rows):
+            gains, captured = scan_chunk(
+                start, matrix[start:start + rows], mask,
+                min_capture_gain=min_capture_gain,
+                capture_ids=capture_ids,
+                best_only=best_only,
+            )
+            yield start, (gains if include_gains else None), captured
 
 
 def _oracle_instances():

@@ -470,3 +470,61 @@ def test_greedy_cover_backend_parity():
             n, list(system.sets), frozenset(e for e in range(n) if targets >> e & 1)
         )
         assert packed == unpacked, case
+
+
+@pytest.mark.parametrize("encoding", ENCODINGS_UNDER_TEST)
+def test_every_shard_scan_takes_the_one_path(tmp_path, worker_fleet, monkeypatch, encoding):
+    """With the cache off, serial scans of a flat repository and of a
+    delta-merged view, and a two-worker remote scan, all run
+    ``decode_chunk`` -> ``scan_decoded``: ``scan_shard`` raising changes
+    nothing, each pass decodes every shard exactly once, and the results
+    equal the referee's ``row_mask(i) & mask``."""
+    from collections import Counter
+
+    from repro.engine import configure_cache
+    from repro.setsystem import MergedShardView, apply_delta
+    from repro.setsystem.shards import ShardedRepository
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scan_shard is not a scan path")
+
+    decodes = Counter()
+    for cls in (ShardedRepository, MergedShardView):
+        monkeypatch.setattr(cls, "scan_shard", forbidden, raising=False)
+        real = cls.decode_chunk
+
+        def counted(self, shard, real=real):
+            decodes[shard] += 1
+            return real(self, shard)
+
+        monkeypatch.setattr(cls, "decode_chunk", counted)
+
+    rng = np.random.default_rng(5)
+    system = SetSystem(150, [
+        rng.choice(150, size=int(rng.integers(0, 20)), replace=False).tolist()
+        for _ in range(90)
+    ])
+    flat = write_shards(tmp_path / "flat", system, chunk_rows=16, encoding=encoding)
+    merged = write_shards(
+        tmp_path / "merged", SetSystem(system.n, system.sets[:60]),
+        chunk_rows=16, encoding=encoding,
+    )
+    apply_delta(merged, [{"op": "delete", "id": 7}] + [
+        {"op": "insert", "elements": sorted(s)} for s in system.sets[60:]
+    ])
+    mask = int.from_bytes(rng.bytes(19), "little") & ((1 << system.n) - 1)
+    configure_cache("off")
+    try:
+        for path, workers in ((flat, None), (merged, None), (flat, worker_fleet)):
+            stream = ShardedSetStream(path, workers=workers)
+            repo = stream.repository
+            assert isinstance(repo, MergedShardView) == (path == merged)
+            decodes.clear()
+            result = stream.scan_gains(mask, min_capture_gain=1)
+            projections = [repo.row_mask(i) & mask for i in range(repo.m)]
+            assert result.gains.tolist() == [bin(p).count("1") for p in projections]
+            assert result.captured == [(i, p) for i, p in enumerate(projections) if p]
+            assert decodes == Counter(range(repo.shard_count))
+            stream.close()
+    finally:
+        configure_cache(None)

@@ -226,6 +226,39 @@ def test_lanes_wake_when_the_scan_ends(tmp_path, worker_fleet, monkeypatch):
     assert not abandoned, [str(w.message) for w in abandoned]
 
 
+def test_both_ends_disable_nagle(tmp_path, worker_fleet, monkeypatch):
+    """Every request and result is two small frames (header, then mask
+    or gains): the driver's lane socket and the worker's accepted
+    connection both set ``TCP_NODELAY``, so no round trip waits out a
+    delayed ACK."""
+    path = write_shards(tmp_path / "nodelay", SetSystem(8, [[0, 1], [2, 3]]))
+    seen = {"driver": [], "worker": []}
+
+    def nodelay(sock):
+        return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    connect = RemoteScanExecutor._connect_worker
+
+    def spy_connect(self, worker):
+        sock = connect(self, worker)
+        seen["driver"].append(nodelay(sock))
+        return sock
+
+    handle = WorkerServer._handle_scan
+
+    def spy_handle(self, conn, request):
+        seen["worker"].append(nodelay(conn))
+        return handle(self, conn, request)
+
+    monkeypatch.setattr(RemoteScanExecutor, "_connect_worker", spy_connect)
+    monkeypatch.setattr(WorkerServer, "_handle_scan", spy_handle)
+    stream = ShardedSetStream(path, workers=worker_fleet)
+    assert stream.scan_gains(0xFF).gains.tolist() == [2, 2]
+    stream.close()
+    assert seen["driver"] and all(seen["driver"]), seen
+    assert seen["worker"] and all(seen["worker"]), seen
+
+
 def test_shared_queue_under_thread_churn(tmp_path):
     """More lanes than cores pulling off the one shared queue, with a
     shortened switch interval: every scan still delivers each shard
@@ -306,10 +339,16 @@ _MISSING = object()
     ("include_gains", _MISSING),
     ("mask", b"\xff" * 9),
     ("mask", b"\xff"),
+    ("n", "8"),
+    ("n", 8.9),
+    ("shards", [0.7]),
+    ("shards", "0"),
+    ("shards", [0, 0]),
 ], ids=[
     "gain-str", "gain-list", "gain-zero", "gain-bool", "ids-int",
     "ids-nested", "ids-float", "best-str", "gains-int", "gains-missing",
-    "mask-wide", "mask-short",
+    "mask-wide", "mask-short", "n-str", "n-float", "shards-float",
+    "shards-str", "shards-repeated",
 ])
 def test_malformed_scan_request_gets_a_typed_error(
     tmp_path, worker_fleet, field, value
@@ -600,12 +639,32 @@ def _gains_missing(reply, gains):
     return dict(reply, gains=False), gains
 
 
+def _start_float(reply, gains):
+    return dict(reply, start=float(reply["start"])), gains
+
+
+def _shard_bool(reply, gains):
+    return dict(reply, shard=True), gains
+
+
+def _ids_float(reply, gains):
+    return dict(reply, captured=[[float(i), h] for i, h in reply["captured"]]), gains
+
+
+def _ids_str(reply, gains):
+    return dict(reply, captured=[[str(i), h] for i, h in reply["captured"]]), gains
+
+
 @pytest.mark.parametrize("forge, match", [
     (_shift_start, "reply starts at row 4, not 3"),
     (_id_past_the_shard, r"ids outside \[3, 6\) or out of order"),
     (_ids_descending, r"ids outside \[3, 6\) or out of order"),
     (_gains_short, "carries 2 gains for 3 rows"),
     (_gains_missing, "carries 0 gains for 3 rows"),
+    (_start_float, "at row 3.0: not JSON integers"),
+    (_shard_bool, "names shard True at row 3: not JSON integers"),
+    (_ids_float, r"captured rows must be \[integer id, hex\] pairs"),
+    (_ids_str, r"captured rows must be \[integer id, hex\] pairs"),
 ])
 def test_forged_worker_replies_are_protocol_faults(tmp_path, forge, match):
     """The driver checks every shard result against its own request: the

@@ -20,6 +20,7 @@ from repro.baselines import MultiPassGreedy, StoreAllGreedy, ThresholdGreedy
 from repro.core import iter_set_cover
 from repro.partial.streaming import PartialIterSetCover, PartialThreshold
 from repro.engine import capture_words
+from repro.engine.cache import scan_through_cache
 from repro.engine.transport.remote import _decode_captured, _encode_captured
 from repro.setsystem import MergedShardView, SetSystem, apply_delta
 from repro.setsystem.packed import (
@@ -856,7 +857,7 @@ def test_scan_captures_match_referee_decoder(case, data):
         with MergedShardView(merged) as view:
             assert [view.row_mask(i) & mask_int for i in range(view.m)] == projections
             for shard in range(view.shard_count):
-                scans.append(view.scan_shard(shard, mask, **kwargs))
+                scans.append(scan_through_cache(view, shard, mask, **kwargs)[0])
                 scans.append(
                     view.scan_decoded(shard, view.decode_chunk(shard)[0], mask, **kwargs)
                 )
@@ -990,14 +991,7 @@ def test_pass_counting_parity_on_random_instances(tmp_path):
         mem, shard = SetStream(system), ShardedSetStream(path)
 
         assert [r for _, r in shard.iterate()] == [r for _, r in mem.iterate()]
-        if case % 2:
-            assert list(shard.iterate_packed()) == list(mem.iterate_packed())
-        else:
-            # Chunk geometry differs (one chunk in memory, one per shard on
-            # disk); the stacked blocks must not.
-            mem_block = np.concatenate([c for _, c in mem.iterate_chunks()])
-            shard_block = np.concatenate([c for _, c in shard.iterate_chunks()])
-            assert np.array_equal(shard_block, mem_block)
+        assert list(shard.iterate_packed()) == list(mem.iterate_packed())
 
         # Abandoned passes count on both streams.
         for s in (mem, shard):
@@ -1008,41 +1002,18 @@ def test_pass_counting_parity_on_random_instances(tmp_path):
         shard.close()
 
 
-def test_chunk_iteration_covers_family_and_counts_one_pass(tmp_path):
-    path, system = _write_sample(tmp_path)
-    stream = ShardedSetStream(path)
-    starts, total = [], 0
-    masks = []
-    for start, matrix in stream.iterate_chunks():
-        starts.append(start)
-        total += matrix.shape[0]
-        masks.extend(int.from_bytes(row.tobytes(), "little") for row in matrix)
-    assert total == system.m and starts[0] == 0 and stream.passes == 1
-    assert masks == system.masks()
-
-    mem = SetStream(system)
-    mem_masks = []
-    for _, matrix in mem.iterate_chunks():
-        mem_masks.extend(int.from_bytes(row.tobytes(), "little") for row in matrix)
-    assert mem_masks == masks and mem.passes == 1
-    stream.close()
-
-
 def _view_rows(stream, view):
     """One pass over ``stream`` in the named row format, as plain rows."""
     if view == "python":
         return list(stream.iterate_packed())
-    if view == "frozenset":
-        return list(stream.iterate())
-    return [int.from_bytes(row.tobytes(), "little")
-            for _, chunk in stream.iterate_chunks() for row in chunk]
+    return list(stream.iterate())
 
 
-@pytest.mark.parametrize("view", ["python", "numpy", "frozenset"])
+@pytest.mark.parametrize("view", ["python", "frozenset"])
 def test_algorithm_parity_iter_set_cover(tmp_path, view):
     # iterSetCover runs on one driver path; after it, the sharded stream must
     # still replay the in-memory family in each row format (big-int rows,
-    # uint64 chunks, frozensets), one more pass on both sides.
+    # frozensets), one more pass on both sides.
     planted = planted_instance(n=90, m=120, opt=5, seed=13)
     path = write_shards(tmp_path / "iter", planted.system, chunk_rows=11)
     kwargs = dict(delta=0.5, seed=3, use_polylog_factors=False,
