@@ -224,7 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     shard_compact = shard_sub.add_parser(
         "compact",
         help="fold pending delta generations into a flat repository — "
-        "bit-identical to writing the merged system from scratch",
+        "bit-identical to writing the merged system from scratch; in "
+        "place, readers and apply-delta keep using the live chain while "
+        "the fold stages, and superseded files are parked until the "
+        "last reader lease drains",
     )
     shard_compact.add_argument("root", help="shard repository to compact")
     shard_compact.add_argument(
@@ -238,18 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="discard a stale <root>.compact-tmp staging directory left "
         "by a compaction that crashed before its commit point",
     )
-    shard_compact.add_argument(
-        "--online", action="store_true",
-        help="stage the fold off to the side while readers and "
-        "apply-delta continue against the live chain, then swing the "
-        "manifest in a short critical section (incompatible with "
-        "--output); superseded files are parked until the last reader "
-        "lease drains",
-    )
     shard_maintain = shard_sub.add_parser(
         "maintain",
         help="self-healing maintenance: watch chain length and dead-row "
-        "fraction, fold the chain with `compact --online` when either "
+        "fraction, fold the chain with `compact` when either "
         "crosses its threshold, backing off on contention and "
         "journaling every decision to <root>.maintenance.log",
     )
@@ -640,11 +635,6 @@ def _cmd_shard_compact(args, parser) -> int:
     from repro.setsystem.deltas import compact, open_repository
     from repro.setsystem.shards import ShardFormatError
 
-    if args.online and args.output is not None:
-        parser.error(
-            "--online folds ROOT in place; it cannot be combined with "
-            "--output"
-        )
     if args.output is not None:
         out = Path(args.output).resolve()
         root = Path(args.root).resolve()
@@ -662,10 +652,7 @@ def _cmd_shard_compact(args, parser) -> int:
         before = open_repository(args.root)
         pending = getattr(before, "pending_deltas", 0)
         before.close()
-        path = compact(
-            args.root, output=args.output, force=args.force,
-            online=args.online,
-        )
+        path = compact(args.root, output=args.output, force=args.force)
         with open_repository(path) as repo:
             print(
                 f"compacted {pending} pending generation(s) into {path} "

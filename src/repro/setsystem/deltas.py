@@ -100,7 +100,6 @@ from repro.setsystem.durability import (
 from repro.setsystem.packed import Captures, ScanMask, pack_rows, scan_chunk
 from repro.setsystem.set_system import SetSystem
 from repro.setsystem.shards import (
-    DEFAULT_CHUNK_BYTES,
     DELTA_MANIFEST_NAME,
     DELTAS_DIRNAME,
     MANIFEST_NAME,
@@ -182,26 +181,11 @@ class DeltaShardWriter:
     success and aborts on error, removing the partial generation
     directory.
 
-    Parameters
-    ----------
-    root:
-        The repository directory (base ``manifest.json`` must exist).
-    chunk_rows / chunk_bytes:
-        Insert-shard chunk geometry; defaults to the base repository's
-        ``chunk_rows`` so merged chunk boundaries match a from-scratch
-        rewrite.
-    encoding:
-        Row codec policy for insert shards; defaults to the base
-        repository's policy.
+    Insert shards take the base repository's ``chunk_rows`` and codec
+    policy, so merged chunk boundaries match a from-scratch rewrite.
     """
 
-    def __init__(
-        self,
-        root: "str | Path",
-        chunk_rows: "int | None" = None,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        encoding: "str | None" = None,
-    ):
+    def __init__(self, root: "str | Path"):
         self.root = Path(root)
         self._lock = RepositoryLock(self.root, purpose="delta-write")
         self._lock.acquire()
@@ -221,10 +205,7 @@ class DeltaShardWriter:
                 else:
                     parent_manifest = self.root / MANIFEST_NAME
                 self._parent_crc32 = _file_crc32(parent_manifest)
-                chunk_rows = (
-                    chunk_rows if chunk_rows is not None else base.chunk_rows
-                )
-                encoding = encoding if encoding is not None else base.encoding
+                chunk_rows, encoding = base.chunk_rows, base.encoding
             finally:
                 base.close()
                 for gen in generations:
@@ -239,11 +220,7 @@ class DeltaShardWriter:
                     "--repair`) before writing a new delta"
                 )
             self._writer = ShardWriter(
-                self.path,
-                self.n,
-                chunk_rows=chunk_rows,
-                chunk_bytes=chunk_bytes,
-                encoding=encoding,
+                self.path, self.n, chunk_rows=chunk_rows, encoding=encoding
             )
         except BaseException:
             self._lock.release()
@@ -890,11 +867,11 @@ def open_repository(
 
     * **Generation lease** — before the manifest is read, the reader
       registers a :class:`~repro.setsystem.durability.GenerationLease`
-      at the current epoch, so an online compaction that supersedes this
+      at the current epoch, so a compaction that supersedes this
       generation parks the old files (``<root>.retired/<epoch>``)
       instead of deleting them until this handle closes.  The lease is
       attached to the returned handle and released by its ``close()``.
-    * **Swing detection** — an online compaction's critical section is
+    * **Swing detection** — a compaction's critical section is
       bracketed by the intent journal (written before the first rename,
       unlinked after the last), and the manifest is swapped *after*
       every data file.  So after constructing the handle the open
@@ -938,7 +915,7 @@ def open_repository(
                 last_error = exc
                 continue
             raise
-        # Seqlock-style validation: if an online swing overlapped the
+        # Seqlock-style validation: if a compaction's swing overlapped the
         # construction, either its intent is still present or it already
         # swapped the manifest (data files move first, manifest last,
         # intent unlinked after that) — both detectable here.
@@ -995,11 +972,11 @@ def _refuse_stale_staging(
     """Refuse (or, with ``force``, discard) a stale staging directory.
 
     A staging directory whose :class:`StagingLock` is currently held
-    belongs to a *live* online compactor, not a crashed one: callers
-    that can safely proceed alongside it (``apply_delta`` — the
-    compactor will notice the chain moved and restage) pass
-    ``live_ok=True``; everyone else gets :class:`RepositoryBusyError`
-    instead of a destructive ``force`` discard.
+    belongs to a *live* compactor, not a crashed one: callers that can
+    safely proceed alongside it (``apply_delta`` — the compactor will
+    notice the chain moved and restage) pass ``live_ok=True``; everyone
+    else gets :class:`RepositoryBusyError` instead of a destructive
+    ``force`` discard.
     """
     staging = staging_dir_for(root)
     if not staging.exists():
@@ -1008,7 +985,7 @@ def _refuse_stale_staging(
         if live_ok:
             return
         raise RepositoryBusyError(
-            f"cannot {operation} {root}: an online compaction is staging "
+            f"cannot {operation} {root}: a compaction is staging "
             f"({staging.name} is live); retry when it finishes"
         )
     if not force:
@@ -1027,11 +1004,7 @@ def _refuse_stale_staging(
 
 
 def apply_delta(
-    root: "str | Path",
-    ops: "Iterable[dict]",
-    chunk_rows: "int | None" = None,
-    encoding: "str | None" = None,
-    force: bool = False,
+    root: "str | Path", ops: "Iterable[dict]", force: bool = False
 ) -> dict:
     """Apply one batch of mutation ops as a single new delta generation.
 
@@ -1046,15 +1019,14 @@ def apply_delta(
     An interrupted compaction is rolled forward first; a stale staging
     directory (pre-commit-point crash debris) is refused
     (:class:`~repro.setsystem.shards.StaleStagingError`) unless
-    ``force=True`` discards it.
+    ``force=True`` discards it.  A *live* compactor's staging is no
+    obstacle: the delta lands and the compactor restages.
     """
     root = Path(root)
     recover_compaction(root)
     _refuse_stale_staging(root, force, "apply a delta to", live_ok=True)
     inserted = 0
-    with DeltaShardWriter(
-        root, chunk_rows=chunk_rows, encoding=encoding
-    ) as writer:
+    with DeltaShardWriter(root) as writer:
         first_insert_id = writer._parent_rows
         for op in ops:
             kind = op.get("op")
@@ -1079,167 +1051,92 @@ def apply_delta(
     }
 
 
+def _write_view(view, dest: "str | Path") -> Path:
+    """Write a view's live rows as a flat repository at ``dest``.
+
+    Same ``chunk_rows`` and codec policy as the view's base, so the
+    output is :func:`~repro.setsystem.shards.write_shards` of the merged
+    system, byte for byte.
+    """
+    rows = (bits_of(mask) for mask in view.iter_row_masks())
+    return write_shards(
+        dest, rows, n=view.n, chunk_rows=view.chunk_rows,
+        encoding=view.encoding,
+    )
+
+
 def compact(
     root: "str | Path",
     output: "str | Path | None" = None,
-    chunk_rows: "int | None" = None,
-    encoding: "str | None" = None,
     force: bool = False,
-    online: bool = False,
 ) -> Path:
     """Rewrite a repository's merged view as a clean single generation.
 
     The rewrite goes through :class:`~repro.setsystem.shards.ShardWriter`
     over the merged rows in view order, with the base chunk geometry and
-    codec policy (unless overridden) — i.e. it *is* a from-scratch write
-    of the merged system, so the output is bit-identical to
+    codec policy — i.e. it *is* a from-scratch write of the merged
+    system, so the output is bit-identical to
     :func:`~repro.setsystem.shards.write_shards` of
     ``MergedShardView.to_system()`` (asserted file-for-file by the
     churn-parity suite).
 
     With ``output`` the compacted repository lands in a new directory
-    and ``root`` is untouched.  In place (the default), the rewrite is
-    **intent-journaled** (DESIGN.md §12): the new generation is staged
-    in a sibling ``<root>.compact-tmp`` directory and fsynced, a
-    checksummed ``compact.intent`` journal is durably published in the
-    root *before* any destructive step, and only then are the staged
-    files moved in (``os.replace``, the manifest last), the old shards
-    and the ``deltas/`` chain removed, and the journal unlinked.  The
-    journal is the commit point: a crash before it leaves the old chain
-    intact (plus staging debris ``fsck --repair`` discards); a crash
-    after it is rolled forward to the new repository by the next
-    :func:`open_repository` (or ``fsck --repair``) — so the repository
-    is always exactly the old chain or the new base, never unopenable
-    and never a half-merged hybrid.  The whole in-place rewrite runs
-    under the repository's advisory lock, so concurrent writers or
-    compactors fail loudly
-    (:class:`~repro.setsystem.shards.RepositoryBusyError`).
+    and ``root`` is untouched.  A repository with no pending deltas
+    compacts to itself: in place it is returned unchanged
+    (byte-identical), with ``output`` it is rewritten from its rows.
 
-    A stale staging directory from a *pre*-commit-point crash is
-    refused (:class:`~repro.setsystem.shards.StaleStagingError`) unless
-    ``force=True`` discards it.
+    In place, the fold never stops readers or writers for longer than
+    its swing (DESIGN.md §12.2, §13):
 
-    A repository with no pending deltas compacts to itself: in place it
-    is returned unchanged (byte-identical), with ``output`` it is
-    rewritten from its rows (still bit-identical for repositories this
-    code wrote, since writes are deterministic).
+    1. **stage** the rewrite into the sibling ``<root>.compact-tmp``
+       *without* the repository lock, holding only the
+       :class:`~repro.setsystem.durability.StagingLock` marker, while
+       readers and ``apply_delta`` keep using the live chain;
+    2. take the lock and re-check the chain token captured before
+       staging; a delta that landed meanwhile discards the staging and
+       the fold restages (after five restages,
+       :class:`~repro.setsystem.shards.RepositoryBusyError`);
+    3. durably publish the checksummed ``compact.intent`` journal — the
+       commit point: a crash before it leaves the old chain intact plus
+       staging debris that ``fsck --repair`` discards, a crash after it
+       is rolled forward by the next :func:`open_repository`;
+    4. **swing**: move the staged files in, the manifest last, and
+       retire the superseded files and the ``deltas/`` chain to
+       ``<root>.retired/<epoch>``;
+    5. **reclaim** the retired files once no reader lease on that epoch
+       is left.
 
-    ``online=True`` (in place only) stages the fold **without holding
-    the lock** — readers and ``apply_delta`` keep working against the
-    live chain the whole time — then takes the lock only for the short
-    *swing* critical section (intent journal + renames).  The superseded
-    generation's files are parked under ``<root>.retired/<epoch>``
-    rather than deleted, and reclaimed only once the last generation
-    lease on that epoch drains (DESIGN.md §13).  A delta that lands
-    while staging is in progress is detected under the lock (the chain
-    token moved) and the fold restages; a concurrent mutator holding
-    the lock at swing time surfaces as
+    A writer holding the lock at swing time surfaces as
     :class:`~repro.setsystem.shards.RepositoryBusyError` — the
-    maintenance loop's cue to back off and retry, never a crash.
+    maintenance loop's cue to back off and retry, never a crash.  A
+    stale staging directory from a *pre*-commit-point crash is refused
+    (:class:`~repro.setsystem.shards.StaleStagingError`) unless
+    ``force=True`` discards it.
     """
     root = Path(root)
-    if online:
-        if output is not None:
-            raise ValueError(
-                "compact(online=True) is in-place only; side-output "
-                "compaction never blocks readers in the first place"
-            )
-        return _compact_online(root, chunk_rows, encoding, force)
     recover_compaction(root)
     _refuse_stale_staging(root, force, "compact")
     if output is not None:
         with open_repository(root) as view:
-            rows = (bits_of(mask) for mask in view.iter_row_masks())
-            return write_shards(
-                output, rows, n=view.n,
-                chunk_rows=(
-                    chunk_rows if chunk_rows is not None else view.chunk_rows
-                ),
-                encoding=encoding if encoding is not None else view.encoding,
-            )
-    with RepositoryLock(root, purpose="compact"):
-        # Re-check under the lock: another compactor may have journaled
-        # (and died) between our recovery pass and the acquire.
-        intent = read_compact_intent(root)
-        if intent is not None:
-            complete_compaction(root, intent)
-        staging = staging_dir_for(root)
-        view = open_repository(root)
-        with view:
-            if isinstance(view, ShardedRepository):
-                return root  # already a clean single generation
-            crashpoint("compact.begin")
-            rows = (bits_of(mask) for mask in view.iter_row_masks())
-            write_shards(
-                staging, rows, n=view.n,
-                chunk_rows=(
-                    chunk_rows if chunk_rows is not None else view.chunk_rows
-                ),
-                encoding=encoding if encoding is not None else view.encoding,
-            )
-            old_files = [str(meta["file"]) for meta in view.base._shard_meta]
-        old_files.append(MANIFEST_NAME)
-        fsync_dir(root.parent)  # the staging directory's own entry
-        staged_files = [item.name for item in staging.iterdir()]
-        crashpoint("compact.staged")
-        # Commit point: the journal is durable before any destruction,
-        # so recovery from here on always rolls forward.
-        write_compact_intent(root, staged_files, old_files)
-        crashpoint("compact.intent")
-        complete_compaction(root, read_compact_intent(root))
-    return root
-
-
-def _compact_online(
-    root: Path,
-    chunk_rows: "int | None",
-    encoding: "str | None",
-    force: bool,
-) -> Path:
-    """Stage off to the side, swing under the lock, retire under leases.
-
-    The restage loop is the availability/consistency trade: staging runs
-    lock-free, so a delta generation may land mid-fold.  The chain token
-    captured before staging is re-checked *under the lock* right before
-    the intent journal is written; a moved token discards the staging
-    and refolds the (now longer) chain.  The loop terminates in practice
-    because each restage folds everything the previous one saw; a
-    pathological writer that outruns five folds surfaces as
-    :class:`~repro.setsystem.shards.RepositoryBusyError` for the
-    maintenance loop to back off on.
-    """
-    recover_compaction(root)
-    _refuse_stale_staging(root, force, "compact")
+            return _write_view(view, output)
     staging = staging_dir_for(root)
     marker = StagingLock(root).acquire()
     try:
         for _ in range(5):
             token_before = chain_token(root) if root.is_dir() else None
-            view = open_repository(root)
-            with view:
+            with open_repository(root) as view:
                 if isinstance(view, ShardedRepository):
                     return root  # already a clean single generation
                 if staging.exists():
                     shutil.rmtree(staging)  # our own superseded attempt
-                rows = (bits_of(mask) for mask in view.iter_row_masks())
-                write_shards(
-                    staging, rows, n=view.n,
-                    chunk_rows=(
-                        chunk_rows
-                        if chunk_rows is not None
-                        else view.chunk_rows
-                    ),
-                    encoding=(
-                        encoding if encoding is not None else view.encoding
-                    ),
-                )
+                _write_view(view, staging)
                 old_files = [
                     str(meta["file"]) for meta in view.base._shard_meta
                 ]
             old_files.append(MANIFEST_NAME)
             fsync_dir(root.parent)  # the staging directory's own entry
             staged_files = [item.name for item in staging.iterdir()]
-            crashpoint("compact.online-staged")
+            crashpoint("compact.staged")
             lock = RepositoryLock(root, purpose="compact")
             try:
                 lock.acquire()
@@ -1262,18 +1159,17 @@ def _compact_online(
                     # A delta landed while we staged: the fold is stale.
                     shutil.rmtree(staging, ignore_errors=True)
                     continue
-                epoch = current_epoch(root)
                 write_compact_intent(
-                    root, staged_files, old_files, epoch=epoch
+                    root, staged_files, old_files, current_epoch(root)
                 )
-                crashpoint("compact.swing")
+                crashpoint("compact.intent")
                 complete_compaction(root, read_compact_intent(root))
             finally:
                 lock.release()
             reclaim_retired(root)
             return root
         raise RepositoryBusyError(
-            f"online compaction of {root} was outrun by concurrent deltas "
+            f"compaction of {root} was outrun by concurrent deltas "
             "5 times; retry when the churn quiets down"
         )
     finally:

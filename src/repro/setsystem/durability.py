@@ -49,7 +49,10 @@ faults, seeded/named injection, loud-or-correct:
   inside the replace phase); if staging exists without it, recovery
   rolls back by discarding the staging.  ``open_repository`` runs this
   automatically, so a repository is always exactly the old chain or the
-  new base — never unopenable, never a half-merged hybrid.
+  new base — never unopenable, never a half-merged hybrid.  The journal
+  is untrusted input: :func:`read_compact_intent` refuses any field a
+  roll-forward could misuse (a file name with a path separator, a
+  non-integer epoch) before anything is moved.
 
 * **fsck** (:func:`fsck_repository`) — sweeps every structural
   invariant the formats define (the manifest through the open's own
@@ -137,17 +140,13 @@ CRASHPOINTS = (
     "writer.manifest",
     # DeltaShardWriter: insert shards durable, delta.json not yet written
     "delta.staged",
-    # compact(): before staging, after staging, after the intent journal
-    # (the commit point), mid-replace, and after the manifest swap
-    "compact.begin",
+    # compact(): after the lock-free staging, after the intent journal
+    # (the commit point, under the lock), mid-replace, after the
+    # manifest swap, after the retire tail, and the lease-drain reclaim
     "compact.staged",
     "compact.intent",
     "compact.shards-moved",
     "compact.manifest",
-    # compact(online=True): staged without the lock, the swing critical
-    # section (post-intent), the retire tail, and the lease-drain reclaim
-    "compact.online-staged",
-    "compact.swing",
     "compact.retire",
     "lease.drain",
     # DynamicCover.checkpoint(): staged checkpoint not yet swapped in
@@ -157,8 +156,8 @@ CRASHPOINTS = (
 #: Intent-journal file name inside a repository root.
 COMPACT_INTENT_NAME = "compact.intent"
 
-#: Schema tag of the intent journal.
-COMPACT_INTENT_SCHEMA = "repro.compact-intent/v1"
+#: Schema tag of the intent journal (the only one read).
+COMPACT_INTENT_SCHEMA = "repro.compact-intent/v2"
 
 #: Suffix of the sibling staging directory ``<root><suffix>``.
 COMPACT_STAGING_SUFFIX = ".compact-tmp"
@@ -169,11 +168,11 @@ LOCK_FILE_NAME = ".repro-lock"
 #: Suffix of the sibling lease directory ``<root><suffix>`` where
 #: readers register generation leases (plus the ``epoch`` counter file).
 #: Live-state is *sibling* state by design: the repository root itself
-#: stays byte-identical to a never-leased, never-online-compacted one.
+#: stays byte-identical to a never-leased, never-compacted one.
 LEASES_SUFFIX = ".leases"
 
 #: Suffix of the sibling retirement directory ``<root><suffix>`` where
-#: an online compaction parks the superseded generation's files until
+#: an in-place compaction parks the superseded generation's files until
 #: the last lease on that epoch drains.
 RETIRED_SUFFIX = ".retired"
 
@@ -307,8 +306,8 @@ class RepositoryLock:
 
     Non-blocking by design: a mutator that finds the lock held fails
     loudly (:class:`~repro.setsystem.shards.RepositoryBusyError`) rather
-    than queueing — the stop-the-world compactor and the delta writers
-    are not meant to interleave, and a silent wait would hide that.
+    than queueing — a delta writer and a compactor's swing are not meant
+    to interleave, and a silent wait would hide that.
 
     The lock file is *removed* on release so locked-then-unlocked
     repositories stay byte-identical to never-locked ones (the churn
@@ -420,7 +419,7 @@ class RepositoryLock:
 
 
 # ----------------------------------------------------------------------
-# Generation leases + epoch-counted retirement (online compaction)
+# Generation leases + epoch-counted retirement
 # ----------------------------------------------------------------------
 def leases_dir_for(root: "str | Path") -> Path:
     """The sibling directory holding reader leases + the epoch counter."""
@@ -436,12 +435,13 @@ def retired_dir_for(root: "str | Path", epoch: "int | None" = None) -> Path:
 
 
 def current_epoch(root: "str | Path") -> int:
-    """The repository's generation epoch (0 until an online compact).
+    """The repository's generation epoch (0 until the first compaction).
 
-    Bumped durably by each completed *online* compaction; a lease taken
-    at epoch ``E`` guarantees the files retired *by* the compaction that
-    supersedes ``E`` (parked under ``<root>.retired/<E>``) survive until
-    the lease drains.
+    Bumped durably by each completed in-place compaction, which also
+    creates the sibling ``<root>.leases/epoch`` file on the first one; a
+    lease taken at epoch ``E`` guarantees the files retired *by* the
+    compaction that supersedes ``E`` (parked under
+    ``<root>.retired/<E>``) survive until the lease drains.
     """
     path = leases_dir_for(root) / EPOCH_FILE_NAME
     try:
@@ -615,16 +615,16 @@ def staging_dir_for(root: "str | Path") -> Path:
 
 
 def staging_lock_for(root: "str | Path") -> Path:
-    """The liveness-marker lock file of an online compactor's staging."""
+    """The liveness-marker lock file of a compactor's staging."""
     root = Path(root)
     return root.parent / (root.name + COMPACT_STAGING_SUFFIX + ".lock")
 
 
 class StagingLock:
-    """Liveness marker for an online compactor's lock-free staging phase.
+    """Liveness marker for a compactor's lock-free staging phase.
 
-    An *online* compaction stages without the repository lock (that is
-    the availability win), which makes its staging directory look
+    A compaction stages without the repository lock (that is the
+    availability win), which makes its staging directory look
     exactly like the crash debris :class:`StaleStagingError` exists to
     refuse.  The compactor therefore ``flock``-holds this sibling marker
     for the whole staging window: :func:`staging_is_live` distinguishes
@@ -650,12 +650,12 @@ class StagingLock:
         except OSError:
             os.close(fd)
             raise RepositoryBusyError(
-                f"{self.root} already has an online compaction staging "
+                f"{self.root} already has a compaction staging "
                 f"({self.path.name} held); retry when it finishes"
             ) from None
         try:
             os.ftruncate(fd, 0)
-            os.write(fd, f"pid={os.getpid()} purpose=compact-online\n".encode())
+            os.write(fd, f"pid={os.getpid()} purpose=compact\n".encode())
         except OSError:  # pragma: no cover - metadata is best-effort
             pass
         self._fd = fd
@@ -679,7 +679,7 @@ class StagingLock:
 
 
 def staging_is_live(root: "str | Path") -> bool:
-    """Whether an online compactor currently holds the staging marker."""
+    """Whether a live compactor currently holds the staging marker."""
     if fcntl is None:
         return False
     path = staging_lock_for(root)
@@ -708,7 +708,7 @@ def write_compact_intent(
     root: "str | Path",
     staged_files: "list[str]",
     old_files: "list[str]",
-    epoch: "int | None" = None,
+    epoch: int,
 ) -> Path:
     """Durably journal a compaction about to enter its destructive phase.
 
@@ -720,11 +720,10 @@ def write_compact_intent(
     must refuse rather than silently keep the old repository while
     destroying its delta chain.
 
-    ``epoch`` marks an *online* compaction: instead of unlinking the
-    superseded files, the roll-forward parks them under
-    ``<root>.retired/<epoch>`` and advances the epoch counter, leaving
-    reclamation to :func:`reclaim_retired` once every lease on that
-    epoch drains.
+    ``epoch`` is the generation being superseded: the roll-forward parks
+    its files under ``<root>.retired/<epoch>`` and advances the epoch
+    counter, leaving reclamation to :func:`reclaim_retired` once every
+    lease on that epoch drains.
     """
     from repro.setsystem.shards import MANIFEST_NAME
 
@@ -736,22 +735,46 @@ def write_compact_intent(
         "staged_files": sorted(staged_files),
         "old_files": sorted(old_files),
         "staged_manifest_crc32": zlib.crc32(staged_manifest.read_bytes()),
+        "epoch": int(epoch),
     }
-    if epoch is not None:
-        record["epoch"] = int(epoch)
     record["crc32"] = _intent_checksum(record)
     path = root / COMPACT_INTENT_NAME
     durable_write_text(path, json.dumps(record, indent=2) + "\n")
     return path
 
 
+def _plain_name(value) -> bool:
+    """Whether ``value`` names a file directly inside one directory."""
+    return (
+        isinstance(value, str)
+        and value not in ("", ".", "..")
+        and not any(sep in value for sep in ("/", "\\", "\0"))
+    )
+
+
+def _exact_int(value, low: int, high: "int | None" = None) -> bool:
+    """A JSON integer (never a bool) in ``[low, high)``."""
+    return (
+        type(value) is int
+        and value >= low
+        and (high is None or value < high)
+    )
+
+
 def read_compact_intent(root: "str | Path") -> "dict | None":
-    """Parse and checksum-validate a root's intent journal, if present.
+    """Parse and validate a root's intent journal, if present.
 
     Returns ``None`` when no intent file exists; raises a typed
     :class:`~repro.setsystem.shards.ShardFormatError` when one exists
-    but is unreadable or fails its checksum (a corrupt commit record is
-    never silently acted on — ``fsck`` reports it instead).
+    but is unreadable, fails its checksum, or holds a field the
+    roll-forward could misuse (a corrupt commit record is never silently
+    acted on — ``fsck`` reports it as ``intent-corrupt`` instead).  The
+    CRC-32 catches torn writes, not forgeries, so every field is checked
+    on its own: ``staged_files`` and ``old_files`` must be lists of plain
+    file names (no path separator, not ``.`` or ``..``) — a name like
+    ``../victim`` would otherwise move a file outside the repository —
+    ``staging`` a string, ``epoch`` an integer >= 0 and
+    ``staged_manifest_crc32`` an integer in ``[0, 2**32)``.
     """
     from repro.setsystem.shards import ShardFormatError
 
@@ -773,6 +796,29 @@ def read_compact_intent(root: "str | Path") -> "dict | None":
             f"compaction intent checksum mismatch in {path}; refusing to "
             "roll the interrupted compaction forward on a corrupt journal"
         )
+    for key in ("staged_files", "old_files"):
+        names = record.get(key)
+        bad = (
+            [n for n in names if not _plain_name(n)]
+            if isinstance(names, list) else [names]
+        )
+        if bad:
+            raise ShardFormatError(
+                f"{path} field {key!r} must list plain file names, "
+                f"not {bad[0]!r}"
+            )
+    checks = {
+        "staging": isinstance(record.get("staging"), str),
+        "epoch": _exact_int(record.get("epoch"), 0),
+        "staged_manifest_crc32": _exact_int(
+            record.get("staged_manifest_crc32"), 0, 1 << 32
+        ),
+    }
+    for key, valid in checks.items():
+        if not valid:
+            raise ShardFormatError(
+                f"{path} field {key!r} is malformed: {record.get(key)!r}"
+            )
     return record
 
 
@@ -786,14 +832,16 @@ def complete_compaction(root: "str | Path", intent: dict) -> None:
     are then removed.  Re-running after a crash at any point converges
     on the same final state.
 
-    *Online* intents (those carrying an ``epoch``) never unlink the
-    superseded generation: every pre-compaction file (and the whole
-    ``deltas/`` chain) is parked under ``<root>.retired/<epoch>``
-    instead, because a reader holding a lease on that epoch may still be
-    opening those paths.  Every step is existence-conditional, so a
-    re-run after a crash never retires a freshly-staged file; the final
-    durable step advances the epoch counter so new leases bind to the
-    new generation.
+    The superseded generation is never unlinked here: every
+    pre-compaction file (and the whole ``deltas/`` chain) is parked
+    under ``<root>.retired/<epoch>``, because a reader holding a lease
+    on that epoch may still be opening those paths.  Every step is
+    existence-conditional, so a re-run after a crash never retires a
+    freshly-staged file; the final durable step advances the epoch
+    counter so new leases bind to the new generation.
+
+    ``intent`` must come from :func:`read_compact_intent`, which
+    validated every name and number in it.
 
     The caller must hold the repository lock.
     """
@@ -809,20 +857,11 @@ def complete_compaction(root: "str | Path", intent: dict) -> None:
     # staging sibling recovers self-contained, and can never consume a
     # different repository's staging that happens to share the parent.
     staging = staging_dir_for(root)
-    staged_files = [str(name) for name in intent["staged_files"]]
-    old_files = [str(name) for name in intent["old_files"]]
+    staged_files = intent["staged_files"]
     data_files = [name for name in staged_files if name != MANIFEST_NAME]
-    epoch = intent.get("epoch")
-    retired = retired_dir_for(root, epoch) if epoch is not None else None
-    if retired is not None:
-        retired.mkdir(parents=True, exist_ok=True)
-
-    def _retire_or_unlink(live: Path) -> None:
-        if retired is not None:
-            os.replace(live, retired / live.name)
-        else:
-            live.unlink(missing_ok=True)
-
+    epoch = intent["epoch"]
+    retired = retired_dir_for(root, epoch)
+    retired.mkdir(parents=True, exist_ok=True)
     for name in data_files:
         staged = staging / name
         live = root / name
@@ -830,7 +869,7 @@ def complete_compaction(root: "str | Path", intent: dict) -> None:
             # Retire the superseded file *before* moving the staged one
             # in; a staged file already consumed by a previous run is
             # skipped entirely, so a re-run never retires the new file.
-            if retired is not None and live.exists():
+            if live.exists():
                 os.replace(live, retired / name)
             os.replace(staged, live)
         elif not live.exists():
@@ -843,13 +882,13 @@ def complete_compaction(root: "str | Path", intent: dict) -> None:
     staged_manifest = staging / MANIFEST_NAME
     live_manifest = root / MANIFEST_NAME
     if staged_manifest.exists():
-        if retired is not None and live_manifest.exists():
+        if live_manifest.exists():
             os.replace(live_manifest, retired / MANIFEST_NAME)
         os.replace(staged_manifest, live_manifest)
     elif not (
         live_manifest.is_file()
         and zlib.crc32(live_manifest.read_bytes())
-        == int(intent["staged_manifest_crc32"])
+        == intent["staged_manifest_crc32"]
     ):
         # The staged manifest is gone yet the live one is not it: the
         # staging directory was lost (e.g. the repository was copied
@@ -867,27 +906,23 @@ def complete_compaction(root: "str | Path", intent: dict) -> None:
         )
     fsync_dir(root)
     crashpoint("compact.manifest")
-    # Retire/remove tail: everything below only displaces pre-compaction
-    # state the new manifest no longer references.
+    # Retire tail: everything below only displaces pre-compaction state
+    # the new manifest no longer references.
     staged_set = set(staged_files)
-    for name in old_files:
+    for name in intent["old_files"]:
         if name not in staged_set and (root / name).exists():
-            _retire_or_unlink(root / name)
+            os.replace(root / name, retired / name)
     deltas = root / DELTAS_DIRNAME
     if deltas.is_dir():
-        if retired is not None:
-            # One atomic rename parks the whole chain; a re-run finds
-            # the source gone and skips.
-            os.replace(deltas, retired / DELTAS_DIRNAME)
-        else:
-            shutil.rmtree(deltas)
-    if retired is not None:
-        crashpoint("compact.retire")
-        fsync_dir(retired)
-        # Advance the epoch before dropping the journal, so a crash
-        # in between re-runs this (idempotent) step on recovery and a
-        # new lease can never bind the old epoch to the new family.
-        _advance_epoch(root, int(epoch) + 1)
+        # One atomic rename parks the whole chain; a re-run finds the
+        # source gone and skips.
+        os.replace(deltas, retired / DELTAS_DIRNAME)
+    crashpoint("compact.retire")
+    fsync_dir(retired)
+    # Advance the epoch before dropping the journal, so a crash in
+    # between re-runs this (idempotent) step on recovery and a new lease
+    # can never bind the old epoch to the new family.
+    _advance_epoch(root, epoch + 1)
     if staging.is_dir():
         shutil.rmtree(staging)
     fsync_dir(root.parent)
@@ -1220,7 +1255,7 @@ def _fsck_chain(
 
 
 def _fsck_live_state(root: Path, report: FsckReport, repair: bool) -> None:
-    """Sweep the sibling lease/retired state of the online machinery.
+    """Sweep the sibling lease/retired state of in-place compaction.
 
     A lease whose holder pid is gone (or whose file is malformed) is
     inert debris — :func:`active_leases` never counts it as a live
@@ -1311,8 +1346,6 @@ def fsck_repository(
     FsckReport
         ``report.ok`` iff zero findings remain.
     """
-    import shutil
-
     from repro.setsystem import shards as sh
 
     root = Path(root)
@@ -1332,14 +1365,12 @@ def fsck_repository(
     if repair:
         # Phase 1: resolve interrupted compactions and stale staging
         # before the structural sweep — the sweep then describes the
-        # repaired repository.
+        # repaired repository.  A corrupt journal is left alone (the
+        # sweep reports it as intent-corrupt), and so is the staging it
+        # may commit.
         try:
             intent = read_compact_intent(root)
-        except sh.ShardFormatError as exc:
-            report.findings.append(
-                Finding("intent-corrupt", str(root / COMPACT_INTENT_NAME),
-                        str(exc))
-            )
+        except sh.ShardFormatError:
             intent = None
         if intent is not None:
             try:
@@ -1361,7 +1392,7 @@ def fsck_repository(
         staging = staging_dir_for(root)
         if (
             staging.is_dir()
-            and read_compact_intent(root) is None
+            and not (root / COMPACT_INTENT_NAME).exists()
             and not staging_is_live(root)
         ):
             shutil.rmtree(staging)
@@ -1378,7 +1409,7 @@ def fsck_repository(
             else:
                 report.repaired.append(
                     f"removed the orphaned staging marker {marker.name} "
-                    "(its online compactor is gone)"
+                    "(its compactor is gone)"
                 )
 
     # Interrupted-compaction / staging findings (post-repair these are
@@ -1386,11 +1417,13 @@ def fsck_repository(
     try:
         intent = read_compact_intent(root)
     except sh.ShardFormatError as exc:
+        # The staging may be the committed rewrite and the root a
+        # half-replaced hybrid: the journal is the one finding.
         report.findings.append(
             Finding("intent-corrupt", str(root / COMPACT_INTENT_NAME),
                     str(exc))
         )
-        intent = None
+        return report
     if intent is not None:
         report.findings.append(
             Finding(
@@ -1415,7 +1448,7 @@ def fsck_repository(
             )
         )
 
-    # Online-compaction live state: stale leases, unreclaimed retired
+    # Compaction live state: stale leases, unreclaimed retired
     # generations (repair prunes + reclaims them before the sweep).
     _fsck_live_state(root, report, repair)
 

@@ -4,8 +4,9 @@ The streaming model keeps the set system arriving while the algorithm
 works, so a repository under churn grows a delta chain forever unless
 someone folds it.  :class:`MaintenanceLoop` is that someone: it watches
 two cheap pressure signals — chain length and dead-row fraction — and
-triggers :func:`repro.setsystem.deltas.compact` in *online* mode when
-either crosses its threshold, with retry/backoff/jitter borrowed from
+triggers :func:`repro.setsystem.deltas.compact` (which folds without
+stopping readers or writers) when either crosses its threshold, with
+retry/backoff/jitter borrowed from
 the remote engine's :class:`~repro.engine.fault.RetryPolicy` so
 contention degrades into patience instead of a crash.
 
@@ -130,7 +131,7 @@ def repository_pressure(root: "str | Path") -> dict:
 
 
 class MaintenanceLoop:
-    """Watch a repository's pressure and fold it online when it builds.
+    """Watch a repository's pressure and fold it when it builds.
 
     Parameters
     ----------
@@ -239,7 +240,7 @@ class MaintenanceLoop:
         while attempt < attempts:
             attempt += 1
             try:
-                compact(self.root, online=True)
+                compact(self.root)
             except RepositoryBusyError as exc:
                 self._journal(
                     {
@@ -255,9 +256,9 @@ class MaintenanceLoop:
                     )
                 continue
             except StaleStagingError as exc:
-                # Crash debris from an earlier (offline or dead online)
-                # compactor: self-heal via the sanctioned repair path,
-                # then retry the fold in the same cycle.  One repair per
+                # Crash debris from an earlier (dead) compactor: self-heal
+                # via the sanctioned repair path, then retry the fold in
+                # the same cycle.  One repair per
                 # cycle is free — it is not contention, so it must not
                 # consume the busy budget (attempts=1 would otherwise
                 # turn every self-heal into a give-up).

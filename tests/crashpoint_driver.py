@@ -15,10 +15,8 @@ Operations (first argv token):
 ``delta ROOT OPS.json``
     ``apply_delta`` of one churn batch.
 ``compact ROOT``
-    In-place intent-journaled ``compact``.
-``compact-online ROOT``
-    Online ``compact(online=True)`` (lock-free staging, journaled
-    swing, leased reclaim).
+    In-place ``compact`` (lock-free staging, journaled swing, leased
+    reclaim).
 ``compact-output ROOT DEST``
     Side-output ``compact`` (source must stay untouched).
 ``open-hold ROOT``
@@ -58,12 +56,6 @@ def main(argv: "list[str]") -> int:
 
         (root,) = rest
         compact(root)
-        return 0
-    if operation == "compact-online":
-        from repro.setsystem.deltas import compact
-
-        (root,) = rest
-        compact(root, online=True)
         return 0
     if operation == "compact-output":
         from repro.setsystem.deltas import compact

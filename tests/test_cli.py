@@ -613,8 +613,8 @@ class TestShardDurability:
 
 
 class TestShardMaintain:
-    """`shard maintain` (+ `compact --online`): the operator surface of
-    the self-healing maintenance loop."""
+    """`shard maintain`: the operator surface of the self-healing
+    maintenance loop."""
 
     @pytest.fixture
     def chain(self, tmp_path, capsys):
@@ -656,7 +656,7 @@ class TestShardMaintain:
     def test_maintain_gives_up_loudly_under_contention(self, chain, capsys):
         from repro.setsystem.durability import StagingLock
 
-        with StagingLock(chain):  # a live online compactor holds the marker
+        with StagingLock(chain):  # a live compactor holds the marker
             code = main(["shard", "maintain", str(chain),
                          "--max-generations", "1",
                          "--retry-attempts", "2",
@@ -689,7 +689,12 @@ class TestShardMaintain:
         assert "compacted (attempt 1)" in out
 
     def test_compact_online_flag(self, chain, capsys):
-        assert main(["shard", "compact", str(chain), "--online"]) == 0
+        # In-place compaction always stages lock-free: no such flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["shard", "compact", str(chain), "--online"])
+        assert excinfo.value.code == 2
+        assert "--online" in capsys.readouterr().err
+        assert main(["shard", "compact", str(chain)]) == 0
         assert "compacted 1 pending generation(s)" in capsys.readouterr().out
 
     def test_compact_online_with_output_is_a_usage_error(self, chain,
@@ -699,6 +704,7 @@ class TestShardMaintain:
                   "--output", str(tmp_path / "out")])
         assert excinfo.value.code == 2
         assert "--online" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_maintain_legacy_alias_is_not_hijacked(self, chain, capsys):
         # `repro shard maintain X` must reach the maintain verb, not the

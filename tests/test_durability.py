@@ -28,6 +28,8 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from repro.dynamic import CheckpointError, DynamicCover, StaleCheckpointError
 from repro.setsystem import SetSystem, save
@@ -45,6 +47,7 @@ from repro.setsystem.durability import (
     COMPACT_INTENT_NAME,
     EPOCH_FILE_NAME,
     StagingLock,
+    _intent_checksum,
     active_leases,
     crashpoint,
     current_epoch,
@@ -206,19 +209,31 @@ def test_delta_crash_is_invisible_until_committed(tmp_path, crash):
 # ----------------------------------------------------------------------
 # Crash matrix: in-place compaction
 # ----------------------------------------------------------------------
+#: Crashpoints before the intent journal: the chain is intact and the
+#: crashed compactor's staging (plus its unheld marker) is debris.
+PRE_COMMIT = ("writer.shard-flush", "writer.manifest", "compact.staged")
+
+
 @pytest.mark.parametrize(
     "crash",
     [
-        "writer.shard-flush",
-        "writer.manifest",
-        "compact.begin",
-        "compact.staged",
+        *PRE_COMMIT,
         "compact.intent",
         "compact.shards-moved",
         "compact.manifest",
+        "compact.retire",
+        "lease.drain",
     ],
 )
 def test_compact_crash_reopens_to_exact_rows(tmp_path, crash):
+    """Every compaction crashpoint, by both recovery routes.
+
+    Route 1 reopens a copy of the crashed repository (``open_repository``
+    rolls a journaled fold forward, or ignores pre-journal debris) and
+    redoes the fold with ``force``; route 2 runs ``fsck --repair`` and
+    redoes it plainly.  Both must land the root byte-identical to a twin
+    that never crashed.
+    """
     root = _build_chain(tmp_path)
     pre = _rows(root)
     reference = Path(shutil.copytree(root, tmp_path / "reference"))
@@ -227,20 +242,69 @@ def test_compact_crash_reopens_to_exact_rows(tmp_path, crash):
     proc = _run_driver(["compact", root], crash=crash)
     assert proc.returncode == CRASHPOINT_EXIT_CODE, proc.stderr
 
-    # Route 1: plain reopen.  open_repository rolls a journaled
-    # compaction forward (or ignores pre-intent debris) on its own.
+    # Route 1: plain reopen, then a forced redo.
     route1 = _clone(root, tmp_path / "route1")
     assert _rows(route1) == pre
     assert not (route1 / COMPACT_INTENT_NAME).exists()
+    compact(route1, force=True)
+    assert _tree_bytes(route1) == _tree_bytes(reference)
 
-    # Route 2: fsck --repair, then a clean compaction must land the
-    # repository byte-identical to one that never crashed.
+    if crash in PRE_COMMIT:
+        # Dead staging is loud for compactors, invisible to readers.
+        assert staging_dir_for(root).is_dir()
+        assert staging_lock_for(root).exists()
+        assert not staging_is_live(root)  # the crash dropped the flock
+        with pytest.raises(StaleStagingError):
+            compact(root)
+        assert "stale-staging" in fsck_repository(root).codes()
+
+    # Route 2: fsck --repair resolves the journal, stale staging, the
+    # orphaned marker and any unreclaimed retired generation; the redo
+    # then lands the root byte-identical to the twin.
     report = fsck_repository(root)
     assert all(f.repairable for f in report.findings), report.codes()
     _assert_clean(root, repair_first=True)
+    assert not staging_dir_for(root).exists()
+    assert not staging_lock_for(root).exists()
     assert _rows(root) == pre
     compact(root)
     assert _tree_bytes(root) == _tree_bytes(reference)
+    _assert_clean(root)
+
+
+def test_online_staging_crash_is_refused_then_repaired(tmp_path):
+    """Crash after staging, before the journal: the staging is debris.
+
+    ``compact.staged`` fires after the lock-free staging phase but before
+    the repository lock / intent journal — the crashed compactor's
+    staging directory plus its (now unheld) liveness marker are exactly
+    the stale-staging shape later compactors must refuse until repaired.
+    """
+    root = _build_chain(tmp_path)
+    pre = _rows(root)
+    reference = Path(shutil.copytree(root, tmp_path / "reference"))
+    compact(reference)
+
+    proc = _run_driver(["compact", root], crash="compact.staged")
+    assert proc.returncode == CRASHPOINT_EXIT_CODE, proc.stderr
+    assert staging_dir_for(root).is_dir()
+    assert staging_lock_for(root).exists()
+    assert not staging_is_live(root)  # the crash dropped the flock
+    with pytest.raises(StaleStagingError):
+        compact(root)
+    assert _rows(root) == pre
+    report = fsck_repository(root)
+    assert "stale-staging" in report.codes()
+    assert all(f.repairable for f in report.findings), report.codes()
+    report = fsck_repository(root, repair=True)
+    assert report.ok, report.codes()
+    assert not staging_dir_for(root).exists()
+    assert not staging_lock_for(root).exists()
+    # The redo lands the root byte-identical to a twin that never crashed.
+    compact(root)
+    assert _rows(root) == pre
+    assert _tree_bytes(root) == _tree_bytes(reference)
+    _assert_clean(root)
 
 
 def test_lost_staging_refuses_instead_of_dropping_deltas(tmp_path):
@@ -297,86 +361,12 @@ def test_compact_output_crash_leaves_source_untouched(tmp_path, crash):
     _assert_clean(root)
 
 
-# ----------------------------------------------------------------------
-# Crash matrix: online compaction (ISSUE 9)
-# ----------------------------------------------------------------------
-def test_online_staging_crash_is_refused_then_repaired(tmp_path):
-    """Crash before the swing: the staging is debris, the chain intact.
-
-    ``compact.online-staged`` fires after the lock-free staging phase but
-    before the repository lock / intent journal — the crashed compactor's
-    staging directory plus its (now unheld) liveness marker are exactly
-    the stale-staging shape later writers must refuse until repaired.
-    """
-    root = _build_chain(tmp_path)
-    pre = _rows(root)
-    reference = Path(shutil.copytree(root, tmp_path / "reference"))
-    compact(reference, online=True)
-
-    proc = _run_driver(["compact-online", root], crash="compact.online-staged")
-    assert proc.returncode == CRASHPOINT_EXIT_CODE, proc.stderr
-    assert staging_dir_for(root).is_dir()
-    assert staging_lock_for(root).exists()
-    assert not staging_is_live(root)  # the crash dropped the flock
-    # Dead staging is loud for compactors, invisible to readers.
-    with pytest.raises(StaleStagingError):
-        compact(root, online=True)
-    assert _rows(root) == pre
-    report = fsck_repository(root)
-    assert "stale-staging" in report.codes()
-    assert all(f.repairable for f in report.findings), report.codes()
-    report = fsck_repository(root, repair=True)
-    assert report.ok, report.codes()
-    assert not staging_dir_for(root).exists()
-    assert not staging_lock_for(root).exists()
-    # The redo lands the root byte-identical to a twin that never crashed.
-    compact(root, online=True)
-    assert _rows(root) == pre
-    assert _tree_bytes(root) == _tree_bytes(reference)
-    _assert_clean(root)
-
-
-@pytest.mark.parametrize(
-    "crash", ["compact.swing", "compact.retire", "lease.drain"]
-)
-def test_online_compact_crash_recovers_on_plain_reopen(tmp_path, crash):
-    """Past the intent journal the fold is committed; a crash in the
-    swing critical section (``compact.swing``), the retire tail
-    (``compact.retire``) or the post-swing lease-drain reclaim
-    (``lease.drain``) must roll forward on a plain reopen and come back
-    byte-identical to a never-crashed twin after ``fsck --repair``."""
-    root = _build_chain(tmp_path)
-    pre = _rows(root)
-    reference = Path(shutil.copytree(root, tmp_path / "reference"))
-    compact(reference, online=True)
-
-    proc = _run_driver(["compact-online", root], crash=crash)
-    assert proc.returncode == CRASHPOINT_EXIT_CODE, proc.stderr
-
-    # Route 1: plain reopen.  The journal (if still present) is rolled
-    # forward by open_repository itself; rows are exactly the pre-fold
-    # view either way.
-    route1 = _clone(root, tmp_path / "route1")
-    assert _rows(route1) == pre
-    assert not (route1 / COMPACT_INTENT_NAME).exists()
-
-    # Route 2: fsck --repair resolves the journal, the orphaned staging
-    # marker and any unreclaimed retired generation in one pass.
-    report = fsck_repository(root)
-    assert all(f.repairable for f in report.findings), report.codes()
-    _assert_clean(root, repair_first=True)
-    assert _rows(root) == pre
-    with open_repository(root) as repo:
-        assert repo.pending_deltas == 0
-    assert _tree_bytes(root) == _tree_bytes(reference)
-
-
 def test_lease_drain_crash_leaves_retired_debris_finding(tmp_path):
     """A crash mid-reclaim leaves the superseded generation parked; it
     surfaces as the repairable ``retired-debris`` finding, never as data
     loss or a wedged repository."""
     root = _build_chain(tmp_path)
-    proc = _run_driver(["compact-online", root], crash="lease.drain")
+    proc = _run_driver(["compact", root], crash="lease.drain")
     assert proc.returncode == CRASHPOINT_EXIT_CODE, proc.stderr
     # The fold itself committed; only the reclaim was interrupted.
     assert retired_dir_for(root, 0).is_dir()
@@ -477,7 +467,7 @@ def test_live_lease_pins_the_superseded_generation(tmp_path):
         leases = active_leases(root)
         assert [lease["epoch"] for lease in leases] == [0]
         assert leases[0]["pid"] == os.getpid()
-        compact(root, online=True)
+        compact(root)
         # The fold swung the manifest and bumped the epoch, but the
         # reader's lease pins the retired epoch-0 files...
         assert current_epoch(root) == 1
@@ -519,15 +509,15 @@ def test_staging_lock_distinguishes_live_from_dead_staging(tmp_path):
     assert not staging_is_live(root)
     with StagingLock(root):
         assert staging_is_live(root)
-        # A second online compactor backs off instead of clobbering.
-        with pytest.raises(RepositoryBusyError, match="online compaction"):
+        # A second compactor backs off instead of clobbering.
+        with pytest.raises(RepositoryBusyError, match="compaction staging"):
             StagingLock(root).acquire()
     assert not staging_is_live(root)
     assert not staging_lock_for(root).exists()
 
 
 def test_live_staging_admits_writers_but_not_second_compactor(tmp_path):
-    """During a live online staging phase, mutators proceed (that is the
+    """During a live staging phase, mutators proceed (that is the
     availability win) while a competing compactor is refused — and the
     staging directory is *not* misread as crash debris."""
     root = _build_chain(tmp_path, batches=(BATCH_1,))
@@ -783,13 +773,154 @@ def test_fsck_repair_rolls_a_journaled_compaction_forward(tmp_path):
     write_shards(staging, merged, chunk_rows=2)
     staged = sorted(p.name for p in staging.iterdir())
     old = sorted(p.name for p in root.glob("shard-*.bin")) + [MANIFEST_NAME]
-    write_compact_intent(root, staged, old)
+    write_compact_intent(root, staged, old, epoch=0)
     assert fsck_repository(root).codes() == ["interrupted-compaction"]
     report = fsck_repository(root, repair=True)
     assert report.ok and report.repaired
     assert _rows(root) == pre
     with open_repository(root) as repo:
         assert repo.pending_deltas == 0
+
+
+# ----------------------------------------------------------------------
+# The intent journal is untrusted input
+# ----------------------------------------------------------------------
+def _journaled(tmp_path):
+    """A delta chain with a complete staged fold and a valid journal
+    (the state a crash right after the commit point leaves), plus a
+    sentinel file beside the root."""
+    root = _build_chain(tmp_path)
+    with open_repository(root) as view:
+        merged = SetSystem(view.n, [sorted(r) for r in view.iter_rows()])
+    staging = staging_dir_for(root)
+    write_shards(staging, merged, chunk_rows=2)
+    staged = [p.name for p in staging.iterdir()]
+    old = [p.name for p in root.glob("shard-*.bin")] + [MANIFEST_NAME]
+    write_compact_intent(root, staged, old, epoch=0)
+    victim = tmp_path / "victim.txt"
+    victim.write_text("keep me")
+    return root, victim
+
+
+def _forge_intent(root, mutate):
+    """Edit the journal and re-seal its CRC-32 (which is not a MAC)."""
+    path = root / COMPACT_INTENT_NAME
+    record = json.loads(path.read_text())
+    mutate(record)
+    record["crc32"] = _intent_checksum(record)
+    path.write_text(json.dumps(record, indent=2) + "\n")
+    return record
+
+
+FORGED_INTENTS = {
+    "old-parent": lambda r, t: r["old_files"].append("../victim.txt"),
+    "old-absolute": lambda r, t: r["old_files"].append(str(t / "victim.txt")),
+    "staged-parent": lambda r, t: r["staged_files"].append("../victim.txt"),
+    "old-dotdot": lambda r, t: r["old_files"].append(".."),
+    "old-dot": lambda r, t: r["old_files"].append("."),
+    "old-empty": lambda r, t: r["old_files"].append(""),
+    "old-backslash": lambda r, t: r["old_files"].append("..\\victim.txt"),
+    "old-not-str": lambda r, t: r["old_files"].append(7),
+    "old-not-list": lambda r, t: r.update(old_files="manifest.json"),
+    "staging-not-str": lambda r, t: r.update(staging=None),
+    "epoch-str": lambda r, t: r.update(epoch="x"),
+    "epoch-negative": lambda r, t: r.update(epoch=-1),
+    "epoch-bool": lambda r, t: r.update(epoch=True),
+    "epoch-missing": lambda r, t: r.pop("epoch"),
+    "crc-str": lambda r, t: r.update(staged_manifest_crc32="zz"),
+    "crc-too-wide": lambda r, t: r.update(staged_manifest_crc32=1 << 32),
+    "crc-float": lambda r, t: r.update(staged_manifest_crc32=1.5),
+    "schema-v1": lambda r, t: r.update(schema="repro.compact-intent/v1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED_INTENTS))
+def test_forged_intent_is_refused_before_any_move(tmp_path, case):
+    """A CRC-valid journal naming a file outside the root, or holding a
+    mistyped field, is a typed refusal — never a roll-forward that moves
+    files, never a bare ValueError — and fsck reports it."""
+    root, victim = _journaled(tmp_path)
+    _forge_intent(root, lambda r: FORGED_INTENTS[case](r, tmp_path))
+    before = _tree_bytes(root)
+    with pytest.raises(ShardFormatError):
+        open_repository(root)
+    report = fsck_repository(root)
+    assert "intent-corrupt" in report.codes(), report.codes()
+    report = fsck_repository(root, repair=True)
+    assert "intent-corrupt" in report.codes(), report.codes()
+    assert _tree_bytes(root) == before
+    assert staging_dir_for(root).is_dir()
+    assert victim.read_text() == "keep me"
+
+
+_FUZZ_NAMES = [
+    "../victim.txt", "/victim.txt", ".", "..", "", "a\\b", "a\0b",
+    "shard-00000.bin", "shard-00099.bin", MANIFEST_NAME, DELTAS_DIRNAME,
+    COMPACT_INTENT_NAME, ".repro-lock",
+]
+_FUZZ_VALUES = [None, True, False, 1.5, -1, 0, 3, 1 << 32, "x", "", [], {}]
+
+
+@st.composite
+def _intent_mutations(draw):
+    """One field-level mutation of a valid v2 journal: ``(label, mutate)``."""
+    key = draw(st.sampled_from(
+        ["schema", "staging", "staged_files", "old_files",
+         "staged_manifest_crc32", "epoch"]
+    ))
+    kind = draw(st.sampled_from(["drop", "retype", "name"]))
+    if kind == "drop":
+        return f"drop {key}", lambda r: r.pop(key)
+    if kind == "name" and key in ("staged_files", "old_files"):
+        name = draw(st.sampled_from(_FUZZ_NAMES))
+        where = draw(st.sampled_from(["append", "replace"]))
+        if where == "append":
+            return (f"{key} + {name!r}",
+                    lambda r: r[key].append(name))
+        return (f"{key} = [{name!r}]", lambda r: r.update({key: [name]}))
+    value = draw(st.sampled_from(_FUZZ_VALUES + _FUZZ_NAMES))
+    return f"{key} = {value!r}", lambda r: r.update({key: value})
+
+
+@settings(max_examples=120, deadline=None)
+@given(_intent_mutations())
+def test_intent_fuzz_parses_exactly_or_refuses(tmp_path_factory, mutation):
+    """Direction-5 fuzzing of the journal reader.  After one mutation
+    (CRC re-sealed), ``read_compact_intent`` returns the record exactly
+    or raises ShardFormatError, ``open_repository`` opens or raises
+    ShardFormatError, and nothing outside the root and its
+    ``.compact-tmp`` / ``.retired`` / ``.leases`` siblings is touched."""
+    from repro.setsystem.durability import read_compact_intent
+
+    label, mutate = mutation
+    event(label.split()[0])
+    tmp_path = tmp_path_factory.mktemp("intent")
+    root, victim = _journaled(tmp_path)
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "victim.txt").write_text("keep me too")
+    record = _forge_intent(root, mutate)
+    siblings = {
+        root.name + suffix
+        for suffix in ("", ".compact-tmp", ".compact-tmp.lock", ".retired",
+                       ".leases")
+    }
+    foreign = sorted(p.name for p in tmp_path.iterdir() if p.name not in siblings)
+    try:
+        parsed = read_compact_intent(root)
+    except ShardFormatError:
+        pass
+    else:
+        assert parsed == record, label
+    try:
+        open_repository(root).close()
+    except ShardFormatError:
+        pass
+    assert sorted(
+        p.name for p in tmp_path.iterdir() if p.name not in siblings
+    ) == foreign, label
+    assert victim.read_text() == "keep me", label
+    assert (outside / "victim.txt").read_text() == "keep me too", label
 
 
 # ----------------------------------------------------------------------

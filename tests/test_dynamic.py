@@ -399,7 +399,7 @@ def test_checkpoint_remap_survives_a_compaction(tmp_path):
         cover = DynamicCover(repo.n, zip(repo.stable_ids, repo.iter_rows()))
     path = cover.checkpoint(tmp_path / "cover.ckpt", root=root)
 
-    compact(root, online=True)
+    compact(root)
     # The strict restore still refuses (the chain token moved)...
     with pytest.raises(StaleCheckpointError):
         DynamicCover.restore(path, root=root)

@@ -1,8 +1,8 @@
-"""Live repositories: scans and writers overlapping an online compaction
-(ISSUE 9, DESIGN.md §13) plus the self-healing maintenance loop.
+"""Live repositories: scans and writers overlapping an in-place
+compaction (DESIGN.md §13) plus the self-healing maintenance loop.
 
-The concurrency tests drive a *real* background-thread
-``compact(online=True)`` and pause it mid-staging (by wrapping
+The concurrency tests drive a *real* background-thread ``compact`` and
+pause it mid-staging (by wrapping
 ``write_shards`` with an event gate), so the assertions run while the
 compactor genuinely holds its staging window open:
 
@@ -82,11 +82,11 @@ class _StagingGate:
 
 
 def _fold_in_background(root, errors):
-    """Run ``compact(online=True)`` in a thread, capturing any failure
+    """Run ``compact`` in a thread, capturing any failure
     (a compaction error must fail the test, not vanish with the thread)."""
     def run():
         try:
-            compact(root, online=True)
+            compact(root)
         except BaseException as exc:  # noqa: BLE001 - asserted by the test
             errors.append(exc)
 
@@ -157,10 +157,37 @@ def test_apply_delta_lands_during_online_staging(tmp_path, monkeypatch):
     assert fsck_repository(root).ok
 
 
+def test_compact_outrun_by_deltas_is_busy_after_five_restages(
+    tmp_path, monkeypatch
+):
+    """A writer that lands a delta during every staging lap makes the
+    fold give up with the busy error, leaving no staging and every
+    generation in place."""
+    root = _build_chain(tmp_path)
+    real = deltas_mod.write_shards
+    laps = []
+
+    def stage_then_churn(dest, rows, **kwargs):
+        result = real(dest, rows, **kwargs)
+        if Path(dest).name.endswith(".compact-tmp"):
+            laps.append(dest)
+            apply_delta(root, [{"op": "insert", "elements": [len(laps)]}])
+        return result
+
+    monkeypatch.setattr(deltas_mod, "write_shards", stage_then_churn)
+    with pytest.raises(RepositoryBusyError, match="outrun"):
+        compact(root)
+    assert len(laps) == 5
+    assert not staging_dir_for(root).exists()
+    with open_repository(root) as repo:
+        assert repo.pending_deltas == 2 + 5
+    assert fsck_repository(root).ok
+
+
 def test_online_compact_of_clean_repository_is_a_noop(tmp_path):
     root = _build_chain(tmp_path, batches=())
     before = _masks(root)
-    compact(root, online=True)
+    compact(root)
     assert _masks(root) == before
     assert current_epoch(root) == 0  # no fold, no epoch bump
 
@@ -239,7 +266,7 @@ def test_maintain_backs_off_on_contention_then_gives_up(tmp_path):
         retry={"attempts": 3, "backoff": 0.25, "jitter": 0.0},
         sleep=sleeps.append,
     )
-    with StagingLock(root):  # a live online compactor holds the marker
+    with StagingLock(root):  # a live compactor holds the marker
         record = loop.run_once()
     assert record["action"] == "give-up"
     assert record["attempts"] == 3
@@ -377,7 +404,7 @@ def test_warm_cache_with_online_compaction_stays_bit_identical(tmp_path):
     try:
         with open_repository(root) as view:
             executor.scan_repository(view, mask)  # warm the cache
-        compact(root, online=True)
+        compact(root)
         apply_delta(root, BATCH_3)
         with open_repository(root) as view:
             churned = executor.scan_repository(view, mask)

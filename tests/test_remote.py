@@ -809,7 +809,7 @@ def test_worker_cache_eviction_is_precise_and_counted(tmp_path):
 
 
 def test_driver_salvages_when_every_worker_reports_stale(tmp_path):
-    """An online compaction lands mid-stream: cold workers report the
+    """A compaction lands mid-stream: cold workers report the
     typed stale error for the driver's generation, and the driver
     salvages the scan through its own open handle — bit-identically to
     the generation it opened, with the whole episode in the fault log."""
@@ -833,7 +833,7 @@ def test_driver_salvages_when_every_worker_reports_stale(tmp_path):
         # The repository moves underneath the open stream...
         apply_delta(path, [{"op": "insert", "elements": [0, 1, 2]},
                            {"op": "delete", "id": 3}])
-        compact(path, online=True)
+        compact(path)
         # ...and the workers lose their cached copy of the old family,
         # so the driver's token can no longer be served remotely at all.
         for server in servers:
