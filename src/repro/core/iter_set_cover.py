@@ -50,7 +50,7 @@ record as it arrives.
 
 The passes themselves are executor-driven capture scans (DESIGN.md §6):
 the stream decides how the repository is scanned — serial and in order,
-or cost-balanced batches over remote workers — while the replay over
+or contiguous batches over remote workers — while the replay over
 captured projections stays bit-identical on both.
 """
 

@@ -8,8 +8,8 @@ payload from the chunk cache or ``decode_chunk``, then
 ``scan_decoded``) that every transport takes:
 
 * :mod:`repro.engine.plan` — *what to run where*: the remote batch
-  plan (contiguous cost-balanced shard segments from the manifest
-  statistics) and the ``workers`` knob resolution;
+  plan (contiguous shard runs of even size) and the ``workers`` knob
+  resolution;
 * :mod:`repro.engine.transport` — *how to run it*: the
   :class:`ScanExecutor` protocol with a ``serial`` and a ``remote``
   backend, each a single module with one schedule;
@@ -37,7 +37,7 @@ Examples
 >>> result.gains.tolist(), result.captured == [(2, 0b110)]
 ([1, 1, 2], True)
 >>> tmp.cleanup()
->>> plan_batches([1, 1, 8, 1, 1], jobs=2, batches_per_worker=1)
+>>> plan_batches(5, jobs=2, batches_per_worker=1)
 [[0, 1], [2, 3, 4]]
 """
 

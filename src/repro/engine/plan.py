@@ -8,12 +8,9 @@ module produces, the merge layer (:mod:`repro.engine.merge`) re-assembles
 results in chunk order, so a plan can change wall-clock time but never a
 result.
 
-The cost model consumed by :func:`plan_batches` comes from the shard
-manifest statistics
-(:meth:`repro.setsystem.shards.ShardedRepository.shard_cost_estimates`);
-the remote transport (:mod:`repro.engine.transport.remote`) is the only
-consumer of the plans; a serial scan runs one shard per step and needs
-none.
+:func:`plan_batches` needs only the shard count.  The remote transport
+(:mod:`repro.engine.transport.remote`) is the only consumer of the
+plans; a serial scan runs one shard per step and needs none.
 """
 
 from __future__ import annotations
@@ -25,9 +22,9 @@ __all__ = [
     "resolve_workers",
 ]
 
-#: Planner batching: cost-balanced batches per worker.  More batches
-#: load-balance better, fewer batches amortize IPC better; 4 keeps the
-#: largest batch under ~25% of one worker's share.
+#: Planner batching: batches per worker.  More batches load-balance
+#: better, fewer batches amortize IPC better; 4 keeps the largest batch
+#: near 25% of one worker's share.
 _BATCHES_PER_WORKER = 4
 
 #: TCP ports a ``--workers`` entry may name.
@@ -101,50 +98,30 @@ def resolve_workers(workers) -> "list[tuple[str, int]]":
 
 
 def plan_batches(
-    costs, jobs: int, batches_per_worker: int = _BATCHES_PER_WORKER
+    count: int, jobs: int, batches_per_worker: int = _BATCHES_PER_WORKER
 ) -> list[list[int]]:
-    """Cost-balanced, contiguous chunk batches, in chunk order.
+    """Even, contiguous chunk batches, in chunk order.
 
-    Partitions chunk indices ``0..len(costs)-1`` into at most
-    ``jobs * batches_per_worker`` **contiguous** segments whose
-    estimated costs are as even as a greedy prefix walk can make them:
-    contiguity keeps each worker's page faults sequential (what the OS
-    readahead rewards), and the cost-equalized split — not submission
-    order — is what keeps one dense straggler from serializing a scan.
-    Batches stay in chunk order because consumers drain results in
-    chunk order, so the driver's reorder window stays a few batches deep
-    instead of buffering most of the scan behind a late first chunk.
-    Purely a schedule: results are re-assembled in chunk order
-    regardless, so the plan can never change what a scan returns.
+    Partitions chunk indices ``0..count-1`` into
+    ``min(count, jobs * batches_per_worker)`` **contiguous** runs whose
+    sizes differ by at most one.  Contiguity keeps each worker's page
+    faults sequential (what the OS readahead rewards); lanes pull the
+    batches off one shared queue, so a slow lane or a dense batch just
+    means that lane pulls fewer.  Batches stay in chunk order because
+    consumers drain results in chunk order, so the driver's reorder
+    window stays a few batches deep.  Purely a schedule: results are
+    re-assembled in chunk order regardless, so the plan can never change
+    what a scan returns.
 
-    >>> plan_batches([4, 4, 4, 4], jobs=2, batches_per_worker=1)
+    >>> plan_batches(4, jobs=2, batches_per_worker=1)
     [[0, 1], [2, 3]]
-    >>> plan_batches([1, 1, 8, 1, 1], jobs=2, batches_per_worker=2)
-    [[0, 1], [2], [3], [4]]
-    >>> plan_batches([], jobs=4)
+    >>> plan_batches(5, jobs=2, batches_per_worker=1)
+    [[0, 1], [2, 3, 4]]
+    >>> plan_batches(0, jobs=4)
     []
     """
-    count = len(costs)
     if count == 0:
         return []
-    target_batches = max(1, min(count, jobs * batches_per_worker))
-    batches: list[list[int]] = []
-    batch: list[int] = []
-    batch_cost = 0
-    remaining = sum(costs)  # cost not yet sealed into a closed batch
-    for index, cost in enumerate(costs):
-        batches_left = target_batches - len(batches)
-        # Seal the batch before a chunk that would push it past an even
-        # share of the remaining cost (the last batch takes everything).
-        if (
-            batch
-            and batches_left > 1
-            and batch_cost + cost > remaining / batches_left
-        ):
-            batches.append(batch)
-            remaining -= batch_cost
-            batch, batch_cost = [], 0
-        batch.append(index)
-        batch_cost += cost
-    batches.append(batch)
-    return batches
+    target = min(count, max(1, jobs * batches_per_worker))
+    bounds = [index * count // target for index in range(target + 1)]
+    return [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]

@@ -10,7 +10,7 @@ serial  inline, in order, no threads                        serial.py
 remote  TCP worker fleet (``python -m repro worker serve``) remote.py
 ======= =================================================== ==========
 
-Serial reads shards in order; the remote fleet runs cost-balanced
+Serial reads shards in order; the remote fleet runs even contiguous
 batches from :mod:`repro.engine.plan`.  :func:`executor_for` derives the
 backend from whether ``workers`` are given.  Both backends scan every
 shard through :func:`repro.engine.cache.scan_through_cache` and share

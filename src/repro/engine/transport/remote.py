@@ -11,7 +11,7 @@ one logical scan over a fleet of worker processes reachable by TCP:
   scans the requested shards via its own ``mmap``, and streams
   per-shard results back as they complete;
 * the **driver** (:class:`RemoteScanExecutor`) plans contiguous
-  cost-balanced shard batches (:func:`repro.engine.plan.plan_batches`),
+  even shard batches (:func:`repro.engine.plan.plan_batches`),
   feeds them through a shared work queue to one lane thread per worker,
   and funnels every reply through the shared
   :class:`~repro.engine.merge.ReorderWindow` — so whatever order
@@ -27,11 +27,14 @@ byte) + length(u32 big-endian) + crc32(u32 big-endian) + payload``; tag
 covers the payload and is verified on every receive, so a byte
 corrupted in transit surfaces as a loud
 :class:`ProtocolError` instead of a silently-wrong gains vector.
-Bitmask-valued fields travel as lowercase hex strings inside JSON; the
-residual mask and the per-shard gains vectors — the two bulk payloads —
-travel as ``B`` frames (mask: little-endian packed words; gains:
-``int64`` little-endian).  See docs/DISTRIBUTED.md for the full message
-table.
+JSON frames carry control fields and counts only; every bulk payload
+is a ``B`` frame: the residual mask (little-endian packed words), each
+shard result's capture record — the row ids, then the flat word
+positions and the words of :meth:`~repro.setsystem.packed.Captures.entries`,
+8 bytes each — and its gains vector (``int64`` little-endian).  The
+driver rebuilds the record with ``np.frombuffer`` after checking every
+id, word position and tail bit.  See docs/DISTRIBUTED.md for the full
+message table.
 
 Failure model (DESIGN.md §10)
 -----------------------------
@@ -102,7 +105,7 @@ __all__ = [
 #: exactly this one: a worker refuses any other version with a
 #: ``protocol mismatch`` error, and a driver refuses a worker whose
 #: hello reply names another.  Fleets are upgraded together.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 _FRAME_JSON = b"J"
 _FRAME_BYTES = b"B"
@@ -243,62 +246,63 @@ def manifest_token(path: "str | Path") -> list[int]:
     return [len(data), zlib.crc32(data)]
 
 
-def _encode_captured(captured) -> list:
-    return [[int(row_id), format(projection, "x")] for row_id, projection in captured]
+def _encode_captures(captured: Captures) -> "tuple[list, bytes]":
+    """A record's ``[rows, stored]`` header field and its ``B`` frame: the
+    ids, then :meth:`Captures.entries`' flat positions and words, 8 bytes
+    each.  An empty record (``[0, 0]``) is sent with no frame."""
+    flat, bits = captured.entries()
+    ids = np.asarray(captured.ids, dtype="<i8")
+    return [ids.size, flat.size], b"".join(
+        (ids.tobytes(), flat.astype("<i8").tobytes(), bits.astype("<u8").tobytes())
+    )
 
 
-def _decode_captured(encoded, n: int) -> Captures:
-    """The wire's ``[id, hex]`` pairs as the driver's capture record.
+def _decode_captures(shard: int, span, counts, payload: bytes, n: int) -> Captures:
+    """The driver's capture record from one result's ``captured`` field and frame.
 
-    Ids must be JSON integers and projections hex strings: a worker's
-    ``3.0`` or ``"3"`` is a :class:`ProtocolError`, never coerced.
+    ``span`` is the driver's own ``(start, rows)`` for ``shard``.  The
+    frame must be exactly ``8 · (rows + 2 · stored)`` bytes, the ids
+    strictly ascending inside the span, the flat word positions strictly
+    ascending inside ``[0, rows · width)``, and no bit at or above ``n``
+    set.  Anything else is a :class:`ProtocolError`.  No row becomes a
+    Python int.
     """
-    if type(encoded) is not list or not all(
-        type(pair) is list and len(pair) == 2
-        and type(pair[0]) is int and type(pair[1]) is str
-        for pair in encoded
-    ):
-        raise ProtocolError("captured rows must be [integer id, hex] pairs")
-    try:
-        return Captures.from_pairs(
-            ((row_id, int(hex_, 16)) for row_id, hex_ in encoded),
-            (n + WORD_BITS - 1) // WORD_BITS,
-        )
-    except OverflowError as exc:
-        raise ProtocolError(f"captured projection wider than n={n}") from exc
-
-
-def _check_reply(shard: int, span, start: int, ids, gains, want_gains: bool) -> None:
-    """Refuse a worker's shard result that does not answer the request.
-
-    ``span`` is the driver's own ``(start, rows)`` for ``shard``: the
-    reply must start there, capture strictly ascending ids inside
-    ``[start, start + rows)``, and carry exactly ``rows`` gains when the
-    request asked for gains.  A mismatch raises :class:`ProtocolError`,
-    the lane-fault path.
-    """
-    first, rows = span
-    if start != first:
-        raise ProtocolError(f"shard {shard} reply starts at row {start}, not {first}")
-    if ids and not (
-        first <= ids[0] and ids[-1] < first + rows
-        and all(a < b for a, b in zip(ids, ids[1:]))
+    if not (
+        type(counts) is list and len(counts) == 2
+        and all(type(c) is int and c >= 0 for c in counts)
+        and len(payload) == 8 * (counts[0] + 2 * counts[1])
     ):
         raise ProtocolError(
-            f"shard {shard} reply captures ids outside [{first}, {first + rows}) "
+            f"shard {shard} capture frame of {len(payload)} bytes does not "
+            f"hold [rows, stored] = {counts!r}"
+        )
+    (rows, stored), (first, count) = counts, span
+    width = (n + WORD_BITS - 1) // WORD_BITS
+    ids = np.frombuffer(payload, "<i8", rows)
+    flat = np.frombuffer(payload, "<i8", stored, 8 * rows)
+    bits = np.frombuffer(payload, "<u8", stored, 8 * (rows + stored))
+    if rows and not (
+        first <= ids[0] and ids[-1] < first + count and (ids[1:] > ids[:-1]).all()
+    ):
+        raise ProtocolError(
+            f"shard {shard} reply captures ids outside [{first}, {first + count}) "
             "or out of order"
         )
-    if want_gains and (gains is None or gains.size != rows):
-        size = 0 if gains is None else gains.size
-        raise ProtocolError(f"shard {shard} reply carries {size} gains for {rows} rows")
+    if stored and not (
+        0 <= flat[0] and flat[-1] < rows * width and (flat[1:] > flat[:-1]).all()
+    ):
+        raise ProtocolError(
+            f"shard {shard} reply's capture words lie outside "
+            f"[0, {rows * width}) or out of order"
+        )
+    spill = n % WORD_BITS
+    if spill and (bits[flat % width == width - 1] >> np.uint64(spill)).any():
+        raise ProtocolError(f"shard {shard} reply captures a bit past n={n}")
+    return Captures.from_words(ids.tolist(), width, [(flat, bits)])
 
 
 def _encode_gains(gains) -> bytes:
     return np.ascontiguousarray(gains, dtype="<i8").tobytes()
-
-
-def _decode_gains(payload: bytes):
-    return np.frombuffer(payload, dtype="<i8").astype(np.int64, copy=False)
 
 
 def _close_socket(sock) -> None:
@@ -715,14 +719,17 @@ class WorkerServer:
                     capture_ids=capture_ids,
                     best_only=best_only,
                 )
+                counts, frame = _encode_captures(captured)
                 send_json(conn, {
                     "op": "result",
                     "shard": shard,
                     "start": start,
-                    "captured": _encode_captured(captured),
+                    "captured": counts,
                     "hot": bool(hot),
                     "gains": include_gains,
                 })
+                if frame:  # an empty record sends no frame
+                    send_bytes(conn, frame)
                 if include_gains:
                     send_bytes(conn, _encode_gains(gains))
                 if crash_hook:  # pragma: no cover - dies by design
@@ -795,15 +802,13 @@ def ping_worker(worker, policy=None, pings: int = 3) -> dict:
     usual named ``RuntimeError`` when the worker is unreachable or the
     handshake fails; backs ``repro worker ping``.
     """
-    if isinstance(worker, str):
-        targets = resolve_workers(worker)
-        if len(targets) != 1:
-            raise ValueError(
-                f"ping takes exactly one worker, got {len(targets)} "
-                "(the worker ping command takes a single HOST:PORT)"
-            )
-        worker = targets[0]
-    host, port = str(worker[0]), int(worker[1])
+    targets = resolve_workers(worker if isinstance(worker, str) else [worker])
+    if len(targets) != 1:
+        raise ValueError(
+            f"ping takes exactly one worker, got {len(targets)} "
+            "(the worker ping command takes a single HOST:PORT)"
+        )
+    (host, port), = targets
     policy = RetryPolicy.resolve(policy)
     sock, hello = _connect((host, port), policy)
     try:
@@ -935,16 +940,6 @@ class _ScanState:
         with self._lock:
             self._exited.add(worker)
 
-    def take(self, timeout: float):
-        """Next batch off the shared queue; ``None`` on timeout or wake-up."""
-        try:
-            return self.work.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def requeue(self, batch: _Batch) -> None:
-        self.work.put(batch)
-
     def todo(self, batch: _Batch) -> list:
         with self._lock:
             return [s for s in batch.shards if s not in self._delivered]
@@ -1009,7 +1004,10 @@ class _WorkerLane(threading.Thread):
                         return
             last_beat = time.monotonic()
             while not state.stop.is_set():
-                batch = state.take(timeout=0.25)
+                try:
+                    batch = state.work.get(timeout=0.25)
+                except queue.Empty:
+                    batch = None  # idle: maybe finished, maybe time to ping
                 if state.stop.is_set():
                     return  # the scan ended (or was abandoned) while idle
                 if batch is None:
@@ -1034,7 +1032,7 @@ class _WorkerLane(threading.Thread):
                     # (mark_stale re-checks the quorum in case the
                     # missing reporters have since exited.)
                     if not state.mark_stale(batch, self.worker):
-                        state.requeue(batch)
+                        state.work.put(batch)
                         state.stop.wait(0.05)
                     continue
                 try:
@@ -1052,7 +1050,7 @@ class _WorkerLane(threading.Thread):
                             batch=tuple(todo),
                         )
                         if not state.mark_stale(batch, self.worker):
-                            state.requeue(batch)
+                            state.work.put(batch)
                         continue
                     self._close()
                     if state.stop.is_set():
@@ -1075,7 +1073,7 @@ class _WorkerLane(threading.Thread):
                             f"{len(remaining)} shard(s) undelivered",
                             batch=tuple(remaining), attempt=batch.attempts,
                         )
-                        state.requeue(batch)
+                        state.work.put(batch)
                     else:
                         # The fault hit after the last shard arrived but
                         # before `done` — nothing left to re-dispatch.
@@ -1138,16 +1136,30 @@ class _WorkerLane(threading.Thread):
                     )
                 if shard not in expected:
                     raise ProtocolError(f"unrequested shard {shard} delivered")
-                captured = _decode_captured(message["captured"], self.request["n"])
+                # The reply must answer the request: start at the
+                # driver's own first row of the shard, capture inside it
+                # (_decode_captures) and carry one gain per row if asked.
+                first, rows = span = self.state.spans[shard]
+                if start != first:
+                    raise ProtocolError(
+                        f"shard {shard} reply starts at row {start}, not {first}"
+                    )
+                counts, frame = message["captured"], b""
+                if counts != [0, 0]:
+                    self._arm_timeout(sock, deadline)
+                    frame = recv_bytes(sock)
+                captured = _decode_captures(
+                    shard, span, counts, frame, self.request["n"]
+                )
+                gains = None
                 if message.get("gains"):
                     self._arm_timeout(sock, deadline)
-                    gains = _decode_gains(recv_bytes(sock))
-                else:
-                    gains = None
-                _check_reply(
-                    shard, self.state.spans[shard], start, captured.ids, gains,
-                    self.include_gains,
-                )
+                    gains = np.frombuffer(recv_bytes(sock), dtype="<i8")
+                if self.include_gains and (gains is None or gains.size != rows):
+                    raise ProtocolError(
+                        f"shard {shard} reply carries "
+                        f"{0 if gains is None else gains.size} gains for {rows} rows"
+                    )
                 item = (
                     start, (gains if self.include_gains else None), captured
                 )
@@ -1247,7 +1259,7 @@ class RemoteScanExecutor(ScanExecutor):
     accepts (the CLI's ``host:port,host:port`` string or a list of
     pairs).  ``retry`` takes anything
     :meth:`repro.engine.fault.RetryPolicy.resolve` accepts; the default
-    is the fail-loud policy.  Each scan's cost-balanced batches (§8.2)
+    is the fail-loud policy.  Each scan's even contiguous batches (§8.2)
     go on one shared queue in plan order, and one lane per worker pulls
     the next batch whenever it is free, so a slow worker just pulls
     fewer.  Connections are opened per scan and closed
@@ -1297,16 +1309,6 @@ class RemoteScanExecutor(ScanExecutor):
             proxy.stop()
         self._chaos = []
         self._dial = {}
-
-    # -- repository scans ------------------------------------------------
-    def iter_scan_repository(
-        self, repository, mask_int, min_capture_gain=None, capture_ids=None,
-        best_only=False, include_gains=True,
-    ):
-        return self._iter_remote(
-            repository, mask_int, min_capture_gain, capture_ids, best_only,
-            include_gains,
-        )
 
     # -- observability -----------------------------------------------------
     @property
@@ -1414,9 +1416,9 @@ class RemoteScanExecutor(ScanExecutor):
             "yielded before the failure may already have been consumed)"
         )
 
-    def _iter_remote(
-        self, repository, mask_int, min_capture_gain, capture_ids, best_only,
-        include_gains,
+    def iter_scan_repository(
+        self, repository, mask_int, min_capture_gain=None, capture_ids=None,
+        best_only=False, include_gains=True,
     ):
         count = repository.shard_count
         if count == 0:
@@ -1442,10 +1444,7 @@ class RemoteScanExecutor(ScanExecutor):
         mask_bytes = mask_int.to_bytes(max(1, repository.words * 8), "little")
         batches = [
             _Batch(index, shards)
-            for index, shards in enumerate(
-                plan_batches(list(repository.shard_cost_estimates()), self.jobs)
-            )
-            if shards
+            for index, shards in enumerate(plan_batches(count, self.jobs))
         ]
         roster = self._roster()
         state = _ScanState(repository.shard_spans(), batches)
@@ -1461,6 +1460,13 @@ class RemoteScanExecutor(ScanExecutor):
                 for sock in preconnected.values():
                     _close_socket(sock)
                 raise
+
+        def scan_locally(shards):  # stale salvage and quorum-loss fallback
+            return zip(shards, iter_shard_scans(
+                repository, shards, ScanMask(repository.n, mask_int),
+                min_capture_gain, capture_ids, best_only, include_gains,
+            ))
+
         lanes: list[_WorkerLane] = []
         try:
             for worker in roster:
@@ -1497,11 +1503,7 @@ class RemoteScanExecutor(ScanExecutor):
                         "handle",
                         batch=tuple(todo),
                     )
-                    for shard, item in zip(todo, iter_shard_scans(
-                        repository, todo, ScanMask(repository.n, mask_int),
-                        min_capture_gain, capture_ids, best_only,
-                        include_gains,
-                    )):
+                    for shard, item in scan_locally(todo):
                         state.deliver(shard, item, worker="driver")
                     state.batch_done(batch)
                 else:  # lane_exit
@@ -1545,11 +1547,7 @@ class RemoteScanExecutor(ScanExecutor):
                         RuntimeWarning,
                         stacklevel=2,
                     )
-                    for shard, item in zip(missing, iter_shard_scans(
-                        repository, missing, ScanMask(repository.n, mask_int),
-                        min_capture_gain, capture_ids, best_only,
-                        include_gains,
-                    )):
+                    for shard, item in scan_locally(missing):
                         # Every lane already exited: the results queue
                         # has no consumer but this loop, so bypass
                         # deliver() and feed the window directly (still

@@ -111,8 +111,6 @@ from repro.setsystem.shards import (
     ShardWriter,
     StaleStagingError,
     _ChunkCodec,
-    _LAYOUT_RAW,
-    _TAG_DENSE,
     pending_delta_generations,
     write_shards,
 )
@@ -503,7 +501,7 @@ class MergedShardView:
     Presents the live family as a dense ``0..m-1`` repository with the
     exact scan interface of
     :class:`~repro.setsystem.shards.ShardedRepository` — row iteration,
-    ``decode_chunk``/``scan_decoded``, shard cost estimates, random-access
+    ``decode_chunk``/``scan_decoded``, shard statistics, random-access
     ``row_mask`` — so :class:`~repro.streaming.sharded.ShardedSetStream`
     and the serial :class:`~repro.engine.transport.base.ScanExecutor`
     run on it unchanged, at any encoding.  (The *remote* transport is
@@ -515,8 +513,8 @@ class MergedShardView:
     generation's surviving inserts in append order — the same order
     :func:`compact` writes, so view row ``i`` *is* compacted row ``i``.
     Chunk geometry follows the base ``chunk_rows``, which makes chunk
-    boundaries — and therefore per-chunk stats, cost estimates and
-    capture accounting — identical to the compacted rewrite too.
+    boundaries — and therefore per-chunk stats and capture
+    accounting — identical to the compacted rewrite too.
 
     The view also predicts, per merged chunk, the v3 statistics block a
     from-scratch rewrite would record (:meth:`shard_stats`), by running
@@ -557,8 +555,6 @@ class MergedShardView:
         self.m = len(sources)
         self.total_rows = offset
         self._stats_cache: "dict[int, dict]" = {}
-        self._cost_cache: "dict[tuple[int, int], object]" = {}
-        self._cost_estimates: "list[int] | None" = None
         self._closed = False
         #: Content token of the base manifest bytes this view was built
         #: from — the swing detector :func:`open_repository` rechecks.
@@ -691,64 +687,6 @@ class MergedShardView:
                 f"{self.max_set_bits}, but its widest live row has {widest} "
                 "elements", "stats-max-set",
             )
-
-    def _row_cost_table(self, repo: ShardedRepository, shard: int):
-        """Exact §8.2 per-row scan costs of one *source* shard, no decode.
-
-        A dense-stored row costs ``2 + words``; a sparse or run-length
-        row costs ``2 + varint_count(payload)`` (a sparse row's varints
-        *are* its elements; a run-length row charges two units per run
-        and stores two varints per run).  Tags come from the record
-        table (:meth:`ShardedRepository._encoded_header`) and varint
-        counts from one vectorized continuation-bit scan of the payload
-        — never the fused row decode the old estimator paid per chunk.
-        """
-        key = (id(repo), shard)
-        cached = self._cost_cache.get(key)
-        if cached is not None:
-            return cached
-        words = max(1, repo.words)
-        rows = int(repo._shard_meta[shard]["rows"])
-        if repo._layouts[shard] == _LAYOUT_RAW:
-            table = np.full(rows, 2 + words, dtype=np.int64)
-        else:
-            tags, lengths, offsets = repo._encoded_header(shard)
-            payload = np.frombuffer(repo._maps[shard], dtype=np.uint8)
-            prefix = np.concatenate(
-                ([0], np.cumsum(payload < 0x80, dtype=np.int64))
-            )
-            varints = prefix[offsets + lengths] - prefix[offsets]
-            table = np.where(tags == _TAG_DENSE, 2 + words, 2 + varints)
-        self._cost_cache[key] = table
-        return table
-
-    def shard_cost_estimates(self) -> "list[int]":
-        """Planner scan costs per merged chunk — the v3 cost model.
-
-        Delta-aware: each merged chunk sums the **exact** per-row costs
-        of its *live* rows, read off the source shards' record tables
-        (:meth:`_row_cost_table`), so tombstoned rows price at zero and
-        :func:`~repro.engine.plan.plan_batches` stops over-weighting
-        churned repositories.  Because codec choice is a pure function
-        of row content, a live row costs the same in its source shard
-        as in a compacted rewrite — under a consistent encoding policy
-        these estimates equal the rebuild's exactly (the churn-parity
-        suite asserts it) — and unlike the old estimator nothing here
-        decodes a row: planning a merged scan is header tables plus one
-        byte scan per touched source shard.
-        """
-        if self._cost_estimates is not None:
-            return list(self._cost_estimates)
-        costs: "list[int]" = []
-        for shard in range(self.shard_count):
-            start, end = self._bounds(shard)
-            total = 0
-            for repo, local in self._sources[start:end]:
-                src_shard, row = divmod(local, repo.chunk_rows)
-                total += int(self._row_cost_table(repo, src_shard)[row])
-            costs.append(max(1, total))
-        self._cost_estimates = costs
-        return list(costs)
 
     # -- scanning: decode half + scan half (repro.engine.cache) --------
     def decode_chunk(self, shard: int):
@@ -1106,7 +1044,7 @@ def compact(
     5. **reclaim** the retired files once no reader lease on that epoch
        is left.
 
-    A writer holding the lock at swing time surfaces as
+    A writer holding the lock before staging or at swing time surfaces as
     :class:`~repro.setsystem.shards.RepositoryBusyError` — the
     maintenance loop's cue to back off and retry, never a crash.  A
     stale staging directory from a *pre*-commit-point crash is refused
@@ -1127,6 +1065,10 @@ def compact(
             with open_repository(root) as view:
                 if isinstance(view, ShardedRepository):
                     return root  # already a clean single generation
+                # A held writer lock would refuse the swing anyway: say
+                # so now, before the full rewrite is staged.
+                with RepositoryLock(root, purpose="compact"):
+                    pass
                 if staging.exists():
                     shutil.rmtree(staging)  # our own superseded attempt
                 _write_view(view, staging)

@@ -533,6 +533,28 @@ class GenerationLease:
         self.release()
 
 
+def _read_lease(path: Path) -> "tuple[int, int] | None":
+    """A lease file's ``(epoch, pid)``, or ``None`` when it is malformed.
+
+    The schema must be :data:`LEASE_SCHEMA`, the epoch a JSON integer
+    ``>= 0`` and the pid one in ``[1, 2**31)``: a ``true`` epoch or a
+    ``"123"`` pid is never coerced, and ``pid`` 0 or -1 — which
+    ``os.kill(pid, 0)`` reports alive forever — never names a holder.
+    """
+    try:
+        record = json.loads(path.read_text())
+    except (OSError, ValueError):  # unreadable mid-release, or not JSON
+        return None
+    if not (
+        isinstance(record, dict)
+        and record.get("schema") == LEASE_SCHEMA
+        and _exact_int(record.get("epoch"), 0)
+        and _exact_int(record.get("pid"), 1, 1 << 31)
+    ):
+        return None
+    return record["epoch"], record["pid"]
+
+
 def active_leases(root: "str | Path", prune: bool = False) -> "list[dict]":
     """Live-pid leases on a repository (``{path, epoch, pid}`` each).
 
@@ -547,21 +569,14 @@ def active_leases(root: "str | Path", prune: bool = False) -> "list[dict]":
     for child in sorted(directory.iterdir()):
         if child.name == EPOCH_FILE_NAME or not child.is_file():
             continue
-        try:
-            record = json.loads(child.read_text())
-            epoch = int(record["epoch"])
-            pid = int(record["pid"])
-        except (OSError, json.JSONDecodeError, KeyError, TypeError,
-                ValueError):
-            # Unreadable mid-release or malformed: never count it as a
-            # live claim.
+        claim = _read_lease(child)
+        # Unreadable mid-release, malformed, or its holder is gone:
+        # never a live claim.
+        if claim is None or not _pid_alive(claim[1]):
             if prune:
                 child.unlink(missing_ok=True)
             continue
-        if not _pid_alive(pid):
-            if prune:
-                child.unlink(missing_ok=True)
-            continue
+        epoch, pid = claim
         leases.append({"path": str(child), "epoch": epoch, "pid": pid})
     return leases
 
@@ -1271,19 +1286,13 @@ def _fsck_live_state(root: Path, report: FsckReport, repair: bool) -> None:
         for child in sorted(directory.iterdir()):
             if child.name == EPOCH_FILE_NAME or not child.is_file():
                 continue
-            reason = None
-            try:
-                record = json.loads(child.read_text())
-                int(record["epoch"])
-                pid = int(record["pid"])
-            except (OSError, json.JSONDecodeError, KeyError, TypeError,
-                    ValueError):
+            claim = _read_lease(child)
+            if claim is None:
                 reason = "malformed lease file"
+            elif not _pid_alive(claim[1]):
+                reason = f"holder pid {claim[1]} is gone"
             else:
-                if not _pid_alive(pid):
-                    reason = f"holder pid {pid} is gone"
-            if reason is None:
-                continue
+                continue  # a live claim
             child.unlink(missing_ok=True)
             report.repaired.append(
                 f"pruned the stale lease {child.name} ({reason})"

@@ -209,15 +209,6 @@ class Captures:
         return cls([], np.zeros((0, words), dtype="<u8"))
 
     @classmethod
-    def from_pairs(cls, pairs, words: int) -> "Captures":
-        """A record from ``(row_id, projection_int)`` pairs (wire decode, tests)."""
-        pairs = list(pairs)
-        return cls(
-            [row_id for row_id, _ in pairs],
-            pack_rows([row for _, row in pairs], words),
-        )
-
-    @classmethod
     def concat(cls, records: "Sequence[Captures]") -> "Captures":
         """The records' rows in order, as one record (eager scan merges)."""
         full = [record for record in records if len(record)]
@@ -227,7 +218,7 @@ class Captures:
             return full[0]
         width, offset, parts = full[0].width, 0, []
         for record in full:
-            flat, bits = record._entries()
+            flat, bits = record.entries()
             parts.append((flat + offset * width, bits))
             offset += len(record)
         return cls.from_words(
@@ -242,8 +233,13 @@ class Captures:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def _entries(self) -> "tuple[np.ndarray, np.ndarray]":
-        """``(flat, bits)``: every nonzero word, one :meth:`from_words` part."""
+    def entries(self) -> "tuple[np.ndarray, np.ndarray]":
+        """``(flat, bits)``: every nonzero word, one :meth:`from_words` part.
+
+        ``flat`` is ``row · width + word``, strictly ascending.  This is
+        the record's one serialized form: scan merges and the remote wire
+        rebuild records from it with :meth:`from_words`.
+        """
         if self._block is not None:
             return _nonzero_words(self._block)
         slots = np.repeat(np.arange(len(self.ids)), np.diff(self._indptr))

@@ -51,8 +51,7 @@ materializing dense words.
 
 Manifest statistics (DESIGN.md §8.1)
 ------------------------------------
-Every manifest records, per shard, the statistics the remote batch plan
-(:mod:`repro.engine.plan`) feeds its cost model: a 16-bucket
+Every manifest records, per shard, a statistics block: a 16-bucket
 row-density histogram, the codec mix, the element and run totals per
 codec, and the largest set ``Δ`` (``max_set_bits``: the solvers' lower
 bound ``OPT >= ceil(n/Δ)``, read without a pass, as ``m`` is).  The
@@ -411,11 +410,9 @@ class _ChunkCodec:
     def stats(self) -> dict:
         """The v3 per-shard statistics block (DESIGN.md §8.1).
 
-        Everything the planner's cost model consumes: the row-density
-        histogram, the codec mix, and the element / run totals split by
-        codec so dense, sparse and run-length scan work can be priced
-        separately.  ``max_set_bits`` is the chunk's largest row ``Δ``,
-        the lower bound ``OPT >= ceil(n/Δ)`` the solvers read.
+        The row-density histogram, the codec mix, and the element / run
+        totals split by codec.  ``max_set_bits`` is the chunk's largest
+        row ``Δ``, the lower bound ``OPT >= ceil(n/Δ)`` the solvers read.
         """
         buckets = _density_bucket(self.sizes, self.n)
         mix = np.bincount(self.tags, minlength=_TAG_RLE + 1).tolist()
@@ -1206,7 +1203,7 @@ class ShardedRepository:
         return sum(meta["bytes"] for meta in self._shard_meta)
 
     # ------------------------------------------------------------------
-    # Planner statistics (manifest schema v3, DESIGN.md §8.1)
+    # Shard statistics (manifest schema v3, DESIGN.md §8.1)
     # ------------------------------------------------------------------
     def shard_stats(self) -> "list[dict]":
         """Per-shard stats blocks, as the manifest records them."""
@@ -1216,22 +1213,6 @@ class ShardedRepository:
     def max_set_bits(self) -> int:
         """The largest set ``Δ`` — manifest metadata, as ``m`` is (no pass)."""
         return max((stats["max_set_bits"] for stats in self.shard_stats()), default=0)
-
-    def shard_cost_estimates(self) -> list[int]:
-        """Estimated scan cost per shard, in fused-kernel work units.
-
-        The planner's cost model (DESIGN.md §8.2), read off each shard's
-        stats block: a dense row costs its ``ceil(n/64)`` packed words, a
-        sparse row one unit per element (the bit-gather), a run-length
-        row two units per run (the prefix difference), plus a fixed
-        two-unit per-row overhead.
-        """
-        words = max(1, self.words)
-        return [
-            max(1, 2 * meta["rows"] + stats["codec_mix"]["dense"] * words
-                + stats["sparse_elems"] + 2 * stats["rle_runs"])
-            for meta, stats in zip(self._shard_meta, self.shard_stats())
-        ]
 
     def validate(self) -> None:
         """Verify every shard's CRC-32 against the manifest (full read)."""

@@ -188,7 +188,7 @@ def _assert_bit_identical(actual: Path, expected: Path, context: str) -> None:
 def _assert_stats_parity(root: Path, reference: SetSystem,
                          tmp: Path, chunk_rows: int, encoding: str,
                          context: str) -> None:
-    """Merged-view stats + cost estimates == a from-scratch rebuild's."""
+    """Merged-view stats == a from-scratch rebuild's."""
     rebuilt = write_shards(
         tmp / f"stats-ref-{context}", reference,
         chunk_rows=chunk_rows, encoding=encoding,
@@ -201,9 +201,6 @@ def _assert_stats_parity(root: Path, reference: SetSystem,
             ] == [
                 meta["stats"] for meta in ref._shard_meta
             ], f"{context}: merged shard stats diverge from rebuild"
-            assert view.shard_cost_estimates() == ref.shard_cost_estimates(), (
-                f"{context}: merged cost estimates diverge from rebuild"
-            )
     finally:
         import shutil
 

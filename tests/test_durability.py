@@ -46,6 +46,7 @@ from repro.setsystem.durability import (
     CRASHPOINTS,
     COMPACT_INTENT_NAME,
     EPOCH_FILE_NAME,
+    LEASE_SCHEMA,
     StagingLock,
     _intent_checksum,
     active_leases,
@@ -504,6 +505,40 @@ def test_dead_pid_lease_is_inert_and_pruned_by_repair(tmp_path):
     ] == []
 
 
+@pytest.mark.parametrize("forged", [
+    lambda pid: {"schema": LEASE_SCHEMA, "epoch": True, "pid": str(pid)},
+    lambda pid: {"schema": LEASE_SCHEMA, "epoch": False, "pid": str(pid)},
+    lambda pid: {"schema": LEASE_SCHEMA, "epoch": 0, "pid": 0},
+    lambda pid: {"schema": LEASE_SCHEMA, "epoch": 0, "pid": -1},
+    lambda pid: {"schema": LEASE_SCHEMA, "epoch": 0.0, "pid": pid},
+    lambda pid: {"schema": "repro.lease/v0", "epoch": 0, "pid": pid},
+    lambda pid: {"epoch": 0, "pid": pid},
+    lambda pid: [0, pid],
+], ids=[
+    "epoch-true", "epoch-false", "pid-zero", "pid-minus-one", "epoch-float",
+    "schema-other", "schema-missing", "not-an-object",
+])
+def test_forged_lease_is_inert_and_pruned_as_malformed(tmp_path, forged):
+    """A lease file is parsed strictly: a bool or float epoch, a string
+    pid, pid 0 or -1 (which ``os.kill(pid, 0)`` reports alive forever),
+    or another schema never pins a retired generation, and
+    ``fsck --repair`` prunes it as malformed."""
+    text = json.dumps(forged(os.getpid()))  # a live pid, were it coerced
+    root = _build_chain(tmp_path, batches=(BATCH_1,))
+    lease = leases_dir_for(root) / "00000-forged.json"
+    lease.parent.mkdir(parents=True, exist_ok=True)
+    lease.write_text(text)
+    assert active_leases(root) == []
+    compact(root)  # swings, retires epoch 0 and reclaims past the forgery
+    assert current_epoch(root) == 1
+    assert not retired_dir_for(root).exists()
+    lease.write_text(text)
+    report = fsck_repository(root, repair=True)
+    assert report.ok
+    assert f"pruned the stale lease {lease.name} (malformed lease file)" in report.repaired
+    assert not lease.exists()
+
+
 def test_staging_lock_distinguishes_live_from_dead_staging(tmp_path):
     root = _build_chain(tmp_path, batches=(BATCH_1,))
     assert not staging_is_live(root)
@@ -551,6 +586,29 @@ def test_concurrent_writers_and_compactors_are_refused(tmp_path):
         writer.abort()
     # Aborting released the lock; both operations proceed.
     apply_delta(root, BATCH_2)
+    compact(root)
+    _assert_clean(root)
+
+
+def test_compact_probes_the_lock_before_staging(tmp_path, monkeypatch):
+    """A held writer lock makes ``compact`` busy before it stages: no
+    staging write, no ``<root>.compact-tmp``."""
+    import repro.setsystem.deltas as deltas_mod
+
+    root = _build_chain(tmp_path, batches=(BATCH_1,))
+    writes = []
+    monkeypatch.setattr(
+        deltas_mod, "write_shards", lambda *args, **kwargs: writes.append(args)
+    )
+    writer = DeltaShardWriter(root)
+    try:
+        with pytest.raises(RepositoryBusyError, match="purpose=delta-write"):
+            compact(root)
+    finally:
+        writer.abort()
+    assert writes == []
+    assert not staging_dir_for(root).exists()
+    monkeypatch.undo()
     compact(root)
     _assert_clean(root)
 

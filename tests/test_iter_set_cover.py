@@ -15,7 +15,7 @@ from repro.core.iter_set_cover import _GuessState, _SampleChunk, guess_window
 from repro.offline import ExactSolver, GreedySolver
 from repro.offline.greedy import _greedy_cover_frozenset
 from repro.sampling import draw_sample
-from repro.setsystem import Captures, SetSystem
+from repro.setsystem import Captures, SetSystem, pack_rows
 from repro.setsystem.packed import ScanMask, scan_chunk
 from repro.streaming import MemoryMeter, SetStream
 from repro.utils.bitset import mask_of
@@ -446,7 +446,9 @@ def _size_test_in_chunks(k, n, sample, solution, rows, split):
     ]
     for part in (captured[:split], captured[split:]):
         if part:
-            guess.size_test(_SampleChunk(Captures.from_pairs(part, (n + 63) // 64)))
+            ids, projections = zip(*part)
+            captures = Captures(list(ids), pack_rows(projections, (n + 63) // 64))
+            guess.size_test(_SampleChunk(captures))
     return guess
 
 
@@ -540,8 +542,9 @@ def test_size_test_reads_the_capture_block_and_converts_only_used_rows():
         guess.sample_size = len(sample)
         guess.leftover = mask_of(sample)
         union = guess.leftover | mask_of(range(40, 90))  # another guess's sample
-        captures = Captures.from_pairs(
-            [(set_id, mask_of(r) & union) for set_id, r in rows], (n + 63) // 64
+        captures = Captures(
+            [set_id for set_id, _ in rows],
+            pack_rows([mask_of(r) & union for _, r in rows], (n + 63) // 64),
         )
         assert captures.sparse == sparse
         guess.size_test(_SampleChunk(captures))

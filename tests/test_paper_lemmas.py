@@ -15,7 +15,7 @@ from repro.communication.disjointness import random_family
 from repro.core import IterSetCoverConfig
 from repro.core.iter_set_cover import _GuessState, _SampleChunk
 from repro.sampling import draw_sample
-from repro.setsystem import Captures
+from repro.setsystem import Captures, pack_rows
 from repro.streaming import MemoryMeter
 from repro.workloads import uniform_random_instance
 
@@ -41,7 +41,10 @@ class TestLemma23SizeTest:
                 for set_id, mask in enumerate(system.masks())
                 if mask & guess.leftover
             ]
-            guess.size_test(_SampleChunk(Captures.from_pairs(captured, (n + 63) // 64)))
+            guess.size_test(_SampleChunk(Captures(
+                [set_id for set_id, _ in captured],
+                pack_rows([row for _, row in captured], (n + 63) // 64),
+            )))
             for set_id in guess.solution:  # only Size-Test (heavy) picks
                 trials += 1
                 # Lemma 2.3 with c = 4: true size >= |U| / (c k).

@@ -99,26 +99,16 @@ def test_executor_for_transport_dispatch():
 
 
 def test_plan_batches_partitions_contiguously():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        costs = [int(c) for c in rng.integers(1, 100, size=int(rng.integers(0, 40)))]
+    for count in range(40):
         for jobs in (1, 2, 4):
-            batches = plan_batches(costs, jobs)
-            flat = sorted(index for batch in batches for index in batch)
-            assert flat == list(range(len(costs)))  # exact partition
+            batches = plan_batches(count, jobs)
+            # Contiguous runs in chunk order: an exact partition of 0..count-1.
+            assert [index for batch in batches for index in batch] == list(range(count))
             for batch in batches:
                 assert batch == list(range(batch[0], batch[0] + len(batch)))
-            assert len(batches) <= max(1, jobs * 4)
-            # deterministic: same inputs, same plan
-            assert plan_batches(costs, jobs) == batches
-
-
-def test_plan_batches_isolates_stragglers_in_chunk_order():
-    batches = plan_batches([1, 1, 50, 1, 1, 1], jobs=2, batches_per_worker=2)
-    # The straggler chunk gets its own batch, but submission stays in
-    # chunk order so streaming consumers drain as completions arrive.
-    assert [2] in batches
-    assert [batch[0] for batch in batches] == sorted(b[0] for b in batches)
+            assert len(batches) == min(count, jobs * 4)
+            if batches:
+                assert max(map(len, batches)) - min(map(len, batches)) <= 1
 
 
 def test_streams_expose_resolved_jobs(tmp_path, worker_fleet):

@@ -16,6 +16,7 @@ worker SIGKILLs itself mid-scan.
 
 from __future__ import annotations
 
+import json
 import os
 import socket
 import sys
@@ -24,6 +25,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import MultiPassGreedy, ThresholdGreedy
 from repro.core import iter_set_cover
@@ -39,8 +42,8 @@ from repro.engine.transport.remote import (
     PROTOCOL_VERSION,
     ProtocolError,
     WorkerFaultError,
-    _decode_captured,
-    _encode_captured,
+    _decode_captures,
+    _encode_captures,
     _encode_gains,
     manifest_token,
     recv_bytes,
@@ -49,7 +52,7 @@ from repro.engine.transport.remote import (
     send_json,
     spawn_local_worker,
 )
-from repro.setsystem import SetSystem
+from repro.setsystem import Captures, SetSystem, pack_rows
 from repro.setsystem.packed import ScanMask
 from repro.setsystem.shards import ShardedRepository, write_shards
 from repro.streaming import SetStream, ShardedSetStream
@@ -396,7 +399,8 @@ def test_protocol_version_mismatch_is_loud(worker_fleet):
     host, port = worker_fleet[0]
     # The worker speaks exactly PROTOCOL_VERSION: any other hello value,
     # older, newer or mistyped, is refused loudly.
-    for offer in (2, 4, "3"):
+    assert PROTOCOL_VERSION == 4
+    for offer in (3, 5, "4"):
         with socket.create_connection((host, port), timeout=10.0) as sock:
             send_json(sock, {"op": "hello", "protocol": offer})
             reply = recv_json(sock)
@@ -573,18 +577,10 @@ def test_repo_cache_eviction_defers_while_busy(tmp_path):
         server.stop()
 
 
-def test_decoded_captures_wider_than_n_are_a_protocol_error():
-    """A worker reply whose projection does not fit ``n`` bits' words is
-    refused as a protocol fault, not turned into a capture record."""
-    record = _decode_captured([[3, "5"], [9, format(1 << 63, "x")]], n=64)
-    assert record == [(3, 5), (9, 1 << 63)] and record.width == 1
-    with pytest.raises(ProtocolError, match="wider than n=64"):
-        _decode_captured([[3, format(1 << 64, "x")]], n=64)
-
-
 def _forged_worker(path, forge):
     """A one-connection worker whose honest shard replies pass through
-    ``forge(reply, gains) -> (reply, gains)`` before they are sent."""
+    ``forge(reply, arrays, gains) -> (reply, frame, gains)`` before they
+    are sent; ``arrays`` is the capture frame's ``(ids, flat, bits)``."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve():
@@ -602,11 +598,14 @@ def _forged_worker(path, forge):
                         start, gains, captured = repo.scan_shard(
                             shard, mask, min_capture_gain=request["min_capture_gain"]
                         )
-                        reply, gains = forge({
+                        flat, bits = captured.entries()
+                        reply, frame, gains = forge({
                             "op": "result", "shard": shard, "start": start,
-                            "captured": _encode_captured(captured), "gains": True,
-                        }, gains)
+                            "captured": [len(captured), flat.size], "gains": True,
+                        }, (np.array(captured.ids), flat, bits), gains)
                         send_json(conn, reply)
+                        if reply["captured"] != [0, 0]:
+                            send_bytes(conn, frame)
                         if reply["gains"]:
                             send_bytes(conn, _encode_gains(gains))
                     send_json(conn, {"op": "done", "shards": len(request["shards"])})
@@ -618,41 +617,65 @@ def _forged_worker(path, forge):
     return listener, thread
 
 
-def _shift_start(reply, gains):
-    return dict(reply, start=reply["start"] + 1), gains
+def _frame(ids, flat, bits):
+    return b"".join((
+        np.asarray(ids, "<i8").tobytes(), np.asarray(flat, "<i8").tobytes(),
+        np.asarray(bits, "<u8").tobytes(),
+    ))
 
 
-def _id_past_the_shard(reply, gains):
-    past = reply["start"] + gains.size
-    return dict(reply, captured=[*reply["captured"], [past, "1"]]), gains
+def _honest(reply, arrays, gains):
+    return reply, _frame(*arrays), gains
 
 
-def _ids_descending(reply, gains):
-    return dict(reply, captured=reply["captured"][::-1]), gains
+def _shift_start(reply, arrays, gains):
+    return dict(reply, start=reply["start"] + 1), _frame(*arrays), gains
 
 
-def _gains_short(reply, gains):
-    return reply, gains[:-1]
+def _id_past_the_shard(reply, arrays, gains):
+    ids, flat, bits = arrays
+    ids = [*ids[:-1], reply["start"] + gains.size]
+    return reply, _frame(ids, flat, bits), gains
 
 
-def _gains_missing(reply, gains):
-    return dict(reply, gains=False), gains
+def _ids_descending(reply, arrays, gains):
+    ids, flat, bits = arrays
+    return reply, _frame(ids[::-1], flat, bits), gains
 
 
-def _start_float(reply, gains):
-    return dict(reply, start=float(reply["start"])), gains
+def _gains_short(reply, arrays, gains):
+    return reply, _frame(*arrays), gains[:-1]
 
 
-def _shard_bool(reply, gains):
-    return dict(reply, shard=True), gains
+def _gains_missing(reply, arrays, gains):
+    return dict(reply, gains=False), _frame(*arrays), gains
 
 
-def _ids_float(reply, gains):
-    return dict(reply, captured=[[float(i), h] for i, h in reply["captured"]]), gains
+def _start_float(reply, arrays, gains):
+    return dict(reply, start=float(reply["start"])), _frame(*arrays), gains
 
 
-def _ids_str(reply, gains):
-    return dict(reply, captured=[[str(i), h] for i, h in reply["captured"]]), gains
+def _shard_bool(reply, arrays, gains):
+    return dict(reply, shard=True), _frame(*arrays), gains
+
+
+def _frame_short(reply, arrays, gains):
+    return reply, _frame(*arrays)[:-8], gains
+
+
+def _counts_float(reply, arrays, gains):
+    rows, stored = reply["captured"]
+    return dict(reply, captured=[float(rows), stored]), _frame(*arrays), gains
+
+
+def _flat_past_the_rows(reply, arrays, gains):
+    ids, flat, bits = arrays
+    return reply, _frame(ids, [*flat[:-1], len(ids)], bits), gains
+
+
+def _bit_past_n(reply, arrays, gains):
+    ids, flat, bits = arrays
+    return reply, _frame(ids, flat, [*bits[:-1], int(bits[-1]) | 1 << 8]), gains
 
 
 @pytest.mark.parametrize("forge, match", [
@@ -663,13 +686,17 @@ def _ids_str(reply, gains):
     (_gains_missing, "carries 0 gains for 3 rows"),
     (_start_float, "at row 3.0: not JSON integers"),
     (_shard_bool, "names shard True at row 3: not JSON integers"),
-    (_ids_float, r"captured rows must be \[integer id, hex\] pairs"),
-    (_ids_str, r"captured rows must be \[integer id, hex\] pairs"),
+    (_frame_short, r"capture frame of 64 bytes does not hold \[rows, stored\] = \[3, 3\]"),
+    (_counts_float, r"capture frame of 72 bytes does not hold"),
+    (_flat_past_the_rows, r"capture words lie outside \[0, 3\) or out of order"),
+    (_bit_past_n, "captures a bit past n=8"),
 ])
 def test_forged_worker_replies_are_protocol_faults(tmp_path, forge, match):
     """The driver checks every shard result against its own request: the
-    shard's start row, strictly ascending captured ids inside the shard,
-    and one gain per row when gains were asked for.  A forged reply is a
+    shard's start row, one capture frame of exactly the stated size with
+    strictly ascending ids inside the shard, strictly ascending word
+    positions inside the record and no bit past ``n``, and one gain per
+    row when gains were asked for.  A forged reply is a
     ``ProtocolError`` on the lane-fault path (here fail-loud), never a
     wrong scan result; the same worker replying honestly scans
     bit-identically to serial."""
@@ -680,10 +707,10 @@ def test_forged_worker_replies_are_protocol_faults(tmp_path, forge, match):
             repo, 0xFF, min_capture_gain=1
         ))
 
-        def forge_second(reply, gains):  # shard 0 stays honest
-            return forge(reply, gains) if reply["shard"] == 1 else (reply, gains)
+        def forge_second(reply, arrays, gains):  # shard 0 stays honest
+            return (forge if reply["shard"] == 1 else _honest)(reply, arrays, gains)
 
-        for case, expect in ((lambda r, g: (r, g), None), (forge_second, match)):
+        for case, expect in ((_honest, None), (forge_second, match)):
             listener, thread = _forged_worker(path, case)
             executor = RemoteScanExecutor([listener.getsockname()[:2]])
             try:
@@ -701,6 +728,156 @@ def test_forged_worker_replies_are_protocol_faults(tmp_path, forge, match):
                 listener.close()
             thread.join(timeout=10.0)
             assert not thread.is_alive()
+
+
+def _split_frame(frame, counts):
+    rows, stored = counts
+    ids = np.frombuffer(frame, "<i8", rows).tolist()
+    flat = np.frombuffer(frame, "<i8", stored, 8 * rows).tolist()
+    bits = np.frombuffer(frame, "<u8", stored, 8 * (rows + stored)).tolist()
+    return ids, flat, bits
+
+
+def _mutate_frame(kind, data, counts, frame, span, n):
+    """One forged ``(counts, frame)`` of the named kind, or ``None`` when the
+    record has nothing that kind can forge (too few ids or words)."""
+    ids, flat, bits = _split_frame(frame, counts)
+    first, rows = span
+    width = (n + 63) // 64
+
+    def pick(size):
+        return data.draw(st.integers(0, size - 1), label=f"{kind} at")
+
+    if kind == "length":
+        delta = data.draw(st.sampled_from([-16, -8, -1, 1, 8, 16]), label="delta")
+        if len(frame) + delta < 0:
+            return None
+        return counts, frame[:delta] if delta < 0 else frame + b"\0" * delta
+    if kind == "id order":
+        if len(ids) < 2:
+            return None
+        j = pick(len(ids) - 1)
+        ids[j], ids[j + 1] = ids[j + 1], ids[j]
+    elif kind == "id span":
+        if not ids:
+            return None
+        ids[pick(len(ids))] = data.draw(
+            st.sampled_from([first - 1, first + rows, -1, 1 << 62]), label="id"
+        )
+    elif kind == "flat order":
+        if len(flat) < 2:
+            return None
+        j = pick(len(flat) - 1)
+        flat[j], flat[j + 1] = flat[j + 1], flat[j]
+    elif kind == "flat range":
+        if not flat:
+            return None
+        flat[pick(len(flat))] = data.draw(
+            st.sampled_from([-1, len(ids) * width, 1 << 62]), label="flat"
+        )
+    else:  # a bit past n
+        tails = [j for j, at in enumerate(flat) if at % width == width - 1]
+        if n % 64 == 0 or not tails:
+            return None
+        j = tails[pick(len(tails))]
+        bits[j] |= 1 << data.draw(st.integers(n % 64, 63), label="bit")
+    return counts, _frame(ids, flat, bits)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_capture_frames_decode_exactly_or_refuse(data):
+    """Every capture frame round-trips to the record it encodes, in both
+    layouts, and every forged frame — wrong length, ids out of order or
+    outside the shard, word positions out of order or outside the record,
+    a bit past ``n`` — raises ``ProtocolError``; a frame that decodes at
+    all decodes to exactly the record that was sent, never a wrong row."""
+    n = data.draw(st.integers(1, 200), label="n")
+    width = (n + 63) // 64
+    first = 0
+    for shard in range(data.draw(st.integers(0, 3), label="shards")):
+        rows = data.draw(st.integers(0, 8), label="rows")
+        ids = sorted(data.draw(
+            st.sets(st.integers(first, first + rows - 1)) if rows else st.just(set()),
+            label="ids",
+        ))
+        dense = data.draw(st.booleans(), label="dense rows")
+        row = st.integers(0, (1 << n) - 1) if dense else st.sampled_from(
+            [0] + [1 << bit for bit in range(n)]
+        )
+        projections = [data.draw(row, label="projection") for _ in ids]
+        record = Captures(ids, pack_rows(projections, width))
+        span = (first, rows)
+        counts, frame = _encode_captures(record)
+        assert len(frame) == 8 * (counts[0] + 2 * counts[1])
+        decoded = _decode_captures(shard, span, counts, frame, n)
+        assert decoded.ids == ids and decoded.width == width
+        assert decoded == list(zip(ids, projections))
+        kind = data.draw(st.sampled_from(
+            ["length", "id order", "id span", "flat order", "flat range", "bit past n"]
+        ), label="mutation")
+        forged = _mutate_frame(kind, data, counts, frame, span, n)
+        if forged is None:
+            forged = counts, frame
+        try:
+            got = _decode_captures(shard, span, *forged, n)
+        except ProtocolError:
+            assert forged != (counts, frame)
+        else:
+            assert forged == (counts, frame), kind
+            assert got.ids == ids and got == decoded
+        first += rows
+
+
+def test_full_mask_scan_wire_bytes_are_the_capture_words(
+    tmp_path, worker_fleet, monkeypatch
+):
+    """A full-mask remote scan of a sparse repository puts exactly
+    ``8 · (rows + 2 · stored)`` capture bytes on the wire — the record's
+    ids, word positions and words — plus the gains and small headers."""
+    rng = np.random.default_rng(5)
+    system = SetSystem(1000, [
+        rng.choice(1000, size=int(rng.integers(1, 6)), replace=False).tolist()
+        for _ in range(300)
+    ])
+    path = write_shards(tmp_path / "sparse", system, chunk_rows=32)
+    frames, last = [], {}
+    send = remote_mod._send_frame
+
+    def counting(sock, tag, payload):
+        me = threading.get_ident()
+        if tag == b"J":
+            last[me] = [json.loads(payload)["op"], 0]
+            frames.append(("J", last[me][0], len(payload)))
+        else:
+            op, seen = last[me]
+            frames.append(("B", (op, seen), len(payload)))
+            last[me][1] += 1
+        send(sock, tag, payload)
+
+    monkeypatch.setattr(remote_mod, "_send_frame", counting)
+    full = (1 << system.n) - 1
+    with ShardedRepository(path) as repo:
+        serial = list(SerialScanExecutor().iter_scan_repository(
+            repo, full, min_capture_gain=1
+        ))
+        executor = RemoteScanExecutor(worker_fleet)
+        try:
+            remote = list(executor.iter_scan_repository(repo, full, min_capture_gain=1))
+        finally:
+            executor.close()
+    assert [(s, g.tolist(), c) for s, g, c in remote] == [
+        (s, g.tolist(), c) for s, g, c in serial
+    ]
+    rows = sum(len(captured) for _, _, captured in serial)
+    stored = sum(captured.entries()[0].size for _, _, captured in serial)
+    assert rows == system.m and 2 * stored < rows * repo.words  # word-sparse
+    capture_bytes = sum(size for tag, what, size in frames if what == ("result", 0))
+    gains_bytes = sum(size for tag, what, size in frames if what == ("result", 1))
+    headers = [size for tag, op, size in frames if op == "result"]
+    assert capture_bytes == 8 * (rows + 2 * stored)
+    assert gains_bytes == 8 * system.m
+    assert len(headers) == len(serial) and max(headers) <= 128
 
 
 def test_manifest_token_is_content_keyed(tmp_path):
