@@ -60,6 +60,7 @@ from repro.baselines import (
 from repro.core import IterSetCover, IterSetCoverConfig
 from repro.offline import fractional_optimum, greedy_cover
 from repro.setsystem import load, load_rows, save
+from repro.setsystem.set_system import lower_bound_floor
 from repro.streaming import SetStream
 from repro.workloads import (
     blog_watch_instance,
@@ -900,7 +901,9 @@ def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
             print(f"best guess: k={result.best_k}")
         lb = result.lower_bound
         ratio = result.solution_size / lb if lb else 1.0
-        print(f"lower bnd : {lb} = ceil(n/max|S|), cover/LB = {ratio:.3f}")
+        floor = lower_bound_floor(stream.n, stream.max_set_size)
+        print(f"lower bnd : {lb} = dual bound (ceil(n/max|S|) = {floor}), "
+              f"cover/LB = {ratio:.3f}")
         if args.show_cover:
             print(f"sets      : {sorted(set(result.selection))}")
         return 0 if status == "cover" else 1

@@ -3,14 +3,20 @@
 A O(1/delta)-pass, O~(m n^delta)-space streaming algorithm with
 O(rho/delta) approximation factor:
 
-* the optimal cover size ``k`` is guessed (powers of two) and all guesses
-  run *in parallel*: this implementation executes them in lockstep over
-  shared passes, so the pass count is that of a single guess.  The
-  passes stop once the guesses ``k >= 2^ceil(log2 ceil(n/Δ))`` are done
-  (:func:`guess_window`; the largest set ``Δ`` is metadata, as ``m`` is,
-  and costs no pass): the smaller guesses, which the theorem never
-  needs, share those passes and count only if they finish in them;
-* each of the ceil(1/delta) iterations makes two passes:
+* the optimal cover size ``k`` is guessed among the powers of two, and
+  Theorem 2.8 needs only the one with ``OPT <= k < 2 OPT``.  The stream's
+  certified lower bound ``LB <= OPT``
+  (:attr:`~repro.streaming.stream.SetStreamBase.lower_bound`: the dual
+  bound ``shard create`` records, metadata like ``m``, costing no pass)
+  picks it, in at most two attempts (:func:`guess_schedule`):
+
+  1. the certified rung ``k0 = 2^ceil(log2 LB)``, clamped to the ladder's
+     top, alone;
+  2. only if ``k0``'s cover is incomplete after its ceil(1/delta)
+     iterations: every rung above ``k0``, in lockstep over shared passes
+     (the paper's parallel guesses), so they cost the passes of one guess;
+
+* each of the ceil(1/delta) iterations of an attempt makes two passes:
 
   1. **sample pass** — draw a relative-approximation sample ``S`` of the
      uncovered elements; a streamed set covering at least ``|S|/k`` of the
@@ -27,10 +33,13 @@ O(rho/delta) approximation factor:
 
 A final cleanup pass (mirroring Figure 4.1's last pass) handles runs where
 the with-high-probability event did not materialize at the configured
-sampling constants; it is reported separately (DESIGN.md §3.2).
+sampling constants; it is reported separately (DESIGN.md §3.2).  A run
+makes at most ``2 ceil(1/delta)`` passes when ``k0`` completes,
+``2 ceil(1/delta) + 1`` when ``k0`` is the top rung, and
+``4 ceil(1/delta) + 1`` when the second attempt runs.
 
 Implementation note (DESIGN.md §4): the sample pass of each iteration runs
-one per-chunk Size-Test shared by every parallel guess.  The scan hands
+one per-chunk Size-Test shared by every guess of the attempt.  The scan hands
 each chunk's captures over as one
 :class:`~repro.setsystem.packed.Captures` record — ids plus the rows'
 ``uint64`` intersection words, word-sparse when that is smaller — which
@@ -73,22 +82,24 @@ from repro.utils.bitset import bits_of, mask_of, universe_mask
 from repro.utils.mathutil import ceil_log2, powers_of_two_up_to
 from repro.utils.rng import as_generator
 
-__all__ = ["IterSetCover", "guess_window", "iter_set_cover"]
+__all__ = ["IterSetCover", "guess_schedule", "iter_set_cover"]
 
 
-def guess_window(n: int, lower_bound: int) -> list[int]:
-    """The guesses ``k`` of ``powers_of_two_up_to(n)`` with ``k >= 2^ceil(log2 LB)``.
+def guess_schedule(n: int, lower_bound: int) -> "tuple[list[int], list[int]]":
+    """The two attempts of the guess ladder ``powers_of_two_up_to(n)``.
 
-    The guesses whose completion sets the pass count.  A guess below the
-    window is below ``OPT >= LB``, so the one Theorem 2.8 needs,
-    ``OPT <= k < 2 OPT``, is in it; with none left, the top guess is kept.
+    The first is the certified rung ``k0 = 2^ceil(log2 LB)``, clamped to
+    the ladder's top, alone; the second, run only if ``k0``'s cover is
+    incomplete, is every rung above it.  A rung below ``k0`` is below
+    ``OPT >= LB``, so the one Theorem 2.8 needs, ``OPT <= k < 2 OPT``, is
+    in one of the two.
 
-    >>> guess_window(100, 7), guess_window(100, 1000)
-    ([8, 16, 32, 64], [64])
+    >>> guess_schedule(100, 7), guess_schedule(100, 1000)
+    (([8], [16, 32, 64]), ([64], []))
     """
     ladder = powers_of_two_up_to(n)
-    floor = 1 << ceil_log2(max(lower_bound, 1))
-    return [k for k in ladder if k >= floor] or ladder[-1:]
+    first = min(1 << ceil_log2(max(lower_bound, 1)), ladder[-1])
+    return [first], [k for k in ladder if k > first]
 
 
 class _SampleChunk:
@@ -234,12 +245,17 @@ class _GuessState:
         return self._uncovered_count
 
     # ------------------------------------------------------------------
+    def idle(self) -> None:
+        """Sit out an iteration: no sample, no picks."""
+        self.sample_size = 0
+        self.leftover = 0
+        self.new_picks = set()
+
     def begin_iteration(
         self, config: IterSetCoverConfig, n: int, m: int, rho: float, rng
     ) -> None:
         if self.done:
-            self.sample_size = 0
-            self.leftover = 0
+            self.idle()
             return
         target = config.sample_size(n, m, self.k, rho)
         # ``bits_of`` is sorted, so the rng stream matches the seed's
@@ -446,21 +462,73 @@ class IterSetCover:
             )
 
         rho = self.solver.rho(n)
-        guesses = [
-            _GuessState(k, n, MemoryMeter(label=f"k={k}"))
-            for k in powers_of_two_up_to(n)
-        ]
-        # Only the window's guesses buy passes; the rest ride along.
-        window = guesses[-len(guess_window(n, stream.lower_bound)):]
         passes_before = stream.passes
         # The largest chunk's captures, reported as scan scratch.
         capture_peak = 0
+        attempts: "list[list[_GuessState]]" = []
+        for ladder in guess_schedule(n, self._lower_bound(stream)):
+            if not ladder:
+                break
+            guesses = [_GuessState(k, n, MemoryMeter(label=f"k={k}")) for k in ladder]
+            capture_peak = max(capture_peak, self._iterate(stream, guesses, rho))
+            attempts.append(guesses)
+            if any(self._satisfied(g) for g in guesses):
+                break
 
+        cleanup_passes = 0
+        if self.config.cleanup_pass and any(not self._satisfied(g) for g in guesses):
+            cleanup_passes = 1
+            cleanup_mask = 0
+            for guess in guesses:
+                if not self._satisfied(guess):
+                    cleanup_mask |= guess.uncovered
+            parts = stream.scan_gains_chunked(
+                cleanup_mask, min_capture_gain=1, include_gains=False
+            )
+            capture_peak = max(capture_peak, _replay(parts, guesses, self._cleanup))
+
+        ran = [g for attempt in attempts for g in attempt]
+        stats = {g.k: g.finalize_stats() for g in ran}
+        complete = [g for g in ran if self._satisfied(g)]
+        # An attempt's state is dropped before the next one starts.  The
+        # stream's resident chunk buffer counts toward the peak; the
+        # repository itself never does (DESIGN.md §3.6).
+        state_peak = max(sum(g.meter.peak for g in attempt) for attempt in attempts)
+        buffer_words = stream_resident_words(stream)
+        best = (
+            min(complete, key=lambda g: len(g.solution)) if complete
+            # The family itself cannot cover U; report the best effort.
+            else min(ran, key=lambda g: g.uncovered_count())
+        )
+        extra = self._extra(best, bool(complete))
+        if buffer_words:
+            extra["stream_buffer_words"] = buffer_words
+        extra["scan_capture_peak_words"] = capture_peak
+        return StreamingCoverResult(
+            selection=list(best.solution),
+            passes=stream.passes - passes_before,
+            peak_memory_words=state_peak + buffer_words,
+            algorithm=self.name,
+            feasible=bool(complete),
+            best_k=best.k,
+            cleanup_passes=cleanup_passes,
+            guess_stats=stats,
+            extra=extra,
+        )
+
+    def _iterate(self, stream: SetStream, guesses: "list[_GuessState]", rho) -> int:
+        """One attempt's ceil(1/delta) iterations over ``guesses``, in
+        lockstep; returns the largest chunk's capture words."""
+        n, m = stream.n, stream.m
+        capture_peak = 0
         for _ in range(self.config.iterations):
-            if all(g.done for g in window):
+            if all(self._satisfied(g) for g in guesses):
                 break
             for guess in guesses:
-                guess.begin_iteration(self.config, n, m, rho, self._rng)
+                if self._satisfied(guess):
+                    guess.idle()
+                else:
+                    guess.begin_iteration(self.config, n, m, rho, self._rng)
             # Sample pass as a gains scan (DESIGN.md §6): rows are
             # filtered against the union of all guesses' leftover
             # samples, and only intersecting rows are replayed — their
@@ -477,7 +545,7 @@ class IterSetCover:
             sample_peak, coverable = _sample_pass(parts, guesses)
             capture_peak = max(capture_peak, sample_peak)
             for guess in guesses:
-                guess.solve_offline(self.solver, n, coverable)
+                self._solve_offline(guess, coverable)
             # Update pass: only this iteration's picks can change any
             # uncovered set, so the scan captures exactly those rows.
             picked: set[int] = set()
@@ -495,57 +563,29 @@ class IterSetCover:
             )
             for guess in guesses:
                 guess.end_iteration()
+        return capture_peak
 
-        cleanup_passes = 0
-        if self.config.cleanup_pass and any(not g.done for g in window):
-            cleanup_passes = 1
-            cleanup_mask = 0
-            for guess in guesses:
-                if not guess.done:
-                    cleanup_mask |= guess.uncovered
-            parts = stream.scan_gains_chunked(
-                cleanup_mask, min_capture_gain=1, include_gains=False
-            )
-            capture_peak = max(
-                capture_peak, _replay(parts, guesses, _GuessState.observe_cleanup_pass)
-            )
+    # -- the full-cover goal; PartialIterSetCover overrides these ---------
+    def _lower_bound(self, stream: SetStream) -> int:
+        """The certified lower bound that picks the first rung."""
+        return stream.lower_bound
 
-        stats = {g.k: g.finalize_stats() for g in guesses}
-        complete = [g for g in guesses if g.done]
-        # The stream's resident chunk buffer counts toward the peak; the
-        # repository itself never does (DESIGN.md §3.6).
-        buffer_words = stream_resident_words(stream)
-        total_peak = sum(g.meter.peak for g in guesses) + buffer_words
-        passes = stream.passes - passes_before
-        buffer_extra = {"stream_buffer_words": buffer_words} if buffer_words else {}
-        buffer_extra["scan_capture_peak_words"] = capture_peak
+    def _satisfied(self, guess: _GuessState) -> bool:
+        """Has ``guess`` reached the goal?"""
+        return guess.done
 
-        if not complete:
-            # The family itself cannot cover U; report the best effort.
-            best = min(guesses, key=lambda g: g.uncovered_count())
-            return StreamingCoverResult(
-                selection=list(best.solution),
-                passes=passes,
-                peak_memory_words=total_peak,
-                algorithm=self.name,
-                feasible=False,
-                best_k=best.k,
-                cleanup_passes=cleanup_passes,
-                guess_stats=stats,
-                extra=dict(buffer_extra),
-            )
+    def _solve_offline(self, guess: _GuessState, coverable: int) -> None:
+        guess.solve_offline(self.solver, guess.n, coverable)
 
-        best = min(complete, key=lambda g: len(g.solution))
-        return StreamingCoverResult(
-            selection=list(best.solution),
-            passes=passes,
-            peak_memory_words=total_peak,
-            algorithm=self.name,
-            best_k=best.k,
-            cleanup_passes=cleanup_passes,
-            guess_stats=stats,
-            extra={"rho": rho, "delta": self.config.delta, **buffer_extra},
-        )
+    def _cleanup(self, guess: _GuessState, set_id: int, row: int) -> None:
+        if not self._satisfied(guess):
+            guess.observe_cleanup_pass(set_id, row)
+
+    def _extra(self, best: _GuessState, feasible: bool) -> dict:
+        """The result's ``extra`` fields."""
+        if not feasible:
+            return {}
+        return {"rho": self.solver.rho(best.n), "delta": self.config.delta}
 
 
 def iter_set_cover(

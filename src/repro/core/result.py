@@ -44,7 +44,8 @@ class StreamingCoverResult:
     cleanup_passes:
         How many of ``passes`` were cleanup passes (DESIGN.md §3.2).
     lower_bound:
-        The pass-free certified bound ``OPT >= ceil(n/Δ)``
+        The pass-free certified bound ``OPT >= LB``, the dual bound
+        ``max(ceil(n/Δ), ceil(Σ_e 1/max_{S∋e}|S|))``
         (:attr:`~repro.streaming.stream.SetStreamBase.lower_bound`), which
         ``repro solve`` fills from the stream; None otherwise.
     """

@@ -17,25 +17,26 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import IterSetCoverConfig
-from repro.core.iter_set_cover import _GuessState, _replay, _sample_pass
+from repro.core.iter_set_cover import IterSetCover, _GuessState
 from repro.core.result import StreamingCoverResult
 from repro.offline.base import OfflineSolver
-from repro.offline.greedy import GreedySolver
 from repro.partial.offline import coverage_requirement
+from repro.setsystem.set_system import lower_bound_floor
 from repro.streaming.memory import MemoryMeter
 from repro.streaming.stream import SetStream, stream_resident_words
-from repro.utils.mathutil import powers_of_two_up_to
-from repro.utils.rng import as_generator
 
 __all__ = ["PartialIterSetCover", "PartialThreshold"]
 
 
-class PartialIterSetCover:
+class PartialIterSetCover(IterSetCover):
     """``iterSetCover`` with a (1 - eps)-coverage goal.
 
-    Identical lockstep structure to :class:`~repro.core.IterSetCover`; a
-    guess retires as soon as its uncovered set is within the allowance, and
-    the cleanup pass only runs for guesses still above it.
+    :class:`~repro.core.IterSetCover`'s schedule and passes, with another
+    goal: a guess retires as soon as its uncovered set is within the
+    allowance, and the cleanup pass only runs for guesses still above it.
+    The first rung comes from the partial-cover bound
+    ``max(⌈(1-eps)n/Δ⌉, LB - eps·n)``: a cover of all but ``eps·n``
+    elements loses at most ``y_e <= 1`` of the dual per element it skips.
 
     Parameters
     ----------
@@ -73,117 +74,30 @@ class PartialIterSetCover:
     ):
         if not 0 <= eps < 1:
             raise ValueError(f"eps must be in [0, 1), got {eps}")
+        super().__init__(config=config, solver=solver, seed=seed)
         self.eps = eps
-        self.config = config or IterSetCoverConfig()
-        self.solver = solver or GreedySolver()
-        self._rng = as_generator(seed)
 
-    def solve(self, stream: SetStream) -> StreamingCoverResult:
-        n, m = stream.n, stream.m
-        allowance = n - coverage_requirement(n, self.eps)
-        if n == 0:
-            return StreamingCoverResult(
-                selection=[], passes=0, peak_memory_words=0, algorithm=self.name
-            )
-        rho = self.solver.rho(n)
-        guesses = [
-            _GuessState(k, n, MemoryMeter(label=f"k={k}"))
-            for k in powers_of_two_up_to(n)
-        ]
-        passes_before = stream.passes
-        # Chunk-streamed replay, exactly as in the full-cover algorithm
-        # (DESIGN.md §6.1): at most one chunk's captures are resident.
-        capture_peak = 0
+    def _allowance(self, n: int) -> int:
+        """How many elements may stay uncovered."""
+        return n - coverage_requirement(n, self.eps)
 
-        def satisfied(guess: _GuessState) -> bool:
-            return guess.uncovered_count() <= allowance
-
-        for _ in range(self.config.iterations):
-            if all(satisfied(g) for g in guesses):
-                break
-            for g in guesses:
-                if satisfied(g):
-                    g.sample_size = 0
-                    g.leftover = 0
-                    g.new_picks = set()
-                else:
-                    g.begin_iteration(self.config, n, m, rho, self._rng)
-            # The same executor-driven scan passes as the full-cover
-            # algorithm (see IterSetCover.solve / DESIGN.md §6); retired
-            # guesses contribute empty masks and observe nothing.
-            sample_mask = 0
-            for g in guesses:
-                sample_mask |= g.leftover
-            parts = stream.scan_gains_chunked(
-                sample_mask, min_capture_gain=1, include_gains=False
-            )
-            sample_peak, coverable = _sample_pass(parts, guesses)
-            capture_peak = max(capture_peak, sample_peak)
-            for g in guesses:
-                if not satisfied(g):
-                    self._solve_offline_partial(g, allowance, coverable)
-            picked: set[int] = set()
-            update_mask = 0
-            for g in guesses:
-                if g.new_picks:
-                    picked |= g.new_picks
-                    update_mask |= g.uncovered
-            parts = stream.scan_gains_chunked(
-                update_mask, min_capture_gain=1, capture_ids=picked,
-                include_gains=False,
-            )
-            capture_peak = max(
-                capture_peak, _replay(parts, guesses, _GuessState.observe_update_pass)
-            )
-            for g in guesses:
-                g.end_iteration()
-
-        cleanup_passes = 0
-        if self.config.cleanup_pass and any(not satisfied(g) for g in guesses):
-            cleanup_passes = 1
-            cleanup_mask = 0
-            for g in guesses:
-                if not satisfied(g):
-                    cleanup_mask |= g.uncovered
-            parts = stream.scan_gains_chunked(
-                cleanup_mask, min_capture_gain=1, include_gains=False
-            )
-
-            def cleanup(g, set_id, row):
-                if not satisfied(g):
-                    g.observe_cleanup_pass(set_id, row)
-
-            capture_peak = max(capture_peak, _replay(parts, guesses, cleanup))
-
-        stats = {g.k: g.finalize_stats() for g in guesses}
-        complete = [g for g in guesses if satisfied(g)]
-        passes = stream.passes - passes_before
-        # Resident chunk buffer of out-of-core streams (DESIGN.md §3.6).
-        buffer_words = stream_resident_words(stream)
-        total_peak = sum(g.meter.peak for g in guesses) + buffer_words
-        if not complete:
-            best = min(guesses, key=lambda g: g.uncovered_count())
-            feasible = False
-        else:
-            best = min(complete, key=lambda g: len(g.solution))
-            feasible = True
-        return StreamingCoverResult(
-            selection=list(best.solution),
-            passes=passes,
-            peak_memory_words=total_peak,
-            algorithm=self.name,
-            feasible=feasible,
-            best_k=best.k,
-            cleanup_passes=cleanup_passes,
-            guess_stats=stats,
-            extra={
-                "eps": self.eps,
-                "uncovered_left": best.uncovered_count(),
-                "scan_capture_peak_words": capture_peak,
-                **({"stream_buffer_words": buffer_words} if buffer_words else {}),
-            },
+    def _lower_bound(self, stream: SetStream) -> int:
+        n = stream.n
+        allowance = self._allowance(n)
+        return max(
+            lower_bound_floor(n - allowance, stream.max_set_size),
+            stream.lower_bound - allowance,
         )
 
+    def _satisfied(self, guess: _GuessState) -> bool:
+        return guess.uncovered_count() <= self._allowance(guess.n)
+
+    def _solve_offline(self, guess: _GuessState, coverable: int) -> None:
+        if not self._satisfied(guess):
+            self._solve_offline_partial(guess, self._allowance(guess.n), coverable)
+
+    def _extra(self, best: _GuessState, feasible: bool) -> dict:
+        return {"eps": self.eps, "uncovered_left": best.uncovered_count()}
 
     def _solve_offline_partial(
         self, guess: _GuessState, allowance: int, coverable: int

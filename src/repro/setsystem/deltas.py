@@ -1,4 +1,4 @@
-"""LSM-style delta shards: mutable repositories over ``repro.shards/v3``.
+"""LSM-style delta shards: mutable repositories over ``repro.shards/v4``.
 
 A shard repository (:mod:`repro.setsystem.shards`) is write-once — the
 right durability model for the paper's static streams, and exactly wrong
@@ -12,7 +12,7 @@ classic LSM shape:
   sub-directory ``deltas/00001/``, ``deltas/00002/``, ... holding
   *insert shards* (a full mini-repository written by
   :class:`~repro.setsystem.shards.ShardWriter`, so inserts inherit the
-  row codecs, per-shard CRCs and checksummed v3 statistics for free)
+  row codecs, per-shard CRCs and checksummed statistics for free)
   plus a chain manifest ``delta.json`` listing **tombstones**;
 * a read opens the **merged view** (:class:`MergedShardView`): tombstones
   win, newer generations win, and the live rows present as a dense
@@ -39,6 +39,10 @@ wrong family):
 * tombstones must name rows that exist in the parent view and are still
   alive — a tombstone for a never-written (or doubly-deleted) row is a
   format error;
+* each ``delta.json`` records the view's largest set ``max_set_bits``
+  and its certified lower bound ``dual_bound``, both exactly what a
+  compacted rewrite of the view records; a bound outside
+  ``[⌈n/Δ⌉, n]`` is refused (``stats-dual-bound``);
 * insert shards get the full :class:`ShardedRepository` validation
   (schema, sizes, ``stats_crc32``, opt-in CRCs) because they *are* a
   repository.
@@ -72,7 +76,6 @@ import json
 import shutil
 import time
 import zlib
-from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from operator import index
 from pathlib import Path
@@ -98,7 +101,12 @@ from repro.setsystem.durability import (
     write_compact_intent,
 )
 from repro.setsystem.packed import Captures, ScanMask, pack_rows, scan_chunk
-from repro.setsystem.set_system import SetSystem
+from repro.setsystem.set_system import (
+    SetSystem,
+    dual_lower_bound,
+    element_widest,
+    lower_bound_floor,
+)
 from repro.setsystem.shards import (
     DELTA_MANIFEST_NAME,
     DELTAS_DIRNAME,
@@ -111,6 +119,7 @@ from repro.setsystem.shards import (
     ShardWriter,
     StaleStagingError,
     _ChunkCodec,
+    _ordered_rows,
     pending_delta_generations,
     write_shards,
 )
@@ -143,6 +152,22 @@ def _chain_checksum(record: dict) -> int:
 
 def _generation_name(generation: int) -> str:
     return f"{generation:05d}"
+
+
+def _live_widest(n: int, sources, dead) -> "np.ndarray":
+    """:func:`~repro.setsystem.set_system.element_widest` of a view's live
+    rows: ``sources`` are ``(first stable id, repository)`` pairs, ``dead``
+    the tombstoned stable ids.  Rows are decoded a chunk at a time by the
+    repositories' referee decoder (``select_rows``)."""
+    widest = np.zeros(n, dtype=np.uint32)
+    dead = np.fromiter(dead, dtype=np.int64, count=len(dead))
+    for start, repo in sources:
+        alive = np.ones(repo.m, dtype=bool)
+        alive[dead[(dead >= start) & (dead < start + repo.m)] - start] = False
+        for first in range(0, repo.m, repo.chunk_rows):
+            live = np.flatnonzero(alive[first:first + repo.chunk_rows]) + first
+            element_widest(n, *repo.select_rows(live), widest)
+    return widest
 
 
 # ----------------------------------------------------------------------
@@ -279,6 +304,7 @@ class DeltaShardWriter:
             fsync_dir(self.path.parent)
             fsync_dir(self.root)
             crashpoint("delta.staged")
+            widest = self._live_widest()
             record = {
                 "schema": DELTA_SCHEMA,
                 "generation": self.generation,
@@ -287,7 +313,8 @@ class DeltaShardWriter:
                 "inserts": self._writer.m,
                 "tombstones": sorted(self._tombstones),
                 "parent_crc32": self._parent_crc32,
-                "max_set_bits": self._max_set_bits(),
+                "max_set_bits": int(widest.max(initial=0)),
+                "dual_bound": dual_lower_bound(self.n, widest),
             }
             record["crc32"] = _chain_checksum(record)
             durable_write_text(
@@ -303,32 +330,27 @@ class DeltaShardWriter:
         self._lock.release()
         return self.path
 
-    def _max_set_bits(self) -> int:
-        """Δ of the view this generation publishes, kept in ``delta.json``.
+    def _live_widest(self) -> "np.ndarray":
+        """Each element's largest live set in the view this generation
+        publishes, from which ``delta.json`` records Δ and the dual bound.
 
-        The parent view's Δ stands unless a tombstone takes a row that
-        wide; only then are the parent's live rows decoded.
+        Every live row is decoded: a delete can shrink an element's largest
+        set and an insert can widen it, and the chain records the exact
+        bound a compacted rewrite would, so a solve of the chain and of its
+        compaction pick the same first guess.
         """
         base, generations = _load_chain(self.root)
         try:
-            sources = [(0, base)] + [(g.parent_rows, g.repo) for g in generations]
-            starts = [start for start, _ in sources]
-
-            def size(stable_id: int) -> int:
-                start, repo = sources[bisect_right(starts, stable_id) - 1]
-                return repo.row_mask(stable_id - start).bit_count()
-
-            widest = generations[-1].max_set_bits if generations else base.max_set_bits
-            if any(size(t) >= widest for t in self._tombstones):
-                dead = self._dead | self._tombstones
-                widest = max((size(t) for t in range(self._parent_rows)
-                              if t not in dead), default=0)
+            with ShardedRepository(self.path) as inserts:
+                sources = [(0, base)] + [(g.parent_rows, g.repo) for g in generations]
+                return _live_widest(
+                    self.n, sources + [(self._parent_rows, inserts)],
+                    self._dead | self._tombstones,
+                )
         finally:
             base.close()
             for gen in generations:
                 gen.repo.close()
-        with ShardedRepository(self.path) as inserts:
-            return max(widest, inserts.max_set_bits)
 
     def abort(self) -> None:
         """Remove the partial generation directory (idempotent)."""
@@ -362,10 +384,10 @@ class _Generation:
     """One validated delta generation: its mini-repository + tombstones."""
 
     __slots__ = ("generation", "path", "repo", "tombstones", "parent_rows",
-                 "inserts", "max_set_bits")
+                 "inserts", "max_set_bits", "dual_bound")
 
     def __init__(self, generation, path, repo, tombstones, parent_rows,
-                 inserts, max_set_bits):
+                 inserts, max_set_bits, dual_bound):
         self.generation = generation
         self.path = path
         self.repo = repo
@@ -373,6 +395,7 @@ class _Generation:
         self.parent_rows = parent_rows
         self.inserts = inserts
         self.max_set_bits = max_set_bits
+        self.dual_bound = dual_bound
 
 
 def _load_chain(
@@ -426,6 +449,7 @@ def _load_chain(
                 tombstones = [index(t) for t in record["tombstones"]]
                 parent_crc32 = int(record["parent_crc32"])
                 max_set_bits = index(record["max_set_bits"])
+                dual_bound = index(record["dual_bound"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ShardFormatError(
                     f"malformed {DELTA_MANIFEST_NAME} in {gen_dir}: {exc}"
@@ -443,6 +467,12 @@ def _load_chain(
                 raise ShardFormatError(
                     f"generation {generation} records max_set_bits="
                     f"{max_set_bits}, outside [0, n={n}]", "stats-max-set",
+                )
+            floor = lower_bound_floor(n, max_set_bits)
+            if not floor <= dual_bound <= n:
+                raise ShardFormatError(
+                    f"generation {generation} records dual_bound={dual_bound}, "
+                    f"outside [ceil(n/max|S|)={floor}, n={n}]", "stats-dual-bound",
                 )
             if recorded_parent_rows != parent_rows:
                 raise ShardFormatError(
@@ -481,7 +511,7 @@ def _load_chain(
             generations.append(
                 _Generation(
                     generation, gen_dir, repo, frozenset(tombstones),
-                    parent_rows, inserts, max_set_bits,
+                    parent_rows, inserts, max_set_bits, dual_bound,
                 )
             )
             dead.update(tombstones)
@@ -677,16 +707,60 @@ class MergedShardView:
             return self.generations[-1].max_set_bits
         return self.base.max_set_bits
 
+    @property
+    def dual_bound(self) -> int:
+        """The certified lower bound: the last ``delta.json`` records it (no pass)."""
+        if self.generations:
+            return self.generations[-1].dual_bound
+        return self.base.dual_bound
+
     def check_rows(self) -> None:
-        """Decode every live row (``verify=True``, deep fsck); a recorded
-        ``max_set_bits`` the rows contradict raises ``stats-max-set``."""
-        widest = max((row.bit_count() for row in self.iter_row_masks()), default=0)
+        """Decode every live row (``verify=True``, deep fsck).
+
+        A recorded ``max_set_bits`` the rows contradict raises
+        ``stats-max-set``, a recorded ``dual_bound`` other than the live
+        rows' own (:func:`~repro.setsystem.set_system.dual_lower_bound`)
+        ``stats-dual-bound``.
+        """
+        sources = [(0, self.base)] + [(g.parent_rows, g.repo) for g in self.generations]
+        dead = set().union(*(gen.tombstones for gen in self.generations))
+        live = _live_widest(self.n, sources, dead)
+        widest = int(live.max(initial=0))
         if widest != self.max_set_bits:
             raise ShardFormatError(
                 f"the delta chain of {self.path} records max_set_bits="
                 f"{self.max_set_bits}, but its widest live row has {widest} "
                 "elements", "stats-max-set",
             )
+        bound = dual_lower_bound(self.n, live)
+        if bound != self.dual_bound:
+            raise ShardFormatError(
+                f"the delta chain of {self.path} records dual_bound="
+                f"{self.dual_bound}, but its live rows give {bound}",
+                "stats-dual-bound",
+            )
+
+    def select_rows(self, ids) -> "tuple[np.ndarray, np.ndarray]":
+        """Live rows ``ids`` as CSR ``(elements, sizes)``, in ``ids`` order:
+        :meth:`ShardedRepository.select_rows
+        <repro.setsystem.shards.ShardedRepository.select_rows>` of each
+        source repository (referee)."""
+        if self._closed:
+            raise ShardFormatError(f"merged view over {self.path} is closed")
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        if ids.size and not (0 <= ids.min() and ids.max() < self.m):
+            raise IndexError(f"a row id outside [0, {self.m})")
+        by_source: "dict[int, tuple]" = {}
+        for at, i in enumerate(ids.tolist()):
+            repo, local = self._sources[i]
+            by_source.setdefault(id(repo), (repo, [], []))
+            by_source[id(repo)][1].append(at)
+            by_source[id(repo)][2].append(local)
+        groups = [
+            (np.asarray(at), *repo.select_rows(local))
+            for repo, at, local in by_source.values()
+        ]
+        return _ordered_rows(ids.size, groups)
 
     # -- scanning: decode half + scan half (repro.engine.cache) --------
     def decode_chunk(self, shard: int):

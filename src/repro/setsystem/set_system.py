@@ -14,13 +14,73 @@ to memoize — they are built on first access and reused by every query.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 from operator import index
+
+import numpy as np
 
 from repro.setsystem.packed import PackedFamily
 from repro.utils.bitset import iter_bits, mask_of, universe_mask
 
-__all__ = ["SetSystem", "frozen_row"]
+__all__ = [
+    "SetSystem", "dual_lower_bound", "element_widest", "frozen_row",
+    "lower_bound_floor",
+]
+
+
+def lower_bound_floor(n: int, widest: int) -> int:
+    """``⌈n/Δ⌉`` for the largest set ``Δ = widest`` (``n`` when ``Δ = 0``):
+    no cover is smaller, and no certified lower bound is."""
+    return -(-n // max(widest, 1))
+
+
+def element_widest(n: int, flat, sizes, widest=None) -> "np.ndarray":
+    """``widest[e]``: the size of the largest set holding ``e`` (0 if none).
+
+    The family is given as CSR: ``flat`` holds every set's elements,
+    ``sizes`` the set sizes.  Returns a ``uint32`` vector of length ``n``;
+    passing ``widest`` folds the sets into that vector in place.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if widest is None:
+        widest = np.zeros(n, dtype=np.uint32)
+    np.maximum.at(
+        widest, np.asarray(flat, dtype=np.int64),
+        np.repeat(sizes, sizes).astype(np.uint32),
+    )
+    return widest
+
+
+def dual_lower_bound(n: int, widest) -> int:
+    """The certified lower bound ``max(⌈n/Δ⌉, ⌈Σ_e 1/widest[e]⌉)`` on OPT.
+
+    ``widest[e]`` is the size of the largest set holding element ``e``
+    (0 when none does, and then ``e`` adds nothing), and ``Δ`` is its
+    maximum.  ``y_e = 1/widest[e]`` is dual-feasible: a set ``S`` sums
+    ``Σ_{e∈S} y_e <= |S|/|S| = 1``, so every cover has at least
+    ``Σ_e y_e`` sets (Emek–Rosén's one-pass charging).  The maxima are
+    histogrammed and summed exactly as one :class:`~fractions.Fraction`.
+    ``⌈n/Δ⌉`` (``n`` when ``Δ = 0``) exceeds the sum only when some
+    element is in no set.
+
+    >>> dual_lower_bound(6, [4, 4, 4, 4, 1, 1])  # {0,1,2,3}, {4}, {5}
+    3
+    >>> dual_lower_bound(6, [4, 4, 4, 4, 0, 0])  # {0,1,2,3}: ⌈6/4⌉
+    2
+    """
+    from fractions import Fraction  # only writers and verifiers sum the bound
+
+    if n == 0:
+        return 0
+    counts = np.bincount(np.asarray(widest, dtype=np.int64), minlength=1)
+    sizes = (np.flatnonzero(counts[1:]) + 1).tolist()
+    denominator = math.lcm(*sizes) if sizes else 1
+    total = Fraction(
+        sum(int(counts[s]) * (denominator // s) for s in sizes), denominator
+    )
+    return max(lower_bound_floor(n, len(counts) - 1), math.ceil(total))
 
 
 def frozen_row(i: int, raw: Iterable[int], n: int) -> frozenset[int]:
@@ -80,7 +140,10 @@ class SetSystem:
     False
     """
 
-    __slots__ = ("_n", "_sets", "_universe", "_masks", "_packed", "_max_set_size")
+    __slots__ = (
+        "_n", "_sets", "_universe", "_masks", "_packed", "_max_set_size",
+        "_lower_bound",
+    )
 
     def __init__(self, n: int, sets: Iterable[Iterable[int]]):
         if n < 0:
@@ -93,6 +156,7 @@ class SetSystem:
         self._masks: "tuple[int, ...] | None" = None
         self._packed: "PackedFamily | None" = None
         self._max_set_size: "int | None" = None
+        self._lower_bound: "int | None" = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -211,6 +275,19 @@ class SetSystem:
         if self._max_set_size is None:
             self._max_set_size = max((len(r) for r in self._sets), default=0)
         return self._max_set_size
+
+    def lower_bound(self) -> int:
+        """The dual bound :func:`dual_lower_bound` on OPT (cached).
+
+        The same integer ``repro shard create`` records in the manifest.
+        """
+        if self._lower_bound is None:
+            sizes = [len(r) for r in self._sets]
+            flat = np.fromiter(chain.from_iterable(self._sets), np.int64, sum(sizes))
+            self._lower_bound = dual_lower_bound(
+                self._n, element_widest(self._n, flat, sizes)
+            )
+        return self._lower_bound
 
     def sparsity(self) -> int:
         """Alias of :meth:`max_set_size`; the ``s`` of s-Sparse Set Cover."""

@@ -15,11 +15,12 @@ repository a real on-disk shape:
   straight into the scan kernels with zero decoding — or an
   **encoded** block in which every row carries its own roaring-style
   codec, chosen by density at write time (see below);
-* the manifest (schema ``repro.shards/v3``, the only one this build
-  reads) records ``n``, ``m``, the chunk geometry, each shard's layout,
-  a CRC-32 per shard and checksummed per-shard statistics, so truncated
-  or corrupted repositories fail loudly (:class:`ShardFormatError`)
-  instead of silently yielding garbage sets.
+* the manifest (schema ``repro.shards/v4``, the only one this build
+  reads) records ``n``, ``m``, the chunk geometry, the certified lower
+  bound ``dual_bound``, each shard's layout, a CRC-32 per shard and
+  checksummed per-shard statistics, and a CRC-32 over its header
+  (``header_crc32``), so truncated or corrupted repositories fail loudly
+  (:class:`ShardFormatError`) instead of silently yielding garbage sets.
 
 Row codecs (DESIGN.md §6.2)
 ---------------------------
@@ -58,6 +59,14 @@ bound ``OPT >= ceil(n/Δ)``, read without a pass, as ``m`` is).  The
 stats blocks are covered by their own CRC-32 (``stats_crc32``) so a
 hand-edited manifest fails loudly.
 
+The header records the dual bound ``dual_bound`` =
+``max(⌈n/Δ⌉, ⌈Σ_e 1/max_{S∋e}|S|⌉)``
+(:func:`~repro.setsystem.set_system.dual_lower_bound`): the writer keeps
+each element's largest set in one ``uint32`` vector while it runs and
+sums the bound exactly at ``close``, so it costs no pass.
+``header_crc32`` covers ``n``, ``m``, ``words``, ``chunk_rows``,
+``encoding`` and ``dual_bound``.
+
 One manifest reader
 -------------------
 :func:`read_manifest` is the only parser of ``manifest.json``: the
@@ -65,7 +74,7 @@ open (:class:`ShardedRepository`) and ``fsck``
 (:func:`~repro.setsystem.durability.fsck_repository`) both call it, and
 :func:`check_shard_file` is the one per-shard file check.  Each refusal
 is a :class:`ShardFormatError` whose ``code`` is the fsck finding code.
-Any schema tag other than ``repro.shards/v3`` is refused.
+Any schema tag other than ``repro.shards/v4`` is refused.
 
 :class:`ShardWriter` builds a repository incrementally (a chunk at a
 time, bounded memory) and removes partial output if the writer body
@@ -119,7 +128,13 @@ from repro.setsystem.packed import (
     range_gains,
     scan_chunk,
 )
-from repro.setsystem.set_system import SetSystem, frozen_row
+from repro.setsystem.set_system import (
+    SetSystem,
+    dual_lower_bound,
+    element_widest,
+    frozen_row,
+    lower_bound_floor,
+)
 from repro.utils.bitset import bits_of
 
 __all__ = [
@@ -129,6 +144,7 @@ __all__ = [
     "DELTA_MANIFEST_NAME",
     "DEFAULT_CHUNK_BYTES",
     "ENCODINGS",
+    "HEADER_FIELDS",
     "STATS_HIST_BUCKETS",
     "ShardFormatError",
     "PendingDeltaError",
@@ -144,7 +160,10 @@ __all__ = [
 ]
 
 #: Schema tag of every ``manifest.json``; no other tag is read.
-SHARD_SCHEMA = "repro.shards/v3"
+SHARD_SCHEMA = "repro.shards/v4"
+
+#: Manifest fields ``header_crc32`` covers.
+HEADER_FIELDS = ("n", "m", "words", "chunk_rows", "encoding", "dual_bound")
 
 #: Buckets of the per-shard row-density histogram: bucket ``b`` counts
 #: rows with ``|S| / n`` in ``[b/16, (b+1)/16)`` (the last bucket is
@@ -388,14 +407,7 @@ class _ChunkCodec:
     @classmethod
     def of_matrix(cls, matrix, n: int, encoding: str = "auto"):
         """Encode a chunk given as a packed ``(rows, words)`` block."""
-        rows, words = np.nonzero(matrix)  # row-major, so rows stay sorted
-        values = np.ascontiguousarray(matrix[rows, words], dtype="<u8")
-        bits = np.unpackbits(values.view(np.uint8).reshape(-1, 8), axis=1,
-                             bitorder="little")
-        hit, bit = np.nonzero(bits)
-        flat = (words[hit] * _WORD_BITS + bit).astype(np.int64)
-        sizes = np.bincount(rows[hit], minlength=matrix.shape[0]).astype(np.int64)
-        return cls(flat, sizes, n, encoding)
+        return cls(*_matrix_rows(matrix), n, encoding)
 
     def _pick_tags(self, encoding: str) -> "np.ndarray":
         if encoding != "auto":
@@ -468,6 +480,27 @@ class _ChunkCodec:
         return out.tobytes(), _LAYOUT_RAW if raw else _LAYOUT_ENCODED
 
 
+def _matrix_rows(matrix) -> "tuple[np.ndarray, np.ndarray]":
+    """A packed ``(rows, words)`` block as CSR ``(flat, sizes)``, each row
+    sorted."""
+    rows, words = np.nonzero(matrix)  # row-major, so rows stay sorted
+    values = np.ascontiguousarray(matrix[rows, words], dtype="<u8")
+    bits = np.unpackbits(values.view(np.uint8).reshape(-1, 8), axis=1,
+                         bitorder="little")
+    hit, bit = np.nonzero(bits)
+    flat = (words[hit] * _WORD_BITS + bit).astype(np.int64)
+    sizes = np.bincount(rows[hit], minlength=matrix.shape[0]).astype(np.int64)
+    return flat, sizes
+
+
+def _header_checksum(manifest: dict) -> int:
+    """CRC-32 of the canonical JSON of the :data:`HEADER_FIELDS`."""
+    blob = json.dumps(
+        [manifest.get(key) for key in HEADER_FIELDS], separators=(",", ":")
+    )
+    return zlib.crc32(blob.encode("ascii"))
+
+
 def _listed(row):
     """A row as a list, or the row itself when it is not iterable."""
     try:
@@ -529,7 +562,8 @@ def read_manifest(directory: "str | Path") -> "tuple[dict, bytes]":
     file outside the repository — the stats blocks and ``stats_crc32``,
     that each shard's layout and row count agree with its stats, and
     that its largest set ``max_set_bits`` lies in ``[0, n]`` and in the
-    top nonzero bucket of its density histogram.
+    top nonzero bucket of its density histogram, ``header_crc32``, and
+    that ``dual_bound`` lies in ``[⌈n/Δ⌉, n]``.
     The first defect raises :class:`ShardFormatError` carrying its fsck
     code; shard files themselves are :func:`check_shard_file`'s job.
     """
@@ -561,7 +595,7 @@ def read_manifest(directory: "str | Path") -> "tuple[dict, bytes]":
         return ShardFormatError(f"inconsistent manifest geometry in {directory}: "
                                 f"{detail}", "manifest-geometry")
 
-    for key in ("n", "m", "words", "chunk_rows"):
+    for key in ("n", "m", "words", "chunk_rows", "dual_bound"):
         if not _is_int(manifest.get(key)):
             raise malformed(f"{key!r} is not an integer")
     if manifest.get("encoding") not in ENCODINGS:
@@ -654,6 +688,24 @@ def read_manifest(directory: "str | Path") -> "tuple[dict, bytes]":
                 f"outside [0, n={n}] or its density histogram's top bucket",
                 "stats-max-set",
             )
+    computed = _header_checksum(manifest)
+    if manifest.get("header_crc32") != computed:
+        raise ShardFormatError(
+            f"header checksum mismatch in {directory}: "
+            f"header_crc32={manifest.get('header_crc32')!r}, computed {computed}",
+            "header-checksum",
+        )
+    # The bound sets iterSetCover's first guess; a value the rows do not
+    # give is refused by a verified open (check_rows).
+    floor = lower_bound_floor(
+        n, max((meta["stats"]["max_set_bits"] for meta in shards), default=0)
+    )
+    if not floor <= manifest["dual_bound"] <= n:
+        raise ShardFormatError(
+            f"manifest in {directory} records dual_bound="
+            f"{manifest['dual_bound']}, outside [ceil(n/max|S|)={floor}, n={n}]",
+            "stats-dual-bound",
+        )
     return manifest, raw
 
 
@@ -804,6 +856,8 @@ class ShardWriter:
         self._sizes: list[np.ndarray] = []
         self._buffered = 0
         self._shards: list[dict] = []
+        # Each element's largest set so far, for the dual bound.
+        self._widest = np.zeros(n, dtype=np.uint32)
         self._m = 0
         self._closed = False
         self._aborted = False
@@ -883,6 +937,7 @@ class ShardWriter:
             self.n, self.encoding,
         )
         payload, layout = chunk.payload()
+        element_widest(self.n, chunk.flat, chunk.sizes, self._widest)
         name = _shard_name(len(self._shards))
         crashpoint("writer.shard-flush")
         (self.path / name).write_bytes(payload)
@@ -913,9 +968,11 @@ class ShardWriter:
             "words": self.words,
             "chunk_rows": self.chunk_rows,
             "encoding": self.encoding,
+            "dual_bound": dual_lower_bound(self.n, self._widest),
             "shards": self._shards,
             "stats_crc32": _stats_checksum(self._shards),
         }
+        manifest["header_crc32"] = _header_checksum(manifest)
         # The manifest is the commit point of the whole repository: the
         # shard files (and the directory entries naming them) are made
         # durable first, then the manifest is published atomically — a
@@ -1139,6 +1196,8 @@ class ShardedRepository:
         self.m = manifest["m"]
         self.words = manifest["words"]
         self.chunk_rows = manifest["chunk_rows"]
+        #: The certified lower bound on OPT (manifest metadata, no pass).
+        self.dual_bound = manifest["dual_bound"]
         self._shard_meta = manifest["shards"]
 
         self._row_bytes = self.words * _WORD_BYTES
@@ -1229,17 +1288,34 @@ class ShardedRepository:
                 )
 
     def check_rows(self) -> None:
-        """Decode every row (``verify=True``, deep fsck); a shard whose
-        widest row is not its ``max_set_bits`` — an understated one prints
-        a false lower bound — raises with code ``stats-max-set``."""
+        """Decode every row (``verify=True``, deep fsck).
+
+        A shard whose widest row is not its ``max_set_bits`` — an
+        understated one prints a false lower bound — raises with code
+        ``stats-max-set``; a ``dual_bound`` other than the rows' own
+        (:func:`~repro.setsystem.set_system.dual_lower_bound`) with
+        ``stats-dual-bound``.
+        """
+        widest = np.zeros(self.n, dtype=np.uint32)
         for shard, stats in enumerate(self.shard_stats()):
-            widest = max((row.bit_count() for row in self.chunk_masks(shard)), default=0)
-            if widest != stats["max_set_bits"]:
+            # chunk_masks decodes each row through its codec, refusing
+            # bits beyond n in raw rows too.
+            flat, sizes = _matrix_rows(
+                pack_rows(self.chunk_masks(shard), self.words)
+            )
+            if int(sizes.max(initial=0)) != stats["max_set_bits"]:
                 raise ShardFormatError(
                     f"shard {shard} of {self.path} records max_set_bits="
-                    f"{stats['max_set_bits']}, but its widest row has {widest} "
-                    "elements", "stats-max-set",
+                    f"{stats['max_set_bits']}, but its widest row has "
+                    f"{int(sizes.max(initial=0))} elements", "stats-max-set",
                 )
+            element_widest(self.n, flat, sizes, widest)
+        bound = dual_lower_bound(self.n, widest)
+        if bound != self.dual_bound:
+            raise ShardFormatError(
+                f"{self.path} records dual_bound={self.dual_bound}, but its "
+                f"rows give {bound}", "stats-dual-bound",
+            )
 
     def close(self) -> None:
         """Release all memory maps and file handles (idempotent).
@@ -1574,6 +1650,70 @@ class ShardedRepository:
             return self._decode_row_local(shard, local)
         return self._raw_row(shard, local)
 
+    def select_rows(self, ids) -> "tuple[np.ndarray, np.ndarray]":
+        """Rows ``ids`` as CSR ``(elements, sizes)``, in ``ids`` order (referee).
+
+        The ids are grouped by shard, and each needed row is decoded in
+        numpy from the shard file: raw rows straight off the map, encoded
+        rows by their codec tag (:func:`_referee_decode`).  It shares no
+        codec decoding with :meth:`decode_chunk` or the scan kernels (only
+        the byte gather), so ``verify_solution`` checks the solvers
+        independently.  A corrupt
+        row raises :class:`ShardFormatError`; an id outside ``[0, m)``
+        raises ``IndexError``.
+        """
+        if self._closed:
+            raise ShardFormatError(f"repository {self.path} is closed")
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        if ids.size and not (0 <= ids.min() and ids.max() < self.m):
+            raise IndexError(f"a row id outside [0, {self.m})")
+        shard_of = np.searchsorted(self._starts, ids, side="right") - 1
+        groups = []
+        for shard in sorted(set(shard_of.tolist())):
+            at = np.flatnonzero(shard_of == shard)
+            local = ids[at] - self._starts[shard]
+            raw = self._maps[shard] if self._maps[shard] is not None else b""
+            if self._layouts[shard] == _LAYOUT_RAW:
+                rows = self._shard_meta[shard]["rows"]
+                matrix = np.frombuffer(raw, dtype="<u8", count=rows * self.words)
+                groups.append((at, *self._dense_rows(
+                    matrix.reshape(rows, self.words)[local], shard
+                )))
+                continue
+            tags, lengths, offsets = self._encoded_header(shard)
+            payload = np.frombuffer(raw, dtype=np.uint8)
+            for tag in (_TAG_DENSE, _TAG_SPARSE, _TAG_RLE):
+                pick = np.flatnonzero(tags[local] == tag)
+                if not pick.size:
+                    continue
+                rows = local[pick]
+                data = _ragged_gather(payload, offsets[rows], lengths[rows])
+                if tag == _TAG_DENSE:
+                    if (lengths[rows] != self._row_bytes).any():
+                        raise ShardFormatError(
+                            f"corrupt dense row in {self._shard_meta[shard]['file']}"
+                        )
+                    flat, sizes = self._dense_rows(
+                        data.view("<u8").reshape(rows.size, self.words), shard
+                    )
+                else:
+                    flat, sizes = _referee_decode(
+                        tag, data, lengths[rows], self.n,
+                        self._shard_meta[shard]["file"],
+                    )
+                groups.append((at[pick], flat, sizes))
+        return _ordered_rows(ids.size, groups)
+
+    def _dense_rows(self, matrix, shard: int):
+        """CSR of packed rows, refusing bits beyond the ground set."""
+        tail = self.n % _WORD_BITS
+        if matrix.size and tail and (matrix[:, -1] >> np.uint64(tail)).any():
+            raise ShardFormatError(
+                f"corrupt dense row in {self._shard_meta[shard]['file']}: "
+                "bits beyond the ground set"
+            )
+        return _matrix_rows(matrix)
+
     def to_system(self) -> SetSystem:
         """Materialize the whole repository as an in-memory :class:`SetSystem`.
 
@@ -1588,6 +1728,83 @@ class ShardedRepository:
             f"shards={self.shard_count}, chunk_rows={self.chunk_rows}, "
             f"schema={self.schema!r})"
         )
+
+
+# ----------------------------------------------------------------------
+# The referee's row decoder (select_rows): numpy, sharing no codec
+# decoding with the scan path
+# ----------------------------------------------------------------------
+def _referee_decode(tag: int, data, lengths, n: int, name: str):
+    """Sparse-varint or run-length rows as CSR ``(elements, sizes)``.
+
+    ``data`` is the rows' payload bytes back to back, ``lengths`` their
+    byte counts.  Each LEB128 value is OR-ed together from its 7-bit
+    groups; a value cut off at its row's end, a gap below 1, an odd
+    run-length pair count or an element outside ``[0, n)`` raises
+    :class:`ShardFormatError`.
+    """
+    def corrupt(detail: str):
+        return ShardFormatError(f"corrupt encoded shard {name}: {detail}")
+
+    lengths = np.asarray(lengths, dtype=np.int64)
+    row_end = np.cumsum(lengths)
+    last = data < 0x80  # the last byte of a value
+    if (~last[row_end[lengths > 0] - 1]).any():
+        raise corrupt("truncated varint")
+    first = np.flatnonzero(np.concatenate(([True], last[:-1])))[: int(last.sum())]
+    place = np.arange(data.size, dtype=np.int64) - first[np.cumsum(last) - last]
+    if place.size and int(place.max()) > 8:
+        raise corrupt("oversized varint")
+    bits = (data & 0x7F).astype(np.uint64) << (7 * place).astype(np.uint64)
+    values = np.bitwise_or.reduceat(bits, first).astype(np.int64) if first.size \
+        else np.zeros(0, dtype=np.int64)
+    if values.size and int(values.max()) > n:
+        raise corrupt(f"value past n={n}")
+    ends = np.concatenate(([0], np.cumsum(last)))
+    counts = ends[row_end] - ends[row_end - lengths]
+    if tag == _TAG_SPARSE:
+        heads = np.cumsum(counts) - counts
+        gap = np.ones(values.size, dtype=bool)
+        gap[heads[counts > 0]] = False
+        if (values[gap] < 1).any():
+            raise corrupt("non-increasing sparse row")
+        elements = _segment_cumsum(values, counts)
+        if elements.size and int(elements.max()) >= n:
+            raise corrupt(f"element past n={n}")
+        return elements, counts
+    if (counts % 2).any():
+        raise corrupt("dangling run-length pair")
+    pairs = counts // 2
+    span = values[1::2] + 1
+    run_end = _segment_cumsum(values[0::2] + span, pairs)
+    if run_end.size and int(run_end.max()) > n:
+        raise corrupt(f"run past n={n}")
+    total = np.concatenate(([0], np.cumsum(span)))
+    heads = np.cumsum(pairs) - pairs
+    sizes = total[heads + pairs] - total[heads]
+    return _ragged_positions(run_end - span, span), sizes
+
+
+def _segment_cumsum(values: "np.ndarray", counts: "np.ndarray") -> "np.ndarray":
+    """The running sum of ``values`` restarted at each of the segments
+    of ``counts`` values."""
+    total = np.concatenate(([0], np.cumsum(values)))
+    heads = np.cumsum(counts) - counts
+    return total[1:] - np.repeat(total[heads], counts)
+
+
+def _ordered_rows(count: int, groups) -> "tuple[np.ndarray, np.ndarray]":
+    """Join CSR groups ``(positions, flat, sizes)`` into one CSR whose row
+    ``positions[i]`` is the group's row ``i``."""
+    sizes = np.zeros(count, dtype=np.int64)
+    for at, _, group_sizes in groups:
+        sizes[at] = group_sizes
+    offsets = np.cumsum(sizes) - sizes
+    flat = np.empty(int(sizes.sum()), dtype=np.int64)
+    for at, group_flat, group_sizes in groups:
+        if group_flat.size:
+            flat[_ragged_positions(offsets[at], group_sizes)] = group_flat
+    return flat, sizes
 
 
 def _gains_from_decoded(decoded: dict, mask: ScanMask) -> "np.ndarray":

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from repro.engine import executor_for
 from repro.setsystem.deltas import MergedShardView, open_repository
 from repro.setsystem.set_system import SetSystem
@@ -43,6 +45,9 @@ from repro.setsystem.shards import ShardedRepository
 from repro.streaming.stream import SetStreamBase
 
 __all__ = ["ShardedSetStream"]
+
+#: Rows the referee decodes at once in :meth:`ShardedSetStream.verify_solution`.
+_VERIFY_BATCH = 1024
 
 
 class ShardedSetStream(SetStreamBase):
@@ -121,6 +126,11 @@ class ShardedSetStream(SetStreamBase):
         return self._repo.max_set_bits
 
     @property
+    def lower_bound(self) -> int:
+        """The certified lower bound (manifest ``dual_bound``, no pass)."""
+        return self._repo.dual_bound
+
+    @property
     def repository(self) -> ShardedRepository:
         """The underlying on-disk repository."""
         return self._repo
@@ -180,14 +190,16 @@ class ShardedSetStream(SetStreamBase):
     def verify_solution(self, selection) -> bool:
         """Out-of-band feasibility check (referee functionality, no pass).
 
-        Streams the union of the selected rows off the repository without
-        materializing the instance.
+        Decodes only the selected rows, in numpy and a batch at a time
+        (:meth:`~repro.setsystem.shards.ShardedRepository.select_rows`),
+        without materializing the instance.
         """
-        ids = set(selection)
-        covered = 0
-        for mask in (self._repo.row_mask(i) for i in sorted(ids)):
-            covered |= mask
-        return covered == (1 << self._repo.n) - 1 if self._repo.n else True
+        ids = sorted(set(selection))
+        covered = np.zeros(self._repo.n, dtype=bool)
+        for first in range(0, len(ids), _VERIFY_BATCH):
+            elements, _ = self._repo.select_rows(ids[first:first + _VERIFY_BATCH])
+            covered[elements] = True
+        return bool(covered.all())
 
     @property
     def system(self) -> SetSystem:

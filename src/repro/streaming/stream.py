@@ -16,7 +16,7 @@ repositories implement the protocol:
   chunk by chunk, so instances never need to fit in memory.
 
 Algorithms are written against the protocol only (``n``, ``m``,
-``max_set_size``, ``passes``, ``iterate``, ``iterate_packed``,
+``max_set_size``, ``lower_bound``, ``passes``, ``iterate``, ``iterate_packed``,
 ``scan_gains_chunked``, ``scan_accepts_chunked``), so the same
 pass-for-pass code runs over both repositories.
 
@@ -121,9 +121,13 @@ class SetStreamBase:
         raise NotImplementedError
 
     @property
-    def lower_bound(self) -> int:
-        """``ceil(n/Δ)`` (``n`` if ``Δ = 0``): no cover is smaller; no pass."""
-        return -(-self.n // max(self.max_set_size, 1))
+    def lower_bound(self) -> int:  # pragma: no cover - overridden
+        """The certified lower bound on OPT (metadata, costs no pass).
+
+        ``max(⌈n/Δ⌉, ⌈Σ_e 1/max_{S∋e}|S|⌉)``, the dual bound of
+        :func:`~repro.setsystem.set_system.dual_lower_bound`.
+        """
+        raise NotImplementedError
 
     @property
     def passes(self) -> int:
@@ -367,6 +371,11 @@ class SetStream(SetStreamBase):
     def max_set_size(self) -> int:
         """The largest set ``Δ``, known up front as ``m`` is (no pass)."""
         return self._system.max_set_size()
+
+    @property
+    def lower_bound(self) -> int:
+        """The dual bound :meth:`SetSystem.lower_bound` (no pass)."""
+        return self._system.lower_bound()
 
     # -- repository hooks ----------------------------------------------
     def _frozenset_rows(self):

@@ -10,6 +10,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.setsystem import load
 
+from bounds import dual_bound_oracle
+
 
 class TestGenerate:
     @pytest.mark.parametrize("workload", ["uniform", "planted", "zipf", "blog"])
@@ -61,10 +63,13 @@ class TestSolve:
     def test_every_algorithm_prints_the_certified_lower_bound(
         self, instance_path, tmp_path, algorithm, capsys
     ):
-        """``lower bnd`` is ceil(n/Δ) from metadata, the same in memory and
-        out of core, and sits at or below the cover it is printed with."""
+        """``lower bnd`` is the dual bound from metadata, the same in memory
+        and out of core, at or above ceil(n/Δ) and at or below the cover it
+        is printed with."""
         system = load(instance_path)
-        lb = -(-system.n // system.max_set_size())
+        floor = -(-system.n // system.max_set_size())
+        lb = dual_bound_oracle(system.n, system.sets)
+        assert floor <= lb
         shards = tmp_path / "inst.shards"
         assert main(["shard", "create", instance_path, str(shards),
                      "--chunk-rows", "7"]) == 0
@@ -75,8 +80,8 @@ class TestSolve:
             lines = capsys.readouterr().out.splitlines()
             size = int(next(l for l in lines if l.startswith("result")).split()[4])
             (bound,) = [l for l in lines if l.startswith("lower bnd :")]
-            assert bound == (f"lower bnd : {lb} = ceil(n/max|S|), "
-                             f"cover/LB = {size / lb:.3f}"), source
+            assert bound == (f"lower bnd : {lb} = dual bound (ceil(n/max|S|) "
+                             f"= {floor}), cover/LB = {size / lb:.3f}"), source
             assert lb <= size
 
     def test_delta_flag(self, instance_path, capsys):

@@ -729,6 +729,12 @@ TAXONOMY = {
         root, lambda m: m["shards"][0].pop("stats")
     ),
     "stats-max-set": lambda root: _edit_manifest(root, _understate_max_set),
+    "stats-dual-bound": lambda root: _edit_chain(
+        root, lambda r: r.update(dual_bound=r["n"] + 1)
+    ),
+    "header-checksum": lambda root: _edit_manifest(
+        root, lambda m: m.update(dual_bound=m["dual_bound"] + 1)
+    ),
     "stats-checksum": lambda root: _edit_manifest(
         root, lambda m: m.update(stats_crc32=m["stats_crc32"] ^ 1)
     ),

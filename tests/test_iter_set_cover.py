@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import ThresholdGreedy
 from repro.core import IterSetCover, IterSetCoverConfig, iter_set_cover
-from repro.core.iter_set_cover import _GuessState, _SampleChunk, guess_window
+from repro.core.iter_set_cover import _GuessState, _SampleChunk, guess_schedule
 from repro.offline import ExactSolver, GreedySolver
 from repro.offline.greedy import _greedy_cover_frozenset
 from repro.sampling import draw_sample
@@ -22,6 +22,8 @@ from repro.utils.bitset import mask_of
 from repro.utils.mathutil import powers_of_two_up_to
 from repro.utils.rng import as_generator
 from repro.workloads import planted_instance, uniform_random_instance
+
+from bounds import dual_bound_oracle
 
 
 class TestConfig:
@@ -107,30 +109,61 @@ class TestResourceShape:
         assert result.passes == 2
         assert result.solution_size == 1
 
-    def test_memory_scales_with_parallel_guesses(self, planted_small):
-        result = iter_set_cover(SetStream(planted_small.system), delta=0.5, seed=2)
-        n = planted_small.system.n
-        guesses = len(result.guess_stats)
-        # Each guess holds at least the n-word uncovered bitmap.
-        assert result.peak_memory_words >= n * guesses
-
-    def test_guess_stats_present_for_all_powers(self, planted_small):
-        result = iter_set_cover(SetStream(planted_small.system), delta=0.5, seed=2)
-        n = planted_small.system.n
-        expected_guesses = math.floor(math.log2(n)) + 1
-        assert len(result.guess_stats) == expected_guesses
+    def test_memory_scales_with_parallel_guesses(self):
+        """The second attempt runs its rungs in parallel: each holds at
+        least its n-word uncovered bitmap at once."""
+        system = _first_rung_fails()
+        result = iter_set_cover(SetStream(system), delta=1.0, seed=0, **_THIN_SAMPLES)
+        second = [k for k in result.guess_stats if k > min(result.guess_stats)]
+        assert len(second) > 1
+        assert result.peak_memory_words >= system.n * len(second)
 
     def test_guess_window_guesses_all_finish(self, planted_small):
-        """Every guess from 2^ceil(log2 ceil(n/Δ)) up to n completes."""
+        """The first rung k0 = 2^ceil(log2 LB) completes on planted_small at
+        every delta, so it is the one guess run, in 2 ceil(1/delta) passes."""
         system = planted_small.system
-        result = iter_set_cover(SetStream(system), delta=0.5, seed=2)
+        for delta in (1.0, 0.5, 0.25):
+            result = iter_set_cover(SetStream(system), delta=delta, seed=2)
+            lower_bound = dual_bound_oracle(system.n, system.sets)
+            k0 = 2 ** math.ceil(math.log2(lower_bound))
+            assert list(result.guess_stats) == [k0] == [result.best_k]
+            assert result.guess_stats[k0].covered_after_iterations
+            assert result.passes <= 2 * math.ceil(1 / delta)
+
+    def test_guess_stats_present_for_all_powers(self):
+        """When k0 fails, every power of two from k0 up runs and has stats,
+        and the pass count stays within 4 ceil(1/delta) + 1."""
+        system = _first_rung_fails()
         n = system.n
-        lower_bound = math.ceil(n / system.max_set_size())
-        floor = 2 ** math.ceil(math.log2(lower_bound))
-        window = [k for k in result.guess_stats if k >= floor]
-        assert window == guess_window(n, lower_bound)
-        assert all(result.guess_stats[k].covered_after_iterations for k in window)
-        assert SetStream(system).lower_bound == lower_bound
+        for delta in (1.0, 0.5):
+            result = iter_set_cover(
+                SetStream(system), delta=delta, seed=0, **_THIN_SAMPLES
+            )
+            k0 = min(result.guess_stats)
+            assert k0 == guess_schedule(n, SetStream(system).lower_bound)[0][0]
+            assert not result.guess_stats[k0].covered_after_iterations
+            assert list(result.guess_stats) == [
+                k for k in powers_of_two_up_to(n) if k >= k0
+            ]
+            assert result.feasible and SetStream(system).verify_solution(result.selection)
+            assert 2 * math.ceil(1 / delta) < result.passes
+            assert result.passes <= 4 * math.ceil(1 / delta) + 1
+
+
+def _first_rung_fails() -> SetSystem:
+    """The parity sets of F_2^6: n = 63 nonzero vectors x, and one set
+    {x : a·x = 1} of 32 vectors per nonzero a.  Every element sits in
+    sets of size 32, so the dual bound is 2 (k0 = 2), while OPT = 6;
+    at sample constant 0.02 the rung k = 2 leaves elements uncovered."""
+    n = 63
+    return SetSystem(n, [
+        [x - 1 for x in range(1, n + 1) if bin(a & x).count("1") % 2]
+        for a in range(1, n + 1)
+    ])
+
+
+#: The sampling that makes :func:`_first_rung_fails`' first rung fail.
+_THIN_SAMPLES = dict(use_polylog_factors=False, sample_constant=0.02)
 
 
 class TestApproximation:
@@ -248,36 +281,48 @@ class _FrozensetGreedy(GreedySolver):
 
 
 def _reference_iter_set_cover(system, config, seed):
-    """iterSetCover exactly as the paper states it, one row at a time."""
+    """iterSetCover exactly as the paper states it, one row at a time.
+
+    Returns ``(selection, passes, feasible, peak, guesses)``: the first
+    attempt is the certified rung k0 = 2^ceil(log2 LB) alone (clamped to
+    the top rung), the second, only if k0's cover is incomplete, every
+    rung above it; an attempt's state is dropped before the next starts.
+    """
     rng = as_generator(seed)
     n, m = system.n, system.m
     solver = _FrozensetGreedy()
     rho = solver.rho(n)
-    guesses = [_ReferenceGuess(k, n) for k in powers_of_two_up_to(n)]
-    # The passes stop once the guesses k >= 2^ceil(log2 ceil(n/Δ)) are
-    # done (the top guess at least); the smaller ones ride along.
-    floor = 1 << (-(-n // max(system.max_set_size(), 1)) - 1).bit_length()
-    window = [g for g in guesses if g.k >= floor] or guesses[-1:]
-    passes = 0
-    for _ in range(config.iterations):
-        if all(not g.uncovered for g in window):
+    ladder = powers_of_two_up_to(n)
+    lower_bound = dual_bound_oracle(n, system.sets)
+    k0 = min(1 << (max(lower_bound, 1) - 1).bit_length(), ladder[-1])
+    passes, peak, ran = 0, 0, []
+    for rungs in ([k0], [k for k in ladder if k > k0]):
+        if not rungs:
             break
-        for g in guesses:
-            g.begin(config, n, m, rho, rng)
-        for set_id, r in enumerate(system.sets):
+        guesses = [_ReferenceGuess(k, n) for k in rungs]
+        for _ in range(config.iterations):
+            if all(not g.uncovered for g in guesses):
+                break
             for g in guesses:
-                g.size_test(set_id, r)
-        for g in guesses:
-            g.solve_offline(solver, n)
-        for set_id, r in enumerate(system.sets):
+                g.begin(config, n, m, rho, rng)
+            for set_id, r in enumerate(system.sets):
+                for g in guesses:
+                    g.size_test(set_id, r)
             for g in guesses:
-                if set_id in g.new_picks:
-                    g.uncovered -= r
-        for g in guesses:
-            g.current -= g.scratch
-            g.scratch = 0
-        passes += 2
-    if config.cleanup_pass and any(g.uncovered for g in window):
+                g.solve_offline(solver, n)
+            for set_id, r in enumerate(system.sets):
+                for g in guesses:
+                    if set_id in g.new_picks:
+                        g.uncovered -= r
+            for g in guesses:
+                g.current -= g.scratch
+                g.scratch = 0
+            passes += 2
+        ran += guesses
+        if any(not g.uncovered for g in guesses):
+            break
+        peak = max(peak, sum(g.peak for g in guesses))
+    if config.cleanup_pass and any(g.uncovered for g in guesses):
         passes += 1
         for set_id, r in enumerate(system.sets):
             for g in guesses:
@@ -286,13 +331,14 @@ def _reference_iter_set_cover(system, config, seed):
                     g.pick(set_id)
                     g.uncovered -= hit
                     g.stats["cleanup"] += 1
-    complete = [g for g in guesses if not g.uncovered]
+    peak = max(peak, sum(g.peak for g in guesses))
+    complete = [g for g in ran if not g.uncovered]
     best = (
         min(complete, key=lambda g: len(g.solution))
         if complete
-        else min(guesses, key=lambda g: len(g.uncovered))
+        else min(ran, key=lambda g: len(g.uncovered))
     )
-    return best.solution, passes, bool(complete), sum(g.peak for g in guesses), guesses
+    return best.solution, passes, bool(complete), peak, ran
 
 
 class _SlicedSetStream(SetStream):
@@ -409,16 +455,19 @@ def _tiny_feasible_systems(draw):
 
 
 class TestGuessWindowSoundness:
-    """The Δ cut removes only guesses and passes that cannot matter."""
+    """The certified schedule cuts only guesses and passes that cannot matter:
+    its two attempts cover the window of rungs k >= k0."""
 
     @settings(max_examples=60, deadline=None)
     @given(_tiny_feasible_systems())
     def test_window_keeps_the_optimum_power(self, system):
         n, opt = system.n, len(ExactSolver().solve(system))
-        window = guess_window(n, -(-n // system.max_set_size()))
+        lower_bound = SetStream(system).lower_bound
+        assert lower_bound == dual_bound_oracle(n, system.sets) <= opt
+        first, rest = guess_schedule(n, lower_bound)
         ladder = powers_of_two_up_to(n)
-        assert min(1 << (opt - 1).bit_length(), ladder[-1]) in window
-        assert window == [k for k in ladder if k >= window[0]]
+        assert min(1 << (opt - 1).bit_length(), ladder[-1]) in first + rest
+        assert first + rest == [k for k in ladder if k >= first[0]]
 
     @settings(max_examples=60, deadline=None)
     @given(_tiny_feasible_systems())
@@ -428,7 +477,6 @@ class TestGuessWindowSoundness:
         assert cut.selection == full.selection
         assert cut.feasible == full.feasible
         assert cut.passes <= full.passes
-        assert SetStream(system).lower_bound == -(-system.n // system.max_set_size())
 
 
 def _size_test_in_chunks(k, n, sample, solution, rows, split):

@@ -39,12 +39,14 @@ from repro.setsystem.shards import (
     ShardWriter,
     _ChunkCodec,
     _decode_payload_mask,
+    _header_checksum,
     _stats_checksum,
     write_shards,
 )
 from repro.streaming import SetStream, ShardedSetStream, StreamAccessError
 from repro.utils.bitset import mask_of
 from repro.workloads import planted_instance, sparse_uniform_instance
+from bounds import dual_bound_oracle
 from test_packed import _accept_reference, _words_of
 
 
@@ -194,25 +196,25 @@ def test_scan_shard_matches_bruteforce_per_encoding(tmp_path):
 
 _PINNED_SHA256 = {
     "auto": {
-        "manifest.json": "52e4cb7d515cbe64420505636c23e71fef69877e117e05e8b58565ad7ca955d7",
+        "manifest.json": "cea8421a9a8d43bf1863f2908a2164633c9eaffdb42f84b196e70fa49ab58c32",
         "shard-00000.bin": "082d2c0e25f3ec5fa8e9fb5caf785e9b46afec697bb8dcee206686e2f62b85d8",
         "shard-00001.bin": "d2ce75e544ea6d76bbcda2915a2d79a950273520f6a4b56f248e9861583a6344",
         "shard-00002.bin": "eaaff6c107bb50a2a274ea522aaa247a703f7500b87fda5abeb5c77efd05d3fc",
     },
     "dense": {
-        "manifest.json": "2933b9f0ab2d346d163ebf328b393f697f124d13a4b415c3d8e69610d63e4bb1",
+        "manifest.json": "8cca4b63ee21de2bd611c4229d6bacf0ed5b18425e5c8bbd80619a480487c866",
         "shard-00000.bin": "082d2c0e25f3ec5fa8e9fb5caf785e9b46afec697bb8dcee206686e2f62b85d8",
         "shard-00001.bin": "000861db85c7697532732b0b297f4eaa134998835b17be4a093e287cd1f1364c",
         "shard-00002.bin": "8f6dab338de16ab12e496bf52b51d00ee1358741033fa19a8b6e3736a9e55357",
     },
     "sparse": {
-        "manifest.json": "120457c170fd7041f30c12e7f5020c2eee23daa2d4033fd4711551e6641e7483",
+        "manifest.json": "cdf71fd412aa0a91925f8a61c2e0e6c9348eef08dd824bcfc10a84a6f432756b",
         "shard-00000.bin": "6cda9a36eed4626ab20c72085382ee99fc6a41634c4f3bd34e0482cd2ce9f856",
         "shard-00001.bin": "1cfccc89db986ea6b3c9cc02b1482cbdbeb0849aa6d7882e69c5be0804c73ecd",
         "shard-00002.bin": "eaaff6c107bb50a2a274ea522aaa247a703f7500b87fda5abeb5c77efd05d3fc",
     },
     "rle": {
-        "manifest.json": "b25c6e8d72e3eb4f28049ff065987188b7328b34c73a72416a7e7fed6f394337",
+        "manifest.json": "4bc2855358cc00ebd5582d3fcf5e3e865fb47e6aaf94b79d2ebeca52ba110cf8",
         "shard-00000.bin": "908228898b7ded1fc1a22609ab6e233cca4045d1423e808ff29ae7cda6a3effe",
         "shard-00001.bin": "06293989fea5c652b0a81f1b41b764c72ef90b118292eccd2b5c7f4e7b9ec5f2",
         "shard-00002.bin": "6fd13f9526f12e6c88393b2ab0ca8dc2481cf0de0d7020b833e1968deb9719d8",
@@ -258,11 +260,19 @@ def test_delta_chain_records_its_largest_live_set(tmp_path):
 
     record_path = path / "deltas" / "00003" / "delta.json"
     record = json.loads(record_path.read_text())
+    # Understated below n/dual_bound, Δ contradicts the recorded bound:
+    # even a plain open refuses it.
     record["max_set_bits"] = 2
     record["crc32"] = _chain_checksum(record)
     record_path.write_text(json.dumps(record))
+    with pytest.raises(ShardFormatError) as refused:
+        MergedShardView(path)
+    assert refused.value.code == "stats-dual-bound"
+    record["max_set_bits"] = 4
+    record["crc32"] = _chain_checksum(record)
+    record_path.write_text(json.dumps(record))
     with MergedShardView(path) as view:
-        assert view.max_set_bits == 2
+        assert view.max_set_bits == 4
     with pytest.raises(ShardFormatError) as refused:
         MergedShardView(path, verify=True)
     assert refused.value.code == "stats-max-set"
@@ -276,13 +286,156 @@ def test_delta_chain_records_its_largest_live_set(tmp_path):
         assert repo.max_set_bits == 3
 
 
+@st.composite
+def _small_systems(draw):
+    """Families over n <= 70 (two words) mixing empty, sparse, run-like
+    and dense rows, possibly with elements in no set."""
+    n = draw(st.integers(0, 70))
+    rows = draw(st.lists(
+        st.one_of(
+            st.lists(st.integers(0, max(n - 1, 0)), max_size=6),
+            st.integers(0, max(n - 1, 0)).flatmap(
+                lambda a: st.integers(a, max(n, a)).map(lambda b: list(range(a, b)))
+            ),
+            st.sets(st.integers(0, max(n - 1, 0)), min_size=0, max_size=n),
+        ),
+        max_size=14,
+    ))
+    return SetSystem(n, rows if n else [[] for _ in rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_systems(), st.sampled_from(ENCODINGS), st.integers(1, 5),
+       st.data())
+def test_dual_bound_matches_the_fraction_oracle(system, encoding, chunk_rows, data):
+    """The recorded bound is the oracle's in memory, in the manifest, and
+    after any apply_delta (deletes only, or deletes and inserts): a delta
+    chain records the exact bound of its live rows, equal to the bound
+    its compaction records."""
+    from repro.setsystem import compact
+
+    oracle = dual_bound_oracle(system.n, system.sets)
+    assert system.lower_bound() == SetStream(system).lower_bound == oracle
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_shards(Path(tmp) / "repo", system, chunk_rows=chunk_rows,
+                            encoding=encoding)
+        stream = ShardedSetStream(path)
+        assert stream.lower_bound == oracle and stream.passes == 0
+        stream.close()
+        live = list(system.sets)
+        for _ in range(data.draw(st.integers(1, 3))):
+            dead = data.draw(st.sets(st.integers(0, max(len(live) - 1, 0)),
+                                     max_size=len(live)))
+            inserts = data.draw(st.lists(
+                st.lists(st.integers(0, max(system.n - 1, 0)), max_size=5),
+                max_size=3)) if system.n else []
+            with MergedShardView(path) as view:
+                stable = view.stable_ids
+            ops = [{"op": "delete", "id": stable[i]} for i in sorted(dead) if live]
+            ops += [{"op": "insert", "elements": row} for row in inserts]
+            if not ops:
+                continue
+            apply_delta(path, ops)
+            live = [r for i, r in enumerate(live) if i not in dead] + [
+                frozenset(r) for r in inserts]
+            with MergedShardView(path, verify=True) as view:
+                assert view.dual_bound == dual_bound_oracle(system.n, live)
+                assert view.to_system().sets == tuple(live)
+        compact(path)
+        with ShardedRepository(path, verify=True) as repo:
+            assert repo.dual_bound == dual_bound_oracle(system.n, live)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_systems(), st.sampled_from(ENCODINGS), st.integers(1, 5),
+       st.data())
+def test_referee_rows_agree_with_to_system(system, encoding, chunk_rows, data):
+    """select_rows, the referee's numpy decoder, gives every row as
+    to_system() does, in the order asked, on raw and encoded layouts and
+    on a delta view; verify_solution agrees with SetSystem.is_cover."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_shards(Path(tmp) / "repo", system, chunk_rows=chunk_rows,
+                            encoding=encoding)
+        if system.m and data.draw(st.booleans()):
+            apply_delta(path, [{"op": "delete", "id": 0},
+                               {"op": "insert", "elements": [0] if system.n else []}])
+        stream = ShardedSetStream(path)
+        try:
+            reference = stream.repository.to_system()
+            ids = data.draw(st.lists(st.integers(0, max(reference.m - 1, 0)),
+                                     max_size=2 * reference.m)) if reference.m else []
+            flat, sizes = stream.repository.select_rows(ids)
+            starts = np.cumsum(sizes) - sizes
+            assert [flat[a:a + b].tolist() for a, b in zip(starts, sizes)] == [
+                sorted(reference.sets[i]) for i in ids]
+            assert stream.verify_solution(ids) == reference.is_cover(ids)
+            with pytest.raises(IndexError):
+                stream.repository.select_rows([reference.m])
+        finally:
+            stream.close()
+
+
+def test_forged_dual_bound_is_refused(tmp_path):
+    """A bound re-sealed under header_crc32 but off the rows: one outside
+    [ceil(n/Δ), n] is refused by any open, one inside by a verified open
+    and a deep fsck, with code stats-dual-bound on flat repositories and
+    delta views alike; an unsealed edit is header-checksum."""
+    from repro.setsystem.deltas import _chain_checksum
+    from repro.setsystem.durability import fsck_repository
+
+    system = SetSystem(6, [[0, 1, 2, 3], [2, 3], [4], [5], [0, 1]])
+    path = write_shards(tmp_path / "repo", system)
+    manifest = json.loads((path / MANIFEST_NAME).read_text())
+    assert manifest["dual_bound"] == 3  # 4 * 1/4 + 2 * 1/1; ceil(6/4) = 2
+
+    def forge(bound, seal=True):
+        forged = dict(manifest, dual_bound=bound)
+        if seal:
+            forged["header_crc32"] = _header_checksum(forged)
+        (path / MANIFEST_NAME).write_text(json.dumps(forged))
+
+    for bound, seal, opens, code in ((2, True, True, "stats-dual-bound"),
+                                     (4, True, True, "stats-dual-bound"),
+                                     (1, True, False, "stats-dual-bound"),
+                                     (7, True, False, "stats-dual-bound"),
+                                     (4, False, False, "header-checksum")):
+        forge(bound, seal)
+        if opens:
+            with ShardedRepository(path) as repo:
+                assert repo.dual_bound == bound
+        with pytest.raises(ShardFormatError) as refused:
+            ShardedRepository(path, verify=True)
+        assert refused.value.code == code, bound
+        assert fsck_repository(path).codes() == [code], bound
+    forge(3)
+    assert fsck_repository(path).ok
+
+    # Deleting {0, 1, 2, 3} raises every y_e to 1/2: the chain records 4.
+    apply_delta(path, [{"op": "delete", "id": 0}])
+    record_path = path / "deltas" / "00001" / "delta.json"
+    record = json.loads(record_path.read_text())
+    assert (record["dual_bound"], record["max_set_bits"]) == (4, 2)
+    for bound, opens in ((5, True), (2, False)):  # ceil(6/2) = 3 <= LB <= 6
+        record["dual_bound"] = bound
+        record["crc32"] = _chain_checksum(record)
+        record_path.write_text(json.dumps(record))
+        if opens:
+            with MergedShardView(path) as view:
+                assert view.dual_bound == bound
+        with pytest.raises(ShardFormatError) as refused:
+            MergedShardView(path, verify=True)
+        assert refused.value.code == "stats-dual-bound", bound
+        assert fsck_repository(path).codes() == ["stats-dual-bound"], bound
+
+
 @pytest.mark.parametrize("encoding", ENCODINGS)
 def test_format_pin_mixed_system_bytes(tmp_path, encoding):
     """The on-disk bytes of a small mixed repository never move.
 
     The hashes were taken from the per-row scalar writer this format was
     defined by (the manifests re-pinned when the stats block gained
-    ``max_set_bits``; the shard files did not move); any encoder change
+    ``max_set_bits`` and when schema v4 added ``dual_bound`` and
+    ``header_crc32``; the shard files did not move); any encoder change
     that shifts a byte of a shard file or of the manifest (stats
     included) fails here."""
     path = write_shards(tmp_path / encoding, _mixed_system(), chunk_rows=2,
@@ -1062,8 +1215,10 @@ def test_v3_manifest_records_checksummed_stats(tmp_path):
     system = _mixed_system()
     path = write_shards(tmp_path / "v3", system, chunk_rows=2)
     manifest = json.loads((path / MANIFEST_NAME).read_text())
-    assert manifest["schema"] == SHARD_SCHEMA == "repro.shards/v3"
+    assert manifest["schema"] == SHARD_SCHEMA == "repro.shards/v4"
     assert isinstance(manifest["stats_crc32"], int)
+    assert isinstance(manifest["header_crc32"], int)
+    assert manifest["dual_bound"] == dual_bound_oracle(system.n, system.sets)
     with ShardedRepository(path, verify=True) as repo:
         stats = repo.shard_stats()
         assert len(stats) == repo.shard_count
@@ -1230,8 +1385,24 @@ def _parent(tree, path):
 def _manifest_mutations(draw):
     """One mutation of a manifest: ``(label, mutate)``."""
     kind = draw(st.sampled_from(
-        ["drop", "retype", "bump", "rename", "reorder", "schema", "max_set_bits"]
+        ["drop", "retype", "bump", "rename", "reorder", "schema", "max_set_bits",
+         "dual_bound"]
     ))
+    if kind == "dual_bound":
+        # The bound edited and the header re-sealed: the reader's range
+        # check or the verified open's recount must catch it.
+        op = draw(st.sampled_from(["drop", None, True, 1.5, "x", -1, 1, "zero", "n+1"]))
+
+        def mutate(m):
+            if op == "drop":
+                m.pop("dual_bound")
+            elif type(op) is int:  # ±1, not True
+                m["dual_bound"] += op
+            else:
+                m["dual_bound"] = {"zero": 0, "n+1": m["n"] + 1}.get(op, op)
+            m["header_crc32"] = _header_checksum(m)
+
+        return f"dual_bound {op!r}", mutate
     if kind == "max_set_bits":
         # Δ edited and the stats re-sealed, so the reader's own checks
         # (type, range, histogram) and the decoded rows must catch it.
@@ -1316,13 +1487,8 @@ def test_manifest_fuzz_exact_decode_or_typed_refusal(mutation):
             opened = False
         else:
             opened = True
-            assert not label.startswith("max_set_bits"), label
-            if decoded != system:
-                # The header is not checksummed: an ``n`` that keeps the
-                # word count and every element in range is a valid
-                # manifest of the same rows over another ground set.
-                assert label.startswith("bump ('n',)"), label
-                assert decoded.sets == system.sets, label
+            assert not label.startswith(("max_set_bits", "dual_bound")), label
+            assert decoded == system, label
         report = fsck_repository(path)
         assert report.ok == opened, (label, report.codes())
         assert victim.read_bytes() == (path / "shard-00000.bin").read_bytes()
