@@ -14,7 +14,12 @@ O(rho/delta) approximation factor:
      top, alone;
   2. only if ``k0``'s cover is incomplete after its ceil(1/delta)
      iterations: every rung above ``k0``, in lockstep over shared passes
-     (the paper's parallel guesses), so they cost the passes of one guess;
+     (the paper's parallel guesses), so they cost the passes of one guess.
+
+  When ``k0``'s sample is the whole ground set (small instances), every
+  rung whose sample is too joins the first attempt instead: they read
+  exactly the rows ``k0``'s sample pass reads, the passes stop once the
+  rungs from ``k0`` up are done, and the smallest complete cover wins;
 
 * each of the ceil(1/delta) iterations of an attempt makes two passes:
 
@@ -35,8 +40,9 @@ A final cleanup pass (mirroring Figure 4.1's last pass) handles runs where
 the with-high-probability event did not materialize at the configured
 sampling constants; it is reported separately (DESIGN.md §3.2).  A run
 makes at most ``2 ceil(1/delta)`` passes when ``k0`` completes,
-``2 ceil(1/delta) + 1`` when ``k0`` is the top rung, and
-``4 ceil(1/delta) + 1`` when the second attempt runs.
+``2 ceil(1/delta) + 1`` when ``k0`` is the top rung or its sample is the
+whole ground set, and ``4 ceil(1/delta) + 1`` when the second attempt
+runs.
 
 Implementation note (DESIGN.md §4): the sample pass of each iteration runs
 one per-chunk Size-Test shared by every guess of the attempt.  The scan hands
@@ -82,10 +88,12 @@ from repro.utils.bitset import bits_of, mask_of, universe_mask
 from repro.utils.mathutil import ceil_log2, powers_of_two_up_to
 from repro.utils.rng import as_generator
 
-__all__ = ["IterSetCover", "guess_schedule", "iter_set_cover"]
+__all__ = ["IterSetCover", "certified_rung", "guess_schedule", "iter_set_cover"]
 
 
-def guess_schedule(n: int, lower_bound: int) -> "tuple[list[int], list[int]]":
+def guess_schedule(
+    n: int, lower_bound: int, whole_from: int
+) -> "tuple[list[int], list[int]]":
     """The two attempts of the guess ladder ``powers_of_two_up_to(n)``.
 
     The first is the certified rung ``k0 = 2^ceil(log2 LB)``, clamped to
@@ -94,12 +102,32 @@ def guess_schedule(n: int, lower_bound: int) -> "tuple[list[int], list[int]]":
     ``OPT >= LB``, so the one Theorem 2.8 needs, ``OPT <= k < 2 OPT``, is
     in one of the two.
 
-    >>> guess_schedule(100, 7), guess_schedule(100, 1000)
+    ``whole_from`` is the smallest rung whose sample is the whole ground
+    set.  When ``k0``'s is, every rung from ``whole_from`` up is the first
+    attempt and there is no second: those rungs read exactly the rows
+    ``k0``'s sample pass reads, and the ones below ``k0``, though below
+    ``OPT``, may return smaller covers (with an exact offline solver, a
+    rung whose Size Test picks nothing returns the optimum).
+
+    >>> guess_schedule(100, 7, 128), guess_schedule(100, 1000, 128)
     (([8], [16, 32, 64]), ([64], []))
+    >>> guess_schedule(100, 7, 4)
+    ([4, 8, 16, 32, 64], [])
     """
     ladder = powers_of_two_up_to(n)
-    first = min(1 << ceil_log2(max(lower_bound, 1)), ladder[-1])
+    first = certified_rung(n, lower_bound)
+    if whole_from <= first:
+        return [k for k in ladder if k >= whole_from], []
     return [first], [k for k in ladder if k > first]
+
+
+def certified_rung(n: int, lower_bound: int) -> int:
+    """``k0 = 2^ceil(log2 LB)``, clamped to the top of the guess ladder.
+
+    >>> certified_rung(100, 7), certified_rung(100, 1000)
+    (8, 64)
+    """
+    return min(1 << ceil_log2(max(lower_bound, 1)), powers_of_two_up_to(n)[-1])
 
 
 class _SampleChunk:
@@ -466,17 +494,27 @@ class IterSetCover:
         # The largest chunk's captures, reported as scan scratch.
         capture_peak = 0
         attempts: "list[list[_GuessState]]" = []
-        for ladder in guess_schedule(n, self._lower_bound(stream)):
+        lower_bound = self._lower_bound(stream)
+        k0 = certified_rung(n, lower_bound)
+        whole_from = next(
+            (k for k in powers_of_two_up_to(n)
+             if self.config.sample_size(n, m, k, rho) >= n),
+            2 * n,
+        )
+        for ladder in guess_schedule(n, lower_bound, whole_from):
             if not ladder:
                 break
             guesses = [_GuessState(k, n, MemoryMeter(label=f"k={k}")) for k in ladder]
-            capture_peak = max(capture_peak, self._iterate(stream, guesses, rho))
+            # The rungs from k0 up set the attempt's passes; smaller ones
+            # count only if they finish within them.
+            pace = [g for g in guesses if g.k >= k0]
+            capture_peak = max(capture_peak, self._iterate(stream, guesses, pace, rho))
             attempts.append(guesses)
             if any(self._satisfied(g) for g in guesses):
                 break
 
         cleanup_passes = 0
-        if self.config.cleanup_pass and any(not self._satisfied(g) for g in guesses):
+        if self.config.cleanup_pass and any(not self._satisfied(g) for g in pace):
             cleanup_passes = 1
             cleanup_mask = 0
             for guess in guesses:
@@ -516,13 +554,16 @@ class IterSetCover:
             extra=extra,
         )
 
-    def _iterate(self, stream: SetStream, guesses: "list[_GuessState]", rho) -> int:
+    def _iterate(
+        self, stream: SetStream, guesses: "list[_GuessState]", pace, rho
+    ) -> int:
         """One attempt's ceil(1/delta) iterations over ``guesses``, in
-        lockstep; returns the largest chunk's capture words."""
+        lockstep, until every guess of ``pace`` is done; returns the
+        largest chunk's capture words."""
         n, m = stream.n, stream.m
         capture_peak = 0
         for _ in range(self.config.iterations):
-            if all(self._satisfied(g) for g in guesses):
+            if all(self._satisfied(g) for g in pace):
                 break
             for guess in guesses:
                 if self._satisfied(guess):

@@ -22,12 +22,8 @@ per iteration (three passes):
 After ceil(1/delta) iterations at most ~k points remain and one final pass
 covers them by arbitrary containing shapes (adding <= k sets).
 
-The guesses k = 2^i follow ``iterSetCover``'s certified schedule
-(:func:`~repro.core.iter_set_cover.guess_schedule`): the rung
-``2^ceil(log2 LB)`` for the stream's lower bound ``LB`` alone, then, only
-if its cover is incomplete, every rung above it in lockstep.  A run makes
-at most ``3 ceil(1/delta) + 1`` passes when the first rung completes or is
-the top one, ``6 ceil(1/delta) + 1`` otherwise.
+All guesses k = 2^i run in lockstep, as in ``iterSetCover``; total passes
+are 3 * ceil(1/delta) + 1.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ import math
 
 import numpy as np
 
-from repro.core.iter_set_cover import guess_schedule
 from repro.core.result import GuessStats, StreamingCoverResult
 from repro.geometry.canonical import CanonicalRepresentation
 from repro.geometry.primitives import AxisRect, Disc, FatTriangle
@@ -45,6 +40,7 @@ from repro.offline.base import OfflineSolver
 from repro.offline.greedy import GreedySolver
 from repro.sampling.relative_approximation import draw_sample
 from repro.streaming.memory import MemoryMeter
+from repro.utils.mathutil import powers_of_two_up_to
 from repro.utils.rng import as_generator
 
 __all__ = ["GeometricSetCover", "geometric_set_cover"]
@@ -148,78 +144,14 @@ class GeometricSetCover:
 
         rho = self.solver.rho(n)
         mode = self.mode or _default_mode(stream.instance.shapes[0])
+        guesses = [
+            _GeomGuessState(k, n, MemoryMeter(label=f"k={k}"))
+            for k in powers_of_two_up_to(n)
+        ]
         passes_before = stream.passes
-        attempts: "list[list[_GeomGuessState]]" = []
-        for ladder in guess_schedule(n, stream.lower_bound):
-            if not ladder:
-                break
-            guesses = [
-                _GeomGuessState(k, n, MemoryMeter(label=f"k={k}")) for k in ladder
-            ]
-            self._iterate(stream, guesses, rho, mode)
-            attempts.append(guesses)
-            if any(not g.uncovered for g in guesses):
-                break
+        iterations = math.ceil(1.0 / self.delta)
 
-        # ---- Final pass: cover leftovers by arbitrary containing shapes --
-        cleanup_passes = 0
-        if any(g.uncovered for g in guesses):
-            cleanup_passes = 1
-            for shape_id, shape in stream.iterate():
-                for g in guesses:
-                    if not g.uncovered:
-                        continue
-                    hit = {
-                        eid for eid in g.uncovered if shape.contains(points[eid])
-                    }
-                    if hit and shape_id not in g.solution_set:
-                        g.pick(shape_id)
-                        g.uncovered -= hit
-                        g.stats.cleanup_picks += 1
-
-        ran = [g for attempt in attempts for g in attempt]
-        for g in ran:
-            g.stats.solution_size = (
-                len(g.solution) if not g.uncovered else None
-            )
-            g.stats.covered_after_iterations = not g.uncovered
-            g.stats.peak_memory_words = g.meter.peak
-        stats = {g.k: g.stats for g in ran}
-        complete = [g for g in ran if not g.uncovered]
-        # An attempt's state is dropped before the next one starts.
-        total_peak = shared_meter.peak + max(
-            sum(g.meter.peak for g in attempt) for attempt in attempts
-        )
-        passes = stream.passes - passes_before
-
-        if not complete:
-            best = min(ran, key=lambda g: len(g.uncovered))
-            return StreamingCoverResult(
-                selection=list(best.solution),
-                passes=passes,
-                peak_memory_words=total_peak,
-                algorithm=self.name,
-                feasible=False,
-                best_k=best.k,
-                cleanup_passes=cleanup_passes,
-                guess_stats=stats,
-            )
-        best = min(complete, key=lambda g: len(g.solution))
-        return StreamingCoverResult(
-            selection=list(best.solution),
-            passes=passes,
-            peak_memory_words=total_peak,
-            algorithm=self.name,
-            best_k=best.k,
-            cleanup_passes=cleanup_passes,
-            guess_stats=stats,
-            extra={"rho": rho, "delta": self.delta, "mode": mode},
-        )
-
-    def _iterate(self, stream: ShapeStream, guesses, rho: float, mode: str) -> None:
-        """One attempt's ceil(1/delta) iterations over ``guesses``, in lockstep."""
-        n, m, points = stream.n, stream.m, stream.points
-        for _ in range(math.ceil(1.0 / self.delta)):
+        for _ in range(iterations):
             if all(not g.uncovered for g in guesses):
                 break
 
@@ -303,6 +235,57 @@ class GeometricSetCover:
                 g.sample_ids = frozenset()
                 g.meter.release(g._scratch_words)
                 g._scratch_words = 0
+
+        # ---- Final pass: cover leftovers by arbitrary containing shapes --
+        cleanup_passes = 0
+        if any(g.uncovered for g in guesses):
+            cleanup_passes = 1
+            for shape_id, shape in stream.iterate():
+                for g in guesses:
+                    if not g.uncovered:
+                        continue
+                    hit = {
+                        eid for eid in g.uncovered if shape.contains(points[eid])
+                    }
+                    if hit and shape_id not in g.solution_set:
+                        g.pick(shape_id)
+                        g.uncovered -= hit
+                        g.stats.cleanup_picks += 1
+
+        for g in guesses:
+            g.stats.solution_size = (
+                len(g.solution) if not g.uncovered else None
+            )
+            g.stats.covered_after_iterations = not g.uncovered
+            g.stats.peak_memory_words = g.meter.peak
+        stats = {g.k: g.stats for g in guesses}
+        complete = [g for g in guesses if not g.uncovered]
+        total_peak = shared_meter.peak + sum(g.meter.peak for g in guesses)
+        passes = stream.passes - passes_before
+
+        if not complete:
+            best = min(guesses, key=lambda g: len(g.uncovered))
+            return StreamingCoverResult(
+                selection=list(best.solution),
+                passes=passes,
+                peak_memory_words=total_peak,
+                algorithm=self.name,
+                feasible=False,
+                best_k=best.k,
+                cleanup_passes=cleanup_passes,
+                guess_stats=stats,
+            )
+        best = min(complete, key=lambda g: len(g.solution))
+        return StreamingCoverResult(
+            selection=list(best.solution),
+            passes=passes,
+            peak_memory_words=total_peak,
+            algorithm=self.name,
+            best_k=best.k,
+            cleanup_passes=cleanup_passes,
+            guess_stats=stats,
+            extra={"rho": rho, "delta": self.delta, "mode": mode},
+        )
 
 
 def geometric_set_cover(

@@ -26,7 +26,6 @@ class ShapeStream:
         self._instance = instance
         self._passes = 0
         self._in_pass = False
-        self._lower_bound: "int | None" = None
 
     @property
     def n(self) -> int:
@@ -35,15 +34,6 @@ class ShapeStream:
     @property
     def m(self) -> int:
         return self._instance.m
-
-    @property
-    def lower_bound(self) -> int:
-        """The certified lower bound on OPT: the dual bound of the abstract
-        view (:meth:`~repro.setsystem.set_system.SetSystem.lower_bound`),
-        instance metadata like ``m``, computed once; it costs no pass."""
-        if self._lower_bound is None:
-            self._lower_bound = self._instance.to_set_system().lower_bound()
-        return self._lower_bound
 
     @property
     def points(self) -> list[Point]:

@@ -39,10 +39,11 @@ wrong family):
 * tombstones must name rows that exist in the parent view and are still
   alive — a tombstone for a never-written (or doubly-deleted) row is a
   format error;
-* each ``delta.json`` records the view's largest set ``max_set_bits``
-  and its certified lower bound ``dual_bound``, both exactly what a
-  compacted rewrite of the view records; a bound outside
-  ``[⌈n/Δ⌉, n]`` is refused (``stats-dual-bound``);
+* each ``delta.json`` records the view's largest set ``max_set_bits``,
+  exactly what a compacted rewrite of the view records; the certified
+  lower bound is not recorded for a chain, and the merged view recounts
+  it from its live rows the first time it is asked
+  (:attr:`MergedShardView.dual_bound`);
 * insert shards get the full :class:`ShardedRepository` validation
   (schema, sizes, ``stats_crc32``, opt-in CRCs) because they *are* a
   repository.
@@ -76,6 +77,7 @@ import json
 import shutil
 import time
 import zlib
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from operator import index
 from pathlib import Path
@@ -105,7 +107,6 @@ from repro.setsystem.set_system import (
     SetSystem,
     dual_lower_bound,
     element_widest,
-    lower_bound_floor,
 )
 from repro.setsystem.shards import (
     DELTA_MANIFEST_NAME,
@@ -304,7 +305,6 @@ class DeltaShardWriter:
             fsync_dir(self.path.parent)
             fsync_dir(self.root)
             crashpoint("delta.staged")
-            widest = self._live_widest()
             record = {
                 "schema": DELTA_SCHEMA,
                 "generation": self.generation,
@@ -313,8 +313,7 @@ class DeltaShardWriter:
                 "inserts": self._writer.m,
                 "tombstones": sorted(self._tombstones),
                 "parent_crc32": self._parent_crc32,
-                "max_set_bits": int(widest.max(initial=0)),
-                "dual_bound": dual_lower_bound(self.n, widest),
+                "max_set_bits": self._max_set_bits(),
             }
             record["crc32"] = _chain_checksum(record)
             durable_write_text(
@@ -330,27 +329,32 @@ class DeltaShardWriter:
         self._lock.release()
         return self.path
 
-    def _live_widest(self) -> "np.ndarray":
-        """Each element's largest live set in the view this generation
-        publishes, from which ``delta.json`` records Δ and the dual bound.
+    def _max_set_bits(self) -> int:
+        """Δ of the view this generation publishes, kept in ``delta.json``.
 
-        Every live row is decoded: a delete can shrink an element's largest
-        set and an insert can widen it, and the chain records the exact
-        bound a compacted rewrite would, so a solve of the chain and of its
-        compaction pick the same first guess.
+        The parent view's Δ stands unless a tombstone takes a row that
+        wide; only then are the parent's live rows decoded.
         """
         base, generations = _load_chain(self.root)
         try:
-            with ShardedRepository(self.path) as inserts:
-                sources = [(0, base)] + [(g.parent_rows, g.repo) for g in generations]
-                return _live_widest(
-                    self.n, sources + [(self._parent_rows, inserts)],
-                    self._dead | self._tombstones,
-                )
+            sources = [(0, base)] + [(g.parent_rows, g.repo) for g in generations]
+            starts = [start for start, _ in sources]
+
+            def size(stable_id: int) -> int:
+                start, repo = sources[bisect_right(starts, stable_id) - 1]
+                return repo.row_mask(stable_id - start).bit_count()
+
+            widest = generations[-1].max_set_bits if generations else base.max_set_bits
+            if any(size(t) >= widest for t in self._tombstones):
+                dead = self._dead | self._tombstones
+                widest = max((size(t) for t in range(self._parent_rows)
+                              if t not in dead), default=0)
         finally:
             base.close()
             for gen in generations:
                 gen.repo.close()
+        with ShardedRepository(self.path) as inserts:
+            return max(widest, inserts.max_set_bits)
 
     def abort(self) -> None:
         """Remove the partial generation directory (idempotent)."""
@@ -384,10 +388,10 @@ class _Generation:
     """One validated delta generation: its mini-repository + tombstones."""
 
     __slots__ = ("generation", "path", "repo", "tombstones", "parent_rows",
-                 "inserts", "max_set_bits", "dual_bound")
+                 "inserts", "max_set_bits")
 
     def __init__(self, generation, path, repo, tombstones, parent_rows,
-                 inserts, max_set_bits, dual_bound):
+                 inserts, max_set_bits):
         self.generation = generation
         self.path = path
         self.repo = repo
@@ -395,7 +399,6 @@ class _Generation:
         self.parent_rows = parent_rows
         self.inserts = inserts
         self.max_set_bits = max_set_bits
-        self.dual_bound = dual_bound
 
 
 def _load_chain(
@@ -449,7 +452,6 @@ def _load_chain(
                 tombstones = [index(t) for t in record["tombstones"]]
                 parent_crc32 = int(record["parent_crc32"])
                 max_set_bits = index(record["max_set_bits"])
-                dual_bound = index(record["dual_bound"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ShardFormatError(
                     f"malformed {DELTA_MANIFEST_NAME} in {gen_dir}: {exc}"
@@ -467,12 +469,6 @@ def _load_chain(
                 raise ShardFormatError(
                     f"generation {generation} records max_set_bits="
                     f"{max_set_bits}, outside [0, n={n}]", "stats-max-set",
-                )
-            floor = lower_bound_floor(n, max_set_bits)
-            if not floor <= dual_bound <= n:
-                raise ShardFormatError(
-                    f"generation {generation} records dual_bound={dual_bound}, "
-                    f"outside [ceil(n/max|S|)={floor}, n={n}]", "stats-dual-bound",
                 )
             if recorded_parent_rows != parent_rows:
                 raise ShardFormatError(
@@ -511,7 +507,7 @@ def _load_chain(
             generations.append(
                 _Generation(
                     generation, gen_dir, repo, frozenset(tombstones),
-                    parent_rows, inserts, max_set_bits, dual_bound,
+                    parent_rows, inserts, max_set_bits,
                 )
             )
             dead.update(tombstones)
@@ -585,6 +581,7 @@ class MergedShardView:
         self.m = len(sources)
         self.total_rows = offset
         self._stats_cache: "dict[int, dict]" = {}
+        self._dual_bound: "int | None" = None
         self._closed = False
         #: Content token of the base manifest bytes this view was built
         #: from — the swing detector :func:`open_repository` rechecks.
@@ -709,22 +706,32 @@ class MergedShardView:
 
     @property
     def dual_bound(self) -> int:
-        """The certified lower bound: the last ``delta.json`` records it (no pass)."""
-        if self.generations:
-            return self.generations[-1].dual_bound
-        return self.base.dual_bound
+        """The certified lower bound
+        (:func:`~repro.setsystem.set_system.dual_lower_bound`) of the live
+        rows.
 
-    def check_rows(self) -> None:
-        """Decode every live row (``verify=True``, deep fsck).
-
-        A recorded ``max_set_bits`` the rows contradict raises
-        ``stats-max-set``, a recorded ``dual_bound`` other than the live
-        rows' own (:func:`~repro.setsystem.set_system.dual_lower_bound`)
-        ``stats-dual-bound``.
+        The base's manifest records it; a chain recounts it from every live
+        row once per view, the first time it is asked (a solve's first
+        guess, a verified open), so a solve of the chain and of its
+        compaction start from the same guess while ``apply_delta`` decodes
+        only the rows it tombstones.
         """
+        if not self.generations:
+            return self.base.dual_bound
+        if self._dual_bound is None:
+            self._dual_bound = dual_lower_bound(self.n, self._live_widest())
+        return self._dual_bound
+
+    def _live_widest(self) -> "np.ndarray":
+        """:func:`_live_widest` of this view."""
         sources = [(0, self.base)] + [(g.parent_rows, g.repo) for g in self.generations]
         dead = set().union(*(gen.tombstones for gen in self.generations))
-        live = _live_widest(self.n, sources, dead)
+        return _live_widest(self.n, sources, dead)
+
+    def check_rows(self) -> None:
+        """Decode every live row (``verify=True``, deep fsck); a recorded
+        ``max_set_bits`` the rows contradict raises ``stats-max-set``."""
+        live = self._live_widest()
         widest = int(live.max(initial=0))
         if widest != self.max_set_bits:
             raise ShardFormatError(
@@ -732,13 +739,8 @@ class MergedShardView:
                 f"{self.max_set_bits}, but its widest live row has {widest} "
                 "elements", "stats-max-set",
             )
-        bound = dual_lower_bound(self.n, live)
-        if bound != self.dual_bound:
-            raise ShardFormatError(
-                f"the delta chain of {self.path} records dual_bound="
-                f"{self.dual_bound}, but its live rows give {bound}",
-                "stats-dual-bound",
-            )
+        if self.generations:
+            self._dual_bound = dual_lower_bound(self.n, live)
 
     def select_rows(self, ids) -> "tuple[np.ndarray, np.ndarray]":
         """Live rows ``ids`` as CSR ``(elements, sizes)``, in ``ids`` order:

@@ -1115,7 +1115,6 @@ def _fsck_chain(
     """Sweep the delta chain: numbering, checksums, anchors, tombstones."""
     from repro.setsystem import deltas as dl
     from repro.setsystem import shards as sh
-    from repro.setsystem.set_system import lower_bound_floor
 
     deltas_dir = root / sh.DELTAS_DIRNAME
     if not deltas_dir.is_dir():
@@ -1186,7 +1185,6 @@ def _fsck_chain(
             tombstones = [int(t) for t in record["tombstones"]]
             parent_crc32 = int(record["parent_crc32"])
             widest = int(record["max_set_bits"])
-            bound = int(record["dual_bound"])
         except (KeyError, TypeError, ValueError) as exc:
             findings.append(
                 Finding("chain-malformed", str(manifest_path), str(exc))
@@ -1213,15 +1211,6 @@ def _fsck_chain(
                 Finding(
                     "stats-max-set", str(manifest_path),
                     f"max_set_bits={widest} outside [0, n={base_n}]",
-                )
-            )
-        floor = lower_bound_floor(base_n, widest)
-        if not floor <= bound <= base_n:
-            findings.append(
-                Finding(
-                    "stats-dual-bound", str(manifest_path),
-                    f"dual_bound={bound} outside [ceil(n/max|S|)={floor}, "
-                    f"n={base_n}]",
                 )
             )
         if recorded_parent_rows != parent_rows:
@@ -1273,7 +1262,7 @@ def _fsck_chain(
         parent_rows += inserts
         parent_manifest = manifest_path
     if deep and generations and not findings:
-        # The last delta.json's largest set and bound are what opens read.
+        # The last delta.json's largest set is what opens read.
         try:
             with dl.MergedShardView(root) as view:
                 view.check_rows()

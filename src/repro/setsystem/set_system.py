@@ -60,27 +60,41 @@ def dual_lower_bound(n: int, widest) -> int:
     (0 when none does, and then ``e`` adds nothing), and ``Δ`` is its
     maximum.  ``y_e = 1/widest[e]`` is dual-feasible: a set ``S`` sums
     ``Σ_{e∈S} y_e <= |S|/|S| = 1``, so every cover has at least
-    ``Σ_e y_e`` sets (Emek–Rosén's one-pass charging).  The maxima are
-    histogrammed and summed exactly as one :class:`~fractions.Fraction`.
-    ``⌈n/Δ⌉`` (``n`` when ``Δ = 0``) exceeds the sum only when some
-    element is in no set.
+    ``Σ_e y_e`` sets (Emek–Rosén's one-pass charging).  ``⌈n/Δ⌉`` (``n``
+    when ``Δ = 0``) exceeds the sum only when some element is in no set.
+
+    The sum is exact without a common denominator: the maxima are
+    histogrammed, each size ``s`` held by ``c_s`` elements adds
+    ``c_s // s`` whole sets, and only the ceiling of the remainders
+    ``Σ (c_s mod s)/s`` is taken in floating point, with a margin above
+    its rounding error; when an integer lies within that margin the
+    remainders are summed as :class:`~fractions.Fraction` instead.
 
     >>> dual_lower_bound(6, [4, 4, 4, 4, 1, 1])  # {0,1,2,3}, {4}, {5}
     3
     >>> dual_lower_bound(6, [4, 4, 4, 4, 0, 0])  # {0,1,2,3}: ⌈6/4⌉
     2
+    >>> dual_lower_bound(3, [2, 4, 4])  # 1/2 + 2/4 is exactly 1
+    1
     """
-    from fractions import Fraction  # only writers and verifiers sum the bound
-
     if n == 0:
         return 0
     counts = np.bincount(np.asarray(widest, dtype=np.int64), minlength=1)
-    sizes = (np.flatnonzero(counts[1:]) + 1).tolist()
-    denominator = math.lcm(*sizes) if sizes else 1
-    total = Fraction(
-        sum(int(counts[s]) * (denominator // s) for s in sizes), denominator
-    )
-    return max(lower_bound_floor(n, len(counts) - 1), math.ceil(total))
+    sizes = np.flatnonzero(counts[1:]) + 1
+    whole, rest = np.divmod(counts[sizes], sizes)
+    sizes, rest = sizes[rest > 0], rest[rest > 0]
+    # Each quotient is correctly rounded and below 1, and fsum rounds once:
+    # the float is within 2 * len * 2^-53 of the exact remainder sum.
+    approx = math.fsum((rest / sizes).tolist())
+    margin = len(sizes) * 2.0**-50
+    remainder = math.ceil(approx - margin)
+    if remainder != math.ceil(approx + margin):
+        from fractions import Fraction  # rare: the sum is near an integer
+
+        remainder = math.ceil(
+            sum(Fraction(r, s) for r, s in zip(rest.tolist(), sizes.tolist()))
+        )
+    return max(lower_bound_floor(n, len(counts) - 1), int(whole.sum()) + remainder)
 
 
 def frozen_row(i: int, raw: Iterable[int], n: int) -> frozenset[int]:

@@ -127,7 +127,8 @@ class ShardedSetStream(SetStreamBase):
 
     @property
     def lower_bound(self) -> int:
-        """The certified lower bound (manifest ``dual_bound``, no pass)."""
+        """The certified lower bound: the manifest's ``dual_bound`` (no
+        pass), or a delta chain's recount of its live rows."""
         return self._repo.dual_bound
 
     @property

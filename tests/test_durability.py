@@ -70,6 +70,7 @@ from repro.setsystem.shards import (
     ShardedRepository,
     ShardFormatError,
     StaleStagingError,
+    _header_checksum,
     _stats_checksum,
     write_shards,
 )
@@ -701,6 +702,12 @@ def _understate_max_set(manifest):
     manifest["stats_crc32"] = _stats_checksum(manifest["shards"])
 
 
+def _overstate_dual_bound(manifest):
+    """Record a bound above n, re-sealing the header."""
+    manifest["dual_bound"] = manifest["n"] + 1
+    manifest["header_crc32"] = _header_checksum(manifest)
+
+
 def _corrupt_shard_byte(root):
     shard = sorted(root.glob("shard-*.bin"))[0]
     payload = bytearray(shard.read_bytes())
@@ -729,9 +736,7 @@ TAXONOMY = {
         root, lambda m: m["shards"][0].pop("stats")
     ),
     "stats-max-set": lambda root: _edit_manifest(root, _understate_max_set),
-    "stats-dual-bound": lambda root: _edit_chain(
-        root, lambda r: r.update(dual_bound=r["n"] + 1)
-    ),
+    "stats-dual-bound": lambda root: _edit_manifest(root, _overstate_dual_bound),
     "header-checksum": lambda root: _edit_manifest(
         root, lambda m: m.update(dual_bound=m["dual_bound"] + 1)
     ),

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from repro.baselines import ThresholdGreedy
 from repro.core import IterSetCover, IterSetCoverConfig, iter_set_cover
-from repro.core.iter_set_cover import _GuessState, _SampleChunk, guess_schedule
+from repro.core.iter_set_cover import (
+    _GuessState,
+    _SampleChunk,
+    certified_rung,
+    guess_schedule,
+)
 from repro.offline import ExactSolver, GreedySolver
 from repro.offline.greedy import _greedy_cover_frozenset
 from repro.sampling import draw_sample
@@ -120,15 +125,38 @@ class TestResourceShape:
 
     def test_guess_window_guesses_all_finish(self, planted_small):
         """The first rung k0 = 2^ceil(log2 LB) completes on planted_small at
-        every delta, so it is the one guess run, in 2 ceil(1/delta) passes."""
+        every delta, so it is the one guess run, in 2 ceil(1/delta) passes
+        (samples thinner than the ground set)."""
         system = planted_small.system
+        thin = dict(use_polylog_factors=False, sample_constant=0.05)
         for delta in (1.0, 0.5, 0.25):
-            result = iter_set_cover(SetStream(system), delta=delta, seed=2)
+            result = iter_set_cover(SetStream(system), delta=delta, seed=2, **thin)
             lower_bound = dual_bound_oracle(system.n, system.sets)
             k0 = 2 ** math.ceil(math.log2(lower_bound))
             assert list(result.guess_stats) == [k0] == [result.best_k]
             assert result.guess_stats[k0].covered_after_iterations
+            assert max(result.guess_stats[k0].sample_sizes) < system.n
             assert result.passes <= 2 * math.ceil(1 / delta)
+
+    def test_whole_samples_run_every_rung_that_draws_one(self, planted_small):
+        """When k0's sample is the whole ground set, every rung whose sample
+        is too runs beside it, the passes stop once the rungs from k0 up
+        are done, and the smallest complete cover wins."""
+        system = planted_small.system
+        rho = GreedySolver().rho(system.n)
+        k0 = certified_rung(system.n, SetStream(system).lower_bound)
+        for delta in (1.0, 0.5, 0.25):
+            config = IterSetCoverConfig(delta=delta)
+            whole = [
+                k for k in powers_of_two_up_to(system.n)
+                if config.sample_size(system.n, system.m, k, rho) >= system.n
+            ]
+            assert whole[0] < k0
+            result = IterSetCover(config=config, seed=2).solve(SetStream(system))
+            assert list(result.guess_stats) == whole
+            complete = [s for s in result.guess_stats.values() if s.solution_size]
+            assert result.solution_size == min(s.solution_size for s in complete)
+            assert result.passes <= 2 * math.ceil(1 / delta) + 1
 
     def test_guess_stats_present_for_all_powers(self):
         """When k0 fails, every power of two from k0 up runs and has stats,
@@ -140,7 +168,7 @@ class TestResourceShape:
                 SetStream(system), delta=delta, seed=0, **_THIN_SAMPLES
             )
             k0 = min(result.guess_stats)
-            assert k0 == guess_schedule(n, SetStream(system).lower_bound)[0][0]
+            assert k0 == certified_rung(n, SetStream(system).lower_bound)
             assert not result.guess_stats[k0].covered_after_iterations
             assert list(result.guess_stats) == [
                 k for k in powers_of_two_up_to(n) if k >= k0
@@ -287,6 +315,8 @@ def _reference_iter_set_cover(system, config, seed):
     attempt is the certified rung k0 = 2^ceil(log2 LB) alone (clamped to
     the top rung), the second, only if k0's cover is incomplete, every
     rung above it; an attempt's state is dropped before the next starts.
+    When k0's sample is the whole ground set, the one attempt is every
+    rung whose sample is, and it runs until the rungs from k0 up are done.
     """
     rng = as_generator(seed)
     n, m = system.n, system.m
@@ -295,13 +325,18 @@ def _reference_iter_set_cover(system, config, seed):
     ladder = powers_of_two_up_to(n)
     lower_bound = dual_bound_oracle(n, system.sets)
     k0 = min(1 << (max(lower_bound, 1) - 1).bit_length(), ladder[-1])
+    whole = [k for k in ladder if config.sample_size(n, m, k, rho) >= n]
+    if whole and whole[0] <= k0:
+        attempts = (whole, [])
+    else:
+        attempts = ([k0], [k for k in ladder if k > k0])
     passes, peak, ran = 0, 0, []
-    for rungs in ([k0], [k for k in ladder if k > k0]):
+    for rungs in attempts:
         if not rungs:
             break
         guesses = [_ReferenceGuess(k, n) for k in rungs]
         for _ in range(config.iterations):
-            if all(not g.uncovered for g in guesses):
+            if all(not g.uncovered for g in guesses if g.k >= k0):
                 break
             for g in guesses:
                 g.begin(config, n, m, rho, rng)
@@ -322,7 +357,7 @@ def _reference_iter_set_cover(system, config, seed):
         if any(not g.uncovered for g in guesses):
             break
         peak = max(peak, sum(g.peak for g in guesses))
-    if config.cleanup_pass and any(g.uncovered for g in guesses):
+    if config.cleanup_pass and any(g.uncovered for g in guesses if g.k >= k0):
         passes += 1
         for set_id, r in enumerate(system.sets):
             for g in guesses:
@@ -459,15 +494,19 @@ class TestGuessWindowSoundness:
     its two attempts cover the window of rungs k >= k0."""
 
     @settings(max_examples=60, deadline=None)
-    @given(_tiny_feasible_systems())
-    def test_window_keeps_the_optimum_power(self, system):
+    @given(_tiny_feasible_systems(), st.integers(0, 5))
+    def test_window_keeps_the_optimum_power(self, system, whole_log):
         n, opt = system.n, len(ExactSolver().solve(system))
         lower_bound = SetStream(system).lower_bound
         assert lower_bound == dual_bound_oracle(n, system.sets) <= opt
-        first, rest = guess_schedule(n, lower_bound)
+        k0 = certified_rung(n, lower_bound)
+        first, rest = guess_schedule(n, lower_bound, 1 << whole_log)
         ladder = powers_of_two_up_to(n)
         assert min(1 << (opt - 1).bit_length(), ladder[-1]) in first + rest
         assert first + rest == [k for k in ladder if k >= first[0]]
+        assert first == ([k0] if 1 << whole_log > k0 else [
+            k for k in ladder if k >= 1 << whole_log
+        ])
 
     @settings(max_examples=60, deadline=None)
     @given(_tiny_feasible_systems())
@@ -477,6 +516,10 @@ class TestGuessWindowSoundness:
         assert cut.selection == full.selection
         assert cut.feasible == full.feasible
         assert cut.passes <= full.passes
+        floor = -(-system.n // system.max_set_size())
+        assert floor <= SetStream(system).lower_bound == dual_bound_oracle(
+            system.n, system.sets
+        )
 
 
 def _size_test_in_chunks(k, n, sample, solution, rows, split):

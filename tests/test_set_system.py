@@ -157,3 +157,53 @@ def test_restrict_projects_every_set(system, keep):
     renumber = {old: new for new, old in enumerate(ordered)}
     for original, projected in zip(system.sets, sub.sets):
         assert projected == frozenset(renumber[e] for e in original if e in keep)
+
+
+class TestDualBoundSum:
+    """``dual_lower_bound`` sums without a common denominator, so a widest
+    vector with many distinct sizes costs a histogram, not an ``lcm``."""
+
+    def test_harmonic_sum_over_a_large_delta(self):
+        import math
+        import time
+
+        import numpy as np
+
+        from repro.setsystem.set_system import dual_lower_bound
+
+        # One element per size 1..N: the sum is H_N, and
+        # ln N + gamma < H_N < ln N + gamma + 1/(2N) holds no integer.
+        for top in (20_000, 1_000_000):
+            widest = np.arange(1, top + 1, dtype=np.uint32)
+            low = math.log(top) + 0.5772156649015329
+            assert math.ceil(low) == math.ceil(low + 1 / (2 * top))
+            started = time.perf_counter()
+            assert dual_lower_bound(top, widest) == math.ceil(low)
+            assert time.perf_counter() - started < 5.0
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 60), st.integers(1, 200)),
+            min_size=1, max_size=8,
+        )
+    )
+    def test_near_integer_sums_match_fractions(self, groups):
+        """Sizes whose remainders add up to exact integers hit the
+        fallback; the result is the ceiling of the exact sum."""
+        import math
+        from fractions import Fraction
+
+        import numpy as np
+
+        from repro.setsystem.set_system import dual_lower_bound
+
+        widest = np.repeat(
+            [size for size, _ in groups], [count for _, count in groups]
+        )
+        histogram: "dict[int, int]" = {}
+        for size, count in groups:
+            histogram[size] = histogram.get(size, 0) + count
+        exact = sum(Fraction(c, s) for s, c in histogram.items())
+        n = len(widest)
+        expected = max(math.ceil(exact), -(-n // max(histogram)))
+        assert dual_lower_bound(n, widest) == expected

@@ -260,19 +260,11 @@ def test_delta_chain_records_its_largest_live_set(tmp_path):
 
     record_path = path / "deltas" / "00003" / "delta.json"
     record = json.loads(record_path.read_text())
-    # Understated below n/dual_bound, Δ contradicts the recorded bound:
-    # even a plain open refuses it.
     record["max_set_bits"] = 2
     record["crc32"] = _chain_checksum(record)
     record_path.write_text(json.dumps(record))
-    with pytest.raises(ShardFormatError) as refused:
-        MergedShardView(path)
-    assert refused.value.code == "stats-dual-bound"
-    record["max_set_bits"] = 4
-    record["crc32"] = _chain_checksum(record)
-    record_path.write_text(json.dumps(record))
     with MergedShardView(path) as view:
-        assert view.max_set_bits == 4
+        assert view.max_set_bits == 2
     with pytest.raises(ShardFormatError) as refused:
         MergedShardView(path, verify=True)
     assert refused.value.code == "stats-max-set"
@@ -378,9 +370,9 @@ def test_referee_rows_agree_with_to_system(system, encoding, chunk_rows, data):
 def test_forged_dual_bound_is_refused(tmp_path):
     """A bound re-sealed under header_crc32 but off the rows: one outside
     [ceil(n/Δ), n] is refused by any open, one inside by a verified open
-    and a deep fsck, with code stats-dual-bound on flat repositories and
-    delta views alike; an unsealed edit is header-checksum."""
-    from repro.setsystem.deltas import _chain_checksum
+    and a deep fsck, with code stats-dual-bound; an unsealed edit is
+    header-checksum.  A delta chain records no bound: its view recounts
+    the live rows'."""
     from repro.setsystem.durability import fsck_repository
 
     system = SetSystem(6, [[0, 1, 2, 3], [2, 3], [4], [5], [0, 1]])
@@ -410,22 +402,13 @@ def test_forged_dual_bound_is_refused(tmp_path):
     forge(3)
     assert fsck_repository(path).ok
 
-    # Deleting {0, 1, 2, 3} raises every y_e to 1/2: the chain records 4.
+    # Deleting {0, 1, 2, 3} raises every y_e to 1/2: the view counts 4.
     apply_delta(path, [{"op": "delete", "id": 0}])
-    record_path = path / "deltas" / "00001" / "delta.json"
-    record = json.loads(record_path.read_text())
-    assert (record["dual_bound"], record["max_set_bits"]) == (4, 2)
-    for bound, opens in ((5, True), (2, False)):  # ceil(6/2) = 3 <= LB <= 6
-        record["dual_bound"] = bound
-        record["crc32"] = _chain_checksum(record)
-        record_path.write_text(json.dumps(record))
-        if opens:
-            with MergedShardView(path) as view:
-                assert view.dual_bound == bound
-        with pytest.raises(ShardFormatError) as refused:
-            MergedShardView(path, verify=True)
-        assert refused.value.code == "stats-dual-bound", bound
-        assert fsck_repository(path).codes() == ["stats-dual-bound"], bound
+    record = json.loads((path / "deltas" / "00001" / "delta.json").read_text())
+    assert "dual_bound" not in record and record["max_set_bits"] == 2
+    with MergedShardView(path, verify=True) as view:
+        assert view.dual_bound == 4 == dual_bound_oracle(6, view.to_system().sets)
+    assert fsck_repository(path).ok
 
 
 @pytest.mark.parametrize("encoding", ENCODINGS)
