@@ -77,8 +77,7 @@ import json
 import shutil
 import time
 import zlib
-from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from operator import index
 from pathlib import Path
 
@@ -101,13 +100,10 @@ from repro.setsystem.durability import (
     staging_is_live,
     staging_lock_for,
     write_compact_intent,
+    _exact_int,
 )
-from repro.setsystem.packed import Captures, ScanMask, pack_rows, scan_chunk
-from repro.setsystem.set_system import (
-    SetSystem,
-    dual_lower_bound,
-    element_widest,
-)
+from repro.setsystem.packed import Captures, ScanMask, scan_chunk
+from repro.setsystem.set_system import dual_lower_bound, element_widest
 from repro.setsystem.shards import (
     DELTA_MANIFEST_NAME,
     DELTAS_DIRNAME,
@@ -120,11 +116,13 @@ from repro.setsystem.shards import (
     ShardWriter,
     StaleStagingError,
     _ChunkCodec,
+    _csr_lists,
+    _csr_words,
     _ordered_rows,
+    _RefereeRows,
     pending_delta_generations,
     write_shards,
 )
-from repro.utils.bitset import bits_of
 
 __all__ = [
     "DELTA_SCHEMA",
@@ -134,6 +132,7 @@ __all__ = [
     "chain_token",
     "compact",
     "open_repository",
+    "read_delta_manifest",
 ]
 
 #: Schema tag stamped into every ``delta.json`` chain manifest.
@@ -153,22 +152,6 @@ def _chain_checksum(record: dict) -> int:
 
 def _generation_name(generation: int) -> str:
     return f"{generation:05d}"
-
-
-def _live_widest(n: int, sources, dead) -> "np.ndarray":
-    """:func:`~repro.setsystem.set_system.element_widest` of a view's live
-    rows: ``sources`` are ``(first stable id, repository)`` pairs, ``dead``
-    the tombstoned stable ids.  Rows are decoded a chunk at a time by the
-    repositories' referee decoder (``select_rows``)."""
-    widest = np.zeros(n, dtype=np.uint32)
-    dead = np.fromiter(dead, dtype=np.int64, count=len(dead))
-    for start, repo in sources:
-        alive = np.ones(repo.m, dtype=bool)
-        alive[dead[(dead >= start) & (dead < start + repo.m)] - start] = False
-        for first in range(0, repo.m, repo.chunk_rows):
-            live = np.flatnonzero(alive[first:first + repo.chunk_rows]) + first
-            element_widest(n, *repo.select_rows(live), widest)
-    return widest
 
 
 # ----------------------------------------------------------------------
@@ -333,26 +316,18 @@ class DeltaShardWriter:
         """Δ of the view this generation publishes, kept in ``delta.json``.
 
         The parent view's Δ stands unless a tombstone takes a row that
-        wide; only then are the parent's live rows decoded.
+        wide: the tombstoned rows are one ``select_rows``, and only when
+        the widest dies are the parent's rows walked.
         """
-        base, generations = _load_chain(self.root)
-        try:
-            sources = [(0, base)] + [(g.parent_rows, g.repo) for g in generations]
-            starts = [start for start, _ in sources]
-
-            def size(stable_id: int) -> int:
-                start, repo = sources[bisect_right(starts, stable_id) - 1]
-                return repo.row_mask(stable_id - start).bit_count()
-
-            widest = generations[-1].max_set_bits if generations else base.max_set_bits
-            if any(size(t) >= widest for t in self._tombstones):
-                dead = self._dead | self._tombstones
-                widest = max((size(t) for t in range(self._parent_rows)
-                              if t not in dead), default=0)
-        finally:
-            base.close()
-            for gen in generations:
-                gen.repo.close()
+        with MergedShardView(self.root) as parent:
+            widest = parent.max_set_bits
+            dead = np.searchsorted(parent.stable_ids, self.tombstones)
+            if dead.size and int(parent.select_rows(dead)[1].max()) >= widest:
+                sizes = np.concatenate(
+                    [sizes for _, sizes in parent.iter_chunk_rows()]
+                )
+                sizes[dead] = 0
+                widest = int(sizes.max())
         with ShardedRepository(self.path) as inserts:
             return max(widest, inserts.max_set_bits)
 
@@ -387,132 +362,166 @@ class DeltaShardWriter:
 class _Generation:
     """One validated delta generation: its mini-repository + tombstones."""
 
-    __slots__ = ("generation", "path", "repo", "tombstones", "parent_rows",
-                 "inserts", "max_set_bits")
+    __slots__ = ("path", "repo", "tombstones", "parent_rows", "inserts",
+                 "max_set_bits")
 
-    def __init__(self, generation, path, repo, tombstones, parent_rows,
-                 inserts, max_set_bits):
-        self.generation = generation
+    def __init__(self, path: Path, repo: ShardedRepository, record: dict):
         self.path = path
         self.repo = repo
-        self.tombstones = tombstones
-        self.parent_rows = parent_rows
-        self.inserts = inserts
-        self.max_set_bits = max_set_bits
+        self.tombstones = frozenset(record["tombstones"])
+        self.parent_rows = record["parent_rows"]
+        self.inserts = record["inserts"]
+        self.max_set_bits = record["max_set_bits"]
+
+
+#: ``delta.json`` fields that must be exact JSON integers ``>= 0``.
+_RECORD_INTS = (
+    "generation", "n", "parent_rows", "inserts", "parent_crc32", "max_set_bits",
+)
+
+
+def read_delta_manifest(
+    root: "str | Path", n: int, m: int
+) -> "list[tuple[Path, dict]]":
+    """Parse and validate every ``delta.json`` of a chain; return
+    ``(generation directory, record)`` pairs, in chain order.
+
+    The one reader of the chain manifests: the open (:func:`_load_chain`),
+    :func:`~repro.setsystem.durability.fsck_repository` and
+    :func:`~repro.setsystem.maintenance.repository_pressure` all call it
+    with the base's ``n`` and ``m``.  Each record must sit in the
+    directory its position names, parse, carry :data:`DELTA_SCHEMA` and
+    its own CRC-32, hold every field of :data:`_RECORD_INTS` as an exact
+    JSON integer ``>= 0`` and ``tombstones`` as a list of them, record
+    its position as its generation, the base ``n``, a ``max_set_bits``
+    in ``[0, n]``, the parent view's row count and the CRC-32 of its
+    parent manifest's bytes, and tombstone distinct rows of the parent
+    view that no earlier generation deleted.  The first defect raises
+    :class:`~repro.setsystem.shards.ShardFormatError` carrying its fsck
+    code.  The insert shards are a repository of their own, read by
+    :func:`~repro.setsystem.shards.read_manifest`
+    (:func:`check_insert_geometry`).
+    """
+    root = Path(root)
+    chain: "list[tuple[Path, dict]]" = []
+    parent_manifest, parent_rows, dead = root / MANIFEST_NAME, m, set()
+    for position, gen_dir in enumerate(pending_delta_generations(root), 1):
+        path = gen_dir / DELTA_MANIFEST_NAME
+
+        def refuse(detail: str, code: str):
+            return ShardFormatError(f"{path}: {detail}", code)
+
+        if gen_dir.name != _generation_name(position):
+            raise refuse(
+                f"expected generation {_generation_name(position)} here — a "
+                "generation directory is missing or misnamed", "chain-gap",
+            )
+        try:
+            record = json.loads(path.read_bytes())
+        except (OSError, ValueError) as exc:
+            raise refuse(f"unparseable: {exc}", "chain-unreadable") from exc
+        schema = record.get("schema") if isinstance(record, dict) else None
+        if schema != DELTA_SCHEMA:
+            raise refuse(
+                f"schema is {schema!r}, expected {DELTA_SCHEMA!r}", "chain-schema"
+            )
+        if record.get("crc32") != _chain_checksum(record):
+            raise refuse(
+                "checksum mismatch: the tombstone list or metadata was edited "
+                "after write", "chain-checksum",
+            )
+        for key in _RECORD_INTS:
+            if not _exact_int(record.get(key), 0):
+                raise refuse(
+                    f"{key!r} is {record.get(key)!r}, not an integer >= 0",
+                    "chain-malformed",
+                )
+        tombstones = record.get("tombstones")
+        if not isinstance(tombstones, list) or not all(
+            _exact_int(tomb) for tomb in tombstones
+        ):
+            raise refuse(
+                f"'tombstones' is {tombstones!r}, not a list of integers",
+                "chain-malformed",
+            )
+        if record["generation"] != position:
+            raise refuse(
+                f"records generation {record['generation']}, its position "
+                f"implies {position}", "chain-gap",
+            )
+        if record["n"] != n:
+            raise refuse(
+                f"records n={record['n']}, the base has n={n}", "chain-geometry"
+            )
+        if record["max_set_bits"] > n:
+            raise refuse(
+                f"records max_set_bits={record['max_set_bits']}, outside "
+                f"[0, n={n}]", "stats-max-set",
+            )
+        if record["parent_rows"] != parent_rows:
+            raise refuse(
+                f"expects {record['parent_rows']} parent rows, the chain "
+                f"provides {parent_rows} — a generation was rewritten or "
+                "reordered", "chain-geometry",
+            )
+        parent_crc32 = _file_crc32(parent_manifest)
+        if record["parent_crc32"] != parent_crc32:
+            raise refuse(
+                f"the chain is severed: {parent_manifest.name} has CRC-32 "
+                f"{parent_crc32}, the record says {record['parent_crc32']} — "
+                "the parent manifest was rewritten after this delta",
+                "chain-severed",
+            )
+        seen: "set[int]" = set()
+        for tomb in tombstones:
+            if not 0 <= tomb < parent_rows:
+                detail = (f"was never written (parent rows are "
+                          f"[0, {parent_rows}))")
+            elif tomb in dead:
+                detail = "an earlier generation already deleted"
+            elif tomb in seen:
+                detail = "this record already tombstones"
+            else:
+                seen.add(tomb)
+                continue
+            raise refuse(f"tombstones row {tomb}, which {detail}",
+                         "chain-tombstone")
+        chain.append((gen_dir, record))
+        dead |= seen
+        parent_rows += record["inserts"]
+        parent_manifest = path
+    return chain
+
+
+def check_insert_geometry(gen_dir: Path, record: dict, n: int, m: int) -> None:
+    """Refuse (``chain-geometry``) insert shards of ``n`` elements and
+    ``m`` rows other than the ``delta.json`` ``record`` promises."""
+    if (n, m) != (record["n"], record["inserts"]):
+        raise ShardFormatError(
+            f"generation {gen_dir.name} insert shards hold (n={n}, m={m}); "
+            f"{DELTA_MANIFEST_NAME} promises (n={record['n']}, "
+            f"m={record['inserts']})", "chain-geometry",
+        )
 
 
 def _load_chain(
     root: "str | Path", verify: bool = False
 ) -> "tuple[ShardedRepository, list[_Generation]]":
-    """Open and fully validate a repository's delta chain.
+    """Open a repository's base and its delta chain
+    (:func:`read_delta_manifest`).
 
     Returns ``(base, generations)`` with every repository open; the
     caller owns closing them.  Any structural problem raises
     :class:`~repro.setsystem.shards.ShardFormatError` (and closes
     whatever was already open).
     """
-    root = Path(root)
     base = ShardedRepository(root, verify=verify, base_only=True)
     generations: "list[_Generation]" = []
     try:
-        parent_manifest = root / MANIFEST_NAME
-        parent_rows = base.m
-        dead: "set[int]" = set()
-        for position, gen_dir in enumerate(pending_delta_generations(root), 1):
-            expected_name = _generation_name(position)
-            if gen_dir.name != expected_name:
-                raise ShardFormatError(
-                    f"delta chain gap in {root}: expected generation "
-                    f"{expected_name}, found {gen_dir.name} — a generation "
-                    "directory is missing or misnamed"
-                )
-            manifest_path = gen_dir / DELTA_MANIFEST_NAME
-            try:
-                record = json.loads(manifest_path.read_text())
-            except json.JSONDecodeError as exc:
-                raise ShardFormatError(
-                    f"unparseable {DELTA_MANIFEST_NAME} in {gen_dir}: {exc}"
-                ) from exc
-            if not isinstance(record, dict) or record.get("schema") != DELTA_SCHEMA:
-                raise ShardFormatError(
-                    f"{manifest_path} schema is "
-                    f"{record.get('schema') if isinstance(record, dict) else record!r}, "
-                    f"expected {DELTA_SCHEMA!r}"
-                )
-            if record.get("crc32") != _chain_checksum(record):
-                raise ShardFormatError(
-                    f"chain manifest checksum mismatch in {manifest_path}: "
-                    "the tombstone list or metadata was edited after write"
-                )
-            try:
-                generation = int(record["generation"])
-                n = int(record["n"])
-                recorded_parent_rows = int(record["parent_rows"])
-                inserts = int(record["inserts"])
-                tombstones = [index(t) for t in record["tombstones"]]
-                parent_crc32 = int(record["parent_crc32"])
-                max_set_bits = index(record["max_set_bits"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ShardFormatError(
-                    f"malformed {DELTA_MANIFEST_NAME} in {gen_dir}: {exc}"
-                ) from exc
-            if generation != position:
-                raise ShardFormatError(
-                    f"delta chain gap in {root}: {manifest_path} says "
-                    f"generation {generation}, position implies {position}"
-                )
-            if n != base.n:
-                raise ShardFormatError(
-                    f"generation {generation} has n={n}, base has n={base.n}"
-                )
-            if not 0 <= max_set_bits <= n:
-                raise ShardFormatError(
-                    f"generation {generation} records max_set_bits="
-                    f"{max_set_bits}, outside [0, n={n}]", "stats-max-set",
-                )
-            if recorded_parent_rows != parent_rows:
-                raise ShardFormatError(
-                    f"generation {generation} expects {recorded_parent_rows} "
-                    f"parent rows, the chain provides {parent_rows} — "
-                    "a generation was rewritten or reordered"
-                )
-            actual_parent_crc = _file_crc32(parent_manifest)
-            if parent_crc32 != actual_parent_crc:
-                raise ShardFormatError(
-                    f"delta chain severed at generation {generation}: "
-                    f"{parent_manifest.name} has CRC-32 {actual_parent_crc}, "
-                    f"the chain manifest recorded {parent_crc32} — the "
-                    "parent manifest was rewritten after this delta"
-                )
-            for tomb in tombstones:
-                if not 0 <= tomb < parent_rows:
-                    raise ShardFormatError(
-                        f"generation {generation} tombstones row {tomb}, "
-                        f"which was never written (parent rows are "
-                        f"[0, {parent_rows}))"
-                    )
-                if tomb in dead:
-                    raise ShardFormatError(
-                        f"generation {generation} tombstones row {tomb}, "
-                        "which an earlier generation already deleted"
-                    )
+        for gen_dir, record in read_delta_manifest(root, base.n, base.m):
             repo = ShardedRepository(gen_dir, verify=verify)
-            if repo.n != base.n or repo.m != inserts:
-                repo.close()
-                raise ShardFormatError(
-                    f"generation {generation} insert shards hold "
-                    f"(n={repo.n}, m={repo.m}); {DELTA_MANIFEST_NAME} "
-                    f"promises (n={base.n}, m={inserts})"
-                )
-            generations.append(
-                _Generation(
-                    generation, gen_dir, repo, frozenset(tombstones),
-                    parent_rows, inserts, max_set_bits,
-                )
-            )
-            dead.update(tombstones)
-            parent_rows += inserts
-            parent_manifest = manifest_path
+            generations.append(_Generation(gen_dir, repo, record))
+            check_insert_geometry(gen_dir, record, repo.n, repo.m)
     except BaseException:
         base.close()
         for gen in generations:
@@ -521,7 +530,7 @@ def _load_chain(
     return base, generations
 
 
-class MergedShardView:
+class MergedShardView(_RefereeRows):
     """The merged read view over a base repository and its delta chain.
 
     Presents the live family as a dense ``0..m-1`` repository with the
@@ -558,28 +567,20 @@ class MergedShardView:
         self.chunk_rows = base.chunk_rows
         self.encoding = base.encoding
         self.schema = DELTA_SCHEMA
-        dead: "set[int]" = set()
-        for gen in generations:
-            dead.update(gen.tombstones)
+        dead = sorted(set().union(*(gen.tombstones for gen in generations)))
         self.tombstoned = len(dead)
-        # Dense merged id -> (source repository, local row, stable id).
-        sources: "list[tuple[ShardedRepository, int]]" = []
-        stable: "list[int]" = []
-        for local in range(base.m):
-            if local not in dead:
-                sources.append((base, local))
-                stable.append(local)
-        offset = base.m
-        for gen in generations:
-            for local in range(gen.inserts):
-                if offset + local not in dead:
-                    sources.append((gen.repo, local))
-                    stable.append(offset + local)
-            offset += gen.inserts
-        self._sources = sources
-        self._stable = tuple(stable)
-        self.m = len(sources)
-        self.total_rows = offset
+        # Dense merged id -> (source repository, local row, stable id):
+        # source k owns the stable ids from firsts[k] on.
+        self._repos = [base] + [gen.repo for gen in generations]
+        firsts = np.array([0] + [gen.parent_rows for gen in generations])
+        self.total_rows = base.m + sum(gen.inserts for gen in generations)
+        alive = np.ones(self.total_rows, dtype=bool)
+        alive[dead] = False
+        stable = np.flatnonzero(alive)
+        self._owner = np.searchsorted(firsts, stable, side="right") - 1
+        self._local = stable - firsts[self._owner]
+        self._stable = tuple(stable.tolist())
+        self.m = stable.size
         self._stats_cache: "dict[int, dict]" = {}
         self._dual_bound: "int | None" = None
         self._closed = False
@@ -645,51 +646,14 @@ class MergedShardView:
         start = shard * self.chunk_rows
         return start, min(start + self.chunk_rows, self.m)
 
-    # -- row access ----------------------------------------------------
-    def row_mask(self, i: int) -> int:
-        """Random-access read of live row ``i`` as an integer bitmask."""
-        if self._closed:
-            raise ShardFormatError(f"merged view over {self.path} is closed")
-        if not 0 <= i < self.m:
-            raise IndexError(f"row {i} outside [0, {self.m})")
-        repo, local = self._sources[i]
-        return repo.row_mask(local)
-
-    def chunk_masks(self, shard: int) -> "list[int]":
-        """One merged chunk's rows as integer bitmasks."""
-        if self._closed:
-            raise ShardFormatError(f"merged view over {self.path} is closed")
-        start, end = self._bounds(shard)
-        return [
-            repo.row_mask(local) for repo, local in self._sources[start:end]
-        ]
-
-    def chunk_matrix(self, shard: int) -> "np.ndarray":
-        """One merged chunk as a ``(rows, words)`` ``uint64`` matrix."""
-        return pack_rows(self.chunk_masks(shard), self.words)
-
-    def iter_row_masks(self) -> "Iterator[int]":
-        """Yield every live row as an integer bitmask, in merged order."""
-        for shard in range(self.shard_count):
-            yield from self.chunk_masks(shard)
-
-    def iter_rows(self) -> "Iterator[frozenset[int]]":
-        """Yield every live row as a frozenset of element ids."""
-        for mask in self.iter_row_masks():
-            yield frozenset(bits_of(mask))
-
-    def to_system(self) -> SetSystem:
-        """Materialize the merged family (referee/testing convenience)."""
-        return SetSystem(self.n, [bits_of(mask) for mask in self.iter_row_masks()])
-
     # -- planner statistics -------------------------------------------
     def compute_shard_stats(self, shard: int) -> dict:
         """The v3 stats block a compacted rewrite would record for a chunk."""
         cached = self._stats_cache.get(shard)
         if cached is not None:
             return cached
-        matrix = self.chunk_matrix(shard)
-        stats = _ChunkCodec.of_matrix(matrix, self.n, self.encoding).stats()
+        rows = self.select_rows(np.arange(*self._bounds(shard)))
+        stats = _ChunkCodec(*rows, self.n, self.encoding).stats()
         self._stats_cache[shard] = stats
         return stats
 
@@ -723,10 +687,12 @@ class MergedShardView:
         return self._dual_bound
 
     def _live_widest(self) -> "np.ndarray":
-        """:func:`_live_widest` of this view."""
-        sources = [(0, self.base)] + [(g.parent_rows, g.repo) for g in self.generations]
-        dead = set().union(*(gen.tombstones for gen in self.generations))
-        return _live_widest(self.n, sources, dead)
+        """:func:`~repro.setsystem.set_system.element_widest` of the live
+        rows, walked a chunk at a time."""
+        widest = np.zeros(self.n, dtype=np.uint32)
+        for flat, sizes in self.iter_chunk_rows():
+            element_widest(self.n, flat, sizes, widest)
+        return widest
 
     def check_rows(self) -> None:
         """Decode every live row (``verify=True``, deep fsck); a recorded
@@ -752,31 +718,25 @@ class MergedShardView:
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         if ids.size and not (0 <= ids.min() and ids.max() < self.m):
             raise IndexError(f"a row id outside [0, {self.m})")
-        by_source: "dict[int, tuple]" = {}
-        for at, i in enumerate(ids.tolist()):
-            repo, local = self._sources[i]
-            by_source.setdefault(id(repo), (repo, [], []))
-            by_source[id(repo)][1].append(at)
-            by_source[id(repo)][2].append(local)
-        groups = [
-            (np.asarray(at), *repo.select_rows(local))
-            for repo, at, local in by_source.values()
-        ]
+        owner, local = self._owner[ids], self._local[ids]
+        groups = []
+        for k in np.unique(owner).tolist():
+            at = np.flatnonzero(owner == k)
+            groups.append((at, *self._repos[k].select_rows(local[at])))
         return _ordered_rows(ids.size, groups)
 
     # -- scanning: decode half + scan half (repro.engine.cache) --------
     def decode_chunk(self, shard: int):
         """``(payload, resident_bytes)``: the merged chunk as one matrix.
 
-        Gathered row by row from the sources once, so cached repeat
-        passes skip the gather entirely.  The cache keys it by
-        :attr:`cache_token`, which covers every chain manifest — any
-        ``apply-delta`` or compaction changes the token, so a cached
-        merge can never be served stale.
+        The chunk's rows are one :meth:`select_rows` of the sources,
+        packed once, so cached repeat passes skip the gather entirely.
+        The cache keys it by :attr:`cache_token`, which covers every
+        chain manifest — any ``apply-delta`` or compaction changes the
+        token, so a cached merge can never be served stale.
         """
-        if self._closed:
-            raise ShardFormatError(f"merged view over {self.path} is closed")
-        matrix = self.chunk_matrix(shard)
+        rows = self.select_rows(np.arange(*self._bounds(shard)))
+        matrix = _csr_words(*rows, self.words)
         return ("matrix", matrix), matrix.nbytes
 
     def scan_decoded(
@@ -1070,9 +1030,13 @@ def _write_view(view, dest: "str | Path") -> Path:
 
     Same ``chunk_rows`` and codec policy as the view's base, so the
     output is :func:`~repro.setsystem.shards.write_shards` of the merged
-    system, byte for byte.
+    system, byte for byte; the rows are read a chunk at a time
+    (:meth:`~repro.setsystem.shards.ShardedRepository.iter_chunk_rows`).
     """
-    rows = (bits_of(mask) for mask in view.iter_row_masks())
+    rows = (
+        row for flat, sizes in view.iter_chunk_rows()
+        for row in _csr_lists(flat, sizes)
+    )
     return write_shards(
         dest, rows, n=view.n, chunk_rows=view.chunk_rows,
         encoding=view.encoding,

@@ -767,11 +767,17 @@ def _plain_name(value) -> bool:
     )
 
 
-def _exact_int(value, low: int, high: "int | None" = None) -> bool:
-    """A JSON integer (never a bool) in ``[low, high)``."""
+def _exact_int(
+    value, low: "int | None" = None, high: "int | None" = None
+) -> bool:
+    """A JSON integer (never a bool, a float or a string) in ``[low, high)``.
+
+    The one exact-int test of every on-disk record: manifests, chain
+    manifests, intent journals and leases.
+    """
     return (
         type(value) is int
-        and value >= low
+        and (low is None or value >= low)
         and (high is None or value < high)
     )
 
@@ -1112,7 +1118,9 @@ def _fsck_flat_repository(
 def _fsck_chain(
     root: Path, base_manifest: dict, findings: "list[Finding]", deep: bool
 ) -> None:
-    """Sweep the delta chain: numbering, checksums, anchors, tombstones."""
+    """Sweep the delta chain: stray directories and files, then every
+    ``delta.json`` through :func:`~repro.setsystem.deltas.read_delta_manifest`
+    and every generation's insert shards."""
     from repro.setsystem import deltas as dl
     from repro.setsystem import shards as sh
 
@@ -1138,129 +1146,24 @@ def _fsck_chain(
                     f"unexpected file in {sh.DELTAS_DIRNAME}/",
                 )
             )
-    parent_manifest = root / sh.MANIFEST_NAME
-    parent_rows = base_manifest["m"]
-    base_n = base_manifest["n"]
-    dead: "set[int]" = set()
-    for position, gen_dir in enumerate(generations, 1):
-        expected_name = dl._generation_name(position)
-        if gen_dir.name != expected_name:
-            findings.append(
-                Finding(
-                    "chain-gap", str(gen_dir),
-                    f"expected generation {expected_name} at this position "
-                    "— a generation directory is missing or misnamed",
-                )
-            )
-            return
-        manifest_path = gen_dir / sh.DELTA_MANIFEST_NAME
-        try:
-            record = json.loads(manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            findings.append(
-                Finding("chain-unreadable", str(manifest_path), str(exc))
-            )
-            return
-        if not isinstance(record, dict) or record.get("schema") != dl.DELTA_SCHEMA:
-            findings.append(
-                Finding(
-                    "chain-schema", str(manifest_path),
-                    f"schema is not {dl.DELTA_SCHEMA}",
-                )
-            )
-            return
-        if record.get("crc32") != dl._chain_checksum(record):
-            findings.append(
-                Finding(
-                    "chain-checksum", str(manifest_path),
-                    "chain manifest checksum mismatch (edited after write)",
-                )
-            )
-            return
-        try:
-            generation = int(record["generation"])
-            n = int(record["n"])
-            recorded_parent_rows = int(record["parent_rows"])
-            inserts = int(record["inserts"])
-            tombstones = [int(t) for t in record["tombstones"]]
-            parent_crc32 = int(record["parent_crc32"])
-            widest = int(record["max_set_bits"])
-        except (KeyError, TypeError, ValueError) as exc:
-            findings.append(
-                Finding("chain-malformed", str(manifest_path), str(exc))
-            )
-            return
-        if generation != position:
-            findings.append(
-                Finding(
-                    "chain-gap", str(manifest_path),
-                    f"records generation {generation}, position implies "
-                    f"{position}",
-                )
-            )
-            return
-        if n != base_n:
-            findings.append(
-                Finding(
-                    "chain-geometry", str(manifest_path),
-                    f"generation n={n}, base n={base_n}",
-                )
-            )
-        if not 0 <= widest <= base_n:
-            findings.append(
-                Finding(
-                    "stats-max-set", str(manifest_path),
-                    f"max_set_bits={widest} outside [0, n={base_n}]",
-                )
-            )
-        if recorded_parent_rows != parent_rows:
-            findings.append(
-                Finding(
-                    "chain-geometry", str(manifest_path),
-                    f"expects {recorded_parent_rows} parent rows, the chain "
-                    f"provides {parent_rows}",
-                )
-            )
-        if parent_manifest.is_file():
-            actual_crc = zlib.crc32(parent_manifest.read_bytes())
-            if parent_crc32 != actual_crc:
-                findings.append(
-                    Finding(
-                        "chain-severed", str(manifest_path),
-                        f"{parent_manifest.name} has CRC-32 {actual_crc}, "
-                        f"the chain recorded {parent_crc32} — the parent "
-                        "manifest was rewritten after this delta",
-                    )
-                )
-        for tomb in tombstones:
-            if not 0 <= tomb < parent_rows:
-                findings.append(
-                    Finding(
-                        "chain-tombstone", str(manifest_path),
-                        f"tombstones row {tomb}, which was never written "
-                        f"(parent rows are [0, {parent_rows}))",
-                    )
-                )
-            elif tomb in dead:
-                findings.append(
-                    Finding(
-                        "chain-tombstone", str(manifest_path),
-                        f"tombstones row {tomb}, already deleted by an "
-                        "earlier generation",
-                    )
-                )
+    # The chain manifests go through the open's own reader: its first
+    # defect is the one chain finding and ends the chain sweep.
+    try:
+        chain = dl.read_delta_manifest(root, base_manifest["n"], base_manifest["m"])
+    except sh.ShardFormatError as exc:
+        findings.append(Finding(exc.code, str(deltas_dir), str(exc)))
+        return
+    for gen_dir, record in chain:
         gen_manifest = _fsck_flat_repository(gen_dir, findings, deep, chain=False)
-        if gen_manifest is not None and gen_manifest["m"] != inserts:
-            findings.append(
-                Finding(
-                    "chain-geometry", str(gen_dir),
-                    f"insert shards hold {gen_manifest['m']} rows; "
-                    f"{sh.DELTA_MANIFEST_NAME} promises {inserts}",
-                )
+        if gen_manifest is None:
+            continue
+        try:
+            dl.check_insert_geometry(
+                gen_dir, record, gen_manifest["n"], gen_manifest["m"]
             )
-        dead.update(tombstones)
-        parent_rows += inserts
-        parent_manifest = manifest_path
+        except sh.ShardFormatError as exc:
+            findings.append(Finding(exc.code, str(gen_dir), str(exc)))
+            return
     if deep and generations and not findings:
         # The last delta.json's largest set is what opens read.
         try:

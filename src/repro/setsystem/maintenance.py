@@ -41,14 +41,13 @@ import time
 from pathlib import Path
 
 from repro.engine.fault import RetryPolicy
+from repro.setsystem.deltas import read_delta_manifest
 from repro.setsystem.durability import fsync_file
 from repro.setsystem.shards import (
-    MANIFEST_NAME,
-    DELTA_MANIFEST_NAME,
     RepositoryBusyError,
     ShardFormatError,
     StaleStagingError,
-    pending_delta_generations,
+    read_manifest,
 )
 
 __all__ = [
@@ -103,30 +102,27 @@ def read_maintenance_log(
 def repository_pressure(root: "str | Path") -> dict:
     """Cheap maintenance pressure signals, no shard bytes touched.
 
-    Reads only the manifests: the base ``manifest.json`` row count plus
-    each generation's ``delta.json`` insert count and tombstone list.
+    Reads only the manifests, through their readers
+    (:func:`~repro.setsystem.shards.read_manifest`,
+    :func:`~repro.setsystem.deltas.read_delta_manifest`): the base row
+    count plus each generation's insert count and tombstone list.
     Returns ``{"generations", "base_rows", "total_rows", "dead_rows",
-    "live_rows", "dead_fraction"}``.  Tombstone ids are deduplicated
-    across generations, so ``dead_fraction`` is exact for legal chains.
+    "live_rows", "dead_fraction"}``.  The reader refuses a tombstone
+    named twice in the chain, so ``dead_fraction`` is exact; a defective
+    manifest raises its :class:`~repro.setsystem.shards.ShardFormatError`.
     """
-    root = Path(root)
-    manifest = json.loads((root / MANIFEST_NAME).read_text())
-    base_rows = int(manifest["m"])
-    generations = pending_delta_generations(root)
-    total = base_rows
-    dead: "set[int]" = set()
-    for gen_dir in generations:
-        record = json.loads((gen_dir / DELTA_MANIFEST_NAME).read_text())
-        total += int(record["inserts"])
-        dead.update(int(t) for t in record["tombstones"])
-    live = total - len(dead)
+    manifest, _ = read_manifest(root)
+    base_rows = manifest["m"]
+    chain = read_delta_manifest(root, manifest["n"], base_rows)
+    total = base_rows + sum(record["inserts"] for _, record in chain)
+    dead = sum(len(record["tombstones"]) for _, record in chain)
     return {
-        "generations": len(generations),
+        "generations": len(chain),
         "base_rows": base_rows,
         "total_rows": total,
-        "dead_rows": len(dead),
-        "live_rows": live,
-        "dead_fraction": (len(dead) / total) if total else 0.0,
+        "dead_rows": dead,
+        "live_rows": total - dead,
+        "dead_fraction": (dead / total) if total else 0.0,
     }
 
 

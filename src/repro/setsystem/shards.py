@@ -67,6 +67,16 @@ sums the bound exactly at ``close``, so it costs no pass.
 ``header_crc32`` covers ``n``, ``m``, ``words``, ``chunk_rows``,
 ``encoding`` and ``dual_bound``.
 
+Two row decoders
+----------------
+The scan decodes a whole shard at once (:meth:`ShardedRepository.decode_chunk`
+→ :meth:`~ShardedRepository.scan_decoded`).  Every other row read — random
+access, the row passes, materialization, verified opens, deep fsck,
+the merged delta view and compaction — is the referee's
+:meth:`ShardedRepository.select_rows`, a chunk at a time
+(``iter_chunk_rows``).  The two share no codec decoding, and refuse the
+same corruptions.
+
 One manifest reader
 -------------------
 :func:`read_manifest` is the only parser of ``manifest.json``: the
@@ -103,7 +113,6 @@ from __future__ import annotations
 import json
 import mmap
 import zlib
-from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 from pathlib import Path
@@ -112,6 +121,7 @@ import numpy as np
 
 from repro.setsystem.durability import (
     COMPACT_INTENT_NAME,
+    _exact_int,
     crashpoint,
     durable_write_text,
     fsync_dir,
@@ -124,7 +134,6 @@ from repro.setsystem.packed import (
     capture_locals,
     chunk_gains,
     membership_hits,
-    pack_rows,
     range_gains,
     scan_chunk,
 )
@@ -135,7 +144,6 @@ from repro.setsystem.set_system import (
     frozen_row,
     lower_bound_floor,
 )
-from repro.utils.bitset import bits_of
 
 __all__ = [
     "SHARD_SCHEMA",
@@ -299,23 +307,8 @@ def _chunk_rows_for(n: int, chunk_bytes: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# The referee varint reader and the chunk encoder (codecs, bytes, stats)
+# The chunk encoder (codecs, bytes, stats)
 # ----------------------------------------------------------------------
-def _read_varint(data, pos: int) -> tuple[int, int]:
-    value, shift = 0, 0
-    while True:
-        if pos >= len(data):
-            raise ShardFormatError("corrupt row payload: truncated varint")
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if byte < 0x80:
-            return value, pos
-        shift += 7
-        if shift > 63:
-            raise ShardFormatError("corrupt row payload: varint overflow")
-
-
 def _varint_widths(values: "np.ndarray") -> "np.ndarray":
     """LEB128 byte count of every non-negative value (7 value bits a byte)."""
     widths = np.ones(values.size, dtype=np.int64)
@@ -404,11 +397,6 @@ class _ChunkCodec:
         )
         return cls(flat, sizes, n, encoding)
 
-    @classmethod
-    def of_matrix(cls, matrix, n: int, encoding: str = "auto"):
-        """Encode a chunk given as a packed ``(rows, words)`` block."""
-        return cls(*_matrix_rows(matrix), n, encoding)
-
     def _pick_tags(self, encoding: str) -> "np.ndarray":
         if encoding != "auto":
             tag = {"dense": _TAG_DENSE, "sparse": _TAG_SPARSE, "rle": _TAG_RLE}
@@ -482,13 +470,13 @@ class _ChunkCodec:
 
 def _matrix_rows(matrix) -> "tuple[np.ndarray, np.ndarray]":
     """A packed ``(rows, words)`` block as CSR ``(flat, sizes)``, each row
-    sorted."""
-    rows, words = np.nonzero(matrix)  # row-major, so rows stay sorted
-    values = np.ascontiguousarray(matrix[rows, words], dtype="<u8")
-    bits = np.unpackbits(values.view(np.uint8).reshape(-1, 8), axis=1,
-                         bitorder="little")
+    sorted.  Only the nonzero bytes are unpacked."""
+    data = np.ascontiguousarray(matrix, dtype="<u8").view(np.uint8)
+    data = data.reshape(matrix.shape[0], matrix.shape[1] * _WORD_BYTES)
+    rows, at = np.nonzero(data)  # row-major, so rows stay sorted
+    bits = np.unpackbits(data[rows, at][:, None], axis=1, bitorder="little")
     hit, bit = np.nonzero(bits)
-    flat = (words[hit] * _WORD_BITS + bit).astype(np.int64)
+    flat = (at[hit] * 8 + bit).astype(np.int64)
     sizes = np.bincount(rows[hit], minlength=matrix.shape[0]).astype(np.int64)
     return flat, sizes
 
@@ -544,11 +532,6 @@ def _shard_name(shard: int) -> str:
     return f"shard-{shard:05d}.bin"
 
 
-def _is_int(value) -> bool:
-    """A JSON integer (``bool`` is an ``int`` subclass, and not one)."""
-    return type(value) is int
-
-
 def read_manifest(directory: "str | Path") -> "tuple[dict, bytes]":
     """Parse and validate ``directory/manifest.json``; return it and its bytes.
 
@@ -596,7 +579,7 @@ def read_manifest(directory: "str | Path") -> "tuple[dict, bytes]":
                                 f"{detail}", "manifest-geometry")
 
     for key in ("n", "m", "words", "chunk_rows", "dual_bound"):
-        if not _is_int(manifest.get(key)):
+        if not _exact_int(manifest.get(key)):
             raise malformed(f"{key!r} is not an integer")
     if manifest.get("encoding") not in ENCODINGS:
         raise malformed(
@@ -620,7 +603,7 @@ def read_manifest(directory: "str | Path") -> "tuple[dict, bytes]":
                 f"expected {_shard_name(shard)!r}"
             )
         for key in ("rows", "bytes", "crc32"):
-            if not _is_int(meta.get(key)):
+            if not _exact_int(meta.get(key)):
                 raise malformed(f"shard {shard}: {key!r} is not an integer")
         if meta.get("layout") not in (_LAYOUT_RAW, _LAYOUT_ENCODED):
             raise malformed(
@@ -647,7 +630,7 @@ def read_manifest(directory: "str | Path") -> "tuple[dict, bytes]":
         mix = stats.get("codec_mix") if isinstance(stats, dict) else None
         hist = stats.get("density_hist") if isinstance(stats, dict) else None
         if not isinstance(mix, dict) or not isinstance(hist, list) or not all(
-            _is_int(value) for value in (
+            _exact_int(value) for value in (
                 mix.get("dense"), mix.get("sparse"), mix.get("rle"),
                 stats.get("sparse_elems"), stats.get("rle_runs"),
                 stats.get("max_set_bits"), *hist,
@@ -727,53 +710,6 @@ def check_shard_file(directory: "str | Path", meta: dict) -> Path:
             "corrupt repository", "shard-size",
         )
     return path
-
-
-def _decode_payload_mask(tag: int, data, n: int, row_bytes: int) -> int:
-    """Decode one row payload into an arbitrary-precision integer bitmask."""
-    if tag == _TAG_DENSE:
-        if len(data) != row_bytes:
-            raise ShardFormatError(
-                f"corrupt dense row: {len(data)} payload bytes, expected {row_bytes}"
-            )
-        value = int.from_bytes(bytes(data), "little")
-        if value >> n:
-            raise ShardFormatError("corrupt dense row: bits beyond the ground set")
-        return value
-    if tag == _TAG_SPARSE:
-        mask, prev, pos = 0, None, 0
-        while pos < len(data):
-            value, pos = _read_varint(data, pos)
-            if prev is None:
-                element = value
-            else:
-                if value < 1:
-                    raise ShardFormatError(
-                        "corrupt sparse row: non-increasing element gap"
-                    )
-                element = prev + value
-            if element >= n:
-                raise ShardFormatError(
-                    f"corrupt sparse row: element {element} outside [0, {n})"
-                )
-            mask |= 1 << element
-            prev = element
-        return mask
-    if tag == _TAG_RLE:
-        mask, pos, cursor = 0, 0, 0
-        while pos < len(data):
-            skip, pos = _read_varint(data, pos)
-            length, pos = _read_varint(data, pos)
-            start = cursor + skip
-            end = start + length + 1
-            if end > n:
-                raise ShardFormatError(
-                    f"corrupt run-length row: run [{start}, {end}) outside [0, {n})"
-                )
-            mask |= ((1 << (end - start)) - 1) << start
-            cursor = end
-        return mask
-    raise ShardFormatError(f"corrupt shard: unknown row codec tag {tag}")
 
 
 class ShardWriter:
@@ -1062,7 +998,84 @@ def write_shards(
 
 
 # ----------------------------------------------------------------------
-# Vectorized varint decoding (whole-shard bulk decode)
+# Referee row reads: one chunk walker over select_rows
+# ----------------------------------------------------------------------
+class _RefereeRows:
+    """Every row read outside the scan, over one chunk walker.
+
+    :class:`ShardedRepository` and the merged delta view
+    (:class:`repro.setsystem.deltas.MergedShardView`) provide ``n``,
+    ``m``, ``words``, ``chunk_rows`` and ``select_rows`` (the referee's
+    decoder, which refuses a closed handle).  Random access, the row
+    passes, materialization, verified opens and compaction all read rows
+    through :meth:`iter_chunk_rows`, ``select_rows`` of one chunk at a
+    time; only the scan (``decode_chunk`` → ``scan_decoded``) decodes a
+    payload another way.
+    """
+
+    def iter_chunk_rows(self) -> "Iterator[tuple[np.ndarray, np.ndarray]]":
+        """Every row as CSR ``(elements, sizes)``, a chunk of
+        ``chunk_rows`` rows at a time."""
+        for start in range(0, self.m, self.chunk_rows):
+            end = min(start + self.chunk_rows, self.m)
+            yield self.select_rows(np.arange(start, end))
+
+    def row_mask(self, i: int) -> int:
+        """Random-access read of row ``i`` as an integer bitmask."""
+        return _csr_ints(*self.select_rows([i]), self.words)[0]
+
+    def iter_row_masks(self) -> Iterator[int]:
+        """Yield every row as an arbitrary-precision integer bitmask."""
+        for flat, sizes in self.iter_chunk_rows():
+            yield from _csr_ints(flat, sizes, self.words)
+
+    def iter_rows(self) -> Iterator[frozenset[int]]:
+        """Yield every row as a frozenset of element ids."""
+        for flat, sizes in self.iter_chunk_rows():
+            yield from map(frozenset, _csr_lists(flat, sizes))
+
+    def to_system(self) -> SetSystem:
+        """Materialize every row as an in-memory :class:`SetSystem`.
+
+        Referee/testing convenience — this is exactly the O(input) RAM
+        cost the sharded path exists to avoid.
+        """
+        rows: "list[list[int]]" = []
+        for flat, sizes in self.iter_chunk_rows():
+            rows += _csr_lists(flat, sizes)
+        return SetSystem(self.n, rows)
+
+
+def _csr_lists(flat: "np.ndarray", sizes: "np.ndarray") -> "list[list[int]]":
+    """CSR rows as lists of element ids."""
+    values, ends = flat.tolist(), np.cumsum(sizes).tolist()
+    return [values[end - size:end] for end, size in zip(ends, sizes.tolist())]
+
+
+def _csr_words(flat: "np.ndarray", sizes: "np.ndarray", words: int) -> "np.ndarray":
+    """Sorted, duplicate-free CSR rows as a ``(rows, words)`` ``uint64``
+    block, the layout of :func:`~repro.setsystem.packed.pack_rows`."""
+    matrix = np.zeros((sizes.size, words), dtype=np.uint64)
+    at, bits = _or_words(
+        np.repeat(np.arange(sizes.size) * words, sizes) + (flat >> 6),
+        np.left_shift(np.uint64(1), (flat & 63).astype(np.uint64)),
+    )
+    matrix.reshape(-1)[at] = bits
+    return matrix
+
+
+def _csr_ints(flat: "np.ndarray", sizes: "np.ndarray", words: int) -> "list[int]":
+    """CSR rows as integer bitmasks."""
+    raw = _csr_words(flat, sizes, words).tobytes()
+    size = words * _WORD_BYTES
+    return [
+        int.from_bytes(raw[r * size:(r + 1) * size], "little")
+        for r in range(sizes.size)
+    ]
+
+
+# ----------------------------------------------------------------------
+# The scan's bulk varint decoding (decode_chunk, a whole shard at once)
 # ----------------------------------------------------------------------
 def _ragged_gather(
     payload: "np.ndarray", offsets: "np.ndarray", lengths: "np.ndarray"
@@ -1115,6 +1128,15 @@ def _varint_counts(
     counts[1:] = marks[1:] - marks[:-1]
     return counts
 
+def _refuse_tail_bits(matrix: "np.ndarray", n: int, name: str) -> None:
+    """Refuse packed rows with bits at or above ``n``, so a corrupt shard
+    fails every scan, not only the scans whose mask reaches the bits."""
+    tail = n % _WORD_BITS
+    if matrix.size and tail and (matrix[:, -1] >> np.uint64(tail)).any():
+        raise ShardFormatError(
+            f"corrupt {name}: dense row bits beyond the ground set"
+        )
+
 def _segmented_absolutes(
     values: "np.ndarray", counts: "np.ndarray"
 ) -> "np.ndarray":
@@ -1125,7 +1147,7 @@ def _segmented_absolutes(
     return cum - np.repeat(base, counts)
 
 
-class ShardedRepository:
+class ShardedRepository(_RefereeRows):
     """Memory-mapped read access to a shard directory.
 
     Opening validates the manifest (:func:`read_manifest`) and every
@@ -1288,7 +1310,8 @@ class ShardedRepository:
                 )
 
     def check_rows(self) -> None:
-        """Decode every row (``verify=True``, deep fsck).
+        """Decode every row through :meth:`select_rows` (``verify=True``,
+        deep fsck).
 
         A shard whose widest row is not its ``max_set_bits`` — an
         understated one prints a false lower bound — raises with code
@@ -1297,17 +1320,14 @@ class ShardedRepository:
         ``stats-dual-bound``.
         """
         widest = np.zeros(self.n, dtype=np.uint32)
-        for shard, stats in enumerate(self.shard_stats()):
-            # chunk_masks decodes each row through its codec, refusing
-            # bits beyond n in raw rows too.
-            flat, sizes = _matrix_rows(
-                pack_rows(self.chunk_masks(shard), self.words)
-            )
-            if int(sizes.max(initial=0)) != stats["max_set_bits"]:
+        chunks = zip(self.shard_stats(), self.iter_chunk_rows())
+        for shard, (stats, (flat, sizes)) in enumerate(chunks):
+            largest = int(sizes.max(initial=0))
+            if largest != stats["max_set_bits"]:
                 raise ShardFormatError(
                     f"shard {shard} of {self.path} records max_set_bits="
                     f"{stats['max_set_bits']}, but its widest row has "
-                    f"{int(sizes.max(initial=0))} elements", "stats-max-set",
+                    f"{largest} elements", "stats-max-set",
                 )
             element_widest(self.n, flat, sizes, widest)
         bound = dual_lower_bound(self.n, widest)
@@ -1320,7 +1340,7 @@ class ShardedRepository:
     def close(self) -> None:
         """Release all memory maps and file handles (idempotent).
 
-        Zero-copy chunk views (:meth:`chunk_matrix`) export the
+        Zero-copy raw-shard views (:meth:`_raw_matrix`) export the
         underlying ``mmap`` buffer; a map still referenced by live views
         cannot be closed eagerly, so it is dropped instead and freed by
         the garbage collector once the last view dies.
@@ -1358,7 +1378,7 @@ class ShardedRepository:
         self.close()
 
     # ------------------------------------------------------------------
-    # Encoded-shard record tables
+    # Record tables and raw blocks (read by both decoders)
     # ------------------------------------------------------------------
     def _encoded_header(self, shard: int):
         """Parse (and cache) an encoded shard's ``tags/lengths/offsets``."""
@@ -1395,65 +1415,17 @@ class ShardedRepository:
         self._header_cache[shard] = header
         return header
 
-    def _raw_row(self, shard: int, local: int) -> int:
-        """Read one raw-layout row, refusing bits beyond the ground set."""
+    def _raw_matrix(self, shard: int) -> "np.ndarray":
+        """A raw shard's ``(rows, words)`` block: a read-only view over
+        its ``mmap``."""
+        rows = self._shard_meta[shard]["rows"]
         raw = self._maps[shard] if self._maps[shard] is not None else b""
-        row_bytes = self._row_bytes
-        data = raw[local * row_bytes : (local + 1) * row_bytes]
-        return _decode_payload_mask(_TAG_DENSE, data, self.n, row_bytes)
-
-    def _decode_row_local(self, shard: int, local: int) -> int:
-        """Decode one encoded row into an integer bitmask."""
-        tags, lengths, offsets = self._encoded_header(shard)
-        offset, length = int(offsets[local]), int(lengths[local])
-        data = self._maps[shard][offset : offset + length]
-        return _decode_payload_mask(int(tags[local]), data, self.n, self._row_bytes)
-
-    def chunk_masks(self, shard: int) -> list[int]:
-        """One shard's rows as integer bitmasks (decoding if needed)."""
-        if self._closed:
-            raise ShardFormatError(f"repository {self.path} is closed")
-        rows = self._shard_meta[shard]["rows"]
-        decode = (
-            self._raw_row if self._layouts[shard] == _LAYOUT_RAW
-            else self._decode_row_local
-        )
-        return [decode(shard, i) for i in range(rows)]
-
-    def chunk_matrix(self, shard: int) -> "np.ndarray":
-        """One shard as a ``(rows, words)`` ``uint64`` matrix.
-
-        Raw shards are zero-copy read-only views over the ``mmap``;
-        encoded shards decode into a freshly packed matrix (one chunk of
-        resident memory, the same budget the scan accounting charges).
-        """
-        if self._closed:
-            raise ShardFormatError(f"repository {self.path} is closed")
-        rows = self._shard_meta[shard]["rows"]
-        if self._layouts[shard] == _LAYOUT_RAW:
-            raw = self._maps[shard] if self._maps[shard] is not None else b""
-            matrix = np.frombuffer(raw, dtype="<u8", count=rows * self.words)
-            return matrix.reshape(rows, self.words)
-        return pack_rows(self.chunk_masks(shard), self.words)
+        matrix = np.frombuffer(raw, dtype="<u8", count=rows * self.words)
+        return matrix.reshape(rows, self.words)
 
     # ------------------------------------------------------------------
-    # Sequential row access (the row pass flavours)
+    # The scan's bulk decoder (decode_chunk's encoded half)
     # ------------------------------------------------------------------
-    def iter_row_masks(self) -> Iterator[int]:
-        """Yield every row as an arbitrary-precision integer bitmask."""
-        if self._closed:
-            raise ShardFormatError(
-                f"repository {self.path} is closed; scanning it would "
-                "silently yield an empty family"
-            )
-        for shard in range(self.shard_count):
-            yield from self.chunk_masks(shard)
-
-    def iter_rows(self) -> Iterator[frozenset[int]]:
-        """Yield every row as a frozenset of element ids."""
-        for mask in self.iter_row_masks():
-            yield frozenset(bits_of(mask))
-
     def _decode_encoded_chunk(self, shard: int, rows: int) -> dict:
         """The mask-independent half of the fused encoded scan.
 
@@ -1536,12 +1508,7 @@ class ShardedRepository:
                 matrix = (
                     np.ascontiguousarray(payload[positions]).view("<u8")
                 )
-                tail = self.n % 64
-                if tail and (matrix[:, -1] >> np.uint64(tail)).any():
-                    raise ShardFormatError(
-                        f"corrupt encoded shard {meta_file}: "
-                        "dense row bits beyond the ground set"
-                    )
+                _refuse_tail_bits(matrix, self.n, f"encoded shard {meta_file}")
                 dense = (sel, matrix)
                 nbytes += sel.nbytes + matrix.nbytes
 
@@ -1570,7 +1537,10 @@ class ShardedRepository:
             raise ShardFormatError(f"repository {self.path} is closed")
         rows = self._shard_meta[shard]["rows"]
         if self._layouts[shard] == _LAYOUT_RAW:
-            matrix = np.array(self.chunk_matrix(shard))
+            matrix = np.array(self._raw_matrix(shard))
+            _refuse_tail_bits(
+                matrix, self.n, f"raw shard {self._shard_meta[shard]['file']}"
+            )
             return ("matrix", matrix), matrix.nbytes
         decoded = self._decode_encoded_chunk(shard, rows)
         return ("decoded", decoded), decoded["nbytes"]
@@ -1636,20 +1606,8 @@ class ShardedRepository:
         )
 
     # ------------------------------------------------------------------
-    # Referee access (tests and verification, not the streaming model)
+    # The referee's decoder (every row read outside the scan)
     # ------------------------------------------------------------------
-    def row_mask(self, i: int) -> int:
-        """Random-access read of row ``i`` as an integer bitmask (referee)."""
-        if self._closed:
-            raise ShardFormatError(f"repository {self.path} is closed")
-        if not 0 <= i < self.m:
-            raise IndexError(f"row {i} outside [0, {self.m})")
-        shard = bisect_right(self._starts, i) - 1
-        local = i - self._starts[shard]
-        if self._layouts[shard] == _LAYOUT_ENCODED:
-            return self._decode_row_local(shard, local)
-        return self._raw_row(shard, local)
-
     def select_rows(self, ids) -> "tuple[np.ndarray, np.ndarray]":
         """Rows ``ids`` as CSR ``(elements, sizes)``, in ``ids`` order (referee).
 
@@ -1672,16 +1630,13 @@ class ShardedRepository:
         for shard in sorted(set(shard_of.tolist())):
             at = np.flatnonzero(shard_of == shard)
             local = ids[at] - self._starts[shard]
-            raw = self._maps[shard] if self._maps[shard] is not None else b""
             if self._layouts[shard] == _LAYOUT_RAW:
-                rows = self._shard_meta[shard]["rows"]
-                matrix = np.frombuffer(raw, dtype="<u8", count=rows * self.words)
                 groups.append((at, *self._dense_rows(
-                    matrix.reshape(rows, self.words)[local], shard
+                    self._raw_matrix(shard)[local], shard
                 )))
                 continue
             tags, lengths, offsets = self._encoded_header(shard)
-            payload = np.frombuffer(raw, dtype=np.uint8)
+            payload = np.frombuffer(self._maps[shard], dtype=np.uint8)
             for tag in (_TAG_DENSE, _TAG_SPARSE, _TAG_RLE):
                 pick = np.flatnonzero(tags[local] == tag)
                 if not pick.size:
@@ -1714,14 +1669,6 @@ class ShardedRepository:
             )
         return _matrix_rows(matrix)
 
-    def to_system(self) -> SetSystem:
-        """Materialize the whole repository as an in-memory :class:`SetSystem`.
-
-        Referee/testing convenience — this is exactly the O(input) RAM
-        cost the sharded path exists to avoid.
-        """
-        return SetSystem(self.n, [bits_of(mask) for mask in self.iter_row_masks()])
-
     def __repr__(self) -> str:
         return (
             f"ShardedRepository(n={self.n}, m={self.m}, "
@@ -1732,16 +1679,17 @@ class ShardedRepository:
 
 # ----------------------------------------------------------------------
 # The referee's row decoder (select_rows): numpy, sharing no codec
-# decoding with the scan path
+# decoding with the scan's bulk decoder
 # ----------------------------------------------------------------------
 def _referee_decode(tag: int, data, lengths, n: int, name: str):
     """Sparse-varint or run-length rows as CSR ``(elements, sizes)``.
 
     ``data`` is the rows' payload bytes back to back, ``lengths`` their
     byte counts.  Each LEB128 value is OR-ed together from its 7-bit
-    groups; a value cut off at its row's end, a gap below 1, an odd
-    run-length pair count or an element outside ``[0, n)`` raises
-    :class:`ShardFormatError`.
+    groups.  A value cut off at its row's end, one longer than the
+    ``⌈bit_length(n)/7⌉`` bytes a value below ``n`` needs (the scan's
+    bound too), a value, element or run outside ``[0, n)``, a gap below
+    1 or an odd run-length pair count raises :class:`ShardFormatError`.
     """
     def corrupt(detail: str):
         return ShardFormatError(f"corrupt encoded shard {name}: {detail}")
@@ -1753,13 +1701,13 @@ def _referee_decode(tag: int, data, lengths, n: int, name: str):
         raise corrupt("truncated varint")
     first = np.flatnonzero(np.concatenate(([True], last[:-1])))[: int(last.sum())]
     place = np.arange(data.size, dtype=np.int64) - first[np.cumsum(last) - last]
-    if place.size and int(place.max()) > 8:
-        raise corrupt("oversized varint")
+    if place.size and int(place.max()) >= max(1, -(-n.bit_length() // 7)):
+        raise corrupt(f"varint overflow (longer than any value below n={n})")
     bits = (data & 0x7F).astype(np.uint64) << (7 * place).astype(np.uint64)
     values = np.bitwise_or.reduceat(bits, first).astype(np.int64) if first.size \
         else np.zeros(0, dtype=np.int64)
-    if values.size and int(values.max()) > n:
-        raise corrupt(f"value past n={n}")
+    if values.size and int(values.max()) >= n:
+        raise corrupt(f"value {int(values.max())} outside [0, {n})")
     ends = np.concatenate(([0], np.cumsum(last)))
     counts = ends[row_end] - ends[row_end - lengths]
     if tag == _TAG_SPARSE:
@@ -1767,10 +1715,10 @@ def _referee_decode(tag: int, data, lengths, n: int, name: str):
         gap = np.ones(values.size, dtype=bool)
         gap[heads[counts > 0]] = False
         if (values[gap] < 1).any():
-            raise corrupt("non-increasing sparse row")
+            raise corrupt("non-increasing element gap")
         elements = _segment_cumsum(values, counts)
         if elements.size and int(elements.max()) >= n:
-            raise corrupt(f"element past n={n}")
+            raise corrupt(f"element {int(elements.max())} outside [0, {n})")
         return elements, counts
     if (counts % 2).any():
         raise corrupt("dangling run-length pair")
@@ -1778,7 +1726,7 @@ def _referee_decode(tag: int, data, lengths, n: int, name: str):
     span = values[1::2] + 1
     run_end = _segment_cumsum(values[0::2] + span, pairs)
     if run_end.size and int(run_end.max()) > n:
-        raise corrupt(f"run past n={n}")
+        raise corrupt(f"run ending at {int(run_end.max())} outside [0, {n})")
     total = np.concatenate(([0], np.cumsum(span)))
     heads = np.cumsum(pairs) - pairs
     sizes = total[heads + pairs] - total[heads]
@@ -1807,6 +1755,9 @@ def _ordered_rows(count: int, groups) -> "tuple[np.ndarray, np.ndarray]":
     return flat, sizes
 
 
+# ----------------------------------------------------------------------
+# The scan half: gains and captures from a decoded chunk
+# ----------------------------------------------------------------------
 def _gains_from_decoded(decoded: dict, mask: ScanMask) -> "np.ndarray":
     """Apply a residual mask to a ``_decode_encoded_chunk`` payload.
 

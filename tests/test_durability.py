@@ -799,6 +799,86 @@ def test_fsck_taxonomy(tmp_path, code):
     )
 
 
+FORGED_CHAINS = {
+    "float-tombstone": (lambda r: r.update(tombstones=[1.5]), "chain-malformed"),
+    "float-n": (lambda r: r.update(n=6.5), "chain-malformed"),
+    "bool-inserts": (lambda r: r.update(inserts=True), "chain-malformed"),
+    "str-generation": (lambda r: r.update(generation="1"), "chain-malformed"),
+    "repeated-tombstone": (lambda r: r.update(tombstones=[1, 1]),
+                           "chain-tombstone"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED_CHAINS))
+def test_forged_delta_manifest_is_refused_with_its_code(tmp_path, case):
+    """A re-sealed delta.json with a non-integer field or a repeated
+    tombstone: every open refuses it, and deep and shallow fsck report
+    the open's code."""
+    mutate, code = FORGED_CHAINS[case]
+    root = _build_chain(tmp_path, batches=(BATCH_1,))
+    _edit_chain(root, mutate)
+    for verify in (False, True):
+        with pytest.raises(ShardFormatError) as refused:
+            open_repository(root, verify=verify)
+        assert refused.value.code == code
+    assert fsck_repository(root).codes() == [code]
+    assert fsck_repository(root, deep=False).codes() == [code]
+
+
+_RECORD_INTS = ("generation", "n", "parent_rows", "inserts", "parent_crc32",
+                "max_set_bits")
+_DROP = object()
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 12), st.just(1 << 40),
+    st.floats(-2, 12), st.text(max_size=2), st.sampled_from(["1", "7"]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(("schema", "tombstones") + _RECORD_INTS),
+       st.one_of(st.just(_DROP), _SCALARS, st.lists(_SCALARS, max_size=3),
+                 st.lists(st.integers(-1, 9), max_size=4)),
+       st.integers(1, 2))
+def test_delta_manifest_fuzz_exact_open_or_typed_refusal(key, value, generation):
+    """One field of a re-sealed delta.json set to a drawn JSON value (or
+    dropped): the open and a shallow fsck agree.  Either both accept, the
+    record holding exact integers and the view hiding exactly its
+    tombstones, or both refuse with the same code."""
+    import tempfile
+
+    def mutate(record):
+        if value is _DROP:
+            record.pop(key)
+        else:
+            record[key] = value
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = _build_chain(Path(tmp))
+        _edit_chain(root, mutate, generation=generation)
+        try:
+            with open_repository(root) as view:
+                stable, m, base_m = set(view.stable_ids), view.m, view.base.m
+            code = None
+        except ShardFormatError as exc:
+            code = exc.code
+        report = fsck_repository(root, deep=False)
+        event(code or "opened")
+        if code is not None:
+            assert report.codes() == [code]
+            return
+        assert report.ok
+        records = [
+            json.loads((gen / DELTA_MANIFEST_NAME).read_text())
+            for gen in sorted((root / DELTAS_DIRNAME).iterdir())
+        ]
+        for record in records:
+            assert all(type(record[field]) is int for field in _RECORD_INTS)
+            assert all(type(tomb) is int for tomb in record["tombstones"])
+        dead = [tomb for record in records for tomb in record["tombstones"]]
+        assert len(set(dead)) == len(dead) and stable.isdisjoint(dead)
+        assert m == base_m + sum(r["inserts"] for r in records) - len(dead)
+
+
 def test_fsck_missing_repository(tmp_path):
     assert fsck_repository(tmp_path / "nowhere").codes() == [
         "missing-repository"

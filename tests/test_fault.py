@@ -629,7 +629,9 @@ def test_idle_lane_ping_notices_a_dead_peer(worker_fleet):
 def test_sigkill_mid_batch_redispatches_to_survivor(tmp_path):
     """One subprocess worker SIGKILLs itself after its first shard
     result; with retries the survivor finishes the batch and the scan is
-    bit-identical to serial — the tentpole acceptance test."""
+    bit-identical to serial — the tentpole acceptance test.  The
+    survivor's replies pass through a delay proxy, so it cannot drain
+    every batch before the crasher's lane has taken one."""
     system = SetSystem(64, [[i % 64, (i * 3) % 64] for i in range(30)])
     path = write_shards(tmp_path / "kill", system, chunk_rows=4)
     mask_int = (1 << 64) - 1
@@ -643,9 +645,10 @@ def test_sigkill_mid_batch_redispatches_to_survivor(tmp_path):
         tmp_path, extra_env={remote_mod._CRASH_TEST_ENV: "1"}
     )
     survivor, live_addr = spawn_local_worker(tmp_path)
+    slow = ChaosProxy(live_addr, mode="delay", delay=0.1, seed=0).start()
     try:
         stream = ShardedSetStream(
-            path, workers=[crash_addr, live_addr],
+            path, workers=[crash_addr, slow.address],
             # A large attempt budget plus fast ejection: the crasher's
             # lane dies after two consecutive faults (the SIGKILL, then
             # the refused reconnect) and the survivor absorbs its work.
@@ -663,6 +666,7 @@ def test_sigkill_mid_batch_redispatches_to_survivor(tmp_path):
         assert summary["degraded_to_local"] is False  # survivor, not local
         stream.close()
     finally:
+        slow.stop()
         for process in (crasher, survivor):
             process.terminate()
             process.wait(timeout=10)

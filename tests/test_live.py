@@ -305,7 +305,7 @@ def test_watch_paces_cycles_and_survives_errors(tmp_path):
     shutil.rmtree(root)
     records = loop.watch(cycles=2)
     assert [r["action"] for r in records] == ["error", "error"]
-    assert "No such file" in records[0]["error"]
+    assert "no manifest.json" in records[0]["error"]
 
 
 def test_watch_duration_budget_uses_the_injected_clock(tmp_path):

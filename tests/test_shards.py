@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import MultiPassGreedy, StoreAllGreedy, ThresholdGreedy
@@ -38,7 +38,6 @@ from repro.setsystem.shards import (
     ShardFormatError,
     ShardWriter,
     _ChunkCodec,
-    _decode_payload_mask,
     _header_checksum,
     _stats_checksum,
     write_shards,
@@ -342,18 +341,21 @@ def test_dual_bound_matches_the_fraction_oracle(system, encoding, chunk_rows, da
 @given(_small_systems(), st.sampled_from(ENCODINGS), st.integers(1, 5),
        st.data())
 def test_referee_rows_agree_with_to_system(system, encoding, chunk_rows, data):
-    """select_rows, the referee's numpy decoder, gives every row as
-    to_system() does, in the order asked, on raw and encoded layouts and
-    on a delta view; verify_solution agrees with SetSystem.is_cover."""
+    """select_rows, the referee's numpy decoder, gives every row of the
+    source system, in the order asked, on raw and encoded layouts and on
+    a delta view; verify_solution agrees with SetSystem.is_cover."""
+    reference = system
     with tempfile.TemporaryDirectory() as tmp:
         path = write_shards(Path(tmp) / "repo", system, chunk_rows=chunk_rows,
                             encoding=encoding)
         if system.m and data.draw(st.booleans()):
+            inserted = [0] if system.n else []
             apply_delta(path, [{"op": "delete", "id": 0},
-                               {"op": "insert", "elements": [0] if system.n else []}])
+                               {"op": "insert", "elements": inserted}])
+            reference = SetSystem(system.n, [*system.sets[1:], inserted])
         stream = ShardedSetStream(path)
         try:
-            reference = stream.repository.to_system()
+            assert stream.repository.to_system() == reference
             ids = data.draw(st.lists(st.integers(0, max(reference.m - 1, 0)),
                                      max_size=2 * reference.m)) if reference.m else []
             flat, sizes = stream.repository.select_rows(ids)
@@ -587,33 +589,30 @@ def _encoder_chunks(draw):
 @given(_encoder_chunks())
 def test_chunk_encoder_matches_scalar_oracle(case):
     """The chunk kernel emits the oracle's tags, payload bytes and stats
-    under every encoding, from rows (the writer) and from a packed block
-    (the merged-view prediction); the written chunk round-trips through
-    a verified open and the referee row decoder."""
+    under every encoding, from rows (the writer) and from the referee's
+    CSR of the written chunk (the merged-view prediction); the written
+    chunk round-trips through a verified open and the referee row
+    decoder, row by row."""
     n, rows = case
-    words = -(-n // 64)
-    matrix = pack_rows([mask_of(row) for row in rows], words)
     for encoding in ENCODINGS:
         tags, payload, layout, stats = _oracle_chunk(rows, n, encoding)
         chunk = _ChunkCodec.of_rows(rows, n, encoding)
         assert chunk.tags.tolist() == tags, encoding
         assert chunk.payload() == (payload, layout), encoding
         assert chunk.stats() == stats, encoding
-        assert _ChunkCodec.of_matrix(matrix, n, encoding).stats() == stats
-        if layout == "encoded":
-            lengths = np.frombuffer(payload[4 + len(rows) : 4 + 5 * len(rows)],
-                                    dtype="<u4")
-            offset = 4 + 5 * len(rows)
-            for row, tag, length in zip(rows, tags, lengths.tolist()):
-                data = payload[offset : offset + length]
-                assert _decode_payload_mask(tag, data, n, words * 8) == mask_of(row)
-                offset += length
         with tempfile.TemporaryDirectory() as tmp:
             path = write_shards(Path(tmp) / "repo", SetSystem(n, rows),
                                 chunk_rows=len(rows), encoding=encoding)
             assert (path / "shard-00000.bin").read_bytes() == payload
             with ShardedRepository(path, verify=True) as repo:
                 assert repo.shard_stats() == [stats]
+                flat, sizes = repo.select_rows(np.arange(len(rows)))
+                assert _ChunkCodec(flat, sizes, n, encoding).stats() == stats
+                ends = np.cumsum(sizes)
+                assert [flat[e - k:e].tolist() for e, k in zip(ends, sizes)] == [
+                    sorted(row) for row in rows]
+                assert [repo.row_mask(i) for i in range(len(rows))] == [
+                    mask_of(row) for row in rows]
                 assert repo.to_system() == SetSystem(n, rows)
 
 
@@ -847,6 +846,96 @@ def test_corrupt_dense_tail_bits_fail_every_scan(tmp_path):
                 repo.scan_shard(0, mask, min_capture_gain=1)
             with pytest.raises(ShardFormatError, match="beyond the ground set"):
                 repo.scan_decoded(0, repo.decode_chunk(0)[0], mask, min_capture_gain=1)
+
+
+def test_overlong_varint_is_refused_by_every_reader(tmp_path):
+    """Row 0 of a sparse repository over n = 10 stores 1 as the two-byte
+    varint ``0x81 0x00``: longer than any value below n needs.  The scan,
+    a verified open, random access and a deep fsck all refuse it."""
+    from repro.setsystem.durability import fsck_repository
+
+    path = write_shards(tmp_path / "overlong", SetSystem(10, [[1], [2]]),
+                        chunk_rows=2, encoding="sparse")
+
+    def overlong(payload):
+        assert bytes(payload[4:]) == bytes([1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 2])
+        payload[6:7] = b"\x02"  # row 0's length: 2 bytes
+        payload[14:15] = b"\x81\x00"
+
+    _corrupt_payload_byte(path, "shard-00000.bin", overlong)
+    with ShardedRepository(path) as repo:
+        with pytest.raises(ShardFormatError, match="varint overflow"):
+            repo.scan_shard(0, ScanMask(10, (1 << 10) - 1), min_capture_gain=1)
+        with pytest.raises(ShardFormatError, match="varint overflow"):
+            repo.row_mask(0)
+    with pytest.raises(ShardFormatError, match="varint overflow") as refused:
+        ShardedRepository(path, verify=True)
+    assert refused.value.code == "shard-decode"
+    assert fsck_repository(path).codes() == ["shard-decode"]
+
+
+def _pad_varint(payload, row, pick, extra):
+    """Re-encode varint ``pick`` of row ``row`` of an encoded shard as an
+    overlong LEB128 of the same value, ``extra`` bytes longer, and fix
+    the row's recorded length (dense and empty rows are left alone)."""
+    rows = int.from_bytes(payload[:4], "little")
+    row %= rows
+    table = slice(4 + rows, 4 + 5 * rows)
+    lengths = np.frombuffer(bytes(payload[table]), dtype="<u4").astype(np.int64)
+    start = 4 + 5 * rows + int(lengths[:row].sum())
+    ends = [start + i for i, byte in enumerate(payload[start:start + lengths[row]])
+            if byte < 0x80]
+    if payload[4 + row] == 0 or not ends:
+        return
+    end = ends[pick % len(ends)]
+    payload[end] |= 0x80
+    payload[end + 1:end + 1] = bytes([0x80] * (extra - 1) + [0])
+    lengths[row] += extra
+    payload[table] = lengths.astype("<u4").tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_systems(), st.sampled_from(ENCODINGS),
+       st.none() | st.tuples(st.integers(0, 63), st.integers(0, 63),
+                             st.integers(1, 2)),
+       st.lists(st.tuples(st.integers(0, 1 << 12),
+                          st.one_of(st.integers(0, 9), st.integers(0x80, 0x88),
+                                    st.integers(0, 255))),
+                max_size=3))
+def test_referee_and_scan_agree_on_mutated_shards(system, encoding, pad, edits):
+    """Byte-mutate a shard (and maybe lengthen one varint of an encoded
+    one into an overlong varint) and reseal its CRC: the referee
+    (select_rows) and the scan's decoder (decode_chunk + scan_decoded)
+    read the same rows, or both raise ShardFormatError."""
+    assume(system.n and system.m)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_shards(Path(tmp) / "repo", system, chunk_rows=system.m,
+                            encoding=encoding)
+        with ShardedRepository(path) as repo:
+            layout = repo._layouts[0]
+
+        def mutate(payload):
+            if pad is not None and layout == "encoded":
+                _pad_varint(payload, *pad)
+            for at, value in edits:
+                payload[at % len(payload)] = value
+
+        _corrupt_payload_byte(path, "shard-00000.bin", mutate)
+        with ShardedRepository(path) as repo:
+            try:
+                referee = [repo.row_mask(i) for i in range(repo.m)]
+            except ShardFormatError:
+                referee = None
+            try:
+                _, _, captured = repo.scan_decoded(
+                    0, repo.decode_chunk(0)[0],
+                    ScanMask(system.n, (1 << system.n) - 1), min_capture_gain=0,
+                )
+                scanned = captured.rows(range(repo.m))
+            except ShardFormatError:
+                scanned = None
+        event(f"{layout}: {'refused' if referee is None else 'read'}")
+        assert referee == scanned
 
 
 # ----------------------------------------------------------------------
