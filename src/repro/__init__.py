@@ -18,35 +18,78 @@ Public API highlights
   communication-complexity constructions behind Theorems 3.8, 5.4 and 6.6.
 * :mod:`repro.experiments` — the scenario-suite orchestrator behind
   ``python -m repro experiments``.
+
+Each package re-exports its public names from one table
+(:func:`_lazy_exports`) and imports a name's module only when the name
+is first used, so a command loads only what it runs (DESIGN.md §15).
 """
 
-from repro.core import (
-    IterSetCover,
-    IterSetCoverConfig,
-    StreamingCoverResult,
-    iter_set_cover,
-)
-from repro.offline import ExactSolver, GreedySolver, LPRoundingSolver, OfflineSolver
-from repro.setsystem import SetSystem, ShardedRepository, write_shards
-from repro.streaming import MemoryMeter, ResourceReport, SetStream, ShardedSetStream
+import importlib
+import sys
+from types import ModuleType
 
 __version__ = "1.2.0"
 
+
+class _LazyPackage(ModuleType):
+    """A package whose public names import their module on first use.
+
+    ``_exports`` maps each public name to the (relative) module that
+    defines it: a lookup the package has not bound yet imports that
+    module (PEP 562's ``__getattr__``), so an import costs only what its
+    caller touches.
+    """
+
+    def __getattr__(self, name):
+        source = self._exports.get(name)
+        if source is None:
+            raise AttributeError(
+                f"module {self.__name__!r} has no attribute {name!r}"
+            )
+        value = getattr(importlib.import_module(source, self.__name__), name)
+        ModuleType.__setattr__(self, name, value)
+        return value
+
+    def __setattr__(self, name, value):
+        # Importing submodule ``pkg.name`` binds the module as ``pkg.name``.
+        # Where the package exports an object of that name (the function
+        # ``repro.sampling.vc_dimension``), the export keeps the name.
+        source = self._exports.get(name)
+        if source is not None and isinstance(value, ModuleType):
+            value = getattr(importlib.import_module(source, self.__name__), name)
+        ModuleType.__setattr__(self, name, value)
+
+    def __dir__(self):
+        return sorted({*self.__dict__, *self._exports})
+
+
+def _lazy_exports(package: str, exports: "dict[str, list[str]]") -> "list[str]":
+    """Make ``package`` resolve ``exports`` (module → names) on first use.
+
+    Returns the exported names, sorted, for the package's ``__all__``.
+    """
+    module = sys.modules[package]
+    module._exports = {
+        name: source for source, names in exports.items() for name in names
+    }
+    module.__class__ = _LazyPackage
+    return sorted(module._exports)
+
+
 __all__ = [
-    "ExactSolver",
-    "GreedySolver",
-    "IterSetCover",
-    "IterSetCoverConfig",
-    "LPRoundingSolver",
-    "MemoryMeter",
-    "OfflineSolver",
-    "ResourceReport",
-    "SetStream",
-    "SetSystem",
-    "ShardedRepository",
-    "ShardedSetStream",
-    "StreamingCoverResult",
-    "iter_set_cover",
-    "write_shards",
+    *_lazy_exports(__name__, {
+        ".core.config": ["IterSetCoverConfig"],
+        ".core.iter_set_cover": ["IterSetCover", "iter_set_cover"],
+        ".core.result": ["StreamingCoverResult"],
+        ".offline.base": ["OfflineSolver"],
+        ".offline.exact": ["ExactSolver"],
+        ".offline.greedy": ["GreedySolver"],
+        ".offline.lp": ["LPRoundingSolver"],
+        ".setsystem.set_system": ["SetSystem"],
+        ".setsystem.shards": ["ShardedRepository", "write_shards"],
+        ".streaming.memory": ["MemoryMeter"],
+        ".streaming.sharded": ["ShardedSetStream"],
+        ".streaming.stream": ["ResourceReport", "SetStream"],
+    }),
     "__version__",
 ]

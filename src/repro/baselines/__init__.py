@@ -1,17 +1,11 @@
 """Baseline streaming algorithms — the prior-work rows of Figure 1.1."""
 
-from repro.baselines.chakrabarti_wirth import ChakrabartiWirth
-from repro.baselines.demaine_et_al import DemaineEtAl
-from repro.baselines.emek_rosen import EmekRosen
-from repro.baselines.greedy_stream import MultiPassGreedy, StoreAllGreedy, ThresholdGreedy
-from repro.baselines.saha_getoor import SahaGetoor
+from repro import _lazy_exports
 
-__all__ = [
-    "ChakrabartiWirth",
-    "DemaineEtAl",
-    "EmekRosen",
-    "MultiPassGreedy",
-    "SahaGetoor",
-    "StoreAllGreedy",
-    "ThresholdGreedy",
-]
+__all__ = _lazy_exports(__name__, {
+    ".chakrabarti_wirth": ["ChakrabartiWirth"],
+    ".demaine_et_al": ["DemaineEtAl"],
+    ".emek_rosen": ["EmekRosen"],
+    ".greedy_stream": ["MultiPassGreedy", "StoreAllGreedy", "ThresholdGreedy"],
+    ".saha_getoor": ["SahaGetoor"],
+})

@@ -45,36 +45,27 @@ with one error path for all of them.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from pathlib import Path
 
-from repro.baselines import (
-    ChakrabartiWirth,
-    EmekRosen,
-    MultiPassGreedy,
-    SahaGetoor,
-    StoreAllGreedy,
-    ThresholdGreedy,
-)
-from repro.core import IterSetCover, IterSetCoverConfig
-from repro.offline import fractional_optimum, greedy_cover
-from repro.setsystem import load, load_rows, save
-from repro.setsystem.set_system import lower_bound_floor
-from repro.streaming import SetStream
-from repro.workloads import (
-    blog_watch_instance,
-    planted_instance,
-    sparse_uniform_instance,
-    uniform_random_instance,
-    zipf_instance,
-)
-
 __all__ = ["main", "build_parser"]
 
+
+def _lib(path: str):
+    """The object at dotted ``path``, importing its package on first use.
+
+    The CLI imports nothing of the library up front: each command loads
+    only the modules it runs (DESIGN.md §15).
+    """
+    module, _, name = path.rpartition(".")
+    return getattr(importlib.import_module(module), name)
+
+
 _ALGORITHMS = {
-    "iter": lambda args: IterSetCover(
-        config=IterSetCoverConfig(
+    "iter": lambda args: _lib("repro.core.IterSetCover")(
+        config=_lib("repro.core.IterSetCoverConfig")(
             delta=args.delta,
             sample_constant=args.sample_constant,
             use_polylog_factors=not args.no_polylog,
@@ -82,26 +73,30 @@ _ALGORITHMS = {
         ),
         seed=args.seed,
     ),
-    "store-all": lambda args: StoreAllGreedy(),
-    "multi-pass": lambda args: MultiPassGreedy(),
-    "threshold": lambda args: ThresholdGreedy(),
-    "er14": lambda args: EmekRosen(),
-    "cw16": lambda args: ChakrabartiWirth(passes=args.passes),
-    "sg09": lambda args: SahaGetoor(),
+    "store-all": lambda args: _lib("repro.baselines.StoreAllGreedy")(),
+    "multi-pass": lambda args: _lib("repro.baselines.MultiPassGreedy")(),
+    "threshold": lambda args: _lib("repro.baselines.ThresholdGreedy")(),
+    "er14": lambda args: _lib("repro.baselines.EmekRosen")(),
+    "cw16": lambda args: _lib("repro.baselines.ChakrabartiWirth")(
+        passes=args.passes
+    ),
+    "sg09": lambda args: _lib("repro.baselines.SahaGetoor")(),
 }
 
 _GENERATORS = {
-    "uniform": lambda args: uniform_random_instance(
+    "uniform": lambda args: _lib("repro.workloads.uniform_random_instance")(
         args.n, args.m, density=args.density, seed=args.seed
     ),
-    "sparse-uniform": lambda args: sparse_uniform_instance(
+    "sparse-uniform": lambda args: _lib("repro.workloads.sparse_uniform_instance")(
         args.n, args.m, expected_size=args.expected_size, seed=args.seed
     ),
-    "planted": lambda args: planted_instance(
+    "planted": lambda args: _lib("repro.workloads.planted_instance")(
         args.n, args.m, opt=args.opt, seed=args.seed
     ).system,
-    "zipf": lambda args: zipf_instance(args.n, args.m, seed=args.seed),
-    "blog": lambda args: blog_watch_instance(
+    "zipf": lambda args: _lib("repro.workloads.zipf_instance")(
+        args.n, args.m, seed=args.seed
+    ),
+    "blog": lambda args: _lib("repro.workloads.blog_watch_instance")(
         topics=args.n, blogs=args.m, seed=args.seed
     ),
 }
@@ -500,6 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
+    from repro.setsystem import save
+
     system = _GENERATORS[args.workload](args)
     save(system, args.output)
     print(f"wrote {args.workload} instance (n={system.n}, m={system.m}) "
@@ -508,6 +505,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_shard_create(args) -> int:
+    from repro.setsystem import load_rows
     from repro.setsystem.shards import ShardedRepository, write_shards
 
     # The rows go straight from the parser into the writer's chunk
@@ -778,7 +776,7 @@ def _cmd_shard_fsck(args) -> int:
 
 
 def _cmd_shard_churn_script(args) -> int:
-    from repro.setsystem import SetSystem
+    from repro.setsystem import SetSystem, save
     from repro.workloads.churn import delete_storm, rolling_blog_watch
 
     generator = (
@@ -860,6 +858,8 @@ def _cmd_worker_ping(args) -> int:
 
 
 def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
+    from repro.setsystem.set_system import lower_bound_floor
+
     _apply_cache_option(args)
     if args.workers is not None and not Path(args.input).is_dir():
         parser.error(
@@ -879,6 +879,9 @@ def _cmd_solve(args, parser: argparse.ArgumentParser) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     else:
+        from repro.setsystem import load
+        from repro.streaming.stream import SetStream
+
         try:
             system = load(args.input)
         except ValueError as exc:
@@ -979,6 +982,9 @@ def _report_faults(stream) -> None:
 
 
 def _cmd_info(args) -> int:
+    from repro.offline import fractional_optimum, greedy_cover
+    from repro.setsystem import load
+
     system = load(args.input)
     density = (
         system.total_size() / (system.n * system.m) if system.n and system.m else 0.0

@@ -1,13 +1,9 @@
 """The paper's primary contribution: ``iterSetCover`` (Figure 1.3)."""
 
-from repro.core.config import IterSetCoverConfig
-from repro.core.iter_set_cover import IterSetCover, iter_set_cover
-from repro.core.result import GuessStats, StreamingCoverResult
+from repro import _lazy_exports
 
-__all__ = [
-    "GuessStats",
-    "IterSetCover",
-    "IterSetCoverConfig",
-    "StreamingCoverResult",
-    "iter_set_cover",
-]
+__all__ = _lazy_exports(__name__, {
+    ".config": ["IterSetCoverConfig"],
+    ".iter_set_cover": ["IterSetCover", "iter_set_cover"],
+    ".result": ["GuessStats", "StreamingCoverResult"],
+})

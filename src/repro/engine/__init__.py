@@ -23,13 +23,16 @@ reconciliation, covers, tie-breaks, pass counts and accounting are
 tests in ``tests/test_parallel.py`` and ``tests/test_remote.py`` assert
 exactly that.
 
-This is the import surface the rest of the repository uses.
+This is the import surface the rest of the repository uses.  Each name
+imports its module on first use, so a serial solve never loads the
+remote transport or the fault-injection modules.
 
 Examples
 --------
 >>> import tempfile
 >>> from repro.setsystem import SetSystem
 >>> from repro.setsystem.shards import ShardedRepository, write_shards
+>>> from repro.engine import SerialScanExecutor, plan_batches
 >>> tmp = tempfile.TemporaryDirectory()
 >>> path = write_shards(tmp.name + "/repo", SetSystem(3, [[0, 1], [2], [0, 1, 2]]), chunk_rows=2)
 >>> with ShardedRepository(path) as repo:
@@ -41,69 +44,41 @@ Examples
 [[0, 1], [2, 3, 4]]
 """
 
-from repro.engine.cache import (
-    CACHE_ENV,
-    ChunkCache,
-    configure_cache,
-    get_cache,
-    resolve_cache_bytes,
-)
-from repro.engine.fault import (
-    CHAOS_ENV,
-    CHAOS_MODES,
-    ChaosProxy,
-    FaultEvent,
-    FaultLog,
-    RetryPolicy,
-    chaos_spec_from_env,
-    parse_chaos_spec,
-)
-from repro.engine.merge import (
-    ReorderWindow,
-    ScanResult,
-    capture_words,
-    merge_scan_parts,
-)
-from repro.engine.plan import plan_batches, resolve_workers
-from repro.engine.transport import (
-    RemoteScanExecutor,
-    StaleRepositoryError,
-    ScanExecutor,
-    SerialScanExecutor,
-    WorkerFaultError,
-    WorkerServer,
-    executor_for,
-    ping_worker,
-    spawn_local_worker,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CACHE_ENV",
-    "CHAOS_ENV",
-    "CHAOS_MODES",
-    "ChaosProxy",
-    "ChunkCache",
-    "FaultEvent",
-    "FaultLog",
-    "RemoteScanExecutor",
-    "StaleRepositoryError",
-    "ReorderWindow",
-    "RetryPolicy",
-    "ScanExecutor",
-    "ScanResult",
-    "SerialScanExecutor",
-    "WorkerFaultError",
-    "WorkerServer",
-    "capture_words",
-    "chaos_spec_from_env",
-    "configure_cache",
-    "executor_for",
-    "get_cache",
-    "merge_scan_parts",
-    "parse_chaos_spec",
-    "ping_worker",
-    "plan_batches",
-    "resolve_cache_bytes",
-    "resolve_workers",
-    "spawn_local_worker",
-]
+__all__ = _lazy_exports(__name__, {
+    ".cache": [
+        "CACHE_ENV",
+        "ChunkCache",
+        "configure_cache",
+        "get_cache",
+        "resolve_cache_bytes",
+    ],
+    ".fault.chaos": [
+        "CHAOS_ENV",
+        "CHAOS_MODES",
+        "ChaosProxy",
+        "chaos_spec_from_env",
+        "parse_chaos_spec",
+    ],
+    ".fault.log": ["FaultEvent", "FaultLog"],
+    ".fault.policy": ["RetryPolicy"],
+    ".merge": [
+        "ReorderWindow",
+        "ScanResult",
+        "capture_words",
+        "merge_scan_parts",
+    ],
+    ".plan": ["plan_batches", "resolve_workers"],
+    ".transport": ["executor_for"],
+    ".transport.base": ["ScanExecutor"],
+    ".transport.remote": [
+        "RemoteScanExecutor",
+        "StaleRepositoryError",
+        "WorkerFaultError",
+        "WorkerServer",
+        "ping_worker",
+        "spawn_local_worker",
+    ],
+    ".transport.serial": ["SerialScanExecutor"],
+})

@@ -34,23 +34,16 @@ genuine bug in that contract: a wedged peer now errors instead of
 hanging a scan forever.
 """
 
-from repro.engine.fault.chaos import (
-    CHAOS_ENV,
-    CHAOS_MODES,
-    ChaosProxy,
-    chaos_spec_from_env,
-    parse_chaos_spec,
-)
-from repro.engine.fault.log import FaultEvent, FaultLog
-from repro.engine.fault.policy import RetryPolicy
+from repro import _lazy_exports
 
-__all__ = [
-    "CHAOS_ENV",
-    "CHAOS_MODES",
-    "ChaosProxy",
-    "FaultEvent",
-    "FaultLog",
-    "RetryPolicy",
-    "chaos_spec_from_env",
-    "parse_chaos_spec",
-]
+__all__ = _lazy_exports(__name__, {
+    ".chaos": [
+        "CHAOS_ENV",
+        "CHAOS_MODES",
+        "ChaosProxy",
+        "chaos_spec_from_env",
+        "parse_chaos_spec",
+    ],
+    ".log": ["FaultEvent", "FaultLog"],
+    ".policy": ["RetryPolicy"],
+})

@@ -12,7 +12,8 @@ remote  TCP worker fleet (``python -m repro worker serve``) remote.py
 
 Serial reads shards in order; the remote fleet runs even contiguous
 batches from :mod:`repro.engine.plan`.  :func:`executor_for` derives the
-backend from whether ``workers`` are given.  Both backends scan every
+backend from whether ``workers`` are given, and imports the remote
+module only then.  Both backends scan every
 shard through :func:`repro.engine.cache.scan_through_cache` and share
 the merge layer (:mod:`repro.engine.merge`), which is why results are
 bit-identical across them.
@@ -20,31 +21,26 @@ bit-identical across them.
 
 from __future__ import annotations
 
-from repro.engine.transport.base import ScanExecutor
-from repro.engine.transport.remote import (
-    RemoteScanExecutor,
-    StaleRepositoryError,
-    WorkerFaultError,
-    WorkerServer,
-    ping_worker,
-    spawn_local_worker,
-)
-from repro.engine.transport.serial import SerialScanExecutor
+from repro import _lazy_exports
 
 __all__ = [
-    "RemoteScanExecutor",
-    "StaleRepositoryError",
-    "ScanExecutor",
-    "SerialScanExecutor",
-    "WorkerFaultError",
-    "WorkerServer",
+    *_lazy_exports(__name__, {
+        ".base": ["ScanExecutor"],
+        ".remote": [
+            "RemoteScanExecutor",
+            "StaleRepositoryError",
+            "WorkerFaultError",
+            "WorkerServer",
+            "ping_worker",
+            "spawn_local_worker",
+        ],
+        ".serial": ["SerialScanExecutor"],
+    }),
     "executor_for",
-    "ping_worker",
-    "spawn_local_worker",
 ]
 
 
-def executor_for(workers=None, retry=None) -> ScanExecutor:
+def executor_for(workers=None, retry=None) -> "ScanExecutor":
     """The serial executor, or the remote one when ``workers`` are given.
 
     ``workers`` takes anything :func:`repro.engine.plan.resolve_workers`
@@ -60,10 +56,14 @@ def executor_for(workers=None, retry=None) -> ScanExecutor:
     1
     """
     if workers is not None:
+        from repro.engine.transport.remote import RemoteScanExecutor
+
         return RemoteScanExecutor(workers, retry=retry)
     if retry is not None:
         raise ValueError(
             "retry only applies to remote workers (the --retry-* flags "
             "pair with --workers the same way)"
         )
+    from repro.engine.transport.serial import SerialScanExecutor
+
     return SerialScanExecutor()

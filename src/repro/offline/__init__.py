@@ -1,22 +1,11 @@
 """Offline set-cover solvers (the ``algOfflineSC`` black box of Figure 1.3)."""
 
-from repro.offline.base import InfeasibleInstanceError, OfflineSolver
-from repro.offline.exact import ExactSolver, SearchBudgetExceeded, exact_cover
-from repro.offline.greedy import GreedySolver, greedy_cover
-from repro.offline.lp import LPRoundingSolver, fractional_optimum
-from repro.offline.primal_dual import PrimalDualSolver, max_frequency, primal_dual_cover
+from repro import _lazy_exports
 
-__all__ = [
-    "ExactSolver",
-    "GreedySolver",
-    "InfeasibleInstanceError",
-    "LPRoundingSolver",
-    "OfflineSolver",
-    "PrimalDualSolver",
-    "SearchBudgetExceeded",
-    "exact_cover",
-    "fractional_optimum",
-    "greedy_cover",
-    "max_frequency",
-    "primal_dual_cover",
-]
+__all__ = _lazy_exports(__name__, {
+    ".base": ["InfeasibleInstanceError", "OfflineSolver"],
+    ".exact": ["ExactSolver", "SearchBudgetExceeded", "exact_cover"],
+    ".greedy": ["GreedySolver", "greedy_cover"],
+    ".lp": ["LPRoundingSolver", "fractional_optimum"],
+    ".primal_dual": ["PrimalDualSolver", "max_frequency", "primal_dual_cover"],
+})

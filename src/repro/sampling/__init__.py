@@ -1,45 +1,30 @@
 """Sampling primitives: relative (p, eps)-approximations and element sampling."""
 
-from repro.sampling.element_sampling import (
-    element_sample,
-    element_sample_size,
-    project_onto_sample,
-)
-from repro.sampling.epsilon_net import (
-    draw_epsilon_net,
-    epsilon_net_size,
-    is_epsilon_net,
-    net_violators,
-)
-from repro.sampling.vc_dimension import (
-    is_shattered,
-    shatter_counts,
-    vc_dimension,
-    vc_dimension_upper_bound,
-)
-from repro.sampling.relative_approximation import (
-    RelativeApproximationCheck,
-    draw_sample,
-    is_relative_approximation,
-    relative_approximation_size,
-    violating_ranges,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "draw_epsilon_net",
-    "epsilon_net_size",
-    "is_epsilon_net",
-    "is_shattered",
-    "net_violators",
-    "shatter_counts",
-    "vc_dimension",
-    "vc_dimension_upper_bound",
-    "RelativeApproximationCheck",
-    "draw_sample",
-    "element_sample",
-    "element_sample_size",
-    "is_relative_approximation",
-    "project_onto_sample",
-    "relative_approximation_size",
-    "violating_ranges",
-]
+__all__ = _lazy_exports(__name__, {
+    ".element_sampling": [
+        "element_sample",
+        "element_sample_size",
+        "project_onto_sample",
+    ],
+    ".epsilon_net": [
+        "draw_epsilon_net",
+        "epsilon_net_size",
+        "is_epsilon_net",
+        "net_violators",
+    ],
+    ".relative_approximation": [
+        "RelativeApproximationCheck",
+        "draw_sample",
+        "is_relative_approximation",
+        "relative_approximation_size",
+        "violating_ranges",
+    ],
+    ".vc_dimension": [
+        "is_shattered",
+        "shatter_counts",
+        "vc_dimension",
+        "vc_dimension_upper_bound",
+    ],
+})

@@ -117,7 +117,6 @@ from repro.setsystem.shards import (
     StaleStagingError,
     _ChunkCodec,
     _csr_lists,
-    _csr_words,
     _ordered_rows,
     _RefereeRows,
     pending_delta_generations,
@@ -713,6 +712,25 @@ class MergedShardView(_RefereeRows):
         :meth:`ShardedRepository.select_rows
         <repro.setsystem.shards.ShardedRepository.select_rows>` of each
         source repository (referee)."""
+        count, groups = self._source_groups(ids)
+        return _ordered_rows(count, [
+            (at, *self._repos[k].select_rows(rows)) for k, at, rows in groups
+        ])
+
+    def select_words(self, ids) -> "np.ndarray":
+        """Live rows ``ids`` as a packed ``(rows, words)`` ``uint64``
+        block: :meth:`ShardedRepository.select_words
+        <repro.setsystem.shards.ShardedRepository.select_words>` of each
+        source repository (referee)."""
+        count, groups = self._source_groups(ids)
+        block = np.empty((count, self.words), dtype=np.uint64)
+        for k, at, rows in groups:
+            block[at] = self._repos[k].select_words(rows)
+        return block
+
+    def _source_groups(self, ids):
+        """``(count, [(source, positions, source rows), ...])``: live row
+        ids grouped by the repository that holds them."""
         if self._closed:
             raise ShardFormatError(f"merged view over {self.path} is closed")
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
@@ -722,21 +740,20 @@ class MergedShardView(_RefereeRows):
         groups = []
         for k in np.unique(owner).tolist():
             at = np.flatnonzero(owner == k)
-            groups.append((at, *self._repos[k].select_rows(local[at])))
-        return _ordered_rows(ids.size, groups)
+            groups.append((k, at, local[at]))
+        return ids.size, groups
 
     # -- scanning: decode half + scan half (repro.engine.cache) --------
     def decode_chunk(self, shard: int):
         """``(payload, resident_bytes)``: the merged chunk as one matrix.
 
-        The chunk's rows are one :meth:`select_rows` of the sources,
-        packed once, so cached repeat passes skip the gather entirely.
+        The chunk's rows are one :meth:`select_words` of the sources, so
+        cached repeat passes skip the gather entirely.
         The cache keys it by :attr:`cache_token`, which covers every
         chain manifest — any ``apply-delta`` or compaction changes the
         token, so a cached merge can never be served stale.
         """
-        rows = self.select_rows(np.arange(*self._bounds(shard)))
-        matrix = _csr_words(*rows, self.words)
+        matrix = self.select_words(np.arange(*self._bounds(shard)))
         return ("matrix", matrix), matrix.nbytes
 
     def scan_decoded(

@@ -1005,29 +1005,35 @@ class _RefereeRows:
 
     :class:`ShardedRepository` and the merged delta view
     (:class:`repro.setsystem.deltas.MergedShardView`) provide ``n``,
-    ``m``, ``words``, ``chunk_rows`` and ``select_rows`` (the referee's
-    decoder, which refuses a closed handle).  Random access, the row
-    passes, materialization, verified opens and compaction all read rows
-    through :meth:`iter_chunk_rows`, ``select_rows`` of one chunk at a
-    time; only the scan (``decode_chunk`` → ``scan_decoded``) decodes a
-    payload another way.
+    ``m``, ``words``, ``chunk_rows``, ``select_rows`` (the referee's
+    decoder, which refuses a closed handle) and ``select_words`` (the
+    same rows as packed words).  The row passes, materialization,
+    verified opens and compaction read rows through
+    :meth:`iter_chunk_rows`, ``select_rows`` of one chunk at a time;
+    the bitmask reads take ``select_words``, which hands a raw shard's
+    words over without decoding them.  Only the scan (``decode_chunk``
+    → ``scan_decoded``) decodes a payload another way.
     """
+
+    def _chunk_ids(self) -> "Iterator[np.ndarray]":
+        """The row ids of each chunk of ``chunk_rows`` rows, in order."""
+        for start in range(0, self.m, self.chunk_rows):
+            yield np.arange(start, min(start + self.chunk_rows, self.m))
 
     def iter_chunk_rows(self) -> "Iterator[tuple[np.ndarray, np.ndarray]]":
         """Every row as CSR ``(elements, sizes)``, a chunk of
         ``chunk_rows`` rows at a time."""
-        for start in range(0, self.m, self.chunk_rows):
-            end = min(start + self.chunk_rows, self.m)
-            yield self.select_rows(np.arange(start, end))
+        for ids in self._chunk_ids():
+            yield self.select_rows(ids)
 
     def row_mask(self, i: int) -> int:
         """Random-access read of row ``i`` as an integer bitmask."""
-        return _csr_ints(*self.select_rows([i]), self.words)[0]
+        return _word_ints(self.select_words([i]))[0]
 
     def iter_row_masks(self) -> Iterator[int]:
         """Yield every row as an arbitrary-precision integer bitmask."""
-        for flat, sizes in self.iter_chunk_rows():
-            yield from _csr_ints(flat, sizes, self.words)
+        for ids in self._chunk_ids():
+            yield from _word_ints(self.select_words(ids))
 
     def iter_rows(self) -> Iterator[frozenset[int]]:
         """Yield every row as a frozenset of element ids."""
@@ -1064,13 +1070,13 @@ def _csr_words(flat: "np.ndarray", sizes: "np.ndarray", words: int) -> "np.ndarr
     return matrix
 
 
-def _csr_ints(flat: "np.ndarray", sizes: "np.ndarray", words: int) -> "list[int]":
-    """CSR rows as integer bitmasks."""
-    raw = _csr_words(flat, sizes, words).tobytes()
-    size = words * _WORD_BYTES
+def _word_ints(matrix: "np.ndarray") -> "list[int]":
+    """The rows of a packed ``(rows, words)`` block as integer bitmasks."""
+    raw = np.ascontiguousarray(matrix, dtype="<u8").tobytes()
+    size = matrix.shape[1] * _WORD_BYTES
     return [
         int.from_bytes(raw[r * size:(r + 1) * size], "little")
-        for r in range(sizes.size)
+        for r in range(matrix.shape[0])
     ]
 
 
@@ -1620,19 +1626,12 @@ class ShardedRepository(_RefereeRows):
         row raises :class:`ShardFormatError`; an id outside ``[0, m)``
         raises ``IndexError``.
         """
-        if self._closed:
-            raise ShardFormatError(f"repository {self.path} is closed")
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        if ids.size and not (0 <= ids.min() and ids.max() < self.m):
-            raise IndexError(f"a row id outside [0, {self.m})")
-        shard_of = np.searchsorted(self._starts, ids, side="right") - 1
-        groups = []
-        for shard in sorted(set(shard_of.tolist())):
-            at = np.flatnonzero(shard_of == shard)
-            local = ids[at] - self._starts[shard]
+        ids, groups = self._shard_groups(ids)
+        rows_of = []
+        for shard, at, local in groups:
             if self._layouts[shard] == _LAYOUT_RAW:
-                groups.append((at, *self._dense_rows(
-                    self._raw_matrix(shard)[local], shard
+                rows_of.append((at, *_matrix_rows(
+                    self._dense_words(self._raw_matrix(shard)[local], shard)
                 )))
                 continue
             tags, lengths, offsets = self._encoded_header(shard)
@@ -1648,26 +1647,53 @@ class ShardedRepository(_RefereeRows):
                         raise ShardFormatError(
                             f"corrupt dense row in {self._shard_meta[shard]['file']}"
                         )
-                    flat, sizes = self._dense_rows(
+                    flat, sizes = _matrix_rows(self._dense_words(
                         data.view("<u8").reshape(rows.size, self.words), shard
-                    )
+                    ))
                 else:
                     flat, sizes = _referee_decode(
                         tag, data, lengths[rows], self.n,
                         self._shard_meta[shard]["file"],
                     )
-                groups.append((at[pick], flat, sizes))
-        return _ordered_rows(ids.size, groups)
+                rows_of.append((at[pick], flat, sizes))
+        return _ordered_rows(ids.size, rows_of)
 
-    def _dense_rows(self, matrix, shard: int):
-        """CSR of packed rows, refusing bits beyond the ground set."""
-        tail = self.n % _WORD_BITS
-        if matrix.size and tail and (matrix[:, -1] >> np.uint64(tail)).any():
-            raise ShardFormatError(
-                f"corrupt dense row in {self._shard_meta[shard]['file']}: "
-                "bits beyond the ground set"
-            )
-        return _matrix_rows(matrix)
+    def select_words(self, ids) -> "np.ndarray":
+        """Rows ``ids`` as a packed ``(rows, words)`` ``uint64`` block, in
+        ``ids`` order (referee).  A raw shard's rows are its words off the
+        map, refused like :meth:`decode_chunk` refuses bits beyond the
+        ground set; encoded rows pack :meth:`select_rows`."""
+        ids, groups = self._shard_groups(ids)
+        block = np.empty((ids.size, self.words), dtype=np.uint64)
+        for shard, at, local in groups:
+            if self._layouts[shard] == _LAYOUT_RAW:
+                block[at] = self._dense_words(self._raw_matrix(shard)[local], shard)
+            else:
+                block[at] = _csr_words(*self.select_rows(ids[at]), self.words)
+        return block
+
+    def _shard_groups(self, ids):
+        """``(ids, [(shard, positions, local rows), ...])``: row ids as an
+        array, grouped by the shard that holds them."""
+        if self._closed:
+            raise ShardFormatError(f"repository {self.path} is closed")
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        if ids.size and not (0 <= ids.min() and ids.max() < self.m):
+            raise IndexError(f"a row id outside [0, {self.m})")
+        shard_of = np.searchsorted(self._starts, ids, side="right") - 1
+        groups = []
+        for shard in sorted(set(shard_of.tolist())):
+            at = np.flatnonzero(shard_of == shard)
+            groups.append((shard, at, ids[at] - self._starts[shard]))
+        return ids, groups
+
+    def _dense_words(self, matrix, shard: int):
+        """Packed rows of ``shard``, refusing bits beyond the ground set."""
+        _refuse_tail_bits(
+            matrix, self.n,
+            f"{self._layouts[shard]} shard {self._shard_meta[shard]['file']}",
+        )
+        return matrix
 
     def __repr__(self) -> str:
         return (

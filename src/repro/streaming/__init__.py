@@ -1,22 +1,15 @@
 """The streaming computation model: pass-counted access + word accounting."""
 
-from repro.streaming.memory import MemoryBudgetExceeded, MemoryMeter
-from repro.streaming.sharded import ShardedSetStream
-from repro.streaming.stream import (
-    ResourceReport,
-    SetStream,
-    SetStreamBase,
-    StreamAccessError,
-    stream_resident_words,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "MemoryBudgetExceeded",
-    "MemoryMeter",
-    "ResourceReport",
-    "SetStream",
-    "SetStreamBase",
-    "ShardedSetStream",
-    "StreamAccessError",
-    "stream_resident_words",
-]
+__all__ = _lazy_exports(__name__, {
+    ".memory": ["MemoryBudgetExceeded", "MemoryMeter"],
+    ".sharded": ["ShardedSetStream"],
+    ".stream": [
+        "ResourceReport",
+        "SetStream",
+        "SetStreamBase",
+        "StreamAccessError",
+        "stream_resident_words",
+    ],
+})

@@ -1,32 +1,15 @@
 """Shared low-level utilities: bitsets, randomness, small math helpers."""
 
-from repro.utils.bitset import (
-    bits_of,
-    count_bits,
-    iter_bits,
-    mask_of,
-    universe_mask,
-)
-from repro.utils.mathutil import (
-    ceil_div,
-    ceil_log2,
-    harmonic,
-    ilog2,
-    powers_of_two_up_to,
-)
-from repro.utils.rng import as_generator, spawn_generators
+from repro import _lazy_exports
 
-__all__ = [
-    "as_generator",
-    "bits_of",
-    "ceil_div",
-    "ceil_log2",
-    "count_bits",
-    "harmonic",
-    "ilog2",
-    "iter_bits",
-    "mask_of",
-    "powers_of_two_up_to",
-    "spawn_generators",
-    "universe_mask",
-]
+__all__ = _lazy_exports(__name__, {
+    ".bitset": ["bits_of", "count_bits", "iter_bits", "mask_of", "universe_mask"],
+    ".mathutil": [
+        "ceil_div",
+        "ceil_log2",
+        "harmonic",
+        "ilog2",
+        "powers_of_two_up_to",
+    ],
+    ".rng": ["as_generator", "spawn_generators"],
+})
