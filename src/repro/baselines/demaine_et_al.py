@@ -45,6 +45,7 @@ from repro.sampling.relative_approximation import draw_sample
 from repro.streaming.memory import MemoryMeter
 from repro.streaming.stream import SetStream, stream_resident_words
 from repro.utils.bitset import bits_of, mask_of, universe_mask
+from repro.utils.mathutil import ceil_inverse
 from repro.utils.rng import as_generator
 
 __all__ = ["DemaineEtAl"]
@@ -89,7 +90,7 @@ class DemaineEtAl:
         meter.charge(stream_resident_words(stream))
         meter.charge(n)  # persistent uncovered bitmap
 
-        depth = math.ceil(1.0 / self.delta)
+        depth = ceil_inverse(self.delta)
         k = self.k if self.k is not None else 1
         selection: list[int] = []
         uncovered = universe_mask(n)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.utils.mathutil import ceil_div
+from repro.utils.mathutil import ceil_inverse
 
 __all__ = ["IterSetCoverConfig"]
 
@@ -41,8 +41,9 @@ class IterSetCoverConfig:
     cleanup_pass:
         Run one final pass that covers any leftover elements by picking an
         arbitrary containing set, mirroring the final pass of ``algGeomSC``
-        (Figure 4.1).  Only triggers when the w.h.p. guarantee of Lemma 2.6
-        did not materialize at the configured constants.
+        (Figure 4.1).  The run's only fallback: it triggers when the w.h.p.
+        guarantee of Lemma 2.6 did not materialize at the configured
+        constants, or the lower bound was well below OPT.
     """
 
     delta: float = 0.5
@@ -62,7 +63,7 @@ class IterSetCoverConfig:
     @property
     def iterations(self) -> int:
         """Number of two-pass iterations: ceil(1/delta)."""
-        return ceil_div(1, 1) if self.delta >= 1 else math.ceil(1.0 / self.delta)
+        return ceil_inverse(self.delta)
 
     def sample_size(self, n: int, m: int, k: int, rho: float) -> int:
         """Sample size for guess ``k`` on an instance with parameters n, m.

@@ -6,22 +6,13 @@ O(rho/delta) approximation factor:
 * the optimal cover size ``k`` is guessed among the powers of two, and
   Theorem 2.8 needs only the one with ``OPT <= k < 2 OPT``.  The stream's
   certified lower bound ``LB <= OPT``
-  (:attr:`~repro.streaming.stream.SetStreamBase.lower_bound`: the dual
-  bound ``shard create`` records, metadata like ``m``, costing no pass)
-  picks it, in at most two attempts (:func:`guess_schedule`):
+  (:attr:`~repro.streaming.stream.SetStreamBase.lower_bound`, metadata
+  costing no pass) picks the rung ``k0 = 2^ceil(log2 LB)``, which runs
+  alone (:func:`guess_schedule`).  When ``k0``'s sample is the whole
+  ground set, every rung whose sample is too runs beside it in lockstep
+  (the paper's parallel guesses), and the smallest complete cover wins;
 
-  1. the certified rung ``k0 = 2^ceil(log2 LB)``, clamped to the ladder's
-     top, alone;
-  2. only if ``k0``'s cover is incomplete after its ceil(1/delta)
-     iterations: every rung above ``k0``, in lockstep over shared passes
-     (the paper's parallel guesses), so they cost the passes of one guess.
-
-  When ``k0``'s sample is the whole ground set (small instances), every
-  rung whose sample is too joins the first attempt instead: they read
-  exactly the rows ``k0``'s sample pass reads, the passes stop once the
-  rungs from ``k0`` up are done, and the smallest complete cover wins;
-
-* each of the ceil(1/delta) iterations of an attempt makes two passes:
+* each of the ceil(1/delta) iterations makes two passes:
 
   1. **sample pass** — draw a relative-approximation sample ``S`` of the
      uncovered elements; a streamed set covering at least ``|S|/k`` of the
@@ -36,16 +27,13 @@ O(rho/delta) approximation factor:
   ``n^delta`` (Lemma 2.6), so all elements are covered after 1/delta
   iterations while only O(rho k) sets are added per iteration.
 
-A final cleanup pass (mirroring Figure 4.1's last pass) handles runs where
-the with-high-probability event did not materialize at the configured
-sampling constants; it is reported separately (DESIGN.md §3.2).  A run
-makes at most ``2 ceil(1/delta)`` passes when ``k0`` completes,
-``2 ceil(1/delta) + 1`` when ``k0`` is the top rung or its sample is the
-whole ground set, and ``4 ceil(1/delta) + 1`` when the second attempt
-runs.
+A final cleanup pass (mirroring Figure 4.1's last pass) is the only
+fallback: it finishes ``k0`` when Lemma 2.6's w.h.p. event did not
+materialize at the configured constants, or ``LB`` is well below ``OPT``
+(DESIGN.md §3.2), so a run makes at most ``2 ceil(1/delta) + 1`` passes.
 
 Implementation note (DESIGN.md §4): the sample pass of each iteration runs
-one per-chunk Size-Test shared by every guess of the attempt.  The scan hands
+one per-chunk Size-Test shared by every guess that runs.  The scan hands
 each chunk's captures over as one
 :class:`~repro.setsystem.packed.Captures` record — ids plus the rows'
 ``uint64`` intersection words, word-sparse when that is smaller — which
@@ -91,34 +79,29 @@ from repro.utils.rng import as_generator
 __all__ = ["IterSetCover", "certified_rung", "guess_schedule", "iter_set_cover"]
 
 
-def guess_schedule(
-    n: int, lower_bound: int, whole_from: int
-) -> "tuple[list[int], list[int]]":
-    """The two attempts of the guess ladder ``powers_of_two_up_to(n)``.
+def guess_schedule(n: int, lower_bound: int, whole_from: int) -> "list[int]":
+    """The rungs of the guess ladder ``powers_of_two_up_to(n)`` that run.
 
-    The first is the certified rung ``k0 = 2^ceil(log2 LB)``, clamped to
-    the ladder's top, alone; the second, run only if ``k0``'s cover is
-    incomplete, is every rung above it.  A rung below ``k0`` is below
-    ``OPT >= LB``, so the one Theorem 2.8 needs, ``OPT <= k < 2 OPT``, is
-    in one of the two.
+    The certified rung ``k0 = 2^ceil(log2 LB)``, clamped to the ladder's
+    top, alone: a rung below ``k0`` is below ``OPT >= LB``, and should
+    ``k0``'s cover be incomplete the cleanup pass finishes it.
 
     ``whole_from`` is the smallest rung whose sample is the whole ground
-    set.  When ``k0``'s is, every rung from ``whole_from`` up is the first
-    attempt and there is no second: those rungs read exactly the rows
-    ``k0``'s sample pass reads, and the ones below ``k0``, though below
-    ``OPT``, may return smaller covers (with an exact offline solver, a
-    rung whose Size Test picks nothing returns the optimum).
+    set.  When ``k0``'s is, every rung from ``whole_from`` up runs instead:
+    those rungs read exactly the rows ``k0``'s sample pass reads, and the
+    ones below ``k0``, though below ``OPT``, may return smaller covers
+    (with an exact offline solver, a rung whose Size Test picks nothing
+    returns the optimum).
 
     >>> guess_schedule(100, 7, 128), guess_schedule(100, 1000, 128)
-    (([8], [16, 32, 64]), ([64], []))
+    ([8], [64])
     >>> guess_schedule(100, 7, 4)
-    ([4, 8, 16, 32, 64], [])
+    [4, 8, 16, 32, 64]
     """
-    ladder = powers_of_two_up_to(n)
     first = certified_rung(n, lower_bound)
     if whole_from <= first:
-        return [k for k in ladder if k >= whole_from], []
-    return [first], [k for k in ladder if k > first]
+        return [k for k in powers_of_two_up_to(n) if k >= whole_from]
+    return [first]
 
 
 def certified_rung(n: int, lower_bound: int) -> int:
@@ -437,7 +420,6 @@ class _GuessState:
 
     def finalize_stats(self) -> GuessStats:
         self.stats.solution_size = len(self.solution) if self.done else None
-        self.stats.covered_after_iterations = self.done
         self.stats.peak_memory_words = self.meter.peak
         return self.stats
 
@@ -491,9 +473,6 @@ class IterSetCover:
 
         rho = self.solver.rho(n)
         passes_before = stream.passes
-        # The largest chunk's captures, reported as scan scratch.
-        capture_peak = 0
-        attempts: "list[list[_GuessState]]" = []
         lower_bound = self._lower_bound(stream)
         k0 = certified_rung(n, lower_bound)
         whole_from = next(
@@ -501,17 +480,17 @@ class IterSetCover:
              if self.config.sample_size(n, m, k, rho) >= n),
             2 * n,
         )
-        for ladder in guess_schedule(n, lower_bound, whole_from):
-            if not ladder:
-                break
-            guesses = [_GuessState(k, n, MemoryMeter(label=f"k={k}")) for k in ladder]
-            # The rungs from k0 up set the attempt's passes; smaller ones
-            # count only if they finish within them.
-            pace = [g for g in guesses if g.k >= k0]
-            capture_peak = max(capture_peak, self._iterate(stream, guesses, pace, rho))
-            attempts.append(guesses)
-            if any(self._satisfied(g) for g in guesses):
-                break
+        guesses = [
+            _GuessState(k, n, MemoryMeter(label=f"k={k}"))
+            for k in guess_schedule(n, lower_bound, whole_from)
+        ]
+        # The rungs from k0 up set the passes; smaller ones count only if
+        # they finish within them.  The largest chunk's captures are
+        # reported as scan scratch.
+        pace = [g for g in guesses if g.k >= k0]
+        capture_peak = self._iterate(stream, guesses, pace, rho)
+        for guess in guesses:
+            guess.stats.covered_after_iterations = guess.done
 
         cleanup_passes = 0
         if self.config.cleanup_pass and any(not self._satisfied(g) for g in pace):
@@ -525,18 +504,16 @@ class IterSetCover:
             )
             capture_peak = max(capture_peak, _replay(parts, guesses, self._cleanup))
 
-        ran = [g for attempt in attempts for g in attempt]
-        stats = {g.k: g.finalize_stats() for g in ran}
-        complete = [g for g in ran if self._satisfied(g)]
-        # An attempt's state is dropped before the next one starts.  The
-        # stream's resident chunk buffer counts toward the peak; the
+        stats = {g.k: g.finalize_stats() for g in guesses}
+        complete = [g for g in guesses if self._satisfied(g)]
+        # The stream's resident chunk buffer counts toward the peak; the
         # repository itself never does (DESIGN.md §3.6).
-        state_peak = max(sum(g.meter.peak for g in attempt) for attempt in attempts)
+        state_peak = sum(g.meter.peak for g in guesses)
         buffer_words = stream_resident_words(stream)
         best = (
             min(complete, key=lambda g: len(g.solution)) if complete
             # The family itself cannot cover U; report the best effort.
-            else min(ran, key=lambda g: g.uncovered_count())
+            else min(guesses, key=lambda g: g.uncovered_count())
         )
         extra = self._extra(best, bool(complete))
         if buffer_words:
@@ -557,9 +534,9 @@ class IterSetCover:
     def _iterate(
         self, stream: SetStream, guesses: "list[_GuessState]", pace, rho
     ) -> int:
-        """One attempt's ceil(1/delta) iterations over ``guesses``, in
-        lockstep, until every guess of ``pace`` is done; returns the
-        largest chunk's capture words."""
+        """The ceil(1/delta) iterations over ``guesses``, in lockstep, until
+        every guess of ``pace`` is done; returns the largest chunk's
+        capture words."""
         n, m = stream.n, stream.m
         capture_peak = 0
         for _ in range(self.config.iterations):

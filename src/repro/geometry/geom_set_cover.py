@@ -22,8 +22,8 @@ per iteration (three passes):
 After ceil(1/delta) iterations at most ~k points remain and one final pass
 covers them by arbitrary containing shapes (adding <= k sets).
 
-All guesses k = 2^i run in lockstep, as in ``iterSetCover``; total passes
-are 3 * ceil(1/delta) + 1.
+All guesses k = 2^i run in lockstep (a shape stream records no lower
+bound to pick one by); total passes are 3 * ceil(1/delta) + 1.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.offline.base import OfflineSolver
 from repro.offline.greedy import GreedySolver
 from repro.sampling.relative_approximation import draw_sample
 from repro.streaming.memory import MemoryMeter
-from repro.utils.mathutil import powers_of_two_up_to
+from repro.utils.mathutil import ceil_inverse, powers_of_two_up_to
 from repro.utils.rng import as_generator
 
 __all__ = ["GeometricSetCover", "geometric_set_cover"]
@@ -149,7 +149,7 @@ class GeometricSetCover:
             for k in powers_of_two_up_to(n)
         ]
         passes_before = stream.passes
-        iterations = math.ceil(1.0 / self.delta)
+        iterations = ceil_inverse(self.delta)
 
         for _ in range(iterations):
             if all(not g.uncovered for g in guesses):

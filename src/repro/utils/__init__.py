@@ -6,6 +6,7 @@ __all__ = _lazy_exports(__name__, {
     ".bitset": ["bits_of", "count_bits", "iter_bits", "mask_of", "universe_mask"],
     ".mathutil": [
         "ceil_div",
+        "ceil_inverse",
         "ceil_log2",
         "harmonic",
         "ilog2",

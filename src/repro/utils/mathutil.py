@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["ceil_div", "ceil_log2", "ilog2", "harmonic", "powers_of_two_up_to"]
+__all__ = [
+    "ceil_div", "ceil_inverse", "ceil_log2", "ilog2", "harmonic", "powers_of_two_up_to",
+]
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -16,6 +18,18 @@ def ceil_div(a: int, b: int) -> int:
     if b <= 0:
         raise ValueError(f"denominator must be positive, got {b}")
     return -(-a // b)
+
+
+def ceil_inverse(x: float) -> int:
+    """``ceil(1 / x)`` for ``x > 0``, exact at ``x = 1/q``, where the float
+    ``1.0 / (1 / 49)`` is ``49.00000000000001``.
+
+    >>> [ceil_inverse(d) for d in (1.0, 0.5, 1 / 49, 1 / 197, 0.3)]
+    [1, 2, 49, 197, 4]
+    """
+    inverse = 1.0 / x
+    nearest = round(inverse)
+    return nearest if math.isclose(inverse, nearest, rel_tol=1e-9) else math.ceil(inverse)
 
 
 def ilog2(n: int) -> int:

@@ -24,7 +24,7 @@ from repro.setsystem import Captures, SetSystem, pack_rows
 from repro.setsystem.packed import ScanMask, scan_chunk
 from repro.streaming import MemoryMeter, SetStream
 from repro.utils.bitset import mask_of
-from repro.utils.mathutil import powers_of_two_up_to
+from repro.utils.mathutil import ceil_inverse, powers_of_two_up_to
 from repro.utils.rng import as_generator
 from repro.workloads import planted_instance, uniform_random_instance
 
@@ -37,6 +37,11 @@ class TestConfig:
         assert IterSetCoverConfig(delta=0.5).iterations == 2
         assert IterSetCoverConfig(delta=0.34).iterations == 3
         assert IterSetCoverConfig(delta=0.25).iterations == 4
+        # Exact at delta = 1/q, though 1.0 / (1 / 49) is 49.00000000000001.
+        for q in range(1, 201):
+            assert IterSetCoverConfig(delta=1 / q).iterations == q, q
+            assert ceil_inverse(1 / q) == q, q
+        assert ceil_inverse(0.3) == 4
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])
     def test_delta_validated(self, bad):
@@ -114,14 +119,13 @@ class TestResourceShape:
         assert result.passes == 2
         assert result.solution_size == 1
 
-    def test_memory_scales_with_parallel_guesses(self):
-        """The second attempt runs its rungs in parallel: each holds at
-        least its n-word uncovered bitmap at once."""
-        system = _first_rung_fails()
-        result = iter_set_cover(SetStream(system), delta=1.0, seed=0, **_THIN_SAMPLES)
-        second = [k for k in result.guess_stats if k > min(result.guess_stats)]
-        assert len(second) > 1
-        assert result.peak_memory_words >= system.n * len(second)
+    def test_memory_scales_with_parallel_guesses(self, planted_small):
+        """Whole-sample rungs run in parallel: each holds at least its
+        n-word uncovered bitmap at once."""
+        system = planted_small.system
+        result = iter_set_cover(SetStream(system), delta=1.0, seed=0)
+        assert len(result.guess_stats) > 1
+        assert result.peak_memory_words >= system.n * len(result.guess_stats)
 
     def test_guess_window_guesses_all_finish(self, planted_small):
         """The first rung k0 = 2^ceil(log2 LB) completes on planted_small at
@@ -158,24 +162,21 @@ class TestResourceShape:
             assert result.solution_size == min(s.solution_size for s in complete)
             assert result.passes <= 2 * math.ceil(1 / delta) + 1
 
-    def test_guess_stats_present_for_all_powers(self):
-        """When k0 fails, every power of two from k0 up runs and has stats,
-        and the pass count stays within 4 ceil(1/delta) + 1."""
+    def test_pass_bound_when_first_rung_fails(self):
+        """When k0's cover is incomplete, the cleanup pass finishes it: k0
+        is still the one rung run, and Theorem 2.8's 2 ceil(1/delta) + 1
+        passes hold."""
         system = _first_rung_fails()
-        n = system.n
         for delta in (1.0, 0.5):
-            result = iter_set_cover(
-                SetStream(system), delta=delta, seed=0, **_THIN_SAMPLES
-            )
-            k0 = min(result.guess_stats)
-            assert k0 == certified_rung(n, SetStream(system).lower_bound)
+            stream = SetStream(system)
+            result = iter_set_cover(stream, delta=delta, seed=0, **_THIN_SAMPLES)
+            k0 = certified_rung(system.n, stream.lower_bound)
+            assert list(result.guess_stats) == [k0] == [result.best_k]
             assert not result.guess_stats[k0].covered_after_iterations
-            assert list(result.guess_stats) == [
-                k for k in powers_of_two_up_to(n) if k >= k0
-            ]
-            assert result.feasible and SetStream(system).verify_solution(result.selection)
-            assert 2 * math.ceil(1 / delta) < result.passes
-            assert result.passes <= 4 * math.ceil(1 / delta) + 1
+            assert result.cleanup_passes == 1
+            assert result.passes <= 2 * math.ceil(1 / delta) + 1
+            assert result.passes == stream.passes
+            assert result.feasible and stream.verify_solution(result.selection)
 
 
 def _first_rung_fails() -> SetSystem:
@@ -311,12 +312,11 @@ class _FrozensetGreedy(GreedySolver):
 def _reference_iter_set_cover(system, config, seed):
     """iterSetCover exactly as the paper states it, one row at a time.
 
-    Returns ``(selection, passes, feasible, peak, guesses)``: the first
-    attempt is the certified rung k0 = 2^ceil(log2 LB) alone (clamped to
-    the top rung), the second, only if k0's cover is incomplete, every
-    rung above it; an attempt's state is dropped before the next starts.
-    When k0's sample is the whole ground set, the one attempt is every
-    rung whose sample is, and it runs until the rungs from k0 up are done.
+    Returns ``(selection, passes, feasible, peak, guesses)``: the one
+    rung run is the certified k0 = 2^ceil(log2 LB) (clamped to the top
+    rung), or, when k0's sample is the whole ground set, every rung whose
+    sample is, until the rungs from k0 up are done; a cleanup pass
+    finishes an incomplete k0.
     """
     rng = as_generator(seed)
     n, m = system.n, system.m
@@ -326,37 +326,27 @@ def _reference_iter_set_cover(system, config, seed):
     lower_bound = dual_bound_oracle(n, system.sets)
     k0 = min(1 << (max(lower_bound, 1) - 1).bit_length(), ladder[-1])
     whole = [k for k in ladder if config.sample_size(n, m, k, rho) >= n]
-    if whole and whole[0] <= k0:
-        attempts = (whole, [])
-    else:
-        attempts = ([k0], [k for k in ladder if k > k0])
-    passes, peak, ran = 0, 0, []
-    for rungs in attempts:
-        if not rungs:
+    rungs = whole if whole and whole[0] <= k0 else [k0]
+    guesses = [_ReferenceGuess(k, n) for k in rungs]
+    passes = 0
+    for _ in range(config.iterations):
+        if all(not g.uncovered for g in guesses if g.k >= k0):
             break
-        guesses = [_ReferenceGuess(k, n) for k in rungs]
-        for _ in range(config.iterations):
-            if all(not g.uncovered for g in guesses if g.k >= k0):
-                break
+        for g in guesses:
+            g.begin(config, n, m, rho, rng)
+        for set_id, r in enumerate(system.sets):
             for g in guesses:
-                g.begin(config, n, m, rho, rng)
-            for set_id, r in enumerate(system.sets):
-                for g in guesses:
-                    g.size_test(set_id, r)
+                g.size_test(set_id, r)
+        for g in guesses:
+            g.solve_offline(solver, n)
+        for set_id, r in enumerate(system.sets):
             for g in guesses:
-                g.solve_offline(solver, n)
-            for set_id, r in enumerate(system.sets):
-                for g in guesses:
-                    if set_id in g.new_picks:
-                        g.uncovered -= r
-            for g in guesses:
-                g.current -= g.scratch
-                g.scratch = 0
-            passes += 2
-        ran += guesses
-        if any(not g.uncovered for g in guesses):
-            break
-        peak = max(peak, sum(g.peak for g in guesses))
+                if set_id in g.new_picks:
+                    g.uncovered -= r
+        for g in guesses:
+            g.current -= g.scratch
+            g.scratch = 0
+        passes += 2
     if config.cleanup_pass and any(g.uncovered for g in guesses if g.k >= k0):
         passes += 1
         for set_id, r in enumerate(system.sets):
@@ -366,14 +356,14 @@ def _reference_iter_set_cover(system, config, seed):
                     g.pick(set_id)
                     g.uncovered -= hit
                     g.stats["cleanup"] += 1
-    peak = max(peak, sum(g.peak for g in guesses))
-    complete = [g for g in ran if not g.uncovered]
+    peak = sum(g.peak for g in guesses)
+    complete = [g for g in guesses if not g.uncovered]
     best = (
         min(complete, key=lambda g: len(g.solution))
         if complete
-        else min(ran, key=lambda g: len(g.uncovered))
+        else min(guesses, key=lambda g: len(g.uncovered))
     )
-    return best.solution, passes, bool(complete), peak, ran
+    return best.solution, passes, bool(complete), peak, guesses
 
 
 class _SlicedSetStream(SetStream):
@@ -490,8 +480,8 @@ def _tiny_feasible_systems(draw):
 
 
 class TestGuessWindowSoundness:
-    """The certified schedule cuts only guesses and passes that cannot matter:
-    its two attempts cover the window of rungs k >= k0."""
+    """The certified schedule cuts only guesses that cannot matter: it runs
+    k0 <= 2^ceil(log2 OPT) alone, or every whole-sample rung."""
 
     @settings(max_examples=60, deadline=None)
     @given(_tiny_feasible_systems(), st.integers(0, 5))
@@ -500,13 +490,13 @@ class TestGuessWindowSoundness:
         lower_bound = SetStream(system).lower_bound
         assert lower_bound == dual_bound_oracle(n, system.sets) <= opt
         k0 = certified_rung(n, lower_bound)
-        first, rest = guess_schedule(n, lower_bound, 1 << whole_log)
+        rungs = guess_schedule(n, lower_bound, 1 << whole_log)
         ladder = powers_of_two_up_to(n)
-        assert min(1 << (opt - 1).bit_length(), ladder[-1]) in first + rest
-        assert first + rest == [k for k in ladder if k >= first[0]]
-        assert first == ([k0] if 1 << whole_log > k0 else [
-            k for k in ladder if k >= 1 << whole_log
-        ])
+        if 1 << whole_log > k0:
+            assert rungs == [k0]
+            assert k0 <= 1 << (opt - 1).bit_length()
+        else:
+            assert rungs == [k for k in ladder if k >= 1 << whole_log]
 
     @settings(max_examples=60, deadline=None)
     @given(_tiny_feasible_systems())
