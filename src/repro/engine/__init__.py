@@ -19,7 +19,7 @@ payload from the chunk cache or ``decode_chunk``, then
 
 Because scheduling and transport are quarantined away from
 reconciliation, covers, tie-breaks, pass counts and accounting are
-**bit-identical** on both transports and every encoding — the property
+**bit-identical** on both transports and every row codec — the property
 tests in ``tests/test_parallel.py`` and ``tests/test_remote.py`` assert
 exactly that.
 

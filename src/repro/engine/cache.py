@@ -31,7 +31,7 @@ the superseded ``(path, token)`` (:meth:`ChunkCache.invalidate`).
 The cache is observability-rich but semantics-free: hits return the
 same payload ``decode_chunk`` would rebuild and go through the same
 ``scan_decoded``, so results are bit-identical cache-on vs. cache-off
-on both transports and every encoding (property-tested in
+on both transports and every row codec (property-tested in
 ``tests/test_parallel.py`` / ``tests/test_remote.py``).
 """
 

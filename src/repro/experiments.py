@@ -721,7 +721,9 @@ def run_suite(
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "platform": platform.platform(),
+            # OS and architecture only: the kernel release would rewrite
+            # every artifact regenerated on another host.
+            "platform": f"{platform.system()}-{platform.machine()}",
         },
         "rows": rows,
         "tables": tables,

@@ -45,7 +45,6 @@ __all__ = _lazy_exports(__name__, {
     ],
     ".set_system": ["SetSystem"],
     ".shards": [
-        "ENCODINGS",
         "InterruptedCompactionError",
         "PendingDeltaError",
         "RepositoryBusyError",

@@ -1,4 +1,4 @@
-"""LSM-style delta shards: mutable repositories over ``repro.shards/v4``.
+"""LSM-style delta shards: mutable repositories over ``repro.shards/v5``.
 
 A shard repository (:mod:`repro.setsystem.shards`) is write-once — the
 right durability model for the paper's static streams, and exactly wrong
@@ -102,7 +102,6 @@ from repro.setsystem.durability import (
     write_compact_intent,
     _exact_int,
 )
-from repro.setsystem.packed import Captures, ScanMask, scan_chunk
 from repro.setsystem.set_system import dual_lower_bound, element_widest
 from repro.setsystem.shards import (
     DELTA_MANIFEST_NAME,
@@ -117,8 +116,10 @@ from repro.setsystem.shards import (
     StaleStagingError,
     _ChunkCodec,
     _csr_lists,
+    _decode_payload,
     _ordered_rows,
-    _RefereeRows,
+    _parse_record_table,
+    _RepositoryReads,
     pending_delta_generations,
     write_shards,
 )
@@ -187,8 +188,8 @@ class DeltaShardWriter:
     success and aborts on error, removing the partial generation
     directory.
 
-    Insert shards take the base repository's ``chunk_rows`` and codec
-    policy, so merged chunk boundaries match a from-scratch rewrite.
+    Insert shards take the base repository's ``chunk_rows``, so merged
+    chunk boundaries match a from-scratch rewrite.
     """
 
     def __init__(self, root: "str | Path"):
@@ -211,7 +212,7 @@ class DeltaShardWriter:
                 else:
                     parent_manifest = self.root / MANIFEST_NAME
                 self._parent_crc32 = _file_crc32(parent_manifest)
-                chunk_rows, encoding = base.chunk_rows, base.encoding
+                chunk_rows = base.chunk_rows
             finally:
                 base.close()
                 for gen in generations:
@@ -225,9 +226,7 @@ class DeltaShardWriter:
                     "partial generation — remove it (`repro shard fsck "
                     "--repair`) before writing a new delta"
                 )
-            self._writer = ShardWriter(
-                self.path, self.n, chunk_rows=chunk_rows, encoding=encoding
-            )
+            self._writer = ShardWriter(self.path, self.n, chunk_rows=chunk_rows)
         except BaseException:
             self._lock.release()
             raise
@@ -529,18 +528,19 @@ def _load_chain(
     return base, generations
 
 
-class MergedShardView(_RefereeRows):
+class MergedShardView(_RepositoryReads):
     """The merged read view over a base repository and its delta chain.
 
     Presents the live family as a dense ``0..m-1`` repository with the
     exact scan interface of
     :class:`~repro.setsystem.shards.ShardedRepository` — row iteration,
-    ``decode_chunk``/``scan_decoded``, shard statistics, random-access
-    ``row_mask`` — so :class:`~repro.streaming.sharded.ShardedSetStream`
-    and the serial :class:`~repro.engine.transport.base.ScanExecutor`
-    run on it unchanged, at any encoding.  (The *remote* transport is
-    the one exclusion: its workers hold no chain state, so streams
-    refuse it until compaction.)
+    ``decode_chunk`` and the shared ``scan_decoded``, shard statistics,
+    random-access ``row_mask`` — so
+    :class:`~repro.streaming.sharded.ShardedSetStream` and the serial
+    :class:`~repro.engine.transport.base.ScanExecutor` run on it
+    unchanged.  (The *remote* transport is the one exclusion: its
+    workers hold no chain state, so streams refuse it until
+    compaction.)
 
     Merge semantics: a row is live iff no generation tombstoned its
     stable id; live rows appear in base order first, then each
@@ -550,10 +550,12 @@ class MergedShardView(_RefereeRows):
     boundaries — and therefore per-chunk stats and capture
     accounting — identical to the compacted rewrite too.
 
-    The view also predicts, per merged chunk, the v3 statistics block a
-    from-scratch rewrite would record (:meth:`shard_stats`), by running
-    the writer's own codec chooser over the live rows; the churn-parity
-    suite asserts block-for-block equality against real rebuilds.
+    Each merged chunk is encoded by the writer's own codec
+    (:class:`~repro.setsystem.shards._ChunkCodec`) over its live rows,
+    once per decode: its payload bytes are the compacted rewrite's
+    shard file, decoded by the same function, and its v3 statistics
+    block (:meth:`shard_stats`) is the one the rewrite records; the
+    churn-parity suite asserts both against real rebuilds.
     """
 
     def __init__(self, path: "str | Path", verify: bool = False):
@@ -564,7 +566,6 @@ class MergedShardView(_RefereeRows):
         self.n = base.n
         self.words = base.words
         self.chunk_rows = base.chunk_rows
-        self.encoding = base.encoding
         self.schema = DELTA_SCHEMA
         dead = sorted(set().union(*(gen.tombstones for gen in generations)))
         self.tombstoned = len(dead)
@@ -637,24 +638,31 @@ class MergedShardView(_RefereeRows):
             parts.append(_stat_token(gen.path / DELTA_MANIFEST_NAME))
         return tuple(parts)
 
-    def _bounds(self, shard: int) -> "tuple[int, int]":
+    def _span(self, shard: int) -> "tuple[int, int]":
+        """``(first row, rows)`` of merged chunk ``shard``."""
+        if self._closed:
+            raise ShardFormatError(f"merged view over {self.path} is closed")
         if not 0 <= shard < self.shard_count:
             raise IndexError(
                 f"chunk {shard} outside [0, {self.shard_count})"
             )
         start = shard * self.chunk_rows
-        return start, min(start + self.chunk_rows, self.m)
+        return start, min(self.chunk_rows, self.m - start)
+
+    def _codec(self, shard: int) -> _ChunkCodec:
+        """The writer's codec over merged chunk ``shard``'s live rows; its
+        stats block is kept, as :meth:`compute_shard_stats` returns it."""
+        start, rows = self._span(shard)
+        codec = _ChunkCodec(*self.select_rows(np.arange(start, start + rows)), self.n)
+        self._stats_cache.setdefault(shard, codec.stats())
+        return codec
 
     # -- planner statistics -------------------------------------------
     def compute_shard_stats(self, shard: int) -> dict:
         """The v3 stats block a compacted rewrite would record for a chunk."""
-        cached = self._stats_cache.get(shard)
-        if cached is not None:
-            return cached
-        rows = self.select_rows(np.arange(*self._bounds(shard)))
-        stats = _ChunkCodec(*rows, self.n, self.encoding).stats()
-        self._stats_cache[shard] = stats
-        return stats
+        if shard not in self._stats_cache:
+            self._codec(shard)
+        return self._stats_cache[shard]
 
     def shard_stats(self) -> "list[dict]":
         """Per-merged-chunk stats blocks (computed lazily, cached)."""
@@ -743,50 +751,28 @@ class MergedShardView(_RefereeRows):
             groups.append((k, at, local[at]))
         return ids.size, groups
 
-    # -- scanning: decode half + scan half (repro.engine.cache) --------
+    # -- scanning: decode half (repro.engine.cache) + the shared scan --
     def decode_chunk(self, shard: int):
-        """``(payload, resident_bytes)``: the merged chunk as one matrix.
+        """``(payload, resident_bytes)``: the merged chunk, decoded.
 
-        The chunk's rows are one :meth:`select_words` of the sources, so
-        cached repeat passes skip the gather entirely.
-        The cache keys it by :attr:`cache_token`, which covers every
-        chain manifest — any ``apply-delta`` or compaction changes the
-        token, so a cached merge can never be served stale.
+        The chunk's live rows (one :meth:`select_rows` of the sources)
+        are encoded by the writer's codec, and those bytes go through
+        the scan's one decoder
+        (:func:`~repro.setsystem.shards._decode_payload`): the payload
+        is array for array the one the compacted rewrite's
+        ``decode_chunk`` builds, and ``scan_decoded`` is the same
+        method, so a chain scan is its compaction's scan.  The cache
+        keys it by :attr:`cache_token`, which covers every chain
+        manifest — any ``apply-delta`` or compaction changes the token,
+        so a cached merge can never be served stale.
         """
-        matrix = self.select_words(np.arange(*self._bounds(shard)))
-        return ("matrix", matrix), matrix.nbytes
-
-    def scan_decoded(
-        self,
-        shard: int,
-        payload,
-        mask: ScanMask,
-        min_capture_gain: "int | None" = None,
-        capture_ids=None,
-        best_only: bool = False,
-    ):
-        """Gains + captures for one merged chunk against a residual.
-
-        Same contract as :meth:`ShardedRepository.scan_decoded
-        <repro.setsystem.shards.ShardedRepository.scan_decoded>`; chunk
-        boundaries match the compacted rewrite, so gains vectors,
-        captures and capture accounting are bit-identical to scanning
-        the compacted repository.
-        """
-        if self._closed:
-            raise ShardFormatError(f"merged view over {self.path} is closed")
-        start, end = self._bounds(shard)
-        rows = end - start
-        if mask.is_empty:
-            return start, np.zeros(rows, dtype=np.int64), Captures.empty(self.words)
-        _, data = payload
-        gains, captured = scan_chunk(
-            start, data, mask,
-            min_capture_gain=min_capture_gain,
-            capture_ids=capture_ids,
-            best_only=best_only,
+        start, rows = self._span(shard)
+        name = f"merged chunk {shard}"
+        payload = np.frombuffer(self._codec(shard).payload(), dtype=np.uint8)
+        decoded = _decode_payload(
+            payload, *_parse_record_table(payload, rows, name), self.n, name
         )
-        return start, gains, captured
+        return decoded, decoded["nbytes"]
 
     # -- lifecycle -----------------------------------------------------
     def validate(self) -> None:
@@ -1045,19 +1031,16 @@ def apply_delta(
 def _write_view(view, dest: "str | Path") -> Path:
     """Write a view's live rows as a flat repository at ``dest``.
 
-    Same ``chunk_rows`` and codec policy as the view's base, so the
-    output is :func:`~repro.setsystem.shards.write_shards` of the merged
-    system, byte for byte; the rows are read a chunk at a time
+    Same ``chunk_rows`` as the view's base, so the output is
+    :func:`~repro.setsystem.shards.write_shards` of the merged system,
+    byte for byte; the rows are read a chunk at a time
     (:meth:`~repro.setsystem.shards.ShardedRepository.iter_chunk_rows`).
     """
     rows = (
         row for flat, sizes in view.iter_chunk_rows()
         for row in _csr_lists(flat, sizes)
     )
-    return write_shards(
-        dest, rows, n=view.n, chunk_rows=view.chunk_rows,
-        encoding=view.encoding,
-    )
+    return write_shards(dest, rows, n=view.n, chunk_rows=view.chunk_rows)
 
 
 def compact(
@@ -1068,9 +1051,9 @@ def compact(
     """Rewrite a repository's merged view as a clean single generation.
 
     The rewrite goes through :class:`~repro.setsystem.shards.ShardWriter`
-    over the merged rows in view order, with the base chunk geometry and
-    codec policy — i.e. it *is* a from-scratch write of the merged
-    system, so the output is bit-identical to
+    over the merged rows in view order, with the base chunk geometry —
+    i.e. it *is* a from-scratch write of the merged system, so the
+    output is bit-identical to
     :func:`~repro.setsystem.shards.write_shards` of
     ``MergedShardView.to_system()`` (asserted file-for-file by the
     churn-parity suite).

@@ -8,18 +8,15 @@ repository a real on-disk shape:
 
 * a **shard directory** holds ``manifest.json`` plus one binary file per
   chunk of sets (``shard-00000.bin``, ``shard-00001.bin``, ...);
-* a shard file is either a **raw** dense row-major matrix of packed
-  bitmaps — one row per set, ``ceil(n / 64)`` little-endian ``uint64``
-  words per row, the exact block layout of
-  :func:`~repro.setsystem.packed.pack_rows`, so chunks memory-map
-  straight into the scan kernels with zero decoding — or an
-  **encoded** block in which every row carries its own roaring-style
-  codec, chosen by density at write time (see below);
-* the manifest (schema ``repro.shards/v4``, the only one this build
+* every shard file is one **encoded** block in which each row carries
+  its own roaring-style codec, chosen by the one ``auto`` rule at write
+  time (see below): ``u32 row_count | u8 tags[rows] | u32 lengths[rows]
+  | payloads``, all little-endian;
+* the manifest (schema ``repro.shards/v5``, the only one this build
   reads) records ``n``, ``m``, the chunk geometry, the certified lower
-  bound ``dual_bound``, each shard's layout, a CRC-32 per shard and
-  checksummed per-shard statistics, and a CRC-32 over its header
-  (``header_crc32``), so truncated or corrupted repositories fail loudly
+  bound ``dual_bound``, a CRC-32 per shard and checksummed per-shard
+  statistics, and a CRC-32 over its header (``header_crc32``), so
+  truncated or corrupted repositories fail loudly
   (:class:`ShardFormatError`) instead of silently yielding garbage sets.
 
 Row codecs (DESIGN.md §6.2)
@@ -32,9 +29,10 @@ the faster decode), choosing and encoding a whole chunk at once in
 numpy (:class:`_ChunkCodec`):
 
 ``dense`` (tag 0)
-    The raw packed words.  A shard whose rows are all dense is written
-    in the **raw** layout (the packed block itself) and keeps the
-    zero-copy mmap scan path.
+    The raw packed words, ``ceil(n/64)`` little-endian ``uint64`` per
+    row.  A chunk whose rows are all dense is a block whose tags are
+    all 0; the scan and the referee read its words with one strided
+    gather off the map, and the scan captures them as one block.
 ``sparse-varint`` (tag 1)
     Delta-encoded sorted element ids as LEB128 varints: the first value
     is the first element, each later value the (>= 1) gap to the next.
@@ -43,12 +41,10 @@ numpy (:class:`_ChunkCodec`):
     ``[pos + skip, pos + skip + length)`` and advances ``pos`` to its
     end.  Wins on rows made of long contiguous intervals.
 
-An **encoded** shard file is ``u32 row_count | u8 tags[rows] |
-u32 lengths[rows] | payloads`` (all little-endian), so scans parse the
-record table with three vectorized reads and decode whole shards at
-once; the fused kernels in :mod:`repro.setsystem.packed` compute
-residual gains for sparse and run-length rows without ever
-materializing dense words.
+The record table is parsed with three vectorized reads and a whole
+shard is decoded at once (:func:`_decode_payload`); the fused kernels
+in :mod:`repro.setsystem.packed` compute residual gains for sparse and
+run-length rows without ever materializing dense words.
 
 Manifest statistics (DESIGN.md §8.1)
 ------------------------------------
@@ -64,18 +60,21 @@ The header records the dual bound ``dual_bound`` =
 (:func:`~repro.setsystem.set_system.dual_lower_bound`): the writer keeps
 each element's largest set in one ``uint32`` vector while it runs and
 sums the bound exactly at ``close``, so it costs no pass.
-``header_crc32`` covers ``n``, ``m``, ``words``, ``chunk_rows``,
-``encoding`` and ``dual_bound``.
+``header_crc32`` covers ``n``, ``m``, ``words``, ``chunk_rows`` and
+``dual_bound``.
 
 Two row decoders
 ----------------
-The scan decodes a whole shard at once (:meth:`ShardedRepository.decode_chunk`
-→ :meth:`~ShardedRepository.scan_decoded`).  Every other row read — random
-access, the row passes, materialization, verified opens, deep fsck,
-the merged delta view and compaction — is the referee's
-:meth:`ShardedRepository.select_rows`, a chunk at a time
-(``iter_chunk_rows``).  The two share no codec decoding, and refuse the
-same corruptions.
+The scan decodes a whole shard at once (:func:`_decode_payload`, through
+:meth:`ShardedRepository.decode_chunk`) and scans it with
+:meth:`~ShardedRepository.scan_decoded`; the merged delta view encodes
+each live chunk with the writer's codec and decodes it the same way,
+so a chain scan and its compaction's scan read the same arrays.  Every
+other row read — random access, the row passes, materialization,
+verified opens, deep fsck, the merged view's rows and compaction — is
+the referee's :meth:`ShardedRepository.select_rows`, a chunk at a time
+(``iter_chunk_rows``).  The two share no codec decoding (only the byte
+gather of dense rows), and refuse the same corruptions.
 
 One manifest reader
 -------------------
@@ -84,7 +83,7 @@ open (:class:`ShardedRepository`) and ``fsck``
 (:func:`~repro.setsystem.durability.fsck_repository`) both call it, and
 :func:`check_shard_file` is the one per-shard file check.  Each refusal
 is a :class:`ShardFormatError` whose ``code`` is the fsck finding code.
-Any schema tag other than ``repro.shards/v4`` is refused.
+Any schema tag other than ``repro.shards/v5`` is refused.
 
 :class:`ShardWriter` builds a repository incrementally (a chunk at a
 time, bounded memory) and removes partial output if the writer body
@@ -118,6 +117,7 @@ from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.setsystem.durability import (
     COMPACT_INTENT_NAME,
@@ -131,11 +131,10 @@ from repro.setsystem.packed import (
     Captures,
     ScanMask,
     _ragged_positions,
+    _popcount_rows,
     capture_locals,
-    chunk_gains,
     membership_hits,
     range_gains,
-    scan_chunk,
 )
 from repro.setsystem.set_system import (
     SetSystem,
@@ -151,7 +150,6 @@ __all__ = [
     "DELTAS_DIRNAME",
     "DELTA_MANIFEST_NAME",
     "DEFAULT_CHUNK_BYTES",
-    "ENCODINGS",
     "HEADER_FIELDS",
     "STATS_HIST_BUCKETS",
     "ShardFormatError",
@@ -168,10 +166,10 @@ __all__ = [
 ]
 
 #: Schema tag of every ``manifest.json``; no other tag is read.
-SHARD_SCHEMA = "repro.shards/v4"
+SHARD_SCHEMA = "repro.shards/v5"
 
 #: Manifest fields ``header_crc32`` covers.
-HEADER_FIELDS = ("n", "m", "words", "chunk_rows", "encoding", "dual_bound")
+HEADER_FIELDS = ("n", "m", "words", "chunk_rows", "dual_bound")
 
 #: Buckets of the per-shard row-density histogram: bucket ``b`` counts
 #: rows with ``|S| / n`` in ``[b/16, (b+1)/16)`` (the last bucket is
@@ -191,21 +189,15 @@ DELTA_MANIFEST_NAME = "delta.json"
 
 #: Default shard size target: ~4 MiB of packed rows per chunk.  Chunk
 #: geometry is always computed from the *dense* row size, independent of
-#: the encoding, so scan order, pass structure and the resident-buffer
-#: accounting (:attr:`ShardedRepository.chunk_words`) are identical
-#: across encodings.
+#: the row codecs, so scan order, pass structure and the resident-buffer
+#: accounting (:attr:`ShardedRepository.chunk_words`) depend on ``n``
+#: and ``m`` alone.
 DEFAULT_CHUNK_BYTES = 1 << 22
-
-#: Writer encoding knob: ``auto`` picks the cheapest codec per row;
-#: the other values force one codec for every row (``dense`` writes
-#: every shard in the raw layout).
-ENCODINGS = ("auto", "dense", "sparse", "rle")
 
 _WORD_BITS = 64
 _WORD_BYTES = 8
 
 _TAG_DENSE, _TAG_SPARSE, _TAG_RLE = 0, 1, 2
-_LAYOUT_RAW, _LAYOUT_ENCODED = "raw", "encoded"
 
 
 class ShardFormatError(ValueError):
@@ -347,8 +339,9 @@ class _ChunkCodec:
     The single implementation of codec choice, the row payload bytes
     and the v3 stats fold.  :class:`ShardWriter` encodes every chunk
     with it, and the merged delta view
-    (:class:`repro.setsystem.deltas.MergedShardView`) re-runs it to
-    predict — exactly — the stats a compacted rewrite will carry.
+    (:class:`repro.setsystem.deltas.MergedShardView`) re-runs it on each
+    live chunk to build — exactly — the payload and the stats a
+    compacted rewrite will carry.
 
     The chunk is CSR: ``flat`` holds every row's elements (sorted,
     duplicate-free within a row), ``sizes`` the row lengths.  All of it
@@ -360,14 +353,13 @@ class _ChunkCodec:
     * **runs** — one starts at each row start or where a gap is not 1,
       and stores ``(skip, length-1)`` with ``skip`` measured from the
       previous run's end (``0`` at a row start);
-    * **tags** — ``auto`` keeps dense unless sparse is strictly cheaper
+    * **tags** — the one rule: dense unless sparse is strictly cheaper
       (a varint is at least a byte, so such a row has fewer elements
       than dense bytes), then run-length only if strictly cheaper
-      still, so ties prefer the faster decode; the other encodings
-      force one codec.
+      still, so ties prefer the faster decode.
     """
 
-    def __init__(self, flat, sizes, n: int, encoding: str = "auto"):
+    def __init__(self, flat, sizes, n: int):
         self.flat, self.sizes, self.n = flat, sizes, n
         self.dense_bytes = _words_for(n) * _WORD_BYTES
         self.row_of = np.repeat(np.arange(sizes.size), sizes)
@@ -386,21 +378,18 @@ class _ChunkCodec:
         self.pair_widths = _varint_widths(self.pairs.ravel()).reshape(-1, 2)
         self.sparse_cost = _row_sums(self.gap_widths, sizes)
         self.rle_cost = _row_sums(self.pair_widths.sum(axis=1), self.row_runs)
-        self.tags = self._pick_tags(encoding)
+        self.tags = self._pick_tags()
 
     @classmethod
-    def of_rows(cls, rows: "list[list[int]]", n: int, encoding: str = "auto"):
+    def of_rows(cls, rows: "list[list[int]]", n: int):
         """Encode a chunk given as sorted, duplicate-free element lists."""
         sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         flat = np.fromiter(
             chain.from_iterable(rows), dtype=np.int64, count=int(sizes.sum())
         )
-        return cls(flat, sizes, n, encoding)
+        return cls(flat, sizes, n)
 
-    def _pick_tags(self, encoding: str) -> "np.ndarray":
-        if encoding != "auto":
-            tag = {"dense": _TAG_DENSE, "sparse": _TAG_SPARSE, "rle": _TAG_RLE}
-            return np.full(self.sizes.size, tag[encoding], dtype=np.uint8)
+    def _pick_tags(self) -> "np.ndarray":
         sparse = self.sparse_cost < self.dense_bytes
         best = np.where(sparse, self.sparse_cost, self.dense_bytes)
         tags = np.where(sparse, _TAG_SPARSE, _TAG_DENSE).astype(np.uint8)
@@ -426,26 +415,21 @@ class _ChunkCodec:
             "rle_runs": int(self.row_runs[self.tags == _TAG_RLE].sum()),
         }
 
-    def payload(self) -> "tuple[bytes, str]":
-        """The shard file bytes and their layout.
-
-        An all-dense chunk is the raw packed block; any other chunk is
-        ``u32 rows | u8 tags[rows] | u32 lengths[rows] | payloads``.
-        """
+    def payload(self) -> bytes:
+        """The shard file bytes:
+        ``u32 rows | u8 tags[rows] | u32 lengths[rows] | payloads``."""
         rows, tags, row_of = self.sizes.size, self.tags, self.row_of
         dense = tags == _TAG_DENSE
         lengths = np.where(
             dense, self.dense_bytes,
             np.where(tags == _TAG_SPARSE, self.sparse_cost, self.rle_cost),
         )
-        raw = bool(dense.all())
-        head = 0 if raw else 4 + 5 * rows
+        head = 4 + 5 * rows
         offsets = head + np.cumsum(lengths) - lengths
         out = np.zeros(head + int(lengths.sum()), dtype=np.uint8)
-        if not raw:
-            out[:4] = np.frombuffer(rows.to_bytes(4, "little"), dtype=np.uint8)
-            out[4 : 4 + rows] = tags
-            out[4 + rows : head] = lengths.astype("<u4").view(np.uint8)
+        out[:4] = np.frombuffer(rows.to_bytes(4, "little"), dtype=np.uint8)
+        out[4 : 4 + rows] = tags
+        out[4 + rows : head] = lengths.astype("<u4").view(np.uint8)
         # Dense rows: one scatter of every element's bit into its byte.
         member = dense[row_of]
         element = self.flat[member]
@@ -465,7 +449,7 @@ class _ChunkCodec:
             np.concatenate((row_of[sparse], np.repeat(run_rows[rle], 2))),
             offsets,
         )
-        return out.tobytes(), _LAYOUT_RAW if raw else _LAYOUT_ENCODED
+        return out.tobytes()
 
 
 def _matrix_rows(matrix) -> "tuple[np.ndarray, np.ndarray]":
@@ -543,7 +527,7 @@ def read_manifest(directory: "str | Path") -> "tuple[dict, bytes]":
     last holds ``1..chunk_rows``), that the rows sum to ``m``, that
     shard ``i`` is the file ``shard-{i:05d}.bin`` — so no entry names a
     file outside the repository — the stats blocks and ``stats_crc32``,
-    that each shard's layout and row count agree with its stats, and
+    that each shard's row count is its stats' codec mix, and
     that its largest set ``max_set_bits`` lies in ``[0, n]`` and in the
     top nonzero bucket of its density histogram, ``header_crc32``, and
     that ``dual_bound`` lies in ``[⌈n/Δ⌉, n]``.
@@ -581,10 +565,6 @@ def read_manifest(directory: "str | Path") -> "tuple[dict, bytes]":
     for key in ("n", "m", "words", "chunk_rows", "dual_bound"):
         if not _exact_int(manifest.get(key)):
             raise malformed(f"{key!r} is not an integer")
-    if manifest.get("encoding") not in ENCODINGS:
-        raise malformed(
-            f"encoding {manifest.get('encoding')!r} is not one of {ENCODINGS}"
-        )
     shards = manifest.get("shards")
     if not isinstance(shards, list):
         raise malformed("'shards' is not a list")
@@ -593,7 +573,6 @@ def read_manifest(directory: "str | Path") -> "tuple[dict, bytes]":
         raise geometry(
             f"n={n}, m={m}, words={manifest['words']}, chunk_rows={chunk_rows}"
         )
-    row_bytes = manifest["words"] * _WORD_BYTES
     for shard, meta in enumerate(shards):
         if not isinstance(meta, dict):
             raise malformed(f"shard entry {shard} is not an object")
@@ -605,21 +584,12 @@ def read_manifest(directory: "str | Path") -> "tuple[dict, bytes]":
         for key in ("rows", "bytes", "crc32"):
             if not _exact_int(meta.get(key)):
                 raise malformed(f"shard {shard}: {key!r} is not an integer")
-        if meta.get("layout") not in (_LAYOUT_RAW, _LAYOUT_ENCODED):
-            raise malformed(
-                f"shard {shard} has unknown layout {meta.get('layout')!r}"
-            )
         rows = meta["rows"]
         last = shard == len(shards) - 1
         if not (rows == chunk_rows or last and 1 <= rows < chunk_rows):
             raise geometry(
                 f"shard {shard} holds {rows} rows; chunk_rows={chunk_rows}"
                 + (" (the last shard holds 1..chunk_rows)" if last else "")
-            )
-        if meta["layout"] == _LAYOUT_RAW and meta["bytes"] != rows * row_bytes:
-            raise geometry(
-                f"raw shard {shard} records {meta['bytes']} bytes for {rows} "
-                f"rows of {row_bytes} bytes"
             )
     if sum(meta["rows"] for meta in shards) != m:
         raise ShardFormatError(
@@ -649,17 +619,14 @@ def read_manifest(directory: "str | Path") -> "tuple[dict, bytes]":
             "stats-checksum",
         )
     for shard, meta in enumerate(shards):
-        # The checksummed stats pin each shard's codec mix, so a layout
-        # or row count edited after the write cannot slip through.
+        # The checksummed stats pin each shard's codec mix, so a row
+        # count edited after the write cannot slip through.
         mix = meta["stats"]["codec_mix"]
-        layout = (
-            _LAYOUT_RAW if mix["sparse"] == mix["rle"] == 0 else _LAYOUT_ENCODED
-        )
         rows = mix["dense"] + mix["sparse"] + mix["rle"]
-        if meta["layout"] != layout or meta["rows"] != rows:
+        if meta["rows"] != rows:
             raise malformed(
-                f"shard {shard} is recorded as {meta['rows']} {meta['layout']} "
-                f"rows; its stats describe {rows} {layout} rows"
+                f"shard {shard} is recorded as {meta['rows']} rows; its stats "
+                f"describe {rows} rows"
             )
         # Δ prints a lower bound and sets the solvers' passes, so it
         # must at least sit in the histogram's highest nonzero bucket.
@@ -706,8 +673,8 @@ def check_shard_file(directory: "str | Path", meta: dict) -> Path:
     if actual != meta["bytes"]:
         raise ShardFormatError(
             f"shard {path.name} is {actual} bytes, expected {meta['bytes']} "
-            f"({meta['layout']} layout, {meta['rows']} rows) — truncated or "
-            "corrupt repository", "shard-size",
+            f"({meta['rows']} rows) — truncated or corrupt repository",
+            "shard-size",
         )
     return path
 
@@ -738,10 +705,6 @@ class ShardWriter:
         Sets per shard.  Default: as many rows as fit in ``chunk_bytes``.
     chunk_bytes:
         Target shard size in bytes when ``chunk_rows`` is not given.
-    encoding:
-        Row codec policy (:data:`ENCODINGS`).  ``auto`` (default) picks
-        the smallest of dense / sparse-varint / run-length per row;
-        ``dense`` writes raw packed blocks only.
 
     Examples
     --------
@@ -763,16 +726,11 @@ class ShardWriter:
         n: int,
         chunk_rows: "int | None" = None,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        encoding: str = "auto",
     ):
         if n < 0:
             raise ValueError(f"ground set size must be non-negative, got {n}")
         if chunk_rows is not None and chunk_rows < 1:
             raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
-        if encoding not in ENCODINGS:
-            raise ValueError(
-                f"unknown encoding {encoding!r}; expected one of {ENCODINGS}"
-            )
         self.path = Path(path)
         existed = self.path.is_dir()
         self.path.mkdir(parents=True, exist_ok=True)
@@ -783,7 +741,6 @@ class ShardWriter:
             )
         self.n = n
         self.words = _words_for(n)
-        self.encoding = encoding
         self.chunk_rows = (
             chunk_rows if chunk_rows is not None else _chunk_rows_for(n, chunk_bytes)
         )
@@ -869,10 +826,9 @@ class ShardWriter:
         if not self._buffered:
             return
         chunk = _ChunkCodec(
-            np.concatenate(self._flat), np.concatenate(self._sizes),
-            self.n, self.encoding,
+            np.concatenate(self._flat), np.concatenate(self._sizes), self.n
         )
-        payload, layout = chunk.payload()
+        payload = chunk.payload()
         element_widest(self.n, chunk.flat, chunk.sizes, self._widest)
         name = _shard_name(len(self._shards))
         crashpoint("writer.shard-flush")
@@ -884,7 +840,6 @@ class ShardWriter:
                 "rows": self._buffered,
                 "bytes": len(payload),
                 "crc32": zlib.crc32(payload),
-                "layout": layout,
                 "stats": chunk.stats(),
             }
         )
@@ -903,7 +858,6 @@ class ShardWriter:
             "m": self._m,
             "words": self.words,
             "chunk_rows": self.chunk_rows,
-            "encoding": self.encoding,
             "dual_bound": dual_lower_bound(self.n, self._widest),
             "shards": self._shards,
             "stats_crc32": _stats_checksum(self._shards),
@@ -960,7 +914,6 @@ def write_shards(
     n: "int | None" = None,
     chunk_rows: "int | None" = None,
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    encoding: str = "auto",
 ) -> Path:
     """Write a set system (or a lazy iterable of sets) as a shard directory.
 
@@ -975,8 +928,8 @@ def write_shards(
         the iterable raises mid-write, partial output is removed.
     n:
         Ground-set size; required when ``source`` is not a ``SetSystem``.
-    chunk_rows / chunk_bytes / encoding:
-        Chunk geometry and row codec policy, as for :class:`ShardWriter`.
+    chunk_rows / chunk_bytes:
+        Chunk geometry, as for :class:`ShardWriter`.
 
     Returns
     -------
@@ -991,29 +944,63 @@ def write_shards(
             raise ValueError("n is required when source is not a SetSystem")
         rows = source
     with ShardWriter(
-        path, n, chunk_rows=chunk_rows, chunk_bytes=chunk_bytes, encoding=encoding
+        path, n, chunk_rows=chunk_rows, chunk_bytes=chunk_bytes
     ) as writer:
         writer.extend(rows)
     return writer.path
 
 
 # ----------------------------------------------------------------------
-# Referee row reads: one chunk walker over select_rows
+# The one scan and the referee's row reads, shared by both repositories
 # ----------------------------------------------------------------------
-class _RefereeRows:
-    """Every row read outside the scan, over one chunk walker.
+class _RepositoryReads:
+    """The scan of a decoded chunk, and every row read outside the scan.
 
     :class:`ShardedRepository` and the merged delta view
     (:class:`repro.setsystem.deltas.MergedShardView`) provide ``n``,
-    ``m``, ``words``, ``chunk_rows``, ``select_rows`` (the referee's
+    ``m``, ``words``, ``chunk_rows``, ``_span(shard)`` (a chunk's first
+    row and row count, refusing a closed handle), ``decode_chunk`` (a
+    :func:`_decode_payload` result), ``select_rows`` (the referee's
     decoder, which refuses a closed handle) and ``select_words`` (the
-    same rows as packed words).  The row passes, materialization,
-    verified opens and compaction read rows through
-    :meth:`iter_chunk_rows`, ``select_rows`` of one chunk at a time;
-    the bitmask reads take ``select_words``, which hands a raw shard's
-    words over without decoding them.  Only the scan (``decode_chunk``
-    → ``scan_decoded``) decodes a payload another way.
+    same rows as packed words).  Both scan through the one
+    :meth:`scan_decoded`.  The row passes, materialization, verified
+    opens and compaction read rows through :meth:`iter_chunk_rows`,
+    ``select_rows`` of one chunk at a time; the bitmask reads take
+    ``select_words``, which hands dense rows' words over without
+    decoding them.
     """
+
+    def scan_decoded(
+        self,
+        shard: int,
+        payload,
+        mask: ScanMask,
+        min_capture_gain: "int | None" = None,
+        capture_ids=None,
+        best_only: bool = False,
+    ):
+        """Gains + captured projections for one chunk against a residual.
+
+        The per-chunk unit of a gains scan (DESIGN.md §6), over a
+        :meth:`decode_chunk` payload: the **fused decode-and-gain
+        kernels** — sparse rows gather mask bits per element id,
+        run-length rows difference a prefix popcount, dense rows
+        popcount their words against the mask — and captured
+        projections built from the same arrays
+        (:func:`_captures_from_decoded`).  An empty mask reads no
+        payload (it may be ``None``).
+
+        Returns ``(start_row, gains, captured)`` with the same semantics
+        as :func:`repro.setsystem.packed.scan_chunk`.
+        """
+        start, rows = self._span(shard)
+        if mask.is_empty:
+            return start, np.zeros(rows, dtype=np.int64), Captures.empty(self.words)
+        gains, hits, inter = _gains_from_decoded(payload, mask)
+        locals_ = capture_locals(start, gains, min_capture_gain, capture_ids, best_only)
+        return start, gains, _captures_from_decoded(
+            payload, gains, hits, inter, start, locals_, mask, self.words
+        )
 
     def _chunk_ids(self) -> "Iterator[np.ndarray]":
         """The row ids of each chunk of ``chunk_rows`` rows, in order."""
@@ -1140,8 +1127,126 @@ def _refuse_tail_bits(matrix: "np.ndarray", n: int, name: str) -> None:
     tail = n % _WORD_BITS
     if matrix.size and tail and (matrix[:, -1] >> np.uint64(tail)).any():
         raise ShardFormatError(
-            f"corrupt {name}: dense row bits beyond the ground set"
+            f"corrupt shard {name}: dense row bits beyond the ground set"
         )
+
+
+def _dense_block(
+    payload: "np.ndarray", offsets: "np.ndarray", lengths: "np.ndarray",
+    n: int, name: str,
+) -> "np.ndarray":
+    """Dense rows at ``offsets`` of ``payload`` as a ``(rows, words)``
+    ``uint64`` block: one strided gather of whole rows, then the length
+    and tail-bit refusals.  The byte gather both decoders share."""
+    row_bytes = _words_for(n) * _WORD_BYTES
+    if (lengths != row_bytes).any():
+        raise ShardFormatError(f"corrupt shard {name}: dense row length mismatch")
+    if not (row_bytes and offsets.size):
+        return np.zeros((offsets.size, row_bytes // _WORD_BYTES), dtype=np.uint64)
+    block = sliding_window_view(payload, row_bytes)[offsets].view("<u8")
+    _refuse_tail_bits(block, n, name)
+    return block
+
+
+def _parse_record_table(payload: "np.ndarray", rows: int, name: str):
+    """``(tags, lengths, offsets)`` of a chunk's record table, checked
+    against its ``rows`` and the payload's size."""
+    head = 4 + 5 * rows
+    if payload.size < head:
+        raise ShardFormatError(f"corrupt shard {name}: record table truncated")
+    if int.from_bytes(payload[:4].tobytes(), "little") != rows:
+        raise ShardFormatError(f"corrupt shard {name}: row count mismatch")
+    tags = payload[4 : 4 + rows].copy()
+    lengths = payload[4 + rows : head].view("<u4").astype(np.int64)
+    offsets = head + np.cumsum(lengths) - lengths
+    if tags.max(initial=0) > _TAG_RLE:
+        raise ShardFormatError(f"corrupt shard {name}: unknown row codec tag")
+    if head + int(lengths.sum()) != payload.size:
+        raise ShardFormatError(f"corrupt shard {name}: payload length mismatch")
+    return tags, lengths, offsets
+
+
+def _decode_payload(
+    payload: "np.ndarray", tags: "np.ndarray", lengths: "np.ndarray",
+    offsets: "np.ndarray", n: int, name: str,
+) -> dict:
+    """The mask-independent half of the scan: one chunk's kernel arrays.
+
+    Parses every row of a chunk (``payload`` and its record table) into
+    kernel-ready arrays — sparse element ids, run-length boundaries, a
+    packed dense submatrix — validating every corruption the referee
+    refuses.  The result references no ``mmap`` memory, so the hot cache
+    (:mod:`repro.engine.cache`) can hold it across passes (and across
+    repository handles); :func:`_gains_from_decoded` applies any
+    residual mask to it.  Shard files and the merged delta view's
+    chunks are decoded by this one function.
+    """
+    max_bytes = max(1, (int(n).bit_length() + 6) // 7) if n else 1
+    nbytes = 0
+
+    sparse = None
+    sel = np.flatnonzero(tags == _TAG_SPARSE)
+    if sel.size:
+        seg = _ragged_gather(payload, offsets[sel], lengths[sel])
+        values, ends = _bulk_varints(seg, max_bytes)
+        counts = _varint_counts(ends, lengths[sel])
+        if values.size:
+            first = np.cumsum(counts) - counts
+            nonzero = counts > 0
+            is_first = np.zeros(values.size, dtype=bool)
+            is_first[first[nonzero]] = True
+            if values[~is_first].size and int(values[~is_first].min()) < 1:
+                raise ShardFormatError(
+                    f"corrupt shard {name}: non-increasing sparse row"
+                )
+            elements = _segmented_absolutes(values, counts)
+            if int(elements.max()) >= n:
+                raise ShardFormatError(
+                    f"corrupt shard {name}: element outside the ground set"
+                )
+            row_ids = np.repeat(sel, counts)
+            sparse = (elements, row_ids)
+            nbytes += elements.nbytes + row_ids.nbytes
+
+    rle = None
+    sel = np.flatnonzero(tags == _TAG_RLE)
+    if sel.size:
+        seg = _ragged_gather(payload, offsets[sel], lengths[sel])
+        values, ends = _bulk_varints(seg, max_bytes)
+        counts = _varint_counts(ends, lengths[sel])
+        if (counts % 2).any():
+            raise ShardFormatError(
+                f"corrupt shard {name}: dangling run-length pair"
+            )
+        if values.size:
+            skips, stored = values[0::2], values[1::2]
+            run_lens = stored + 1
+            pair_counts = counts // 2
+            run_ends = _segmented_absolutes(skips + run_lens, pair_counts)
+            run_starts = run_ends - run_lens
+            if int(run_ends.max()) > n:
+                raise ShardFormatError(
+                    f"corrupt shard {name}: run outside the ground set"
+                )
+            row_ids = np.repeat(sel, pair_counts)
+            rle = (run_starts, run_ends, row_ids)
+            nbytes += run_starts.nbytes + run_ends.nbytes + row_ids.nbytes
+
+    dense = None
+    sel = np.flatnonzero(tags == _TAG_DENSE)
+    if sel.size:
+        matrix = _dense_block(payload, offsets[sel], lengths[sel], n, name)
+        if matrix.size:
+            dense = (sel, matrix)
+            nbytes += sel.nbytes + matrix.nbytes
+
+    return {
+        "rows": int(tags.size),
+        "sparse": sparse,
+        "rle": rle,
+        "dense": dense,
+        "nbytes": nbytes,
+    }
 
 def _segmented_absolutes(
     values: "np.ndarray", counts: "np.ndarray"
@@ -1153,7 +1258,7 @@ def _segmented_absolutes(
     return cum - np.repeat(base, counts)
 
 
-class ShardedRepository(_RefereeRows):
+class ShardedRepository(_RepositoryReads):
     """Memory-mapped read access to a shard directory.
 
     Opening validates the manifest (:func:`read_manifest`) and every
@@ -1161,9 +1266,9 @@ class ShardedRepository(_RefereeRows):
     classic truncated-copy failure — raises :class:`ShardFormatError`
     immediately.  CRC-32 verification is
     a full read of every shard, so it is opt-in: pass ``verify=True`` or
-    call :meth:`validate`.  Encoded shards additionally validate their
-    record tables on first touch and their payloads while decoding, so a
-    corrupted compressed block raises instead of yielding garbage rows.
+    call :meth:`validate`.  Shards additionally validate their record
+    tables on first touch and their payloads while decoding, so a
+    corrupted block raises instead of yielding garbage rows.
 
     Shard files are ``mmap``-ed, not read: a sequential scan touches one
     chunk's pages at a time and the OS reclaims them behind the read
@@ -1219,7 +1324,6 @@ class ShardedRepository(_RefereeRows):
         #: generation mid-solve.
         self.token = [len(manifest_raw), zlib.crc32(manifest_raw)]
         self.schema = manifest["schema"]
-        self.encoding = manifest["encoding"]
         self.n = manifest["n"]
         self.m = manifest["m"]
         self.words = manifest["words"]
@@ -1228,12 +1332,10 @@ class ShardedRepository(_RefereeRows):
         self.dual_bound = manifest["dual_bound"]
         self._shard_meta = manifest["shards"]
 
-        self._row_bytes = self.words * _WORD_BYTES
         self._files = []
         self._maps: list[mmap.mmap] = []
         self._starts: list[int] = []  # first global row id of each shard
-        self._layouts: list[str] = []
-        self._header_cache: dict[int, tuple] = {}
+        self._tables: dict[int, tuple] = {}
         start = 0
         for meta in self._shard_meta:
             try:
@@ -1248,7 +1350,6 @@ class ShardedRepository(_RefereeRows):
             else:  # mmap cannot map empty files
                 self._maps.append(None)  # type: ignore[arg-type]
             self._starts.append(start)
-            self._layouts.append(meta["layout"])
             start += meta["rows"]
         self._closed = False
         if verify:
@@ -1274,8 +1375,8 @@ class ShardedRepository(_RefereeRows):
 
         This is the number :class:`~repro.streaming.sharded.ShardedSetStream`
         charges as its resident scan buffer (DESIGN.md §3.6).  It is the
-        *decoded* chunk size, so the accounting is identical for raw and
-        compressed repositories.
+        *decoded* chunk size, so the accounting does not depend on the
+        row codecs.
         """
         return min(self.chunk_rows, max(self.m, 1)) * self.words
 
@@ -1346,10 +1447,9 @@ class ShardedRepository(_RefereeRows):
     def close(self) -> None:
         """Release all memory maps and file handles (idempotent).
 
-        Zero-copy raw-shard views (:meth:`_raw_matrix`) export the
-        underlying ``mmap`` buffer; a map still referenced by live views
-        cannot be closed eagerly, so it is dropped instead and freed by
-        the garbage collector once the last view dies.
+        A map still referenced by a live numpy view cannot be closed
+        eagerly, so it is dropped instead and freed by the garbage
+        collector once the last view dies.
         """
         for mm in getattr(self, "_maps", []):
             if mm is not None:
@@ -1361,7 +1461,7 @@ class ShardedRepository(_RefereeRows):
             handle.close()
         self._maps = []
         self._files = []
-        self._header_cache = {}
+        self._tables = {}
         self._closed = True
         lease = getattr(self, "_lease", None)
         if lease is not None:
@@ -1384,216 +1484,49 @@ class ShardedRepository(_RefereeRows):
         self.close()
 
     # ------------------------------------------------------------------
-    # Record tables and raw blocks (read by both decoders)
+    # Record tables (read by both decoders)
     # ------------------------------------------------------------------
-    def _encoded_header(self, shard: int):
-        """Parse (and cache) an encoded shard's ``tags/lengths/offsets``."""
-        cached = self._header_cache.get(shard)
-        if cached is not None:
-            return cached
+    def _record_table(self, shard: int):
+        """Parse (and cache) a shard's ``(tags, lengths, offsets)``."""
+        cached = self._tables.get(shard)
+        if cached is None:
+            meta = self._shard_meta[shard]
+            cached = _parse_record_table(
+                self._bytes(shard), meta["rows"], meta["file"]
+            )
+            self._tables[shard] = cached
+        return cached
+
+    def _bytes(self, shard: int) -> "np.ndarray":
+        """A shard file's bytes: a read-only ``uint8`` view of its map."""
         raw = self._maps[shard]
-        meta = self._shard_meta[shard]
-        rows, size = meta["rows"], meta["bytes"]
-        head = 4 + rows + 4 * rows
-        if raw is None or size < head:
-            raise ShardFormatError(
-                f"corrupt encoded shard {meta['file']}: record table truncated"
-            )
-        if int.from_bytes(raw[:4], "little") != rows:
-            raise ShardFormatError(
-                f"corrupt encoded shard {meta['file']}: row count mismatch"
-            )
-        tag_bytes = bytes(raw[4 : 4 + rows])
-        length_bytes = bytes(raw[4 + rows : head])
-        tags = np.frombuffer(tag_bytes, dtype=np.uint8)
-        lengths = np.frombuffer(length_bytes, dtype="<u4").astype(np.int64)
-        offsets = head + np.cumsum(lengths) - lengths
-        total = int(lengths.sum())
-        if tags.max(initial=0) > _TAG_RLE:
-            raise ShardFormatError(
-                f"corrupt encoded shard {meta['file']}: unknown row codec tag"
-            )
-        if head + total != size:
-            raise ShardFormatError(
-                f"corrupt encoded shard {meta['file']}: payload length mismatch"
-            )
-        header = (tags, lengths, offsets)
-        self._header_cache[shard] = header
-        return header
-
-    def _raw_matrix(self, shard: int) -> "np.ndarray":
-        """A raw shard's ``(rows, words)`` block: a read-only view over
-        its ``mmap``."""
-        rows = self._shard_meta[shard]["rows"]
-        raw = self._maps[shard] if self._maps[shard] is not None else b""
-        matrix = np.frombuffer(raw, dtype="<u8", count=rows * self.words)
-        return matrix.reshape(rows, self.words)
+        return np.frombuffer(raw if raw is not None else b"", dtype=np.uint8)
 
     # ------------------------------------------------------------------
-    # The scan's bulk decoder (decode_chunk's encoded half)
+    # Shard scans: decode half (repro.engine.cache) + the shared scan half
     # ------------------------------------------------------------------
-    def _decode_encoded_chunk(self, shard: int, rows: int) -> dict:
-        """The mask-independent half of the fused encoded scan.
+    def _span(self, shard: int) -> "tuple[int, int]":
+        """``(first row, rows)`` of shard ``shard``."""
+        if self._closed:
+            raise ShardFormatError(f"repository {self.path} is closed")
+        return self._starts[shard], self._shard_meta[shard]["rows"]
 
-        Parses every row of an encoded shard into kernel-ready arrays —
-        sparse element ids, run-length boundaries, a packed dense
-        submatrix — carrying all the corruption validation of the old
-        one-shot scan.  The result references no ``mmap`` memory, so the
-        hot cache (:mod:`repro.engine.cache`) can hold it across passes
-        (and across repository handles); :func:`_gains_from_decoded`
-        applies any residual mask to it, bit-identical to the fused
-        scan.
-        """
-        tags, lengths, offsets = self._encoded_header(shard)
-        payload = np.frombuffer(self._maps[shard], dtype=np.uint8)
-        max_bytes = max(1, (int(self.n).bit_length() + 6) // 7) if self.n else 1
-        row_bytes = self._row_bytes
-        meta_file = self._shard_meta[shard]["file"]
-        nbytes = 0
-
-        sparse = None
-        sel = np.flatnonzero(tags == _TAG_SPARSE)
-        if sel.size:
-            seg = _ragged_gather(payload, offsets[sel], lengths[sel])
-            values, ends = _bulk_varints(seg, max_bytes)
-            counts = _varint_counts(ends, lengths[sel])
-            if values.size:
-                first = np.cumsum(counts) - counts
-                nonzero = counts > 0
-                is_first = np.zeros(values.size, dtype=bool)
-                is_first[first[nonzero]] = True
-                if values[~is_first].size and int(values[~is_first].min()) < 1:
-                    raise ShardFormatError(
-                        f"corrupt encoded shard {meta_file}: "
-                        "non-increasing sparse row"
-                    )
-                elements = _segmented_absolutes(values, counts)
-                if int(elements.max()) >= self.n:
-                    raise ShardFormatError(
-                        f"corrupt encoded shard {meta_file}: "
-                        "element outside the ground set"
-                    )
-                row_ids = np.repeat(sel, counts)
-                sparse = (elements, row_ids)
-                nbytes += elements.nbytes + row_ids.nbytes
-
-        rle = None
-        sel = np.flatnonzero(tags == _TAG_RLE)
-        if sel.size:
-            seg = _ragged_gather(payload, offsets[sel], lengths[sel])
-            values, ends = _bulk_varints(seg, max_bytes)
-            counts = _varint_counts(ends, lengths[sel])
-            if (counts % 2).any():
-                raise ShardFormatError(
-                    f"corrupt encoded shard {meta_file}: dangling run-length pair"
-                )
-            if values.size:
-                skips, stored = values[0::2], values[1::2]
-                run_lens = stored + 1
-                pair_counts = counts // 2
-                run_ends = _segmented_absolutes(skips + run_lens, pair_counts)
-                run_starts = run_ends - run_lens
-                if int(run_ends.max()) > self.n:
-                    raise ShardFormatError(
-                        f"corrupt encoded shard {meta_file}: "
-                        "run outside the ground set"
-                    )
-                row_ids = np.repeat(sel, pair_counts)
-                rle = (run_starts, run_ends, row_ids)
-                nbytes += run_starts.nbytes + run_ends.nbytes + row_ids.nbytes
-
-        dense = None
-        sel = np.flatnonzero(tags == _TAG_DENSE)
-        if sel.size:
-            if (lengths[sel] != row_bytes).any():
-                raise ShardFormatError(
-                    f"corrupt encoded shard {meta_file}: dense row length mismatch"
-                )
-            if row_bytes:
-                positions = offsets[sel][:, None] + np.arange(row_bytes, dtype=np.int64)
-                matrix = (
-                    np.ascontiguousarray(payload[positions]).view("<u8")
-                )
-                _refuse_tail_bits(matrix, self.n, f"encoded shard {meta_file}")
-                dense = (sel, matrix)
-                nbytes += sel.nbytes + matrix.nbytes
-
-        return {
-            "rows": rows,
-            "sparse": sparse,
-            "rle": rle,
-            "dense": dense,
-            "nbytes": nbytes,
-        }
-
-    # ------------------------------------------------------------------
-    # Shard scans: decode half + scan half (repro.engine.cache)
-    # ------------------------------------------------------------------
     def decode_chunk(self, shard: int):
         """``(payload, resident_bytes)``: the mask-independent half of a scan.
 
-        The payload is self-contained (owns its memory, references no
-        ``mmap``) and mask-independent, so the hot cache can keep it
-        past this handle and serve any residual from it;
-        :meth:`scan_decoded` turns it into a scan result.  Raw shards
-        decode to a copy of their packed matrix, encoded shards to the
-        parsed kernel arrays.
+        The payload is :func:`_decode_payload` of the shard file: kernel
+        arrays that own their memory (no ``mmap`` reference) and do not
+        depend on the mask, so the hot cache can keep it past this
+        handle and serve any residual from it; :meth:`scan_decoded`
+        turns it into a scan result.
         """
-        if self._closed:
-            raise ShardFormatError(f"repository {self.path} is closed")
-        rows = self._shard_meta[shard]["rows"]
-        if self._layouts[shard] == _LAYOUT_RAW:
-            matrix = np.array(self._raw_matrix(shard))
-            _refuse_tail_bits(
-                matrix, self.n, f"raw shard {self._shard_meta[shard]['file']}"
-            )
-            return ("matrix", matrix), matrix.nbytes
-        decoded = self._decode_encoded_chunk(shard, rows)
-        return ("decoded", decoded), decoded["nbytes"]
-
-    def scan_decoded(
-        self,
-        shard: int,
-        payload,
-        mask: ScanMask,
-        min_capture_gain: "int | None" = None,
-        capture_ids=None,
-        best_only: bool = False,
-    ):
-        """Gains + captured projections for one shard against a residual.
-
-        The per-chunk unit of a gains scan (DESIGN.md §6), over a
-        :meth:`decode_chunk` payload: raw shards run the dense chunk
-        kernel on their matrix; encoded shards run the **fused
-        decode-and-gain kernels** — sparse rows gather mask bits per
-        element id and run-length rows difference a prefix popcount,
-        neither ever materializing dense words — and build captured
-        projections from the same arrays (:func:`_captures_from_decoded`).
-        An empty mask reads no payload (it may be ``None``).
-
-        Returns ``(start_row, gains, captured)`` with the same semantics
-        as :func:`repro.setsystem.packed.scan_chunk`.
-        """
-        if self._closed:
-            raise ShardFormatError(f"repository {self.path} is closed")
-        start = self._starts[shard]
-        rows = self._shard_meta[shard]["rows"]
-        if mask.is_empty:
-            return start, np.zeros(rows, dtype=np.int64), Captures.empty(self.words)
-        kind, data = payload
-        if kind != "decoded":
-            gains, captured = scan_chunk(
-                start, data, mask,
-                min_capture_gain=min_capture_gain,
-                capture_ids=capture_ids,
-                best_only=best_only,
-            )
-            return start, gains, captured
-        gains, hits = _gains_from_decoded(data, mask)
-        locals_ = capture_locals(start, gains, min_capture_gain, capture_ids, best_only)
-        return start, gains, _captures_from_decoded(
-            data, gains, hits, start, locals_, mask, self.words
+        self._span(shard)  # refuses a closed handle
+        tags, lengths, offsets = self._record_table(shard)
+        decoded = _decode_payload(
+            self._bytes(shard), tags, lengths, offsets, self.n,
+            self._shard_meta[shard]["file"],
         )
+        return decoded, decoded["nbytes"]
 
     def scan_shard(
         self,
@@ -1618,59 +1551,58 @@ class ShardedRepository(_RefereeRows):
         """Rows ``ids`` as CSR ``(elements, sizes)``, in ``ids`` order (referee).
 
         The ids are grouped by shard, and each needed row is decoded in
-        numpy from the shard file: raw rows straight off the map, encoded
-        rows by their codec tag (:func:`_referee_decode`).  It shares no
-        codec decoding with :meth:`decode_chunk` or the scan kernels (only
-        the byte gather), so ``verify_solution`` checks the solvers
-        independently.  A corrupt
+        numpy from the shard file by its codec tag: dense rows are their
+        words off the map, the others go through :func:`_referee_decode`.
+        It shares no codec decoding with :meth:`decode_chunk` or the scan
+        kernels (only the byte gather of dense rows), so
+        ``verify_solution`` checks the solvers independently.  A corrupt
         row raises :class:`ShardFormatError`; an id outside ``[0, m)``
         raises ``IndexError``.
         """
         ids, groups = self._shard_groups(ids)
         rows_of = []
         for shard, at, local in groups:
-            if self._layouts[shard] == _LAYOUT_RAW:
-                rows_of.append((at, *_matrix_rows(
-                    self._dense_words(self._raw_matrix(shard)[local], shard)
-                )))
-                continue
-            tags, lengths, offsets = self._encoded_header(shard)
-            payload = np.frombuffer(self._maps[shard], dtype=np.uint8)
+            tags, lengths, offsets = self._record_table(shard)
             for tag in (_TAG_DENSE, _TAG_SPARSE, _TAG_RLE):
                 pick = np.flatnonzero(tags[local] == tag)
                 if not pick.size:
                     continue
                 rows = local[pick]
-                data = _ragged_gather(payload, offsets[rows], lengths[rows])
                 if tag == _TAG_DENSE:
-                    if (lengths[rows] != self._row_bytes).any():
-                        raise ShardFormatError(
-                            f"corrupt dense row in {self._shard_meta[shard]['file']}"
-                        )
-                    flat, sizes = _matrix_rows(self._dense_words(
-                        data.view("<u8").reshape(rows.size, self.words), shard
-                    ))
+                    flat, sizes = _matrix_rows(self._dense_rows(shard, rows))
                 else:
                     flat, sizes = _referee_decode(
-                        tag, data, lengths[rows], self.n,
-                        self._shard_meta[shard]["file"],
+                        tag, _ragged_gather(self._bytes(shard), offsets[rows],
+                                            lengths[rows]),
+                        lengths[rows], self.n, self._shard_meta[shard]["file"],
                     )
                 rows_of.append((at[pick], flat, sizes))
         return _ordered_rows(ids.size, rows_of)
 
     def select_words(self, ids) -> "np.ndarray":
         """Rows ``ids`` as a packed ``(rows, words)`` ``uint64`` block, in
-        ``ids`` order (referee).  A raw shard's rows are its words off the
-        map, refused like :meth:`decode_chunk` refuses bits beyond the
-        ground set; encoded rows pack :meth:`select_rows`."""
+        ``ids`` order (referee).  Dense rows are their words off the map,
+        refused like :meth:`decode_chunk` refuses bits beyond the ground
+        set; the other rows pack :meth:`select_rows`."""
         ids, groups = self._shard_groups(ids)
         block = np.empty((ids.size, self.words), dtype=np.uint64)
         for shard, at, local in groups:
-            if self._layouts[shard] == _LAYOUT_RAW:
-                block[at] = self._dense_words(self._raw_matrix(shard)[local], shard)
-            else:
-                block[at] = _csr_words(*self.select_rows(ids[at]), self.words)
+            dense = self._record_table(shard)[0][local] == _TAG_DENSE
+            block[at[dense]] = self._dense_rows(shard, local[dense])
+            if not dense.all():
+                block[at[~dense]] = _csr_words(
+                    *self.select_rows(ids[at[~dense]]), self.words
+                )
         return block
+
+    def _dense_rows(self, shard: int, rows: "np.ndarray") -> "np.ndarray":
+        """Dense-tagged rows ``rows`` of ``shard`` as a ``(rows, words)``
+        block off the map (:func:`_dense_block`)."""
+        _, lengths, offsets = self._record_table(shard)
+        return _dense_block(
+            self._bytes(shard), offsets[rows], lengths[rows], self.n,
+            self._shard_meta[shard]["file"],
+        )
 
     def _shard_groups(self, ids):
         """``(ids, [(shard, positions, local rows), ...])``: row ids as an
@@ -1686,14 +1618,6 @@ class ShardedRepository(_RefereeRows):
             at = np.flatnonzero(shard_of == shard)
             groups.append((shard, at, ids[at] - self._starts[shard]))
         return ids, groups
-
-    def _dense_words(self, matrix, shard: int):
-        """Packed rows of ``shard``, refusing bits beyond the ground set."""
-        _refuse_tail_bits(
-            matrix, self.n,
-            f"{self._layouts[shard]} shard {self._shard_meta[shard]['file']}",
-        )
-        return matrix
 
     def __repr__(self) -> str:
         return (
@@ -1718,7 +1642,7 @@ def _referee_decode(tag: int, data, lengths, n: int, name: str):
     1 or an odd run-length pair count raises :class:`ShardFormatError`.
     """
     def corrupt(detail: str):
-        return ShardFormatError(f"corrupt encoded shard {name}: {detail}")
+        return ShardFormatError(f"corrupt shard {name}: {detail}")
 
     lengths = np.asarray(lengths, dtype=np.int64)
     row_end = np.cumsum(lengths)
@@ -1785,15 +1709,16 @@ def _ordered_rows(count: int, groups) -> "tuple[np.ndarray, np.ndarray]":
 # The scan half: gains and captures from a decoded chunk
 # ----------------------------------------------------------------------
 def _gains_from_decoded(decoded: dict, mask: ScanMask) -> "np.ndarray":
-    """Apply a residual mask to a ``_decode_encoded_chunk`` payload.
+    """Apply a residual mask to a :func:`_decode_payload` result.
 
-    The mask-dependent half of the fused encoded scan: the same three
-    kernels (``membership_hits`` + bincount, ``range_gains``,
-    ``chunk_gains``) in the same accumulation order as the one-shot
-    path, so gains are bit-identical whether the arrays were decoded
-    this call or served from the hot cache.  Returns ``(gains, hits)``:
-    ``hits`` flags the sparse elements inside the mask (``None`` without
-    sparse rows), which the captures reuse.
+    The mask-dependent half of the fused scan: three kernels
+    (``membership_hits`` + bincount, ``range_gains``, and a popcount of
+    the dense rows' intersection with the mask), so gains are
+    bit-identical whether the arrays were decoded this call or served
+    from the hot cache.  Returns ``(gains, hits, inter)``: ``hits`` flags
+    the sparse elements inside the mask and ``inter`` is the dense rows'
+    ``row ∩ mask`` block (each ``None`` without such rows), which the
+    captures reuse.
     """
     rows = decoded["rows"]
     gains = np.zeros(rows, dtype=np.int64)
@@ -1807,15 +1732,17 @@ def _gains_from_decoded(decoded: dict, mask: ScanMask) -> "np.ndarray":
     if rle is not None:
         run_starts, run_ends, row_ids = rle
         gains += range_gains(run_starts, run_ends, row_ids, rows, mask.prefix)
+    inter = None
     dense = decoded["dense"]
     if dense is not None:
         sel, matrix = dense
-        gains[sel] = chunk_gains(matrix, mask.arr)
-    return gains, hits
+        inter = np.bitwise_and(matrix, mask.arr[None, :])
+        gains[sel] = _popcount_rows(inter)
+    return gains, hits, inter
 
 
 def _captures_from_decoded(
-    decoded: dict, gains, hits, start: int, locals_: "list[int]",
+    decoded: dict, gains, hits, inter, start: int, locals_: "list[int]",
     mask: ScanMask, words: int,
 ) -> Captures:
     """The record of ``row ∩ mask`` for the ``locals_`` rows of a decoded chunk.
@@ -1825,14 +1752,22 @@ def _captures_from_decoded(
     words as one ``(flat, bits)`` part, ``flat = slot · words + word``:
     sparse rows one bit per element the gains found in the mask
     (``hits``; a sparse row's gain counts them), OR-ed per word;
-    run-length rows their runs word by word; dense rows their packed
-    words.  :meth:`Captures.from_words` lays the parts out by the byte
-    rule, so a word-sparse record never touches a zeroed
-    ``(rows, words)`` block.
+    run-length rows their runs word by word; dense rows their rows of
+    ``inter``.  :meth:`Captures.from_words` lays the parts out by the
+    byte rule, so a word-sparse record never touches a zeroed
+    ``(rows, words)`` block.  When every captured row is dense, their
+    rows of ``inter`` are already that block, taken as
+    :func:`~repro.setsystem.packed.scan_chunk` takes it.
     """
     if not locals_:
         return Captures.empty(words)
+    ids = [start + local for local in locals_]
     wanted = np.asarray(locals_, dtype=np.int64)
+    dense = decoded["dense"]
+    if dense is not None:
+        dense_at, dense_counts = _row_segments(dense[0], wanted)
+        if dense_counts.all():  # every captured row is dense: one block
+            return Captures(ids, inter[dense_at], gains[wanted])
     parts = []
     sparse = decoded["sparse"]
     if sparse is not None:
@@ -1854,14 +1789,11 @@ def _captures_from_decoded(
         )
         flat, bits = _or_words(np.repeat(slot, spans) * words + index, bits)
         parts.append((flat, bits & mask.arr[flat % words]))
-    dense = decoded["dense"]
     if dense is not None:
-        sel, matrix = dense
-        first, counts = _row_segments(sel, wanted)
-        found = np.flatnonzero(counts)
+        found = np.flatnonzero(dense_counts)
         flat = (found[:, None] * words + np.arange(words)).reshape(-1)
-        parts.append((flat, (matrix[first[found]] & mask.arr).reshape(-1)))
-    return Captures.from_words([start + local for local in locals_], words, parts)
+        parts.append((flat, inter[dense_at[found]].reshape(-1)))
+    return Captures.from_words(ids, words, parts)
 
 
 _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)

@@ -15,7 +15,7 @@ trivially-correct reference model, asserting after every step that
 and at scenario end that shard statistics, cost estimates, and a full
 ``iter_set_cover`` solve agree exactly between the merged chain and a
 from-scratch rebuild.  ``tests/test_dynamic.py`` runs hundreds of these
-scenarios across every encoding; the
+scenarios across every instance family (``tests/families.py``); the
 module lives outside that file so future suites (and the experiments
 orchestrator's tests) can reuse the generator and referee.
 """
@@ -33,6 +33,8 @@ from repro.setsystem.deltas import MergedShardView, apply_delta, compact
 from repro.setsystem.shards import ShardedRepository, write_shards
 from repro.streaming.sharded import ShardedSetStream
 from repro.utils.rng import as_generator
+
+from families import assert_same_payload, family_rows
 
 __all__ = [
     "ReferenceModel",
@@ -113,18 +115,30 @@ class Scenario:
         return sum(len(ops) for kind, ops in self.steps if kind == "delta")
 
 
-def _feasible_base(rng, n: int, m: int) -> "list[list[int]]":
+def _backbone(n: int, m: int, family: str) -> "list[list[int]]":
+    """Rows that partition ``[0, n)``, stored by ``family``'s codec:
+    every other element for ``dense``, pairs for ``sparse``, runs of at
+    least three for ``rle``, and runs of about ``4n/m`` otherwise."""
+    if family == "dense":
+        return [list(range(0, n, 2)), list(range(1, n, 2))]
+    block = {"sparse": 2, "rle": max(3, n // 4)}.get(family, max(2, n // max(1, m // 4)))
+    return [list(range(start, min(n, start + block))) for start in range(0, n, block)]
+
+
+def _random_row(rng, n: int, family: str, spread: int) -> "list[int]":
+    """One random row of ``family`` (``auto``: up to ``n/spread`` random
+    elements)."""
+    if family != "auto":
+        return family_rows(family, rng, n, 1)[0]
+    size = 1 + int(rng.integers(max(2, n // spread)))
+    return sorted(int(e) for e in rng.choice(n, size=min(size, n), replace=False))
+
+
+def _feasible_base(rng, n: int, m: int, family: str) -> "list[list[int]]":
     """A random base family that is guaranteed to cover the universe."""
-    rows = []
-    # A covering backbone: consecutive blocks that partition [0, n).
-    block = max(2, n // max(1, m // 4))
-    for start in range(0, n, block):
-        rows.append(list(range(start, min(n, start + block))))
+    rows = _backbone(n, m, family)
     while len(rows) < m:
-        size = 1 + int(rng.integers(max(2, n // 3)))
-        rows.append(sorted(
-            int(e) for e in rng.choice(n, size=min(size, n), replace=False)
-        ))
+        rows.append(_random_row(rng, n, family, 3))
     rng.shuffle(rows)
     return [sorted(row) for row in rows]
 
@@ -134,18 +148,22 @@ def random_scenario(
     n: "int | None" = None,
     base_m: "int | None" = None,
     steps: "int | None" = None,
+    family: str = "auto",
 ) -> Scenario:
     """A seeded random insert/delete/compact interleaving.
 
     Every delete respects the frequency rule (each element of the victim
     stays covered elsewhere), so the live system is feasible at every
-    prefix and solve referees never hit an uncoverable universe.
+    prefix and solve referees never hit an uncoverable universe.  Base
+    and inserted rows are drawn from ``family`` (``tests/families.py``;
+    the dense family's ground set starts at 64 elements).
     """
     rng = as_generator(seed)
-    n = n if n is not None else 12 + int(rng.integers(20))
+    low = 64 if family == "dense" else 12
+    n = n if n is not None else low + int(rng.integers(20))
     base_m = base_m if base_m is not None else 16 + int(rng.integers(24))
     steps = steps if steps is not None else 3 + int(rng.integers(4))
-    base = _feasible_base(rng, n, base_m)
+    base = _feasible_base(rng, n, base_m, family)
     model = ReferenceModel(n, base)
     out: "list[tuple]" = []
     for _ in range(steps):
@@ -162,12 +180,8 @@ def random_scenario(
                 ops.append({"op": "delete", "id": victim})
                 batch_start.discard(victim)
             else:
-                size = 1 + int(rng.integers(max(2, n // 2)))
-                row = sorted(
-                    int(e)
-                    for e in rng.choice(n, size=min(size, n), replace=False)
-                )
-                ops.append({"op": "insert", "elements": row})
+                ops.append({"op": "insert",
+                            "elements": _random_row(rng, n, family, 2)})
             model.apply(ops[-1:])
         out.append(("delta", ops))
     return Scenario(seed=seed, n=n, base=base, steps=out)
@@ -186,12 +200,10 @@ def _assert_bit_identical(actual: Path, expected: Path, context: str) -> None:
 
 
 def _assert_stats_parity(root: Path, reference: SetSystem,
-                         tmp: Path, chunk_rows: int, encoding: str,
-                         context: str) -> None:
-    """Merged-view stats == a from-scratch rebuild's."""
+                         tmp: Path, chunk_rows: int, context: str) -> None:
+    """Merged-view stats and decoded chunks == a from-scratch rebuild's."""
     rebuilt = write_shards(
-        tmp / f"stats-ref-{context}", reference,
-        chunk_rows=chunk_rows, encoding=encoding,
+        tmp / f"stats-ref-{context}", reference, chunk_rows=chunk_rows,
     )
     try:
         with MergedShardView(root) as view, ShardedRepository(rebuilt) as ref:
@@ -201,6 +213,9 @@ def _assert_stats_parity(root: Path, reference: SetSystem,
             ] == [
                 meta["stats"] for meta in ref._shard_meta
             ], f"{context}: merged shard stats diverge from rebuild"
+            for shard in range(view.shard_count):
+                assert_same_payload(view.decode_chunk(shard),
+                                    ref.decode_chunk(shard), context)
     finally:
         import shutil
 
@@ -211,7 +226,6 @@ def drive_scenario(
     scenario: Scenario,
     tmp_path: Path,
     chunk_rows: int = 7,
-    encoding: str = "auto",
     solve: bool = True,
     theta: float = 2.0,
     restart_every: "int | None" = None,
@@ -230,7 +244,7 @@ def drive_scenario(
     tmp_path = Path(tmp_path)
     root = write_shards(
         tmp_path / "root", SetSystem(scenario.n, scenario.base),
-        chunk_rows=chunk_rows, encoding=encoding,
+        chunk_rows=chunk_rows,
     )
     model = ReferenceModel(scenario.n, scenario.base)
     dyn = DynamicCover(scenario.n, enumerate(scenario.base), theta=theta)
@@ -261,7 +275,7 @@ def drive_scenario(
             # byte-identical to writing the merged system from scratch.
             rebuilt = write_shards(
                 tmp_path / f"compact-ref-{index}", model.system(),
-                chunk_rows=chunk_rows, encoding=encoding,
+                chunk_rows=chunk_rows,
             )
             _assert_bit_identical(root, rebuilt, context)
         if restart_every and (index + 1) % restart_every == 0:
@@ -284,8 +298,7 @@ def drive_scenario(
         )
     final = model.system()
     _assert_stats_parity(
-        root, final, tmp_path, chunk_rows, encoding,
-        f"seed={scenario.seed} endgame",
+        root, final, tmp_path, chunk_rows, f"seed={scenario.seed} endgame",
     )
     outcome = {
         "seed": scenario.seed,
@@ -298,8 +311,7 @@ def drive_scenario(
     }
     if solve:
         rebuilt = write_shards(
-            tmp_path / "solve-ref", final,
-            chunk_rows=chunk_rows, encoding=encoding,
+            tmp_path / "solve-ref", final, chunk_rows=chunk_rows,
         )
         results = []
         for path in (root, rebuilt):

@@ -23,6 +23,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 import zlib
 from pathlib import Path
@@ -49,6 +50,7 @@ from repro.setsystem.durability import (
     LEASE_SCHEMA,
     StagingLock,
     _intent_checksum,
+    _pid_alive,
     active_leases,
     crashpoint,
     current_epoch,
@@ -538,6 +540,93 @@ def test_forged_lease_is_inert_and_pruned_as_malformed(tmp_path, forged):
     assert report.ok
     assert f"pruned the stale lease {lease.name} (malformed lease file)" in report.repaired
     assert not lease.exists()
+
+
+#: Arbitrary JSON documents, as a lease file may hold them.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+#: Values for a lease record's epoch and pid: exact, edge and coercible ones.
+_LEASE_FIELDS = st.one_of(
+    st.sampled_from(["live pid", "drop", 0, 1, -1, 2**31, 2**31 - 1, True,
+                     False, None, 0.0, 1.5, "1", [1]]),
+    st.integers(-5, 2**40),
+    st.floats(),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _lease_files(draw):
+    """``(kind, bytes)`` of one lease file: a lease-shaped record with
+    drawn fields, an arbitrary JSON value, or arbitrary bytes."""
+    kind = draw(st.sampled_from(["record", "json", "bytes"]))
+    if kind == "bytes":
+        return kind, draw(st.binary(max_size=48))
+    if kind == "json":
+        return kind, json.dumps(draw(_JSON_VALUES)).encode()
+    record = {"schema": draw(st.sampled_from(
+        [LEASE_SCHEMA, LEASE_SCHEMA, "repro.lease/v0", None, 1]))}
+    for key in ("epoch", "pid"):
+        value = draw(_LEASE_FIELDS)
+        if value != "drop":
+            record[key] = os.getpid() if value == "live pid" else value
+    if draw(st.booleans()):
+        record.update(draw(st.dictionaries(st.text(max_size=4), _JSON_VALUES,
+                                           max_size=2)))
+    return kind, json.dumps(record).encode()
+
+
+def _lease_oracle(data: bytes) -> "tuple[int, int] | None":
+    """``(epoch, pid)`` of a well-formed lease file, else ``None``: the
+    schema tag, an exact JSON integer epoch >= 0 and pid in [1, 2**31)."""
+    try:
+        record = json.loads(data.decode("utf-8"))
+    except ValueError:
+        return None
+    if not isinstance(record, dict) or record.get("schema") != LEASE_SCHEMA:
+        return None
+    epoch, pid = record.get("epoch"), record.get("pid")
+    if type(epoch) is not int or type(pid) is not int:
+        return None
+    if epoch < 0 or not 1 <= pid < 2**31:
+        return None
+    return epoch, pid
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_lease_files(), min_size=1, max_size=4))
+def test_lease_file_fuzz_lists_exact_claims_or_skips(files):
+    """Arbitrary lease files: ``active_leases`` lists exactly each
+    well-formed record's epoch and pid (exact ints, never coerced) when
+    its holder lives, and skips every other file; ``prune=True`` unlinks
+    every malformed or dead-holder file and keeps the rest."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = write_shards(Path(tmp) / "root", _system(), chunk_rows=2)
+        directory = leases_dir_for(root)
+        directory.mkdir(parents=True)
+        expected, kept = [], set()
+        for index, (kind, data) in enumerate(files):
+            path = directory / f"{index:05d}-fuzz.json"
+            path.write_bytes(data)
+            claim = _lease_oracle(data)
+            event(f"{kind}: {'well-formed' if claim else 'malformed'}")
+            if claim is not None and _pid_alive(claim[1]):
+                expected.append({"path": str(path), "epoch": claim[0],
+                                 "pid": claim[1]})
+                kept.add(path.name)
+        leases = active_leases(root)
+        assert leases == expected
+        assert all(type(lease["epoch"]) is int and type(lease["pid"]) is int
+                   for lease in leases)
+        assert len(list(directory.iterdir())) == len(files)  # nothing pruned
+        assert active_leases(root, prune=True) == expected
+        assert {p.name for p in directory.iterdir()} == kept
 
 
 def test_staging_lock_distinguishes_live_from_dead_staging(tmp_path):

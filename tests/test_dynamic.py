@@ -6,7 +6,8 @@ interleavings, each asserting after every step that the merged read
 view equals a from-scratch reference (rows, stats, cost estimates),
 that compaction is byte-identical to a clean rewrite, and that the
 incremental :class:`repro.dynamic.DynamicCover` stays a valid cover
-within its documented factor — across every encoding.  Satellite coverage: delta-chain corruption
+within its documented factor — across every instance family
+(``tests/families.py``).  Satellite coverage: delta-chain corruption
 taxonomy (typed :class:`~repro.setsystem.shards.ShardFormatError`),
 the no-delta open regression (v3 opens, v1/v2 are refused untouched),
 the remote-transport refusal, and DynamicCover unit edges.
@@ -15,9 +16,14 @@ the remote-transport refusal, and DynamicCover unit edges.
 from __future__ import annotations
 
 import json
+import tempfile
 import zlib
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from repro.dynamic import DynamicCover, dynamic_approx_factor
 from repro.offline.greedy import InfeasibleInstanceError
@@ -31,6 +37,7 @@ from repro.setsystem.deltas import (
     open_repository,
 )
 from repro.setsystem.durability import leases_dir_for
+from repro.setsystem.packed import ScanMask, pack_rows, scan_chunk
 from repro.setsystem.shards import (
     MANIFEST_NAME,
     SHARD_SCHEMA,
@@ -39,10 +46,12 @@ from repro.setsystem.shards import (
     ShardFormatError,
     write_shards,
 )
+from repro.streaming import SetStream
 from repro.streaming.sharded import ShardedSetStream
 from repro.workloads.churn import ChurnScript, delete_storm, rolling_blog_watch
 
 from churn import drive_scenario, random_scenario
+from families import assert_same_payload
 
 # ----------------------------------------------------------------------
 # Churn-parity property suite (the test tentpole)
@@ -52,18 +61,19 @@ from churn import drive_scenario, random_scenario
 # endgame (stats, cost estimates, byte-identical compaction, identical
 # iter_set_cover solves between the chain and a from-scratch rebuild).
 _MATRIX = [
-    # encoding per cell; a cell's seeds are 1000 * cell + i
+    # instance family per cell (tests/families.py); a cell's seeds are
+    # 1000 * cell + i
     "auto", "dense", "sparse", "auto", "rle", "auto",
 ]
 _SEEDS_PER_CELL = 17
 
 
 @pytest.mark.parametrize(
-    "cell,encoding",
+    "cell,family",
     list(enumerate(_MATRIX)),
     ids=[f"cell{cell}-{e}" for cell, e in enumerate(_MATRIX)],
 )
-def test_churn_parity_matrix(tmp_path, cell, encoding):
+def test_churn_parity_matrix(tmp_path, cell, family):
     from repro.engine.cache import configure_cache, get_cache
 
     incremental = []
@@ -74,12 +84,11 @@ def test_churn_parity_matrix(tmp_path, cell, encoding):
     configure_cache("2m")
     for index in range(_SEEDS_PER_CELL):
         seed = 1000 * cell + index
-        scenario = random_scenario(seed)
+        scenario = random_scenario(seed, family=family)
         outcome = drive_scenario(
             scenario,
             tmp_path / f"s{seed}",
             chunk_rows=5 + (seed % 4),
-            encoding=encoding,
             # Keep the per-cell runtime down: the full solve referee runs
             # on a third of the scenarios; rows/stats/compaction parity
             # runs on every step of every scenario.
@@ -95,6 +104,100 @@ def test_churn_parity_matrix(tmp_path, cell, encoding):
     # The acceptance bar: the maintainer absorbs >= 90% of updates
     # without a full re-solve, on aggregate across the cell's scenarios.
     assert sum(incremental) / len(incremental) >= 0.9, incremental
+
+
+# ----------------------------------------------------------------------
+# Differential chain gate: a chain scans as its compaction does
+# ----------------------------------------------------------------------
+@st.composite
+def _chain_cases(draw):
+    """A tiny family, one or two delta generations over it, a chunk size,
+    a residual mask and a capture rule."""
+    n = draw(st.integers(1, 140))
+    element = st.integers(0, n - 1)
+    row = st.one_of(
+        st.lists(element, max_size=3, unique=True),                  # sparse
+        st.tuples(element, st.integers(1, n)).map(                   # a run
+            lambda run: list(range(run[0], min(n, run[0] + run[1])))),
+        st.tuples(st.integers(0, 1), st.sets(element, max_size=3)).map(
+            # every other element, give or take three: dense once n >= 22
+            lambda alt: sorted({e for e in range(n) if e % 2 == alt[0]} ^ alt[1])),
+    )
+    base = draw(st.lists(row, min_size=1, max_size=12))
+    generations = []
+    for _ in range(draw(st.integers(1, 2))):
+        generations.append((
+            draw(st.sets(st.integers(0, 40), max_size=5)),  # victims, by rank
+            draw(st.lists(row, max_size=6)),
+        ))
+    mode = draw(st.sampled_from(("gain", "best", "ids")))
+    kwargs = ({"best_only": True} if mode == "best"
+              else {"min_capture_gain": draw(st.integers(0, 3))})
+    if mode == "ids":
+        kwargs["capture_ids"] = draw(st.sets(st.integers(0, 40)))
+    return (n, base, generations, draw(st.integers(1, 5)),
+            draw(st.integers(0, (1 << n) - 1)), kwargs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chain_cases())
+def test_chain_decodes_and_scans_as_its_compaction(case):
+    """Per chunk, the merged view's ``decode_chunk`` payload and resident
+    bytes equal its compaction's, and so do the gains and captures of
+    the one ``scan_decoded``; a stream over the chain scans as
+    ``SetStream`` over the live family."""
+    n, base, generations, chunk_rows, mask_int, kwargs = case
+    live = [sorted(row) for row in base]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = write_shards(Path(tmp) / "chain", base, n=n, chunk_rows=chunk_rows)
+        for victims, inserts in generations:
+            with MergedShardView(root) as view:
+                stable = view.stable_ids
+            dead = sorted({rank % len(live) for rank in victims}) if live else []
+            apply_delta(root, [{"op": "delete", "id": stable[i]} for i in dead]
+                        + [{"op": "insert", "elements": row} for row in inserts])
+            live = [r for i, r in enumerate(live) if i not in dead] + [
+                sorted(row) for row in inserts]
+        compacted = compact(root, output=Path(tmp) / "compacted")
+        mask = ScanMask(n, mask_int)
+        with MergedShardView(root) as view, ShardedRepository(compacted) as flat:
+            assert view.shard_count == flat.shard_count
+            for shard in range(view.shard_count):
+                payload = view.decode_chunk(shard)
+                assert_same_payload(payload, flat.decode_chunk(shard), shard)
+                tags = flat._record_table(shard)[0]
+                event("all-dense chunk" if not tags.any() else "mixed chunk")
+                start, gains, captured = view.scan_decoded(
+                    shard, payload[0], mask, **kwargs)
+                flat_start, flat_gains, flat_captured = flat.scan_decoded(
+                    shard, flat.decode_chunk(shard)[0], mask, **kwargs)
+                assert start == flat_start
+                assert gains.tolist() == flat_gains.tolist()
+                assert captured == flat_captured
+                assert captured.sparse == flat_captured.sparse
+        stream = ShardedSetStream(root)
+        try:
+            got = stream.scan_gains(mask_int, **kwargs)
+        finally:
+            stream.close()
+    system = SetSystem(n, live)
+    expected = SetStream(system).scan_gains(mask_int, **kwargs)
+    assert np.asarray(got.gains).tolist() == np.asarray(expected.gains).tolist()
+    if not mask_int:
+        # Repositories answer an empty mask without reading a chunk, so
+        # they capture nothing there; the in-memory kernel scans it.
+        assert got.captured == []
+    elif kwargs.get("best_only"):
+        # Each chunk captures its own first max: the packed kernel over
+        # the live rows in the same chunks.
+        rows = pack_rows(system.masks(), -(-n // 64))
+        assert got.captured == [
+            pair for start in range(0, system.m, chunk_rows)
+            for pair in scan_chunk(start, rows[start:start + chunk_rows], mask,
+                                   best_only=True)[1]
+        ]
+    else:
+        assert got.captured == expected.captured
 
 
 def test_churn_parity_survives_restarts(tmp_path):

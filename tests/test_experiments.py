@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import platform
 
 import pytest
 
@@ -46,6 +47,10 @@ def test_smoke_suite_payload_schema_and_report(tmp_path):
     assert payload["seed"] == 0
     assert payload["command"] == "python -m repro experiments --suite smoke --seed 0"
     assert {"python", "numpy", "platform"} <= set(payload["environment"])
+    # OS and architecture, never the kernel release.
+    assert payload["environment"]["platform"] == (
+        f"{platform.system()}-{platform.machine()}"
+    )
     assert payload["rows"] and payload["tables"]
 
     # Parity rows all matched, and the accounting row is bounded.

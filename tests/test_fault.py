@@ -43,7 +43,7 @@ from repro.setsystem import SetSystem
 from repro.setsystem.shards import write_shards
 from repro.streaming import ShardedSetStream
 
-ENCODINGS_UNDER_TEST = ("dense", "auto")
+from families import FAMILIES, family_system
 
 #: Fast, deterministic retry bundle for the chaos sweeps: short timeouts
 #: so blackhole faults surface in well under a second, seeded jitter.
@@ -263,7 +263,7 @@ def test_frame_checksum_detects_corruption():
 def test_chaos_modes_recover_bit_identical_with_retries(
     tmp_path, worker_fleet
 ):
-    """20 random instances × rotating encoding/chaos mode.
+    """20 random instances × rotating instance family/chaos mode.
 
     One worker sits behind a chaos proxy that sabotages its first
     connection (``times=1``, ``after_frames=0`` so the fault always
@@ -276,12 +276,11 @@ def test_chaos_modes_recover_bit_identical_with_retries(
     before = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else set()
     for case in range(20):
         mode = CHAOS_MODES[case % len(CHAOS_MODES)]
-        system = _random_system(rng)
+        family = FAMILIES[case % len(FAMILIES)]
+        system = family_system(family, rng)
         mask_int = (1 << system.n) - 1
-        encoding = ENCODINGS_UNDER_TEST[case % 2]
         path = write_shards(tmp_path / f"c{case}", system,
-                            chunk_rows=int(rng.integers(1, 6)),
-                            encoding=encoding)
+                            chunk_rows=int(rng.integers(1, 6)))
         serial = ShardedSetStream(path)
         reference = serial.scan_gains(mask_int, min_capture_gain=1)
         serial.close()
@@ -294,7 +293,7 @@ def test_chaos_modes_recover_bit_identical_with_retries(
             scan = stream.scan_gains(mask_int, min_capture_gain=1)
             assert [int(g) for g in scan.gains] == [
                 int(g) for g in reference.gains
-            ], (case, mode, encoding)
+            ], (case, mode, family)
             assert scan.captured == reference.captured
             assert stream.passes == 1
             if mode != "delay":  # delay injects latency, not faults
@@ -340,11 +339,9 @@ def test_algorithm_parity_under_mid_stream_chaos(tmp_path, worker_fleet):
     cases = [("drop", 0), ("corrupt", 1), ("truncate", 2), ("drop", 1),
              ("corrupt", 2), ("truncate", 0)]
     for case, (mode, algo_index) in enumerate(cases):
-        system = _random_system(rng)
-        encoding = ENCODINGS_UNDER_TEST[case % 2]
+        system = family_system(FAMILIES[case % len(FAMILIES)], rng)
         path = write_shards(tmp_path / f"alg{case}", system,
-                            chunk_rows=int(rng.integers(1, 6)),
-                            encoding=encoding)
+                            chunk_rows=int(rng.integers(1, 6)))
         algo_name, run = algorithms[algo_index]
         serial_stream = ShardedSetStream(path)
         reference = _fingerprint(run(serial_stream), serial_stream)

@@ -1,8 +1,10 @@
-"""The scan engine: encoding x transport parity.
+"""The scan engine: family x chain x transport parity.
 
 The contract under test (DESIGN.md §6, §8, §9.2): for every algorithm,
-every repository encoding and both transports — the serial executor and
-a two-worker remote fleet (the ``worker_fleet`` fixture) — covers, pass
+every instance family (``tests/families.py``: all-dense chunks, sparse
+and run-length rows, mixed chunks), a flat repository and the same rows
+as a delta chain, and both transports — the serial executor and a
+two-worker remote fleet (the ``worker_fleet`` fixture) — covers, pass
 counts and the resident-buffer accounting are **bit-identical**: the
 engine is an execution detail, never an observable one.  The remote
 backend's wire, fault and crash contracts live in
@@ -27,11 +29,11 @@ from repro.engine import (
 )
 from repro.partial.streaming import PartialIterSetCover
 from repro.setsystem import SetSystem
-from repro.setsystem.shards import write_shards
+from repro.setsystem.shards import ShardedRepository, write_shards
 from repro.streaming import SetStream, ShardedSetStream
 from repro.workloads import SCALES, build_instance
 
-ENCODINGS_UNDER_TEST = ("dense", "auto")
+from families import FAMILIES, family_rows, family_system, write_family_chain
 
 
 def _random_system(rng: np.random.Generator) -> SetSystem:
@@ -125,22 +127,23 @@ def test_streams_expose_resolved_jobs(tmp_path, worker_fleet):
 # Scan-level parity: gains, captures, both stream kinds, both transports
 # ----------------------------------------------------------------------
 def test_scan_gains_identical_across_jobs_and_encodings(tmp_path, worker_fleet):
+    """Each case's family, flat and as a delta chain, against the
+    in-memory stream; the fleet lane on every fifth case."""
     rng = np.random.default_rng(11)
     for case in range(25):
-        system = _random_system(rng)
+        family = FAMILIES[case % len(FAMILIES)]
+        system = _random_system(rng) if case % 5 == 4 else family_system(family, rng)
         mask_int = int(rng.integers(0, 2 ** system.n)) if system.n < 60 else (
             sum(1 << e for e in range(0, system.n, 2))
         )
-        streams = [SetStream(system)]
-        for encoding in ENCODINGS_UNDER_TEST:
-            path = write_shards(
-                tmp_path / f"{case}-{encoding}", system,
-                chunk_rows=int(rng.integers(1, 8)), encoding=encoding,
-            )
-            # Remote scans pay a round trip each: sweep every fifth case.
-            lanes = _lanes(worker_fleet) if case % 5 == 0 else (None,)
-            streams += [ShardedSetStream(path, workers=workers)
-                        for workers in lanes]
+        chunk_rows = int(rng.integers(1, 8))
+        flat = write_shards(tmp_path / f"{case}-flat", system, chunk_rows=chunk_rows)
+        chain = write_family_chain(tmp_path / f"{case}-chain", system, chunk_rows,
+                                   int(rng.integers(0, system.m + 1)))
+        # Remote scans pay a round trip each: sweep every fifth case.
+        lanes = _lanes(worker_fleet) if case % 5 == 0 else (None,)
+        streams = [SetStream(system), ShardedSetStream(chain)]
+        streams += [ShardedSetStream(flat, workers=workers) for workers in lanes]
         reference = None
         for stream in streams:
             scan = stream.scan_gains(mask_int, min_capture_gain=1)
@@ -307,26 +310,32 @@ def test_fused_accepts_match_the_replay_reference(tmp_path):
 # Algorithm-level parity: the satellite property test
 # ----------------------------------------------------------------------
 def test_threshold_parity_on_100_random_instances(tmp_path):
-    """covers/passes/resident_words identical across encodings.
+    """covers/passes/resident_words identical between a flat repository
+    and the same rows as a delta chain, over every family.
 
     The remote lane of this sweep is
     ``tests/test_remote.py::test_remote_algorithm_parity_on_random_instances``.
     """
     rng = np.random.default_rng(23)
     for case in range(105):
-        system = _random_system(rng)
+        family = FAMILIES[case % len(FAMILIES)]
+        system = family_system(family, rng)
         chunk_rows = int(rng.integers(1, 8))
         reference = None
-        for encoding in ENCODINGS_UNDER_TEST:
-            path = write_shards(tmp_path / f"t{case}-{encoding}", system,
-                                chunk_rows=chunk_rows, encoding=encoding)
+        for kind, path in (
+            ("flat", write_shards(tmp_path / f"t{case}", system,
+                                  chunk_rows=chunk_rows)),
+            ("chain", write_family_chain(tmp_path / f"t{case}-chain", system,
+                                         chunk_rows,
+                                         int(rng.integers(0, system.m + 1)))),
+        ):
             stream = ShardedSetStream(path)
             result = ThresholdGreedy().solve(stream)
             fingerprint = _fingerprint(result, stream)
             if reference is None:
                 reference = fingerprint
             else:
-                assert fingerprint == reference, (case, encoding)
+                assert fingerprint == reference, (case, family, kind)
             stream.close()
         # The in-memory stream agrees too (modulo its zero buffer).
         memory = ThresholdGreedy().solve(SetStream(system))
@@ -335,27 +344,33 @@ def test_threshold_parity_on_100_random_instances(tmp_path):
 
 
 def test_iter_set_cover_parity_on_random_instances(tmp_path, worker_fleet):
-    """Encoding parity on every case; the fleet lane on every fifth."""
+    """Flat vs chain parity over every family on every case; the fleet
+    lane (flat only: a chain refuses remote scans) on every fifth."""
     rng = np.random.default_rng(31)
     for case in range(20):
-        system = _random_system(rng)
+        family = FAMILIES[case % len(FAMILIES)]
+        system = family_system(family, rng)
         seed = int(rng.integers(0, 2**31))
         kwargs = dict(delta=0.5, seed=seed, use_polylog_factors=False,
                       include_rho=False)
         chunk_rows = int(rng.integers(1, 6))  # same geometry for every config
+        flat = write_shards(tmp_path / f"i{case}", system, chunk_rows=chunk_rows)
+        chain = write_family_chain(tmp_path / f"i{case}-chain", system, chunk_rows,
+                                   int(rng.integers(0, system.m + 1)))
+        lanes = [(chain, None)] + [
+            (flat, workers)
+            for workers in (_lanes(worker_fleet) if case % 5 == 0 else (None,))
+        ]
         reference = None
-        for encoding in ENCODINGS_UNDER_TEST:
-            path = write_shards(tmp_path / f"i{case}-{encoding}", system,
-                                chunk_rows=chunk_rows, encoding=encoding)
-            for workers in _lanes(worker_fleet) if case % 5 == 0 else (None,):
-                stream = ShardedSetStream(path, workers=workers)
-                result = iter_set_cover(stream, **kwargs)
-                fingerprint = _fingerprint(result, stream)
-                if reference is None:
-                    reference = fingerprint
-                else:
-                    assert fingerprint == reference, (case, encoding, workers)
-                stream.close()
+        for path, workers in lanes:
+            stream = ShardedSetStream(path, workers=workers)
+            result = iter_set_cover(stream, **kwargs)
+            fingerprint = _fingerprint(result, stream)
+            if reference is None:
+                reference = fingerprint
+            else:
+                assert fingerprint == reference, (case, family, path, workers)
+            stream.close()
 
 
 @pytest.mark.parametrize("name,workload,params", SCALES["paper"])
@@ -385,17 +400,19 @@ def test_paper_roster_parity_across_transports_and_encodings(
         ),
     ]
     fingerprints: dict[str, tuple] = {}
-    for encoding in ENCODINGS_UNDER_TEST:
-        path = write_shards(tmp_path / f"{name}-{encoding}", system,
-                            encoding=encoding)
-        for workers in _lanes(worker_fleet):
-            for algo_name, run in algorithms:
-                stream = ShardedSetStream(path, workers=workers)
-                result = run(stream)
-                fingerprint = _fingerprint(result, stream)
-                reference = fingerprints.setdefault(algo_name, fingerprint)
-                assert fingerprint == reference, (algo_name, encoding, workers)
-                stream.close()
+    flat = write_shards(tmp_path / name, system)
+    with ShardedRepository(flat) as repo:
+        chunk_rows = repo.chunk_rows
+    chain = write_family_chain(tmp_path / f"{name}-chain", system, chunk_rows,
+                               system.m // 2)
+    for path, workers in ((flat, None), (flat, worker_fleet), (chain, None)):
+        for algo_name, run in algorithms:
+            stream = ShardedSetStream(path, workers=workers)
+            result = run(stream)
+            fingerprint = _fingerprint(result, stream)
+            reference = fingerprints.setdefault(algo_name, fingerprint)
+            assert fingerprint == reference, (algo_name, path, workers)
+            stream.close()
 
 
 def test_capture_only_scans_omit_the_gains_vector(tmp_path):
@@ -462,8 +479,8 @@ def test_greedy_cover_backend_parity():
         assert packed == unpacked, case
 
 
-@pytest.mark.parametrize("encoding", ENCODINGS_UNDER_TEST)
-def test_every_shard_scan_takes_the_one_path(tmp_path, worker_fleet, monkeypatch, encoding):
+@pytest.mark.parametrize("family", ("auto", "dense"))
+def test_every_shard_scan_takes_the_one_path(tmp_path, worker_fleet, monkeypatch, family):
     """With the cache off, serial scans of a flat repository and of a
     delta-merged view, and a two-worker remote scan, all run
     ``decode_chunk`` -> ``scan_decoded``: ``scan_shard`` raising changes
@@ -473,7 +490,6 @@ def test_every_shard_scan_takes_the_one_path(tmp_path, worker_fleet, monkeypatch
 
     from repro.engine import configure_cache
     from repro.setsystem import MergedShardView, apply_delta
-    from repro.setsystem.shards import ShardedRepository
 
     def forbidden(*args, **kwargs):
         raise AssertionError("scan_shard is not a scan path")
@@ -490,14 +506,11 @@ def test_every_shard_scan_takes_the_one_path(tmp_path, worker_fleet, monkeypatch
         monkeypatch.setattr(cls, "decode_chunk", counted)
 
     rng = np.random.default_rng(5)
-    system = SetSystem(150, [
-        rng.choice(150, size=int(rng.integers(0, 20)), replace=False).tolist()
-        for _ in range(90)
-    ])
-    flat = write_shards(tmp_path / "flat", system, chunk_rows=16, encoding=encoding)
+    system = SetSystem(150, family_rows(family, rng, 150, 90))
+    flat = write_shards(tmp_path / "flat", system, chunk_rows=16)
     merged = write_shards(
         tmp_path / "merged", SetSystem(system.n, system.sets[:60]),
-        chunk_rows=16, encoding=encoding,
+        chunk_rows=16,
     )
     apply_delta(merged, [{"op": "delete", "id": 7}] + [
         {"op": "insert", "elements": sorted(s)} for s in system.sets[60:]

@@ -2,7 +2,7 @@
 
 The contract under test (DESIGN.md §9): a two-worker localhost fleet
 produces **bit-identical** covers, pass counts, captures and accounting
-to the serial executor, at every encoding setting — and a
+to the serial executor, on every instance family — and a
 worker that dies mid-batch surfaces as a loud ``RuntimeError`` with no
 partial state.
 
@@ -58,7 +58,7 @@ from repro.setsystem.shards import ShardedRepository, write_shards
 from repro.streaming import SetStream, ShardedSetStream
 from test_parallel import _threshold_replay_reference
 
-ENCODINGS_UNDER_TEST = ("dense", "auto")
+from families import FAMILIES, family_system
 
 
 
@@ -123,12 +123,12 @@ def test_remote_refuses_in_memory_chunk_scans(worker_fleet):
 def test_remote_scan_gains_match_serial(tmp_path, worker_fleet):
     rng = np.random.default_rng(101)
     for case in range(15):
-        system = _random_system(rng)
-        mask_int = sum(1 << e for e in range(0, system.n, 2)) | 1
-        for encoding in ENCODINGS_UNDER_TEST:
-            path = write_shards(tmp_path / f"g{case}-{encoding}", system,
-                                chunk_rows=int(rng.integers(1, 6)),
-                                encoding=encoding)
+        family = FAMILIES[case % len(FAMILIES)]
+        for kind, system in (("drawn", _random_system(rng)),
+                             (family, family_system(family, rng))):
+            mask_int = sum(1 << e for e in range(0, system.n, 2)) | 1
+            path = write_shards(tmp_path / f"g{case}-{kind}", system,
+                                chunk_rows=int(rng.integers(1, 6)))
             serial = ShardedSetStream(path)
             reference = serial.scan_gains(mask_int, min_capture_gain=1)
             serial.close()
@@ -138,7 +138,7 @@ def test_remote_scan_gains_match_serial(tmp_path, worker_fleet):
             scan = stream.scan_gains(mask_int, min_capture_gain=1)
             assert [int(g) for g in scan.gains] == [
                 int(g) for g in reference.gains
-            ], (case, encoding)
+            ], (case, kind)
             assert scan.captured == reference.captured
             assert stream.passes == 1
             stream.close()
@@ -159,18 +159,17 @@ def test_remote_algorithm_parity_on_random_instances(tmp_path, worker_fleet):
         ),
     ]
     for case in range(20):
-        system = _random_system(rng)
+        family = FAMILIES[case % len(FAMILIES)]
+        system = family_system(family, rng)
         chunk_rows = int(rng.integers(1, 6))
-        encoding = ENCODINGS_UNDER_TEST[case % 2]
-        path = write_shards(tmp_path / f"a{case}", system,
-                            chunk_rows=chunk_rows, encoding=encoding)
+        path = write_shards(tmp_path / f"a{case}", system, chunk_rows=chunk_rows)
         algo_name, run = algorithms[case % len(algorithms)]
         serial_stream = ShardedSetStream(path)
         reference = _fingerprint(run(serial_stream), serial_stream)
         serial_stream.close()
         stream = ShardedSetStream(path, workers=worker_fleet)
         fingerprint = _fingerprint(run(stream), stream)
-        assert fingerprint == reference, (case, algo_name, encoding)
+        assert fingerprint == reference, (case, algo_name, family)
         stream.close()
 
 

@@ -31,7 +31,6 @@ from repro.setsystem.packed import (
     scan_chunk,
 )
 from repro.setsystem.shards import (
-    ENCODINGS,
     MANIFEST_NAME,
     SHARD_SCHEMA,
     ShardedRepository,
@@ -46,6 +45,7 @@ from repro.streaming import SetStream, ShardedSetStream, StreamAccessError
 from repro.utils.bitset import mask_of
 from repro.workloads import planted_instance, sparse_uniform_instance
 from bounds import dual_bound_oracle
+from families import FAMILIES, family_rows, family_system
 from test_packed import _accept_reference, _words_of
 
 
@@ -115,13 +115,13 @@ def test_writer_validates_elements_and_geometry(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# v2 encodings: round-trips, v1 compatibility, fused scans
+# Row codecs: round-trips, fused scans, the pinned bytes
 # ----------------------------------------------------------------------
 def _mixed_system() -> SetSystem:
     """Rows that exercise every codec: runs, sparse points, dense noise.
 
-    Ordered so that (at ``chunk_rows=2``) the first chunk is all-dense —
-    written raw — while later chunks mix codecs and come out encoded.
+    Ordered so that (at ``chunk_rows=2``) the first chunk is all dense
+    while later chunks mix codecs.
     """
     n = 256
     rng = np.random.default_rng(5)
@@ -136,47 +136,78 @@ def _mixed_system() -> SetSystem:
     return SetSystem(n, sets)
 
 
-@pytest.mark.parametrize("encoding", ENCODINGS)
-def test_v2_roundtrip_every_encoding(tmp_path, encoding):
-    system = _mixed_system()
-    path = write_shards(tmp_path / encoding, system, chunk_rows=2,
-                        encoding=encoding)
+def _family_system(family: str) -> SetSystem:
+    """A fixed system of each family (``auto``: :func:`_mixed_system`):
+    all-dense chunks, sparse rows, run-length rows, mixed chunks."""
+    if family == "auto":
+        return _mixed_system()
+    rng = np.random.default_rng(FAMILIES.index(family))
+    return SetSystem(130, family_rows(family, rng, 130, 6))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_v2_roundtrip_every_encoding(tmp_path, family):
+    """Each family (named by the codec its rows take; ``auto`` mixes
+    them) reads back row for row from a verified open."""
+    system = _family_system(family)
+    path = write_shards(tmp_path / family, system, chunk_rows=2)
     with ShardedRepository(path, verify=True) as repo:
         assert repo.schema == SHARD_SCHEMA
-        assert repo.encoding == encoding
         assert repo.to_system() == system
         for i in range(system.m):
             assert repo.row_mask(i) == system.masks()[i]
 
 
+def test_families_reach_every_chunk_shape(tmp_path):
+    """Under the one codec rule the test families give what the parity
+    suites rely on: the dense family all-dense chunks, the sparse and
+    run-length families only their codec's rows, the mixed family
+    chunks that mix codecs."""
+    rng = np.random.default_rng(3)
+    for family in FAMILIES:
+        mixes = []
+        for case in range(8):
+            system = family_system(family, rng)
+            path = write_shards(tmp_path / f"{family}-{case}", system,
+                                chunk_rows=5)
+            with ShardedRepository(path) as repo:
+                mixes += [stats["codec_mix"] for stats in repo.shard_stats()]
+        if family == "auto":
+            assert sum(len([k for k in mix if mix[k]]) > 1 for mix in mixes) \
+                > len(mixes) // 2, mixes
+            assert all(sum(mix[k] for mix in mixes) for k in mixes[0]), mixes
+        else:
+            assert all(mix[family] == sum(mix.values()) for mix in mixes), mixes
+
+
 def test_auto_encoding_mixes_layouts_and_shrinks_sparse(tmp_path):
+    """The one rule mixes codecs across (and within) chunks, keeps an
+    all-dense chunk all dense, and stores a sparse family in at most
+    half the bytes of its packed rows."""
     system = _mixed_system()
-    auto = write_shards(tmp_path / "auto", system, chunk_rows=2)
-    dense = write_shards(tmp_path / "dense", system, chunk_rows=2,
-                         encoding="dense")
-    with ShardedRepository(auto) as a, ShardedRepository(dense) as d:
-        layouts = {meta["layout"] for meta in a._shard_meta}
-        assert layouts == {"raw", "encoded"}  # dense rows stay raw chunks
-        assert a.disk_bytes < d.disk_bytes
-        assert a.to_system() == d.to_system() == system
-        # The resident-buffer accounting is encoding-invariant.
-        assert a.chunk_words == d.chunk_words
+    path = write_shards(tmp_path / "auto", system, chunk_rows=2)
+    with ShardedRepository(path) as repo:
+        tags = [repo._record_table(s)[0].tolist() for s in range(repo.shard_count)]
+        assert tags == [[0, 0], [2, 1], [1, 1]]
+        dense_bytes = repo.m * repo.words * 8
+        assert repo.disk_bytes < dense_bytes
+        assert repo.to_system() == system
+        # The resident-buffer accounting is the packed chunk's.
+        assert repo.chunk_words == 2 * repo.words
 
     sparse = sparse_uniform_instance(512, 200, expected_size=6, seed=9)
     small = write_shards(tmp_path / "s-auto", sparse)
-    big = write_shards(tmp_path / "s-dense", sparse, encoding="dense")
-    with ShardedRepository(small) as a, ShardedRepository(big) as d:
-        assert a.disk_bytes * 2 <= d.disk_bytes  # the >=2x reduction regime
+    with ShardedRepository(small) as a:
+        assert a.disk_bytes * 2 <= a.m * a.words * 8  # the >=2x reduction regime
 
 
 def test_scan_shard_matches_bruteforce_per_encoding(tmp_path):
-    system = _mixed_system()
-    masks = system.masks()
-    mask_int = sum(1 << e for e in range(0, system.n, 3))
-    expected = [(m & mask_int).bit_count() for m in masks]
-    for encoding in ENCODINGS:
-        path = write_shards(tmp_path / f"scan-{encoding}", system,
-                            chunk_rows=2, encoding=encoding)
+    for family in FAMILIES:
+        system = _family_system(family)
+        masks = system.masks()
+        mask_int = sum(1 << e for e in range(0, system.n, 3))
+        expected = [(m & mask_int).bit_count() for m in masks]
+        path = write_shards(tmp_path / f"scan-{family}", system, chunk_rows=2)
         with ShardedRepository(path) as repo:
             gains, captured = [], []
             for shard in range(repo.shard_count):
@@ -185,7 +216,7 @@ def test_scan_shard_matches_bruteforce_per_encoding(tmp_path):
                 )
                 gains.extend(int(x) for x in g)
                 captured.extend(c)
-            assert gains == expected, encoding
+            assert gains == expected, family
             assert [i for i, _ in captured] == [
                 i for i, g in enumerate(expected) if g >= 1
             ]
@@ -195,28 +226,28 @@ def test_scan_shard_matches_bruteforce_per_encoding(tmp_path):
 
 _PINNED_SHA256 = {
     "auto": {
-        "manifest.json": "cea8421a9a8d43bf1863f2908a2164633c9eaffdb42f84b196e70fa49ab58c32",
-        "shard-00000.bin": "082d2c0e25f3ec5fa8e9fb5caf785e9b46afec697bb8dcee206686e2f62b85d8",
+        "manifest.json": "1a8325308aa76a4a61ca9d04402d5d871d4148f5d369ebe435a6d8e2e86d5283",
+        "shard-00000.bin": "cf80deeecfb7e4886a3dd4ad2c8aae9669ff9f7d1bac5d11043f321b224bbb3e",
         "shard-00001.bin": "d2ce75e544ea6d76bbcda2915a2d79a950273520f6a4b56f248e9861583a6344",
         "shard-00002.bin": "eaaff6c107bb50a2a274ea522aaa247a703f7500b87fda5abeb5c77efd05d3fc",
     },
     "dense": {
-        "manifest.json": "8cca4b63ee21de2bd611c4229d6bacf0ed5b18425e5c8bbd80619a480487c866",
-        "shard-00000.bin": "082d2c0e25f3ec5fa8e9fb5caf785e9b46afec697bb8dcee206686e2f62b85d8",
-        "shard-00001.bin": "000861db85c7697532732b0b297f4eaa134998835b17be4a093e287cd1f1364c",
-        "shard-00002.bin": "8f6dab338de16ab12e496bf52b51d00ee1358741033fa19a8b6e3736a9e55357",
+        "manifest.json": "4f49bfaf08754343bba17e18e087ee22ac92d0dcd30ef6b09f43f9fc8dd40cf2",
+        "shard-00000.bin": "74c64c375e1d8c51bf90a45b776550c08d5ed7fee5fd66db5ca2b362d9b47156",
+        "shard-00001.bin": "23e6476b4151022bd435fb1aa84c2f4e86539291a301619b3ba4780a81b086fe",
+        "shard-00002.bin": "1bfd9e4a3e90678ccf3916db610302172deb1cf6205f9dcec4a7734faa3bd6a0",
     },
     "sparse": {
-        "manifest.json": "cdf71fd412aa0a91925f8a61c2e0e6c9348eef08dd824bcfc10a84a6f432756b",
-        "shard-00000.bin": "6cda9a36eed4626ab20c72085382ee99fc6a41634c4f3bd34e0482cd2ce9f856",
-        "shard-00001.bin": "1cfccc89db986ea6b3c9cc02b1482cbdbeb0849aa6d7882e69c5be0804c73ecd",
-        "shard-00002.bin": "eaaff6c107bb50a2a274ea522aaa247a703f7500b87fda5abeb5c77efd05d3fc",
+        "manifest.json": "f3424ec5395547323813185572a95232f4429c49e0b3fe69adf609fb97c822a2",
+        "shard-00000.bin": "2e9a0335d5b253a3c7deda9a7c2f3db4d6cebe0344588aa828bbf01420a1e46e",
+        "shard-00001.bin": "dd910f0bd64a96396c6709d18beedfc92734ab397bb3aa27a8891ab3d314a72c",
+        "shard-00002.bin": "72bf4e1e406d6c847ce4bf2705f34809a7ef7c2ea78a1bd4a76bbbf3cdb12dd3",
     },
     "rle": {
-        "manifest.json": "4bc2855358cc00ebd5582d3fcf5e3e865fb47e6aaf94b79d2ebeca52ba110cf8",
-        "shard-00000.bin": "908228898b7ded1fc1a22609ab6e233cca4045d1423e808ff29ae7cda6a3effe",
-        "shard-00001.bin": "06293989fea5c652b0a81f1b41b764c72ef90b118292eccd2b5c7f4e7b9ec5f2",
-        "shard-00002.bin": "6fd13f9526f12e6c88393b2ab0ca8dc2481cf0de0d7020b833e1968deb9719d8",
+        "manifest.json": "82618df4eecb453dd7dbd4652e4c56ed4b753c0db7e0233bf50b5babccf64b53",
+        "shard-00000.bin": "89a81b15c2dcbc23f5d78761e74482049c70f4ad99fc34d523ec714af208b841",
+        "shard-00001.bin": "fa2fde19b1af4d00972dc7ec8ddff95efda93c149a1dbe224466ccabed40fe3e",
+        "shard-00002.bin": "61dc74db4b80590365e66a0a6fda8cb800435082b3eb424054d98d08d72fff9b",
     },
 }
 
@@ -296,9 +327,8 @@ def _small_systems(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_small_systems(), st.sampled_from(ENCODINGS), st.integers(1, 5),
-       st.data())
-def test_dual_bound_matches_the_fraction_oracle(system, encoding, chunk_rows, data):
+@given(_small_systems(), st.integers(1, 5), st.data())
+def test_dual_bound_matches_the_fraction_oracle(system, chunk_rows, data):
     """The recorded bound is the oracle's in memory, in the manifest, and
     after any apply_delta (deletes only, or deletes and inserts): a delta
     chain records the exact bound of its live rows, equal to the bound
@@ -308,8 +338,7 @@ def test_dual_bound_matches_the_fraction_oracle(system, encoding, chunk_rows, da
     oracle = dual_bound_oracle(system.n, system.sets)
     assert system.lower_bound() == SetStream(system).lower_bound == oracle
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_shards(Path(tmp) / "repo", system, chunk_rows=chunk_rows,
-                            encoding=encoding)
+        path = write_shards(Path(tmp) / "repo", system, chunk_rows=chunk_rows)
         stream = ShardedSetStream(path)
         assert stream.lower_bound == oracle and stream.passes == 0
         stream.close()
@@ -338,16 +367,14 @@ def test_dual_bound_matches_the_fraction_oracle(system, encoding, chunk_rows, da
 
 
 @settings(max_examples=60, deadline=None)
-@given(_small_systems(), st.sampled_from(ENCODINGS), st.integers(1, 5),
-       st.data())
-def test_referee_rows_agree_with_to_system(system, encoding, chunk_rows, data):
+@given(_small_systems(), st.integers(1, 5), st.data())
+def test_referee_rows_agree_with_to_system(system, chunk_rows, data):
     """select_rows, the referee's numpy decoder, gives every row of the
-    source system, in the order asked, on raw and encoded layouts and on
-    a delta view; verify_solution agrees with SetSystem.is_cover."""
+    source system, in the order asked, on every codec and on a delta
+    view; verify_solution agrees with SetSystem.is_cover."""
     reference = system
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_shards(Path(tmp) / "repo", system, chunk_rows=chunk_rows,
-                            encoding=encoding)
+        path = write_shards(Path(tmp) / "repo", system, chunk_rows=chunk_rows)
         if system.m and data.draw(st.booleans()):
             inserted = [0] if system.n else []
             apply_delta(path, [{"op": "delete", "id": 0},
@@ -413,23 +440,25 @@ def test_forged_dual_bound_is_refused(tmp_path):
     assert fsck_repository(path).ok
 
 
-@pytest.mark.parametrize("encoding", ENCODINGS)
-def test_format_pin_mixed_system_bytes(tmp_path, encoding):
-    """The on-disk bytes of a small mixed repository never move.
+@pytest.mark.parametrize("family", FAMILIES)
+def test_format_pin_mixed_system_bytes(tmp_path, family):
+    """The on-disk bytes of a small repository of each family never move.
 
     The hashes were taken from the per-row scalar writer this format was
     defined by (the manifests re-pinned when the stats block gained
-    ``max_set_bits`` and when schema v4 added ``dual_bound`` and
-    ``header_crc32``; the shard files did not move); any encoder change
-    that shifts a byte of a shard file or of the manifest (stats
-    included) fails here."""
-    path = write_shards(tmp_path / encoding, _mixed_system(), chunk_rows=2,
-                        encoding=encoding)
+    ``max_set_bits``, when schema v4 added ``dual_bound`` and
+    ``header_crc32``, and when v5 dropped ``encoding`` and ``layout``;
+    v5 also re-pinned the mixed system's all-dense first shard, which
+    v4 wrote as a bare packed block, and pinned the other families);
+    any encoder change that shifts a byte of a shard file or of the
+    manifest (stats included) fails here."""
+    path = write_shards(tmp_path / family, _family_system(family),
+                        chunk_rows=2)
     digests = {
         child.name: hashlib.sha256(child.read_bytes()).hexdigest()
         for child in sorted(path.iterdir())
     }
-    assert digests == _PINNED_SHA256[encoding]
+    assert digests == _PINNED_SHA256[family]
 
 
 # ----------------------------------------------------------------------
@@ -475,11 +504,9 @@ def _oracle_encode_rle(row) -> bytes:
     return bytes(out)
 
 
-def _oracle_choose_row_tag(row, words: int, encoding: str) -> int:
+def _oracle_choose_row_tag(row, words: int) -> int:
     """Cheapest codec tag (dense 0, sparse 1, run-length 2); ties prefer
     the faster decode."""
-    if encoding != "auto":
-        return {"dense": 0, "sparse": 1, "rle": 2}[encoding]
     best_tag, best_cost = 0, words * 8
     if len(row) < best_cost:
         cost = len(_oracle_encode_sparse(row))
@@ -516,21 +543,20 @@ def _oracle_shard_stats(rows, tags, n: int) -> dict:
     }
 
 
-def _oracle_chunk(rows, n: int, encoding: str):
-    """``(tags, payload, layout, stats)`` of one chunk, row by row."""
+def _oracle_chunk(rows, n: int):
+    """``(tags, payload, stats)`` of one chunk, row by row.  An all-dense
+    chunk is a record table of tag-0 rows like any other."""
     words = -(-n // 64)
-    tags = [_oracle_choose_row_tag(row, words, encoding) for row in rows]
+    tags = [_oracle_choose_row_tag(row, words) for row in rows]
     stats = _oracle_shard_stats(rows, tags, n)
-    dense = [mask_of(row).to_bytes(words * 8, "little") for row in rows]
-    if not any(tags):
-        return tags, b"".join(dense), "raw", stats
     payloads = [
-        (dense[i], _oracle_encode_sparse(row), _oracle_encode_rle(row))[tag]
-        for i, (row, tag) in enumerate(zip(rows, tags))
+        (mask_of(row).to_bytes(words * 8, "little"), _oracle_encode_sparse(row),
+         _oracle_encode_rle(row))[tag]
+        for row, tag in zip(rows, tags)
     ]
     parts = [len(rows).to_bytes(4, "little"), bytes(tags)]
     parts += [len(p).to_bytes(4, "little") for p in payloads]
-    return tags, b"".join(parts + payloads), "encoded", stats
+    return tags, b"".join(parts + payloads), stats
 
 
 _VARINT_EDGES = (1, 2, 127, 128, 129, 255, 256, 16383, 16384, 16385,
@@ -588,32 +614,31 @@ def _encoder_chunks(draw):
 @settings(max_examples=120, deadline=None)
 @given(_encoder_chunks())
 def test_chunk_encoder_matches_scalar_oracle(case):
-    """The chunk kernel emits the oracle's tags, payload bytes and stats
-    under every encoding, from rows (the writer) and from the referee's
-    CSR of the written chunk (the merged-view prediction); the written
-    chunk round-trips through a verified open and the referee row
-    decoder, row by row."""
+    """The chunk kernel emits the oracle's tags, payload bytes and stats,
+    from rows (the writer) and from the referee's CSR of the written
+    chunk (the merged view's re-encode); the written chunk round-trips
+    through a verified open and the referee row decoder, row by row."""
     n, rows = case
-    for encoding in ENCODINGS:
-        tags, payload, layout, stats = _oracle_chunk(rows, n, encoding)
-        chunk = _ChunkCodec.of_rows(rows, n, encoding)
-        assert chunk.tags.tolist() == tags, encoding
-        assert chunk.payload() == (payload, layout), encoding
-        assert chunk.stats() == stats, encoding
-        with tempfile.TemporaryDirectory() as tmp:
-            path = write_shards(Path(tmp) / "repo", SetSystem(n, rows),
-                                chunk_rows=len(rows), encoding=encoding)
-            assert (path / "shard-00000.bin").read_bytes() == payload
-            with ShardedRepository(path, verify=True) as repo:
-                assert repo.shard_stats() == [stats]
-                flat, sizes = repo.select_rows(np.arange(len(rows)))
-                assert _ChunkCodec(flat, sizes, n, encoding).stats() == stats
-                ends = np.cumsum(sizes)
-                assert [flat[e - k:e].tolist() for e, k in zip(ends, sizes)] == [
-                    sorted(row) for row in rows]
-                assert [repo.row_mask(i) for i in range(len(rows))] == [
-                    mask_of(row) for row in rows]
-                assert repo.to_system() == SetSystem(n, rows)
+    tags, payload, stats = _oracle_chunk(rows, n)
+    event("all dense" if not any(tags) else "mixed")
+    chunk = _ChunkCodec.of_rows(rows, n)
+    assert chunk.tags.tolist() == tags
+    assert chunk.payload() == payload
+    assert chunk.stats() == stats
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_shards(Path(tmp) / "repo", SetSystem(n, rows),
+                            chunk_rows=len(rows))
+        assert (path / "shard-00000.bin").read_bytes() == payload
+        with ShardedRepository(path, verify=True) as repo:
+            assert repo.shard_stats() == [stats]
+            flat, sizes = repo.select_rows(np.arange(len(rows)))
+            assert _ChunkCodec(flat, sizes, n).stats() == stats
+            ends = np.cumsum(sizes)
+            assert [flat[e - k:e].tolist() for e, k in zip(ends, sizes)] == [
+                sorted(row) for row in rows]
+            assert [repo.row_mask(i) for i in range(len(rows))] == [
+                mask_of(row) for row in rows]
+            assert repo.to_system() == SetSystem(n, rows)
 
 
 # ----------------------------------------------------------------------
@@ -772,8 +797,7 @@ def _corrupt_payload_byte(path, shard_name, edit):
 
 def test_corrupt_sparse_block_fails_loudly(tmp_path):
     system = SetSystem(10, [[1, 5], [2]])
-    path = write_shards(tmp_path / "c1", system, chunk_rows=2,
-                        encoding="sparse")
+    path = write_shards(tmp_path / "c1", system, chunk_rows=2)
 
     # Row 0's payload is varint(1), varint(4); overwriting the final byte
     # with a continuation byte leaves a varint unterminated at the row
@@ -794,8 +818,7 @@ def test_corrupt_sparse_block_fails_loudly(tmp_path):
 
 def test_corrupt_element_out_of_range_fails_loudly(tmp_path):
     system = SetSystem(10, [[1], [2]])
-    path = write_shards(tmp_path / "c2", system, chunk_rows=2,
-                        encoding="sparse")
+    path = write_shards(tmp_path / "c2", system, chunk_rows=2)
 
     def oversized_element(payload):
         payload[-2] = 0x7F  # row 0 becomes [127], outside [0, 10)
@@ -810,8 +833,7 @@ def test_corrupt_element_out_of_range_fails_loudly(tmp_path):
 
 def test_corrupt_record_table_fails_loudly(tmp_path):
     system = SetSystem(64, [[1, 3], [5]])
-    path = write_shards(tmp_path / "c3", system, chunk_rows=2,
-                        encoding="sparse")
+    path = write_shards(tmp_path / "c3", system, chunk_rows=2)
 
     def inflate_length(payload):
         payload[4 + 2] = 0xEE  # lengths[0] no longer matches the payload
@@ -834,7 +856,7 @@ def test_corrupt_dense_tail_bits_fail_every_scan(tmp_path):
 
     _corrupt_payload_byte(path, "shard-00000.bin", set_bit_63)
     with ShardedRepository(path) as repo:
-        tags, _, _ = repo._encoded_header(0)
+        tags, _, _ = repo._record_table(0)
         assert tags.tolist() == [0, 1, 1]  # one dense row, two sparse rows
         with pytest.raises(ShardFormatError, match="beyond the ground set"):
             repo.row_mask(0)
@@ -855,7 +877,7 @@ def test_overlong_varint_is_refused_by_every_reader(tmp_path):
     from repro.setsystem.durability import fsck_repository
 
     path = write_shards(tmp_path / "overlong", SetSystem(10, [[1], [2]]),
-                        chunk_rows=2, encoding="sparse")
+                        chunk_rows=2)
 
     def overlong(payload):
         assert bytes(payload[4:]) == bytes([1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 2])
@@ -894,28 +916,49 @@ def _pad_varint(payload, row, pick, extra):
     payload[table] = lengths.astype("<u4").tobytes()
 
 
+@st.composite
+def _dense_systems(draw):
+    """Families whose rows the one codec rule stores dense — every other
+    element, give or take three — so their shards are all dense."""
+    n = draw(st.integers(22, 70))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 1), st.sets(st.integers(0, n - 1), max_size=3)),
+        min_size=1, max_size=8,
+    ))
+    return SetSystem(n, [
+        sorted({e for e in range(n) if e % 2 == shift} ^ flips)
+        for shift, flips in rows
+    ])
+
+
+_CODECS = ("dense", "sparse", "run-length")
+
+
 @settings(max_examples=150, deadline=None)
-@given(_small_systems(), st.sampled_from(ENCODINGS),
+@given(_small_systems() | _dense_systems(),
        st.none() | st.tuples(st.integers(0, 63), st.integers(0, 63),
                              st.integers(1, 2)),
        st.lists(st.tuples(st.integers(0, 1 << 12),
                           st.one_of(st.integers(0, 9), st.integers(0x80, 0x88),
                                     st.integers(0, 255))),
                 max_size=3))
-def test_referee_and_scan_agree_on_mutated_shards(system, encoding, pad, edits):
+def test_referee_and_scan_agree_on_mutated_shards(system, pad, edits):
     """Byte-mutate a shard (and maybe lengthen one varint of an encoded
     one into an overlong varint) and reseal its CRC: the referee
     (select_rows) and the scan's decoder (decode_chunk + scan_decoded)
-    read the same rows, or both raise ShardFormatError."""
+    read the same rows, or both raise ShardFormatError.  The events
+    show the draws reach every codec and all-dense shards."""
     assume(system.n and system.m)
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_shards(Path(tmp) / "repo", system, chunk_rows=system.m,
-                            encoding=encoding)
+        path = write_shards(Path(tmp) / "repo", system, chunk_rows=system.m)
         with ShardedRepository(path) as repo:
-            layout = repo._layouts[0]
+            tags = set(repo._record_table(0)[0].tolist())
+        for tag in tags:
+            event(f"{_CODECS[tag]} rows")
+        shape = "all-dense" if tags == {0} else "mixed"
 
         def mutate(payload):
-            if pad is not None and layout == "encoded":
+            if pad is not None:
                 _pad_varint(payload, *pad)
             for at, value in edits:
                 payload[at % len(payload)] = value
@@ -934,7 +977,7 @@ def test_referee_and_scan_agree_on_mutated_shards(system, encoding, pad, edits):
                 scanned = captured.rows(range(repo.m))
             except ShardFormatError:
                 scanned = None
-        event(f"{layout}: {'refused' if referee is None else 'read'}")
+        event(f"{shape}: {'refused' if referee is None else 'read'}")
         assert referee == scanned
 
 
@@ -957,7 +1000,9 @@ def _capture_cases(draw):
         runs,
         half_dense,
     )
-    rows = draw(st.lists(row, min_size=1, max_size=12))
+    # Half-dense rows alone: all-dense chunks once n passes 16.
+    rows = draw(st.lists(half_dense if draw(st.booleans()) else row,
+                         min_size=1, max_size=12))
     mode = draw(st.sampled_from(("gain", "gain+ids", "best")))
     if mode == "best":
         kwargs = {"best_only": True}
@@ -967,7 +1012,6 @@ def _capture_cases(draw):
             kwargs["capture_ids"] = draw(st.sets(st.integers(0, len(rows) - 1)))
     return (
         SetSystem(n, rows),
-        draw(st.sampled_from(ENCODINGS)),
         draw(st.integers(1, 3)),
         draw(st.integers(0, (1 << n) - 1)),
         kwargs,
@@ -1034,12 +1078,12 @@ def _assert_capture_record(captured, start, gains, projections, kwargs, skipped,
 def test_scan_captures_match_referee_decoder(case, data):
     """Every capture producer returns a record whose rows are the
     referee's ``row ∩ mask``, ids ascending, in the layout the byte rule
-    predicts, for every codec and capture mode: encoded cold and cached
-    scans, the raw ``scan_chunk`` kernel, a delta-merged view, and the
+    predicts, for every codec and capture mode: cold and cached shard
+    scans, the packed ``scan_chunk`` kernel, a delta-merged view, and the
     record after a pickle or a remote wire round trip.
     Against a second drawn mask, ``gains``/``gains_at`` match the
     referee's popcounts and ``accept_rows`` the row-by-row int loop."""
-    system, encoding, shards, mask_int, kwargs = case
+    system, shards, mask_int, kwargs = case
     n, words = system.n, -(-system.n // 64)
     chunk_rows = -(-system.m // shards)
     mask = ScanMask(n, mask_int)
@@ -1050,9 +1094,7 @@ def test_scan_captures_match_referee_decoder(case, data):
         data.draw(st.integers(1, 4), label="threshold"),
     )
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_shards(
-            Path(tmp) / "repo", system, chunk_rows=chunk_rows, encoding=encoding
-        )
+        path = write_shards(Path(tmp) / "repo", system, chunk_rows=chunk_rows)
         scans = []
         with ShardedRepository(path) as repo:
             assert [repo.row_mask(i) & mask_int for i in range(repo.m)] == projections
@@ -1073,7 +1115,7 @@ def test_scan_captures_match_referee_decoder(case, data):
         split = data.draw(st.integers(1, system.m), label="base rows")
         merged = write_shards(
             Path(tmp) / "merged", SetSystem(n, system.sets[:split]),
-            chunk_rows=chunk_rows, encoding=encoding,
+            chunk_rows=chunk_rows,
         )
         if split < system.m:
             apply_delta(merged, [
@@ -1287,7 +1329,9 @@ def test_v3_manifest_records_checksummed_stats(tmp_path):
     system = _mixed_system()
     path = write_shards(tmp_path / "v3", system, chunk_rows=2)
     manifest = json.loads((path / MANIFEST_NAME).read_text())
-    assert manifest["schema"] == SHARD_SCHEMA == "repro.shards/v4"
+    assert manifest["schema"] == SHARD_SCHEMA == "repro.shards/v5"
+    assert "encoding" not in manifest
+    assert all("layout" not in meta for meta in manifest["shards"])
     assert isinstance(manifest["stats_crc32"], int)
     assert isinstance(manifest["header_crc32"], int)
     assert manifest["dual_bound"] == dual_bound_oracle(system.n, system.sets)
@@ -1420,8 +1464,8 @@ def test_compact_never_deletes_a_file_the_manifest_names_outside(tmp_path):
 
 
 def _fuzz_system() -> SetSystem:
-    """Every codec and both layouts, in three shards at ``chunk_rows=3``
-    (3, 3, 2 rows): a raw all-dense chunk, then encoded mixed chunks."""
+    """Every codec, in three shards at ``chunk_rows=3`` (3, 3, 2 rows):
+    an all-dense chunk, then mixed chunks."""
     n = 250
     rng = np.random.default_rng(11)
     return SetSystem(n, [
@@ -1494,7 +1538,8 @@ def _manifest_mutations(draw):
         return f"max_set_bits {shard} {op!r}", mutate
     if kind == "schema":
         tag = draw(st.sampled_from(
-            ["repro.shards/v1", "repro.shards/v2", "repro.shards/v4", "", None]
+            ["repro.shards/v1", "repro.shards/v2", "repro.shards/v4",
+             "repro.shards/v5", "", None]
         ))
         return f"schema {tag!r}", lambda m: m.update(schema=tag)
     if kind == "rename":
