@@ -1,10 +1,10 @@
 """Chunked on-disk repository format for out-of-core set systems.
 
 The paper's access model stores the family ``r_1, ..., r_m`` in a
-*read-only repository* that algorithms scan sequentially.  Up to PR 1 the
-"repository" was always an in-RAM :class:`~repro.setsystem.set_system.SetSystem`,
-which caps experiments at whatever fits in memory.  This module gives the
-repository a real on-disk shape:
+*read-only repository* that algorithms scan sequentially.  An in-RAM
+:class:`~repro.setsystem.set_system.SetSystem` caps experiments at
+whatever fits in memory; this module gives the repository a real
+on-disk shape:
 
 * a **shard directory** holds ``manifest.json`` plus one binary file per
   chunk of sets (``shard-00000.bin``, ``shard-00001.bin``, ...);
@@ -31,8 +31,8 @@ numpy (:class:`_ChunkCodec`):
 ``dense`` (tag 0)
     The raw packed words, ``ceil(n/64)`` little-endian ``uint64`` per
     row.  A chunk whose rows are all dense is a block whose tags are
-    all 0; the scan and the referee read its words with one strided
-    gather off the map, and the scan captures them as one block.
+    all 0; the scan and the referee copy its words off the map in one
+    slice, and the scan captures them as one block.
 ``sparse-varint`` (tag 1)
     Delta-encoded sorted element ids as LEB128 varints: the first value
     is the first element, each later value the (>= 1) gap to the next.
@@ -1136,14 +1136,20 @@ def _dense_block(
     n: int, name: str,
 ) -> "np.ndarray":
     """Dense rows at ``offsets`` of ``payload`` as a ``(rows, words)``
-    ``uint64`` block: one strided gather of whole rows, then the length
-    and tail-bit refusals.  The byte gather both decoders share."""
+    ``uint64`` block: one copy of whole rows (one slice when they lie back
+    to back, as in an all-dense chunk; else one strided gather), then the
+    length and tail-bit refusals.  The byte gather both decoders share."""
     row_bytes = _words_for(n) * _WORD_BYTES
     if (lengths != row_bytes).any():
         raise ShardFormatError(f"corrupt shard {name}: dense row length mismatch")
     if not (row_bytes and offsets.size):
         return np.zeros((offsets.size, row_bytes // _WORD_BYTES), dtype=np.uint64)
-    block = sliding_window_view(payload, row_bytes)[offsets].view("<u8")
+    if (np.diff(offsets) == row_bytes).all():
+        first = int(offsets[0])
+        rows = payload[first:first + offsets.size * row_bytes].copy()
+        block = rows.view("<u8").reshape(offsets.size, -1)
+    else:
+        block = sliding_window_view(payload, row_bytes)[offsets].view("<u8")
     _refuse_tail_bits(block, n, name)
     return block
 
