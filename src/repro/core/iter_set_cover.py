@@ -12,7 +12,7 @@ O(rho/delta) approximation factor:
   ground set, every rung whose sample is too runs beside it in lockstep
   (the paper's parallel guesses), and the smallest complete cover wins;
 
-* each of the ceil(1/delta) iterations makes two passes:
+* each of the ceil(1/delta) iterations makes up to two passes:
 
   1. **sample pass** — draw a relative-approximation sample ``S`` of the
      uncovered elements; a streamed set covering at least ``|S|/k`` of the
@@ -21,7 +21,9 @@ O(rho/delta) approximation factor:
      afterwards ``algOfflineSC`` covers the remaining sampled elements from
      the stored projections;
   2. **update pass** — recompute the true uncovered set given this
-     iteration's picks.
+     iteration's picks.  A guess whose sample is its whole uncovered set
+     skips it: its picks' captured rows are the exact update, so an
+     iteration whose picking guesses all sampled whole makes one pass.
 
 * with the right guess, each iteration shrinks the uncovered set by a factor
   ``n^delta`` (Lemma 2.6), so all elements are covered after 1/delta
@@ -30,7 +32,8 @@ O(rho/delta) approximation factor:
 A final cleanup pass (mirroring Figure 4.1's last pass) is the only
 fallback: it finishes ``k0`` when Lemma 2.6's w.h.p. event did not
 materialize at the configured constants, or ``LB`` is well below ``OPT``
-(DESIGN.md §3.2), so a run makes at most ``2 ceil(1/delta) + 1`` passes.
+(DESIGN.md §3.2), so a run makes at most ``2 ceil(1/delta) + 1`` passes,
+less one per whole-sample iteration.
 
 Implementation note (DESIGN.md §4): the sample pass of each iteration runs
 one per-chunk Size-Test shared by every guess that runs.  The scan hands
@@ -245,6 +248,10 @@ class _GuessState:
         # with it (``_LightRows.gains``).
         self.projection_hits: list[int] = []
         self.new_picks: set[int] = set()
+        # Whether the sample is the whole uncovered set, and if so the
+        # union of this iteration's picked rows: its update.
+        self.whole_sample = False
+        self.picked_rows = 0
         self._scratch_words = 0
 
     @property
@@ -273,6 +280,7 @@ class _GuessState:
         # frozenset implementation exactly (draw_sample sorts anyway).
         sampled = draw_sample(bits_of(self.uncovered), target, seed=rng)
         self.sample_size = len(sampled)
+        self.whole_sample = self.sample_size == self._uncovered_count
         self.stats.sample_sizes.append(self.sample_size)
         self.leftover = mask_of(sampled)
         self.light_records, self.light_at = [], []
@@ -321,10 +329,7 @@ class _GuessState:
             self._store_light(chunk, start, stop, hits, None if fresh else leftover)
             if not heavy:
                 break
-            set_id = ids[stop]
-            self._pick(set_id)
-            self.new_picks.add(set_id)
-            self.stats.heavy_picks += 1
+            self.take(ids[stop], row(stop), heavy=True)
             leftover &= ~row(stop)
             start, fresh = stop + 1, False
             if not leftover:
@@ -374,24 +379,40 @@ class _GuessState:
         """
         if not self.leftover:
             return
-        picked = solver.solve_partial(n, self.projections, self.leftover & coverable)
-        for local_index in picked:
-            set_id = self.projection_ids[local_index]
-            self._pick(set_id)
-            self.new_picks.add(set_id)
-            self.stats.offline_picks += 1
+        rows = self.projections
+        for local_index in solver.solve_partial(n, rows, self.leftover & coverable):
+            self.take(self.projection_ids[local_index], rows[local_index])
         self.leftover = 0
+
+    def take(self, set_id: int, row: int, heavy: bool = False) -> None:
+        """Pick ``set_id`` (a Size-Test pick when ``heavy``, else an
+        offline one); ``row`` is its captured row.
+
+        A whole-sample guess ORs the rows into ``picked_rows``: each is the
+        set's projection onto a mask holding the whole uncovered set, so
+        their union is the iteration's exact update (:meth:`end_iteration`).
+        Only its part in the sample matters, so the sample's words hold it.
+        """
+        self._pick(set_id)
+        self.new_picks.add(set_id)
+        if self.whole_sample:
+            self.picked_rows |= row
+        if heavy:
+            self.stats.heavy_picks += 1
+        else:
+            self.stats.offline_picks += 1
 
     def observe_update_pass(self, set_id: int, row: int) -> None:
         """Second pass: recompute the true uncovered set."""
         if set_id in self.new_picks:
-            newly = (row & self.uncovered).bit_count()
-            if newly:
-                self.uncovered &= ~row
-                self._uncovered_count -= newly
+            self._cover(row)
 
     def end_iteration(self) -> None:
-        """Drop per-iteration scratch; prior iterations' memory is not kept."""
+        """Apply a whole-sample guess's update and drop per-iteration
+        scratch; prior iterations' memory is not kept."""
+        if self.whole_sample:
+            self._cover(self.picked_rows)
+        self.picked_rows = 0
         self.light_records, self.light_at = [], []
         self.projection_ids = []
         self.projection_hits = []
@@ -403,15 +424,19 @@ class _GuessState:
         """Final pass: pick any set covering a leftover element."""
         if self.done:
             return
-        hit = row & self.uncovered
-        hit_count = hit.bit_count()
-        if hit_count and set_id not in self.solution_set:
+        if row & self.uncovered and set_id not in self.solution_set:
             self._pick(set_id)
-            self.uncovered &= ~hit
-            self._uncovered_count -= hit_count
+            self._cover(row)
             self.stats.cleanup_picks += 1
 
     # ------------------------------------------------------------------
+    def _cover(self, rows: int) -> None:
+        """Remove ``rows`` from the true uncovered set."""
+        newly = (rows & self.uncovered).bit_count()
+        if newly:
+            self.uncovered &= ~rows
+            self._uncovered_count -= newly
+
     def _pick(self, set_id: int) -> None:
         if set_id not in self.solution_set:
             self.solution.append(set_id)
@@ -565,20 +590,22 @@ class IterSetCover:
             for guess in guesses:
                 self._solve_offline(guess, coverable)
             # Update pass: only this iteration's picks can change any
-            # uncovered set, so the scan captures exactly those rows.
-            picked: set[int] = set()
-            update_mask = 0
-            for guess in guesses:
-                if guess.new_picks:
-                    picked |= guess.new_picks
+            # uncovered set, so the scan captures exactly those rows.  A
+            # whole-sample guess already holds its picks' rows, so the
+            # pass runs for the other guesses' picks only, if any.
+            thin = [g for g in guesses if g.new_picks and not g.whole_sample]
+            if thin:
+                picked: set[int] = set().union(*(g.new_picks for g in thin))
+                update_mask = 0
+                for guess in thin:
                     update_mask |= guess.uncovered
-            parts = stream.scan_gains_chunked(
-                update_mask, min_capture_gain=1, capture_ids=picked,
-                include_gains=False,
-            )
-            capture_peak = max(
-                capture_peak, _replay(parts, guesses, _GuessState.observe_update_pass)
-            )
+                parts = stream.scan_gains_chunked(
+                    update_mask, min_capture_gain=1, capture_ids=picked,
+                    include_gains=False,
+                )
+                capture_peak = max(
+                    capture_peak, _replay(parts, thin, _GuessState.observe_update_pass)
+                )
             for guess in guesses:
                 guess.end_iteration()
         return capture_peak

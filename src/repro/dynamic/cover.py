@@ -241,11 +241,11 @@ class DynamicCover:
             assert seen & own == 0, "ownership overlaps"
             seen |= own
             level = self._level[set_id]
-            if level >= 1:
-                assert _popcount(own) >= 1 << (level - 1), (
-                    f"Invariant A violated: set {set_id} at level {level} "
-                    f"owns {_popcount(own)} < {1 << (level - 1)}"
-                )
+            # |own| >= 2^(level - 1), without building 2^(level - 1).
+            assert _popcount(own).bit_length() >= level, (
+                f"Invariant A violated: set {set_id} at level {level} "
+                f"owns {_popcount(own)} < 2^{level - 1}"
+            )
         assert seen == self._full, "ownership does not partition the universe"
         for element, owner in self._assign.items():
             assert self._own.get(owner, 0) >> element & 1, (
@@ -345,15 +345,7 @@ class DynamicCover:
             "rows": {str(k): format(v, "x") for k, v in self._rows.items()},
             "own": {str(k): format(v, "x") for k, v in self._own.items()},
             "level": {str(k): v for k, v in self._level.items()},
-            "counters": {
-                "updates": self.updates,
-                "full_solves": self.full_solves,
-                "repair_picks": self.repair_picks,
-                "releases": self.releases,
-                "steals": self.steals,
-                "budget_used": self._budget_used,
-                "budget_limit": self._budget_limit,
-            },
+            "counters": {key: getattr(self, attr) for key, attr in _COUNTERS.items()},
         }
         if root is not None:
             from repro.setsystem.deltas import chain_token
@@ -435,31 +427,35 @@ class DynamicCover:
                         "rebuild from the repository instead"
                     )
                 needs_remap = True
+        # Every field must read back exactly as :meth:`checkpoint` wrote
+        # it: nothing is coerced.
         try:
             cover = cls.__new__(cls)
-            cover.n = int(record["n"])
-            cover.theta = float(record["theta"])
-            cover.steal_enabled = bool(record["steal"])
+            cover.n, cover._top = _count(record["n"]), _count(record["top"])
+            cover.theta, cover.steal_enabled = record["theta"], record["steal"]
+            if type(cover.theta) is not float or not 0 < cover.theta <= 4:
+                raise ValueError(f"theta {cover.theta!r} is not a float in (0, 4]")
+            if type(cover.steal_enabled) is not bool:
+                raise ValueError(f"steal {cover.steal_enabled!r} is not a bool")
+            cover._rows, cover._own, cover._level = (
+                {_canonical(k, 10): parse(v) for k, v in record[key].items()}
+                for key, parse in (
+                    ("rows", _canonical), ("own", _canonical), ("level", _count)
+                )
+            )
+            for key, attr in _COUNTERS.items():
+                setattr(cover, attr, _count(record["counters"][key]))
+            # Rows span exactly 0..n-1 (checked before the n-bit mask is
+            # built), every chosen set has a level, and ids stay below top.
+            widest = max((r.bit_length() for r in cover._rows.values()), default=0)
+            if widest != cover.n:
+                raise ValueError("the rows do not span the ground set")
+            if cover._level.keys() != cover._own.keys():
+                raise ValueError("the levels are not the chosen sets'")
+            if max(cover._rows, default=-1) >= cover._top:
+                raise ValueError("a live id is at or above the high-water mark")
             cover._full = (1 << cover.n) - 1
-            cover._rows = {
-                int(k): int(v, 16) for k, v in record["rows"].items()
-            }
-            cover._own = {
-                int(k): int(v, 16) for k, v in record["own"].items()
-            }
-            cover._level = {
-                int(k): int(v) for k, v in record["level"].items()
-            }
-            counters = record["counters"]
-            cover.updates = int(counters["updates"])
-            cover.full_solves = int(counters["full_solves"])
-            cover.repair_picks = int(counters["repair_picks"])
-            cover.releases = int(counters["releases"])
-            cover.steals = int(counters["steals"])
-            cover._budget_used = int(counters["budget_used"])
-            cover._budget_limit = int(counters["budget_limit"])
-            cover._top = int(record["top"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"malformed checkpoint {path}: {exc}"
             ) from exc
@@ -659,6 +655,31 @@ class DynamicCover:
 
 def _popcount(mask: int) -> int:
     return mask.bit_count()
+
+
+#: A checkpoint's counters, by the attribute each restores.
+_COUNTERS = {
+    "updates": "updates", "full_solves": "full_solves",
+    "repair_picks": "repair_picks", "releases": "releases",
+    "steals": "steals", "budget_used": "_budget_used",
+    "budget_limit": "_budget_limit",
+}
+
+
+def _count(value) -> int:
+    """``value`` if it is a JSON integer >= 0 (no bool, float or string)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{value!r} is not a non-negative JSON integer")
+    return value
+
+
+def _canonical(text: str, base: int = 16) -> int:
+    """``text`` as a count >= 0, if it is that count's own spelling in
+    ``base`` 10 or 16 (no sign, padding, case or separator variant)."""
+    value = int(text, base)
+    if value < 0 or text != format(value, "x" if base == 16 else "d"):
+        raise ValueError(f"{text!r} is not a canonical base-{base} count")
+    return value
 
 
 def _checkpoint_checksum(record: dict) -> int:

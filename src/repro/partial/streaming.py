@@ -134,10 +134,7 @@ class PartialIterSetCover(IterSetCover):
                     best_index, best_gain = index, gain
             if best_index < 0:
                 break
-            set_id = guess.projection_ids[best_index]
-            guess._pick(set_id)
-            guess.new_picks.add(set_id)
-            guess.stats.offline_picks += 1
+            guess.take(guess.projection_ids[best_index], projections[best_index])
             remaining &= ~projections[best_index]
             covered = target_count - remaining.bit_count()
         guess.leftover = 0

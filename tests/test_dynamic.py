@@ -536,6 +536,75 @@ def test_checkpoint_remap_refuses_a_mutated_chain(tmp_path):
         DynamicCover.restore(path, root=root, allow_remap=True)
 
 
+def _fuzz_checkpoint_cover() -> DynamicCover:
+    """A small maintainer after churn — a deleted chosen set (repair
+    picks) and a deleted top id — so the checkpoint's fields hold
+    nontrivial values."""
+    dyn = DynamicCover(9, [(0, [0, 1, 2]), (1, [3, 4]), (2, [5, 6, 7, 8]),
+                           (3, [0, 3, 5]), (4, [1, 2])], theta=0.5)
+    dyn.apply([{"op": "insert", "elements": [4, 6, 7, 8]},
+               {"op": "delete", "id": 2},
+               {"op": "insert", "elements": [5, 7]},
+               {"op": "delete", "id": 6}])
+    return dyn
+
+
+_FUZZ_DROP = object()
+_FUZZ_VALUES = st.one_of(
+    st.just(_FUZZ_DROP), st.none(), st.booleans(), st.integers(-2, 12),
+    st.just(1 << 40), st.floats(-2, 12), st.text(max_size=2),
+    st.sampled_from(["1", "7", "ff", "0f", "-1", "A", " 3", "1f_f"]),
+    st.lists(st.integers(-1, 9), max_size=3),
+    st.dictionaries(st.sampled_from(["0", "1", "5", "x"]),
+                    st.sampled_from(["1", "3f", 2]), max_size=2),
+)
+_FUZZ_FIELDS = (
+    "schema", "n", "theta", "steal", "top", "rows", "own", "level", "counters",
+    "counters.updates", "counters.budget_used", "counters.budget_limit",
+    "rows.0", "rows.4", "rows.5", "own.0", "own.5", "level.0", "level.5",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_FUZZ_FIELDS), _FUZZ_VALUES)
+def test_checkpoint_fuzz_exact_restore_or_typed_refusal(field, value):
+    """One field of a re-sealed checkpoint set to a drawn JSON value (or
+    dropped): :meth:`DynamicCover.restore` either refuses with a typed
+    :class:`CheckpointError`, or restores exactly the state the file
+    states — it verifies, its cover and rows are the file's, and a fresh
+    checkpoint of it is the file again, so nothing was coerced."""
+    from repro.dynamic import CheckpointError
+    from repro.dynamic.cover import _checkpoint_checksum
+
+    dyn = _fuzz_checkpoint_cover()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = dyn.checkpoint(Path(tmp) / "cover.ckpt")
+        record = json.loads(path.read_text())
+        *outer, key = field.split(".")
+        table = record[outer[0]] if outer else record
+        if value is _FUZZ_DROP:
+            table.pop(key, None)
+        else:
+            table[key] = value
+        record["crc32"] = _checkpoint_checksum(record)
+        path.write_text(json.dumps(record))
+        try:
+            restored = DynamicCover.restore(path)
+        except CheckpointError as exc:
+            event(type(exc).__name__)
+            return
+        event("restored")
+        restored.verify()
+        assert restored.cover == sorted(int(k) for k in record["own"])
+        assert restored.rows() == {
+            int(k): int(v, 16) for k, v in record["rows"].items()
+        }
+        if outer != ["rows"]:
+            assert restored.cover == dyn.cover and restored.rows() == dyn.rows()
+        again = restored.checkpoint(Path(tmp) / "again.ckpt")
+        assert json.loads(again.read_text()) == record
+
+
 def test_merged_view_warm_cache_tracks_delta_churn(tmp_path):
     """Every delta generation changes the merged view's cache token, so
     scans after each mutation match a cache-off reference exactly."""

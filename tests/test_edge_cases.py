@@ -49,7 +49,7 @@ class TestDegenerateInstances:
         system = SetSystem(5, [list(range(5))])
         result = iter_set_cover(SetStream(system), delta=0.25, seed=0)
         assert result.solution_size == 1
-        assert result.passes == 2  # first iteration covers; loop exits
+        assert result.passes == 1  # a whole sample covered in one pass
 
     def test_empty_family_nonempty_universe(self):
         system = SetSystem(3, [])

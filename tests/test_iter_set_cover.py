@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import ThresholdGreedy
@@ -19,10 +19,13 @@ from repro.core.iter_set_cover import (
 )
 from repro.offline import ExactSolver, GreedySolver
 from repro.offline.greedy import _greedy_cover_frozenset
+from repro.partial import PartialIterSetCover
+from repro.partial.offline import coverage_requirement
 from repro.sampling import draw_sample
 from repro.setsystem import Captures, SetSystem, pack_rows
 from repro.setsystem.packed import ScanMask, scan_chunk
-from repro.streaming import MemoryMeter, SetStream
+from repro.setsystem.shards import write_shards
+from repro.streaming import MemoryMeter, SetStream, ShardedSetStream
 from repro.utils.bitset import mask_of
 from repro.utils.mathutil import ceil_inverse, powers_of_two_up_to
 from repro.utils.rng import as_generator
@@ -112,11 +115,12 @@ class TestResourceShape:
 
     def test_early_exit_when_covered(self):
         # One giant set: first iteration covers everything; later
-        # iterations are skipped, so only 2 passes happen even at small delta.
+        # iterations are skipped.  Its sample is the whole ground set, so
+        # the picks' captured rows are the update: 1 pass at any delta.
         system = SetSystem(10, [list(range(10)), [0], [1]])
         stream = SetStream(system)
         result = iter_set_cover(stream, delta=0.25, seed=0)
-        assert result.passes == 2
+        assert result.passes == 1
         assert result.solution_size == 1
 
     def test_memory_scales_with_parallel_guesses(self, planted_small):
@@ -247,6 +251,7 @@ class _ReferenceGuess:
         self.solution: list[int] = []
         self.current = self.peak = n  # the uncovered bitmap: n words
         self.sample_size = 0
+        self.whole = False  # is the sample the whole uncovered set?
         self.leftover = frozenset()
         self.light: list[tuple[int, frozenset]] = []
         self.new_picks: set[int] = set()
@@ -262,12 +267,17 @@ class _ReferenceGuess:
             self.solution.append(set_id)
             self.charge(1)
 
+    def idle(self) -> None:
+        self.sample_size, self.leftover, self.new_picks = 0, frozenset(), set()
+        self.whole = False
+
     def begin(self, config, n, m, rho, rng) -> None:
         if not self.uncovered:
-            self.sample_size, self.leftover = 0, frozenset()
+            self.idle()
             return
         sample = draw_sample(sorted(self.uncovered), config.sample_size(n, m, self.k, rho), seed=rng)
         self.sample_size = len(sample)
+        self.whole = frozenset(sample) == self.uncovered
         self.stats["samples"].append(len(sample))
         self.leftover, self.light, self.new_picks = sample, [], set()
         self.scratch = len(sample)
@@ -301,6 +311,25 @@ class _ReferenceGuess:
             self.stats["offline"] += 1
         self.leftover = frozenset()
 
+    def solve_offline_partial(self, allowance: int) -> None:
+        """Greedy up to the sample's share of the coverage allowance."""
+        if not self.leftover:
+            return
+        targets = self.leftover & frozenset().union(*(hit for _, hit in self.light))
+        share = min(1.0, self.sample_size / max(len(self.uncovered), 1))
+        required = max(0, len(targets) - int(allowance * share))
+        remaining = targets
+        while len(targets) - len(remaining) < required:
+            gains = [len(hit & remaining) for _, hit in self.light]
+            if not any(gains):
+                break
+            set_id, hit = self.light[gains.index(max(gains))]
+            self.pick(set_id)
+            self.new_picks.add(set_id)
+            self.stats["offline"] += 1
+            remaining -= hit
+        self.leftover = frozenset()
+
 
 class _FrozensetGreedy(GreedySolver):
     """Greedy on the seed's frozenset heap: the oracle's ``algOfflineSC``."""
@@ -309,14 +338,17 @@ class _FrozensetGreedy(GreedySolver):
         return _greedy_cover_frozenset(system)
 
 
-def _reference_iter_set_cover(system, config, seed):
+def _reference_iter_set_cover(system, config, seed, eps=None):
     """iterSetCover exactly as the paper states it, one row at a time.
 
     Returns ``(selection, passes, feasible, peak, guesses)``: the one
     rung run is the certified k0 = 2^ceil(log2 LB) (clamped to the top
     rung), or, when k0's sample is the whole ground set, every rung whose
     sample is, until the rungs from k0 up are done; a cleanup pass
-    finishes an incomplete k0.
+    finishes an incomplete k0.  An iteration costs 1 pass when every
+    guess that picked sampled its whole uncovered set, else 2.  With
+    ``eps``, the goal is :class:`PartialIterSetCover`'s: at most
+    ``n - ceil((1 - eps) n)`` elements left uncovered.
     """
     rng = as_generator(seed)
     n, m = system.n, system.m
@@ -324,21 +356,35 @@ def _reference_iter_set_cover(system, config, seed):
     rho = solver.rho(n)
     ladder = powers_of_two_up_to(n)
     lower_bound = dual_bound_oracle(n, system.sets)
+    allowance = 0 if eps is None else n - coverage_requirement(n, eps)
+    if eps is not None:
+        widest = max(1, max(map(len, system.sets), default=0))
+        lower_bound = max(-(-(n - allowance) // widest), lower_bound - allowance)
     k0 = min(1 << (max(lower_bound, 1) - 1).bit_length(), ladder[-1])
     whole = [k for k in ladder if config.sample_size(n, m, k, rho) >= n]
     rungs = whole if whole and whole[0] <= k0 else [k0]
     guesses = [_ReferenceGuess(k, n) for k in rungs]
+
+    def satisfied(g):
+        return len(g.uncovered) <= allowance
+
     passes = 0
     for _ in range(config.iterations):
-        if all(not g.uncovered for g in guesses if g.k >= k0):
+        if all(satisfied(g) for g in guesses if g.k >= k0):
             break
         for g in guesses:
-            g.begin(config, n, m, rho, rng)
+            if satisfied(g):
+                g.idle()
+            else:
+                g.begin(config, n, m, rho, rng)
         for set_id, r in enumerate(system.sets):
             for g in guesses:
                 g.size_test(set_id, r)
         for g in guesses:
-            g.solve_offline(solver, n)
+            if eps is None:
+                g.solve_offline(solver, n)
+            elif not satisfied(g):
+                g.solve_offline_partial(allowance)
         for set_id, r in enumerate(system.sets):
             for g in guesses:
                 if set_id in g.new_picks:
@@ -346,18 +392,20 @@ def _reference_iter_set_cover(system, config, seed):
         for g in guesses:
             g.current -= g.scratch
             g.scratch = 0
-        passes += 2
-    if config.cleanup_pass and any(g.uncovered for g in guesses if g.k >= k0):
+        passes += 1 if all(g.whole for g in guesses if g.new_picks) else 2
+    if config.cleanup_pass and any(not satisfied(g) for g in guesses if g.k >= k0):
         passes += 1
         for set_id, r in enumerate(system.sets):
             for g in guesses:
+                if satisfied(g):
+                    continue
                 hit = r & g.uncovered
                 if hit and set_id not in g.solution:
                     g.pick(set_id)
                     g.uncovered -= hit
                     g.stats["cleanup"] += 1
     peak = sum(g.peak for g in guesses)
-    complete = [g for g in guesses if not g.uncovered]
+    complete = [g for g in guesses if satisfied(g)]
     best = (
         min(complete, key=lambda g: len(g.solution))
         if complete
@@ -477,6 +525,103 @@ def _tiny_feasible_systems(draw):
     covered = set().union(*sets)
     sets += [[e] for e in range(n) if e not in covered]  # keep it feasible
     return SetSystem(n, sets)
+
+
+@st.composite
+def _tiny_systems(draw):
+    """Tiny instances, half of them patched feasible with singletons; the
+    others may leave elements in no set."""
+    n = draw(st.integers(1, 9))
+    sets = draw(st.lists(
+        st.lists(st.integers(0, n - 1), max_size=n, unique=True),
+        min_size=1, max_size=8,
+    ))
+    if draw(st.booleans()):
+        covered = set().union(*sets)
+        sets += [[e] for e in range(n) if e not in covered]
+    return SetSystem(n, sets)
+
+
+class _KeepGuesses:
+    """Keeps a run's guess states for inspection after ``solve``."""
+
+    def _iterate(self, stream, guesses, *args):
+        self.guesses = guesses
+        return super()._iterate(stream, guesses, *args)
+
+
+class _KeptIterSetCover(_KeepGuesses, IterSetCover):
+    pass
+
+
+class _KeptPartialIterSetCover(_KeepGuesses, PartialIterSetCover):
+    pass
+
+
+class TestWholeSampleUpdate:
+    """A whole-sample guess takes its update from its picks' captured rows,
+    and an iteration costs one pass when every guess that picked drew a
+    whole sample.  The driver must still match the row-by-row oracle, on
+    both stream kinds, for the full and the partial goal."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _tiny_systems(),
+        st.sampled_from([1.0, 0.5, 0.25]),
+        st.sampled_from([None, 0.1, 0.4]),
+        st.sampled_from([None, 0.05, 0.3]),
+        st.booleans(),
+        st.integers(0, 1 << 16),
+    )
+    def test_driver_matches_oracle(self, system, delta, eps, constant, sharded, seed):
+        import tempfile
+
+        config = (
+            IterSetCoverConfig(delta=delta) if constant is None
+            else IterSetCoverConfig(
+                delta=delta, use_polylog_factors=False, sample_constant=constant
+            )
+        )
+        selection, passes, feasible, peak, ref = _reference_iter_set_cover(
+            system, config, seed, eps
+        )
+        event(f"passes={passes}, feasible={feasible}")
+        algorithm = (
+            _KeptIterSetCover(config=config, seed=seed) if eps is None
+            else _KeptPartialIterSetCover(eps, config=config, seed=seed)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            stream = (
+                ShardedSetStream(write_shards(f"{tmp}/repo", system, chunk_rows=3))
+                if sharded else SetStream(system)
+            )
+            try:
+                result = algorithm.solve(stream)
+                assert result.passes == stream.passes
+            finally:
+                if sharded:
+                    stream.close()
+        assert result.selection == selection
+        assert result.passes == passes
+        assert result.feasible == feasible
+        buffer = result.extra.get("stream_buffer_words", 0)
+        assert result.peak_memory_words - buffer == peak
+        assert list(result.guess_stats) == [g.k for g in ref]
+        for g, guess in zip(ref, algorithm.guesses):
+            stats = result.guess_stats[g.k]
+            assert stats.heavy_picks == g.stats["heavy"]
+            assert stats.offline_picks == g.stats["offline"]
+            assert stats.cleanup_picks == g.stats["cleanup"]
+            assert stats.sample_sizes == g.stats["samples"]
+            assert stats.peak_memory_words == g.peak
+            # The final uncovered set, recomputed from the guess's picks:
+            # elements no set holds stay in it.
+            left = frozenset(range(system.n)).difference(
+                *(system.sets[i] for i in guess.solution)
+            )
+            assert guess.solution == g.solution
+            assert guess.uncovered == mask_of(left) == mask_of(g.uncovered)
+            assert guess.uncovered_count() == len(left)
 
 
 class TestGuessWindowSoundness:
